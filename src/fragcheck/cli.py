@@ -10,6 +10,7 @@ which is driven entirely by its seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -56,8 +57,6 @@ from .monoid import (
     transition_monoid,
 )
 from .stability import me_s, stability_info
-
-import itertools
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,9 +312,10 @@ def _cmd_expr_to_fo(args, out) -> int:
 
 def _cmd_witness(args, out) -> int:
     d, _ = _load_dfa(args)
+    cap = _resolve_cap(args.max_monoid)
     pipeline = LanguageAnalysis(
         d,
-        max_monoid=_resolve_cap(args.max_monoid),
+        max_monoid=cap,
         index_multiplier=_multiplier(args),
     )
     ok, witness = pipeline.check("sigma2_mod")
@@ -330,7 +330,7 @@ def _cmd_witness(args, out) -> int:
                 f"sigma2_mod: not definable (e={witness[0]} x={witness[1]})\n"
             )
         return 1
-    g = build_mod_witness(pipeline.ordered, pipeline.stability)
+    g = build_mod_witness(pipeline.ordered, pipeline.stability, cap)
     s = pipeline.stability.index
     size = pipeline.morphism.monoid.size
     bound = s * s * size + 2

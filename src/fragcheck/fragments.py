@@ -258,7 +258,9 @@ _SINK = ("sink",)
 _EPS = ("eps",)
 
 
-def build_mod_witness(m: Morphism, info: StabilityInfo) -> Morphism:
+def build_mod_witness(
+    m: Morphism, info: StabilityInfo, max_monoid: int | None = None
+) -> Morphism:
     """Build the quotient of decorated words explaining sigma2_mod.
 
     Decorated words over residues 1..s collapse to: the empty-word class,
@@ -270,7 +272,8 @@ def build_mod_witness(m: Morphism, info: StabilityInfo) -> Morphism:
     h(u) <= h(v) for words of equal length residue.
 
     Requires the base morphism to carry the syntactic order and to
-    satisfy the sigma2_mod hypothesis.
+    satisfy the sigma2_mod hypothesis.  A witness with more than
+    `max_monoid` elements, when that cap is given, raises CapError.
     """
     mon = m.monoid
     if mon.leq is None:
@@ -318,15 +321,16 @@ def build_mod_witness(m: Morphism, info: StabilityInfo) -> Morphism:
             return bool(mon.leq[l1[3], l2[3]])
         return False
 
+    bound = s * s * mon.size + 2
+    cap = bound + 1 if max_monoid is None else min(max_monoid, bound + 1)
     g = generated_morphism(
         sorted(letter_labels),
         letter_labels,
         mult_label,
         _EPS,
-        cap=s * s * mon.size + 3,
+        cap=cap,
         leq_label=leq_label,
     )
-    bound = s * s * mon.size + 2
     if g.monoid.size > bound:
         raise ConsistencyError(
             f"witness monoid has {g.monoid.size} elements, above the bound {bound}"

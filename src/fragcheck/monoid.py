@@ -4,6 +4,15 @@ Elements are integer ids 0..size-1.  Multiplication is a full table; the
 order, when present, is a full boolean matrix leq[x][y] meaning x <= y.
 Morphisms carry shortlex-least representative words for every element,
 computed during the generating breadth-first closure.
+
+The syntactic order of a morphism with an accepting set P is built from
+the right quotients of P (the sets {r : p r in P}), compared by inclusion
+once per pair of distinct quotients and then pulled back along the
+action of each element: O(|M|^2 k) time and O(|M|^2) memory for k
+distinct quotients, where k is the state count of the minimal automaton.
+This is Pin's ordered syntactic monoid ("A variety theorem without
+complementation", 1995).  Brute-force context enumeration of the same
+order lives in the test oracles.
 """
 
 from __future__ import annotations
@@ -120,10 +129,6 @@ class OrderedMonoid:
         return OrderedMonoid(self.mult, self.identity, leq=leq, repr_words=self.repr_words)
 
 
-def omega_power(m: OrderedMonoid, x: int) -> int:
-    return m.omega(x)
-
-
 def is_aperiodic(m: OrderedMonoid) -> tuple[bool, int | None]:
     """Whether x^w = x^w x for every x; returns an offending x otherwise."""
     for x in m.elements():
@@ -138,8 +143,9 @@ def set_product(m: OrderedMonoid, xs, ys) -> frozenset[int]:
     xs, ys = list(xs), list(ys)
     if not xs or not ys:
         return frozenset()
-    block = m.mult[np.ix_(xs, ys)]
-    return frozenset(int(v) for v in np.unique(block))
+    hit = np.zeros(m.size, dtype=bool)
+    hit[m.mult[np.ix_(xs, ys)]] = True
+    return frozenset(np.flatnonzero(hit).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,12 +285,23 @@ def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
 
 
 def syntactic_order(m: Morphism) -> Morphism:
-    """The syntactic preorder u <= v iff every accepting context of v is an
-    accepting context of u, materialized as a full order matrix.
+    """The syntactic order x <= y iff every accepting context of y is an
+    accepting context of x, materialized as a full order matrix.
+
+    The order is read off the right quotients of the accepting set P: the
+    quotient of p is the set of r with p r in P.  Contexts (p, r) accept y
+    exactly when r lies in the quotient of p y, so x <= y iff the quotient
+    of p y is included in the quotient of p x for every p.  The quotient of
+    p y depends only on the quotient of p and on y, so one representative
+    p per distinct quotient suffices.  With k distinct quotients (the
+    states of the minimal automaton, for a transition monoid) this costs
+    O(|M|^2 k) time and O(|M|^2) memory.
 
     The order is canonical for the accepting set, so it is bound onto the
     morphism's monoid in place (idempotently) and the same morphism is
-    returned.  Raises InputError when the relation is not antisymmetric,
+    returned.  Nothing here assumes the morphism came from a minimal
+    automaton, so the relation is still checked for antisymmetry: it
+    fails, with InputError, exactly when two elements share every context,
     which means the morphism was not the syntactic morphism of its
     accepting set.
     """
@@ -297,25 +314,25 @@ def syntactic_order(m: Morphism) -> Morphism:
     acc = np.zeros(size, dtype=bool)
     acc[list(m.accepting)] = True
 
-    distinct = {}
+    rows = acc[mult]                  # [p, r] -> p r in P
+    packed = np.packbits(rows, axis=1)
+    width, buf = packed.shape[1], packed.tobytes()
+    index, reps, cls = {}, [], []     # cls[p]: which distinct row is p's
     for p in range(size):
-        rows = mult[mult[p]]          # [x, q] -> (p x) q
-        in_acc = acc[rows]            # bool [x, q]
-        packed = np.packbits(in_acc.T, axis=1)
-        for q in range(size):
-            distinct.setdefault(packed[q].tobytes(), None)
+        c = index.setdefault(buf[p * width:(p + 1) * width], len(reps))
+        if c == len(reps):
+            reps.append(p)
+        cls.append(c)
 
-    not_leq = np.zeros((size, size), dtype=bool)
-    for key in distinct:
-        vec = np.unpackbits(
-            np.frombuffer(key, dtype=np.uint8), count=size
-        ).astype(bool)
-        # context satisfied by y but not x rules out x <= y
-        not_leq |= np.outer(~vec, vec)
-    leq = ~not_leq
+    # contains[i, j]: quotient j is included in quotient i
+    quotients = rows.take(reps, 0).astype(np.float32)
+    contains = ((1.0 - quotients) @ quotients.T) == 0
+    leq = np.ones((size, size), dtype=bool)
+    for moved in np.take(cls, mult.take(reps, 0)):  # class of rep_c x, by x
+        leq &= contains.take(moved, 0).take(moved, 1)
 
-    both = leq & leq.T & ~np.eye(size, dtype=bool)
-    if both.any():
+    if np.count_nonzero(leq & leq.T) > size:
+        both = leq & leq.T & ~np.eye(size, dtype=bool)
         x, y = map(int, np.argwhere(both)[0])
         raise InputError(
             "syntactic order not antisymmetric: elements "
@@ -426,22 +443,18 @@ def submonoid_view(m: OrderedMonoid, elements) -> tuple[OrderedMonoid, tuple]:
     elems = sorted(set(int(x) for x in elements))
     if m.identity not in elems:
         raise InputError("submonoid must contain the identity")
-    pos = {x: i for i, x in enumerate(elems)}
-    k = len(elems)
-    table = np.empty((k, k), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            z = m.mul(x, y)
-            if z not in pos:
-                raise InputError("subset is not closed under multiplication")
-            table[i, j] = pos[z]
+    pos = np.full(m.size, -1, dtype=np.int64)  # new id by parent id
+    pos[elems] = np.arange(len(elems))
+    table = pos[m.mult[np.ix_(elems, elems)]]
+    if (table < 0).any():
+        raise InputError("subset is not closed under multiplication")
     leq = None
     if m.leq is not None:
         leq = m.leq[np.ix_(elems, elems)]
     words = None
     if m.repr_words is not None:
         words = [m.repr_words[x] for x in elems]
-    return OrderedMonoid(table, pos[m.identity], leq=leq, repr_words=words), tuple(elems)
+    return OrderedMonoid(table, int(pos[m.identity]), leq=leq, repr_words=words), tuple(elems)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ the library always points at real mathematics, not at shared code.
 
 from itertools import product
 
+import numpy as np
+
 
 def words(alphabet, max_len):
     """All words over the alphabet up to max_len, shortest first."""
@@ -137,3 +139,29 @@ def me_s_brute(h, s, e):
                 closure.add(y)
                 frontier.append(y)
     return closure
+
+
+def syntactic_leq_by_contexts(h):
+    """The syntactic order matrix from explicit context enumeration:
+    x <= y iff every context (p, q) with p y q accepted also accepts
+    p x q.  Uses only the multiplication table and the accepting set."""
+    size = h.monoid.size
+    mult = np.asarray(h.monoid.mult)
+    acc = np.zeros(size, dtype=bool)
+    acc[list(h.accepting)] = True
+
+    distinct = {}
+    for p in range(size):
+        in_acc = acc[mult[mult[p]]]       # [x, q] -> p x q accepted
+        packed = np.packbits(in_acc.T, axis=1)
+        for q in range(size):
+            distinct.setdefault(packed[q].tobytes(), None)
+
+    not_leq = np.zeros((size, size), dtype=bool)
+    for key in distinct:
+        vec = np.unpackbits(
+            np.frombuffer(key, dtype=np.uint8), count=size
+        ).astype(bool)
+        # a context satisfied by y but not by x rules out x <= y
+        not_leq |= np.outer(~vec, vec)
+    return ~not_leq

@@ -159,6 +159,14 @@ def test_main_maps_errors_to_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_witness_respects_max_monoid(capsys):
+    # the syntactic monoid of (bc)* has 6 elements, its witness has 14
+    assert cli.main(["witness", "--regex", "(bc)*", "--max-monoid", "10"]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert cli.main(["witness", "--regex", "(bc)*", "--max-monoid", "14"]) == 0
+    capsys.readouterr()
+
+
 def test_max_monoid_env_override(monkeypatch, capsys):
     monkeypatch.setenv("FRAGCHECK_MAX_MONOID", "2")
     assert cli.main(["analyze", "--regex", "(a|b)*aa(a|b)*"]) == 3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fragcheck.automata import minimize, regex_to_dfa
+from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
     GreenRelations,
@@ -289,6 +289,74 @@ def test_syntactic_order_compatible_with_product(small_corpus):
                     for v in range(m.size):
                         if leq[u, v]:
                             assert leq[m.mul(x, u), m.mul(y, v)]
+
+
+def _random_seven_state_dfa(seed):
+    """A uniformly random 7-state DFA over {a, b}, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, 7, size=(7, 2))
+    finals = rng.integers(0, 2, size=7).astype(bool)
+    states = [f"q{i}" for i in range(7)]
+    delta = {
+        (q, a): states[targets[i, j]]
+        for i, q in enumerate(states)
+        for j, a in enumerate("ab")
+    }
+    return make_dfa(("a", "b"), states, "q0",
+                    [q for q, f in zip(states, finals) if f], delta)
+
+
+def test_syntactic_order_matches_context_oracle_on_corpus(small_corpus):
+    for d in small_corpus:
+        h = syntactic_order(transition_monoid(d, max_monoid=600))
+        assert np.array_equal(h.monoid.leq, oracles.syntactic_leq_by_contexts(h))
+
+
+@pytest.mark.parametrize("seed", [43, 58, 61])
+def test_syntactic_order_matches_context_oracle_at_mid_size(seed):
+    d = minimize(_random_seven_state_dfa(seed))
+    assert len(d.states) == 7
+    h = syntactic_order(transition_monoid(d))
+    assert 150 <= h.monoid.size <= 300
+    assert np.array_equal(h.monoid.leq, oracles.syntactic_leq_by_contexts(h))
+
+
+# A minimal 7-state DFA over {a, b} with a 1632-element syntactic monoid,
+# beyond the reach of context enumeration: state -> (a-successor, b-successor)
+_LARGE_DELTA = {
+    "q0": ("q1", "q0"),
+    "q1": ("q2", "q3"),
+    "q2": ("q2", "q0"),
+    "q3": ("q4", "q2"),
+    "q4": ("q5", "q4"),
+    "q5": ("q5", "q6"),
+    "q6": ("q3", "q0"),
+}
+
+
+def test_syntactic_order_at_scale():
+    d = make_dfa(
+        ("a", "b"), sorted(_LARGE_DELTA), "q0", ["q1", "q2", "q3", "q5"],
+        {(q, a): t for q, row in _LARGE_DELTA.items() for a, t in zip("ab", row)},
+    )
+    h = syntactic_order(transition_monoid(d))
+    m = h.monoid
+    assert m.size == 1632
+    leq = m.leq
+    # x <= y forces xa <= ya and ax <= ay for every letter a
+    for a in h.letter_map.values():
+        right, left = m.mult[:, a], m.mult[a]
+        assert not (leq & ~leq[np.ix_(right, right)]).any()
+        assert not (leq & ~leq[np.ix_(left, left)]).any()
+    # the complement's order is the reverse order on the same elements
+    co = syntactic_order(transition_monoid(complement(d)))
+    assert np.array_equal(co.monoid.leq, leq.T)
+    stable = stability_info(h).stable
+    view, parents = submonoid_view(m, stable)
+    parents = np.array(parents)
+    assert sorted(parents) == sorted(stable)
+    assert np.array_equal(parents[view.mult], m.mult[np.ix_(parents, parents)])
+    assert np.array_equal(view.leq, leq[np.ix_(parents, parents)])
 
 
 def test_syntactic_morphism_recognizes_language(small_corpus):
