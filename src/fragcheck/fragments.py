@@ -15,8 +15,9 @@ implication.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .automata import Dfa, DecoratedLetter, decorated_letters, minimize, mod1
 from .errors import ConsistencyError, InputError
@@ -312,14 +313,22 @@ def build_mod_witness(
             return _SINK
         return ("wf", i1, j2, mon.mul(x1, x2))
 
-    def leq_label(l1, l2):
-        if l1 == _SINK:
-            return True
-        if l1 == _EPS or l2 == _EPS or l2 == _SINK:
-            return l1 == l2
-        if l1[1] == l2[1] and l1[2] == l2[2]:
-            return bool(mon.leq[l1[3], l2[3]])
-        return False
+    def label_order(labels):
+        # the sink lies below everything, the empty word only below itself,
+        # and well-formed classes compare by the base order when their
+        # start and end residues agree
+        kind = np.array([lab[0] for lab in labels])
+        eps, wf = kind == "eps", kind == "wf"
+        start, end, base = np.array(
+            [lab[1:] if lab[0] == "wf" else (0, 0, 0) for lab in labels], dtype=np.int64
+        ).reshape(len(labels), 3).T
+        return (
+            (kind == "sink")[:, None]
+            | (eps[:, None] & eps)
+            | (wf[:, None] & wf
+               & (start[:, None] == start) & (end[:, None] == end)
+               & mon.leq[base[:, None], base])
+        )
 
     bound = s * s * mon.size + 2
     cap = bound + 1 if max_monoid is None else min(max_monoid, bound + 1)
@@ -329,7 +338,7 @@ def build_mod_witness(
         mult_label,
         _EPS,
         cap=cap,
-        leq_label=leq_label,
+        label_order=label_order,
     )
     if g.monoid.size > bound:
         raise ConsistencyError(

@@ -13,11 +13,18 @@ distinct quotients, where k is the state count of the minimal automaton.
 This is Pin's ordered syntactic monoid ("A variety theorem without
 complementation", 1995).  Brute-force context enumeration of the same
 order lives in the test oracles.
+
+The local submonoid Me of an idempotent e (generated by every a with e in
+MaM) is built once per e as a sorted numpy member array and kept on the
+monoid, so it lives as long as the monoid does and serves every check
+that reads it.  Its generators cost two O(|M|^2) mask passes over the
+table, its closure one frontier step of O(|frontier| g) per
+breadth-first level for g generators.  The local conditions e x e REL e
+then read one gathered row e Me e per idempotent.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +67,7 @@ class OrderedMonoid:
         if self.repr_words is not None and len(self.repr_words) != self.size:
             raise InputError("need one representative word per element")
         self._validate()
+        self._me = {}  # idempotent -> sorted member array of Me
 
     def _validate(self):
         m, mult = self.size, self.mult
@@ -109,7 +117,7 @@ class OrderedMonoid:
         return int(self.mult[x, x]) == x
 
     def idempotents(self) -> list[int]:
-        return [x for x in range(self.size) if self.is_idempotent(x)]
+        return np.flatnonzero(self.mult.diagonal() == np.arange(self.size)).tolist()
 
     def omega(self, x: int) -> int:
         """The unique idempotent power of x."""
@@ -127,6 +135,15 @@ class OrderedMonoid:
 
     def with_order(self, leq) -> "OrderedMonoid":
         return OrderedMonoid(self.mult, self.identity, leq=leq, repr_words=self.repr_words)
+
+    def me_members(self, e: int) -> np.ndarray:
+        """The sorted members of Me for the idempotent e, built on first
+        use and kept for the life of the monoid (read-only)."""
+        got = self._me.get(e)
+        if got is None:
+            gens = np.flatnonzero(_j_upset_mask(self.mult, e))
+            got = self._me[e] = _closure_members(self.mult, self.identity, gens)
+        return got
 
 
 def is_aperiodic(m: OrderedMonoid) -> tuple[bool, int | None]:
@@ -188,7 +205,7 @@ def generated_morphism(
     identity_label,
     *,
     cap: int = DEFAULT_MAX_MONOID,
-    leq_label=None,
+    label_order=None,
     accepting_label=None,
 ) -> Morphism:
     """Close the letter labels under multiplication and index the result.
@@ -196,9 +213,11 @@ def generated_morphism(
     Labels are opaque hashable values with `mult_label` as the product.
     Element ids are assigned in breadth-first shortlex order, so id 0 is the
     identity and every element's representative word is shortlex-least.
-    The full multiplication table is filled by the column recurrence
-    mult[x][y'a] = R_a[mult[x][y']], which only uses products computed
-    during the closure.
+    The closure evaluates every product x . a once and records it as the
+    letter column R_a[x]; the full multiplication table is then filled by
+    the column recurrence mult[x][y'a] = R_a[mult[x][y']].  When given,
+    `label_order` maps the list of labels, by element id, to the boolean
+    order matrix.
     """
     letters = sorted(letter_labels)
     labels = [identity_label]
@@ -213,34 +232,25 @@ def generated_morphism(
         frontier += 1
         for a in letters:
             lab = mult_label(labels[x], letter_labels[a])
-            if lab not in index:
-                index[lab] = len(labels)
+            y = index.get(lab)
+            if y is None:
+                y = index[lab] = len(labels)
                 labels.append(lab)
                 words.append(words[x] + (a,))
                 parent.append((x, a))
                 if len(labels) > cap:
                     raise CapError(f"monoid size cap exceeded ({cap})")
-        # columns may lag behind; fill after closure
+            gen_cols[a].append(y)
 
     m = len(labels)
-    for a in letters:
-        col = np.empty(m, dtype=np.int64)
-        for x in range(m):
-            col[x] = index[mult_label(labels[x], letter_labels[a])]
-        gen_cols[a] = col
-
+    gen_cols = {a: np.array(col, dtype=np.int64) for a, col in gen_cols.items()}
     mult = np.empty((m, m), dtype=np.int64)
     mult[:, 0] = np.arange(m)
     for y in range(1, m):
         py, a = parent[y]
         mult[:, y] = gen_cols[a][mult[:, py]]
 
-    leq = None
-    if leq_label is not None:
-        leq = np.empty((m, m), dtype=bool)
-        for x in range(m):
-            for y in range(m):
-                leq[x, y] = leq_label(labels[x], labels[y])
+    leq = None if label_order is None else label_order(labels)
 
     accepting = None
     if accepting_label is not None:
@@ -404,37 +414,47 @@ def green_classes(m: OrderedMonoid) -> GreenRelations:
     )
 
 
+def _j_upset_mask(mult: np.ndarray, e: int) -> np.ndarray:
+    # z with e in zM, then every a with some x a among them
+    left = (mult == e).any(axis=1)
+    return left[mult].any(axis=0)
+
+
+def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray) -> np.ndarray:
+    """Sorted members of the submonoid generated by the ids `gens`, by a
+    breadth-first frontier pushed through the generator columns at once."""
+    cols = mult[:, gens]
+    reached = np.zeros(mult.shape[0], dtype=bool)
+    reached[identity] = True
+    frontier = np.array([identity])
+    while frontier.size:
+        hit = np.zeros_like(reached)
+        hit[cols[frontier]] = True
+        hit &= ~reached
+        reached |= hit
+        frontier = np.flatnonzero(hit)
+    members = np.flatnonzero(reached)
+    members.flags.writeable = False
+    return members
+
+
 def j_upset(m: OrderedMonoid, e: int) -> frozenset[int]:
-    """All a with e in MaM, by backward reachability over one-step multiples."""
-    size, mult = m.size, m.mult
-    in_set = np.zeros(size, dtype=bool)
-    in_set[e] = True
-    while True:
-        grown = in_set | in_set[mult].any(axis=1) | in_set[mult].any(axis=0)
-        if np.array_equal(grown, in_set):
-            return frozenset(int(x) for x in np.flatnonzero(in_set))
-        in_set = grown
+    """All a with e in MaM: the z with e in zM are one mask over the table,
+    and a qualifies iff some x a is among them, so two O(|M|^2) passes."""
+    return frozenset(np.flatnonzero(_j_upset_mask(m.mult, e)).tolist())
 
 
 def submonoid_closure(m: OrderedMonoid, generators) -> frozenset[int]:
-    gens = sorted(set(generators))
-    seen = {m.identity}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = m.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    gens = np.array(sorted({int(g) for g in generators}), dtype=np.int64)
+    return frozenset(_closure_members(m.mult, m.identity, gens).tolist())
 
 
 def me_submonoid(m: OrderedMonoid, e: int) -> frozenset[int]:
-    """The submonoid generated by every a whose two-sided ideal contains e."""
+    """The submonoid generated by every a whose two-sided ideal contains e,
+    built once per idempotent and kept on the monoid (`me_members`)."""
     if not m.is_idempotent(e):
         raise InputError(f"element {e} is not idempotent")
-    return submonoid_closure(m, j_upset(m, e))
+    return frozenset(m.me_members(e).tolist())
 
 
 def submonoid_view(m: OrderedMonoid, elements) -> tuple[OrderedMonoid, tuple]:
@@ -473,8 +493,11 @@ def local_condition(
     """Check e x e REL e for every idempotent e and every x in the selected
     submonoid (Me, or the stable-context variant Mes).
 
-    REL is equality, or the monoid order in either direction.  Returns the
-    first offending pair (e, x) when the condition fails.
+    REL is equality, or the monoid order in either direction.  Each
+    idempotent costs one gather of e x e over the kept member array of its
+    local submonoid and one mask test.  Returns the first offending pair
+    (e, x), idempotents and members in increasing order, when the
+    condition fails.
     """
     if mode not in _MODES:
         raise InputError(f"unknown mode {mode!r}")
@@ -485,26 +508,24 @@ def local_condition(
     if selector == "Mes":
         if stability_ctx is None:
             raise InputError("Mes selector requires stability data")
-        from .stability import me_s  # deferred to avoid a module cycle
-
         if stability_ctx.morphism.monoid is not m:
             raise InputError("stability data belongs to a different monoid")
+        members = stability_ctx.mes_members
+    else:
+        members = m.me_members
 
+    mult, leq = m.mult, m.leq
     for e in m.idempotents():
-        if selector == "Me":
-            sub = me_submonoid(m, e)
+        xs = members(e)
+        exe = mult[mult[e, xs], e]
+        if mode == "eq":
+            ok = exe == e
+        elif mode == "leq":
+            ok = leq[exe, e]
         else:
-            sub = me_s(stability_ctx.morphism, stability_ctx, e)
-        for x in sorted(sub):
-            exe = m.mul(m.mul(e, x), e)
-            if mode == "eq":
-                ok = exe == e
-            elif mode == "leq":
-                ok = m.le(exe, e)
-            else:
-                ok = m.le(e, exe)
-            if not ok:
-                return False, (e, x)
+            ok = leq[e, exe]
+        if not ok.all():
+            return False, (e, int(xs[ok.argmin()]))
     return True, None
 
 

@@ -1,11 +1,14 @@
 """Stability data of a morphism: the smallest s with h(A^s) = h(A^2s),
 the stable submonoid, residue-constrained context sets, and the
 context-constrained local submonoids used by the modular fragment checks.
+
+Each local submonoid Mes is built once per idempotent, as a sorted numpy
+member array, and kept on its `StabilityInfo` next to the context
+products it is read from, so it lives as long as that object does.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +75,7 @@ class StabilityInfo:
     residues: tuple
     _powers: _PowerImages
     _context_products: dict = field(default_factory=dict)
+    _mes: dict = field(default_factory=dict)  # idempotent -> members of Mes
 
     def admissible_images(self, letter, r: int) -> frozenset[int]:
         """All values x . h(letter) . y with x in residues[r] and y in
@@ -86,6 +90,39 @@ class StabilityInfo:
             mid = set_product(m, left, [self.morphism.letter_map[letter]])
             self._context_products[key] = set_product(m, mid, right)
         return self._context_products[key]
+
+    def mes_members(self, e: int) -> np.ndarray:
+        """The sorted members of Mes for the idempotent e (see `me_s`),
+        built on first use and kept for the life of this object
+        (read-only).
+
+        Every breadth-first level of the residue-tagged search sits at one
+        residue r, so a level is one frontier pushed through the columns
+        of the letters usable at r, and reached[r] marks what residue r
+        has seen.  O(s |M|) memory, O(|frontier| |A|) per level.
+        """
+        got = self._mes.get(e)
+        if got is not None:
+            return got
+        m, s = self.morphism, self.index
+        mult, identity = m.monoid.mult, m.monoid.identity
+        cols = [
+            mult[:, [m.letter_map[a] for a in m.alphabet if e in self.admissible_images(a, r)]]
+            for r in range(s)
+        ]
+        reached = np.zeros((s, m.monoid.size), dtype=bool)
+        reached[0, identity] = True
+        frontier, r = np.array([identity]), 0
+        while frontier.size:
+            hit = np.zeros_like(reached[0])
+            hit[cols[r][frontier]] = True
+            r = (r + 1) % s
+            hit &= ~reached[r]
+            reached[r] |= hit
+            frontier = np.flatnonzero(hit)
+        got = self._mes[e] = np.flatnonzero(reached[0])
+        got.flags.writeable = False
+        return got
 
 
 def stability_index(m: Morphism) -> int:
@@ -182,32 +219,11 @@ def me_s(m: Morphism, info: StabilityInfo, e: int) -> frozenset[int]:
     with |p_i| congruent to i-1 and |q_i| congruent to -i mod s.  A letter
     extending a partial word of length residue r is usable iff e lies in
     residues[r] . h(a) . residues[-(r+1) mod s]; the submonoid is the set
-    of elements reachable at residue 0 under that constraint.
+    of elements reachable at residue 0 under that constraint.  It is built
+    once per idempotent by `StabilityInfo.mes_members` and kept on `info`.
     """
-    mon = m.monoid
     if info.morphism is not m:
         raise InputError("stability data belongs to a different morphism")
-    if not mon.is_idempotent(e):
+    if not m.monoid.is_idempotent(e):
         raise InputError(f"element {e} is not idempotent")
-    s = info.index
-    usable = {
-        (a, r): e in info.admissible_images(a, r)
-        for a in m.alphabet
-        for r in range(s)
-    }
-    start = (0, mon.identity)
-    seen = {start}
-    queue = deque([start])
-    collected = {mon.identity}
-    while queue:
-        r, x = queue.popleft()
-        for a in m.alphabet:
-            if not usable[(a, r)]:
-                continue
-            nxt = ((r + 1) % s, mon.mul(x, m.letter_map[a]))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                if nxt[0] == 0:
-                    collected.add(nxt[1])
-    return frozenset(collected)
+    return frozenset(info.mes_members(e).tolist())

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .automata import DecoratedLetter, decorated_letters, mod1
 from .errors import CapError, InputError
 from .monoid import DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, generated_morphism
@@ -43,6 +45,19 @@ def pair_le(base: OrderedMonoid, n: int, p1, p2) -> bool:
     if base.leq is None:
         return f1 == f2
     return all(bool(base.leq[f1[k], f2[k]]) for k in range(n))
+
+
+def _pointwise_leq(base: OrderedMonoid, tuples, n: int) -> np.ndarray:
+    """leq[x, y] iff tuples[x][k] <= tuples[y][k] in the base for every
+    k < n (equality when the base is unordered)."""
+    rows = np.array(tuples, dtype=np.int64).reshape(len(tuples), n)
+    out = np.ones((len(rows), len(rows)), dtype=bool)
+    for col in rows.T:
+        if base.leq is None:
+            out &= col[:, None] == col[None, :]
+        else:
+            out &= base.leq[col[:, None], col[None, :]]
+    return out
 
 
 def _check_pair(base: OrderedMonoid, n: int, pair):
@@ -87,7 +102,7 @@ def wreath_product(base: OrderedMonoid, n: int, cap: int = DEFAULT_WREATH_CAP) -
     ]
     leq = None
     if base.leq is not None:
-        leq = [[pair_le(base, n, p1, p2) for p2 in pairs] for p1 in pairs]
+        leq = _pair_order(base, n, pairs)
     identity = index[(tuple([base.identity] * n), 0)]
     monoid = OrderedMonoid(mult, identity, leq=leq)
     return WreathMonoid(base=base, modulus=n, monoid=monoid, pairs=tuple(pairs))
@@ -127,10 +142,17 @@ def wreath_morphism(
         lambda p1, p2: pair_product(base, n, p1, p2),
         identity,
         cap=cap,
-        leq_label=lambda p1, p2: pair_le(base, n, p1, p2),
+        label_order=lambda pairs: _pair_order(base, n, pairs),
     )
     labels = _element_pairs(morphism, letter_pairs, base, n, identity)
     return WreathMorphism(base=base, modulus=n, morphism=morphism, pairs=labels)
+
+
+def _pair_order(base: OrderedMonoid, n: int, pairs) -> np.ndarray:
+    """The matrix of `pair_le` over a list of pairs."""
+    counters = np.array([k for _, k in pairs])
+    same = counters[:, None] == counters[None, :]
+    return same & _pointwise_leq(base, [f for f, _ in pairs], n)
 
 
 def _element_pairs(morphism: Morphism, letter_pairs, base, n, identity) -> tuple:
@@ -206,9 +228,9 @@ def project_hom(
     def mult_label(t1, t2):
         return tuple(int(base.mult[t1[k], t2[k]]) for k in range(n))
 
-    leq_label = None
+    label_order = None
     if base.leq is not None:
-        leq_label = lambda t1, t2: all(bool(base.leq[t1[k], t2[k]]) for k in range(n))
+        label_order = lambda labels: _pointwise_leq(base, labels, n)
 
     return generated_morphism(
         sorted(letter_labels),
@@ -216,7 +238,7 @@ def project_hom(
         mult_label,
         identity,
         cap=cap,
-        leq_label=leq_label,
+        label_order=label_order,
     )
 
 
@@ -252,9 +274,9 @@ def offset_product_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Mo
     def mult_label(t1, t2):
         return tuple(int(base.mult[t1[k], t2[k]]) for k in range(n))
 
-    leq_label = None
+    label_order = None
     if base.leq is not None:
-        leq_label = lambda t1, t2: all(bool(base.leq[t1[k], t2[k]]) for k in range(n))
+        label_order = lambda labels: _pointwise_leq(base, labels, n)
 
     return generated_morphism(
         sorted(letter_labels),
@@ -262,5 +284,5 @@ def offset_product_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Mo
         mult_label,
         identity,
         cap=cap,
-        leq_label=leq_label,
+        label_order=label_order,
     )

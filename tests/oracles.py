@@ -98,6 +98,24 @@ def power_images(h, max_k):
     return out
 
 
+def idempotents_brute(mon):
+    return [x for x in range(mon.size) if int(mon.mult[x, x]) == x]
+
+
+def closure_brute(mult, identity, generators):
+    """The submonoid generated by `generators`, by a scalar search."""
+    closure = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = int(mult[x, g])
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return closure
+
+
 def me_s_brute(h, s, e):
     """The context-constrained local submonoid at e, straight from the
     definition: images of words whose length is a multiple of s and whose
@@ -129,16 +147,7 @@ def me_s_brute(h, s, e):
         for w in words_of_length(h.alphabet, s)
         if all(usable[(a, i)] for i, a in enumerate(w, start=1))
     }
-    closure = {h.monoid.identity}
-    frontier = list(closure)
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = int(mult[x, g])
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-    return closure
+    return closure_brute(mult, h.monoid.identity, generators)
 
 
 def syntactic_leq_by_contexts(h):
@@ -165,3 +174,66 @@ def syntactic_leq_by_contexts(h):
         # a context satisfied by y but not by x rules out x <= y
         not_leq |= np.outer(~vec, vec)
     return ~not_leq
+
+
+def me_brute(mon):
+    """Me for every idempotent e of the monoid, straight from the
+    definition: the closure of {a : x a y = e for some x, y}.  The scan
+    marks every product x a y, one row of y per (a, x)."""
+    mult = np.asarray(mon.mult)
+    ideal = np.zeros((mon.size, mon.size), dtype=bool)  # [a, z]: z in MaM
+    for a in range(mon.size):
+        for x in range(mon.size):
+            ideal[a, mult[int(mult[x, a])]] = True
+    return {
+        e: closure_brute(mult, mon.identity, np.flatnonzero(ideal[:, e]).tolist())
+        for e in idempotents_brute(mon)
+    }
+
+
+def local_condition_brute(mon, mode, members):
+    """The first (e, x) with e x e not REL e, idempotents in increasing
+    order and x through sorted(members(e)); None when there is none.
+    REL is =, <= or >= in the order matrix for mode eq, leq or geq."""
+    for e in idempotents_brute(mon):
+        for x in sorted(members(e)):
+            exe = int(mon.mult[int(mon.mult[e, x]), e])
+            if mode == "eq":
+                ok = exe == e
+            elif mode == "leq":
+                ok = bool(mon.leq[exe, e])
+            else:
+                ok = bool(mon.leq[e, exe])
+            if not ok:
+                return e, x
+    return None
+
+
+def witness_leq_by_labels(h, g, s):
+    """The order of the sigma2_mod witness g, recomputed from the label of
+    each element's representative word by the scalar label rule: the sink
+    (a word whose residues do not chain) lies below everything, the empty
+    word only below itself, and chaining words compare by h's order when
+    their first and last residues agree."""
+    labels = []
+    for x in range(g.monoid.size):
+        word = g.word_of(x)
+        if not word:
+            labels.append(("eps",))
+            continue
+        parsed = [text.rpartition("@") for text in word]
+        residues = [int(res) for _, _, res in parsed]
+        if any(r2 != r1 % s + 1 for r1, r2 in zip(residues, residues[1:])):
+            labels.append(("sink",))
+            continue
+        base = [next(a for a in h.alphabet if str(a) == b) for b, _, _ in parsed]
+        labels.append(("wf", residues[0], residues[-1], image(h, base)))
+
+    def rule(l1, l2):
+        if l1 == ("sink",):
+            return True
+        if l1[0] != "wf" or l2[0] != "wf":
+            return l1 == l2
+        return l1[1:3] == l2[1:3] and bool(h.monoid.leq[l1[3], l2[3]])
+
+    return np.array([[rule(l1, l2) for l2 in labels] for l1 in labels])

@@ -4,6 +4,7 @@ witness for the modular product criteria."""
 import numpy as np
 import pytest
 
+import oracles
 from fragcheck.automata import complement, intersect, minimize, regex_to_dfa
 from fragcheck.errors import ConsistencyError, InputError
 from fragcheck.fragments import (
@@ -148,6 +149,28 @@ def test_build_mod_witness_separates_residues():
     assert g.image(decorate_word("bc", info.index)) != g.image(
         decorate_word("cb", info.index))
     assert g.monoid.size <= info.index ** 2 * h.monoid.size + 2
+
+
+def _witness_order_matches_label_rule(h):
+    info = stability_info(h)
+    g = build_mod_witness(h, info)
+    expected = oracles.witness_leq_by_labels(h, g, info.index)
+    assert np.array_equal(g.monoid.leq, expected)
+    return g
+
+
+def test_build_mod_witness_order_follows_label_rule(small_corpus):
+    g = _witness_order_matches_label_rule(syntactic_order(transition_monoid(dfa("(bc)*"))))
+    assert g.monoid.size == 14
+    # the first corpus language with sigma2_mod and a nontrivial stable index
+    for d in small_corpus:
+        h = syntactic_order(transition_monoid(d, max_monoid=600))
+        if stability_info(h).index > 1 and check_fragment(d, "sigma2_mod")[0]:
+            g = _witness_order_matches_label_rule(h)
+            assert g.monoid.size > h.monoid.size
+            break
+    else:
+        pytest.fail("no corpus language with a nontrivial sigma2_mod witness")
 
 
 def test_build_mod_witness_requires_order_and_hypothesis():

@@ -25,7 +25,7 @@ from fragcheck.monoid import (
     syntactic_order,
     transition_monoid,
 )
-from fragcheck.stability import stability_info
+from fragcheck.stability import me_s, stability_info
 
 
 def syntactic(pattern, **kw):
@@ -274,6 +274,33 @@ def test_local_condition_rejects_unknown_inputs():
         local_condition(bare.monoid, "leq", "Me")  # no order bound
 
 
+def _first_offenders(h):
+    """local_condition against the scalar reference loop, for every mode
+    and selector."""
+    m = h.monoid
+    info = stability_info(h)
+    selectors = {
+        "Me": lambda e: me_submonoid(m, e),
+        "Mes": lambda e: me_s(h, info, e),
+    }
+    for mode in ("eq", "leq", "geq"):
+        for selector, members in selectors.items():
+            ok, pair = local_condition(m, mode, selector, info)
+            expected = oracles.local_condition_brute(m, mode, members)
+            assert pair == expected
+            assert ok == (expected is None)
+
+
+def test_local_condition_first_offender_on_corpus(small_corpus):
+    for d in small_corpus:
+        _first_offenders(syntactic_order(transition_monoid(d, max_monoid=600)))
+
+
+def test_local_condition_first_offender_on_examples(langs):
+    for d in langs.values():
+        _first_offenders(syntactic_order(transition_monoid(d)))
+
+
 def test_syntactic_order_compatible_with_product(small_corpus):
     # x <= y and u <= v force xu <= yv
     for d in small_corpus[:8]:
@@ -319,6 +346,13 @@ def test_syntactic_order_matches_context_oracle_at_mid_size(seed):
     h = syntactic_order(transition_monoid(d))
     assert 150 <= h.monoid.size <= 300
     assert np.array_equal(h.monoid.leq, oracles.syntactic_leq_by_contexts(h))
+
+
+@pytest.mark.parametrize("seed", [43, 58, 61])
+def test_me_submonoid_matches_definition_at_mid_size(seed):
+    m = transition_monoid(minimize(_random_seven_state_dfa(seed))).monoid
+    for e, brute in oracles.me_brute(m).items():
+        assert me_submonoid(m, e) == brute
 
 
 # A minimal 7-state DFA over {a, b} with a 1632-element syntactic monoid,

@@ -174,3 +174,19 @@ def test_me_s_matches_brute_closure(small_corpus):
             assert h.monoid.identity in sub
             from fragcheck.monoid import set_product
             assert set_product(h.monoid, sub, sub) == sub
+
+
+def test_local_submonoids_match_definitions(small_corpus):
+    mes_pairs = 0
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        for e, brute in oracles.me_brute(h.monoid).items():
+            assert me_submonoid(h.monoid, e) == brute
+        for multiplier in (1, 2):
+            info = stability_info(h, multiplier)
+            if info.index > 6:
+                continue
+            for e in h.monoid.idempotents():
+                assert me_s(h, info, e) == oracles.me_s_brute(h, info.index, e)
+                mes_pairs += 1
+    assert mes_pairs == 169
