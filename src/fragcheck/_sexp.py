@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from .errors import InputError
 
+# Deepest list nesting read_all accepts.  The formula and expression
+# walkers recurse once or a few times per level (an `<->` or a quantifier
+# costs up to three Python frames), so this keeps them well under Python's
+# default recursion limit of 1000.
+MAX_DEPTH = 100
+
 
 def tokenize(text: str) -> list[str]:
     out = []
@@ -29,17 +35,20 @@ def tokenize(text: str) -> list[str]:
 
 
 def read_all(text: str) -> list:
-    """Parse every top-level form; atoms are strings, lists are Python lists."""
+    """Parse every top-level form; atoms are strings, lists are Python lists.
+    Lists nested more than MAX_DEPTH deep are an InputError."""
     tokens = tokenize(text)
     pos = 0
 
-    def read_form():
+    def read_form(depth):
         nonlocal pos
         if pos >= len(tokens):
             raise InputError("unexpected end of input")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
+            if depth >= MAX_DEPTH:
+                raise InputError(f"s-expression nested deeper than {MAX_DEPTH} lists")
             items = []
             while True:
                 if pos >= len(tokens):
@@ -47,14 +56,14 @@ def read_all(text: str) -> list:
                 if tokens[pos] == ")":
                     pos += 1
                     return items
-                items.append(read_form())
+                items.append(read_form(depth + 1))
         if tok == ")":
             raise InputError("unexpected closing parenthesis")
         return tok
 
     forms = []
     while pos < len(tokens):
-        forms.append(read_form())
+        forms.append(read_form(0))
     return forms
 
 

@@ -456,9 +456,13 @@ def concat_letter(d1: Dfa, letter, d2: Dfa, cap: int = DEFAULT_STATE_CAP) -> Dfa
 #   repeat := atom '*'*
 #   atom   := letter | '(' alt ')'
 # so "()" denotes the empty word. Letters are single characters other than
-# the metacharacters; whitespace is ignored.
+# the metacharacters; whitespace is ignored.  Groups may nest at most
+# MAX_PATTERN_DEPTH deep.  Concatenations and alternations are n-ary nodes
+# and runs of stars one node, so only group nesting makes the parse and
+# the Thompson construction recurse (at most four frames per group).
 
 _META = set("()|*")
+MAX_PATTERN_DEPTH = 100
 
 
 def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
@@ -466,6 +470,7 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
     letters and the optionally declared alphabet."""
     tokens = [c for c in pattern if not c.isspace()]
     pos = 0
+    depth = 0  # groups open at pos
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -476,37 +481,36 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
         while peek() == "|":
             pos += 1
             branches.append(parse_concat())
-        node = branches[0]
-        for b in branches[1:]:
-            node = ("alt", node, b)
-        return node
+        return branches[0] if len(branches) == 1 else ("alt", branches)
 
     def parse_concat():
-        nonlocal pos
         parts = []
         while peek() is not None and peek() not in ")|":
             parts.append(parse_repeat())
         if not parts:
             return ("eps",)
-        node = parts[0]
-        for p in parts[1:]:
-            node = ("cat", node, p)
-        return node
+        return parts[0] if len(parts) == 1 else ("cat", parts)
 
     def parse_repeat():
         nonlocal pos
         node = parse_atom()
+        stars = 0
         while peek() == "*":
             pos += 1
-            node = ("star", node)
-        return node
+            stars += 1
+        return ("star", node, stars) if stars else node
 
     def parse_atom():
-        nonlocal pos
+        nonlocal pos, depth
         c = peek()
         if c == "(":
+            if depth == MAX_PATTERN_DEPTH:
+                raise InputError(
+                    f"pattern groups nested deeper than {MAX_PATTERN_DEPTH} at offset {pos}")
             pos += 1
+            depth += 1
             node = parse_alt()
+            depth -= 1
             if peek() != ")":
                 raise InputError(f"unbalanced parenthesis in pattern at offset {pos}")
             pos += 1
@@ -521,17 +525,15 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
         raise InputError(f"trailing input in pattern at offset {pos}")
 
     letters = set()
-
-    def collect(node):
+    stack = [ast]
+    while stack:
+        node = stack.pop()
         if node[0] == "lit":
             letters.add(node[1])
         elif node[0] in ("cat", "alt"):
-            collect(node[1])
-            collect(node[2])
+            stack.extend(node[1])
         elif node[0] == "star":
-            collect(node[1])
-
-    collect(ast)
+            stack.append(node[1])
     if alphabet is not None:
         letters |= set(alphabet)
     if not letters:
@@ -540,6 +542,7 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
     nfa = Nfa()
 
     def build(node) -> tuple[int, int]:
+        # n-ary nodes fold left, exactly as nested binary nodes would
         if node[0] == "eps":
             s = nfa.new_state()
             f = nfa.new_state()
@@ -551,28 +554,34 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
             nfa.add(s, node[1], f)
             return s, f
         if node[0] == "cat":
-            s1, f1 = build(node[1])
-            s2, f2 = build(node[2])
-            nfa.add_eps(f1, s2)
-            return s1, f2
+            s, f = build(node[1][0])
+            for part in node[1][1:]:
+                s2, f2 = build(part)
+                nfa.add_eps(f, s2)
+                f = f2
+            return s, f
         if node[0] == "alt":
-            s1, f1 = build(node[1])
-            s2, f2 = build(node[2])
+            s1, f1 = build(node[1][0])
+            for branch in node[1][1:]:
+                s2, f2 = build(branch)
+                s = nfa.new_state()
+                f = nfa.new_state()
+                nfa.add_eps(s, s1)
+                nfa.add_eps(s, s2)
+                nfa.add_eps(f1, f)
+                nfa.add_eps(f2, f)
+                s1, f1 = s, f
+            return s1, f1
+        s1, f1 = build(node[1])  # star, applied node[2] times
+        for _ in range(node[2]):
             s = nfa.new_state()
             f = nfa.new_state()
             nfa.add_eps(s, s1)
-            nfa.add_eps(s, s2)
+            nfa.add_eps(s, f)
+            nfa.add_eps(f1, s1)
             nfa.add_eps(f1, f)
-            nfa.add_eps(f2, f)
-            return s, f
-        s1, f1 = build(node[1])  # star
-        s = nfa.new_state()
-        f = nfa.new_state()
-        nfa.add_eps(s, s1)
-        nfa.add_eps(s, f)
-        nfa.add_eps(f1, s1)
-        nfa.add_eps(f1, f)
-        return s, f
+            s1, f1 = s, f
+        return s1, f1
 
     start, final = build(ast)
     nfa.starts = {start}

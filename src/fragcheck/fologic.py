@@ -434,7 +434,7 @@ def compile_formula(f: Formula, alphabet: Sequence[str], state_cap: int = DEFAUL
     fv = free_vars(f)
     if fv:
         raise InputError(f"formula has free variables: {', '.join(sorted(fv))}")
-    for a in _letters_used(f):
+    for a in formula_letters(f):
         if a not in letters:
             raise InputError(f"formula letter {a!r} not in the alphabet")
     renamed = _rename_apart(f)
@@ -447,10 +447,6 @@ def compile_formula(f: Formula, alphabet: Sequence[str], state_cap: int = DEFAUL
 
 def formula_letters(f: Formula) -> set[str]:
     """Letters mentioned by label atoms anywhere in the formula."""
-    return _letters_used(f)
-
-
-def _letters_used(f: Formula) -> set[str]:
     out: set[str] = set()
 
     def walk(g):

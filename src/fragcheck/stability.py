@@ -2,9 +2,24 @@
 the stable submonoid, residue-constrained context sets, and the
 context-constrained local submonoids used by the modular fragment checks.
 
+A letter a is admissible at residue r for an element x when x lies in
+residues[r] . h(a) . residues[s-1-r].  One boolean table adm[a, r, x]
+(|A| x s x |M|) per `StabilityInfo` answers that for every letter,
+residue and element.  It is built from the right-reach matrices
+reach_j[z] = z . residues[j] (|M| x |M| bool): reach_0 is a scatter of
+the table's stable columns, and since residues[j] = X_j | X_(j+s) with
+X_0 = {1} and X_(k+1) the union over the letters b of h(b) . X_k,
+residues[j+1] is the union of h(b) . residues[j] for j+1 < s, so
+
+    reach_{j+1}[z] = OR_b reach_j[z . h(b)],
+    adm[a, s-1-j]  = OR_{x in residues[s-1-j]} reach_j[x . h(a)].
+
+That is O(s |A| |M|^2) boolean work and O(|M|^2) extra memory, with no
+per-(letter, residue) set product.
+
 Each local submonoid Mes is built once per idempotent, as a sorted numpy
-member array, and kept on its `StabilityInfo` next to the context
-products it is read from, so it lives as long as that object does.
+member array, and kept on its `StabilityInfo` next to the admissibility
+table it reads, so both live as long as that object does.
 """
 
 from __future__ import annotations
@@ -74,42 +89,67 @@ class StabilityInfo:
     stable: frozenset[int]
     residues: tuple
     _powers: _PowerImages
-    _context_products: dict = field(default_factory=dict)
+    _adm: np.ndarray | None = None  # [letter index, r, x], see module docstring
     _mes: dict = field(default_factory=dict)  # idempotent -> members of Mes
+
+    def _admissible(self) -> np.ndarray:
+        """The table adm[a, r, x]: x in residues[r] . h(a) . residues[s-1-r],
+        letters in alphabet order.  Built on first use from the right-reach
+        recurrence of the module docstring, one reach matrix at a time and
+        one letter at a time, and kept (read-only)."""
+        if self._adm is not None:
+            return self._adm
+        m, s = self.morphism, self.index
+        mult, size = m.monoid.mult, m.monoid.size
+        images = np.array([m.letter_map[a] for a in m.alphabet])
+        adm = np.zeros((len(images), s, size), dtype=bool)
+        reach = _product_mask(mult, sorted(self.stable))
+        for j in range(s):
+            r = s - 1 - j
+            left = np.array(sorted(self.residues[r]))
+            for i, b in enumerate(images):
+                hit = np.zeros(size, dtype=bool)  # residues[r] . h(a)
+                hit[mult[left, b]] = True
+                adm[i, r] = reach[hit].any(axis=0)
+            if j + 1 < s:
+                step = np.zeros_like(reach)
+                for b in np.unique(images):
+                    step |= reach[mult[:, b]]
+                reach = step
+        adm.flags.writeable = False
+        self._adm = adm
+        return adm
 
     def admissible_images(self, letter, r: int) -> frozenset[int]:
         """All values x . h(letter) . y with x in residues[r] and y in
         residues[-(r+1) mod s]: the possible images of a full context
-        around an occurrence of the letter at position residue r+1."""
-        key = (letter, r)
-        if key not in self._context_products:
-            s = self.index
-            left = self.residues[r]
-            right = self.residues[(-(r + 1)) % s]
-            m = self.morphism.monoid
-            mid = set_product(m, left, [self.morphism.letter_map[letter]])
-            self._context_products[key] = set_product(m, mid, right)
-        return self._context_products[key]
+        around an occurrence of the letter at position residue r+1.
+        One row of the admissibility table, which the right-reach
+        recurrence of the module docstring builds once per object in
+        O(s |A| |M|^2) boolean work and O(|M|^2) extra memory."""
+        row = self._admissible()[self.morphism.alphabet.index(letter), r]
+        return frozenset(np.flatnonzero(row).tolist())
 
     def mes_members(self, e: int) -> np.ndarray:
         """The sorted members of Mes for the idempotent e (see `me_s`),
         built on first use and kept for the life of this object
         (read-only).
 
-        Every breadth-first level of the residue-tagged search sits at one
-        residue r, so a level is one frontier pushed through the columns
-        of the letters usable at r, and reached[r] marks what residue r
-        has seen.  O(s |M|) memory, O(|frontier| |A|) per level.
+        The letters usable at residue r are those with adm[a, r, e], read
+        from the admissibility table.  Every breadth-first level of the
+        residue-tagged search sits at one residue r, so a level is one
+        frontier pushed through the columns of the letters usable at r,
+        and reached[r] marks what residue r has seen.  O(s |M|) memory,
+        O(|frontier| |A|) per level.
         """
         got = self._mes.get(e)
         if got is not None:
             return got
         m, s = self.morphism, self.index
         mult, identity = m.monoid.mult, m.monoid.identity
-        cols = [
-            mult[:, [m.letter_map[a] for a in m.alphabet if e in self.admissible_images(a, r)]]
-            for r in range(s)
-        ]
+        images = np.array([m.letter_map[a] for a in m.alphabet])
+        usable = self._admissible()[:, :, e]
+        cols = [mult[:, images[usable[:, r]]] for r in range(s)]
         reached = np.zeros((s, m.monoid.size), dtype=bool)
         reached[0, identity] = True
         frontier, r = np.array([identity]), 0
@@ -156,44 +196,46 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     )
 
 
-def stable(m: Morphism) -> frozenset[int]:
-    """The stable submonoid: the identity plus the image of A^s."""
-    return stability_info(m).stable
-
-
-def residue_sets(m: Morphism, multiplier: int = 1) -> tuple:
-    return stability_info(m, multiplier).residues
-
-
 _RELATIONS = ("Rs", "Ls", "Js")
+
+
+_SCATTER_IDS = 1 << 16  # products gathered per scatter (512 KiB of int64 ids)
+
+
+def _product_mask(mult: np.ndarray, elems, left: bool = False) -> np.ndarray:
+    """mask[z, x] iff x in z E, or x in E z when `left`, for the ids E.
+    One scatter per block of rows, sized so that the gathered products
+    stay small next to the table."""
+    size = mult.shape[0]
+    elems = np.asarray(elems)
+    mask = np.zeros((size, size), dtype=bool)
+    block = max(1, _SCATTER_IDS // max(1, elems.size))
+    for lo in range(0, size, block):
+        rows = np.arange(lo, min(lo + block, size))
+        prods = mult[np.ix_(elems, rows)].T if left else mult[np.ix_(rows, elems)]
+        mask[rows[:, None], prods] = True
+    return mask
 
 
 def stable_green_preorder(info: StabilityInfo, relation: str) -> np.ndarray:
     """leq[x][y] iff x is below-or-equal y in the stable Green preorder:
-    x in yS (Rs), x in Sy (Ls), or x in SyS (Js)."""
+    x in yS (Rs), x in Sy (Ls), or x in SyS (Js).
+
+    Each ideal mask has[y, x] (x in the ideal of y) is a scatter of the
+    table's stable columns (yS) or rows (Sy); SyS is the union of zS over
+    z in Sy, one boolean product of the two."""
     if relation not in _RELATIONS:
         raise InputError(f"unknown stable relation {relation!r}")
-    mon = info.morphism.monoid
-    size, mult = mon.size, mon.mult
+    mult = info.morphism.monoid.mult
     s_elems = sorted(info.stable)
-    has = np.zeros((size, size), dtype=bool)  # has[y][x] iff x in ideal of y
     if relation == "Rs":
-        block = mult[np.ix_(range(size), s_elems)]
-        for y in range(size):
-            has[y, block[y]] = True
+        has = _product_mask(mult, s_elems)
     elif relation == "Ls":
-        block = mult[np.ix_(s_elems, range(size))]
-        for y in range(size):
-            has[y, block[:, y]] = True
+        has = _product_mask(mult, s_elems, left=True)
     else:
-        left_block = mult[np.ix_(s_elems, range(size))]
-        right_has = np.zeros((size, size), dtype=bool)
-        right_block = mult[np.ix_(range(size), s_elems)]
-        for y in range(size):
-            right_has[y, right_block[y]] = True
-        for y in range(size):
-            members = np.unique(left_block[:, y])  # Sy
-            has[y] = right_has[members].any(axis=0)
+        right = _product_mask(mult, s_elems).astype(np.float32)
+        left = _product_mask(mult, s_elems, left=True).astype(np.float32)
+        has = (left @ right) > 0.5  # counts stay exact below 2^24 elements
     return has.T.copy()
 
 

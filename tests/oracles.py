@@ -150,6 +150,23 @@ def me_s_brute(h, s, e):
     return closure_brute(mult, h.monoid.identity, generators)
 
 
+def admissible_brute(h, s):
+    """{(a, r): images x a y} with x in X_r | X_(r+s) and y in
+    X_r' | X_(r'+s), r' = -(r+1) mod s, for every letter a and residue
+    0 <= r < s, with the X_k enumerated by `power_images` (X_0 holds only
+    the identity)."""
+    powers = power_images(h, 2 * s)
+    mult = np.asarray(h.monoid.mult)
+    out = {}
+    for a in h.alphabet:
+        for r in range(s):
+            left = sorted({int(mult[x, h.letter_map[a]]) for x in powers[r] | powers[r + s]})
+            rr = -(r + 1) % s
+            right = sorted(powers[rr] | powers[rr + s])
+            out[(a, r)] = set(mult[np.ix_(left, right)].ravel().tolist())
+    return out
+
+
 def syntactic_leq_by_contexts(h):
     """The syntactic order matrix from explicit context enumeration:
     x <= y iff every context (p, q) with p y q accepted also accepts

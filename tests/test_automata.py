@@ -165,6 +165,14 @@ def test_regex_rejects_bad_syntax():
             regex_to_dfa(bad)
 
 
+def test_regex_long_flat_patterns_do_not_recurse():
+    # only group nesting deepens the parse; runs, chains and stars are flat
+    assert equivalent(regex_to_dfa("(ab)" + "*" * 1200), regex_to_dfa("(ab)*"))[0]
+    assert equivalent(regex_to_dfa("a|" * 1200 + "b"), regex_to_dfa("a|b"))[0]
+    d = regex_to_dfa("c" * 1000)
+    assert d.accepts("c" * 1000) and not d.accepts("c" * 999)
+
+
 def test_reverse_and_concat_letter():
     d = regex_to_dfa("ab*")
     rev = reverse(d)

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from fragcheck import cli
-from fragcheck.automata import dfa_to_json, minimize, regex_to_dfa
+from fragcheck._sexp import MAX_DEPTH
+from fragcheck.automata import MAX_PATTERN_DEPTH, dfa_to_json, minimize, regex_to_dfa
 
 
 def run_cli(argv):
@@ -184,3 +185,22 @@ def test_word_longer_alphabet_check():
     code, _ = run_cli(["fo", "eval", "--sexp", "(exists x (lab x a))",
                        "--word", "ab,cd"])
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("depth, code", [(MAX_PATTERN_DEPTH, 0), (MAX_PATTERN_DEPTH + 1, 2)])
+def test_regex_group_nesting_limit(capsys, depth, code):
+    pattern = "(" * depth + "a" + ")" * depth
+    assert cli.main(["analyze", "--regex", pattern]) == code
+    assert ("nested deeper" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("depth, code", [(MAX_DEPTH, 0), (MAX_DEPTH + 1, 2)])
+def test_formula_nesting_limit(tmp_path, capsys, depth, code):
+    # depth - 1 nested quantifiers around one atom: s-expression depth `depth`
+    text = "(lab x0 a)"
+    for i in reversed(range(depth - 1)):
+        text = f"(exists x{i} {text})"
+    doc = tmp_path / "deep.sexp"
+    doc.write_text(text)
+    assert cli.main(["fo", "eval", "--formula", str(doc), "--word", "ab"]) == code
+    assert ("nested deeper" in capsys.readouterr().err) == (code == 2)

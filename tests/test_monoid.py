@@ -355,6 +355,16 @@ def test_me_submonoid_matches_definition_at_mid_size(seed):
         assert me_submonoid(m, e) == brute
 
 
+@pytest.mark.parametrize("seed", [43, 58, 61])
+def test_admissible_images_match_brute_at_mid_size(seed):
+    h = transition_monoid(minimize(_random_seven_state_dfa(seed)))
+    for multiplier in (1, 2):
+        info = stability_info(h, multiplier)
+        brute = oracles.admissible_brute(h, info.index)
+        for (a, r), images in brute.items():
+            assert info.admissible_images(a, r) == images, (a, r)
+
+
 # A minimal 7-state DFA over {a, b} with a 1632-element syntactic monoid,
 # beyond the reach of context enumeration: state -> (a-successor, b-successor)
 _LARGE_DELTA = {

@@ -10,10 +10,8 @@ from fragcheck.monoid import me_submonoid, submonoid_closure, transition_monoid
 from fragcheck.stability import (
     is_stable_trivial,
     me_s,
-    residue_sets,
     stability_index,
     stability_info,
-    stable,
     stable_green_preorder,
 )
 
@@ -25,14 +23,14 @@ def morphism(pattern, **kw):
 def test_even_length_language():
     h = morphism("((a|b)(a|b))*")
     assert stability_index(h) == 2
-    assert stable(h) == frozenset({h.monoid.identity})
+    assert stability_info(h).stable == frozenset({h.monoid.identity})
 
 
 def test_even_letter_count_language():
     # parity of occurrences of a letter never stabilizes below the full group
     h = morphism("(b*ab*a)*b*")
     assert stability_index(h) == 1
-    assert stable(h) == frozenset(h.monoid.elements())
+    assert stability_info(h).stable == frozenset(h.monoid.elements())
     assert h.monoid.size == 2
 
 
@@ -68,7 +66,7 @@ def test_multiplier_must_be_positive():
 
 def test_residue_sets_partition_reachability():
     h = morphism("(bc)*")
-    rs = residue_sets(h)
+    rs = stability_info(h).residues
     assert len(rs) == 2
     brute = oracles.power_images(h, 4 * h.monoid.size)
     s = stability_index(h)
@@ -190,3 +188,13 @@ def test_local_submonoids_match_definitions(small_corpus):
                 assert me_s(h, info, e) == oracles.me_s_brute(h, info.index, e)
                 mes_pairs += 1
     assert mes_pairs == 169
+
+
+def test_admissible_images_match_brute_on_corpus(small_corpus):
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        for multiplier in (1, 2, 3):
+            info = stability_info(h, multiplier)
+            brute = oracles.admissible_brute(h, info.index)
+            for (a, r), images in brute.items():
+                assert info.admissible_images(a, r) == images, (a, r)
