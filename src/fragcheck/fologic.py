@@ -18,6 +18,28 @@ an existential quantifier is false and a universal one is true.
 works over letters enriched with the set of variables marked at a position,
 using one exactly-once validity automaton per quantifier scope; existential
 quantification is mark erasure followed by determinization.
+
+Every intermediate automaton is an integer table: an int64 array of
+successors, states by marked letters, with a boolean mask of accepting
+states and state 0 as the start.  The marked letter `a << k | mask` carries
+letter index a and the variables whose bits mask sets, the innermost bound
+variable on the top bit k - 1.  Conjunction, disjunction, the atoms (each
+intersected with the validity automaton) and negation inside a scope are
+products over the pairs reachable from the start, one numpy step per
+breadth-first level.  Erasing a variable reads two columns per marked
+letter of the outer scope, the variable unmarked and marked, and
+determinizes over subsets keyed by their sorted members.  Each result is
+minimized by Moore refinement on its rows as bytes.  Only the final table
+over plain letters becomes a `Dfa`, through `automata.minimize` for the
+canonical state names.
+
+Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
+(InputError).  Compilation raises CapError when a quantifier scope would
+need more than MAX_MARKED_LETTERS marked letters, checked before its body is
+compiled; when determinization finds more subsets than the state cap; and
+when an automaton, once minimized, has more states than the state cap (a
+`mod` or `len` modulus above the cap is refused before its table is built,
+since no such atom minimizes to fewer states than its modulus).
 """
 
 from __future__ import annotations
@@ -26,9 +48,22 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import _sexp
-from .automata import DEFAULT_STATE_CAP, Dfa, Nfa, determinize, intersect, make_dfa, minimize, mod1, union
+from .automata import DEFAULT_STATE_CAP, Dfa, make_dfa, minimize, mod1
 from .errors import CapError, InputError
+
+# Deepest formula tree the parser builds.  The n-ary `and`/`or` fold into
+# right-nested binary trees, one level per operand, and every walker over
+# formulas recurses once or twice per level, so this keeps them under
+# Python's default recursion limit of 1000.
+MAX_FORMULA_DEPTH = 500
+
+# Most marked letters (letters times subsets of the variables in scope) one
+# quantifier scope may compile over.  Tables are as wide as this, and each
+# nested quantifier doubles it.
+MAX_MARKED_LETTERS = 256
 
 
 class Formula:
@@ -172,7 +207,18 @@ def _le(x: str, y: str) -> Formula:
     return Or(Lt(x, y), Eq(x, y))
 
 
-def _build(form) -> Formula:
+def _level(depth: int):
+    """Reject a formula node at tree level `depth` beyond the limit."""
+    if depth > MAX_FORMULA_DEPTH:
+        raise InputError(f"formula tree nested deeper than {MAX_FORMULA_DEPTH} levels")
+
+
+def _build(form, depth: int = 1) -> Formula:
+    """The formula of an s-expression that sits at level `depth` (the root
+    is level 1) of the whole tree.  Derived forms count the levels of their
+    expansion, and the i-th of n `and`/`or` operands sits min(i + 1, n - 1)
+    levels below the fold."""
+    _level(depth)
     if isinstance(form, str):
         if form == "true":
             return TrueF()
@@ -196,6 +242,7 @@ def _build(form) -> Formula:
         target = args[1]
         if isinstance(target, list):
             letters = sorted({_var(t, "letter") for t in target})
+            _level(depth + len(letters) - 1)
             return or_all([Lab(x, a) for a in letters])
         return Lab(x, _var(target, "letter"))
     if head == "=":
@@ -206,11 +253,13 @@ def _build(form) -> Formula:
         return Lt(_var(args[0]), _var(args[1]))
     if head == "<=":
         arity(2)
+        _level(depth + 1)
         return _le(_var(args[0]), _var(args[1]))
     if head == "suc":
         arity(2)
         x, y = _var(args[0]), _var(args[1])
         z = _fresh({x, y})
+        _level(depth + 4)
         return And(Lt(x, y), Forall(z, Not(And(Lt(x, z), Lt(z, y)))))
     if head == "mod":
         arity(3)
@@ -222,24 +271,23 @@ def _build(form) -> Formula:
     if head == "len":
         arity(2)
         return make_len(_sexp.to_int(args[0], "modulus"), _sexp.to_int(args[1], "residue"))
-    if head == "and":
-        return and_all([_build(a) for a in args])
-    if head == "or":
-        return or_all([_build(a) for a in args])
+    if head in ("and", "or"):
+        parts = [_build(a, depth + min(i + 1, len(args) - 1)) for i, a in enumerate(args)]
+        return and_all(parts) if head == "and" else or_all(parts)
     if head == "not":
         arity(1)
-        return Not(_build(args[0]))
+        return Not(_build(args[0], depth + 1))
     if head == "->":
         arity(2)
-        return Or(Not(_build(args[0])), _build(args[1]))
+        return Or(Not(_build(args[0], depth + 2)), _build(args[1], depth + 1))
     if head == "<->":
         arity(2)
-        f, g = _build(args[0]), _build(args[1])
+        f, g = _build(args[0], depth + 3), _build(args[1], depth + 3)
         return And(Or(Not(f), g), Or(Not(g), f))
     if head in ("exists", "forall"):
         arity(2)
         x = _var(args[0])
-        body = _build(args[1])
+        body = _build(args[1], depth + 1)
         return Exists(x, body) if head == "exists" else Forall(x, body)
     raise InputError(f"unknown operator {head!r}")
 
@@ -437,12 +485,12 @@ def compile_formula(f: Formula, alphabet: Sequence[str], state_cap: int = DEFAUL
     for a in formula_letters(f):
         if a not in letters:
             raise InputError(f"formula letter {a!r} not in the alphabet")
-    renamed = _rename_apart(f)
-    compiler = _Compiler(letters, state_cap)
-    d = compiler.compile(renamed, ())
-    plain = {(a, ()): a for a in letters}
-    delta = {(q, plain[m]): t for (q, m), t in d.delta.items()}
-    return minimize(make_dfa(letters, d.states, d.initial, d.finals, delta))
+    delta, finals = _Compiler(letters, state_cap).compile(_rename_apart(f), ())
+    rows = delta.tolist()
+    transitions = {(q, a): t for q, row in enumerate(rows) for a, t in zip(letters, row)}
+    return minimize(
+        make_dfa(letters, range(len(rows)), 0, np.flatnonzero(finals).tolist(), transitions)
+    )
 
 
 def formula_letters(f: Formula) -> set[str]:
@@ -494,167 +542,213 @@ def _rename_apart(f: Formula) -> Formula:
     return walk(f, {})
 
 
+_Table = tuple  # (delta, finals): see _Compiler
+
+
 class _Compiler:
-    """Compiles subformulas over letters marked with the variables of the
-    enclosing quantifier scopes.  A marked letter is the pair
-    (base letter, sorted tuple of variables marked at that position)."""
+    """Compiles subformulas to integer tables over marked letters.
+
+    Under a frame (the variables of the enclosing quantifier scopes,
+    outermost first) a marked letter is a base letter together with the set
+    of frame variables marked at that position.  Column
+    `a << len(frame) | mask` is letter index a with the variables frame[j]
+    whose bit j is set in mask, so the variable a quantifier binds is the
+    top bit of its body's columns.  A table is a pair (delta, finals): an
+    int64 array of successor states, states by columns, and a boolean array
+    of accepting states.  State 0 is the start.
+    """
 
     def __init__(self, letters: list[str], cap: int):
         self.letters = letters
         self.cap = cap
-        self._validity: dict[tuple, Dfa] = {}
-        self._marked: dict[tuple, list] = {}
+        self._validity: dict[int, _Table] = {}
 
-    def marked(self, frame: tuple) -> list:
-        if frame not in self._marked:
-            vs = sorted(frame)
-            self._marked[frame] = [
-                (a, marks)
-                for a in self.letters
-                for k in range(len(vs) + 1)
-                for marks in itertools.combinations(vs, k)
-            ]
-        return self._marked[frame]
+    def columns(self, frame: tuple) -> np.ndarray:
+        return np.arange(len(self.letters) << len(frame))
 
-    def validity(self, frame: tuple) -> Dfa:
-        """Accepts the markings placing each frame variable exactly once."""
-        if frame not in self._validity:
-            full = frozenset(frame)
-            subsets = [
-                frozenset(c)
-                for k in range(len(frame) + 1)
-                for c in itertools.combinations(sorted(frame), k)
-            ]
-            dead = "dead"
-            delta = {}
-            for s in subsets:
-                for a, marks in self.marked(frame):
-                    m = frozenset(marks)
-                    delta[(s, (a, marks))] = dead if m & s else s | m
-            for a in self.marked(frame):
-                delta[(dead, a)] = dead
-            self._validity[frame] = make_dfa(
-                self.marked(frame), subsets + [dead], frozenset(), [full], delta
-            )
-        return self._validity[frame]
+    def validity(self, frame: tuple) -> _Table:
+        """Accepts the markings placing each frame variable exactly once.
+        State s < 2**len(frame) has placed the variables whose bits s sets;
+        the last state is dead."""
+        size = len(frame)
+        if size not in self._validity:
+            full = (1 << size) - 1
+            placed = np.arange(full + 1)[:, None]
+            marks = self.columns(frame) & full
+            delta = np.where(placed & marks != 0, full + 1, placed | marks)
+            dead = np.full((1, len(marks)), full + 1)
+            self._validity[size] = (np.vstack([delta, dead]), np.arange(full + 2) == full)
+        return self._validity[size]
 
-    def _const(self, frame: tuple, accept: bool) -> Dfa:
-        m = self.marked(frame)
-        return make_dfa(m, ["s"], "s", ["s"] if accept else [], {("s", a): "s" for a in m})
+    def _const(self, frame: tuple, accept: bool) -> _Table:
+        return np.zeros((1, len(self.letters) << len(frame)), np.int64), np.array([accept])
 
-    def _guard(self, d: Dfa) -> Dfa:
-        if len(d.states) > self.cap:
-            raise CapError(f"state cap exceeded ({self.cap}) while compiling")
-        return d
-
-    def compile(self, f: Formula, frame: tuple) -> Dfa:
+    def compile(self, f: Formula, frame: tuple) -> _Table:
         if isinstance(f, TrueF):
             return self.validity(frame) if frame else self._const(frame, True)
         if isinstance(f, FalseF):
             return self._const(frame, False)
         if isinstance(f, (Lab, Eq, Lt, Mod, Len)):
-            return self._guard(intersect(self._atomic(f, frame), self.validity(frame)))
+            return self._minimal(
+                self._product(self._atom(f, frame), self.validity(frame), np.logical_and)
+            )
         if isinstance(f, And):
-            return self._guard(
-                intersect(self.compile(f.left, frame), self.compile(f.right, frame))
-            )
+            return self._minimal(self._product(
+                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_and))
         if isinstance(f, Or):
-            return self._guard(
-                union(self.compile(f.left, frame), self.compile(f.right, frame))
-            )
+            return self._minimal(self._product(
+                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_or))
         if isinstance(f, Not):
-            inner = self.compile(f.sub, frame)
-            flipped = make_dfa(
-                inner.alphabet,
-                inner.states,
-                inner.initial,
-                set(inner.states) - inner.finals,
-                inner.delta,
-            )
+            delta, finals = self.compile(f.sub, frame)
             if not frame:
-                return self._guard(minimize(flipped))
-            return self._guard(intersect(flipped, self.validity(frame)))
+                return self._minimal((delta, ~finals))
+            return self._minimal(
+                self._product((delta, ~finals), self.validity(frame), np.logical_and)
+            )
         if isinstance(f, Exists):
-            inner = self.compile(f.body, frame + (f.var,))
-            return self._guard(self._project(inner, f.var, frame))
+            inner = frame + (f.var,)
+            width = len(self.letters) << len(inner)
+            if width > MAX_MARKED_LETTERS:
+                raise CapError(
+                    f"marked-alphabet cap exceeded ({MAX_MARKED_LETTERS}): "
+                    f"{width} marked letters under {len(inner)} nested quantifiers"
+                )
+            return self._minimal(self._project(self.compile(f.body, inner), frame))
         if isinstance(f, Forall):
             return self.compile(Not(Exists(f.var, Not(f.body))), frame)
         raise InputError(f"not a formula: {f!r}")
 
-    def _project(self, d: Dfa, var: str, frame: tuple) -> Dfa:
-        nfa = Nfa()
-        index = {q: nfa.new_state() for q in d.states}
-        for (q, (a, marks)), t in d.delta.items():
-            erased = tuple(v for v in marks if v != var)
-            nfa.add(index[q], (a, erased), index[t])
-        nfa.starts = {index[d.initial]}
-        nfa.finals = {index[q] for q in d.finals}
-        return determinize(nfa, self.marked(frame), self.cap)
+    def _over_cap(self) -> CapError:
+        return CapError(f"state cap exceeded ({self.cap}) while compiling")
 
-    def _atomic(self, f: Formula, frame: tuple) -> Dfa:
-        m = self.marked(frame)
+    def _atom(self, f: Formula, frame: tuple) -> _Table:
+        """The atom's automaton before the validity product.  The waiting
+        states come first; where the atom is decided for good, it moves to
+        one of two absorbing states, accepting then rejecting."""
+        cols = self.columns(frame)
+
+        def marked(var):
+            return (cols >> frame.index(var)) & 1 == 1
+
+        if isinstance(f, (Len, Mod)) and f.modulus > self.cap:
+            # the residues stay pairwise distinguishable in the validity
+            # product, so its minimal table would exceed the cap anyway
+            raise self._over_cap()
+        if isinstance(f, Len):
+            states = np.arange(f.modulus)
+            step = np.repeat(((states + 1) % f.modulus)[:, None], len(cols), axis=1)
+            return step, states == f.residue % f.modulus
+        if isinstance(f, Mod):
+            n = f.modulus
+            residue = np.arange(n)[:, None]
+            hit = (residue + 1 - f.residue) % n == 0
+            return self._decided(
+                np.where(marked(f.var), np.where(hit, n, n + 1), (residue + 1) % n))
         if isinstance(f, Lab):
-
-            def step(state, a, marks):
-                if state != "w":
-                    return state
-                if f.var in marks:
-                    return "o" if a == f.letter else "d"
-                return "w"
-
-            return self._chain(m, step, finals=["o"])
+            here = (cols >> len(frame)) == self.letters.index(f.letter)
+            return self._decided(np.where(marked(f.var), np.where(here, 1, 2), 0)[None])
         if isinstance(f, Eq):
             if f.left == f.right:
                 return self._const(frame, True)
-
-            def step(state, a, marks):
-                if state != "w":
-                    return state
-                both = f.left in marks and f.right in marks
-                one = (f.left in marks) != (f.right in marks)
-                return "o" if both else ("d" if one else "w")
-
-            return self._chain(m, step, finals=["o"])
+            x, y = marked(f.left), marked(f.right)
+            return self._decided(np.where(x & y, 1, np.where(x | y, 2, 0))[None])
         if isinstance(f, Lt):
             if f.left == f.right:
                 return self._const(frame, False)
-
-            def step(state, a, marks):
-                if state in ("o", "d"):
-                    return state
-                has_l = f.left in marks
-                has_r = f.right in marks
-                if state == "w":
-                    if has_l and has_r:
-                        return "d"
-                    if has_r:
-                        return "d"
-                    return "l" if has_l else "w"
-                # state == "l": left already seen
-                return "o" if has_r else "l"
-
-            return self._chain(m, step, finals=["o"], extra=["l"])
-        if isinstance(f, Mod):
-            n, i = f.modulus, f.residue
-            states: list = list(range(n)) + ["o", "d"]
-            delta = {}
-            for r in range(n):
-                for a, marks in m:
-                    if f.var in marks:
-                        delta[(r, (a, marks))] = "o" if mod1(r + 1, n) == i else "d"
-                    else:
-                        delta[(r, (a, marks))] = (r + 1) % n
-            for s in ("o", "d"):
-                for x in m:
-                    delta[(s, x)] = s
-            return make_dfa(m, states, 0, ["o"], delta)
-        if isinstance(f, Len):
-            n, i = f.modulus, f.residue
-            delta = {(r, x): (r + 1) % n for r in range(n) for x in m}
-            return make_dfa(m, list(range(n)), 0, [i % n], delta)
+            x, y = marked(f.left), marked(f.right)
+            # state 0: neither seen; state 1: the left one seen
+            return self._decided(np.stack([np.where(y, 3, np.where(x, 1, 0)), np.where(y, 2, 1)]))
         raise InputError(f"not an atomic formula: {f!r}")
 
-    def _chain(self, m: list, step, finals: list, extra: list | None = None) -> Dfa:
-        states = ["w", "o", "d"] + (extra or [])
-        delta = {(s, (a, marks)): step(s, a, marks) for s in states for a, marks in m}
-        return make_dfa(m, states, "w", finals, delta)
+    @staticmethod
+    def _decided(waiting: np.ndarray) -> _Table:
+        m, width = waiting.shape
+        delta = np.vstack([waiting, np.full((1, width), m), np.full((1, width), m + 1)])
+        return delta, np.arange(m + 2) == m
+
+    @staticmethod
+    def _product(t1: _Table, t2: _Table, accept) -> _Table:
+        """The pair automaton over the pairs reachable from (0, 0).  Pair
+        (p, q) has code p * n2 + q; each breadth-first level computes the
+        successor codes of all its pairs in one step and numbers the new
+        codes after the known ones, so the levels' rows, in order, are the
+        rows of states 0, 1, ..."""
+        (d1, f1), (d2, f2) = t1, t2
+        n2 = len(f2)
+        ids = {0: 0}
+        levels = []
+        frontier = np.zeros(1, np.int64)
+        while frontier.size:
+            succ = d1[frontier // n2] * n2 + d2[frontier % n2]
+            levels.append(succ)
+            known = len(ids)
+            for code in np.unique(succ).tolist():
+                ids.setdefault(code, len(ids))
+            frontier = np.fromiter(itertools.islice(ids, known, None), np.int64, len(ids) - known)
+        codes = np.fromiter(ids, np.int64, len(ids))
+        order = np.argsort(codes)
+        delta = order[np.searchsorted(codes, np.concatenate(levels), sorter=order)]
+        return delta, accept(f1[codes // n2], f2[codes % n2])
+
+    def _project(self, t: _Table, frame: tuple) -> _Table:
+        """Erase the innermost variable's marks and determinize.  Outer
+        column c reads the inner column `lo[c]` (variable unmarked) and
+        `lo[c] | top` (marked), so one subset step is two gathers, sorted
+        per column.  A subset is keyed by the bytes of its sorted members;
+        more subsets than the cap is a CapError."""
+        delta, finals = t
+        cols = self.columns(frame)
+        top = 1 << len(frame)
+        lo = (cols >> len(frame) << (len(frame) + 1)) | (cols & (top - 1))
+        unmarked, marked = delta[:, lo], delta[:, lo | top]
+        keys = [np.zeros(1, np.int64).tobytes()]
+        ids = {keys[0]: 0}
+        rows, accepting = [], []
+        for key in keys:
+            members = np.frombuffer(key, np.int64)
+            step = np.concatenate((unmarked[members], marked[members]))
+            step.sort(axis=0)
+            repeat = np.zeros(step.shape, bool)
+            repeat[1:] = step[1:] == step[:-1]
+            step[repeat] = len(finals)  # sorts after every state
+            step.sort(axis=0)
+            height = step.shape[0] * step.itemsize
+            buf = step.T.tobytes()      # column c starts at c * height
+            row = []
+            for c, size in enumerate((step.shape[0] - repeat.sum(0)).tolist()):
+                nxt = buf[c * height:c * height + size * step.itemsize]
+                j = ids.setdefault(nxt, len(keys))
+                if j == len(keys):
+                    keys.append(nxt)
+                    if len(keys) > self.cap:
+                        raise CapError(f"state cap exceeded ({self.cap}) during determinization")
+                row.append(j)
+            rows.append(row)
+            accepting.append(finals[members].any())
+        return np.array(rows, np.int64), np.array(accepting)
+
+    def _minimal(self, t: _Table) -> _Table:
+        """Moore refinement.  A state's next block is its row (block, blocks
+        of its successors), keyed by bytes and numbered by first occurrence,
+        so state 0 stays the start.  A minimal table over the state cap is a
+        CapError."""
+        delta, finals = t
+        n = len(finals)
+        block = finals.astype(np.int64)
+        count = int(finals.any()) + int(not finals.all())
+        while count < n:
+            rows = np.column_stack((block, block[delta]))
+            width, buf = rows.shape[1] * rows.itemsize, rows.tobytes()
+            ids: dict[bytes, int] = {}
+            block = np.fromiter(
+                (ids.setdefault(buf[q * width:(q + 1) * width], len(ids)) for q in range(n)),
+                np.int64, n,
+            )
+            if len(ids) == count:
+                _, reps = np.unique(block, return_index=True)
+                delta, finals = block[delta[reps]], finals[reps]
+                break
+            count = len(ids)
+        if len(finals) > self.cap:
+            raise self._over_cap()
+        return delta, finals

@@ -4,11 +4,23 @@ Everything in this file recomputes results from first principles (word
 enumeration, explicit context search) using only the documented data
 fields of the library types, so that a disagreement between a test and
 the library always points at real mathematics, not at shared code.
+
+The one exception is `compile_formula_by_dfas`, the formula compiler as it
+was before it moved onto integer tables: it composes the public `Dfa`
+operations of the automata module connective by connective, so it checks
+the table compiler against a second, independently built route.
 """
 
+import itertools
 from itertools import product
 
 import numpy as np
+
+from fragcheck import fologic as fo
+from fragcheck.automata import (
+    DEFAULT_STATE_CAP, Nfa, determinize, intersect, make_dfa, minimize, mod1, union,
+)
+from fragcheck.errors import CapError, InputError
 
 
 def words(alphabet, max_len):
@@ -254,3 +266,192 @@ def witness_leq_by_labels(h, g, s):
         return l1[1:3] == l2[1:3] and bool(h.monoid.leq[l1[3], l2[3]])
 
     return np.array([[rule(l1, l2) for l2 in labels] for l1 in labels])
+
+
+def compile_formula_by_dfas(f, alphabet, state_cap=DEFAULT_STATE_CAP):
+    """The minimal DFA of a sentence, compiled connective by connective
+    through public `Dfa` objects: every intermediate is a product, a
+    complement or a determinized projection over marked letters, built with
+    the automata module's own intersect/union/determinize/minimize.  Raises
+    CapError where `fologic.compile_formula` does: on the subset count while
+    determinizing and on the minimal size after each connective."""
+    letters = sorted(set(alphabet))
+    if not letters:
+        raise InputError("empty alphabet")
+    fv = fo.free_vars(f)
+    if fv:
+        raise InputError(f"formula has free variables: {', '.join(sorted(fv))}")
+    for a in fo.formula_letters(f):
+        if a not in letters:
+            raise InputError(f"formula letter {a!r} not in the alphabet")
+    compiler = _DfaCompiler(letters, state_cap)
+    d = compiler.compile(fo._rename_apart(f), ())
+    plain = {(a, ()): a for a in letters}
+    delta = {(q, plain[m]): t for (q, m), t in d.delta.items()}
+    return minimize(make_dfa(letters, d.states, d.initial, d.finals, delta))
+
+
+class _DfaCompiler:
+    """Compiles subformulas over letters marked with the variables of the
+    enclosing quantifier scopes.  A marked letter is the pair
+    (base letter, sorted tuple of variables marked at that position)."""
+
+    def __init__(self, letters, cap):
+        self.letters = letters
+        self.cap = cap
+        self._validity = {}
+        self._marked = {}
+
+    def marked(self, frame):
+        if frame not in self._marked:
+            vs = sorted(frame)
+            self._marked[frame] = [
+                (a, marks)
+                for a in self.letters
+                for k in range(len(vs) + 1)
+                for marks in itertools.combinations(vs, k)
+            ]
+        return self._marked[frame]
+
+    def validity(self, frame):
+        """Accepts the markings placing each frame variable exactly once."""
+        if frame not in self._validity:
+            full = frozenset(frame)
+            subsets = [
+                frozenset(c)
+                for k in range(len(frame) + 1)
+                for c in itertools.combinations(sorted(frame), k)
+            ]
+            dead = "dead"
+            delta = {}
+            for s in subsets:
+                for a, marks in self.marked(frame):
+                    m = frozenset(marks)
+                    delta[(s, (a, marks))] = dead if m & s else s | m
+            for a in self.marked(frame):
+                delta[(dead, a)] = dead
+            self._validity[frame] = make_dfa(
+                self.marked(frame), subsets + [dead], frozenset(), [full], delta
+            )
+        return self._validity[frame]
+
+    def _const(self, frame, accept):
+        m = self.marked(frame)
+        return make_dfa(m, ["s"], "s", ["s"] if accept else [], {("s", a): "s" for a in m})
+
+    def _guard(self, d):
+        if len(d.states) > self.cap:
+            raise CapError(f"state cap exceeded ({self.cap}) while compiling")
+        return d
+
+    def compile(self, f, frame):
+        if isinstance(f, fo.TrueF):
+            return self.validity(frame) if frame else self._const(frame, True)
+        if isinstance(f, fo.FalseF):
+            return self._const(frame, False)
+        if isinstance(f, (fo.Lab, fo.Eq, fo.Lt, fo.Mod, fo.Len)):
+            return self._guard(intersect(self._atomic(f, frame), self.validity(frame)))
+        if isinstance(f, fo.And):
+            return self._guard(
+                intersect(self.compile(f.left, frame), self.compile(f.right, frame))
+            )
+        if isinstance(f, fo.Or):
+            return self._guard(
+                union(self.compile(f.left, frame), self.compile(f.right, frame))
+            )
+        if isinstance(f, fo.Not):
+            inner = self.compile(f.sub, frame)
+            flipped = make_dfa(
+                inner.alphabet,
+                inner.states,
+                inner.initial,
+                set(inner.states) - inner.finals,
+                inner.delta,
+            )
+            if not frame:
+                return self._guard(minimize(flipped))
+            return self._guard(intersect(flipped, self.validity(frame)))
+        if isinstance(f, fo.Exists):
+            inner = self.compile(f.body, frame + (f.var,))
+            return self._guard(self._project(inner, f.var, frame))
+        if isinstance(f, fo.Forall):
+            return self.compile(fo.Not(fo.Exists(f.var, fo.Not(f.body))), frame)
+        raise InputError(f"not a formula: {f!r}")
+
+    def _project(self, d, var, frame):
+        nfa = Nfa()
+        index = {q: nfa.new_state() for q in d.states}
+        for (q, (a, marks)), t in d.delta.items():
+            erased = tuple(v for v in marks if v != var)
+            nfa.add(index[q], (a, erased), index[t])
+        nfa.starts = {index[d.initial]}
+        nfa.finals = {index[q] for q in d.finals}
+        return determinize(nfa, self.marked(frame), self.cap)
+
+    def _atomic(self, f, frame):
+        m = self.marked(frame)
+        if isinstance(f, fo.Lab):
+
+            def step(state, a, marks):
+                if state != "w":
+                    return state
+                if f.var in marks:
+                    return "o" if a == f.letter else "d"
+                return "w"
+
+            return self._chain(m, step, finals=["o"])
+        if isinstance(f, fo.Eq):
+            if f.left == f.right:
+                return self._const(frame, True)
+
+            def step(state, a, marks):
+                if state != "w":
+                    return state
+                both = f.left in marks and f.right in marks
+                one = (f.left in marks) != (f.right in marks)
+                return "o" if both else ("d" if one else "w")
+
+            return self._chain(m, step, finals=["o"])
+        if isinstance(f, fo.Lt):
+            if f.left == f.right:
+                return self._const(frame, False)
+
+            def step(state, a, marks):
+                if state in ("o", "d"):
+                    return state
+                has_l = f.left in marks
+                has_r = f.right in marks
+                if state == "w":
+                    if has_l and has_r:
+                        return "d"
+                    if has_r:
+                        return "d"
+                    return "l" if has_l else "w"
+                # state == "l": left already seen
+                return "o" if has_r else "l"
+
+            return self._chain(m, step, finals=["o"], extra=["l"])
+        if isinstance(f, fo.Mod):
+            n, i = f.modulus, f.residue
+            states = list(range(n)) + ["o", "d"]
+            delta = {}
+            for r in range(n):
+                for a, marks in m:
+                    if f.var in marks:
+                        delta[(r, (a, marks))] = "o" if mod1(r + 1, n) == i else "d"
+                    else:
+                        delta[(r, (a, marks))] = (r + 1) % n
+            for s in ("o", "d"):
+                for x in m:
+                    delta[(s, x)] = s
+            return make_dfa(m, states, 0, ["o"], delta)
+        if isinstance(f, fo.Len):
+            n, i = f.modulus, f.residue
+            delta = {(r, x): (r + 1) % n for r in range(n) for x in m}
+            return make_dfa(m, list(range(n)), 0, [i % n], delta)
+        raise InputError(f"not an atomic formula: {f!r}")
+
+    def _chain(self, m, step, finals, extra=None):
+        states = ["w", "o", "d"] + (extra or [])
+        delta = {(s, (a, marks)): step(s, a, marks) for s in states for a, marks in m}
+        return make_dfa(m, states, "w", finals, delta)

@@ -1,13 +1,17 @@
 """Command line entry points, exit codes, and output stability."""
 
+import contextlib
 import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fragcheck import cli
 from fragcheck._sexp import MAX_DEPTH
 from fragcheck.automata import MAX_PATTERN_DEPTH, dfa_to_json, minimize, regex_to_dfa
+from fragcheck.fologic import MAX_FORMULA_DEPTH, MAX_MARKED_LETTERS
 
 
 def run_cli(argv):
@@ -194,13 +198,95 @@ def test_regex_group_nesting_limit(capsys, depth, code):
     assert ("nested deeper" in capsys.readouterr().err) == (code == 2)
 
 
+def nested_exists(count):
+    """`count` nested quantifiers over distinct variables around one atom."""
+    text = "(lab x0 a)"
+    for i in reversed(range(count)):
+        text = f"(exists x{i} {text})"
+    return text
+
+
 @pytest.mark.parametrize("depth, code", [(MAX_DEPTH, 0), (MAX_DEPTH + 1, 2)])
 def test_formula_nesting_limit(tmp_path, capsys, depth, code):
     # depth - 1 nested quantifiers around one atom: s-expression depth `depth`
-    text = "(lab x0 a)"
-    for i in reversed(range(depth - 1)):
-        text = f"(exists x{i} {text})"
     doc = tmp_path / "deep.sexp"
-    doc.write_text(text)
+    doc.write_text(nested_exists(depth - 1))
     assert cli.main(["fo", "eval", "--formula", str(doc), "--word", "ab"]) == code
     assert ("nested deeper" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("command", [["eval", "--word", "a"], ["compile"]])
+@pytest.mark.parametrize("depth, code", [(MAX_FORMULA_DEPTH, 0), (MAX_FORMULA_DEPTH + 1, 2)])
+def test_formula_tree_depth_limit(tmp_path, capsys, command, depth, code):
+    # one quantifier over a conjunction of depth - 1 operands: the fold puts
+    # the last operand at level depth, while the s-expression is 3 deep
+    text = "(exists x (and " + " ".join(["(lab x a)"] * (depth - 1)) + "))"
+    doc = tmp_path / "wide.sexp"
+    doc.write_text(text)
+    assert cli.main(["fo", command[0], "--formula", str(doc), *command[1:]]) == code
+    assert ("deeper than" in capsys.readouterr().err) == (code == 2)
+
+
+def test_marked_alphabet_cap(tmp_path, capsys):
+    # one letter under q quantifiers is 2**q marked letters
+    at_cap = MAX_MARKED_LETTERS.bit_length() - 1
+    assert 1 << at_cap == MAX_MARKED_LETTERS
+    doc = tmp_path / "nested.sexp"
+    doc.write_text(nested_exists(at_cap))
+    assert cli.main(["fo", "compile", "--formula", str(doc)]) == 0
+    capsys.readouterr()
+    doc.write_text(nested_exists(MAX_DEPTH - 1))
+    start = time.process_time()
+    assert cli.main(["fo", "compile", "--formula", str(doc)]) == 3
+    assert time.process_time() - start < 1.0
+    assert "marked-alphabet cap" in capsys.readouterr().err
+
+
+def _group(parts):
+    return "(" + " ".join(parts) + ")"
+
+
+def sexp_texts():
+    """Formula-shaped texts over the formula keywords, variables, letters
+    and integers.  Each slot mostly holds the right kind of token and now
+    and then a wrong one; an alphabet header and a stray trailing form are
+    added now and then."""
+    var = st.sampled_from(3 * ["x", "y", "z"] + ["a", "0", "exists"])
+    letter = st.sampled_from(3 * ["a", "b"] + ["c", "x", "1"]) | st.lists(
+        st.sampled_from(["a", "b", "c", "and"]), max_size=3).map(_group)
+    integer = st.sampled_from(3 * ["0", "1", "2", "3"] + ["-1", "1000000000000", "x"])
+
+    def grow(sub):
+        operands = st.lists(sub, max_size=3)
+        return st.one_of(
+            st.tuples(st.just("lab"), var, letter),
+            st.tuples(st.sampled_from(["=", "<", "<=", "suc"]), var, var),
+            st.tuples(st.just("mod"), var, integer, integer),
+            st.tuples(st.just("len"), integer, integer),
+            st.tuples(st.sampled_from(["and", "or"]), operands.map(" ".join)),
+            st.tuples(st.just("not"), sub),
+            st.tuples(st.sampled_from(["->", "<->"]), sub, sub),
+            st.tuples(st.sampled_from(["exists", "forall"]), var, sub),
+            operands,
+        ).map(_group)
+
+    leaf = st.sampled_from(3 * ["true", "false"] + ["x", "lab", "alphabet"])
+    formula = st.recursive(leaf, grow, max_leaves=10)
+    # binding x, y and z in front makes most atoms part of a sentence
+    prefix = st.lists(st.sampled_from(["exists", "forall"]), min_size=3, max_size=3).map(
+        lambda qs: [f"({q} {v} " for q, v in zip(qs, "xyz")])
+    sentence = st.one_of(formula, st.tuples(prefix, formula).map(
+        lambda t: "".join(t[0]) + t[1] + ")" * len(t[0])))
+    header = st.sampled_from(4 * [""] + ["(alphabet a b) ", "(alphabet) ", "(alphabet a a) "])
+    tail = st.sampled_from(6 * [""] + [" (", " )", " true"])
+    return st.tuples(header, sentence, tail).map("".join)
+
+
+@given(text=sexp_texts())
+@settings(deadline=None, max_examples=150)
+def test_formula_input_fuzz(text):
+    # an answer, malformed input (2) or a cap (3), never a traceback
+    for argv in (["fo", "eval", f"--sexp={text}", "--word", "ab"],
+                 ["fo", "compile", f"--sexp={text}", "--alphabet", "a,b"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 1, 2, 3)

@@ -5,13 +5,15 @@ for the compiler."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exprsuite
 import oracles
-from fragcheck.automata import equivalent, minimize, regex_to_dfa
+from fragcheck.automata import dfa_to_doc, equivalent, minimize, regex_to_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.fologic import (
     And,
     Eq,
     Exists,
+    FalseF,
     Forall,
     Lab,
     Len,
@@ -34,6 +36,7 @@ from fragcheck.fologic import (
     parse_formula_document,
     to_sexp,
 )
+from fragcheck.modprod import expr_to_formula
 
 AA_SOMEWHERE = "(exists x (exists y (and (suc x y) (and (lab x a) (lab y a)))))"
 
@@ -155,9 +158,11 @@ def test_compile_rejects_free_variables():
         compile_formula(parse_formula("(lab x a)"), ["a"])
 
 
+CAPPED = "(exists x (exists y (and (< x y) (and (mod x 7 1) (mod y 11 2)))))"
+
+
 def test_compile_state_cap():
-    f = parse_formula(
-        "(exists x (exists y (and (< x y) (and (mod x 7 1) (mod y 11 2)))))")
+    f = parse_formula(CAPPED)
     with pytest.raises(CapError):
         compile_formula(f, ["a", "b"], state_cap=3)
 
@@ -195,20 +200,90 @@ def test_compile_matches_eval_nested_quantifiers(word):
     assert d.accepts(word) == eval_formula(f, word)
 
 
+BATTERY = [
+    "true",
+    "false",
+    "(len 3 3)",
+    "(exists x (mod x 3 2))",
+    "(forall x (or (lab x a) (mod x 2 2)))",
+    "(exists x (forall y (<= y x)))",
+    "(exists x (and (forall y (<= x y)) (lab x b)))",
+    "(-> (exists x (lab x a)) (exists x (lab x b)))",
+    "(exists x (exists y (and (suc x y) (and (lab x b) (lab y c)))))",
+]
+
+
 def test_compile_matches_eval_battery():
-    sentences = [
-        "true",
-        "false",
-        "(len 3 3)",
-        "(exists x (mod x 3 2))",
-        "(forall x (or (lab x a) (mod x 2 2)))",
-        "(exists x (forall y (<= y x)))",
-        "(exists x (and (forall y (<= x y)) (lab x b)))",
-        "(-> (exists x (lab x a)) (exists x (lab x b)))",
-        "(exists x (exists y (and (suc x y) (and (lab x b) (lab y c)))))",
-    ]
-    for text in sentences:
+    for text in BATTERY:
         f = parse_formula(text)
         d = compile_formula(f, ["a", "b", "c"])
         for w in oracles.words(("a", "b", "c"), 4):
             assert d.accepts(w) == eval_formula(f, w), (text, w)
+
+
+# ---------------------------------------------------------------------------
+# The table compiler against the connective-by-connective Dfa compiler
+
+def same_dfa(f, alphabet):
+    return dfa_to_doc(compile_formula(f, alphabet)) == dfa_to_doc(
+        oracles.compile_formula_by_dfas(f, alphabet))
+
+
+def test_compile_matches_dfa_oracle_on_fixed_sentences():
+    for name, expr, alphabet, _ in exprsuite.VALID:
+        assert same_dfa(expr_to_formula(expr, alphabet), alphabet), name
+    for text in BATTERY:
+        assert same_dfa(parse_formula(text), ["a", "b", "c"]), text
+
+
+def test_compile_and_oracle_share_the_state_cap():
+    f = parse_formula(CAPPED)
+    for compiler in (compile_formula, oracles.compile_formula_by_dfas):
+        with pytest.raises(CapError):
+            compiler(f, ["a", "b"], state_cap=3)
+
+
+@st.composite
+def formulas(draw, bound=(), quantifiers=3, size=4):
+    """A formula over letters a, b whose free variables lie in `bound`, with
+    at most `quantifiers` nested quantifiers and moduli at most 3."""
+    kinds = ["true", "false", "len"]
+    if bound:
+        kinds += ["lab", "eq", "lt", "mod"]
+    if size:
+        # twice each, so that trees grow past their leaves
+        kinds += 2 * (["and", "or", "not"] + (["exists", "forall"] if quantifiers else []))
+    kind = draw(st.sampled_from(kinds))
+    var = st.sampled_from(bound) if bound else None
+    if kind in ("len", "mod"):
+        modulus = draw(st.integers(1, 3))
+        residue = draw(st.integers(1, modulus))
+    if kind == "true":
+        return TrueF()
+    if kind == "false":
+        return FalseF()
+    if kind == "len":
+        return Len(modulus, residue)
+    if kind == "lab":
+        return Lab(draw(var), draw(st.sampled_from("ab")))
+    if kind == "eq":
+        return Eq(draw(var), draw(var))
+    if kind == "lt":
+        return Lt(draw(var), draw(var))
+    if kind == "mod":
+        return Mod(draw(var), modulus, residue)
+    if kind == "not":
+        return Not(draw(formulas(bound, quantifiers, size - 1)))
+    if kind in ("and", "or"):
+        left = draw(formulas(bound, quantifiers, size - 1))
+        right = draw(formulas(bound, quantifiers, size - 1))
+        return And(left, right) if kind == "and" else Or(left, right)
+    x = draw(st.sampled_from("xyz"))
+    body = draw(formulas(tuple(sorted(set(bound) | {x})), quantifiers - 1, size - 1))
+    return Exists(x, body) if kind == "exists" else Forall(x, body)
+
+
+@given(f=formulas())
+@settings(deadline=None, max_examples=100)
+def test_compile_matches_dfa_oracle_on_random_sentences(f):
+    assert same_dfa(f, ["a", "b"]), to_sexp(f)
