@@ -450,15 +450,17 @@ def xcheck_battery(d: Dfa, max_monoid: int) -> list[str]:
     if not equivalent(complement(complement(minimal)), minimal)[0]:
         failures.append("complement-involution")
 
-    try:
-        report = analyze(minimal, max_monoid=max_monoid)
-    except ConsistencyError:
-        failures.append("analyze-consistency")
-        return failures
-
+    # one syntactic morphism per language, shared by the analyses at every
+    # index multiplier; the complement's is built on its own, since the
+    # duality checks compare the two
     pipeline = LanguageAnalysis(minimal, max_monoid=max_monoid)
     morphism = pipeline.morphism
     mon = morphism.monoid
+    try:
+        report = analyze(minimal, max_monoid=max_monoid, morphism=morphism)
+    except ConsistencyError:
+        failures.append("analyze-consistency")
+        return failures
 
     rebuilt = make_dfa(
         morphism.alphabet,
@@ -474,14 +476,17 @@ def xcheck_battery(d: Dfa, max_monoid: int) -> list[str]:
     if not equivalent(minimize(rebuilt), minimal)[0]:
         failures.append("recognition-rebuild")
 
-    co_report = analyze(complement(minimal), max_monoid=max_monoid)
+    co_minimal = complement(minimal)
+    co_morphism = transition_monoid(co_minimal, max_monoid)
+    co_report = analyze(co_minimal, max_monoid=max_monoid, morphism=co_morphism)
     for fid in FRAGMENTS:
         if report.verdicts[fid] != co_report.verdicts[_DUAL[fid]]:
             failures.append("complement-duality")
             break
 
     for mult in (2, 3):
-        stretched = analyze(minimal, max_monoid=max_monoid, index_multiplier=mult)
+        stretched = analyze(
+            minimal, max_monoid=max_monoid, index_multiplier=mult, morphism=morphism)
         if stretched.verdicts != report.verdicts:
             failures.append("index-invariance")
             break
@@ -515,10 +520,10 @@ def xcheck_battery(d: Dfa, max_monoid: int) -> list[str]:
             failures.append("decoration-membership")
             break
 
-    co_morphism = syntactic_order(transition_monoid(complement(minimal), max_monoid))
+    co_ordered = syntactic_order(co_morphism)
     ordered = pipeline.ordered
-    if co_morphism.monoid.size != mon.size or not (
-        (co_morphism.monoid.leq == ordered.monoid.leq.T).all()
+    if co_ordered.monoid.size != mon.size or not (
+        (co_ordered.monoid.leq == ordered.monoid.leq.T).all()
     ):
         failures.append("order-duality")
 

@@ -19,6 +19,16 @@ works over letters enriched with the set of variables marked at a position,
 using one exactly-once validity automaton per quantifier scope; existential
 quantification is mark erasure followed by determinization.
 
+Before compiling, `_rename_apart` names each binder by its nesting depth
+(v0, v1, ...) and interns the nodes bottom-up, so alpha-equivalent
+subformulas at equal depth become one object and the formula tree becomes
+a DAG.  The compiler remembers each table by (node identity, depth): a
+subformula that occurs many times, as the operands of an expanded `<->` or
+the repeated guards of a translated expression do, is compiled once per
+depth.  The walkers that only read a formula (free variables, letters,
+statistics, truth on a word) likewise visit a shared node once, or, for
+truth, once per binding of the variables above it.
+
 Every intermediate automaton is an integer table: an int64 array of
 successors, states by marked letters, with a boolean mask of accepting
 states and state 0 as the start.  The marked letter `a << k | mask` carries
@@ -55,9 +65,10 @@ from .automata import DEFAULT_STATE_CAP, Dfa, make_dfa, minimize, mod1
 from .errors import CapError, InputError
 
 # Deepest formula tree the parser builds.  The n-ary `and`/`or` fold into
-# right-nested binary trees, one level per operand, and every walker over
-# formulas recurses once or twice per level, so this keeps them under
-# Python's default recursion limit of 1000.
+# right-nested binary trees, one level per operand.  The walkers that
+# recurse (parsing, renaming, compiling, truth on a word, printing) take one
+# or two Python frames per level, so this keeps them under Python's default
+# recursion limit of 1000; the others walk an explicit stack.
 MAX_FORMULA_DEPTH = 500
 
 # Most marked letters (letters times subsets of the variables in scope) one
@@ -343,44 +354,58 @@ def to_sexp(f: Formula) -> str:
     raise InputError(f"not a formula: {f!r}")
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (TrueF, FalseF, Len)):
-        return frozenset()
-    if isinstance(f, Lab):
-        return frozenset({f.var})
-    if isinstance(f, Mod):
-        return frozenset({f.var})
-    if isinstance(f, (Eq, Lt)):
-        return frozenset({f.left, f.right})
+def _children(f: Formula) -> tuple:
     if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
+        return (f.left, f.right)
     if isinstance(f, Not):
-        return free_vars(f.sub)
+        return (f.sub,)
     if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
+        return (f.body,)
+    if isinstance(f, Formula):
+        return ()
     raise InputError(f"not a formula: {f!r}")
+
+
+def _nodes(f: Formula) -> list[Formula]:
+    """The distinct nodes of the formula, children before parents.  A node
+    that several parents share (as `<->` shares its operands) is listed
+    once, so walks over this list stay linear in the number of objects
+    however often the tree repeats them."""
+    order, seen, stack = [], set(), [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            order.append(g)
+        elif id(g) not in seen:
+            seen.add(id(g))
+            stack.append((g, True))
+            stack.extend((c, False) for c in _children(g))
+    return order
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    out: dict[int, frozenset[str]] = {}
+    for g in _nodes(f):
+        if isinstance(g, (TrueF, FalseF, Len)):
+            fv = frozenset()
+        elif isinstance(g, (Lab, Mod)):
+            fv = frozenset({g.var})
+        elif isinstance(g, (Eq, Lt)):
+            fv = frozenset({g.left, g.right})
+        elif isinstance(g, (And, Or)):
+            fv = out[id(g.left)] | out[id(g.right)]
+        elif isinstance(g, Not):
+            fv = out[id(g.sub)]
+        elif isinstance(g, (Exists, Forall)):
+            fv = out[id(g.body)] - {g.var}
+        else:
+            raise InputError(f"not a formula: {g!r}")
+        out[id(g)] = fv
+    return out[id(f)]
 
 
 def is_sentence(f: Formula) -> bool:
     return not free_vars(f)
-
-
-def _all_names(f: Formula, out: set[str]):
-    if isinstance(f, Lab):
-        out.add(f.var)
-    elif isinstance(f, Mod):
-        out.add(f.var)
-    elif isinstance(f, (Eq, Lt)):
-        out.add(f.left)
-        out.add(f.right)
-    elif isinstance(f, (And, Or)):
-        _all_names(f.left, out)
-        _all_names(f.right, out)
-    elif isinstance(f, Not):
-        _all_names(f.sub, out)
-    elif isinstance(f, (Exists, Forall)):
-        out.add(f.var)
-        _all_names(f.body, out)
 
 
 def formula_stats(f: Formula) -> dict:
@@ -388,28 +413,13 @@ def formula_stats(f: Formula) -> dict:
     the quantifier prefix when the formula is prenex.  Informational only;
     fragment membership is decided algebraically, never from the shape of
     one particular formula."""
+    nodes = _nodes(f)
     names: set[str] = set()
-    _all_names(f, names)
-
-    def uses_mod(g) -> bool:
-        if isinstance(g, (Mod, Len)):
-            return True
-        if isinstance(g, (And, Or)):
-            return uses_mod(g.left) or uses_mod(g.right)
-        if isinstance(g, Not):
-            return uses_mod(g.sub)
-        if isinstance(g, (Exists, Forall)):
-            return uses_mod(g.body)
-        return False
-
-    def quantifier_free(g) -> bool:
-        if isinstance(g, (Exists, Forall)):
-            return False
-        if isinstance(g, (And, Or)):
-            return quantifier_free(g.left) and quantifier_free(g.right)
-        if isinstance(g, Not):
-            return quantifier_free(g.sub)
-        return True
+    for g in nodes:
+        if isinstance(g, (Lab, Mod, Exists, Forall)):
+            names.add(g.var)
+        elif isinstance(g, (Eq, Lt)):
+            names.update((g.left, g.right))
 
     prefix = []
     matrix = f
@@ -417,14 +427,14 @@ def formula_stats(f: Formula) -> dict:
         prefix.append("exists" if isinstance(matrix, Exists) else "forall")
         matrix = matrix.body
     blocks: list[str] | None
-    if quantifier_free(matrix):
+    if not any(isinstance(g, (Exists, Forall)) for g in _nodes(matrix)):
         blocks = [k for k, _ in itertools.groupby(prefix)]
     else:
         blocks = None
     return {
         "variables": sorted(names),
         "variable_count": len(names),
-        "uses_modular_predicates": uses_mod(f),
+        "uses_modular_predicates": any(isinstance(g, (Mod, Len)) for g in nodes),
         "prenex_blocks": blocks,
     }
 
@@ -436,10 +446,14 @@ def eval_formula(f: Formula, word: Sequence[str]) -> bool:
     fv = free_vars(f)
     if fv:
         raise InputError(f"formula has free variables: {', '.join(sorted(fv))}")
-    return _eval(f, tuple(word), {})
+    return _eval(f, tuple(word), {}, {})
 
 
-def _eval(f: Formula, word: tuple, env: dict) -> bool:
+def _eval(f: Formula, word: tuple, env: dict, known: dict) -> bool:
+    """Truth of f under the positions env binds.  `known` holds the truth
+    of the compound nodes already evaluated under this same env, by node
+    identity, so a node that several parents share is evaluated once per
+    binding of the variables above it; each binder starts an empty one."""
     if isinstance(f, TrueF):
         return True
     if isinstance(f, FalseF):
@@ -454,21 +468,27 @@ def _eval(f: Formula, word: tuple, env: dict) -> bool:
         return mod1(env[f.var], f.modulus) == f.residue
     if isinstance(f, Len):
         return mod1(len(word), f.modulus) == f.residue
+    value = known.get(id(f))
+    if value is not None:
+        return value
     if isinstance(f, And):
-        return _eval(f.left, word, env) and _eval(f.right, word, env)
-    if isinstance(f, Or):
-        return _eval(f.left, word, env) or _eval(f.right, word, env)
-    if isinstance(f, Not):
-        return not _eval(f.sub, word, env)
-    if isinstance(f, Exists):
-        return any(
-            _eval(f.body, word, {**env, f.var: i}) for i in range(1, len(word) + 1)
+        value = _eval(f.left, word, env, known) and _eval(f.right, word, env, known)
+    elif isinstance(f, Or):
+        value = _eval(f.left, word, env, known) or _eval(f.right, word, env, known)
+    elif isinstance(f, Not):
+        value = not _eval(f.sub, word, env, known)
+    elif isinstance(f, Exists):
+        value = any(
+            _eval(f.body, word, {**env, f.var: i}, {}) for i in range(1, len(word) + 1)
         )
-    if isinstance(f, Forall):
-        return all(
-            _eval(f.body, word, {**env, f.var: i}) for i in range(1, len(word) + 1)
+    elif isinstance(f, Forall):
+        value = all(
+            _eval(f.body, word, {**env, f.var: i}, {}) for i in range(1, len(word) + 1)
         )
-    raise InputError(f"not a formula: {f!r}")
+    else:
+        raise InputError(f"not a formula: {f!r}")
+    known[id(f)] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -495,51 +515,63 @@ def compile_formula(f: Formula, alphabet: Sequence[str], state_cap: int = DEFAUL
 
 def formula_letters(f: Formula) -> set[str]:
     """Letters mentioned by label atoms anywhere in the formula."""
-    out: set[str] = set()
-
-    def walk(g):
-        if isinstance(g, Lab):
-            out.add(g.letter)
-        elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body)
-
-    walk(f)
-    return out
+    return {g.letter for g in _nodes(f) if isinstance(g, Lab)}
 
 
 def _rename_apart(f: Formula) -> Formula:
-    """Give every binder a distinct variable name so scopes never collide."""
-    counter = itertools.count()
+    """The formula with every binder named by its nesting depth, v0 for an
+    outermost quantifier, v1 for one directly inside it and so on, with
+    equal subformulas shared.
 
-    def walk(g, env):
+    A binder's name is then the index of its variable in the compiler's
+    frame, so a subformula's tables depend only on its own text and its
+    depth.  Nodes are interned bottom-up on (type, fields, identities of
+    the children), so alpha-equivalent subformulas at equal depth come back
+    as one object, which the compiler's memo keys on.  A scope is the
+    sequence of names the binders above a node bound; the walk remembers
+    its result per (input node identity, scope), so an input node that
+    several parents share, as `<->` shares its operands, is walked once
+    per scope."""
+    nodes: dict = {}                        # shape -> the one node of that shape
+    done: dict[tuple, Formula] = {}         # (id(input node), scope) -> node
+    scopes: list[tuple[dict, int]] = [({}, 0)]  # scope -> ({bound: depth name}, depth)
+    inner_scope: dict[tuple, int] = {}      # (scope, bound name) -> scope
+
+    def walk(g, scope):
+        key = (id(g), scope)
+        out = done.get(key)
+        if out is not None:
+            return out
+        env, depth = scopes[scope]
+        # an atom is interned by its value, a compound node by its type,
+        # bound name and the identities of its (interned) children
         if isinstance(g, (TrueF, FalseF, Len)):
-            return g
-        if isinstance(g, Lab):
-            return Lab(env[g.var], g.letter)
-        if isinstance(g, Mod):
-            return Mod(env[g.var], g.modulus, g.residue)
-        if isinstance(g, Eq):
-            return Eq(env[g.left], env[g.right])
-        if isinstance(g, Lt):
-            return Lt(env[g.left], env[g.right])
-        if isinstance(g, And):
-            return And(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, Or):
-            return Or(walk(g.left, env), walk(g.right, env))
-        if isinstance(g, Not):
-            return Not(walk(g.sub, env))
-        if isinstance(g, (Exists, Forall)):
-            fresh = f"v{next(counter)}"
-            body = walk(g.body, {**env, g.var: fresh})
-            return Exists(fresh, body) if isinstance(g, Exists) else Forall(fresh, body)
-        raise InputError(f"not a formula: {g!r}")
+            out = shape = g
+        elif isinstance(g, Lab):
+            out = shape = Lab(env[g.var], g.letter)
+        elif isinstance(g, Mod):
+            out = shape = Mod(env[g.var], g.modulus, g.residue)
+        elif isinstance(g, (Eq, Lt)):
+            out = shape = type(g)(env[g.left], env[g.right])
+        elif isinstance(g, (And, Or)):
+            left, right = walk(g.left, scope), walk(g.right, scope)
+            out, shape = type(g)(left, right), (type(g), id(left), id(right))
+        elif isinstance(g, Not):
+            sub = walk(g.sub, scope)
+            out, shape = Not(sub), (Not, id(sub))
+        elif isinstance(g, (Exists, Forall)):
+            name = f"v{depth}"
+            inner = inner_scope.setdefault((scope, g.var), len(scopes))
+            if inner == len(scopes):
+                scopes.append(({**env, g.var: name}, depth + 1))
+            body = walk(g.body, inner)
+            out, shape = type(g)(name, body), (type(g), name, id(body))
+        else:
+            raise InputError(f"not a formula: {g!r}")
+        out = done[key] = nodes.setdefault(shape, out)
+        return out
 
-    return walk(f, {})
+    return walk(f, 0)
 
 
 _Table = tuple  # (delta, finals): see _Compiler
@@ -562,6 +594,7 @@ class _Compiler:
         self.letters = letters
         self.cap = cap
         self._validity: dict[int, _Table] = {}
+        self._memo: dict[tuple[int, int], _Table] = {}
 
     def columns(self, frame: tuple) -> np.ndarray:
         return np.arange(len(self.letters) << len(frame))
@@ -584,28 +617,33 @@ class _Compiler:
         return np.zeros((1, len(self.letters) << len(frame)), np.int64), np.array([accept])
 
     def compile(self, f: Formula, frame: tuple) -> _Table:
+        """The table of f under the frame, remembered per (node identity,
+        frame length): `_rename_apart` names binders by depth, so the frame
+        is fixed by its length, and shares equal subformulas, so each one
+        is compiled once per depth.  The lookup sits here, not in a
+        wrapper, so that each formula level costs one Python frame."""
+        key = (id(f), len(frame))
+        out = self._memo.get(key)
+        if out is not None:
+            return out
         if isinstance(f, TrueF):
-            return self.validity(frame) if frame else self._const(frame, True)
-        if isinstance(f, FalseF):
-            return self._const(frame, False)
-        if isinstance(f, (Lab, Eq, Lt, Mod, Len)):
-            return self._minimal(
+            out = self.validity(frame) if frame else self._const(frame, True)
+        elif isinstance(f, FalseF):
+            out = self._const(frame, False)
+        elif isinstance(f, (Lab, Eq, Lt, Mod, Len)):
+            out = self._minimal(
                 self._product(self._atom(f, frame), self.validity(frame), np.logical_and)
             )
-        if isinstance(f, And):
-            return self._minimal(self._product(
+        elif isinstance(f, And):
+            out = self._minimal(self._product(
                 self.compile(f.left, frame), self.compile(f.right, frame), np.logical_and))
-        if isinstance(f, Or):
-            return self._minimal(self._product(
+        elif isinstance(f, Or):
+            out = self._minimal(self._product(
                 self.compile(f.left, frame), self.compile(f.right, frame), np.logical_or))
-        if isinstance(f, Not):
-            delta, finals = self.compile(f.sub, frame)
-            if not frame:
-                return self._minimal((delta, ~finals))
-            return self._minimal(
-                self._product((delta, ~finals), self.validity(frame), np.logical_and)
-            )
-        if isinstance(f, Exists):
+        elif isinstance(f, Not):
+            out = self._negate(self.compile(f.sub, frame), frame)
+        elif isinstance(f, (Exists, Forall)):
+            # (forall x f) is compiled as (not (exists x (not f)))
             inner = frame + (f.var,)
             width = len(self.letters) << len(inner)
             if width > MAX_MARKED_LETTERS:
@@ -613,10 +651,22 @@ class _Compiler:
                     f"marked-alphabet cap exceeded ({MAX_MARKED_LETTERS}): "
                     f"{width} marked letters under {len(inner)} nested quantifiers"
                 )
-            return self._minimal(self._project(self.compile(f.body, inner), frame))
-        if isinstance(f, Forall):
-            return self.compile(Not(Exists(f.var, Not(f.body))), frame)
-        raise InputError(f"not a formula: {f!r}")
+            body = self.compile(f.body, inner)
+            if isinstance(f, Forall):
+                body = self._negate(body, inner)
+            out = self._minimal(self._project(body, frame))
+            if isinstance(f, Forall):
+                out = self._negate(out, frame)
+        else:
+            raise InputError(f"not a formula: {f!r}")
+        self._memo[key] = out
+        return out
+
+    def _negate(self, t: _Table, frame: tuple) -> _Table:
+        delta, finals = t
+        if not frame:
+            return self._minimal((delta, ~finals))
+        return self._minimal(self._product((delta, ~finals), self.validity(frame), np.logical_and))
 
     def _over_cap(self) -> CapError:
         return CapError(f"state cap exceeded ({self.cap}) while compiling")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Dfa, DecoratedLetter, decorated_letters, minimize, mod1
+from .automata import Dfa, DecoratedLetter, decorated_letters, mod1
 from .errors import ConsistencyError, InputError
 from .monoid import (
     DEFAULT_MAX_MONOID,
@@ -98,7 +98,10 @@ class LanguageAnalysis:
 
     The syntactic order and the stability data are computed only when a
     requested fragment needs them, which keeps the equality-only checks
-    cheap on large corpora.
+    cheap on large corpora.  A caller that already holds the syntactic
+    morphism of L(d), from `transition_monoid`, may pass it as `morphism`;
+    it is then used as it is, so that several analyses of one language
+    (at several index multipliers, say) share one monoid.
     """
 
     def __init__(
@@ -107,19 +110,20 @@ class LanguageAnalysis:
         language_id: str = "L",
         max_monoid: int = DEFAULT_MAX_MONOID,
         index_multiplier: int = 1,
+        morphism: Morphism | None = None,
     ):
         self.language_id = language_id
-        self.minimal = minimize(d)
+        self.dfa = d
         self.max_monoid = max_monoid
         self.index_multiplier = index_multiplier
-        self._morphism = None
+        self._morphism = morphism
         self._stability = None
         self._stable_view = None
 
     @property
     def morphism(self) -> Morphism:
         if self._morphism is None:
-            self._morphism = transition_monoid(self.minimal, self.max_monoid)
+            self._morphism = transition_monoid(self.dfa, self.max_monoid)
         return self._morphism
 
     @property
@@ -212,8 +216,10 @@ def analyze(
     language_id: str = "L",
     max_monoid: int = DEFAULT_MAX_MONOID,
     index_multiplier: int = 1,
+    morphism: Morphism | None = None,
 ) -> FragmentReport:
-    """Run every fragment check and assemble a report.
+    """Run every fragment check and assemble a report.  `morphism`, when
+    given, is the syntactic morphism of L(d), as `LanguageAnalysis` takes it.
 
     Two equalities hold for every language and are asserted here: the
     two-variable modular criterion agrees with DA on the stable monoid,
@@ -221,7 +227,8 @@ def analyze(
     violation raises ConsistencyError.
     """
     pipeline = LanguageAnalysis(
-        d, language_id=language_id, max_monoid=max_monoid, index_multiplier=index_multiplier
+        d, language_id=language_id, max_monoid=max_monoid,
+        index_multiplier=index_multiplier, morphism=morphism,
     )
     verdicts = {}
     witnesses = {}

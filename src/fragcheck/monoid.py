@@ -68,6 +68,7 @@ class OrderedMonoid:
             raise InputError("need one representative word per element")
         self._validate()
         self._me = {}  # idempotent -> sorted member array of Me
+        self._idempotents = None
 
     def _validate(self):
         m, mult = self.size, self.mult
@@ -117,7 +118,11 @@ class OrderedMonoid:
         return int(self.mult[x, x]) == x
 
     def idempotents(self) -> list[int]:
-        return np.flatnonzero(self.mult.diagonal() == np.arange(self.size)).tolist()
+        """The idempotents in increasing order, as a new list each call; the
+        diagonal test runs once per monoid."""
+        if self._idempotents is None:
+            self._idempotents = np.flatnonzero(self.mult.diagonal() == np.arange(self.size))
+        return self._idempotents.tolist()
 
     def omega(self, x: int) -> int:
         """The unique idempotent power of x."""

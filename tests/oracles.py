@@ -7,7 +7,8 @@ the library always points at real mathematics, not at shared code.
 
 The one exception is `compile_formula_by_dfas`, the formula compiler as it
 was before it moved onto integer tables: it composes the public `Dfa`
-operations of the automata module connective by connective, so it checks
+operations of the automata module connective by connective, with its own
+renaming of bound variables and no sharing of subformulas, so it checks
 the table compiler against a second, independently built route.
 """
 
@@ -285,10 +286,43 @@ def compile_formula_by_dfas(f, alphabet, state_cap=DEFAULT_STATE_CAP):
         if a not in letters:
             raise InputError(f"formula letter {a!r} not in the alphabet")
     compiler = _DfaCompiler(letters, state_cap)
-    d = compiler.compile(fo._rename_apart(f), ())
+    d = compiler.compile(_rename_apart_by_counter(f), ())
     plain = {(a, ()): a for a in letters}
     delta = {(q, plain[m]): t for (q, m), t in d.delta.items()}
     return minimize(make_dfa(letters, d.states, d.initial, d.finals, delta))
+
+
+def _rename_apart_by_counter(f):
+    """Give every binder a distinct variable name, numbered in the order
+    the walk meets them, so scopes never collide.  This is the oracle's own
+    renaming, kept apart from the depth naming and sharing of
+    `fologic._rename_apart`."""
+    counter = itertools.count()
+
+    def walk(g, env):
+        if isinstance(g, (fo.TrueF, fo.FalseF, fo.Len)):
+            return g
+        if isinstance(g, fo.Lab):
+            return fo.Lab(env[g.var], g.letter)
+        if isinstance(g, fo.Mod):
+            return fo.Mod(env[g.var], g.modulus, g.residue)
+        if isinstance(g, fo.Eq):
+            return fo.Eq(env[g.left], env[g.right])
+        if isinstance(g, fo.Lt):
+            return fo.Lt(env[g.left], env[g.right])
+        if isinstance(g, fo.And):
+            return fo.And(walk(g.left, env), walk(g.right, env))
+        if isinstance(g, fo.Or):
+            return fo.Or(walk(g.left, env), walk(g.right, env))
+        if isinstance(g, fo.Not):
+            return fo.Not(walk(g.sub, env))
+        if isinstance(g, (fo.Exists, fo.Forall)):
+            fresh = f"v{next(counter)}"
+            body = walk(g.body, {**env, g.var: fresh})
+            return type(g)(fresh, body)
+        raise InputError(f"not a formula: {g!r}")
+
+    return walk(f, {})
 
 
 class _DfaCompiler:

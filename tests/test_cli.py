@@ -242,6 +242,27 @@ def test_marked_alphabet_cap(tmp_path, capsys):
     assert "marked-alphabet cap" in capsys.readouterr().err
 
 
+def nested_iff(core, count):
+    """`core` wrapped in `count` levels of (<-> ... core): the expansion of
+    each level names both operands twice."""
+    text = core
+    for _ in range(count):
+        text = f"(<-> {text} {core})"
+    return text
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--alphabet", "a,b", "--json", "--sexp", nested_iff("(exists x (lab x a))", 20)],
+    ["eval", "--word", "abab", "--sexp", nested_iff("(exists x (lab x a))", 20)],
+    ["eval", "--word", "ab", "--sexp", nested_iff("true", 20)],
+])
+def test_nested_biconditionals_stay_linear(argv):
+    start = time.process_time()
+    code, _ = run_cli(["fo", *argv])
+    assert code == 0
+    assert time.process_time() - start < 2.0
+
+
 def _group(parts):
     return "(" + " ".join(parts) + ")"
 

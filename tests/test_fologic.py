@@ -35,6 +35,7 @@ from fragcheck.fologic import (
     parse_formula,
     parse_formula_document,
     to_sexp,
+    _rename_apart,
 )
 from fragcheck.modprod import expr_to_formula
 
@@ -241,6 +242,56 @@ def test_compile_and_oracle_share_the_state_cap():
     for compiler in (compile_formula, oracles.compile_formula_by_dfas):
         with pytest.raises(CapError):
             compiler(f, ["a", "b"], state_cap=3)
+
+
+def test_rename_apart_names_binders_by_depth():
+    f = _rename_apart(parse_formula("(exists y (and (lab y a) (exists y (< y y))))"))
+    assert to_sexp(f) == "(exists v0 (and (lab v0 a) (exists v1 (< v1 v1))))"
+
+
+def test_rename_apart_shares_alpha_equivalent_subformulas_at_equal_depth():
+    siblings = _rename_apart(parse_formula("(and (exists x (lab x a)) (exists y (lab y a)))"))
+    assert siblings.left is siblings.right
+    # under sibling binders, in the scope of one outer variable
+    nested = _rename_apart(parse_formula(
+        "(exists x (or (exists y (and (< x y) (lab y b))) (exists z (and (< x z) (lab z b)))))"))
+    assert nested.body.left is nested.body.right
+    # the operands `<->` shares stay shared
+    iff = _rename_apart(parse_formula("(<-> (exists x (lab x a)) (len 2 1))"))
+    assert iff.left.left.sub is iff.right.right
+    assert iff.left.right is iff.right.left.sub
+
+
+def test_rename_apart_keeps_depths_apart():
+    f = _rename_apart(parse_formula(
+        "(and (exists x (lab x a)) (exists y (and (lab y b) (exists x (lab x a)))))"))
+    inner = f.right.body.right
+    assert to_sexp(f.left) == "(exists v0 (lab v0 a))"
+    assert to_sexp(inner) == "(exists v1 (lab v1 a))"
+    assert f.left is not inner
+
+
+SHARED = [
+    "(<-> (exists x (lab x a)) (exists y (and (lab y b) (mod y 2 1))))",
+    "(-> (forall x (lab x a)) (<-> (len 2 1) (exists x (lab x b))))",
+    "(<-> (<-> (exists x (lab x a)) (len 3 2)) (<-> (len 3 2) (exists x (lab x a))))",
+    "(exists x (and (lab x a) (lab x a) (mod x 2 2) (lab x a)))",
+    "(exists x (and (lab x a) (exists y (and (< x y) (lab x a)))))",
+    "(and (exists x (exists y (< x y))) (exists y (exists x (< y x))))",
+    "(exists x (and (forall y (<= x y)) (forall z (<= x z))))",
+    "(forall x (<-> (exists y (and (< x y) (lab y a))) (exists z (and (< x z) (lab z a)))))",
+    "(exists x (or (exists y (and (< y x) (lab y b))) (not (exists z (and (< z x) (lab z b))))))",
+    "(and (forall x (-> (lab x a) (exists y (suc x y)))) (forall z (-> (lab z a) (exists y (suc z y)))))",
+]
+
+
+def test_compile_matches_dfa_oracle_on_shared_subformulas():
+    for text in SHARED:
+        f = parse_formula(text)
+        assert same_dfa(f, ["a", "b"]), text
+        d = compile_formula(f, ["a", "b"])
+        for w in oracles.words(("a", "b"), 5):
+            assert d.accepts(w) == eval_formula(f, w), (text, w)
 
 
 @st.composite

@@ -43,6 +43,16 @@ def test_check_fragment_spot_values():
     assert check_fragment(d5, "fo2_mod_new")[0]
 
 
+def test_prebuilt_morphism_gives_the_same_report():
+    for pattern in ("(a|b)*aa(a|b)*", "(bc)*", "((a|b)(a|b))*b"):
+        d = dfa(pattern)
+        morphism = transition_monoid(d)
+        for mult in (1, 3):
+            shared = analyze(d, index_multiplier=mult, morphism=morphism)
+            own = analyze(d, index_multiplier=mult)
+            assert shared.to_doc() == own.to_doc(), (pattern, mult)
+
+
 def test_check_fragment_rejects_unknown_name():
     with pytest.raises(InputError):
         check_fragment(dfa("a*"), "sigma3_lt")

@@ -44,6 +44,8 @@ def test_ordered_monoid_basics():
     assert z3.mul(1, 2) == 0
     assert z3.product([1, 1, 1]) == 0
     assert list(z3.idempotents()) == [0]
+    z3.idempotents().append(2)  # each call hands out its own list
+    assert z3.idempotents() == [0]
     assert z3.omega(1) == 0
     assert not z3.is_idempotent(2)
     assert z3.leq is None
