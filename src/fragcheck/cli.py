@@ -51,6 +51,7 @@ from .hierarchy import wv_level
 from .modprod import expr_to_formula, parse_expr, validate
 from .monoid import (
     DEFAULT_MAX_MONOID,
+    Morphism,
     local_condition,
     me_submonoid,
     syntactic_order,
@@ -387,6 +388,25 @@ def random_dfa(rng: np.random.Generator, max_states: int, max_letters: int) -> D
     return make_dfa(letters, states, "q0", finals, delta)
 
 
+def _draws(count: int, max_states: int, max_letters: int, seed: int, max_monoid: int):
+    """Yield `count` pairs (minimized random DFA, its syntactic morphism)
+    whose monoids fit under the cap, drawing lazily; oversized draws are
+    discarded."""
+    rng = np.random.default_rng(seed)
+    made = attempts = 0
+    while made < count:
+        attempts += 1
+        if attempts > 100 * count + 1000:
+            raise CapError("could not generate the corpus under the monoid cap")
+        d = minimize(random_dfa(rng, max_states, max_letters))
+        try:
+            morphism = transition_monoid(d, max_monoid)
+        except CapError:
+            continue
+        made += 1
+        yield d, morphism
+
+
 def generate_corpus(
     count: int,
     max_states: int,
@@ -396,20 +416,7 @@ def generate_corpus(
 ) -> list[Dfa]:
     """Deterministic corpus of minimized random DFAs whose syntactic
     monoids fit under the cap; oversized draws are discarded."""
-    rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 100 * count + 1000:
-            raise CapError("could not generate the corpus under the monoid cap")
-        d = minimize(random_dfa(rng, max_states, max_letters))
-        try:
-            transition_monoid(d, max_monoid)
-        except CapError:
-            continue
-        out.append(d)
-    return out
+    return [d for d, _ in _draws(count, max_states, max_letters, seed, max_monoid)]
 
 
 _DUAL = {
@@ -437,9 +444,11 @@ _IMPLICATIONS = (
 )
 
 
-def xcheck_battery(d: Dfa, max_monoid: int) -> list[str]:
+def xcheck_battery(d: Dfa, max_monoid: int, morphism: Morphism | None = None) -> list[str]:
     """Cross-validation invariants for one language.  Returns the names of
-    the failed checks (empty when everything agrees)."""
+    the failed checks (empty when everything agrees).  `morphism`, when
+    given, is the syntactic morphism of L(d), as `LanguageAnalysis` takes
+    it."""
     failures: list[str] = []
     minimal = minimize(d)
 
@@ -453,7 +462,7 @@ def xcheck_battery(d: Dfa, max_monoid: int) -> list[str]:
     # one syntactic morphism per language, shared by the analyses at every
     # index multiplier; the complement's is built on its own, since the
     # duality checks compare the two
-    pipeline = LanguageAnalysis(minimal, max_monoid=max_monoid)
+    pipeline = LanguageAnalysis(minimal, max_monoid=max_monoid, morphism=morphism)
     morphism = pipeline.morphism
     mon = morphism.monoid
     try:
@@ -549,12 +558,12 @@ def _cmd_xcheck(args, out) -> int:
     cap = _resolve_cap(args.max_monoid)
     if args.count < 1:
         raise InputError("--count must be positive")
-    corpus = generate_corpus(args.count, args.max_states, args.max_letters, args.seed, cap)
+    draws = _draws(args.count, args.max_states, args.max_letters, args.seed, cap)
     entries = []
     failed = 0
-    for idx, d in enumerate(corpus):
-        monoid_size = transition_monoid(d, cap).monoid.size
-        failures = xcheck_battery(d, cap)
+    for idx, (d, morphism) in enumerate(draws):
+        monoid_size = morphism.monoid.size
+        failures = xcheck_battery(d, cap, morphism)
         if failures:
             failed += 1
         entries.append((idx, d, monoid_size, failures))

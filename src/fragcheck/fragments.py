@@ -28,7 +28,6 @@ from .monoid import (
     generated_morphism,
     is_aperiodic,
     local_condition,
-    submonoid_view,
     syntactic_order,
     transition_monoid,
 )
@@ -101,7 +100,10 @@ class LanguageAnalysis:
     cheap on large corpora.  A caller that already holds the syntactic
     morphism of L(d), from `transition_monoid`, may pass it as `morphism`;
     it is then used as it is, so that several analyses of one language
-    (at several index multipliers, say) share one monoid.
+    (at several index multipliers, say) share one monoid.  Each verdict is
+    computed once and kept, so the conjunctions read their halves; the
+    stable-submonoid checks run on the parent table through the ids of
+    the stable submonoid.
     """
 
     def __init__(
@@ -118,7 +120,7 @@ class LanguageAnalysis:
         self.index_multiplier = index_multiplier
         self._morphism = morphism
         self._stability = None
-        self._stable_view = None
+        self._verdicts = {}  # fragment -> (verdict, witness)
 
     @property
     def morphism(self) -> Morphism:
@@ -136,29 +138,22 @@ class LanguageAnalysis:
             self._stability = stability_info(self.morphism, self.index_multiplier)
         return self._stability
 
-    def stable_view(self):
-        if self._stable_view is None:
-            self._stable_view = submonoid_view(self.morphism.monoid, self.stability.stable)
-        return self._stable_view
-
     # -- individual fragments ------------------------------------------------
 
     def _words(self, e: int, x: int) -> Witness:
         word = self.morphism.word_of
         return (format_word(word(e)), format_word(word(x)))
 
-    def _aperiodicity(self, monoid, parent_ids=None) -> tuple[bool, Witness]:
-        ok, x = is_aperiodic(monoid)
+    def _aperiodicity(self, elements=None) -> tuple[bool, Witness]:
+        monoid = self.morphism.monoid
+        ok, x = is_aperiodic(monoid, elements)
         if ok:
             return True, None
-        w = monoid.omega(x)
-        if parent_ids is not None:
-            w, x = parent_ids[w], parent_ids[x]
-        return False, self._words(w, x)
+        return False, self._words(monoid.omega(x), x)
 
     def _local(self, mode: str, selector: str) -> tuple[bool, Witness]:
         m = self.ordered if mode != "eq" else self.morphism
-        ctx = self.stability if selector == "Mes" else None
+        ctx = None if selector == "Me" else self.stability
         ok, pair = local_condition(m.monoid, mode, selector, ctx)
         if ok:
             return True, None
@@ -171,8 +166,14 @@ class LanguageAnalysis:
         return self.check(second)
 
     def check(self, fragment: str) -> tuple[bool, Witness]:
+        got = self._verdicts.get(fragment)
+        if got is None:
+            got = self._verdicts[fragment] = self._check(fragment)
+        return got
+
+    def _check(self, fragment: str) -> tuple[bool, Witness]:
         if fragment == "fo_lt":
-            return self._aperiodicity(self.morphism.monoid)
+            return self._aperiodicity()
         if fragment == "fo2_lt":
             return self._local("eq", "Me")
         if fragment == "sigma2_lt":
@@ -182,14 +183,9 @@ class LanguageAnalysis:
         if fragment == "delta2_lt":
             return self._conjunction("sigma2_lt", "pi2_lt")
         if fragment == "fo_mod":
-            sub, ids = self.stable_view()
-            return self._aperiodicity(sub, ids)
+            return self._aperiodicity(self.stability.stable_ids())
         if fragment == "fo2_mod_qda":
-            sub, ids = self.stable_view()
-            ok, pair = local_condition(sub, "eq", "Me")
-            if ok:
-                return True, None
-            return False, self._words(ids[pair[0]], ids[pair[1]])
+            return self._local("eq", "Me_stable")
         if fragment == "sigma2_mod":
             return self._local("leq", "Mes")
         if fragment == "pi2_mod":

@@ -14,13 +14,20 @@ This is Pin's ordered syntactic monoid ("A variety theorem without
 complementation", 1995).  Brute-force context enumeration of the same
 order lives in the test oracles.
 
-The local submonoid Me of an idempotent e (generated by every a with e in
-MaM) is built once per e as a sorted numpy member array and kept on the
-monoid, so it lives as long as the monoid does and serves every check
-that reads it.  Its generators cost two O(|M|^2) mask passes over the
-table, its closure one frontier step of O(|frontier| g) per
-breadth-first level for g generators.  The local conditions e x e REL e
-then read one gathered row e Me e per idempotent.
+The local submonoid Me of an idempotent e is generated by the set
+{a : e in MaM}, which depends only on the J-class of e.  Each generated
+submonoid is built once per distinct generator set, as a sorted numpy
+member array kept on the monoid (`generated`), so J-equivalent
+idempotents share one Me, and the stability layer's Mes and stable Me
+share the same store.  A monoid that knows generators (every monoid a
+morphism builds: the letter images) finds {a : e in MaM} above
+`_BFS_MIN_SIZE` elements by a reverse breadth-first search from e in the
+two-sided Cayley graph (edges x -> x g and x -> g x), O(d |A| |M|) for d
+levels; smaller monoids, and tables without generators, take two
+O(|M|^2) boolean passes.  A closure gathers each breadth-first level
+through the table in blocks, O(|Me| g) for g generators with no copy of
+the generator columns.  The local conditions e x e REL e then read one
+gathered row e Me e per idempotent.
 """
 
 from __future__ import annotations
@@ -46,9 +53,14 @@ def format_word(word: Word) -> str:
 
 
 class OrderedMonoid:
-    """A finite monoid with an optional compatible partial order."""
+    """A finite monoid with an optional compatible partial order.
 
-    def __init__(self, mult, identity: int, leq=None, repr_words=None):
+    `generators`, when given, must generate the monoid (a morphism passes
+    its letter images); the Cayley-graph search for Me relies on it and
+    checks it once before its first use, raising InputError otherwise.
+    """
+
+    def __init__(self, mult, identity: int, leq=None, repr_words=None, generators=None):
         self.mult = np.asarray(mult, dtype=np.int64)
         if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
             raise InputError("multiplication table must be square")
@@ -66,9 +78,18 @@ class OrderedMonoid:
         )
         if self.repr_words is not None and len(self.repr_words) != self.size:
             raise InputError("need one representative word per element")
+        # ids that generate the monoid (the letter images of a morphism),
+        # which open the Cayley-graph search for Me; None when unknown
+        self.generators = None if generators is None else np.unique(
+            np.asarray(generators, dtype=np.int64))
+        if self.generators is not None and self.generators.size and (
+                self.generators[0] < 0 or self.generators[-1] >= self.size):
+            raise InputError("generator out of range")
         self._validate()
-        self._me = {}  # idempotent -> sorted member array of Me
+        self._generated = {}  # packed generator mask -> sorted members
+        self._me = {}  # idempotent -> members of Me, shared through _generated
         self._idempotents = None
+        self._cayley = None  # [x, k] -> x g_k, then g_k x, for the generators
 
     def _validate(self):
         m, mult = self.size, self.mult
@@ -139,24 +160,51 @@ class OrderedMonoid:
         return self.repr_words[x]
 
     def with_order(self, leq) -> "OrderedMonoid":
-        return OrderedMonoid(self.mult, self.identity, leq=leq, repr_words=self.repr_words)
+        return OrderedMonoid(self.mult, self.identity, leq=leq,
+                             repr_words=self.repr_words, generators=self.generators)
 
-    def me_members(self, e: int) -> np.ndarray:
-        """The sorted members of Me for the idempotent e, built on first
-        use and kept for the life of the monoid (read-only)."""
-        got = self._me.get(e)
+    def generated(self, gens: np.ndarray) -> np.ndarray:
+        """The sorted members of the submonoid generated by the ids marked
+        in the boolean mask `gens`, built once per distinct mask and kept
+        for the life of the monoid (read-only)."""
+        key = np.packbits(gens).tobytes()
+        got = self._generated.get(key)
         if got is None:
-            gens = np.flatnonzero(_j_upset_mask(self.mult, e))
-            got = self._me[e] = _closure_members(self.mult, self.identity, gens)
+            got = _closure_members(self.mult, self.identity, np.flatnonzero(gens))
+            self._generated[key] = got
         return got
 
+    def me_members(self, e: int) -> np.ndarray:
+        """The sorted members of Me for the idempotent e (read-only).  The
+        generator set {a : e in MaM} is found once per idempotent and the
+        closure once per generator set, so J-equivalent idempotents get
+        the same array."""
+        got = self._me.get(e)
+        if got is None:
+            got = self._me[e] = self.generated(self._j_above(e))
+        return got
 
-def is_aperiodic(m: OrderedMonoid) -> tuple[bool, int | None]:
-    """Whether x^w = x^w x for every x; returns an offending x otherwise."""
-    for x in m.elements():
+    def _j_above(self, e: int) -> np.ndarray:
+        """The mask of {a : e in MaM}: a reverse search in the two-sided
+        Cayley graph when the monoid knows generators and is large, two
+        boolean passes over the table otherwise."""
+        if self.generators is None or self.size <= _BFS_MIN_SIZE:
+            return _j_upset_mask(self.mult, e)
+        if self._cayley is None:
+            g = self.generators
+            if _closure_members(self.mult, self.identity, g).size != self.size:
+                raise InputError("the generators do not generate the monoid")
+            self._cayley = np.concatenate([self.mult[:, g], self.mult[g].T], axis=1)
+        return _reaching(self._cayley, e)
+
+
+def is_aperiodic(m: OrderedMonoid, elements=None) -> tuple[bool, int | None]:
+    """Whether x^w = x^w x for every x (of `elements`, in their order, when
+    given: the ids of a submonoid, say); returns an offending x otherwise."""
+    for x in m.elements() if elements is None else elements:
         w = m.omega(x)
         if m.mul(w, x) != w:
-            return False, x
+            return False, int(x)
     return True, None
 
 
@@ -261,8 +309,9 @@ def generated_morphism(
     if accepting_label is not None:
         accepting = frozenset(x for x in range(m) if accepting_label(labels[x]))
 
-    monoid = OrderedMonoid(mult, 0, leq=leq, repr_words=words)
     letter_map = {a: index[letter_labels[a]] for a in letters}
+    monoid = OrderedMonoid(mult, 0, leq=leq, repr_words=words,
+                           generators=list(letter_map.values()))
     return Morphism(
         monoid=monoid,
         alphabet=tuple(letters),
@@ -419,22 +468,53 @@ def green_classes(m: OrderedMonoid) -> GreenRelations:
     )
 
 
-def _j_upset_mask(mult: np.ndarray, e: int) -> np.ndarray:
-    # z with e in zM, then every a with some x a among them
-    left = (mult == e).any(axis=1)
-    return left[mult].any(axis=0)
+# Above this size a monoid with known generators finds {a : e in MaM} by the
+# Cayley-graph search; below it the two table passes cost fewer numpy calls.
+_BFS_MIN_SIZE = 256
+
+
+def _j_upset_mask(mult: np.ndarray, e: int, inside: np.ndarray | None = None) -> np.ndarray:
+    """The mask of {a in T : e in T a T} for the submonoid T marked by
+    `inside` (all of M when None): the z in T with e in z T, then every a
+    in T with some x a among them, x in T.  Two O(|M|^2) boolean passes."""
+    hit = mult == e
+    if inside is None:
+        return hit.any(axis=1)[mult].any(axis=0)
+    left = (hit & inside).any(axis=1) & inside
+    return (left[mult] & inside[:, None]).any(axis=0) & inside
+
+
+def _reaching(cayley: np.ndarray, e: int) -> np.ndarray:
+    """The mask of the x from which e is reached along the edges
+    x -> cayley[x, k], by a reverse breadth-first search: each level marks
+    the x with an edge into the last level, one gather of the edge table."""
+    reached = np.zeros(cayley.shape[0], dtype=bool)
+    reached[e] = True
+    frontier = reached
+    while True:
+        frontier = frontier[cayley].any(axis=1) & ~reached
+        if not frontier.any():
+            return reached
+        reached |= frontier
+
+
+_GATHER_IDS = 1 << 16  # products gathered at once by a closure (512 KiB of ids)
 
 
 def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray) -> np.ndarray:
     """Sorted members of the submonoid generated by the ids `gens`, by a
-    breadth-first frontier pushed through the generator columns at once."""
-    cols = mult[:, gens]
+    breadth-first frontier multiplied on the right by every generator.
+    Each level gathers its products from the table in blocks of frontier
+    rows, so no temporary holds more than about _GATHER_IDS ids; the
+    search stops early once every element is reached."""
     reached = np.zeros(mult.shape[0], dtype=bool)
     reached[identity] = True
     frontier = np.array([identity])
-    while frontier.size:
+    block = max(1, _GATHER_IDS // max(1, gens.size))
+    while frontier.size and not reached.all():
         hit = np.zeros_like(reached)
-        hit[cols[frontier]] = True
+        for lo in range(0, frontier.size, block):
+            hit[mult[frontier[lo:lo + block, None], gens]] = True
         hit &= ~reached
         reached |= hit
         frontier = np.flatnonzero(hit)
@@ -456,37 +536,17 @@ def submonoid_closure(m: OrderedMonoid, generators) -> frozenset[int]:
 
 def me_submonoid(m: OrderedMonoid, e: int) -> frozenset[int]:
     """The submonoid generated by every a whose two-sided ideal contains e,
-    built once per idempotent and kept on the monoid (`me_members`)."""
+    built once per generator set and kept on the monoid (`me_members`)."""
     if not m.is_idempotent(e):
         raise InputError(f"element {e} is not idempotent")
     return frozenset(m.me_members(e).tolist())
-
-
-def submonoid_view(m: OrderedMonoid, elements) -> tuple[OrderedMonoid, tuple]:
-    """Reindex a multiplication-closed subset containing the identity as a
-    monoid in its own right.  Returns (submonoid, parent ids by new id)."""
-    elems = sorted(set(int(x) for x in elements))
-    if m.identity not in elems:
-        raise InputError("submonoid must contain the identity")
-    pos = np.full(m.size, -1, dtype=np.int64)  # new id by parent id
-    pos[elems] = np.arange(len(elems))
-    table = pos[m.mult[np.ix_(elems, elems)]]
-    if (table < 0).any():
-        raise InputError("subset is not closed under multiplication")
-    leq = None
-    if m.leq is not None:
-        leq = m.leq[np.ix_(elems, elems)]
-    words = None
-    if m.repr_words is not None:
-        words = [m.repr_words[x] for x in elems]
-    return OrderedMonoid(table, int(pos[m.identity]), leq=leq, repr_words=words), tuple(elems)
 
 
 # ---------------------------------------------------------------------------
 # Local submonoid conditions
 
 _MODES = ("eq", "leq", "geq")
-_SELECTORS = ("Me", "Mes")
+_SELECTORS = ("Me", "Mes", "Me_stable")
 
 
 def local_condition(
@@ -496,7 +556,9 @@ def local_condition(
     stability_ctx=None,
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check e x e REL e for every idempotent e and every x in the selected
-    submonoid (Me, or the stable-context variant Mes).
+    submonoid: Me, the stable-context variant Mes, or "Me_stable", which
+    is Me taken inside the stable submonoid S of the stability data, for
+    the idempotents of S (read on this table through the ids of S).
 
     REL is equality, or the monoid order in either direction.  Each
     idempotent costs one gather of e x e over the kept member array of its
@@ -510,17 +572,22 @@ def local_condition(
         raise InputError(f"unknown submonoid selector {selector!r}")
     if mode != "eq" and m.leq is None:
         raise InputError("ordered comparison requires an order on the monoid")
-    if selector == "Mes":
+    idempotents = m.idempotents()
+    if selector == "Me":
+        members = m.me_members
+    else:
         if stability_ctx is None:
-            raise InputError("Mes selector requires stability data")
+            raise InputError(f"{selector} selector requires stability data")
         if stability_ctx.morphism.monoid is not m:
             raise InputError("stability data belongs to a different monoid")
-        members = stability_ctx.mes_members
-    else:
-        members = m.me_members
+        if selector == "Mes":
+            members = stability_ctx.mes_members
+        else:
+            idempotents = stability_ctx.stable_idempotents()
+            members = stability_ctx.stable_me_members
 
     mult, leq = m.mult, m.leq
-    for e in m.idempotents():
+    for e in idempotents:
         xs = members(e)
         exe = mult[mult[e, xs], e]
         if mode == "eq":

@@ -3,23 +3,36 @@ the stable submonoid, residue-constrained context sets, and the
 context-constrained local submonoids used by the modular fragment checks.
 
 A letter a is admissible at residue r for an element x when x lies in
-residues[r] . h(a) . residues[s-1-r].  One boolean table adm[a, r, x]
-(|A| x s x |M|) per `StabilityInfo` answers that for every letter,
-residue and element.  It is built from the right-reach matrices
-reach_j[z] = z . residues[j] (|M| x |M| bool): reach_0 is a scatter of
-the table's stable columns, and since residues[j] = X_j | X_(j+s) with
-X_0 = {1} and X_(k+1) the union over the letters b of h(b) . X_k,
-residues[j+1] is the union of h(b) . residues[j] for j+1 < s, so
+residues[r] . h(a) . residues[s-1-r].  The local checks only ask this of
+idempotents, so one boolean table adm[a, r, i] (|A| x s x |E|) per
+`StabilityInfo` answers it for every letter, residue and idempotent
+E[i].  It is built from the right-reach columns reach_j[z, i] (E[i] in
+z . residues[j]), which only ever permute rows.  With X_0 = {1} and
+X_(k+1) the union over the letters b of h(b) . X_k, the seed z . X_0 = {z}
+takes s right steps to z . X_s, and reach_0 is their union, as
+residues[0] = X_0 | X_s.  Since residues[j] = X_j | X_(j+s), residues[j+1]
+is the union of h(b) . residues[j] for j+1 < s, so
 
     reach_{j+1}[z] = OR_b reach_j[z . h(b)],
-    adm[a, s-1-j]  = OR_{x in residues[s-1-j]} reach_j[x . h(a)].
+    adm[a, s-1-j]  = OR_{x in residues[s-1-j]} reach_j[x . h(a)],
 
-That is O(s |A| |M|^2) boolean work and O(|M|^2) extra memory, with no
-per-(letter, residue) set product.
+the second for every letter in one gather.  That is O(s |A| |M| |E|)
+boolean work and O(|M| |E|) extra memory.  `admissible_images` runs the
+same recurrence over every column.
 
-Each local submonoid Mes is built once per idempotent, as a sorted numpy
-member array, and kept on its `StabilityInfo` next to the admissibility
-table it reads, so both live as long as that object does.
+The local submonoid Mes of an idempotent e depends only on its pattern of
+usable letters adm[:, :, e]: it is the submonoid generated by the images
+of the usable blocks of exactly s letters.  It is built once per
+pattern, through the monoid's store of generated submonoids, so it shares
+the closure routine (and any equal generator set) with Me.  The Me of
+the stable submonoid S goes through the same store: its generators
+{a in S : e in S a S} are two boolean passes over the parent table per
+idempotent of S, and each distinct generator set is closed once.
+
+A multiplied index is capped: s = T * (least index) with T above
+FREE_MULTIPLIER and s |M| above MAX_INDEX_CELLS raises CapError before any
+per-residue set or table exists.  The least index itself is never refused,
+and T up to FREE_MULTIPLIER costs at most that many times its analysis.
 """
 
 from __future__ import annotations
@@ -28,10 +41,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapError, InputError
-from .monoid import Morphism, OrderedMonoid, set_product
+from .errors import CapError, ConsistencyError, InputError
+from .monoid import _GATHER_IDS, Morphism, _j_upset_mask, set_product
 
 _ITERATION_CAP = 100_000
+
+# Largest s |M| for a multiplied stability index s on |M| elements: the
+# residue sets, the admissibility table and its recurrence all grow with it.
+MAX_INDEX_CELLS = 2_000_000
+# Multipliers up to this one are never capped: they cost at most that many
+# times the least index, which is never capped either.
+FREE_MULTIPLIER = 3
 
 
 def _letter_images(m: Morphism) -> frozenset[int]:
@@ -89,79 +109,131 @@ class StabilityInfo:
     stable: frozenset[int]
     residues: tuple
     _powers: _PowerImages
-    _adm: np.ndarray | None = None  # [letter index, r, x], see module docstring
+    _adm: np.ndarray | None = None  # [letter index, r, i] at idempotent i
+    _column: dict = field(default_factory=dict)  # idempotent -> its i in _adm
+    _adm_all: np.ndarray | None = None  # [letter index, r, x] at every x
     _mes: dict = field(default_factory=dict)  # idempotent -> members of Mes
+    _mes_by_pattern: dict = field(default_factory=dict)  # usable pattern -> same
+    _stable_me: dict = field(default_factory=dict)  # stable idempotent -> Me in S
+    _stable_ids: np.ndarray | None = None
+    _stable_mask: np.ndarray | None = None
 
-    def _admissible(self) -> np.ndarray:
-        """The table adm[a, r, x]: x in residues[r] . h(a) . residues[s-1-r],
-        letters in alphabet order.  Built on first use from the right-reach
-        recurrence of the module docstring, one reach matrix at a time and
-        one letter at a time, and kept (read-only)."""
-        if self._adm is not None:
-            return self._adm
-        m, s = self.morphism, self.index
-        mult, size = m.monoid.mult, m.monoid.size
-        images = np.array([m.letter_map[a] for a in m.alphabet])
-        adm = np.zeros((len(images), s, size), dtype=bool)
-        reach = _product_mask(mult, sorted(self.stable))
+    def _images(self) -> np.ndarray:
+        m = self.morphism
+        return np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
+
+    def _admissible_at(self, cols: np.ndarray) -> np.ndarray:
+        """The table adm[a, r, i]: cols[i] in residues[r] . h(a) .
+        residues[s-1-r], letters in alphabet order, by the right-reach
+        recurrence of the module docstring on the columns `cols`."""
+        s = self.index
+        mult, size = self.morphism.monoid.mult, self.morphism.monoid.size
+        images = self._images()
+        steps = np.unique(images)
+
+        def right_step(reach):  # z . X_(k+1) from z . X_k
+            out = reach[mult[:, steps[0]]]
+            for b in steps[1:]:
+                out |= reach[mult[:, b]]
+            return out
+
+        seed = np.arange(size)[:, None] == cols  # z . X_0 = {z}
+        reach = seed
+        for _ in range(s):
+            reach = right_step(reach)
+        reach |= seed  # z . residues[0]
+        adm = np.empty((images.size, s, cols.size), dtype=bool)
         for j in range(s):
             r = s - 1 - j
-            left = np.array(sorted(self.residues[r]))
-            for i, b in enumerate(images):
-                hit = np.zeros(size, dtype=bool)  # residues[r] . h(a)
-                hit[mult[left, b]] = True
-                adm[i, r] = reach[hit].any(axis=0)
+            left = np.fromiter(self.residues[r], dtype=np.int64, count=len(self.residues[r]))
+            adm[:, r] = reach[mult[left, images[:, None]]].any(axis=1)
             if j + 1 < s:
-                step = np.zeros_like(reach)
-                for b in np.unique(images):
-                    step |= reach[mult[:, b]]
-                reach = step
+                reach = right_step(reach)
         adm.flags.writeable = False
-        self._adm = adm
         return adm
+
+    def usable(self, e: int) -> np.ndarray:
+        """The usable-letter pattern of the idempotent e: u[a, r] iff e lies
+        in residues[r] . h(a) . residues[s-1-r], letters in alphabet order
+        (read-only).  The table behind it covers every idempotent and is
+        built on first use."""
+        if self._adm is None:
+            idempotents = self.morphism.monoid.idempotents()
+            self._adm = self._admissible_at(np.array(idempotents, dtype=np.int64))
+            self._column = {f: i for i, f in enumerate(idempotents)}
+        return self._adm[:, :, self._column[e]]
 
     def admissible_images(self, letter, r: int) -> frozenset[int]:
         """All values x . h(letter) . y with x in residues[r] and y in
         residues[-(r+1) mod s]: the possible images of a full context
         around an occurrence of the letter at position residue r+1.
-        One row of the admissibility table, which the right-reach
-        recurrence of the module docstring builds once per object in
-        O(s |A| |M|^2) boolean work and O(|M|^2) extra memory."""
-        row = self._admissible()[self.morphism.alphabet.index(letter), r]
+        One row of the admissibility table over every element, built once
+        per object by the recurrence of the module docstring, in
+        O(s |A| |M|^2) boolean work."""
+        if self._adm_all is None:
+            self._adm_all = self._admissible_at(np.arange(self.morphism.monoid.size))
+        row = self._adm_all[self.morphism.alphabet.index(letter), r]
         return frozenset(np.flatnonzero(row).tolist())
 
     def mes_members(self, e: int) -> np.ndarray:
         """The sorted members of Mes for the idempotent e (see `me_s`),
-        built on first use and kept for the life of this object
-        (read-only).
+        built once per usable-letter pattern and kept for the life of
+        this object (read-only).
 
-        The letters usable at residue r are those with adm[a, r, e], read
-        from the admissibility table.  Every breadth-first level of the
-        residue-tagged search sits at one residue r, so a level is one
-        frontier pushed through the columns of the letters usable at r,
-        and reached[r] marks what residue r has seen.  O(s |M|) memory,
-        O(|frontier| |A|) per level.
+        The images of the usable blocks are s frontier steps from the
+        identity, step r through the letters usable at residue r; their
+        closure is the monoid's `generated`.  O(s |A| |M|) for the blocks.
         """
         got = self._mes.get(e)
-        if got is not None:
-            return got
-        m, s = self.morphism, self.index
-        mult, identity = m.monoid.mult, m.monoid.identity
-        images = np.array([m.letter_map[a] for a in m.alphabet])
-        usable = self._admissible()[:, :, e]
-        cols = [mult[:, images[usable[:, r]]] for r in range(s)]
-        reached = np.zeros((s, m.monoid.size), dtype=bool)
-        reached[0, identity] = True
-        frontier, r = np.array([identity]), 0
-        while frontier.size:
-            hit = np.zeros_like(reached[0])
-            hit[cols[r][frontier]] = True
-            r = (r + 1) % s
-            hit &= ~reached[r]
-            reached[r] |= hit
-            frontier = np.flatnonzero(hit)
-        got = self._mes[e] = np.flatnonzero(reached[0])
-        got.flags.writeable = False
+        if got is None:
+            usable = self.usable(e)
+            key = usable.tobytes()
+            got = self._mes_by_pattern.get(key)
+            if got is None:
+                mon = self.morphism.monoid
+                images = self._images()
+                blocks = np.zeros(mon.size, dtype=bool)
+                blocks[mon.identity] = True
+                for r in range(self.index):
+                    ends = np.flatnonzero(blocks)
+                    blocks = np.zeros(mon.size, dtype=bool)
+                    blocks[mon.mult[ends[:, None], images[usable[:, r]]]] = True
+                got = self._mes_by_pattern[key] = mon.generated(blocks)
+            self._mes[e] = got
+        return got
+
+    def stable_ids(self) -> np.ndarray:
+        """The stable submonoid's ids in increasing order (read-only).  On
+        first use the set is checked to be closed under the table, in
+        blocks of rows; ConsistencyError when it is not."""
+        if self._stable_ids is None:
+            mult = self.morphism.monoid.mult
+            ids = np.array(sorted(self.stable), dtype=np.int64)
+            inside = np.zeros(mult.shape[0], dtype=bool)
+            inside[ids] = True
+            block = max(1, _GATHER_IDS // ids.size)
+            for lo in range(0, ids.size, block):
+                if not inside[mult[ids[lo:lo + block, None], ids]].all():
+                    raise ConsistencyError("the stable set is not closed under multiplication")
+            ids.flags.writeable = inside.flags.writeable = False
+            self._stable_ids, self._stable_mask = ids, inside
+        return self._stable_ids
+
+    def stable_idempotents(self) -> list[int]:
+        """The idempotents of the stable submonoid, in increasing order."""
+        return [e for e in self.morphism.monoid.idempotents() if e in self.stable]
+
+    def stable_me_members(self, e: int) -> np.ndarray:
+        """The sorted members of Me taken inside the stable submonoid S, for
+        an idempotent e of S: the submonoid generated by {a in S : e in
+        S a S}, found by two boolean passes over the parent table and
+        closed in the monoid's store, once per generator set (read-only)."""
+        got = self._stable_me.get(e)
+        if got is None:
+            self.stable_ids()
+            mon = self.morphism.monoid
+            got = mon.generated(_j_upset_mask(mon.mult, e, self._stable_mask))
+            self._stable_me[e] = got
         return got
 
 
@@ -174,18 +246,31 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     """Stability data for s = multiplier * (smallest index).
 
     Any multiple of the smallest index is again a stability index; the
-    fragment checks must be invariant under the choice.
+    fragment checks must be invariant under the choice.  A multiplier
+    above FREE_MULTIPLIER that gives s |M| above MAX_INDEX_CELLS raises
+    CapError.
     """
     if multiplier < 1:
         raise InputError("index multiplier must be at least 1")
     powers = _PowerImages(m)
     smallest = powers.smallest_index
     s = smallest * multiplier
+    if multiplier > FREE_MULTIPLIER and s * m.monoid.size > MAX_INDEX_CELLS:
+        raise CapError(
+            f"stability index {s} (multiplier {multiplier}) on {m.monoid.size} "
+            f"elements exceeds the index cap (s * |M| at most {MAX_INDEX_CELLS} "
+            f"for a multiplier above {FREE_MULTIPLIER})"
+        )
     identity = m.monoid.identity
     stable = frozenset(powers.at(s)) | {identity}
     residues = [stable]
+    unions = {}  # the power sets repeat with their period, so the unions do
     for r in range(1, s):
-        residues.append(frozenset(powers.at(r)) | frozenset(powers.at(r + s)))
+        low, high = powers.at(r), powers.at(r + s)
+        got = unions.get((id(low), id(high)))
+        if got is None:
+            got = unions[(id(low), id(high))] = low | high
+        residues.append(got)
     return StabilityInfo(
         morphism=m,
         index=s,
@@ -260,9 +345,10 @@ def me_s(m: Morphism, info: StabilityInfo, e: int) -> frozenset[int]:
     such that every letter a_i admits a context p_i a_i q_i mapping to e
     with |p_i| congruent to i-1 and |q_i| congruent to -i mod s.  A letter
     extending a partial word of length residue r is usable iff e lies in
-    residues[r] . h(a) . residues[-(r+1) mod s]; the submonoid is the set
-    of elements reachable at residue 0 under that constraint.  It is built
-    once per idempotent by `StabilityInfo.mes_members` and kept on `info`.
+    residues[r] . h(a) . residues[-(r+1) mod s]; the submonoid is
+    generated by the images of the words of exactly s letters that meet
+    that constraint.  It is built once per usable-letter pattern by
+    `StabilityInfo.mes_members` and kept on `info`.
     """
     if info.morphism is not m:
         raise InputError("stability data belongs to a different morphism")

@@ -5,11 +5,20 @@ enumeration, explicit context search) using only the documented data
 fields of the library types, so that a disagreement between a test and
 the library always points at real mathematics, not at shared code.
 
-The one exception is `compile_formula_by_dfas`, the formula compiler as it
-was before it moved onto integer tables: it composes the public `Dfa`
-operations of the automata module connective by connective, with its own
-renaming of bound variables and no sharing of subformulas, so it checks
-the table compiler against a second, independently built route.
+The exceptions are earlier routes of the library, kept as second routes
+to the same objects:
+
+- `compile_formula_by_dfas`, the formula compiler as it was before it
+  moved onto integer tables: it composes the public `Dfa` operations of
+  the automata module connective by connective, with its own renaming of
+  bound variables and no sharing of subformulas;
+- `submonoid_view`, which copies a submonoid's table out of its parent
+  into a validated `OrderedMonoid` of its own, on which the stable
+  checks ran before they read the parent table;
+- `admissible_by_stable_scatter` and `mes_by_residue_search`: the
+  admissibility table seeded by an |M|^2 scatter of the stable columns,
+  and the residue-tagged breadth-first search for Mes built on it, as the
+  stability layer computed them before Mes was keyed by usable pattern.
 """
 
 import itertools
@@ -22,6 +31,7 @@ from fragcheck.automata import (
     DEFAULT_STATE_CAP, Nfa, determinize, intersect, make_dfa, minimize, mod1, union,
 )
 from fragcheck.errors import CapError, InputError
+from fragcheck.monoid import OrderedMonoid
 
 
 def words(alphabet, max_len):
@@ -178,6 +188,77 @@ def admissible_brute(h, s):
             right = sorted(powers[rr] | powers[rr + s])
             out[(a, r)] = set(mult[np.ix_(left, right)].ravel().tolist())
     return out
+
+
+def submonoid_view(m, elements):
+    """Reindex a multiplication-closed subset containing the identity as a
+    monoid in its own right.  Returns (submonoid, parent ids by new id)."""
+    elems = sorted(set(int(x) for x in elements))
+    if m.identity not in elems:
+        raise InputError("submonoid must contain the identity")
+    pos = np.full(m.size, -1, dtype=np.int64)  # new id by parent id
+    pos[elems] = np.arange(len(elems))
+    table = pos[m.mult[np.ix_(elems, elems)]]
+    if (table < 0).any():
+        raise InputError("subset is not closed under multiplication")
+    leq = None
+    if m.leq is not None:
+        leq = m.leq[np.ix_(elems, elems)]
+    words = None
+    if m.repr_words is not None:
+        words = [m.repr_words[x] for x in elems]
+    return OrderedMonoid(table, int(pos[m.identity]), leq=leq, repr_words=words), tuple(elems)
+
+
+def admissible_by_stable_scatter(info):
+    """The table adm[a, r, x] (x in residues[r] . h(a) . residues[s-1-r])
+    by the right-reach recurrence over full |M| x |M| matrices, seeded with
+    reach_0[z, x] = x in z . stable by one scatter of the stable columns."""
+    h, s = info.morphism, info.index
+    mult, size = np.asarray(h.monoid.mult), h.monoid.size
+    images = np.array([h.letter_map[a] for a in h.alphabet])
+    adm = np.zeros((len(images), s, size), dtype=bool)
+    reach = np.zeros((size, size), dtype=bool)
+    stable = sorted(info.stable)
+    reach[np.arange(size)[:, None], mult[:, stable]] = True
+    for j in range(s):
+        r = s - 1 - j
+        left = np.array(sorted(info.residues[r]))
+        for i, b in enumerate(images):
+            hit = np.zeros(size, dtype=bool)  # residues[r] . h(a)
+            hit[mult[left, b]] = True
+            adm[i, r] = reach[hit].any(axis=0)
+        if j + 1 < s:
+            step = np.zeros_like(reach)
+            for b in np.unique(images):
+                step |= reach[mult[:, b]]
+            reach = step
+    return adm
+
+
+def mes_by_residue_search(info, e, adm=None):
+    """Mes at the idempotent e by a residue-tagged breadth-first search:
+    every level sits at one residue r and pushes its frontier through the
+    letters usable at r (adm[a, r, e], from `admissible_by_stable_scatter`
+    unless given), and reached[r] marks what residue r has seen."""
+    h, s = info.morphism, info.index
+    mult, identity = np.asarray(h.monoid.mult), h.monoid.identity
+    if adm is None:
+        adm = admissible_by_stable_scatter(info)
+    images = np.array([h.letter_map[a] for a in h.alphabet])
+    usable = adm[:, :, e]
+    cols = [mult[:, images[usable[:, r]]] for r in range(s)]
+    reached = np.zeros((s, h.monoid.size), dtype=bool)
+    reached[0, identity] = True
+    frontier, r = np.array([identity]), 0
+    while frontier.size:
+        hit = np.zeros_like(reached[0])
+        hit[cols[r][frontier]] = True
+        r = (r + 1) % s
+        hit &= ~reached[r]
+        reached[r] |= hit
+        frontier = np.flatnonzero(hit)
+    return set(np.flatnonzero(reached[0]).tolist())
 
 
 def syntactic_leq_by_contexts(h):

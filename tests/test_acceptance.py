@@ -218,7 +218,8 @@ def test_criterion_3_stable_monoid_separates_the_two_parities():
     ok, _ = check_fragment(even_a, "fo_mod")
     if ok:
         failures.append("letter parity should stay undefinable with counting")
-    sub, ids = LanguageAnalysis(even_a).stable_view()
+    parity = LanguageAnalysis(even_a)
+    sub, ids = oracles.submonoid_view(parity.morphism.monoid, parity.stability.stable)
     if sub.size != 2:
         failures.append(f"letter parity stable monoid has size {sub.size}, want 2")
     else:

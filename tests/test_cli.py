@@ -185,6 +185,39 @@ def test_max_monoid_env_override(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["check", "--fragment", "fo_mod"], ["witness"],
+], ids=["analyze", "check", "witness"])
+def test_index_multiplier_cap(capsys, argv):
+    # s * |M| is capped before any per-residue set is built, so a huge
+    # multiplier ends at once with exit 3 instead of exhausting memory
+    start = time.process_time()
+    code = cli.main(argv + ["--regex", "(bc)*", "--index-multiplier", "1000000000"])
+    assert code == 3
+    assert "index cap" in capsys.readouterr().err
+    assert time.process_time() - start < 2.0
+    assert cli.main(argv + ["--regex", "(bc)*", "--index-multiplier", "5"]) in (0, 1)
+    capsys.readouterr()
+
+
+def test_xcheck_builds_two_monoids_per_instance(monkeypatch):
+    # the draw's morphism serves the monoid= column and the battery; the
+    # battery adds only the complement's
+    from fragcheck import fragments, monoid
+    builds = []
+    real = monoid.transition_monoid
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    for module in (cli, fragments, monoid):
+        monkeypatch.setattr(module, "transition_monoid", counted)
+    code, text = run_cli(["xcheck", "--count", "6", "--seed", "1"])
+    assert code == 0 and "6 instances, 0 with failures" in text
+    assert len(builds) == 2 * 6
+
+
 def test_word_longer_alphabet_check():
     code, _ = run_cli(["fo", "eval", "--sexp", "(exists x (lab x a))",
                        "--word", "ab,cd"])

@@ -9,12 +9,21 @@ from fragcheck.automata import complement, intersect, minimize, regex_to_dfa
 from fragcheck.errors import ConsistencyError, InputError
 from fragcheck.fragments import (
     FRAGMENTS,
+    LanguageAnalysis,
     analyze,
     build_mod_witness,
     check_fragment,
     verify_vmod_implication,
 )
-from fragcheck.monoid import Morphism, OrderedMonoid, syntactic_order, transition_monoid
+from fragcheck.monoid import (
+    Morphism,
+    OrderedMonoid,
+    format_word,
+    is_aperiodic,
+    local_condition,
+    syntactic_order,
+    transition_monoid,
+)
 from fragcheck.stability import stability_info
 
 
@@ -51,6 +60,45 @@ def test_prebuilt_morphism_gives_the_same_report():
             shared = analyze(d, index_multiplier=mult, morphism=morphism)
             own = analyze(d, index_multiplier=mult)
             assert shared.to_doc() == own.to_doc(), (pattern, mult)
+
+
+def test_stable_checks_match_the_copied_submonoid(small_corpus):
+    # fo_mod and fo2_mod_qda read the parent table through the stable ids;
+    # the oracle copies the stable submonoid into a monoid of its own
+    negative = 0
+    for d in small_corpus:
+        pipeline = LanguageAnalysis(d, max_monoid=600)
+        h = pipeline.morphism
+        sub, ids = oracles.submonoid_view(h.monoid, pipeline.stability.stable)
+
+        def words(e, x):
+            return (format_word(h.word_of(ids[e])), format_word(h.word_of(ids[x])))
+
+        ok, x = is_aperiodic(sub)
+        expected = (True, None) if ok else (False, words(sub.omega(x), x))
+        assert pipeline.check("fo_mod") == expected
+        ok, pair = local_condition(sub, "eq", "Me")
+        expected = (True, None) if ok else (False, words(*pair))
+        assert pipeline.check("fo2_mod_qda") == expected
+        negative += not ok
+    assert 0 < negative < len(small_corpus)
+
+
+def test_check_memoises_verdicts_for_the_conjunctions(monkeypatch):
+    from fragcheck import fragments
+    calls = []
+    real = fragments.local_condition
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fragments, "local_condition", counted)
+    pipeline = LanguageAnalysis(dfa("(a|b)*aa(a|b)*"))
+    first = pipeline.check("sigma2_lt")
+    assert pipeline.check("delta2_lt") == pipeline.check("pi2_lt")
+    assert pipeline.check("sigma2_lt") is first
+    assert sorted(calls) == [("geq", "Me"), ("leq", "Me")]
 
 
 def test_check_fragment_rejects_unknown_name():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fragcheck import monoid as monoid_module
 from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
@@ -21,7 +22,6 @@ from fragcheck.monoid import (
     monoid_to_text,
     set_product,
     submonoid_closure,
-    submonoid_view,
     syntactic_order,
     transition_monoid,
 )
@@ -222,7 +222,7 @@ def test_submonoid_view_round_trip():
     h = syntactic("(a|b)*aa(a|b)*")
     m = h.monoid
     elements = submonoid_closure(m, [h.image("a")])
-    view, parents = submonoid_view(m, elements)
+    view, parents = oracles.submonoid_view(m, elements)
     assert view.size == len(elements)
     assert set(parents) == set(elements)
     for x in range(view.size):
@@ -237,7 +237,7 @@ def test_submonoid_view_round_trip():
 def test_submonoid_view_requires_closed_subset():
     h = syntactic("(a|b)*aa(a|b)*")
     with pytest.raises(InputError):
-        submonoid_view(h.monoid, {h.monoid.identity, h.image("a")})
+        oracles.submonoid_view(h.monoid, {h.monoid.identity, h.image("a")})
 
 
 def test_local_condition_on_repeat_language():
@@ -367,6 +367,68 @@ def test_admissible_images_match_brute_at_mid_size(seed):
             assert info.admissible_images(a, r) == images, (a, r)
 
 
+def _me_on_fresh_monoid(h):
+    """Me at every idempotent, on a copy of h's monoid with empty stores."""
+    mon = h.monoid
+    fresh = OrderedMonoid(mon.mult, mon.identity, generators=mon.generators)
+    return fresh, {e: fresh.me_members(e) for e in fresh.idempotents()}
+
+
+def _check_me_against_brute_and_j_classes(h):
+    fresh, me = _me_on_fresh_monoid(h)
+    brute = oracles.me_brute(fresh)
+    assert {e: set(xs.tolist()) for e, xs in me.items()} == brute
+    # Me depends only on the J-class: J-equivalent idempotents share one
+    # array, and idempotents in different J-classes never do
+    owners = {}
+    for cls in green_classes(fresh).j_classes:
+        arrays = {id(me[e]) for e in cls if e in me}
+        assert len(arrays) <= 1
+        for key in arrays:
+            assert owners.setdefault(key, cls) == cls
+
+
+@pytest.mark.parametrize("route_min_size", [0, 10**9], ids=["cayley", "mask"])
+def test_me_shared_per_j_class_and_matches_definition(small_corpus, monkeypatch, route_min_size):
+    # both routes to the generator set {a : e in MaM}: the reverse search in
+    # the two-sided Cayley graph and the two table passes
+    monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", route_min_size)
+    for d in small_corpus:
+        _check_me_against_brute_and_j_classes(transition_monoid(d, max_monoid=600))
+
+
+def test_me_cayley_route_at_mid_size(monkeypatch):
+    h = transition_monoid(minimize(_random_seven_state_dfa(43)))
+    assert h.monoid.size <= monoid_module._BFS_MIN_SIZE
+    monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
+    _check_me_against_brute_and_j_classes(h)
+
+
+def test_closure_in_small_blocks_matches_brute(small_corpus, monkeypatch):
+    # a tiny gather budget splits every frontier into one-row blocks
+    monkeypatch.setattr(monoid_module, "_GATHER_IDS", 1)
+    for d in small_corpus[:10]:
+        fresh, me = _me_on_fresh_monoid(transition_monoid(d, max_monoid=600))
+        for e, brute in oracles.me_brute(fresh).items():
+            assert set(me[e].tolist()) == brute
+
+
+def test_generators_must_lie_in_the_monoid():
+    with pytest.raises(InputError):
+        OrderedMonoid([[0, 1], [1, 0]], 0, generators=[2])
+
+
+def test_cayley_route_refuses_generators_that_do_not_generate(monkeypatch):
+    # in Z/6, 2 reaches only the even residues, so the search would miss
+    # the odd ones; the route checks the generators before trusting them
+    monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
+    ids = np.arange(6)
+    table = (ids[:, None] + ids) % 6
+    with pytest.raises(InputError):
+        OrderedMonoid(table, 0, generators=[2]).me_members(0)
+    assert OrderedMonoid(table, 0, generators=[1]).me_members(0).tolist() == list(range(6))
+
+
 # A minimal 7-state DFA over {a, b} with a 1632-element syntactic monoid,
 # beyond the reach of context enumeration: state -> (a-successor, b-successor)
 _LARGE_DELTA = {
@@ -398,7 +460,7 @@ def test_syntactic_order_at_scale():
     co = syntactic_order(transition_monoid(complement(d)))
     assert np.array_equal(co.monoid.leq, leq.T)
     stable = stability_info(h).stable
-    view, parents = submonoid_view(m, stable)
+    view, parents = oracles.submonoid_view(m, stable)
     parents = np.array(parents)
     assert sorted(parents) == sorted(stable)
     assert np.array_equal(parents[view.mult], m.mult[np.ix_(parents, parents)])

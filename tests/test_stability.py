@@ -1,13 +1,25 @@
 """Stability index, stable submonoid, residue sets and the stable-context
 submonoid of an idempotent."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import oracles
-from fragcheck.automata import minimize, regex_to_dfa
-from fragcheck.errors import InputError
-from fragcheck.monoid import me_submonoid, submonoid_closure, transition_monoid
+from fragcheck.automata import make_dfa, minimize, regex_to_dfa
+from fragcheck.errors import CapError, ConsistencyError, InputError
+from fragcheck.fragments import LanguageAnalysis
+from fragcheck.monoid import (
+    Morphism,
+    OrderedMonoid,
+    me_submonoid,
+    submonoid_closure,
+    transition_monoid,
+)
 from fragcheck.stability import (
+    FREE_MULTIPLIER,
+    MAX_INDEX_CELLS,
     is_stable_trivial,
     me_s,
     stability_index,
@@ -198,3 +210,80 @@ def test_admissible_images_match_brute_on_corpus(small_corpus):
             brute = oracles.admissible_brute(h, info.index)
             for (a, r), images in brute.items():
                 assert info.admissible_images(a, r) == images, (a, r)
+
+
+def test_usable_patterns_match_brute_at_every_idempotent(small_corpus):
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        for multiplier in (1, 2, 3):
+            info = stability_info(h, multiplier)
+            brute = oracles.admissible_brute(h, info.index)
+            scatter = oracles.admissible_by_stable_scatter(info)
+            for e in h.monoid.idempotents():
+                usable = info.usable(e)
+                assert usable.shape == (len(h.alphabet), info.index)
+                for i, a in enumerate(h.alphabet):
+                    for r in range(info.index):
+                        assert usable[i, r] == (e in brute[(a, r)]), (e, a, r)
+                assert np.array_equal(usable, scatter[:, :, e])
+
+
+def test_mes_shared_per_usable_pattern(small_corpus):
+    checked = 0
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        for multiplier in (1, 2, 3):
+            info = stability_info(h, multiplier)
+            scatter = oracles.admissible_by_stable_scatter(info)
+            by_pattern = {}
+            for e in h.monoid.idempotents():
+                mes = info.mes_members(e)
+                assert set(mes.tolist()) == oracles.mes_by_residue_search(info, e, scatter)
+                if info.index <= 6:
+                    assert set(mes.tolist()) == oracles.me_s_brute(h, info.index, e)
+                    checked += 1
+                # one array per pattern, and a new pattern gets its own
+                key = info.usable(e).tobytes()
+                assert by_pattern.setdefault(key, mes) is mes
+            assert len({id(a) for a in by_pattern.values()}) == len(by_pattern)
+    assert checked > 150
+
+
+def test_index_cap_raises_before_residues():
+    h = morphism("(bc)*")
+    s = stability_index(h)
+    limit = MAX_INDEX_CELLS // (s * h.monoid.size)
+    assert stability_info(h, limit).index == s * limit
+    with pytest.raises(CapError):
+        stability_info(h, limit + 1)
+    with pytest.raises(CapError):
+        stability_info(h, 10**9)
+
+
+def test_index_cap_spares_the_least_index_and_small_multipliers():
+    # (a^1500)*: the cyclic group of order 1500, least index 1500, so
+    # s * |M| is over the cap already at x1; x1 to x3 still run
+    n = 1500
+    assert n * n > MAX_INDEX_CELLS
+    ids = np.arange(n)
+    mon = OrderedMonoid((ids[:, None] + ids) % n, 0,
+                        repr_words=[("a",) * k for k in range(n)], generators=[1])
+    h = Morphism(monoid=mon, alphabet=("a",), letter_map={"a": 1}, accepting=frozenset({0}))
+    d = make_dfa(["a"], list(range(n)), 0, [0], {(q, "a"): (q + 1) % n for q in range(n)})
+    for multiplier in (1, FREE_MULTIPLIER):
+        pipeline = LanguageAnalysis(d, index_multiplier=multiplier, morphism=h)
+        assert pipeline.stability.index == n * multiplier
+        assert pipeline.check("fo_mod") == (True, None)
+        assert pipeline.check("fo2_mod_new")[0]
+    with pytest.raises(CapError):
+        stability_info(h, FREE_MULTIPLIER + 1)
+
+
+def test_stable_ids_check_closure():
+    h = morphism("(a|b)*aa(a|b)*")
+    info = stability_info(h)
+    # {1, a} is not closed: a a lies outside it
+    broken = dataclasses.replace(info, stable=frozenset({h.monoid.identity, h.image("a")}))
+    assert info.stable_ids().tolist() == sorted(info.stable)
+    with pytest.raises(ConsistencyError):
+        broken.stable_ids()
