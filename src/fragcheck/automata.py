@@ -137,13 +137,14 @@ def parse_dfa(text: str) -> Dfa:
         if q not in state_set:
             raise InputError(f"unknown state {q!r} in finals")
     initial = doc["initial"]
-    if initial not in state_set:
+    if not isinstance(initial, str) or initial not in state_set:
         raise InputError(f"unknown initial state {initial!r}")
     delta = {}
     if not isinstance(doc["transitions"], list):
         raise InputError("transitions must be a list of [src, letter, dst] triples")
     for item in doc["transitions"]:
-        if not (isinstance(item, list) and len(item) == 3):
+        if not (isinstance(item, list) and len(item) == 3
+                and all(isinstance(v, str) for v in item)):
             raise InputError(f"bad transition entry: {item!r}")
         src, letter, dst = item
         if src not in state_set:
@@ -285,23 +286,13 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa):
 # ---------------------------------------------------------------------------
 # Boolean operations
 
-def boolean_op(op: str, d1: Dfa, d2: Dfa | None = None) -> Dfa:
-    if op == "complement":
-        if d2 is not None:
-            raise InputError("complement takes a single automaton")
-        return minimize(
-            make_dfa(
-                d1.alphabet,
-                d1.states,
-                d1.initial,
-                set(d1.states) - d1.finals,
-                d1.delta,
-            )
-        )
-    if op not in ("intersect", "union"):
-        raise InputError(f"unknown boolean operation {op!r}")
-    if d2 is None:
-        raise InputError(f"{op} takes two automata")
+def complement(d: Dfa) -> Dfa:
+    return minimize(make_dfa(d.alphabet, d.states, d.initial, set(d.states) - d.finals, d.delta))
+
+
+def _pair_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
+    """The minimal product automaton over the reachable state pairs; a pair
+    is final when accept(q1 final, q2 final) holds."""
     _require_same_alphabet(d1, d2)
     letters = sorted(d1.alphabet)
     start = (d1.initial, d2.initial)
@@ -316,23 +307,16 @@ def boolean_op(op: str, d1: Dfa, d2: Dfa | None = None) -> Dfa:
             if nxt not in seen:
                 seen.add(nxt)
                 states.append(nxt)
-    if op == "intersect":
-        finals = [(q1, q2) for (q1, q2) in states if q1 in d1.finals and q2 in d2.finals]
-    else:
-        finals = [(q1, q2) for (q1, q2) in states if q1 in d1.finals or q2 in d2.finals]
+    finals = [(q1, q2) for q1, q2 in states if accept(q1 in d1.finals, q2 in d2.finals)]
     return minimize(make_dfa(letters, states, start, finals, delta))
 
 
-def complement(d: Dfa) -> Dfa:
-    return boolean_op("complement", d)
-
-
 def intersect(d1: Dfa, d2: Dfa) -> Dfa:
-    return boolean_op("intersect", d1, d2)
+    return _pair_product(d1, d2, lambda x, y: x and y)
 
 
 def union(d1: Dfa, d2: Dfa) -> Dfa:
-    return boolean_op("union", d1, d2)
+    return _pair_product(d1, d2, lambda x, y: x or y)
 
 
 def is_empty(d: Dfa) -> bool:

@@ -513,7 +513,7 @@ def xcheck_battery(d: Dfa, max_monoid: int, morphism: Morphism | None = None) ->
             failures.append("stable-subset")
             break
 
-    if stability_info(morphism, 2).stable != info.stable:
+    if not np.array_equal(stability_info(morphism, 2).stable, info.stable):
         failures.append("stable-invariance")
 
     for n in (2, 3):
@@ -539,7 +539,8 @@ def xcheck_battery(d: Dfa, max_monoid: int, morphism: Morphism | None = None) ->
     s = info.index
     if report.verdicts["sigma2_mod"] and s * s * mon.size <= 400:
         g = build_mod_witness(ordered, info)
-        ok, _ = local_condition(g.monoid, "leq", "Me")
+        ok, _ = local_condition(g.monoid, g.monoid.idempotents(), g.monoid.me_members,
+                                g.monoid.leq)
         if not ok:
             failures.append("witness-local-condition")
         holds, _ = verify_vmod_implication(ordered, g, s, 2 * s + 2)

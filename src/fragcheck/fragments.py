@@ -151,10 +151,13 @@ class LanguageAnalysis:
             return True, None
         return False, self._words(monoid.omega(x), x)
 
-    def _local(self, mode: str, selector: str) -> tuple[bool, Witness]:
-        m = self.ordered if mode != "eq" else self.morphism
-        ctx = None if selector == "Me" else self.stability
-        ok, pair = local_condition(m.monoid, mode, selector, ctx)
+    def _local(self, members, order=None, idempotents=None) -> tuple[bool, Witness]:
+        """e x e against e over `members`, at every idempotent of the
+        monoid unless `idempotents` are given (see `local_condition`)."""
+        monoid = self.morphism.monoid
+        if idempotents is None:
+            idempotents = monoid.idempotents()
+        ok, pair = local_condition(monoid, idempotents, members, order)
         if ok:
             return True, None
         return False, self._words(*pair)
@@ -175,36 +178,27 @@ class LanguageAnalysis:
         if fragment == "fo_lt":
             return self._aperiodicity()
         if fragment == "fo2_lt":
-            return self._local("eq", "Me")
+            return self._local(self.morphism.monoid.me_members)
         if fragment == "sigma2_lt":
-            return self._local("leq", "Me")
+            return self._local(self.morphism.monoid.me_members, self.ordered.monoid.leq)
         if fragment == "pi2_lt":
-            return self._local("geq", "Me")
+            return self._local(self.morphism.monoid.me_members, self.ordered.monoid.leq.T)
         if fragment == "delta2_lt":
             return self._conjunction("sigma2_lt", "pi2_lt")
         if fragment == "fo_mod":
-            return self._aperiodicity(self.stability.stable_ids())
+            return self._aperiodicity(self.stability.stable)
         if fragment == "fo2_mod_qda":
-            return self._local("eq", "Me_stable")
+            info = self.stability
+            return self._local(info.stable_me_members, idempotents=info.stable_idempotents())
         if fragment == "sigma2_mod":
-            return self._local("leq", "Mes")
+            return self._local(self.stability.mes_members, self.ordered.monoid.leq)
         if fragment == "pi2_mod":
-            return self._local("geq", "Mes")
+            return self._local(self.stability.mes_members, self.ordered.monoid.leq.T)
         if fragment == "delta2_mod":
             return self._conjunction("sigma2_mod", "pi2_mod")
         if fragment == "fo2_mod_new":
-            return self._local("eq", "Mes")
+            return self._local(self.stability.mes_members)
         raise InputError(f"unknown fragment {fragment!r}")
-
-
-def check_fragment(
-    d: Dfa,
-    fragment: str,
-    max_monoid: int = DEFAULT_MAX_MONOID,
-    index_multiplier: int = 1,
-) -> tuple[bool, Witness]:
-    pipeline = LanguageAnalysis(d, max_monoid=max_monoid, index_multiplier=index_multiplier)
-    return pipeline.check(fragment)
 
 
 def analyze(
@@ -284,7 +278,7 @@ def build_mod_witness(
         raise InputError("witness construction needs the syntactic order")
     if info.morphism is not m:
         raise InputError("stability data belongs to a different morphism")
-    ok, pair = local_condition(mon, "leq", "Mes", info)
+    ok, pair = local_condition(mon, mon.idempotents(), info.mes_members, mon.leq)
     if not ok:
         e, x = pair
         raise InputError(

@@ -26,8 +26,15 @@ two-sided Cayley graph (edges x -> x g and x -> g x), O(d |A| |M|) for d
 levels; smaller monoids, and tables without generators, take two
 O(|M|^2) boolean passes.  A closure gathers each breadth-first level
 through the table in blocks, O(|Me| g) for g generators with no copy of
-the generator columns.  The local conditions e x e REL e then read one
-gathered row e Me e per idempotent.
+the generator columns.
+
+Sets of elements are sorted read-only int64 id arrays throughout, from
+the stability layer's power images to the local submonoids.
+`local_condition` checks e x e REL e given the idempotents to visit, the
+member source (Me here; Mes or the stable submonoid's Me from the
+stability layer) and the order to read, or none for equality: one
+gathered row e Me e per idempotent.  Brute-force products of sets and
+Green's relations live in the test oracles.
 """
 
 from __future__ import annotations
@@ -206,16 +213,6 @@ def is_aperiodic(m: OrderedMonoid, elements=None) -> tuple[bool, int | None]:
         if m.mul(w, x) != w:
             return False, int(x)
     return True, None
-
-
-def set_product(m: OrderedMonoid, xs, ys) -> frozenset[int]:
-    """The set {x y : x in xs, y in ys}."""
-    xs, ys = list(xs), list(ys)
-    if not xs or not ys:
-        return frozenset()
-    hit = np.zeros(m.size, dtype=bool)
-    hit[m.mult[np.ix_(xs, ys)]] = True
-    return frozenset(np.flatnonzero(hit).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,65 +405,7 @@ def syntactic_order(m: Morphism) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# Green's relations
-
-@dataclass(frozen=True, eq=False)
-class GreenRelations:
-    """Preorder matrices (leq[x][y] means x below-or-equal y) and the
-    partition into classes for R, L, J and H."""
-
-    r_leq: np.ndarray
-    l_leq: np.ndarray
-    j_leq: np.ndarray
-    r_classes: tuple
-    l_classes: tuple
-    j_classes: tuple
-    h_classes: tuple
-
-    @property
-    def h_leq(self) -> np.ndarray:
-        return self.r_leq & self.l_leq
-
-
-def _classes_of(leq: np.ndarray) -> tuple:
-    equiv = leq & leq.T
-    size = leq.shape[0]
-    seen = set()
-    classes = []
-    for x in range(size):
-        if x in seen:
-            continue
-        members = tuple(int(y) for y in np.flatnonzero(equiv[x]))
-        seen.update(members)
-        classes.append(members)
-    return tuple(classes)
-
-
-def green_classes(m: OrderedMonoid) -> GreenRelations:
-    size, mult = m.size, m.mult
-    right_has = np.zeros((size, size), dtype=bool)  # right_has[y][x] iff x in yM
-    left_has = np.zeros((size, size), dtype=bool)
-    for y in range(size):
-        right_has[y, mult[y]] = True
-        left_has[y, mult[:, y]] = True
-    r_leq = right_has.T.copy()
-    l_leq = left_has.T.copy()
-    two_has = np.zeros((size, size), dtype=bool)
-    for y in range(size):
-        members = np.flatnonzero(left_has[y])  # My
-        two_has[y] = right_has[members].any(axis=0)
-    j_leq = two_has.T.copy()
-    h_leq = r_leq & l_leq
-    return GreenRelations(
-        r_leq=r_leq,
-        l_leq=l_leq,
-        j_leq=j_leq,
-        r_classes=_classes_of(r_leq),
-        l_classes=_classes_of(l_leq),
-        j_classes=_classes_of(j_leq),
-        h_classes=_classes_of(h_leq),
-    )
-
+# Local submonoids
 
 # Above this size a monoid with known generators finds {a : e in MaM} by the
 # Cayley-graph search; below it the two table passes cost fewer numpy calls.
@@ -523,17 +462,6 @@ def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray) -> np.nd
     return members
 
 
-def j_upset(m: OrderedMonoid, e: int) -> frozenset[int]:
-    """All a with e in MaM: the z with e in zM are one mask over the table,
-    and a qualifies iff some x a is among them, so two O(|M|^2) passes."""
-    return frozenset(np.flatnonzero(_j_upset_mask(m.mult, e)).tolist())
-
-
-def submonoid_closure(m: OrderedMonoid, generators) -> frozenset[int]:
-    gens = np.array(sorted({int(g) for g in generators}), dtype=np.int64)
-    return frozenset(_closure_members(m.mult, m.identity, gens).tolist())
-
-
 def me_submonoid(m: OrderedMonoid, e: int) -> frozenset[int]:
     """The submonoid generated by every a whose two-sided ideal contains e,
     built once per generator set and kept on the monoid (`me_members`)."""
@@ -545,57 +473,29 @@ def me_submonoid(m: OrderedMonoid, e: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Local submonoid conditions
 
-_MODES = ("eq", "leq", "geq")
-_SELECTORS = ("Me", "Mes", "Me_stable")
-
-
 def local_condition(
     m: OrderedMonoid,
-    mode: str,
-    selector: str,
-    stability_ctx=None,
+    idempotents,
+    members,
+    order: np.ndarray | None = None,
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Check e x e REL e for every idempotent e and every x in the selected
-    submonoid: Me, the stable-context variant Mes, or "Me_stable", which
-    is Me taken inside the stable submonoid S of the stability data, for
-    the idempotents of S (read on this table through the ids of S).
+    """Check e x e REL e for every idempotent e in `idempotents`, in their
+    order, and every x in the sorted id array `members(e)`: Me
+    (`OrderedMonoid.me_members`), Mes (`StabilityInfo.mes_members`) or the
+    Me of the stable submonoid (`StabilityInfo.stable_me_members`, over
+    its idempotents).
 
-    REL is equality, or the monoid order in either direction.  Each
-    idempotent costs one gather of e x e over the kept member array of its
-    local submonoid and one mask test.  Returns the first offending pair
-    (e, x), idempotents and members in increasing order, when the
-    condition fails.
+    REL is equality when `order` is None, and otherwise the relation read
+    as order[e x e, e]: the monoid order for e x e <= e, its transpose for
+    e x e >= e.  Each idempotent costs one gather of e x e over its member
+    array and one mask test.  Returns the first offending pair (e, x),
+    members in increasing order, when the condition fails.
     """
-    if mode not in _MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    if selector not in _SELECTORS:
-        raise InputError(f"unknown submonoid selector {selector!r}")
-    if mode != "eq" and m.leq is None:
-        raise InputError("ordered comparison requires an order on the monoid")
-    idempotents = m.idempotents()
-    if selector == "Me":
-        members = m.me_members
-    else:
-        if stability_ctx is None:
-            raise InputError(f"{selector} selector requires stability data")
-        if stability_ctx.morphism.monoid is not m:
-            raise InputError("stability data belongs to a different monoid")
-        if selector == "Mes":
-            members = stability_ctx.mes_members
-        else:
-            idempotents = stability_ctx.stable_idempotents()
-            members = stability_ctx.stable_me_members
-
-    mult, leq = m.mult, m.leq
+    mult = m.mult
     for e in idempotents:
         xs = members(e)
         exe = mult[mult[e, xs], e]
-        if mode == "eq":
-            ok = exe == e
-        elif mode == "leq":
-            ok = leq[exe, e]
-        else:
-            ok = leq[e, exe]
+        ok = exe == e if order is None else order[exe, e]
         if not ok.all():
             return False, (e, int(xs[ok.argmin()]))
     return True, None

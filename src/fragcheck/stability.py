@@ -2,6 +2,13 @@
 the stable submonoid, residue-constrained context sets, and the
 context-constrained local submonoids used by the modular fragment checks.
 
+Every set here is a sorted read-only int64 id array, the form the monoid's
+store of generated submonoids uses: the power images X_k (each step one
+boolean scatter X_k . X_1 through the table, repeats found by the bytes of
+the ids), the stable submonoid h(A^s) plus the identity, the residue sets,
+Me, Mes and the Me of the stable submonoid.  Only `admissible_images` and
+`me_s` hand out frozensets.
+
 A letter a is admissible at residue r for an element x when x lies in
 residues[r] . h(a) . residues[s-1-r].  The local checks only ask this of
 idempotents, so one boolean table adm[a, r, i] (|A| x s x |E|) per
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapError, ConsistencyError, InputError
-from .monoid import _GATHER_IDS, Morphism, _j_upset_mask, set_product
+from .monoid import _GATHER_IDS, Morphism, _j_upset_mask
 
 _ITERATION_CAP = 100_000
 
@@ -54,33 +61,36 @@ MAX_INDEX_CELLS = 2_000_000
 FREE_MULTIPLIER = 3
 
 
-def _letter_images(m: Morphism) -> frozenset[int]:
-    return frozenset(m.letter_map[a] for a in m.alphabet)
-
-
 class _PowerImages:
-    """The sequence X_k = image of words of length exactly k, k >= 1,
-    stored up to its first repetition."""
+    """The sequence X_k = image of words of length exactly k, k >= 1, as
+    sorted read-only id arrays, stored up to its first repetition.  Each
+    step is one boolean scatter of X_k . X_1 through the table."""
 
     def __init__(self, m: Morphism):
-        x1 = _letter_images(m)
-        seen = {x1: 1}
+        mult = m.monoid.mult
+        x1 = np.unique(np.array(list(m.letter_map.values()), dtype=np.int64))
+        x1.flags.writeable = False
+        seen = {x1.tobytes(): 1}
         seq = [x1]
         k = 1
         while True:
             k += 1
-            nxt = set_product(m.monoid, seq[-1], x1)
-            if nxt in seen:
-                self.preperiod = seen[nxt]
-                self.period = k - seen[nxt]
+            hit = np.zeros(m.monoid.size, dtype=bool)
+            hit[mult[seq[-1][:, None], x1]] = True
+            nxt = np.flatnonzero(hit)
+            key = nxt.tobytes()
+            if key in seen:
+                self.preperiod = seen[key]
+                self.period = k - seen[key]
                 break
-            seen[nxt] = k
+            seen[key] = k
+            nxt.flags.writeable = False
             seq.append(nxt)
             if k > _ITERATION_CAP:
                 raise CapError("power-image iteration cap exceeded")
         self.seq = seq  # seq[i] = X_{i+1}
 
-    def at(self, k: int) -> frozenset[int]:
+    def at(self, k: int) -> np.ndarray:
         if k < 1:
             raise InputError("power index must be at least 1")
         if k <= len(self.seq):
@@ -98,25 +108,38 @@ class _PowerImages:
 class StabilityInfo:
     """Everything derived from a choice of stability index s.
 
-    residues[r] is the image of all words whose length is congruent to r
-    mod s (with the empty word contributing only to residue 0), which is
-    exactly h(A^r) united with h(A^(r+s)).
+    `stable` holds the ids of the stable submonoid and residues[r] the
+    image of all words whose length is congruent to r mod s (with the empty
+    word contributing only to residue 0), which is exactly h(A^r) united
+    with h(A^(r+s)); each is a sorted read-only id array, and residues[0]
+    is `stable`.  Building the object checks that `stable` is closed under
+    the table, in blocks of rows, and raises ConsistencyError otherwise.
     """
 
     morphism: Morphism
     index: int
     smallest_index: int
-    stable: frozenset[int]
+    stable: np.ndarray
     residues: tuple
-    _powers: _PowerImages
-    _adm: np.ndarray | None = None  # [letter index, r, i] at idempotent i
-    _column: dict = field(default_factory=dict)  # idempotent -> its i in _adm
-    _adm_all: np.ndarray | None = None  # [letter index, r, x] at every x
-    _mes: dict = field(default_factory=dict)  # idempotent -> members of Mes
-    _mes_by_pattern: dict = field(default_factory=dict)  # usable pattern -> same
-    _stable_me: dict = field(default_factory=dict)  # stable idempotent -> Me in S
-    _stable_ids: np.ndarray | None = None
-    _stable_mask: np.ndarray | None = None
+    _stable_mask: np.ndarray = field(init=False)  # [x]: x lies in `stable`
+    _adm: np.ndarray | None = field(init=False, default=None)  # [letter, r, i] at idempotent i
+    _column: dict = field(init=False, default_factory=dict)  # idempotent -> its i in _adm
+    _adm_all: np.ndarray | None = field(init=False, default=None)  # [letter, r, x] at every x
+    _mes: dict = field(init=False, default_factory=dict)  # idempotent -> members of Mes
+    _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> same
+    _stable_me: dict = field(init=False, default_factory=dict)  # stable idempotent -> Me in S
+
+    def __post_init__(self):
+        mult = self.morphism.monoid.mult
+        ids = self.stable
+        inside = np.zeros(mult.shape[0], dtype=bool)
+        inside[ids] = True
+        block = max(1, _GATHER_IDS // max(1, ids.size))
+        for lo in range(0, ids.size, block):
+            if not inside[mult[ids[lo:lo + block, None], ids]].all():
+                raise ConsistencyError("the stable set is not closed under multiplication")
+        inside.flags.writeable = False
+        self._stable_mask = inside
 
     def _images(self) -> np.ndarray:
         m = self.morphism
@@ -145,8 +168,7 @@ class StabilityInfo:
         adm = np.empty((images.size, s, cols.size), dtype=bool)
         for j in range(s):
             r = s - 1 - j
-            left = np.fromiter(self.residues[r], dtype=np.int64, count=len(self.residues[r]))
-            adm[:, r] = reach[mult[left, images[:, None]]].any(axis=1)
+            adm[:, r] = reach[mult[self.residues[r], images[:, None]]].any(axis=1)
             if j + 1 < s:
                 reach = right_step(reach)
         adm.flags.writeable = False
@@ -202,26 +224,9 @@ class StabilityInfo:
             self._mes[e] = got
         return got
 
-    def stable_ids(self) -> np.ndarray:
-        """The stable submonoid's ids in increasing order (read-only).  On
-        first use the set is checked to be closed under the table, in
-        blocks of rows; ConsistencyError when it is not."""
-        if self._stable_ids is None:
-            mult = self.morphism.monoid.mult
-            ids = np.array(sorted(self.stable), dtype=np.int64)
-            inside = np.zeros(mult.shape[0], dtype=bool)
-            inside[ids] = True
-            block = max(1, _GATHER_IDS // ids.size)
-            for lo in range(0, ids.size, block):
-                if not inside[mult[ids[lo:lo + block, None], ids]].all():
-                    raise ConsistencyError("the stable set is not closed under multiplication")
-            ids.flags.writeable = inside.flags.writeable = False
-            self._stable_ids, self._stable_mask = ids, inside
-        return self._stable_ids
-
     def stable_idempotents(self) -> list[int]:
         """The idempotents of the stable submonoid, in increasing order."""
-        return [e for e in self.morphism.monoid.idempotents() if e in self.stable]
+        return [e for e in self.morphism.monoid.idempotents() if self._stable_mask[e]]
 
     def stable_me_members(self, e: int) -> np.ndarray:
         """The sorted members of Me taken inside the stable submonoid S, for
@@ -230,7 +235,6 @@ class StabilityInfo:
         closed in the monoid's store, once per generator set (read-only)."""
         got = self._stable_me.get(e)
         if got is None:
-            self.stable_ids()
             mon = self.morphism.monoid
             got = mon.generated(_j_upset_mask(mon.mult, e, self._stable_mask))
             self._stable_me[e] = got
@@ -246,7 +250,9 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     """Stability data for s = multiplier * (smallest index).
 
     Any multiple of the smallest index is again a stability index; the
-    fragment checks must be invariant under the choice.  A multiplier
+    fragment checks must be invariant under the choice.  The stable set and
+    the residue sets are sorted read-only id arrays; residue sets equal as
+    pairs (X_r, X_(r+s)) share one array.  A multiplier
     above FREE_MULTIPLIER that gives s |M| above MAX_INDEX_CELLS raises
     CapError.
     """
@@ -261,15 +267,16 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
             f"elements exceeds the index cap (s * |M| at most {MAX_INDEX_CELLS} "
             f"for a multiplier above {FREE_MULTIPLIER})"
         )
-    identity = m.monoid.identity
-    stable = frozenset(powers.at(s)) | {identity}
+    stable = np.union1d(powers.at(s), [m.monoid.identity])
+    stable.flags.writeable = False
     residues = [stable]
     unions = {}  # the power sets repeat with their period, so the unions do
     for r in range(1, s):
         low, high = powers.at(r), powers.at(r + s)
-        got = unions.get((id(low), id(high)))
+        got = low if low is high else unions.get((id(low), id(high)))
         if got is None:
-            got = unions[(id(low), id(high))] = low | high
+            got = unions[(id(low), id(high))] = np.union1d(low, high)
+            got.flags.writeable = False
         residues.append(got)
     return StabilityInfo(
         morphism=m,
@@ -277,7 +284,6 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
         smallest_index=smallest,
         stable=stable,
         residues=tuple(residues),
-        _powers=powers,
     )
 
 
@@ -312,14 +318,13 @@ def stable_green_preorder(info: StabilityInfo, relation: str) -> np.ndarray:
     if relation not in _RELATIONS:
         raise InputError(f"unknown stable relation {relation!r}")
     mult = info.morphism.monoid.mult
-    s_elems = sorted(info.stable)
     if relation == "Rs":
-        has = _product_mask(mult, s_elems)
+        has = _product_mask(mult, info.stable)
     elif relation == "Ls":
-        has = _product_mask(mult, s_elems, left=True)
+        has = _product_mask(mult, info.stable, left=True)
     else:
-        right = _product_mask(mult, s_elems).astype(np.float32)
-        left = _product_mask(mult, s_elems, left=True).astype(np.float32)
+        right = _product_mask(mult, info.stable).astype(np.float32)
+        left = _product_mask(mult, info.stable, left=True).astype(np.float32)
         has = (left @ right) > 0.5  # counts stay exact below 2^24 elements
     return has.T.copy()
 

@@ -18,10 +18,15 @@ to the same objects:
 - `admissible_by_stable_scatter` and `mes_by_residue_search`: the
   admissibility table seeded by an |M|^2 scatter of the stable columns,
   and the residue-tagged breadth-first search for Mes built on it, as the
-  stability layer computed them before Mes was keyed by usable pattern.
+  stability layer computed them before Mes was keyed by usable pattern;
+- `set_product` and `green_classes` (with `GreenRelations`), the product
+  of two sets of elements as a frozenset and Green's R, L, J and H
+  preorders and classes by per-element scatters of the table, which the
+  monoid module carried before its sets became sorted id arrays.
 """
 
 import itertools
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -302,11 +307,20 @@ def me_brute(mon):
     }
 
 
-def local_condition_brute(mon, mode, members):
-    """The first (e, x) with e x e not REL e, idempotents in increasing
-    order and x through sorted(members(e)); None when there is none.
-    REL is =, <= or >= in the order matrix for mode eq, leq or geq."""
-    for e in idempotents_brute(mon):
+def stable_me_brute(info):
+    """Me of the stable submonoid S at each of its idempotents, in parent
+    ids: S copied into a monoid of its own by `submonoid_view`, and Me
+    taken there from the definition by `me_brute`."""
+    sub, ids = submonoid_view(info.morphism.monoid, info.stable)
+    return {ids[e]: {ids[x] for x in xs} for e, xs in me_brute(sub).items()}
+
+
+def local_condition_brute(mon, mode, members, idempotents=None):
+    """The first (e, x) with e x e not REL e, e through `idempotents` (every
+    idempotent in increasing order when None) and x through
+    sorted(members(e)); None when there is none.  REL is =, <= or >= in
+    the order matrix for mode eq, leq or geq."""
+    for e in idempotents_brute(mon) if idempotents is None else idempotents:
         for x in sorted(members(e)):
             exe = int(mon.mult[int(mon.mult[e, x]), e])
             if mode == "eq":
@@ -570,3 +584,74 @@ class _DfaCompiler:
         states = ["w", "o", "d"] + (extra or [])
         delta = {(s, (a, marks)): step(s, a, marks) for s in states for a, marks in m}
         return make_dfa(m, states, "w", finals, delta)
+
+
+def set_product(m, xs, ys):
+    """The set {x y : x in xs, y in ys}, as a frozenset."""
+    xs, ys = list(xs), list(ys)
+    if not xs or not ys:
+        return frozenset()
+    hit = np.zeros(m.size, dtype=bool)
+    hit[m.mult[np.ix_(xs, ys)]] = True
+    return frozenset(np.flatnonzero(hit).tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class GreenRelations:
+    """Preorder matrices (leq[x][y] means x below-or-equal y) and the
+    partition into classes for R, L, J and H."""
+
+    r_leq: np.ndarray
+    l_leq: np.ndarray
+    j_leq: np.ndarray
+    r_classes: tuple
+    l_classes: tuple
+    j_classes: tuple
+    h_classes: tuple
+
+    @property
+    def h_leq(self) -> np.ndarray:
+        return self.r_leq & self.l_leq
+
+
+def _classes_of(leq):
+    equiv = leq & leq.T
+    size = leq.shape[0]
+    seen = set()
+    classes = []
+    for x in range(size):
+        if x in seen:
+            continue
+        members = tuple(int(y) for y in np.flatnonzero(equiv[x]))
+        seen.update(members)
+        classes.append(members)
+    return tuple(classes)
+
+
+def green_classes(m):
+    """Green's relations of the monoid: the ideals yM and My by one scatter
+    of a table row or column per element, MyM as the union of the zM over
+    z in My, in O(|M|^3)."""
+    size, mult = m.size, m.mult
+    right_has = np.zeros((size, size), dtype=bool)  # right_has[y][x] iff x in yM
+    left_has = np.zeros((size, size), dtype=bool)
+    for y in range(size):
+        right_has[y, mult[y]] = True
+        left_has[y, mult[:, y]] = True
+    r_leq = right_has.T.copy()
+    l_leq = left_has.T.copy()
+    two_has = np.zeros((size, size), dtype=bool)
+    for y in range(size):
+        members = np.flatnonzero(left_has[y])  # My
+        two_has[y] = right_has[members].any(axis=0)
+    j_leq = two_has.T.copy()
+    h_leq = r_leq & l_leq
+    return GreenRelations(
+        r_leq=r_leq,
+        l_leq=l_leq,
+        j_leq=j_leq,
+        r_classes=_classes_of(r_leq),
+        l_classes=_classes_of(l_leq),
+        j_classes=_classes_of(j_leq),
+        h_classes=_classes_of(h_leq),
+    )

@@ -26,7 +26,6 @@ from fragcheck.fragments import (
     LanguageAnalysis,
     analyze,
     build_mod_witness,
-    check_fragment,
     verify_vmod_implication,
 )
 from fragcheck.hierarchy import sim_quotient, wv_level
@@ -34,7 +33,6 @@ from fragcheck.modprod import Base, DetProd, eval_expr, expr_to_formula, validat
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
-    green_classes,
     local_condition,
     transition_monoid,
 )
@@ -207,7 +205,7 @@ def test_criterion_3_stable_monoid_separates_the_two_parities():
     failures = []
 
     even_length = dfa("((a|b)(a|b))*")
-    ok, _ = check_fragment(even_length, "fo_mod")
+    ok, _ = LanguageAnalysis(even_length).check("fo_mod")
     if not ok:
         failures.append("even length should be definable with counting")
     pipeline = LanguageAnalysis(even_length)
@@ -215,7 +213,7 @@ def test_criterion_3_stable_monoid_separates_the_two_parities():
         failures.append("even length stable monoid should be trivial")
 
     even_a = dfa("(b*ab*a)*b*")
-    ok, _ = check_fragment(even_a, "fo_mod")
+    ok, _ = LanguageAnalysis(even_a).check("fo_mod")
     if ok:
         failures.append("letter parity should stay undefinable with counting")
     parity = LanguageAnalysis(even_a)
@@ -240,8 +238,8 @@ def test_criterion_4_two_variable_routes_agree_on_corpus():
     if len(instances) < 200:
         failures.append(f"corpus has {len(instances)} instances, want >= 200")
     for idx, d in enumerate(instances):
-        via_stable_da, _ = check_fragment(d, "fo2_mod_qda", max_monoid=CORPUS_CAP)
-        via_context, _ = check_fragment(d, "fo2_mod_new", max_monoid=CORPUS_CAP)
+        via_stable_da, _ = LanguageAnalysis(d, max_monoid=CORPUS_CAP).check("fo2_mod_qda")
+        via_context, _ = LanguageAnalysis(d, max_monoid=CORPUS_CAP).check("fo2_mod_new")
         if via_stable_da != via_context:
             failures.append((idx, via_stable_da, via_context))
     elapsed = time.monotonic() - t0
@@ -282,7 +280,8 @@ def test_criterion_6_ordered_witness_on_every_positive_instance():
         g = build_mod_witness(pipeline.ordered, pipeline.stability)
         if g.monoid.size > s * s * size + 2:
             failures.append((idx, "size", g.monoid.size))
-        holds, _ = local_condition(g.monoid, "leq", "Me")
+        holds, _ = local_condition(g.monoid, g.monoid.idempotents(), g.monoid.me_members,
+                                   g.monoid.leq)
         if not holds:
             failures.append((idx, "local order condition"))
         verified, pair = verify_vmod_implication(pipeline.ordered, g, s, 2 * s + 2)
@@ -319,7 +318,7 @@ def test_criterion_7_expression_suite():
             failures.append((name, "validator"))
             continue
         d = minimize(eval_expr(expr, alphabet))
-        ok, _ = check_fragment(d, "fo2_mod_new")
+        ok, _ = LanguageAnalysis(d).check("fo2_mod_new")
         if not ok:
             failures.append((name, "context identity"))
         translated = minimize(compile_formula(
@@ -438,14 +437,14 @@ def test_criterion_9_structural_invariants_on_corpus():
         h = transition_monoid(d, max_monoid=CORPUS_CAP)
         mon = h.monoid
         info = stability_info(h)
-        green = green_classes(mon)
+        green = oracles.green_classes(mon)
         r_eq = equivalence(green.r_leq)
         l_eq = equivalence(green.l_leq)
         rs_leq = stable_green_preorder(info, "Rs")
         ls_leq = stable_green_preorder(info, "Ls")
         rs_eq = equivalence(rs_leq)
         ls_eq = equivalence(ls_leq)
-        context_eq, _ = local_condition(mon, "eq", "Mes", info)
+        context_eq, _ = local_condition(mon, mon.idempotents(), info.mes_members)
 
         # products with stable elements refine plain Green equivalence to
         # the stable one, on both sides
@@ -479,7 +478,7 @@ def test_criterion_9_structural_invariants_on_corpus():
                 failures.append((idx, side, "index lost"))
             if context_eq:
                 q_info = stability_info(q)
-                still, _ = local_condition(q.monoid, "eq", "Mes", q_info)
+                still, _ = local_condition(q.monoid, q.monoid.idempotents(), q_info.mes_members)
                 if not still:
                     failures.append((idx, side, "context identity lost"))
 

@@ -344,3 +344,66 @@ def test_formula_input_fuzz(text):
                  ["fo", "compile", f"--sexp={text}", "--alphabet", "a,b"]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("doc", [
+    {"initial": []},
+    {"transitions": [[["q"], "a", "q"]]},
+    {"transitions": [["q", {"x": 1}, "q"]]},
+], ids=["list-initial", "list-source", "object-letter"])
+def test_unhashable_dfa_fields_exit_2(tmp_path, capsys, doc):
+    base = {"alphabet": ["a"], "states": ["q"], "initial": "q", "finals": [],
+            "transitions": [["q", "a", "q"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**base, **doc}))
+    assert cli.main(["analyze", "--dfa", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@st.composite
+def dfa_documents(draw):
+    """A valid DFA document over at most three states and two letters,
+    then up to two edits: a field dropped, a field replaced by a JSON value
+    of any type, or one entry of a list field (or one slot of a
+    transition) replaced by such a value."""
+    states = draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=1, max_size=3, unique=True))
+    alphabet = draw(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=2, unique=True))
+    target = st.sampled_from(states)
+    doc = {
+        "alphabet": alphabet,
+        "states": states,
+        "initial": draw(target),
+        "finals": draw(st.lists(target, max_size=2)),
+        "transitions": [[q, a, draw(target)] for q in states for a in alphabet],
+    }
+    junk = st.one_of(
+        st.none(), st.booleans(), st.integers(-1, 2), st.sampled_from(["", "p", "a", "z"]),
+        st.lists(st.sampled_from(["p", "a", ""]), max_size=3),
+        st.dictionaries(st.sampled_from(["p", "x"]), st.integers(0, 1), max_size=1),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        edit = draw(st.sampled_from(["drop", "replace", "entry"]))
+        items = doc.get(key)
+        if edit == "drop":
+            doc.pop(key, None)
+        elif edit == "entry" and isinstance(items, list) and items:
+            i = draw(st.integers(0, len(items) - 1))
+            if isinstance(items[i], list) and items[i]:
+                items[i] = list(items[i])
+                items[i][draw(st.integers(0, len(items[i]) - 1))] = draw(junk)
+            else:
+                items[i] = draw(junk)
+        else:
+            doc[key] = draw(junk)
+    return json.dumps(doc)
+
+
+@given(text=dfa_documents())
+@settings(deadline=None, max_examples=150)
+def test_dfa_input_fuzz(tmp_path_factory, text):
+    # an answer, malformed input (2) or a cap (3), never a traceback
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["analyze", "--dfa", str(path)]) in (0, 2, 3)

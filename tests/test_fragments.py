@@ -12,7 +12,6 @@ from fragcheck.fragments import (
     LanguageAnalysis,
     analyze,
     build_mod_witness,
-    check_fragment,
     verify_vmod_implication,
 )
 from fragcheck.monoid import (
@@ -41,15 +40,15 @@ def test_fragment_list_is_fixed():
 
 def test_check_fragment_spot_values():
     d = dfa("(a|b)*aa(a|b)*")
-    assert check_fragment(d, "sigma2_lt")[0]
-    assert not check_fragment(d, "pi2_lt")[0]
-    assert not check_fragment(d, "fo2_lt")[0]
-    assert check_fragment(d, "fo_lt")[0]
+    assert LanguageAnalysis(d).check("sigma2_lt")[0]
+    assert not LanguageAnalysis(d).check("pi2_lt")[0]
+    assert not LanguageAnalysis(d).check("fo2_lt")[0]
+    assert LanguageAnalysis(d).check("fo_lt")[0]
     d5 = dfa("(bc)*")
-    assert not check_fragment(d5, "sigma2_lt")[0]
-    assert check_fragment(d5, "pi2_lt")[0]
-    assert check_fragment(d5, "sigma2_mod")[0]
-    assert check_fragment(d5, "fo2_mod_new")[0]
+    assert not LanguageAnalysis(d5).check("sigma2_lt")[0]
+    assert LanguageAnalysis(d5).check("pi2_lt")[0]
+    assert LanguageAnalysis(d5).check("sigma2_mod")[0]
+    assert LanguageAnalysis(d5).check("fo2_mod_new")[0]
 
 
 def test_prebuilt_morphism_gives_the_same_report():
@@ -77,7 +76,7 @@ def test_stable_checks_match_the_copied_submonoid(small_corpus):
         ok, x = is_aperiodic(sub)
         expected = (True, None) if ok else (False, words(sub.omega(x), x))
         assert pipeline.check("fo_mod") == expected
-        ok, pair = local_condition(sub, "eq", "Me")
+        ok, pair = local_condition(sub, sub.idempotents(), sub.me_members)
         expected = (True, None) if ok else (False, words(*pair))
         assert pipeline.check("fo2_mod_qda") == expected
         negative += not ok
@@ -89,21 +88,34 @@ def test_check_memoises_verdicts_for_the_conjunctions(monkeypatch):
     calls = []
     real = fragments.local_condition
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
+    def counted(m, idempotents, members, order=None):
+        if order is None:
+            relation = "eq"
+        else:
+            relation = "leq" if np.array_equal(order, m.leq) else "geq"
+            assert np.array_equal(order, m.leq if relation == "leq" else m.leq.T)
+        calls.append((members.__name__, relation))
+        return real(m, idempotents, members, order)
 
     monkeypatch.setattr(fragments, "local_condition", counted)
     pipeline = LanguageAnalysis(dfa("(a|b)*aa(a|b)*"))
     first = pipeline.check("sigma2_lt")
     assert pipeline.check("delta2_lt") == pipeline.check("pi2_lt")
     assert pipeline.check("sigma2_lt") is first
-    assert sorted(calls) == [("geq", "Me"), ("leq", "Me")]
+    assert sorted(calls) == [("me_members", "geq"), ("me_members", "leq")]
+    pipeline.check("delta2_mod")
+    pipeline.check("sigma2_mod")
+    pipeline.check("fo2_mod_new")
+    pipeline.check("fo2_mod_qda")
+    assert sorted(calls[2:]) == [
+        ("mes_members", "eq"), ("mes_members", "geq"), ("mes_members", "leq"),
+        ("stable_me_members", "eq"),
+    ]
 
 
 def test_check_fragment_rejects_unknown_name():
     with pytest.raises(InputError):
-        check_fragment(dfa("a*"), "sigma3_lt")
+        LanguageAnalysis(dfa("a*")).check("sigma3_lt")
 
 
 def test_degenerate_languages_lie_in_every_fragment():
@@ -223,7 +235,7 @@ def test_build_mod_witness_order_follows_label_rule(small_corpus):
     # the first corpus language with sigma2_mod and a nontrivial stable index
     for d in small_corpus:
         h = syntactic_order(transition_monoid(d, max_monoid=600))
-        if stability_info(h).index > 1 and check_fragment(d, "sigma2_mod")[0]:
+        if stability_info(h).index > 1 and LanguageAnalysis(d).check("sigma2_mod")[0]:
             g = _witness_order_matches_label_rule(h)
             assert g.monoid.size > h.monoid.size
             break

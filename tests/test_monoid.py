@@ -9,23 +9,19 @@ from fragcheck import monoid as monoid_module
 from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
-    GreenRelations,
     Morphism,
     OrderedMonoid,
+    _j_upset_mask,
     format_word,
     generated_morphism,
-    green_classes,
     is_aperiodic,
-    j_upset,
     local_condition,
     me_submonoid,
     monoid_to_text,
-    set_product,
-    submonoid_closure,
     syntactic_order,
     transition_monoid,
 )
-from fragcheck.stability import me_s, stability_info
+from fragcheck.stability import stability_info
 
 
 def syntactic(pattern, **kw):
@@ -158,16 +154,16 @@ def test_is_aperiodic():
 def test_set_product():
     m = syntactic("(bc)*").monoid
     xs = frozenset({m.identity})
-    assert set_product(m, xs, xs) == xs
-    everything = set_product(m, frozenset(m.elements()), frozenset(m.elements()))
+    assert oracles.set_product(m, xs, xs) == xs
+    everything = oracles.set_product(m, frozenset(m.elements()), frozenset(m.elements()))
     assert everything == frozenset(m.elements())
 
 
 def test_green_relations_on_aa_factor():
     h = syntactic("(a|b)*aa(a|b)*")
     m = h.monoid
-    g = green_classes(m)
-    assert isinstance(g, GreenRelations)
+    g = oracles.green_classes(m)
+    assert isinstance(g, oracles.GreenRelations)
     one, a, b = m.identity, h.image("a"), h.image("b")
     ab, ba, zero = h.image("ab"), h.image("ba"), h.image("aa")
     # J-classes: {1}, the four products of a and b, and the zero
@@ -184,19 +180,26 @@ def test_green_relations_on_aa_factor():
 def test_green_h_classes_match_r_and_l(small_corpus):
     for d in small_corpus[:12]:
         m = transition_monoid(d, max_monoid=600).monoid
-        g = green_classes(m)
+        g = oracles.green_classes(m)
         r_eq = g.r_leq & g.r_leq.T
         l_eq = g.l_leq & g.l_leq.T
         h_eq = g.h_leq & g.h_leq.T
         assert np.array_equal(h_eq, r_eq & l_eq)
 
 
+def generated_by(m, generators):
+    """The sorted members of the submonoid generated by the given ids."""
+    mask = np.zeros(m.size, dtype=bool)
+    mask[list(generators)] = True
+    return m.generated(mask).tolist()
+
+
 def test_j_upset_and_submonoid_closure():
     h = syntactic("(a|b)*aa(a|b)*")
     m = h.monoid
-    assert j_upset(m, m.identity) == frozenset({m.identity})
-    assert j_upset(m, h.image("aa")) == frozenset(m.elements())
-    assert submonoid_closure(m, [h.image("a")]) == frozenset(
+    assert np.flatnonzero(_j_upset_mask(m.mult, m.identity)).tolist() == [m.identity]
+    assert _j_upset_mask(m.mult, h.image("aa")).all()
+    assert generated_by(m, [h.image("a")]) == sorted(
         {m.identity, h.image("a"), h.image("aa")})
 
 
@@ -215,13 +218,13 @@ def test_me_submonoid_contains_identity_and_is_closed(small_corpus):
         for e in m.idempotents():
             sub = me_submonoid(m, e)
             assert m.identity in sub
-            assert set_product(m, sub, sub) == sub
+            assert oracles.set_product(m, sub, sub) == sub
 
 
 def test_submonoid_view_round_trip():
     h = syntactic("(a|b)*aa(a|b)*")
     m = h.monoid
-    elements = submonoid_closure(m, [h.image("a")])
+    elements = generated_by(m, [h.image("a")])
     view, parents = oracles.submonoid_view(m, elements)
     assert view.size == len(elements)
     assert set(parents) == set(elements)
@@ -242,9 +245,10 @@ def test_submonoid_view_requires_closed_subset():
 
 def test_local_condition_on_repeat_language():
     h = syntactic("(a|b)*(aa|bb)(a|b)*")
-    ok, _ = local_condition(h.monoid, "leq", "Me")
+    m = h.monoid
+    ok, _ = local_condition(m, m.idempotents(), m.me_members, m.leq)
     assert ok
-    ok, witness = local_condition(h.monoid, "eq", "Me")
+    ok, witness = local_condition(m, m.idempotents(), m.me_members)
     assert not ok
     e, x = witness
     assert h.word_of(e) == ("a", "b")
@@ -256,39 +260,30 @@ def test_local_condition_on_repeat_language():
 def test_local_condition_mes_selector():
     h = syntactic("(bc)*")
     info = stability_info(h)
-    ok, _ = local_condition(h.monoid, "eq", "Mes", info)
+    ok, _ = local_condition(h.monoid, h.monoid.idempotents(), info.mes_members)
     assert ok
-    with pytest.raises(InputError):
-        local_condition(h.monoid, "eq", "Mes")  # stability data missing
-    other = syntactic("(a|b)*aa(a|b)*")
-    with pytest.raises(InputError):
-        local_condition(other.monoid, "eq", "Mes", info)  # wrong monoid
-
-
-def test_local_condition_rejects_unknown_inputs():
-    h = syntactic("(bc)*")
-    with pytest.raises(InputError):
-        local_condition(h.monoid, "lt", "Me")
-    with pytest.raises(InputError):
-        local_condition(h.monoid, "eq", "M")
-    bare = generated_morphism(("a",), {"a": 1}, lambda x, y: (x + y) % 2, 0)
-    with pytest.raises(InputError):
-        local_condition(bare.monoid, "leq", "Me")  # no order bound
 
 
 def _first_offenders(h):
-    """local_condition against the scalar reference loop, for every mode
-    and selector."""
+    """local_condition against the scalar reference loop, for each member
+    source (Me, Mes, and the stable submonoid's Me over its idempotents)
+    under equality, the order and the reversed order."""
     m = h.monoid
     info = stability_info(h)
-    selectors = {
-        "Me": lambda e: me_submonoid(m, e),
-        "Mes": lambda e: me_s(h, info, e),
-    }
-    for mode in ("eq", "leq", "geq"):
-        for selector, members in selectors.items():
-            ok, pair = local_condition(m, mode, selector, info)
-            expected = oracles.local_condition_brute(m, mode, members)
+    stable_me = oracles.stable_me_brute(info)
+    sources = [
+        (m.idempotents(), m.me_members, None),
+        (m.idempotents(), info.mes_members, None),
+        (info.stable_idempotents(), info.stable_me_members, sorted(stable_me)),
+    ]
+    for idempotents, members, expected_idempotents in sources:
+        if expected_idempotents is not None:
+            assert idempotents == expected_idempotents
+            assert {e: set(members(e).tolist()) for e in idempotents} == stable_me
+        for order, mode in ((None, "eq"), (m.leq, "leq"), (m.leq.T, "geq")):
+            ok, pair = local_condition(m, idempotents, members, order)
+            expected = oracles.local_condition_brute(
+                m, mode, lambda e: members(e).tolist(), expected_idempotents)
             assert pair == expected
             assert ok == (expected is None)
 
@@ -381,7 +376,7 @@ def _check_me_against_brute_and_j_classes(h):
     # Me depends only on the J-class: J-equivalent idempotents share one
     # array, and idempotents in different J-classes never do
     owners = {}
-    for cls in green_classes(fresh).j_classes:
+    for cls in oracles.green_classes(fresh).j_classes:
         arrays = {id(me[e]) for e in cls if e in me}
         assert len(arrays) <= 1
         for key in arrays:
