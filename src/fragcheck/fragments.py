@@ -100,7 +100,8 @@ class LanguageAnalysis:
     cheap on large corpora.  A caller that already holds the syntactic
     morphism of L(d), from `transition_monoid`, may pass it as `morphism`;
     it is then used as it is, so that several analyses of one language
-    (at several index multipliers, say) share one monoid.  Each verdict is
+    (at several index multipliers, say) share one monoid, and through the
+    morphism's memo one `StabilityInfo` per multiplier.  Each verdict is
     computed once and kept, so the conjunctions read their halves; the
     stable-submonoid checks run on the parent table through the ids of
     the stable submonoid.
@@ -119,7 +120,6 @@ class LanguageAnalysis:
         self.max_monoid = max_monoid
         self.index_multiplier = index_multiplier
         self._morphism = morphism
-        self._stability = None
         self._verdicts = {}  # fragment -> (verdict, witness)
 
     @property
@@ -134,9 +134,7 @@ class LanguageAnalysis:
 
     @property
     def stability(self) -> StabilityInfo:
-        if self._stability is None:
-            self._stability = stability_info(self.morphism, self.index_multiplier)
-        return self._stability
+        return stability_info(self.morphism, self.index_multiplier)
 
     # -- individual fragments ------------------------------------------------
 

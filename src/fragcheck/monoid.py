@@ -39,7 +39,7 @@ Green's relations live in the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,6 +224,9 @@ class Morphism:
     alphabet: tuple
     letter_map: dict
     accepting: frozenset | None = None
+    # the stability layer's memo (see `stability.stability_info`): its
+    # power images, and one StabilityInfo per index multiplier
+    _stability: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if set(self.letter_map) != set(self.alphabet):

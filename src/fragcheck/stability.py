@@ -36,6 +36,13 @@ the stable submonoid S goes through the same store: its generators
 {a in S : e in S a S} are two boolean passes over the parent table per
 idempotent of S, and each distinct generator set is closed once.
 
+Everything here is derived once per morphism: `stability_info` keeps one
+`StabilityInfo` per (morphism, multiplier) in a memo on the morphism
+itself, beside the power images, which every multiplier and
+`stability_index` share.  So every analysis of one morphism, at any
+multiplier, reads one admissibility table and one store of Mes and stable
+Me per multiplier, and the memo lives and dies with the morphism.
+
 A multiplied index is capped: s = T * (least index) with T above
 FREE_MULTIPLIER and s |M| above MAX_INDEX_CELLS raises CapError before any
 per-residue set or table exists.  The least index itself is never refused,
@@ -241,9 +248,17 @@ class StabilityInfo:
         return got
 
 
+def _power_images(m: Morphism) -> _PowerImages:
+    """The power images of m, built on first use and kept in its memo."""
+    got = m._stability.get("powers")
+    if got is None:
+        got = m._stability["powers"] = _PowerImages(m)
+    return got
+
+
 def stability_index(m: Morphism) -> int:
     """The smallest s >= 1 with h(A^s) = h(A^2s)."""
-    return _PowerImages(m).smallest_index
+    return _power_images(m).smallest_index
 
 
 def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
@@ -254,11 +269,19 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     the residue sets are sorted read-only id arrays; residue sets equal as
     pairs (X_r, X_(r+s)) share one array.  A multiplier
     above FREE_MULTIPLIER that gives s |M| above MAX_INDEX_CELLS raises
-    CapError.
+    CapError, on every call.
+
+    The result is memoised on the morphism, one object per multiplier, so
+    repeated calls return the same object with its tables built once; the
+    memo lives and dies with the morphism.  A new morphism, even of the
+    same language, starts with an empty memo.
     """
     if multiplier < 1:
         raise InputError("index multiplier must be at least 1")
-    powers = _PowerImages(m)
+    info = m._stability.get(multiplier)
+    if info is not None:
+        return info
+    powers = _power_images(m)
     smallest = powers.smallest_index
     s = smallest * multiplier
     if multiplier > FREE_MULTIPLIER and s * m.monoid.size > MAX_INDEX_CELLS:
@@ -278,13 +301,14 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
             got = unions[(id(low), id(high))] = np.union1d(low, high)
             got.flags.writeable = False
         residues.append(got)
-    return StabilityInfo(
+    info = m._stability[multiplier] = StabilityInfo(
         morphism=m,
         index=s,
         smallest_index=smallest,
         stable=stable,
         residues=tuple(residues),
     )
+    return info
 
 
 _RELATIONS = ("Rs", "Ls", "Js")

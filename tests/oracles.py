@@ -22,7 +22,10 @@ to the same objects:
 - `set_product` and `green_classes` (with `GreenRelations`), the product
   of two sets of elements as a frozenset and Green's R, L, J and H
   preorders and classes by per-element scatters of the table, which the
-  monoid module carried before its sets became sorted id arrays.
+  monoid module carried before its sets became sorted id arrays;
+- `decoration_membership_fails`, the xcheck battery's decoration check
+  as a plain enumeration of every word up to length 4, which the battery
+  ran before it walked the reachable state triples.
 """
 
 import itertools
@@ -33,7 +36,8 @@ import numpy as np
 
 from fragcheck import fologic as fo
 from fragcheck.automata import (
-    DEFAULT_STATE_CAP, Nfa, determinize, intersect, make_dfa, minimize, mod1, union,
+    DEFAULT_STATE_CAP, Nfa, decorate_word, determinize, intersect, make_dfa, minimize, mod1,
+    union,
 )
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import OrderedMonoid
@@ -655,3 +659,23 @@ def green_classes(m):
         j_classes=_classes_of(j_leq),
         h_classes=_classes_of(h_leq),
     )
+
+
+def decoration_membership_fails(minimal, decorate):
+    """Whether the xcheck battery flags `decoration-membership` on the
+    minimal DFA, with `decorate(minimal, n)` as the decorated language: for
+    n in 2 and 3, every word w up to length 4 is enumerated, and its
+    decoration must be accepted iff w is, and its decoration at offset 1
+    never."""
+    for n in (2, 3):
+        decorated = decorate(minimal, n)
+        ok = True
+        for length in range(0, 5):
+            for w in itertools.product(minimal.alphabet, repeat=length):
+                if decorated.accepts(decorate_word(w, n)) != minimal.accepts(w):
+                    ok = False
+                if length and n > 1 and decorated.accepts(decorate_word(w, n, offset=1)):
+                    ok = False
+        if not ok:
+            return True
+    return False

@@ -3,14 +3,20 @@
 import contextlib
 import io
 import json
+import pathlib
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from fragcheck import cli
 from fragcheck._sexp import MAX_DEPTH
-from fragcheck.automata import MAX_PATTERN_DEPTH, dfa_to_json, minimize, regex_to_dfa
+from fragcheck.automata import (
+    MAX_PATTERN_DEPTH, DecoratedLetter, complement, decorate, decorated_letters, dfa_to_json,
+    make_dfa, minimize, regex_to_dfa,
+)
+from fragcheck.errors import InputError
 from fragcheck.fologic import MAX_FORMULA_DEPTH, MAX_MARKED_LETTERS
 
 
@@ -216,6 +222,84 @@ def test_xcheck_builds_two_monoids_per_instance(monkeypatch):
     code, text = run_cli(["xcheck", "--count", "6", "--seed", "1"])
     assert code == 0 and "6 instances, 0 with failures" in text
     assert len(builds) == 2 * 6
+
+
+def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
+    # every analysis of one morphism, at any multiplier, shares its power
+    # images and one StabilityInfo per multiplier; the hierarchy quotients
+    # are morphisms of their own
+    from fragcheck import stability
+    powers, infos = [], []
+    real_powers, real_info = stability._PowerImages, stability.StabilityInfo
+
+    def counted_powers(m):
+        powers.append(m)
+        return real_powers(m)
+
+    def counted_info(**fields):
+        infos.append((fields["morphism"], fields["index"]))
+        return real_info(**fields)
+
+    monkeypatch.setattr(stability, "_PowerImages", counted_powers)
+    monkeypatch.setattr(stability, "StabilityInfo", counted_info)
+    code, text = run_cli(["xcheck", "--count", "6", "--seed", "1"])
+    assert code == 0 and "6 instances, 0 with failures" in text
+    # the lists keep every morphism alive, so no two share an id
+    assert len({id(m) for m in powers}) == len(powers)
+    assert len({(id(m), s) for m, s in infos}) == len(infos)
+    # at least the draw's three multipliers and the complement's one
+    assert len(infos) >= 4 * 6
+
+
+@pytest.fixture(scope="module")
+def decoration_corpus():
+    return cli.generate_corpus(60, 5, 3, 7, 32)
+
+
+def residue_blind(d, n):
+    """Accepts a decorated word iff its base word lies in L(d), whatever
+    its residues, so only decorations at offset 1 tell it apart."""
+    letters = decorated_letters(d.alphabet, n)
+    delta = {(q, x): d.delta[(q, DecoratedLetter.parse(x).base)]
+             for q in d.states for x in letters}
+    return make_dfa(letters, d.states, d.initial, d.finals, delta)
+
+
+_DECORATIONS = {
+    "unchanged": decorate,
+    "complement": lambda d, n: decorate(complement(d), n),
+    "modulus n+1": lambda d, n: decorate(d, n + 1),
+    "residue-blind": residue_blind,
+}
+
+
+@pytest.mark.parametrize("variant, flagged", [
+    ("unchanged", 0), ("complement", 60), ("modulus n+1", 44), ("residue-blind", 45),
+])
+def test_decoration_check_matches_enumeration(monkeypatch, decoration_corpus, variant, flagged):
+    # the battery walks reachable state triples; the oracle enumerates
+    # every word, and a wrong decorated language must be flagged alike
+    variant_decorate = _DECORATIONS[variant]
+    monkeypatch.setattr(cli, "decorate", variant_decorate)
+    got = ["decoration-membership" in cli.xcheck_battery(d, 32) for d in decoration_corpus]
+    want = [oracles.decoration_membership_fails(minimize(d), variant_decorate)
+            for d in decoration_corpus]
+    assert got == want
+    assert sum(got) == flagged
+
+
+def test_decoration_check_refuses_letters_outside_the_decorated_alphabet(monkeypatch):
+    # decorated over n - 1 residues, the letters of residue n are missing
+    monkeypatch.setattr(cli, "decorate", lambda d, n: decorate(d, n - 1))
+    with pytest.raises(InputError):
+        cli.xcheck_battery(regex_to_dfa("(a|b)*aa(a|b)*"), 32)
+
+
+def test_xcheck_json_matches_golden():
+    code, text = run_cli(["xcheck", "--count", "20", "--json"])
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "xcheck_count20.json"
+    assert text == golden.read_text(encoding="utf-8")
 
 
 def test_word_longer_alphabet_check():

@@ -289,3 +289,52 @@ def test_stable_set_checked_for_closure_when_built():
         dataclasses.replace(info, stable=np.array([h.monoid.identity, h.image("a")]))
     again = dataclasses.replace(info, stable=info.stable)
     assert again.stable_idempotents() == info.stable_idempotents()
+
+
+def test_stability_info_memoised_per_morphism_and_multiplier():
+    h = morphism("(bc)*")
+    info = stability_info(h)
+    assert stability_info(h) is info
+    assert stability_info(h, 2) is stability_info(h, 2) is not info
+    pipeline = LanguageAnalysis(minimize(regex_to_dfa("(bc)*")), morphism=h)
+    assert pipeline.stability is info
+    # a new morphism of the same language starts with its own memo
+    again = morphism("(bc)*")
+    assert stability_info(again) is not info
+    assert np.array_equal(stability_info(again).stable, info.stable)
+
+
+def test_multipliers_share_one_set_of_power_images(monkeypatch):
+    from fragcheck import stability
+    built = []
+    real = stability._PowerImages
+
+    def counted(m):
+        built.append(m)
+        return real(m)
+
+    monkeypatch.setattr(stability, "_PowerImages", counted)
+    h = morphism("((a|b)(a|b))*(aa|bb)(a|b)*")
+    s = stability_index(h)
+    infos = [stability_info(h, multiplier) for multiplier in (1, 2, 3)]
+    assert [info.index for info in infos] == [s, 2 * s, 3 * s]
+    assert built == [h]
+
+
+def test_refused_multiplier_raises_on_every_call():
+    h = morphism("(bc)*")
+    refused = MAX_INDEX_CELLS // (stability_index(h) * h.monoid.size) + 1
+    for _ in range(2):
+        with pytest.raises(CapError):
+            stability_info(h, refused)
+    assert refused not in h._stability
+
+
+def test_replace_builds_a_fresh_checked_object_outside_the_memo():
+    h = morphism("(a|b)*aa(a|b)*")
+    info = stability_info(h)
+    again = dataclasses.replace(info, stable=info.stable)
+    assert again is not info and stability_info(h) is info
+    with pytest.raises(ConsistencyError):
+        dataclasses.replace(info, stable=np.array([h.monoid.identity, h.image("a")]))
+    assert stability_info(h) is info
