@@ -1,9 +1,19 @@
 """Complete deterministic finite automata, plus the position-residue decoration.
 
 Serialized letters are strings ("a", or "a@2" for the letter a carrying
-position residue 2).  The algorithms only need letters to be hashable and
-mutually sortable, which lets the formula compiler reuse them over
-structured marker letters before projecting back to plain strings.
+position residue 2); the algorithms only need letters to be hashable and
+mutually sortable.
+
+Minimization and the products run on integer tables.  A table is a pair
+(delta, finals): an int64 array of successor states, states by letters,
+and a boolean mask of accepting states, with state 0 as the start.
+`dfa_table` reads a `Dfa` into the table of its reachable part (breadth
+first, letters sorted), `minimal_table` refines a table by Moore's
+algorithm, `product_table` builds the pair automaton over the pairs
+reachable from the start, and `table_dfa` names a table's states q0, q1,
+... in breadth-first order.  `minimize`, the Boolean operations,
+determinization, `monoid.transition_monoid` and the formula compiler all
+go through these four.
 
 Residues of positions and lengths follow the 1..n convention throughout:
 "i mod n" means the unique k in {1, ..., n} congruent to i.
@@ -11,10 +21,13 @@ Residues of positions and lengths follow the 1..n convention throughout:
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CapError, InputError
 
@@ -180,22 +193,102 @@ def _stringly(d: Dfa) -> Dfa:
         isinstance(a, str) for a in d.alphabet
     ):
         return d
-    letters = sorted(d.alphabet)
-    order = [d.initial]
-    names = {d.initial: "q0"}
-    for q in order:
-        for a in letters:
-            t = d.delta[(q, a)]
-            if t not in names:
-                names[t] = f"q{len(order)}"
-                order.append(t)
-    delta = {(names[q], a): names[d.delta[(q, a)]] for q in order for a in letters}
-    finals = [names[q] for q in order if q in d.finals]
-    return make_dfa(letters, [names[q] for q in order], "q0", finals, delta)
+    return table_dfa(*dfa_table(d))
 
 
 # ---------------------------------------------------------------------------
 # Minimization and canonical naming
+
+Table = tuple  # (delta, finals): see the module docstring
+
+
+def dfa_table(d: Dfa) -> tuple[list, Table]:
+    """The sorted letters and the table of the part of d reachable from its
+    initial state, numbered breadth first with letters in sorted order."""
+    letters = sorted(d.alphabet)
+    order = [d.initial]
+    index = {d.initial: 0}
+    rows = []
+    for q in order:
+        row = []
+        for a in letters:
+            t = d.delta[(q, a)]
+            j = index.setdefault(t, len(order))
+            if j == len(order):
+                order.append(t)
+            row.append(j)
+        rows.append(row)
+    return letters, (np.array(rows, np.int64), np.array([q in d.finals for q in order]))
+
+
+def table_dfa(letters, t: Table) -> Dfa:
+    """The Dfa of the table's states reachable from state 0, named q0, q1,
+    ... in breadth-first order with the columns (the letters, sorted) in
+    order.  Two minimal tables of one language get identical names."""
+    delta, finals = t
+    rows = delta.tolist()
+    order = [0]
+    names = {0: "q0"}
+    for q in order:
+        for r in rows[q]:
+            if r not in names:
+                names[r] = f"q{len(order)}"
+                order.append(r)
+    transitions = {
+        (names[q], a): names[r] for q in order for a, r in zip(letters, rows[q])
+    }
+    accepting = [names[q] for q in order if finals[q]]
+    return make_dfa(letters, [names[q] for q in order], "q0", accepting, transitions)
+
+
+def minimal_table(t: Table) -> Table:
+    """Moore refinement.  A state's next block is its row (block, blocks of
+    its successors), keyed by bytes and numbered by first occurrence, so
+    state 0 stays the start.  States the table cannot reach from state 0
+    are kept, each in the block of the states it is equivalent to."""
+    delta, finals = t
+    n = len(finals)
+    block = finals.astype(np.int64)
+    count = int(finals.any()) + int(not finals.all())
+    while count < n:
+        rows = np.column_stack((block, block[delta]))
+        width, buf = rows.shape[1] * rows.itemsize, rows.tobytes()
+        ids: dict[bytes, int] = {}
+        block = np.fromiter(
+            (ids.setdefault(buf[q * width:(q + 1) * width], len(ids)) for q in range(n)),
+            np.int64, n,
+        )
+        if len(ids) == count:
+            _, reps = np.unique(block, return_index=True)
+            return block[delta[reps]], finals[reps]
+        count = len(ids)
+    return delta, finals
+
+
+def product_table(t1: Table, t2: Table, accept) -> Table:
+    """The pair automaton over the pairs reachable from (0, 0), with
+    `accept` (a numpy Boolean ufunc) of the two accepting masks.  Pair
+    (p, q) has code p * n2 + q; each breadth-first level computes the
+    successor codes of all its pairs in one step and numbers the new codes
+    after the known ones, so the levels' rows, in order, are the rows of
+    states 0, 1, ..."""
+    (d1, f1), (d2, f2) = t1, t2
+    n2 = len(f2)
+    ids = {0: 0}
+    levels = []
+    frontier = np.zeros(1, np.int64)
+    while frontier.size:
+        succ = d1[frontier // n2] * n2 + d2[frontier % n2]
+        levels.append(succ)
+        known = len(ids)
+        for code in np.unique(succ).tolist():
+            ids.setdefault(code, len(ids))
+        frontier = np.fromiter(itertools.islice(ids, known, None), np.int64, len(ids) - known)
+    codes = np.fromiter(ids, np.int64, len(ids))
+    order = np.argsort(codes)
+    delta = order[np.searchsorted(codes, np.concatenate(levels), sorter=order)]
+    return delta, accept(f1[codes // n2], f2[codes % n2])
+
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA with canonically named, BFS-ordered states.
@@ -205,54 +298,8 @@ def minimize(d: Dfa) -> Dfa:
     letters taken in sorted order, so equal languages yield identical
     documents byte for byte.
     """
-    letters = sorted(d.alphabet)
-    reachable = [d.initial]
-    seen = {d.initial}
-    for q in reachable:
-        for a in letters:
-            t = d.delta[(q, a)]
-            if t not in seen:
-                seen.add(t)
-                reachable.append(t)
-
-    # Moore partition refinement over the reachable part.
-    block = {q: (q in d.finals) for q in reachable}
-    while True:
-        sig = {
-            q: (block[q], tuple(block[d.delta[(q, a)]] for a in letters))
-            for q in reachable
-        }
-        ids = {}
-        new_block = {}
-        for q in reachable:
-            new_block[q] = ids.setdefault(sig[q], len(ids))
-        if len(ids) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-
-    # Canonical rename by BFS over the quotient.
-    order = []
-    names = {}
-
-    def visit(b):
-        if b not in names:
-            names[b] = f"q{len(order)}"
-            order.append(b)
-
-    rep = {}
-    for q in reachable:
-        rep.setdefault(block[q], q)
-    visit(block[d.initial])
-    for b in order:
-        for a in letters:
-            visit(block[d.delta[(rep[b], a)]])
-
-    delta = {
-        (names[b], a): names[block[d.delta[(rep[b], a)]]] for b in order for a in letters
-    }
-    finals = frozenset(names[b] for b in order if rep[b] in d.finals)
-    return make_dfa(letters, [names[b] for b in order], names[order[0]], finals, delta)
+    letters, t = dfa_table(d)
+    return table_dfa(letters, minimal_table(t))
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> tuple[bool, Word | None]:
@@ -287,36 +334,24 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa):
 # Boolean operations
 
 def complement(d: Dfa) -> Dfa:
-    return minimize(make_dfa(d.alphabet, d.states, d.initial, set(d.states) - d.finals, d.delta))
+    letters, (delta, finals) = dfa_table(d)
+    return table_dfa(letters, minimal_table((delta, ~finals)))
 
 
 def _pair_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
-    """The minimal product automaton over the reachable state pairs; a pair
-    is final when accept(q1 final, q2 final) holds."""
+    """The minimal product automaton of two DFAs over one alphabet."""
     _require_same_alphabet(d1, d2)
-    letters = sorted(d1.alphabet)
-    start = (d1.initial, d2.initial)
-    states = [start]
-    seen = {start}
-    delta = {}
-    for pair in states:
-        q1, q2 = pair
-        for a in letters:
-            nxt = (d1.delta[(q1, a)], d2.delta[(q2, a)])
-            delta[(pair, a)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(nxt)
-    finals = [(q1, q2) for q1, q2 in states if accept(q1 in d1.finals, q2 in d2.finals)]
-    return minimize(make_dfa(letters, states, start, finals, delta))
+    letters, t1 = dfa_table(d1)
+    _, t2 = dfa_table(d2)
+    return table_dfa(letters, minimal_table(product_table(t1, t2, accept)))
 
 
 def intersect(d1: Dfa, d2: Dfa) -> Dfa:
-    return _pair_product(d1, d2, lambda x, y: x and y)
+    return _pair_product(d1, d2, np.logical_and)
 
 
 def union(d1: Dfa, d2: Dfa) -> Dfa:
-    return _pair_product(d1, d2, lambda x, y: x or y)
+    return _pair_product(d1, d2, np.logical_or)
 
 
 def is_empty(d: Dfa) -> bool:
@@ -378,27 +413,32 @@ class Nfa:
 
 
 def determinize(nfa: Nfa, alphabet, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """The minimal DFA of the NFA, by the subset construction over the
+    subsets reachable from the start; more subsets than the cap is a
+    CapError."""
     letters = sorted(alphabet)
     if not letters:
         raise InputError("empty alphabet")
     start = nfa.closure(nfa.starts)
-    states = [start]
-    seen = {start}
-    delta = {}
-    for subset in states:
+    subsets = [start]
+    index = {start: 0}
+    rows = []
+    for subset in subsets:
+        row = []
         for a in letters:
             targets = set()
             for q in subset:
                 targets |= nfa.trans.get((q, a), set())
             nxt = nfa.closure(targets)
-            delta[(subset, a)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(nxt)
-                if len(states) > cap:
+            j = index.setdefault(nxt, len(subsets))
+            if j == len(subsets):
+                subsets.append(nxt)
+                if len(subsets) > cap:
                     raise CapError(f"state cap exceeded ({cap}) during determinization")
-    finals = [s for s in states if s & nfa.finals]
-    return minimize(make_dfa(letters, states, start, finals, delta))
+            row.append(j)
+        rows.append(row)
+    finals = np.array([bool(s & nfa.finals) for s in subsets])
+    return table_dfa(letters, minimal_table((np.array(rows, np.int64), finals)))
 
 
 def reverse(d: Dfa) -> Dfa:

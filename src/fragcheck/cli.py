@@ -454,7 +454,8 @@ def xcheck_battery(d: Dfa, max_monoid: int, morphism: Morphism | None = None) ->
     if len(again.states) != len(minimal.states) or not equivalent(again, minimal)[0]:
         failures.append("minimize-idempotent")
 
-    if not equivalent(complement(complement(minimal)), minimal)[0]:
+    co_minimal = complement(minimal)
+    if not equivalent(complement(co_minimal), minimal)[0]:
         failures.append("complement-involution")
 
     # one syntactic morphism per language, shared by the analyses at every
@@ -480,10 +481,9 @@ def xcheck_battery(d: Dfa, max_monoid: int, morphism: Morphism | None = None) ->
             for a in morphism.alphabet
         },
     )
-    if not equivalent(minimize(rebuilt), minimal)[0]:
+    if not equivalent(rebuilt, minimal)[0]:
         failures.append("recognition-rebuild")
 
-    co_minimal = complement(minimal)
     co_morphism = transition_monoid(co_minimal, max_monoid)
     co_report = analyze(co_minimal, max_monoid=max_monoid, morphism=co_morphism)
     for fid in FRAGMENTS:

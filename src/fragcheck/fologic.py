@@ -36,12 +36,12 @@ letter index a and the variables whose bits mask sets, the innermost bound
 variable on the top bit k - 1.  Conjunction, disjunction, the atoms (each
 intersected with the validity automaton) and negation inside a scope are
 products over the pairs reachable from the start, one numpy step per
-breadth-first level.  Erasing a variable reads two columns per marked
-letter of the outer scope, the variable unmarked and marked, and
-determinizes over subsets keyed by their sorted members.  Each result is
-minimized by Moore refinement on its rows as bytes.  Only the final table
-over plain letters becomes a `Dfa`, through `automata.minimize` for the
-canonical state names.
+breadth-first level (`automata.product_table`).  Erasing a variable reads
+two columns per marked letter of the outer scope, the variable unmarked
+and marked, and determinizes over subsets keyed by their sorted members.
+Each result is minimized by `automata.minimal_table`.  Only the final
+table over plain letters, already minimal, becomes a `Dfa`, through
+`automata.table_dfa` for the canonical state names.
 
 Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
 (InputError).  Compilation raises CapError when a quantifier scope would
@@ -61,7 +61,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _sexp
-from .automata import DEFAULT_STATE_CAP, Dfa, make_dfa, minimize, mod1
+from .automata import (
+    DEFAULT_STATE_CAP, Dfa, Table, minimal_table, mod1, product_table, table_dfa,
+)
 from .errors import CapError, InputError
 
 # Deepest formula tree the parser builds.  The n-ary `and`/`or` fold into
@@ -505,12 +507,7 @@ def compile_formula(f: Formula, alphabet: Sequence[str], state_cap: int = DEFAUL
     for a in formula_letters(f):
         if a not in letters:
             raise InputError(f"formula letter {a!r} not in the alphabet")
-    delta, finals = _Compiler(letters, state_cap).compile(_rename_apart(f), ())
-    rows = delta.tolist()
-    transitions = {(q, a): t for q, row in enumerate(rows) for a, t in zip(letters, row)}
-    return minimize(
-        make_dfa(letters, range(len(rows)), 0, np.flatnonzero(finals).tolist(), transitions)
-    )
+    return table_dfa(letters, _Compiler(letters, state_cap).compile(_rename_apart(f), ()))
 
 
 def formula_letters(f: Formula) -> set[str]:
@@ -574,9 +571,6 @@ def _rename_apart(f: Formula) -> Formula:
     return walk(f, 0)
 
 
-_Table = tuple  # (delta, finals): see _Compiler
-
-
 class _Compiler:
     """Compiles subformulas to integer tables over marked letters.
 
@@ -585,21 +579,20 @@ class _Compiler:
     of frame variables marked at that position.  Column
     `a << len(frame) | mask` is letter index a with the variables frame[j]
     whose bit j is set in mask, so the variable a quantifier binds is the
-    top bit of its body's columns.  A table is a pair (delta, finals): an
-    int64 array of successor states, states by columns, and a boolean array
-    of accepting states.  State 0 is the start.
+    top bit of its body's columns.  Tables are those of `automata`, with
+    marked letters as columns.
     """
 
     def __init__(self, letters: list[str], cap: int):
         self.letters = letters
         self.cap = cap
-        self._validity: dict[int, _Table] = {}
-        self._memo: dict[tuple[int, int], _Table] = {}
+        self._validity: dict[int, Table] = {}
+        self._memo: dict[tuple[int, int], Table] = {}
 
     def columns(self, frame: tuple) -> np.ndarray:
         return np.arange(len(self.letters) << len(frame))
 
-    def validity(self, frame: tuple) -> _Table:
+    def validity(self, frame: tuple) -> Table:
         """Accepts the markings placing each frame variable exactly once.
         State s < 2**len(frame) has placed the variables whose bits s sets;
         the last state is dead."""
@@ -613,10 +606,10 @@ class _Compiler:
             self._validity[size] = (np.vstack([delta, dead]), np.arange(full + 2) == full)
         return self._validity[size]
 
-    def _const(self, frame: tuple, accept: bool) -> _Table:
+    def _const(self, frame: tuple, accept: bool) -> Table:
         return np.zeros((1, len(self.letters) << len(frame)), np.int64), np.array([accept])
 
-    def compile(self, f: Formula, frame: tuple) -> _Table:
+    def compile(self, f: Formula, frame: tuple) -> Table:
         """The table of f under the frame, remembered per (node identity,
         frame length): `_rename_apart` names binders by depth, so the frame
         is fixed by its length, and shares equal subformulas, so each one
@@ -632,13 +625,13 @@ class _Compiler:
             out = self._const(frame, False)
         elif isinstance(f, (Lab, Eq, Lt, Mod, Len)):
             out = self._minimal(
-                self._product(self._atom(f, frame), self.validity(frame), np.logical_and)
+                product_table(self._atom(f, frame), self.validity(frame), np.logical_and)
             )
         elif isinstance(f, And):
-            out = self._minimal(self._product(
+            out = self._minimal(product_table(
                 self.compile(f.left, frame), self.compile(f.right, frame), np.logical_and))
         elif isinstance(f, Or):
-            out = self._minimal(self._product(
+            out = self._minimal(product_table(
                 self.compile(f.left, frame), self.compile(f.right, frame), np.logical_or))
         elif isinstance(f, Not):
             out = self._negate(self.compile(f.sub, frame), frame)
@@ -662,16 +655,16 @@ class _Compiler:
         self._memo[key] = out
         return out
 
-    def _negate(self, t: _Table, frame: tuple) -> _Table:
+    def _negate(self, t: Table, frame: tuple) -> Table:
         delta, finals = t
         if not frame:
             return self._minimal((delta, ~finals))
-        return self._minimal(self._product((delta, ~finals), self.validity(frame), np.logical_and))
+        return self._minimal(product_table((delta, ~finals), self.validity(frame), np.logical_and))
 
     def _over_cap(self) -> CapError:
         return CapError(f"state cap exceeded ({self.cap}) while compiling")
 
-    def _atom(self, f: Formula, frame: tuple) -> _Table:
+    def _atom(self, f: Formula, frame: tuple) -> Table:
         """The atom's automaton before the validity product.  The waiting
         states come first; where the atom is decided for good, it moves to
         one of two absorbing states, accepting then rejecting."""
@@ -711,36 +704,12 @@ class _Compiler:
         raise InputError(f"not an atomic formula: {f!r}")
 
     @staticmethod
-    def _decided(waiting: np.ndarray) -> _Table:
+    def _decided(waiting: np.ndarray) -> Table:
         m, width = waiting.shape
         delta = np.vstack([waiting, np.full((1, width), m), np.full((1, width), m + 1)])
         return delta, np.arange(m + 2) == m
 
-    @staticmethod
-    def _product(t1: _Table, t2: _Table, accept) -> _Table:
-        """The pair automaton over the pairs reachable from (0, 0).  Pair
-        (p, q) has code p * n2 + q; each breadth-first level computes the
-        successor codes of all its pairs in one step and numbers the new
-        codes after the known ones, so the levels' rows, in order, are the
-        rows of states 0, 1, ..."""
-        (d1, f1), (d2, f2) = t1, t2
-        n2 = len(f2)
-        ids = {0: 0}
-        levels = []
-        frontier = np.zeros(1, np.int64)
-        while frontier.size:
-            succ = d1[frontier // n2] * n2 + d2[frontier % n2]
-            levels.append(succ)
-            known = len(ids)
-            for code in np.unique(succ).tolist():
-                ids.setdefault(code, len(ids))
-            frontier = np.fromiter(itertools.islice(ids, known, None), np.int64, len(ids) - known)
-        codes = np.fromiter(ids, np.int64, len(ids))
-        order = np.argsort(codes)
-        delta = order[np.searchsorted(codes, np.concatenate(levels), sorter=order)]
-        return delta, accept(f1[codes // n2], f2[codes % n2])
-
-    def _project(self, t: _Table, frame: tuple) -> _Table:
+    def _project(self, t: Table, frame: tuple) -> Table:
         """Erase the innermost variable's marks and determinize.  Outer
         column c reads the inner column `lo[c]` (variable unmarked) and
         `lo[c] | top` (marked), so one subset step is two gathers, sorted
@@ -777,28 +746,9 @@ class _Compiler:
             accepting.append(finals[members].any())
         return np.array(rows, np.int64), np.array(accepting)
 
-    def _minimal(self, t: _Table) -> _Table:
-        """Moore refinement.  A state's next block is its row (block, blocks
-        of its successors), keyed by bytes and numbered by first occurrence,
-        so state 0 stays the start.  A minimal table over the state cap is a
-        CapError."""
-        delta, finals = t
-        n = len(finals)
-        block = finals.astype(np.int64)
-        count = int(finals.any()) + int(not finals.all())
-        while count < n:
-            rows = np.column_stack((block, block[delta]))
-            width, buf = rows.shape[1] * rows.itemsize, rows.tobytes()
-            ids: dict[bytes, int] = {}
-            block = np.fromiter(
-                (ids.setdefault(buf[q * width:(q + 1) * width], len(ids)) for q in range(n)),
-                np.int64, n,
-            )
-            if len(ids) == count:
-                _, reps = np.unique(block, return_index=True)
-                delta, finals = block[delta[reps]], finals[reps]
-                break
-            count = len(ids)
-        if len(finals) > self.cap:
+    def _minimal(self, t: Table) -> Table:
+        """The minimal table of t; one over the state cap is a CapError."""
+        t = minimal_table(t)
+        if len(t[1]) > self.cap:
             raise self._over_cap()
-        return delta, finals
+        return t

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError
 from .monoid import Morphism, OrderedMonoid
-from .stability import is_stable_trivial, stability_info
+from .stability import _product_mask, is_stable_trivial, stability_info
 
 _SIDES = ("K", "D")
 
@@ -40,24 +40,16 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
     size, mult = mon.size, mon.mult
     idems = mon.idempotents()
 
-    right_has = np.zeros((size, size), dtype=bool)  # right_has[y][x] iff x in yM
-    left_has = np.zeros((size, size), dtype=bool)  # left_has[y][x] iff x in My
-    for y in range(size):
-        right_has[y, mult[y]] = True
-        left_has[y, mult[:, y]] = True
+    # has[y, x] iff x in yM (K side) or x in My (D side); signature entry
+    # j of x is y = e_j x (or x e_j), or -1 when e_j falls out of y's ideal
+    has = _product_mask(mult, np.arange(size), left=side == "D")
+    ys = mult[idems].T if side == "K" else mult[:, idems]
+    sigs = np.where(has[ys, idems], ys, -1)
 
-    below = -1  # signature entry for "strictly below e"
-    sigs = []
-    for x in range(size):
-        parts = []
-        for e in idems:
-            y = int(mult[e, x]) if side == "K" else int(mult[x, e])
-            survives = right_has[y, e] if side == "K" else left_has[y, e]
-            parts.append(y if survives else below)
-        sigs.append(tuple(parts))
-
+    width, buf = sigs.shape[1] * sigs.itemsize, sigs.tobytes()
     index: dict = {}
-    class_of = [index.setdefault(s, len(index)) for s in sigs]
+    class_of = [index.setdefault(buf[x * width:(x + 1) * width], len(index))
+                for x in range(size)]
     k = len(index)
     classes: list[list[int]] = [[] for _ in range(k)]
     for x, c in enumerate(class_of):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import Dfa, minimize
+from .automata import Dfa, dfa_table, minimal_table
 from .errors import CapError, ConsistencyError, InputError
 
 DEFAULT_MAX_MONOID = 10_000
@@ -322,29 +322,30 @@ def generated_morphism(
 
 def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
     """The syntactic morphism of L(d): the transition monoid of the minimal
-    automaton, with the image of the language as accepting set."""
-    d = minimize(d)
-    states = list(d.states)
-    pos = {q: i for i, q in enumerate(states)}
-    init = pos[d.initial]
-    final_mask = tuple(q in d.finals for q in states)
+    automaton, with the image of the language as accepting set.
 
-    letter_labels = {
-        a: tuple(pos[d.delta[(q, a)]] for q in states) for a in d.alphabet
-    }
-    identity = tuple(range(len(states)))
+    A letter's label is its column of the minimal table (the Moore quotient
+    of d's reachable table, state 0 initial), an element's the tuple of
+    the states each state moves to.  Element ids and words come from the
+    closure over words, so they do not depend on how the states are
+    numbered."""
+    letters, t = dfa_table(d)
+    delta, finals = minimal_table(t)
+    final_mask = finals.tolist()
+    letter_labels = {a: tuple(col) for a, col in zip(letters, delta.T.tolist())}
+    identity = tuple(range(len(final_mask)))
 
     def compose(t1, t2):
         # t1 then t2: the action of the concatenated word
         return tuple(t2[s] for s in t1)
 
     return generated_morphism(
-        d.alphabet,
+        letters,
         letter_labels,
         compose,
         identity,
         cap=max_monoid,
-        accepting_label=lambda t: final_mask[t[init]],
+        accepting_label=lambda t: final_mask[t[0]],
     )
 
 

@@ -192,6 +192,28 @@ def lift_decorated_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Wr
     return wreath_morphism(g.monoid, n, letter_pairs, cap=cap)
 
 
+def _power_hom(base: OrderedMonoid, n: int, letter_labels: dict, cap: int) -> Morphism:
+    """The morphism generated by the letter labels, n-tuples of base
+    elements, in the n-fold power of the base: multiplied componentwise and
+    ordered pointwise when the base is ordered."""
+
+    def mult_label(t1, t2):
+        return tuple(int(base.mult[t1[k], t2[k]]) for k in range(n))
+
+    label_order = None
+    if base.leq is not None:
+        label_order = lambda labels: _pointwise_leq(base, labels, n)
+
+    return generated_morphism(
+        sorted(letter_labels),
+        letter_labels,
+        mult_label,
+        tuple([base.identity] * n),
+        cap=cap,
+        label_order=label_order,
+    )
+
+
 def project_hom(
     lifted: WreathMorphism, d: int | None = None, cap: int = DEFAULT_MAX_MONOID
 ) -> Morphism:
@@ -202,7 +224,6 @@ def project_hom(
     inferred); the decorated letter (a, i) acts at offset (i-1)d.  The first
     component of the image of a decorated word recovers the pair morphism's
     function component at 0."""
-    base = lifted.base
     n = lifted.modulus
     hom = lifted.morphism
     shifts = {a: lifted.pair_of(hom.letter_map[a])[1] for a in hom.alphabet}
@@ -222,24 +243,7 @@ def project_hom(
             letter_labels[DecoratedLetter(a, i).text] = tuple(
                 f[(k + (i - 1) * d) % n] for k in range(n)
             )
-
-    identity = tuple([base.identity] * n)
-
-    def mult_label(t1, t2):
-        return tuple(int(base.mult[t1[k], t2[k]]) for k in range(n))
-
-    label_order = None
-    if base.leq is not None:
-        label_order = lambda labels: _pointwise_leq(base, labels, n)
-
-    return generated_morphism(
-        sorted(letter_labels),
-        letter_labels,
-        mult_label,
-        identity,
-        cap=cap,
-        label_order=label_order,
-    )
+    return _power_hom(lifted.base, n, letter_labels, cap)
 
 
 def offset_shift_hom(g: Morphism, n: int, j: int) -> Morphism:
@@ -261,7 +265,6 @@ def offset_product_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Mo
     """The direct product of all residue shifts of g, valued in the n-fold
     power of g's monoid ordered pointwise.  Component j of the image of a
     decorated word is g's image of the word re-decorated at offset j."""
-    base = g.monoid
     letter_labels = {}
     for text in g.alphabet:
         dl = DecoratedLetter.parse(text)
@@ -269,20 +272,4 @@ def offset_product_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Mo
             g.letter_map[DecoratedLetter(dl.base, mod1(dl.residue + j, n)).text]
             for j in range(n)
         )
-    identity = tuple([base.identity] * n)
-
-    def mult_label(t1, t2):
-        return tuple(int(base.mult[t1[k], t2[k]]) for k in range(n))
-
-    label_order = None
-    if base.leq is not None:
-        label_order = lambda labels: _pointwise_leq(base, labels, n)
-
-    return generated_morphism(
-        sorted(letter_labels),
-        letter_labels,
-        mult_label,
-        identity,
-        cap=cap,
-        label_order=label_order,
-    )
+    return _power_hom(g.monoid, n, letter_labels, cap)

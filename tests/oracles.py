@@ -8,10 +8,14 @@ the library always points at real mathematics, not at shared code.
 The exceptions are earlier routes of the library, kept as second routes
 to the same objects:
 
+- `minimize_by_dicts`, `intersect_by_dicts`, `union_by_dicts`,
+  `complement_by_dicts` and `determinize_by_dicts`: Moore refinement, the
+  pair product and the subset construction over the `Dfa` dictionaries,
+  as the automata module ran them before they moved onto integer tables;
 - `compile_formula_by_dfas`, the formula compiler as it was before it
-  moved onto integer tables: it composes the public `Dfa` operations of
-  the automata module connective by connective, with its own renaming of
-  bound variables and no sharing of subformulas;
+  moved onto integer tables: it composes those dictionary operations
+  connective by connective, with its own renaming of bound variables and
+  no sharing of subformulas;
 - `submonoid_view`, which copies a submonoid's table out of its parent
   into a validated `OrderedMonoid` of its own, on which the stable
   checks ran before they read the parent table;
@@ -35,10 +39,7 @@ from itertools import product
 import numpy as np
 
 from fragcheck import fologic as fo
-from fragcheck.automata import (
-    DEFAULT_STATE_CAP, Nfa, decorate_word, determinize, intersect, make_dfa, minimize, mod1,
-    union,
-)
+from fragcheck.automata import DEFAULT_STATE_CAP, Nfa, decorate_word, make_dfa, mod1
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import OrderedMonoid
 
@@ -368,11 +369,125 @@ def witness_leq_by_labels(h, g, s):
     return np.array([[rule(l1, l2) for l2 in labels] for l1 in labels])
 
 
+def minimize_by_dicts(d):
+    """Minimal complete DFA with canonically named, BFS-ordered states, by
+    Moore refinement over the reachable part of `d.delta`."""
+    letters = sorted(d.alphabet)
+    reachable = [d.initial]
+    seen = {d.initial}
+    for q in reachable:
+        for a in letters:
+            t = d.delta[(q, a)]
+            if t not in seen:
+                seen.add(t)
+                reachable.append(t)
+
+    # Moore partition refinement over the reachable part.
+    block = {q: (q in d.finals) for q in reachable}
+    while True:
+        sig = {
+            q: (block[q], tuple(block[d.delta[(q, a)]] for a in letters))
+            for q in reachable
+        }
+        ids = {}
+        new_block = {}
+        for q in reachable:
+            new_block[q] = ids.setdefault(sig[q], len(ids))
+        if len(ids) == len(set(block.values())):
+            block = new_block
+            break
+        block = new_block
+
+    # Canonical rename by BFS over the quotient.
+    order = []
+    names = {}
+
+    def visit(b):
+        if b not in names:
+            names[b] = f"q{len(order)}"
+            order.append(b)
+
+    rep = {}
+    for q in reachable:
+        rep.setdefault(block[q], q)
+    visit(block[d.initial])
+    for b in order:
+        for a in letters:
+            visit(block[d.delta[(rep[b], a)]])
+
+    delta = {
+        (names[b], a): names[block[d.delta[(rep[b], a)]]] for b in order for a in letters
+    }
+    finals = frozenset(names[b] for b in order if rep[b] in d.finals)
+    return make_dfa(letters, [names[b] for b in order], names[order[0]], finals, delta)
+
+
+def complement_by_dicts(d):
+    return minimize_by_dicts(
+        make_dfa(d.alphabet, d.states, d.initial, set(d.states) - d.finals, d.delta))
+
+
+def _pair_product_by_dicts(d1, d2, accept):
+    """The minimal product automaton over the reachable state pairs; a pair
+    is final when accept(q1 final, q2 final) holds."""
+    if set(d1.alphabet) != set(d2.alphabet):
+        raise InputError(
+            f"alphabet mismatch: {sorted(d1.alphabet)!r} vs {sorted(d2.alphabet)!r}"
+        )
+    letters = sorted(d1.alphabet)
+    start = (d1.initial, d2.initial)
+    states = [start]
+    seen = {start}
+    delta = {}
+    for pair in states:
+        q1, q2 = pair
+        for a in letters:
+            nxt = (d1.delta[(q1, a)], d2.delta[(q2, a)])
+            delta[(pair, a)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                states.append(nxt)
+    finals = [(q1, q2) for q1, q2 in states if accept(q1 in d1.finals, q2 in d2.finals)]
+    return minimize_by_dicts(make_dfa(letters, states, start, finals, delta))
+
+
+def intersect_by_dicts(d1, d2):
+    return _pair_product_by_dicts(d1, d2, lambda x, y: x and y)
+
+
+def union_by_dicts(d1, d2):
+    return _pair_product_by_dicts(d1, d2, lambda x, y: x or y)
+
+
+def determinize_by_dicts(nfa, alphabet, cap=DEFAULT_STATE_CAP):
+    letters = sorted(alphabet)
+    if not letters:
+        raise InputError("empty alphabet")
+    start = nfa.closure(nfa.starts)
+    states = [start]
+    seen = {start}
+    delta = {}
+    for subset in states:
+        for a in letters:
+            targets = set()
+            for q in subset:
+                targets |= nfa.trans.get((q, a), set())
+            nxt = nfa.closure(targets)
+            delta[(subset, a)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                states.append(nxt)
+                if len(states) > cap:
+                    raise CapError(f"state cap exceeded ({cap}) during determinization")
+    finals = [s for s in states if s & nfa.finals]
+    return minimize_by_dicts(make_dfa(letters, states, start, finals, delta))
+
+
 def compile_formula_by_dfas(f, alphabet, state_cap=DEFAULT_STATE_CAP):
     """The minimal DFA of a sentence, compiled connective by connective
     through public `Dfa` objects: every intermediate is a product, a
     complement or a determinized projection over marked letters, built with
-    the automata module's own intersect/union/determinize/minimize.  Raises
+    the dictionary routes above.  Raises
     CapError where `fologic.compile_formula` does: on the subset count while
     determinizing and on the minimal size after each connective."""
     letters = sorted(set(alphabet))
@@ -388,7 +503,7 @@ def compile_formula_by_dfas(f, alphabet, state_cap=DEFAULT_STATE_CAP):
     d = compiler.compile(_rename_apart_by_counter(f), ())
     plain = {(a, ()): a for a in letters}
     delta = {(q, plain[m]): t for (q, m), t in d.delta.items()}
-    return minimize(make_dfa(letters, d.states, d.initial, d.finals, delta))
+    return minimize_by_dicts(make_dfa(letters, d.states, d.initial, d.finals, delta))
 
 
 def _rename_apart_by_counter(f):
@@ -483,14 +598,14 @@ class _DfaCompiler:
         if isinstance(f, fo.FalseF):
             return self._const(frame, False)
         if isinstance(f, (fo.Lab, fo.Eq, fo.Lt, fo.Mod, fo.Len)):
-            return self._guard(intersect(self._atomic(f, frame), self.validity(frame)))
+            return self._guard(intersect_by_dicts(self._atomic(f, frame), self.validity(frame)))
         if isinstance(f, fo.And):
             return self._guard(
-                intersect(self.compile(f.left, frame), self.compile(f.right, frame))
+                intersect_by_dicts(self.compile(f.left, frame), self.compile(f.right, frame))
             )
         if isinstance(f, fo.Or):
             return self._guard(
-                union(self.compile(f.left, frame), self.compile(f.right, frame))
+                union_by_dicts(self.compile(f.left, frame), self.compile(f.right, frame))
             )
         if isinstance(f, fo.Not):
             inner = self.compile(f.sub, frame)
@@ -502,8 +617,8 @@ class _DfaCompiler:
                 inner.delta,
             )
             if not frame:
-                return self._guard(minimize(flipped))
-            return self._guard(intersect(flipped, self.validity(frame)))
+                return self._guard(minimize_by_dicts(flipped))
+            return self._guard(intersect_by_dicts(flipped, self.validity(frame)))
         if isinstance(f, fo.Exists):
             inner = self.compile(f.body, frame + (f.var,))
             return self._guard(self._project(inner, f.var, frame))
@@ -519,7 +634,7 @@ class _DfaCompiler:
             nfa.add(index[q], (a, erased), index[t])
         nfa.starts = {index[d.initial]}
         nfa.finals = {index[q] for q in d.finals}
-        return determinize(nfa, self.marked(frame), self.cap)
+        return determinize_by_dicts(nfa, self.marked(frame), self.cap)
 
     def _atomic(self, f, frame):
         m = self.marked(frame)

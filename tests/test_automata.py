@@ -3,6 +3,7 @@ the position-decoration machinery."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +136,45 @@ def test_boolean_ops_match_brute_semantics():
     assert oracles.language(union(d1, d2), 6) == lang1 | lang2
     all_words = set(oracles.words(("a", "b"), 6))
     assert oracles.language(complement(d1), 6) == all_words - lang1
+
+
+def seeded_machine(rng, n, k, finals, unreachable=0):
+    """A DFA over k letters: states 0..n-1 move among themselves at random
+    from the initial state 0, and `unreachable` more states, which nothing
+    enters, move anywhere.  `finals` is "random", "all" or "none"."""
+    letters = "abc"[:k]
+    states = list(range(n + unreachable))
+    delta = {(q, a): int(rng.integers(0, n if q < n else n + unreachable))
+             for q in states for a in letters}
+    accepting = {"all": states, "none": []}.get(
+        finals, [q for q in states if rng.integers(0, 2)])
+    return make_dfa(letters, states, 0, accepting, delta)
+
+
+def seeded_machines(seed):
+    """Small machines of every final-set kind, with and without unreachable
+    states, then a few of 40 states."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (1, 2, 3, 5):
+        for finals in ("random", "all", "none"):
+            for unreachable in (0, 3):
+                out.append(seeded_machine(rng, n, int(rng.integers(1, 4)), finals, unreachable))
+    out += [seeded_machine(rng, 40, int(rng.integers(1, 4)), "random", 2) for _ in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_routes_match_dict_oracles(seed):
+    rng = np.random.default_rng(1000 + seed)
+    for d1 in seeded_machines(seed):
+        want = oracles.minimize_by_dicts(d1)
+        assert dfa_to_json(minimize(d1)) == dfa_to_json(want)
+        assert dfa_to_json(minimize(want)) == dfa_to_json(want)
+        assert dfa_to_json(complement(d1)) == dfa_to_json(oracles.complement_by_dicts(d1))
+        d2 = seeded_machine(rng, int(rng.integers(1, 7)), len(d1.alphabet), "random", 1)
+        assert dfa_to_json(intersect(d1, d2)) == dfa_to_json(oracles.intersect_by_dicts(d1, d2))
+        assert dfa_to_json(union(d1, d2)) == dfa_to_json(oracles.union_by_dicts(d1, d2))
 
 
 def test_boolean_ops_require_matching_alphabets():

@@ -224,6 +224,27 @@ def test_xcheck_builds_two_monoids_per_instance(monkeypatch):
     assert len(builds) == 2 * 6
 
 
+def test_xcheck_battery_runs_moore_refinement_seven_times(monkeypatch):
+    # minimize (the input, then its idempotence), complement (the minimal
+    # DFA, then the complement back for the involution), the complement's
+    # transition monoid, and decorate at n = 2 and 3; the recognition
+    # rebuild is compared unminimized
+    from fragcheck import automata, monoid
+    draws = list(cli._draws(6, 5, 3, 1, 32))
+    runs = []
+    real = automata.minimal_table
+
+    def counted(t):
+        runs.append(1)
+        return real(t)
+
+    for module in (automata, monoid):
+        monkeypatch.setattr(module, "minimal_table", counted)
+    for d, morphism in draws:
+        assert cli.xcheck_battery(d, 32, morphism) == []
+    assert len(runs) == 7 * len(draws)
+
+
 def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
     # every analysis of one morphism, at any multiplier, shares its power
     # images and one StabilityInfo per multiplier; the hierarchy quotients

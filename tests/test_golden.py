@@ -1,0 +1,46 @@
+"""Golden digests of the reports and documents the CLI prints.
+
+A change that keeps the verdicts but moves a byte of `analyze` output on
+the acceptance corpus, or of a compiled example formula, fails here.  The
+digests are sha256 of the concatenated outputs, in corpus order; when an
+output change is intended, recompute them and say why in the change log.
+"""
+
+import hashlib
+import json
+
+import exprsuite
+from fragcheck.automata import dfa_to_json
+from fragcheck.fologic import compile_formula, parse_formula
+from fragcheck.fragments import analyze
+from fragcheck.modprod import expr_to_formula
+from fragcheck.monoid import transition_monoid
+from test_acceptance import CORPUS_CAP, SENTENCES, corpus
+
+GOLDEN = {
+    # `analyze` of every corpus language at index multipliers 1 then 3, as
+    # `fragcheck analyze` prints it without and with --json (less the
+    # final newline of the JSON)
+    "analyze text": "4643c34694d527611fea61e2bcab3392378c4423c04d7488c868c5df53b85f68",
+    "analyze json": "c35db1d41ebc51b1a74d544bbefa9020d445ff784f923560a84584e15ab7ab81",
+    # `dfa_to_json(compile_formula(...))` of the criterion 2 sentences, then
+    # of the criterion 7 expressions translated to formulas
+    "fo compile": "7ff6abcb61cb7b2607a6a7579764f4da5a03157d0bd2f0aeeff67dcfc963ec28",
+}
+
+
+def test_outputs_match_golden_digests():
+    digests = {name: hashlib.sha256() for name in GOLDEN}
+    for d in corpus():
+        morphism = transition_monoid(d, CORPUS_CAP)
+        for multiplier in (1, 3):
+            report = analyze(d, max_monoid=CORPUS_CAP, index_multiplier=multiplier,
+                             morphism=morphism)
+            digests["analyze text"].update(report.to_text().encode())
+            digests["analyze json"].update(json.dumps(report.to_doc(), indent=2).encode())
+    formulas = [(parse_formula(text), alphabet) for _, _, text, alphabet in SENTENCES]
+    formulas += [(expr_to_formula(expr, alphabet), alphabet)
+                 for _, expr, alphabet, _ in exprsuite.VALID]
+    for formula, alphabet in formulas:
+        digests["fo compile"].update(dfa_to_json(compile_formula(formula, alphabet)).encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == GOLDEN

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from fragcheck import monoid as monoid_module
 from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
+from fragcheck.cli import random_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
     Morphism,
@@ -84,6 +85,23 @@ def test_transition_monoid_word_of_is_shortlex():
     assert h.word_of(h.monoid.identity) == ()
     assert h.word_of(h.image("aa")) == ("a", "a")
     assert h.word_of(h.image("ab")) == ("a", "b")
+
+
+def test_transition_monoid_minimizes_first():
+    # random machines with unreachable and equivalent states give the same
+    # morphism as their minimal automata: table, words, letters, accepting
+    rng = np.random.default_rng(11)
+    grew = 0
+    for _ in range(40):
+        d = random_dfa(rng, 5, 3)
+        m = minimize(d)
+        grew += len(d.states) > len(m.states)
+        h, want = transition_monoid(d), transition_monoid(m)
+        assert np.array_equal(h.monoid.mult, want.monoid.mult)
+        assert h.monoid.repr_words == want.monoid.repr_words
+        assert h.letter_map == want.letter_map and h.alphabet == want.alphabet
+        assert h.accepting == want.accepting
+    assert grew >= 10
 
 
 def test_transition_monoid_cap():
