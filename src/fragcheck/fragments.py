@@ -160,6 +160,12 @@ class LanguageAnalysis:
             return True, None
         return False, self._words(*pair)
 
+    def _local_me(self, order=None) -> tuple[bool, Witness]:
+        """e x e against e over Me, once per regular J-class (see
+        `monoid.JClasses`)."""
+        monoid = self.morphism.monoid
+        return self._local(monoid.me_members, order, monoid.j_classes().representatives())
+
     def _conjunction(self, first: str, second: str) -> tuple[bool, Witness]:
         ok, witness = self.check(first)
         if not ok:
@@ -176,18 +182,19 @@ class LanguageAnalysis:
         if fragment == "fo_lt":
             return self._aperiodicity()
         if fragment == "fo2_lt":
-            return self._local(self.morphism.monoid.me_members)
+            return self._local_me()
         if fragment == "sigma2_lt":
-            return self._local(self.morphism.monoid.me_members, self.ordered.monoid.leq)
+            return self._local_me(self.ordered.monoid.leq)
         if fragment == "pi2_lt":
-            return self._local(self.morphism.monoid.me_members, self.ordered.monoid.leq.T)
+            return self._local_me(self.ordered.monoid.leq.T)
         if fragment == "delta2_lt":
             return self._conjunction("sigma2_lt", "pi2_lt")
         if fragment == "fo_mod":
             return self._aperiodicity(self.stability.stable)
         if fragment == "fo2_mod_qda":
             info = self.stability
-            return self._local(info.stable_me_members, idempotents=info.stable_idempotents())
+            return self._local(info.stable_me_members,
+                               idempotents=info.stable_j_classes.representatives())
         if fragment == "sigma2_mod":
             return self._local(self.stability.mes_members, self.ordered.monoid.leq)
         if fragment == "pi2_mod":

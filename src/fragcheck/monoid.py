@@ -14,27 +14,16 @@ This is Pin's ordered syntactic monoid ("A variety theorem without
 complementation", 1995).  Brute-force context enumeration of the same
 order lives in the test oracles.
 
-The local submonoid Me of an idempotent e is generated by the set
-{a : e in MaM}, which depends only on the J-class of e.  Each generated
-submonoid is built once per distinct generator set, as a sorted numpy
-member array kept on the monoid (`generated`), so J-equivalent
-idempotents share one Me, and the stability layer's Mes and stable Me
-share the same store.  A monoid that knows generators (every monoid a
-morphism builds: the letter images) finds {a : e in MaM} above
-`_BFS_MIN_SIZE` elements by a reverse breadth-first search from e in the
-two-sided Cayley graph (edges x -> x g and x -> g x), O(d |A| |M|) for d
-levels; smaller monoids, and tables without generators, take two
-O(|M|^2) boolean passes.  A closure gathers each breadth-first level
-through the table in blocks, O(|Me| g) for g generators with no copy of
-the generator columns.
-
-Sets of elements are sorted read-only int64 id arrays throughout, from
-the stability layer's power images to the local submonoids.
-`local_condition` checks e x e REL e given the idempotents to visit, the
-member source (Me here; Mes or the stable submonoid's Me from the
-stability layer) and the order to read, or none for equality: one
-gathered row e Me e per idempotent.  Brute-force products of sets and
-Green's relations live in the test oracles.
+The J-order has one owner, `JClasses`: for the monoid, or a submonoid
+read on its table, it yields the least idempotent of each regular J-class
+and the class's upset {a : e in TaT}, which generates the local
+submonoid Me.  Each generated submonoid is closed once per generator set
+and kept on the monoid (`generated`), so a J-class shares one Me, and
+the stability layer's Mes and stable Me share the store.
+`local_condition` checks e x e REL e over a member source, at the given
+idempotents: one per regular J-class suffices for Me (see `JClasses`).
+Sets of elements are sorted read-only int64 id arrays throughout.
+Brute-force set products and Green's relations live in the test oracles.
 """
 
 from __future__ import annotations
@@ -96,7 +85,7 @@ class OrderedMonoid:
         self._generated = {}  # packed generator mask -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
         self._idempotents = None
-        self._cayley = None  # [x, k] -> x g_k, then g_k x, for the generators
+        self._j_classes = {}  # None, or a submonoid's packed mask -> its JClasses
 
     def _validate(self):
         m, mult = self.size, self.mult
@@ -182,27 +171,31 @@ class OrderedMonoid:
         return got
 
     def me_members(self, e: int) -> np.ndarray:
-        """The sorted members of Me for the idempotent e (read-only).  The
-        generator set {a : e in MaM} is found once per idempotent and the
-        closure once per generator set, so J-equivalent idempotents get
-        the same array."""
+        """The sorted members of Me for the idempotent e (read-only): the
+        closure of its J-class's upset {a : e in MaM} (`j_classes`), once
+        per class, so J-equivalent idempotents get the same array."""
         got = self._me.get(e)
         if got is None:
-            got = self._me[e] = self.generated(self._j_above(e))
+            got = self._me[e] = self.generated(self.j_classes().upset(e))
         return got
 
-    def _j_above(self, e: int) -> np.ndarray:
-        """The mask of {a : e in MaM}: a reverse search in the two-sided
-        Cayley graph when the monoid knows generators and is large, two
-        boolean passes over the table otherwise."""
-        if self.generators is None or self.size <= _BFS_MIN_SIZE:
-            return _j_upset_mask(self.mult, e)
-        if self._cayley is None:
-            g = self.generators
-            if _closure_members(self.mult, self.identity, g).size != self.size:
-                raise InputError("the generators do not generate the monoid")
-            self._cayley = np.concatenate([self.mult[:, g], self.mult[g].T], axis=1)
-        return _reaching(self._cayley, e)
+    def j_classes(self, inside: np.ndarray | None = None) -> "JClasses":
+        """The regular J-classes of the monoid, or of its submonoid marked in
+        `inside`, kept per submonoid.  The whole monoid is searched by its
+        Cayley graph above `_BFS_MIN_SIZE` elements when it knows
+        generators, which must then generate it (InputError otherwise)."""
+        key = None if inside is None or inside.all() else np.packbits(inside).tobytes()
+        got = self._j_classes.get(key)
+        if got is None:
+            cayley, g = None, self.generators
+            if key is None and g is not None and self.size > _BFS_MIN_SIZE:
+                if _closure_members(self.mult, self.identity, g).size != self.size:
+                    raise InputError("the generators do not generate the monoid")
+                cayley = np.concatenate([self.mult[:, g], self.mult[g].T], axis=1)
+            self.idempotents()  # fills the sorted id array `_idempotents`
+            got = self._j_classes[key] = JClasses(
+                self.mult, self._idempotents, None if key is None else inside, cayley)
+        return got
 
 
 def is_aperiodic(m: OrderedMonoid, elements=None) -> tuple[bool, int | None]:
@@ -411,34 +404,128 @@ def syntactic_order(m: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # Local submonoids
 
-# Above this size a monoid with known generators finds {a : e in MaM} by the
-# Cayley-graph search; below it the two table passes cost fewer numpy calls.
+# Above this size a monoid with known generators finds its J-classes by the
+# Cayley-graph search, below it by table passes.  Placing every class of
+# the monoids of the benchmark's seed-1 inputs (2-core x86-64), passes
+# against search: 1214 corpus monoids (|M| <= 128) 0.074 against 0.181 s,
+# 20 ladder monoids (|M| 195-802) 0.034 against 0.016 s.
 _BFS_MIN_SIZE = 256
 
 
-def _j_upset_mask(mult: np.ndarray, e: int, inside: np.ndarray | None = None) -> np.ndarray:
-    """The mask of {a in T : e in T a T} for the submonoid T marked by
-    `inside` (all of M when None): the z in T with e in z T, then every a
-    in T with some x a among them, x in T.  Two O(|M|^2) boolean passes."""
-    hit = mult == e
-    if inside is None:
-        return hit.any(axis=1)[mult].any(axis=0)
-    left = (hit & inside).any(axis=1) & inside
-    return (left[mult] & inside[:, None]).any(axis=0) & inside
+class JClasses:
+    """The regular J-classes of a submonoid T, placed lazily in order of
+    their least idempotents.  T is the monoid of the table `mult`, or its
+    submonoid marked in `inside`: then only T's rows are read, in blocks.
+
+    The least idempotent e not yet placed opens a class and gets its upset
+    {a in T : e in T a T}, by two passes over the rows or by a backward
+    search of the Cayley graph `cayley` (x -> x g, then x -> g x).  Its
+    downset T e T, a scatter or a forward search, is built only when the
+    next class is wanted and a later unplaced idempotent lies in the upset;
+    the idempotents in both join the class.
+
+    One visit per class decides e Me e = e (or <= e, or >= e).  J-related
+    idempotents e, f of the finite T are D-related: some a, a' in T have
+    a a' = e, a' a = f, a a' a = a, a' a a' = a'.  Both lie in Me = Mf, as
+    e is in T a T and T a' T, and for x in Mf, f x f = a' (e (a x a') e) a
+    with a x a' in Me; so the condition at e gives f x f = a' e a = f (or
+    <= f, or >= f, the order being compatible with the product), and back.
+    For T the stable submonoid S this holds with S's own J-classes, as a
+    and a' lie in S.  So the first failing class's least idempotent is the
+    first failing idempotent, and x is searched at it as before.
+    """
+
+    def __init__(self, mult: np.ndarray, idempotents: np.ndarray, inside=None, cayley=None):
+        self._mult, self._inside, self._cayley = mult, inside, cayley
+        self._rows = max(1, _GATHER_IDS // mult.shape[0])  # table rows per block
+        self._ids = None if inside is None else np.flatnonzero(inside)
+        self._pending = idempotents if inside is None else idempotents[inside[idempotents]]
+        self._reps = []  # least idempotents of the classes opened, increasing
+        self._upsets = {}  # placed idempotent -> the upset of its class
+        self._open = None  # the class opened last, until its rest is placed
+
+    def representatives(self):
+        """Yield the least idempotent of each regular J-class in increasing
+        order, placing classes only as far as iterated."""
+        i = 0
+        while i < len(self._reps) or self._open_next():
+            yield self._reps[i]
+            i += 1
+
+    def upset(self, e: int) -> np.ndarray:
+        """The mask of {a in T : e in T a T} for the idempotent e of T,
+        one read-only array per J-class."""
+        while e not in self._upsets:
+            if self._open is not None:
+                self._close()
+            elif not self._open_next():
+                raise InputError(f"element {e} is not an idempotent of the submonoid")
+        return self._upsets[e]
+
+    def _close(self):
+        e, self._open = self._open, None
+        rest, up = self._pending, self._upsets[e]
+        above = up[rest]
+        if above.any():
+            same = above & self._down(e)[rest]
+            self._upsets.update(dict.fromkeys(rest[same].tolist(), up))
+            self._pending = rest[~same]
+
+    def _open_next(self) -> bool:
+        if self._open is not None:
+            self._close()
+        if not self._pending.size:
+            return False
+        e = self._open = int(self._pending[0])
+        self._pending = self._pending[1:]
+        up = self._upsets[e] = self._up(e)
+        up.flags.writeable = False
+        self._reps.append(e)
+        return True
+
+    def _blocks(self, ids: np.ndarray) -> list:
+        return [ids[lo:lo + self._rows] for lo in range(0, ids.size, self._rows)]
+
+    def _up(self, e: int) -> np.ndarray:
+        """The z in T with e in z T, then the a in T with some x a among
+        them, x in T."""
+        mult, inside = self._mult, self._inside
+        if self._cayley is not None:
+            return _reach(self._cayley, e, backward=True)
+        if inside is None:
+            return (mult == e).any(axis=1)[mult].any(axis=0)
+        left, up, blocks = np.zeros_like(inside), np.zeros_like(inside), self._blocks(self._ids)
+        for rows in blocks:
+            left[rows] = ((mult[rows] == e) & inside).any(axis=1)
+        for rows in blocks:
+            up |= left[mult[rows]].any(axis=0)
+        return up & inside
+
+    def _down(self, e: int) -> np.ndarray:
+        if self._cayley is not None:
+            return _reach(self._cayley, e)
+        mult, cols = self._mult, slice(None) if self._ids is None else self._ids
+        down = np.zeros(mult.shape[0], dtype=bool)
+        for rows in self._blocks(np.unique(mult[cols, e])):  # T e
+            down[mult[rows][:, cols]] = True
+        return down
 
 
-def _reaching(cayley: np.ndarray, e: int) -> np.ndarray:
-    """The mask of the x from which e is reached along the edges
-    x -> cayley[x, k], by a reverse breadth-first search: each level marks
-    the x with an edge into the last level, one gather of the edge table."""
+def _reach(cayley: np.ndarray, e: int, backward: bool = False) -> np.ndarray:
+    """The mask of the x reached from e along the edges x -> cayley[x, k],
+    or reaching e when `backward`, breadth first: one gather per level."""
     reached = np.zeros(cayley.shape[0], dtype=bool)
     reached[e] = True
     frontier = reached
-    while True:
-        frontier = frontier[cayley].any(axis=1) & ~reached
-        if not frontier.any():
-            return reached
+    while frontier.any():
+        if backward:  # the x with an edge into the last level
+            frontier = frontier[cayley].any(axis=1)
+        else:  # the ends of the edges out of the last level
+            ends, frontier = cayley[frontier], np.zeros_like(reached)
+            frontier[ends] = True
+        frontier &= ~reached
         reached |= frontier
+    return reached
 
 
 _GATHER_IDS = 1 << 16  # products gathered at once by a closure (512 KiB of ids)
@@ -486,14 +573,10 @@ def local_condition(
     """Check e x e REL e for every idempotent e in `idempotents`, in their
     order, and every x in the sorted id array `members(e)`: Me
     (`OrderedMonoid.me_members`), Mes (`StabilityInfo.mes_members`) or the
-    Me of the stable submonoid (`StabilityInfo.stable_me_members`, over
-    its idempotents).
-
-    REL is equality when `order` is None, and otherwise the relation read
-    as order[e x e, e]: the monoid order for e x e <= e, its transpose for
-    e x e >= e.  Each idempotent costs one gather of e x e over its member
-    array and one mask test.  Returns the first offending pair (e, x),
-    members in increasing order, when the condition fails.
+    stable submonoid's Me (`StabilityInfo.stable_me_members`).  REL is
+    equality when `order` is None, and otherwise order[e x e, e]: the
+    monoid order for e x e <= e, its transpose for e x e >= e.  Returns
+    the first offending pair (e, x), members in increasing order.
     """
     mult = m.mult
     for e in idempotents:

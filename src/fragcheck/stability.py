@@ -29,19 +29,15 @@ same recurrence over every column.
 
 The local submonoid Mes of an idempotent e depends only on its pattern of
 usable letters adm[:, :, e]: it is the submonoid generated by the images
-of the usable blocks of exactly s letters.  It is built once per
-pattern, through the monoid's store of generated submonoids, so it shares
-the closure routine (and any equal generator set) with Me.  The Me of
-the stable submonoid S goes through the same store: its generators
-{a in S : e in S a S} are two boolean passes over the parent table per
-idempotent of S, and each distinct generator set is closed once.
+of the usable blocks of exactly s letters, closed once per pattern in
+the monoid's store of generated submonoids.  The Me of the stable
+submonoid S closes the upset in S of its J-class, from the monoid's
+`JClasses` of S, which every multiplier shares.
 
-Everything here is derived once per morphism: `stability_info` keeps one
-`StabilityInfo` per (morphism, multiplier) in a memo on the morphism
-itself, beside the power images, which every multiplier and
-`stability_index` share.  So every analysis of one morphism, at any
-multiplier, reads one admissibility table and one store of Mes and stable
-Me per multiplier, and the memo lives and dies with the morphism.
+`stability_info` keeps one `StabilityInfo` per (morphism, multiplier) in
+a memo on the morphism, beside the power images that all multipliers
+share.  An info holds its morphism only weakly, so the memo forms no
+reference cycle and goes with the morphism.
 
 A multiplied index is capped: s = T * (least index) with T above
 FREE_MULTIPLIER and s |M| above MAX_INDEX_CELLS raises CapError before any
@@ -51,12 +47,13 @@ and T up to FREE_MULTIPLIER costs at most that many times its analysis.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapError, ConsistencyError, InputError
-from .monoid import _GATHER_IDS, Morphism, _j_upset_mask
+from .monoid import _GATHER_IDS, JClasses, Morphism, OrderedMonoid
 
 _ITERATION_CAP = 100_000
 
@@ -121,23 +118,29 @@ class StabilityInfo:
     with h(A^(r+s)); each is a sorted read-only id array, and residues[0]
     is `stable`.  Building the object checks that `stable` is closed under
     the table, in blocks of rows, and raises ConsistencyError otherwise.
+
+    It reads the morphism's `monoid` and letter `images` (in `alphabet`
+    order); `morphism` is held weakly, and is None once it is gone.
     """
 
-    morphism: Morphism
+    monoid: OrderedMonoid
+    alphabet: tuple
+    images: np.ndarray
     index: int
     smallest_index: int
     stable: np.ndarray
     residues: tuple
+    _owner: weakref.ref = field(repr=False)
     _stable_mask: np.ndarray = field(init=False)  # [x]: x lies in `stable`
     _adm: np.ndarray | None = field(init=False, default=None)  # [letter, r, i] at idempotent i
     _column: dict = field(init=False, default_factory=dict)  # idempotent -> its i in _adm
     _adm_all: np.ndarray | None = field(init=False, default=None)  # [letter, r, x] at every x
     _mes: dict = field(init=False, default_factory=dict)  # idempotent -> members of Mes
     _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> same
-    _stable_me: dict = field(init=False, default_factory=dict)  # stable idempotent -> Me in S
+    _stable_j: JClasses | None = field(init=False, default=None)
 
     def __post_init__(self):
-        mult = self.morphism.monoid.mult
+        mult = self.monoid.mult
         ids = self.stable
         inside = np.zeros(mult.shape[0], dtype=bool)
         inside[ids] = True
@@ -148,17 +151,17 @@ class StabilityInfo:
         inside.flags.writeable = False
         self._stable_mask = inside
 
-    def _images(self) -> np.ndarray:
-        m = self.morphism
-        return np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
+    @property
+    def morphism(self) -> Morphism | None:
+        return self._owner()
 
     def _admissible_at(self, cols: np.ndarray) -> np.ndarray:
         """The table adm[a, r, i]: cols[i] in residues[r] . h(a) .
         residues[s-1-r], letters in alphabet order, by the right-reach
         recurrence of the module docstring on the columns `cols`."""
         s = self.index
-        mult, size = self.morphism.monoid.mult, self.morphism.monoid.size
-        images = self._images()
+        mult, size = self.monoid.mult, self.monoid.size
+        images = self.images
         steps = np.unique(images)
 
         def right_step(reach):  # z . X_(k+1) from z . X_k
@@ -187,7 +190,7 @@ class StabilityInfo:
         (read-only).  The table behind it covers every idempotent and is
         built on first use."""
         if self._adm is None:
-            idempotents = self.morphism.monoid.idempotents()
+            idempotents = self.monoid.idempotents()
             self._adm = self._admissible_at(np.array(idempotents, dtype=np.int64))
             self._column = {f: i for i, f in enumerate(idempotents)}
         return self._adm[:, :, self._column[e]]
@@ -200,8 +203,8 @@ class StabilityInfo:
         per object by the recurrence of the module docstring, in
         O(s |A| |M|^2) boolean work."""
         if self._adm_all is None:
-            self._adm_all = self._admissible_at(np.arange(self.morphism.monoid.size))
-        row = self._adm_all[self.morphism.alphabet.index(letter), r]
+            self._adm_all = self._admissible_at(np.arange(self.monoid.size))
+        row = self._adm_all[self.alphabet.index(letter), r]
         return frozenset(np.flatnonzero(row).tolist())
 
     def mes_members(self, e: int) -> np.ndarray:
@@ -219,8 +222,7 @@ class StabilityInfo:
             key = usable.tobytes()
             got = self._mes_by_pattern.get(key)
             if got is None:
-                mon = self.morphism.monoid
-                images = self._images()
+                mon, images = self.monoid, self.images
                 blocks = np.zeros(mon.size, dtype=bool)
                 blocks[mon.identity] = True
                 for r in range(self.index):
@@ -231,21 +233,19 @@ class StabilityInfo:
             self._mes[e] = got
         return got
 
-    def stable_idempotents(self) -> list[int]:
-        """The idempotents of the stable submonoid, in increasing order."""
-        return [e for e in self.morphism.monoid.idempotents() if self._stable_mask[e]]
+    @property
+    def stable_j_classes(self) -> JClasses:
+        """The regular J-classes of the stable submonoid S, in S's own
+        J-order, from the monoid's store: every multiplier shares them."""
+        if self._stable_j is None:
+            self._stable_j = self.monoid.j_classes(self._stable_mask)
+        return self._stable_j
 
     def stable_me_members(self, e: int) -> np.ndarray:
         """The sorted members of Me taken inside the stable submonoid S, for
-        an idempotent e of S: the submonoid generated by {a in S : e in
-        S a S}, found by two boolean passes over the parent table and
-        closed in the monoid's store, once per generator set (read-only)."""
-        got = self._stable_me.get(e)
-        if got is None:
-            mon = self.morphism.monoid
-            got = mon.generated(_j_upset_mask(mon.mult, e, self._stable_mask))
-            self._stable_me[e] = got
-        return got
+        an idempotent e of S: the closure of its J-class's upset {a in S :
+        e in S a S} in the monoid's store (read-only)."""
+        return self.monoid.generated(self.stable_j_classes.upset(e))
 
 
 def _power_images(m: Morphism) -> _PowerImages:
@@ -301,17 +301,21 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
             got = unions[(id(low), id(high))] = np.union1d(low, high)
             got.flags.writeable = False
         residues.append(got)
+    images = np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
     info = m._stability[multiplier] = StabilityInfo(
-        morphism=m,
+        monoid=m.monoid,
+        alphabet=m.alphabet,
+        images=images,
         index=s,
         smallest_index=smallest,
         stable=stable,
         residues=tuple(residues),
+        _owner=weakref.ref(m),
     )
     return info
 
 
-_RELATIONS = ("Rs", "Ls", "Js")
+_RELATIONS = ("Rs", "Ls")
 
 
 _SCATTER_IDS = 1 << 16  # products gathered per scatter (512 KiB of int64 ids)
@@ -334,22 +338,13 @@ def _product_mask(mult: np.ndarray, elems, left: bool = False) -> np.ndarray:
 
 def stable_green_preorder(info: StabilityInfo, relation: str) -> np.ndarray:
     """leq[x][y] iff x is below-or-equal y in the stable Green preorder:
-    x in yS (Rs), x in Sy (Ls), or x in SyS (Js).
+    x in yS (Rs) or x in Sy (Ls).
 
-    Each ideal mask has[y, x] (x in the ideal of y) is a scatter of the
-    table's stable columns (yS) or rows (Sy); SyS is the union of zS over
-    z in Sy, one boolean product of the two."""
+    The ideal mask has[y, x] (x in the ideal of y) is a scatter of the
+    table's stable columns (yS) or rows (Sy)."""
     if relation not in _RELATIONS:
         raise InputError(f"unknown stable relation {relation!r}")
-    mult = info.morphism.monoid.mult
-    if relation == "Rs":
-        has = _product_mask(mult, info.stable)
-    elif relation == "Ls":
-        has = _product_mask(mult, info.stable, left=True)
-    else:
-        right = _product_mask(mult, info.stable).astype(np.float32)
-        left = _product_mask(mult, info.stable, left=True).astype(np.float32)
-        has = (left @ right) > 0.5  # counts stay exact below 2^24 elements
+    has = _product_mask(info.monoid.mult, info.stable, left=relation == "Ls")
     return has.T.copy()
 
 

@@ -29,7 +29,15 @@ to the same objects:
   monoid module carried before its sets became sorted id arrays;
 - `decoration_membership_fails`, the xcheck battery's decoration check
   as a plain enumeration of every word up to length 4, which the battery
-  ran before it walked the reachable state triples.
+  ran before it walked the reachable state triples;
+- `j_upset_by_passes` and `local_checks_at_every_idempotent`: the upset
+  {a in T : e in T a T} by two passes over the whole table, with an
+  `inside` mask for the stable submonoid, and the Me local checks run
+  from it at every idempotent, as the library ran them before it visited
+  one idempotent per regular J-class;
+- `stable_j_preorder`, the stable J preorder as a float product of the
+  two stable ideal scatters, which `stability.stable_green_preorder`
+  carried as its "Js" relation.
 """
 
 import itertools
@@ -42,6 +50,7 @@ from fragcheck import fologic as fo
 from fragcheck.automata import DEFAULT_STATE_CAP, Nfa, decorate_word, make_dfa, mod1
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import OrderedMonoid
+from fragcheck.stability import _product_mask
 
 
 def words(alphabet, max_len):
@@ -776,6 +785,13 @@ def green_classes(m):
     )
 
 
+def j_class_representatives(m):
+    """The least idempotent of each regular J-class of `green_classes(m)`,
+    in increasing order."""
+    return sorted(next(x for x in c if m.is_idempotent(x))
+                  for c in green_classes(m).j_classes if any(m.is_idempotent(x) for x in c))
+
+
 def decoration_membership_fails(minimal, decorate):
     """Whether the xcheck battery flags `decoration-membership` on the
     minimal DFA, with `decorate(minimal, n)` as the decorated language: for
@@ -794,3 +810,47 @@ def decoration_membership_fails(minimal, decorate):
         if not ok:
             return True
     return False
+
+
+def j_upset_by_passes(mult, e, inside=None):
+    """The mask of {a in T : e in T a T} for the submonoid T marked by
+    `inside` (all of M when None): the z in T with e in z T, then every a
+    in T with some x a among them, x in T.  Two O(|M|^2) boolean passes."""
+    hit = mult == e
+    if inside is None:
+        return hit.any(axis=1)[mult].any(axis=0)
+    left = (hit & inside).any(axis=1) & inside
+    return (left[mult] & inside[:, None]).any(axis=0) & inside
+
+
+def local_checks_at_every_idempotent(h, info):
+    """The first offender (e, x), or None, of fo2_lt, sigma2_lt, pi2_lt and
+    fo2_mod_qda, visiting every idempotent (every stable one for
+    fo2_mod_qda) in increasing order, each Me closed by `closure_brute`
+    from its own `j_upset_by_passes`.  h must carry its order."""
+    mon = h.monoid
+    inside = np.zeros(mon.size, dtype=bool)
+    inside[info.stable] = True
+
+    def me_by_passes(mask):
+        def members(e):
+            gens = np.flatnonzero(j_upset_by_passes(mon.mult, e, mask))
+            return closure_brute(mon.mult, mon.identity, gens)
+        return members
+
+    stable = [e for e in idempotents_brute(mon) if inside[e]]
+    return {
+        "fo2_lt": local_condition_brute(mon, "eq", me_by_passes(None)),
+        "sigma2_lt": local_condition_brute(mon, "leq", me_by_passes(None)),
+        "pi2_lt": local_condition_brute(mon, "geq", me_by_passes(None)),
+        "fo2_mod_qda": local_condition_brute(mon, "eq", me_by_passes(inside), stable),
+    }
+
+
+def stable_j_preorder(info):
+    """leq[x][y] iff x in S y S for the stable submonoid S: the union of
+    the z S over z in S y, one float product of the two ideal scatters."""
+    mult = info.monoid.mult
+    right = _product_mask(mult, info.stable).astype(np.float32)
+    left = _product_mask(mult, info.stable, left=True).astype(np.float32)
+    return ((left @ right) > 0.5).T.copy()  # counts stay exact below 2^24 elements

@@ -462,7 +462,7 @@ def test_criterion_9_structural_invariants_on_corpus():
         # are idempotent
         if context_eq:
             counts["idem"] += 1
-            js_eq = equivalence(stable_green_preorder(info, "Js"))
+            js_eq = equivalence(oracles.stable_j_preorder(info))
             for e in mon.idempotents():
                 for x in mon.elements():
                     if js_eq[x, e] and mon.mul(x, x) != x:

@@ -258,7 +258,7 @@ def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
         return real_powers(m)
 
     def counted_info(**fields):
-        infos.append((fields["morphism"], fields["index"]))
+        infos.append((fields["_owner"](), fields["index"]))  # the morphism, held weakly
         return real_info(**fields)
 
     monkeypatch.setattr(stability, "_PowerImages", counted_powers)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from fragcheck.automata import complement, intersect, minimize, regex_to_dfa
 from fragcheck.errors import ConsistencyError, InputError
+from fragcheck.fologic import compile_formula, parse_formula
 from fragcheck.fragments import (
     FRAGMENTS,
     LanguageAnalysis,
@@ -24,6 +25,7 @@ from fragcheck.monoid import (
     transition_monoid,
 )
 from fragcheck.stability import stability_info
+from test_acceptance import CORPUS_CAP, corpus
 
 
 def dfa(pattern, **kw):
@@ -81,6 +83,60 @@ def test_stable_checks_match_the_copied_submonoid(small_corpus):
         assert pipeline.check("fo2_mod_qda") == expected
         negative += not ok
     assert 0 < negative < len(small_corpus)
+
+
+def test_one_visit_per_j_class_matches_every_idempotent_on_corpus():
+    # fo2_lt, sigma2_lt, pi2_lt and fo2_mod_qda visit one idempotent per
+    # regular J-class (of M, or of S); the verdicts and witnesses equal
+    # those of visits to every idempotent, and the visited idempotents are
+    # the least ones of the classes Green's relations give
+    for d in corpus():
+        h = syntactic_order(transition_monoid(d, CORPUS_CAP))
+        mon = h.monoid
+        for multiplier in (1, 3):
+            pipeline = LanguageAnalysis(d, max_monoid=CORPUS_CAP,
+                                        index_multiplier=multiplier, morphism=h)
+            info = pipeline.stability
+            for fid, pair in oracles.local_checks_at_every_idempotent(h, info).items():
+                words = None if pair is None else tuple(format_word(h.word_of(x)) for x in pair)
+                assert pipeline.check(fid) == (pair is None, words), fid
+            sub, ids = oracles.submonoid_view(mon, info.stable)
+            by_brute = [ids[e] for e in oracles.j_class_representatives(sub)]
+            assert list(info.stable_j_classes.representatives()) == by_brute
+        assert list(mon.j_classes().representatives()) == oracles.j_class_representatives(mon)
+
+
+# A Sigma_2[<,MOD] sentence with |M| = 5216 and a stable submonoid of 849
+# elements, all idempotent, in 67 J-classes
+SIGMA2_SENTENCE = """
+(exists x1 (forall y1 (or (and (not (lab x1 a)) (or (< y1 x1) (mod y1 2 2)))
+  (or (and (or (lab x1 a) (len 3 3)) (and (lab y1 b) (< x1 y1)))
+      (and (mod x1 3 2) (not (lab y1 b)))))))
+"""
+
+
+def test_sigma2_sentence_computes_one_stable_upset_per_j_class(monkeypatch):
+    from fragcheck.monoid import JClasses
+    stable_upsets = []
+    real = JClasses._up
+
+    def counted(self, e):
+        if self._ids is not None:
+            stable_upsets.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(JClasses, "_up", counted)
+    d = compile_formula(parse_formula(SIGMA2_SENTENCE), ["a", "b"])
+    h = transition_monoid(d)
+    report = analyze(d, morphism=h)
+    assert (report.monoid_size, report.stable_size) == (5216, 849)
+    modular = [fid for fid in FRAGMENTS if "_mod" in fid]
+    assert len(modular) == 6
+    for fid in FRAGMENTS:
+        expected = (True, None) if fid in modular else (False, ("aaaaaa", "a"))
+        assert (report.verdicts[fid], report.witnesses[fid]) == expected, fid
+    assert sum(h.monoid.is_idempotent(x) for x in stability_info(h).stable) == 849
+    assert len(stable_upsets) == 67
 
 
 def test_check_memoises_verdicts_for_the_conjunctions(monkeypatch):

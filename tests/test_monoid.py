@@ -12,7 +12,6 @@ from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
-    _j_upset_mask,
     format_word,
     generated_morphism,
     is_aperiodic,
@@ -215,8 +214,10 @@ def generated_by(m, generators):
 def test_j_upset_and_submonoid_closure():
     h = syntactic("(a|b)*aa(a|b)*")
     m = h.monoid
-    assert np.flatnonzero(_j_upset_mask(m.mult, m.identity)).tolist() == [m.identity]
-    assert _j_upset_mask(m.mult, h.image("aa")).all()
+    assert np.flatnonzero(m.j_classes().upset(m.identity)).tolist() == [m.identity]
+    assert m.j_classes().upset(h.image("aa")).all()
+    with pytest.raises(InputError):
+        m.j_classes().upset(h.image("a"))  # not idempotent
     assert generated_by(m, [h.image("a")]) == sorted(
         {m.identity, h.image("a"), h.image("aa")})
 
@@ -292,7 +293,8 @@ def _first_offenders(h):
     sources = [
         (m.idempotents(), m.me_members, None),
         (m.idempotents(), info.mes_members, None),
-        (info.stable_idempotents(), info.stable_me_members, sorted(stable_me)),
+        ([e for e in m.idempotents() if e in info.stable], info.stable_me_members,
+         sorted(stable_me)),
     ]
     for idempotents, members, expected_idempotents in sources:
         if expected_idempotents is not None:
@@ -415,6 +417,27 @@ def test_me_cayley_route_at_mid_size(monkeypatch):
     assert h.monoid.size <= monoid_module._BFS_MIN_SIZE
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
     _check_me_against_brute_and_j_classes(h)
+
+
+@pytest.mark.parametrize("gather_ids", [1 << 16, 1], ids=["one-block", "row-blocks"])
+def test_j_classes_of_submonoids_match_brute(small_corpus, monkeypatch, gather_ids):
+    # submonoids T generated by seeded random subsets, read on the parent
+    # table: the upsets equal the two masked passes over the whole table,
+    # and the representatives the least idempotents of T's own J-classes
+    monkeypatch.setattr(monoid_module, "_GATHER_IDS", gather_ids)
+    rng = np.random.default_rng(11)
+    for d in small_corpus[:20]:
+        m = transition_monoid(d, max_monoid=600).monoid
+        for _ in range(3):
+            inside = np.zeros(m.size, dtype=bool)
+            inside[m.generated(rng.random(m.size) < 0.2)] = True
+            classes = m.j_classes(inside)
+            sub, ids = oracles.submonoid_view(m, np.flatnonzero(inside))
+            expected = [ids[e] for e in oracles.j_class_representatives(sub)]
+            assert list(classes.representatives()) == expected
+            for e in (x for x in ids if m.is_idempotent(x)):
+                assert np.array_equal(classes.upset(e),
+                                      oracles.j_upset_by_passes(m.mult, e, inside))
 
 
 def test_closure_in_small_blocks_matches_brute(small_corpus, monkeypatch):

@@ -2,6 +2,8 @@
 submonoid of an idempotent."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import oracles
 from fragcheck.automata import make_dfa, minimize, regex_to_dfa
 from fragcheck.errors import CapError, ConsistencyError, InputError
-from fragcheck.fragments import LanguageAnalysis
+from fragcheck.fragments import LanguageAnalysis, analyze
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
@@ -148,9 +150,13 @@ def test_stable_nontrivial_for_group():
 def test_stable_triviality_on_even_length():
     h = morphism("((a|b)(a|b))*")
     info = stability_info(h)
-    for rel in ("Rs", "Ls", "Js"):
+    for rel in ("Rs", "Ls"):
         ok, pair = is_stable_trivial(info, rel)
         assert ok and pair is None
+    js = oracles.stable_j_preorder(info)
+    assert not (js & js.T & ~np.eye(js.shape[0], dtype=bool)).any()
+    with pytest.raises(InputError):
+        stable_green_preorder(info, "Js")
 
 
 def test_stability_against_brute_powers(small_corpus):
@@ -288,7 +294,7 @@ def test_stable_set_checked_for_closure_when_built():
     with pytest.raises(ConsistencyError):
         dataclasses.replace(info, stable=np.array([h.monoid.identity, h.image("a")]))
     again = dataclasses.replace(info, stable=info.stable)
-    assert again.stable_idempotents() == info.stable_idempotents()
+    assert again.stable_me_members(h.image("aa")).tolist() == list(h.monoid.elements())
 
 
 def test_stability_info_memoised_per_morphism_and_multiplier():
@@ -338,3 +344,24 @@ def test_replace_builds_a_fresh_checked_object_outside_the_memo():
     with pytest.raises(ConsistencyError):
         dataclasses.replace(info, stable=np.array([h.monoid.identity, h.image("a")]))
     assert stability_info(h) is info
+
+
+def test_analysed_morphism_is_freed_by_reference_counting():
+    # the stability memo on a morphism and the J-class data of its monoid
+    # and stable submonoid form no reference cycle, so dropping the last
+    # reference frees the morphism with the cyclic collector off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        d = minimize(regex_to_dfa("((a|b)(a|b))*(aa|bb)(a|b)*"))
+        h = transition_monoid(d)
+        for multiplier in (1, 3):
+            analyze(d, index_multiplier=multiplier, morphism=h)
+        info = stability_info(h)
+        assert info.morphism is h and info.stable_j_classes is not None
+        refs = [weakref.ref(h), weakref.ref(h.monoid), weakref.ref(info)]
+        del h, info
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
