@@ -630,9 +630,13 @@ def decorated_letters(alphabet, n: int) -> list[str]:
     return sorted(DecoratedLetter(a, i).text for a in alphabet for i in range(1, n + 1))
 
 
-def _decoration_product(d: Dfa, n: int):
-    """States (q, r) with r = prefix length mod n, plus a sink for words
-    whose residues are inconsistent with their positions."""
+def decorate(d: Dfa, n: int) -> Dfa:
+    """The language of decorated words of L: the image of L under the
+    residue decoration starting at offset 0.  The product has the states
+    (q, r) with r = prefix length mod n, plus a sink for words whose
+    residues are inconsistent with their positions."""
+    if n < 1:
+        raise InputError("modulus must be at least 1")
     sink = "sink"
     states = [(q, r) for q in d.states for r in range(n)] + [sink]
     delta = {}
@@ -648,56 +652,45 @@ def _decoration_product(d: Dfa, n: int):
     for text in letters:
         delta[(sink, text)] = sink
     finals = [(q, r) for q in d.states for r in range(n) if q in d.finals]
-    return make_dfa(letters, states, (d.initial, 0), finals, delta), sink
+    return minimize(make_dfa(letters, states, (d.initial, 0), finals, delta))
 
 
-def decorate(d: Dfa, n: int) -> Dfa:
-    """The language of decorated words of L: the image of L under the
-    residue decoration starting at offset 0."""
+def _residue_reach(d: Dfa, n: int) -> set:
+    """The pairs (q, r) such that some word of length congruent to r mod n
+    leads from the initial state to q.  More than DEFAULT_STATE_CAP
+    possible pairs raise CapError."""
     if n < 1:
         raise InputError("modulus must be at least 1")
-    product, _ = _decoration_product(d, n)
-    return minimize(product)
-
-
-def length_residues(d: Dfa, n: int) -> frozenset[int]:
-    """All residues (1..n convention) of lengths of words in L."""
-    if n < 1:
-        raise InputError("modulus must be at least 1")
+    if len(d.states) * n > DEFAULT_STATE_CAP:
+        raise CapError(
+            f"modulus {n} on {len(d.states)} states exceeds the state cap "
+            f"({DEFAULT_STATE_CAP} state and residue pairs)")
     seen = {(d.initial, 0)}
     queue = deque(seen)
-    out = set()
     while queue:
         q, r = queue.popleft()
-        if q in d.finals:
-            out.add(mod1(r, n))
         for a in d.alphabet:
             nxt = (d.delta[(q, a)], (r + 1) % n)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return frozenset(out)
+    return seen
+
+
+def length_residues(d: Dfa, n: int) -> frozenset[int]:
+    """All residues (1..n convention) of lengths of words in L."""
+    return frozenset(mod1(r, n) for q, r in _residue_reach(d, n) if q in d.finals)
 
 
 def decorated_alphabet(d: Dfa, n: int) -> frozenset[str]:
-    """The decorated letters occurring in some decorated word of L,
-    via reachable and co-reachable analysis of the decoration product."""
-    if n < 1:
-        raise InputError("modulus must be at least 1")
-    product, sink = _decoration_product(d, n)
-    reach = {product.initial}
-    queue = deque(reach)
-    while queue:
-        q = queue.popleft()
-        for a in product.alphabet:
-            t = product.delta[(q, a)]
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
+    """The decorated letters occurring in some decorated word of L: a at
+    residue r+1 wherever a leads from a pair (q, r) reached by the prefix
+    to a state from which a final state is reachable."""
+    reach = _residue_reach(d, n)
     back = {}
-    for (q, a), t in product.delta.items():
+    for (q, a), t in d.delta.items():
         back.setdefault(t, set()).add(q)
-    co = set(product.finals)
+    co = set(d.finals)
     queue = deque(co)
     while queue:
         q = queue.popleft()
@@ -705,8 +698,7 @@ def decorated_alphabet(d: Dfa, n: int) -> frozenset[str]:
             if p not in co:
                 co.add(p)
                 queue.append(p)
-    out = set()
-    for (q, a), t in product.delta.items():
-        if q in reach and t in co and t != sink and q != sink:
-            out.add(a)
-    return frozenset(out)
+    return frozenset(
+        DecoratedLetter(a, mod1(r + 1, n)).text
+        for q, r in reach for a in d.alphabet if d.delta[(q, a)] in co
+    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .monoid import Morphism, OrderedMonoid
+from .monoid import _GATHER_IDS, Morphism, OrderedMonoid
 from .stability import _product_mask, is_stable_trivial, stability_info
 
 _SIDES = ("K", "D")
@@ -46,23 +46,25 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
     ys = mult[idems].T if side == "K" else mult[:, idems]
     sigs = np.where(has[ys, idems], ys, -1)
 
-    width, buf = sigs.shape[1] * sigs.itemsize, sigs.tobytes()
     index: dict = {}
-    class_of = [index.setdefault(buf[x * width:(x + 1) * width], len(index))
-                for x in range(size)]
+    class_of = [index.setdefault(row.tobytes(), len(index)) for row in sigs]
     k = len(index)
     classes: list[list[int]] = [[] for _ in range(k)]
     for x, c in enumerate(class_of):
         classes[c].append(x)
 
+    # the class of x y must be the class of (rep of x)(rep of y), checked
+    # in blocks of rows so that no |M| x |M| array of ids is built
     cls = np.asarray(class_of, dtype=np.int64)
-    qc = cls[mult]  # class of x y
     reps = np.asarray([members[0] for members in classes], dtype=np.int64)
-    qmult = qc[np.ix_(reps, reps)]
-    if not np.array_equal(qc, qmult[cls[:, None], cls[None, :]]):
-        raise ConsistencyError(
-            f"the {side}-side signature relation failed to be a congruence"
-        )
+    qmult = cls[mult[np.ix_(reps, reps)]]
+    block = max(1, _GATHER_IDS // size)
+    for lo in range(0, size, block):
+        rows = cls[lo:lo + block]
+        if not np.array_equal(cls[mult[lo:lo + block]], qmult[rows[:, None], cls]):
+            raise ConsistencyError(
+                f"the {side}-side signature relation failed to be a congruence"
+            )
 
     words = [
         min((mon.word_of(x) for x in members), key=lambda w: (len(w), w))

@@ -10,29 +10,44 @@ Me, Mes and the Me of the stable submonoid.  Only `admissible_images` and
 `me_s` hand out frozensets.
 
 A letter a is admissible at residue r for an element x when x lies in
-residues[r] . h(a) . residues[s-1-r].  The local checks only ask this of
-idempotents, so one boolean table adm[a, r, i] (|A| x s x |E|) per
-`StabilityInfo` answers it for every letter, residue and idempotent
-E[i].  It is built from the right-reach columns reach_j[z, i] (E[i] in
+residues[r] . h(a) . residues[s-1-r].  The residue sets repeat: below the
+preperiod J of the power images, residues[r] = X_r | X_(r+s), and from J
+on residues[r] is X_r, one array repeating with the period p, so
+residues[r] is residues[slot(r)] for one of n = min(s, J + p) slots, and
+s is a multiple of p.  The local checks only ask admissibility of
+idempotents, so one boolean table adm[a, k, i] (|A| x pairs x |E|) per
+`StabilityInfo` answers it for every letter, idempotent E[i] and
+distinct slot pair k = (slot(r), slot(s-1-r)); a pair index of s entries
+maps each residue to its pair.  Away from the ends (J <= r < s - J) the
+pair of r is that of J + (r - J) mod p, so there are at most 2J + p
+pairs, and exactly s at the least index, where no pair repeats.
+
+The table is built from the right-reach columns reach_j[z, i] (E[i] in
 z . residues[j]), which only ever permute rows.  With X_0 = {1} and
-X_(k+1) the union over the letters b of h(b) . X_k, the seed z . X_0 = {z}
-takes s right steps to z . X_s, and reach_0 is their union, as
-residues[0] = X_0 | X_s.  Since residues[j] = X_j | X_(j+s), residues[j+1]
-is the union of h(b) . residues[j] for j+1 < s, so
+X_(k+1) the union over the letters b of h(b) . X_k, the seed z . X_0 =
+{z} takes (least index) right steps to z . X_s, as X_s is X_(least
+index), and reach_0 is their union, as residues[0] = X_0 | X_s.  Since
+residues[j] = X_j | X_(j+s), residues[j+1] is the union of h(b) .
+residues[j] for j+1 < s, so
 
     reach_{j+1}[z] = OR_b reach_j[z . h(b)],
-    adm[a, s-1-j]  = OR_{x in residues[s-1-j]} reach_j[x . h(a)],
+    adm[a, (u, j)] = OR_{x in residues[u]} reach_j[x . h(a)],
 
-the second for every letter in one gather.  That is O(s |A| |M| |E|)
-boolean work and O(|M| |E|) extra memory.  `admissible_images` runs the
-same recurrence over every column.
+the second for every letter in one gather, once per pair with right slot
+j.  The recurrence runs once per slot and stops at the first repeat, so
+it is O(n |A| |M| |E|) boolean work and O(|M| |E|) extra memory.
+`admissible_images` runs the same recurrence over every column.
 
 The local submonoid Mes of an idempotent e depends only on its pattern of
 usable letters adm[:, :, e]: it is the submonoid generated by the images
 of the usable blocks of exactly s letters, closed once per pattern in
-the monoid's store of generated submonoids.  The Me of the stable
-submonoid S closes the upset in S of its J-class, from the monoid's
-`JClasses` of S, which every multiplier shares.
+the monoid's store of generated submonoids.  The blocks come from a walk
+of s frontier steps whose step r depends only on the pair of r.  In the
+middle that repeats with p, so the walk samples its frontier every p
+steps there, and once a sample repeats it jumps over every whole cycle
+left in the middle: past that repeat its length no longer depends on s.
+The Me of the stable submonoid S closes the upset in S of its J-class,
+from the monoid's `JClasses` of S, which every multiplier shares.
 
 `stability_info` keeps one `StabilityInfo` per (morphism, multiplier) in
 a memo on the morphism, beside the power images that all multipliers
@@ -40,15 +55,17 @@ share.  An info holds its morphism only weakly, so the memo forms no
 reference cycle and goes with the morphism.
 
 A multiplied index is capped: s = T * (least index) with T above
-FREE_MULTIPLIER and s |M| above MAX_INDEX_CELLS raises CapError before any
-per-residue set or table exists.  The least index itself is never refused,
-and T up to FREE_MULTIPLIER costs at most that many times its analysis.
+FREE_MULTIPLIER and s |M| above MAX_INDEX_CELLS raises CapError before the
+residue tuple or the pair index exists; those two are all that still
+grows with s.  The least index itself is never refused, and T up to
+FREE_MULTIPLIER costs at most that many times its analysis.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -58,7 +75,7 @@ from .monoid import _GATHER_IDS, JClasses, Morphism, OrderedMonoid
 _ITERATION_CAP = 100_000
 
 # Largest s |M| for a multiplied stability index s on |M| elements: the
-# residue sets, the admissibility table and its recurrence all grow with it.
+# residue tuple and the pair index grow with s.
 MAX_INDEX_CELLS = 2_000_000
 # Multipliers up to this one are never capped: they cost at most that many
 # times the least index, which is never capped either.
@@ -116,8 +133,10 @@ class StabilityInfo:
     image of all words whose length is congruent to r mod s (with the empty
     word contributing only to residue 0), which is exactly h(A^r) united
     with h(A^(r+s)); each is a sorted read-only id array, and residues[0]
-    is `stable`.  Building the object checks that `stable` is closed under
-    the table, in blocks of rows, and raises ConsistencyError otherwise.
+    is `stable`.  From r = `preperiod` on, residues[r] is the power image
+    X_r, one array repeating with `period`.  Building the object checks
+    that `stable` is closed under the table, in blocks of rows, and raises
+    ConsistencyError otherwise.
 
     It reads the morphism's `monoid` and letter `images` (in `alphabet`
     order); `morphism` is held weakly, and is None once it is gone.
@@ -128,13 +147,16 @@ class StabilityInfo:
     images: np.ndarray
     index: int
     smallest_index: int
+    preperiod: int
+    period: int
     stable: np.ndarray
     residues: tuple
     _owner: weakref.ref = field(repr=False)
     _stable_mask: np.ndarray = field(init=False)  # [x]: x lies in `stable`
-    _adm: np.ndarray | None = field(init=False, default=None)  # [letter, r, i] at idempotent i
+    _pairs: tuple | None = field(init=False, default=None)  # see `_residue_pairs`
+    _adm: np.ndarray | None = field(init=False, default=None)  # [letter, pair, i] at idempotent i
     _column: dict = field(init=False, default_factory=dict)  # idempotent -> its i in _adm
-    _adm_all: np.ndarray | None = field(init=False, default=None)  # [letter, r, x] at every x
+    _adm_all: np.ndarray | None = field(init=False, default=None)  # [letter, pair, x] at every x
     _mes: dict = field(init=False, default_factory=dict)  # idempotent -> members of Mes
     _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> same
     _stable_j: JClasses | None = field(init=False, default=None)
@@ -155,45 +177,69 @@ class StabilityInfo:
     def morphism(self) -> Morphism | None:
         return self._owner()
 
+    def _residue_pairs(self) -> tuple:
+        """(by_right, pair) for the distinct pairs (slot(r), slot(s-1-r)),
+        where residues[r] is residues[slot(r)], slot(r) = r below the
+        preperiod J and J + (r - J) mod p from there: by_right[v] lists
+        (k, u) for the k-th pair (u, v), and pair[r] is the k of r.  A
+        middle r (J <= r < s - J) has the pair of J + (r - J) mod p, so
+        only the ends and one period of the middle are looked at."""
+        if self._pairs is None:
+            s, j, p = self.index, self.preperiod, self.period
+            middle = max(0, s - 2 * j)
+            loop = j + min(p, middle)  # the ends and one period: [0, loop) and [j + middle, s)
+            index, ks = {}, []
+            by_right = [[] for _ in range(min(s, j + p))]
+            for r in chain(range(loop), range(j + middle, s)):
+                x = s - 1 - r
+                u = r if r < j else j + (r - j) % p
+                v = x if x < j else j + (x - j) % p
+                k = index.get((u, v))
+                if k is None:
+                    k = index[(u, v)] = len(index)
+                    by_right[v].append((k, u))
+                ks.append(k)
+            pair = tuple(chain(ks[:j], islice(cycle(ks[j:loop]), middle), ks[loop:]))
+            self._pairs = (by_right, pair)
+        return self._pairs
+
     def _admissible_at(self, cols: np.ndarray) -> np.ndarray:
-        """The table adm[a, r, i]: cols[i] in residues[r] . h(a) .
-        residues[s-1-r], letters in alphabet order, by the right-reach
-        recurrence of the module docstring on the columns `cols`."""
-        s = self.index
-        mult, size = self.monoid.mult, self.monoid.size
-        images = self.images
+        """The table adm[a, k, i]: cols[i] in residues[r] . h(a) .
+        residues[s-1-r] for the r of the k-th distinct slot pair, letters
+        in alphabet order, by the right-reach recurrence of the module
+        docstring on the columns `cols`, one step per slot."""
+        by_right, _ = self._residue_pairs()
+        mult, images = self.monoid.mult, self.images
         steps = np.unique(images)
-
-        def right_step(reach):  # z . X_(k+1) from z . X_k
-            out = reach[mult[:, steps[0]]]
-            for b in steps[1:]:
-                out |= reach[mult[:, b]]
-            return out
-
-        seed = np.arange(size)[:, None] == cols  # z . X_0 = {z}
+        adm = np.empty((images.size, sum(map(len, by_right)), cols.size), dtype=bool)
+        seed = np.arange(self.monoid.size)[:, None] == cols  # z . X_0 = {z}
         reach = seed
-        for _ in range(s):
-            reach = right_step(reach)
+        for _ in range(self.smallest_index):  # z . X_s, as X_s = X_(least index)
+            reach = _right_step(mult, steps, reach)
         reach |= seed  # z . residues[0]
-        adm = np.empty((images.size, s, cols.size), dtype=bool)
-        for j in range(s):
-            r = s - 1 - j
-            adm[:, r] = reach[mult[self.residues[r], images[:, None]]].any(axis=1)
-            if j + 1 < s:
-                reach = right_step(reach)
+        for v, group in enumerate(by_right):  # reach is z . residues[v]
+            for k, u in group:
+                adm[:, k] = reach[mult[self.residues[u], images[:, None]]].any(axis=1)
+            if v + 1 < len(by_right):
+                reach = _right_step(mult, steps, reach)
         adm.flags.writeable = False
         return adm
 
-    def usable(self, e: int) -> np.ndarray:
-        """The usable-letter pattern of the idempotent e: u[a, r] iff e lies
-        in residues[r] . h(a) . residues[s-1-r], letters in alphabet order
-        (read-only).  The table behind it covers every idempotent and is
-        built on first use."""
+    def _usable_by_pair(self, e: int) -> np.ndarray:
+        """u[a, k]: the letter a is usable at the residues of the k-th slot
+        pair for the idempotent e.  The table behind it covers every
+        idempotent and is built on first use."""
         if self._adm is None:
             idempotents = self.monoid.idempotents()
             self._adm = self._admissible_at(np.array(idempotents, dtype=np.int64))
             self._column = {f: i for i, f in enumerate(idempotents)}
         return self._adm[:, :, self._column[e]]
+
+    def usable(self, e: int) -> np.ndarray:
+        """The usable-letter pattern of the idempotent e: u[a, r] iff e lies
+        in residues[r] . h(a) . residues[s-1-r], letters in alphabet order;
+        one gather of the per-pair table over the pair index."""
+        return self._usable_by_pair(e)[:, self._residue_pairs()[1]]
 
     def admissible_images(self, letter, r: int) -> frozenset[int]:
         """All values x . h(letter) . y with x in residues[r] and y in
@@ -201,10 +247,10 @@ class StabilityInfo:
         around an occurrence of the letter at position residue r+1.
         One row of the admissibility table over every element, built once
         per object by the recurrence of the module docstring, in
-        O(s |A| |M|^2) boolean work."""
+        O(n |A| |M|^2) boolean work for n residue slots."""
         if self._adm_all is None:
             self._adm_all = self._admissible_at(np.arange(self.monoid.size))
-        row = self._adm_all[self.alphabet.index(letter), r]
+        row = self._adm_all[self.alphabet.index(letter), self._residue_pairs()[1][r]]
         return frozenset(np.flatnonzero(row).tolist())
 
     def mes_members(self, e: int) -> np.ndarray:
@@ -212,23 +258,35 @@ class StabilityInfo:
         built once per usable-letter pattern and kept for the life of
         this object (read-only).
 
-        The images of the usable blocks are s frontier steps from the
+        The images of the usable blocks come from a frontier walk from the
         identity, step r through the letters usable at residue r; their
-        closure is the monoid's `generated`.  O(s |A| |M|) for the blocks.
+        closure is the monoid's `generated`.  Step r depends only on the
+        slot pair of r, and in the middle (J <= r < s - J) that repeats
+        with the period p, so the walk samples its frontier every p steps
+        there and jumps ahead over whole cycles once a sample repeats.
         """
         got = self._mes.get(e)
         if got is None:
-            usable = self.usable(e)
+            usable = self._usable_by_pair(e)
             key = usable.tobytes()
             got = self._mes_by_pattern.get(key)
             if got is None:
-                mon, images = self.monoid, self.images
+                mon, pair = self.monoid, self._residue_pairs()[1]
+                letters = [self.images[u] for u in usable.T]
+                s, p = self.index, self.period
+                lo, hi = self.preperiod, s - self.preperiod  # the middle
                 blocks = np.zeros(mon.size, dtype=bool)
                 blocks[mon.identity] = True
-                for r in range(self.index):
-                    ends = np.flatnonzero(blocks)
-                    blocks = np.zeros(mon.size, dtype=bool)
-                    blocks[mon.mult[ends[:, None], images[usable[:, r]]]] = True
+                seen = {}  # sampled frontier -> its r
+                r = 0
+                while r < s:
+                    if seen is not None and lo <= r <= hi - p and (r - lo) % p == 0:
+                        at = seen.setdefault(blocks.tobytes(), r)
+                        if at < r:  # the steps from r on repeat those from `at`
+                            r += (hi - r) // (r - at) * (r - at)
+                            seen = None
+                    blocks = _block_step(mon.mult, blocks, letters[pair[r]])
+                    r += 1
                 got = self._mes_by_pattern[key] = mon.generated(blocks)
             self._mes[e] = got
         return got
@@ -246,6 +304,23 @@ class StabilityInfo:
         an idempotent e of S: the closure of its J-class's upset {a in S :
         e in S a S} in the monoid's store (read-only)."""
         return self.monoid.generated(self.stable_j_classes.upset(e))
+
+
+def _right_step(mult: np.ndarray, steps: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """reach'[z] = OR_b reach[z . h(b)] over the letter images `steps`:
+    z . X_(k+1) from z . X_k."""
+    out = reach[mult[:, steps[0]]]
+    for b in steps[1:]:
+        out |= reach[mult[:, b]]
+    return out
+
+
+def _block_step(mult: np.ndarray, blocks: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """The mask of x . h(a) over the x marked in `blocks` and the letter
+    images `letters`."""
+    out = np.zeros(blocks.size, dtype=bool)
+    out[mult[blocks.nonzero()[0][:, None], letters]] = True
+    return out
 
 
 def _power_images(m: Morphism) -> _PowerImages:
@@ -266,8 +341,9 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
 
     Any multiple of the smallest index is again a stability index; the
     fragment checks must be invariant under the choice.  The stable set and
-    the residue sets are sorted read-only id arrays; residue sets equal as
-    pairs (X_r, X_(r+s)) share one array.  A multiplier
+    the residue sets are sorted read-only id arrays; the residue tuple is
+    built from its head below the preperiod and one period of power
+    images, which its tail repeats as the same arrays.  A multiplier
     above FREE_MULTIPLIER that gives s |M| above MAX_INDEX_CELLS raises
     CapError, on every call.
 
@@ -292,15 +368,14 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
         )
     stable = np.union1d(powers.at(s), [m.monoid.identity])
     stable.flags.writeable = False
-    residues = [stable]
-    unions = {}  # the power sets repeat with their period, so the unions do
-    for r in range(1, s):
-        low, high = powers.at(r), powers.at(r + s)
-        got = low if low is high else unions.get((id(low), id(high)))
-        if got is None:
-            got = unions[(id(low), id(high))] = np.union1d(low, high)
-            got.flags.writeable = False
-        residues.append(got)
+    # below the preperiod J, residues[r] = X_r | X_(r+s); from J on it is
+    # X_r, as s is a multiple of the period p, and X_r repeats with p
+    j, p = powers.preperiod, powers.period
+    head = [stable]
+    for r in range(1, j):
+        head.append(np.union1d(powers.at(r), powers.at(r + s)))
+        head[-1].flags.writeable = False
+    loop = [powers.at(r) for r in range(j, j + p)]
     images = np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
     info = m._stability[multiplier] = StabilityInfo(
         monoid=m.monoid,
@@ -308,8 +383,10 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
         images=images,
         index=s,
         smallest_index=smallest,
+        preperiod=j,
+        period=p,
         stable=stable,
-        residues=tuple(residues),
+        residues=tuple(chain(head, islice(cycle(loop), s - j))),
         _owner=weakref.ref(m),
     )
     return info

@@ -35,6 +35,10 @@ to the same objects:
   `inside` mask for the stable submonoid, and the Me local checks run
   from it at every idempotent, as the library ran them before it visited
   one idempotent per regular J-class;
+- `admissible_by_residues` and `mes_by_residues`: the admissibility
+  recurrence and the Mes block walk with one step per residue, as the
+  stability layer ran them before it worked per distinct residue slot
+  and jumped over repeating periods;
 - `stable_j_preorder`, the stable J preorder as a float product of the
   two stable ideal scatters, which `stability.stable_green_preorder`
   carried as its "Js" relation.
@@ -278,6 +282,56 @@ def mes_by_residue_search(info, e, adm=None):
         reached[r] |= hit
         frontier = np.flatnonzero(hit)
     return set(np.flatnonzero(reached[0]).tolist())
+
+
+def admissible_by_residues(info, cols):
+    """The table adm[a, r, i] (cols[i] in residues[r] . h(a) .
+    residues[s-1-r]) by the right-reach recurrence run once per residue:
+    s right steps from the seed {z} to z . X_s, then one step and one
+    gathered column per residue r, with no sharing of repeated residue
+    sets or pairs."""
+    s = info.index
+    mult, size = info.monoid.mult, info.monoid.size
+    images = info.images
+    steps = np.unique(images)
+
+    def right_step(reach):  # z . X_(k+1) from z . X_k
+        out = reach[mult[:, steps[0]]]
+        for b in steps[1:]:
+            out |= reach[mult[:, b]]
+        return out
+
+    cols = np.asarray(cols)
+    seed = np.arange(size)[:, None] == cols
+    reach = seed
+    for _ in range(s):
+        reach = right_step(reach)
+    reach |= seed
+    adm = np.empty((images.size, s, cols.size), dtype=bool)
+    for j in range(s):
+        r = s - 1 - j
+        adm[:, r] = reach[mult[info.residues[r], images[:, None]]].any(axis=1)
+        if j + 1 < s:
+            reach = right_step(reach)
+    return adm
+
+
+def mes_by_residues(info, e, adm=None):
+    """Mes at the idempotent e by the block walk with one frontier step per
+    residue: s steps from the identity, step r through the letters usable
+    at r (adm[a, r, e], from `admissible_by_residues` unless given), then
+    the closure of the block images."""
+    mon = info.monoid
+    if adm is None:
+        adm = admissible_by_residues(info, np.arange(mon.size))
+    usable = adm[:, :, e]
+    blocks = np.zeros(mon.size, dtype=bool)
+    blocks[mon.identity] = True
+    for r in range(info.index):
+        ends = np.flatnonzero(blocks)
+        blocks = np.zeros(mon.size, dtype=bool)
+        blocks[mon.mult[ends[:, None], info.images[usable[:, r]]]] = True
+    return closure_brute(mon.mult, mon.identity, np.flatnonzero(blocks).tolist())
 
 
 def syntactic_leq_by_contexts(h):

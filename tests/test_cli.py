@@ -512,3 +512,65 @@ def test_dfa_input_fuzz(tmp_path_factory, text):
     path.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["analyze", "--dfa", str(path)]) in (0, 2, 3)
+
+
+def regex_texts():
+    """Pattern-shaped texts: groups, alternations and stars over a few
+    letters, now and then with a stray metacharacter, an empty group or
+    whitespace, or simply a short run of pattern characters."""
+    letter = st.sampled_from(3 * ["a", "b"] + ["c", " ", ".", "()"])
+
+    def grow(sub):
+        return st.one_of(
+            st.lists(sub, min_size=1, max_size=3).map("".join),
+            st.lists(sub, min_size=2, max_size=3).map("|".join),
+            sub.map(lambda p: f"({p})"),
+            sub.map(lambda p: p + "*"),
+        )
+
+    pattern = st.recursive(letter, grow, max_leaves=8)
+    stray = st.sampled_from(12 * [""] + ["(", ")", "|", "*", "**", "()"])
+    noise = st.text(alphabet="ab()|* ", max_size=8)
+    return st.one_of(*4 * [st.tuples(stray, pattern, stray).map("".join)], noise)
+
+
+@given(text=regex_texts(), multiplier=st.sampled_from(["1", "1", "2", "5", "0"]))
+@settings(deadline=None, max_examples=150)
+def test_regex_input_fuzz(text, multiplier):
+    # an answer, malformed input (2) or a cap (3), never a traceback
+    argv = ["analyze", "--regex", text, "--index-multiplier", multiplier]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2, 3)
+
+
+def expr_texts():
+    """Expression-shaped texts over base, union, dprod and cprod.  Each
+    slot mostly holds the right kind of token and now and then a wrong
+    one: a bad modulus, a group for a letter, a wrong arity, an unknown
+    operator; a stray trailing form is added now and then."""
+    letter = st.sampled_from(8 * ["a", "b"] + ["c", "d", "()", "1"])
+    position = st.lists(letter, min_size=1, max_size=2).map(_group) | st.just("()")
+    base = st.lists(position, min_size=1, max_size=3).map(lambda sets: f"(base {_group(sets)})")
+    modulus = st.sampled_from(6 * ["1", "2", "3"] + ["0", "-1", "x", "1000000000000"])
+
+    def grow(sub):
+        union = st.tuples(st.just("union"), sub, sub).map(_group)
+        product = st.tuples(
+            st.sampled_from(["dprod", "cprod"]), modulus, sub, letter, sub).map(_group)
+        wrong = st.tuples(st.sampled_from(["union", "dprod", "base", "star"]),
+                          st.lists(sub, max_size=2).map(" ".join)).map(_group)
+        return st.one_of(*3 * [union], *6 * [product], wrong)
+
+    leaf = st.one_of(*8 * [base], st.sampled_from(["a", "(base ())", "(base)"]))
+    expr = st.recursive(leaf, grow, max_leaves=5)
+    tail = st.sampled_from(12 * [""] + [" (", " )", " (base ((a)))"])
+    return st.tuples(expr, tail).map("".join)
+
+
+@given(text=expr_texts(), alphabet=st.sampled_from(["a,b", "a,b,c", "b,c", "a", "a,a", ","]))
+@settings(deadline=None, max_examples=150)
+def test_expr_input_fuzz(text, alphabet):
+    # an answer, malformed input (2) or a cap (3), never a traceback
+    argv = ["expr", "check", f"--sexp={text}", "--alphabet", alphabet]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2, 3)

@@ -6,7 +6,7 @@ import pytest
 import exprsuite
 import oracles
 from fragcheck.automata import equivalent, minimize, mod1, regex_to_dfa
-from fragcheck.errors import InputError
+from fragcheck.errors import CapError, InputError
 from fragcheck.fologic import compile_formula, eval_formula
 from fragcheck.modprod import (
     Base,
@@ -82,6 +82,19 @@ def test_validator_flags_nonpositive_modulus():
     bad = DetProd(0, exprsuite.BC, "a", exprsuite.BC)
     violations = validate(bad, ["a", "b", "c"])
     assert "modulus" in {v.rule for v in violations}
+
+
+def test_huge_modulus_is_capped_not_enumerated():
+    # the residue checks walk (state, residue) pairs, so a modulus whose
+    # pairs exceed the state cap exits 3 at once instead of walking 10^12
+    # of them; just under the cap it still answers
+    huge = DetProd(10**12, exprsuite.EPS2, "a", exprsuite.EVEN2)
+    with pytest.raises(CapError):
+        validate(huge, ["a", "b"])
+    with pytest.raises(CapError):
+        expr_to_formula(huge, ["a", "b"])
+    large = DetProd(50_000, exprsuite.EPS2, "a", exprsuite.EVEN2)
+    assert validate(large, ["a", "b"]) == []
 
 
 def test_violation_paths_locate_subterms():

@@ -365,3 +365,71 @@ def test_analysed_morphism_is_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+PERIODIC = ("(bc)*", "a(bc)*", "(abc)*", "b(aa)*")
+MULTIPLIERS = (1, 2, 3, 5, 8)
+
+
+def _periodic_and_seeded(small_corpus):
+    for pattern in PERIODIC:
+        yield morphism(pattern)
+    for d in small_corpus[:12]:
+        yield transition_monoid(d, max_monoid=600)
+
+
+def test_per_pair_tables_match_per_residue_oracles(small_corpus):
+    brute_checked = 0
+    for h in _periodic_and_seeded(small_corpus):
+        idempotents = h.monoid.idempotents()
+        for multiplier in MULTIPLIERS:
+            info = stability_info(h, multiplier)
+            every = oracles.admissible_by_residues(info, np.arange(h.monoid.size))
+            usable = np.stack([info.usable(e) for e in idempotents], axis=2)
+            assert np.array_equal(usable, every[:, :, idempotents])
+            for i, a in enumerate(h.alphabet):
+                for r in range(info.index):
+                    assert info.admissible_images(a, r) == set(np.flatnonzero(every[i, r]).tolist())
+            small = info.index <= 6
+            if small:
+                brute = oracles.admissible_brute(h, info.index)
+                assert all(info.admissible_images(a, r) == images
+                           for (a, r), images in brute.items())
+            for e in idempotents:
+                mes = set(info.mes_members(e).tolist())
+                assert mes == oracles.mes_by_residues(info, e, every)
+                if small:
+                    assert mes == oracles.me_s_brute(h, info.index, e)
+                    brute_checked += 1
+    assert brute_checked > 100
+
+
+def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
+    # (bc)*: preperiod 2, period 2, least index 2; x166,666 is just under
+    # the index cap.  The recurrence takes one right step per residue slot
+    # (2 to reach X_s, then 3 more), one column per distinct slot pair, and
+    # the block walk samples every period in the middle and jumps once a
+    # sample repeats: 6 steps per usable pattern at x3 and above
+    from fragcheck import stability
+    counts = {"right": 0, "block": 0}
+
+    def counted(name, real):
+        def step(*args):
+            counts[name] += 1
+            return real(*args)
+        return step
+
+    monkeypatch.setattr(stability, "_right_step", counted("right", stability._right_step))
+    monkeypatch.setattr(stability, "_block_step", counted("block", stability._block_step))
+    d = minimize(regex_to_dfa("(bc)*"))
+    h = transition_monoid(d)
+    base = analyze(d, morphism=h)
+    seen = {}
+    for multiplier in (3, 166_666):
+        counts.update(right=0, block=0)
+        report = analyze(d, index_multiplier=multiplier, morphism=h)
+        info = stability_info(h, multiplier)
+        assert report.verdicts == base.verdicts and report.witnesses == base.witnesses
+        assert info.index == 2 * multiplier and len(info.residues) == info.index
+        seen[multiplier] = (dict(counts), info._adm.shape, len(info._mes_by_pattern))
+    assert seen[3] == seen[166_666] == ({"right": 5, "block": 24}, (2, 6, 4), 4)
