@@ -16,6 +16,7 @@ implication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -335,9 +336,8 @@ def build_mod_witness(
     bound = s * s * mon.size + 2
     cap = bound + 1 if max_monoid is None else min(max_monoid, bound + 1)
     g = generated_morphism(
-        sorted(letter_labels),
         letter_labels,
-        mult_label,
+        lambda l1: partial(mult_label, l1),
         _EPS,
         cap=cap,
         label_order=label_order,

@@ -228,6 +228,10 @@ def validate(e: LangExpr, alphabet) -> list[Violation]:
     return out
 
 
+# a uniform-length violation lists at most this many residues, then their count
+_RESIDUES_SHOWN = 8
+
+
 def _check(e: LangExpr, path: str, letters: tuple, out: list) -> Dfa | None:
     letter_set = set(letters)
     if isinstance(e, Base):
@@ -274,7 +278,9 @@ def _check(e: LangExpr, path: str, letters: tuple, out: list) -> Dfa | None:
             side, checked = "right", d2
         residues = length_residues(checked, n)
         if len(residues) != 1:
-            found = ", ".join(str(r) for r in sorted(residues)) or "none"
+            found = ", ".join(str(r) for r in sorted(residues)[:_RESIDUES_SHOWN]) or "none"
+            if len(residues) > _RESIDUES_SHOWN:
+                found += f", ... ({len(residues)} residues)"
             out.append(
                 Violation(
                     path,

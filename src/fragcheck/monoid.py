@@ -2,8 +2,16 @@
 
 Elements are integer ids 0..size-1.  Multiplication is a full table; the
 order, when present, is a full boolean matrix leq[x][y] meaning x <= y.
-Morphisms carry shortlex-least representative words for every element,
-computed during the generating breadth-first closure.
+Morphisms carry shortlex-least representative words for every element.
+
+Every morphism built here comes from one breadth-first closure,
+`generated_morphism` (Froidure & Pin 1997): transition monoids, whose
+product of tuple actions is one C call, `itemgetter(*t1)(t2)`, and the
+witness, wreath and power morphisms.  It keeps each element's parent and
+letter as ints and checks the size cap before it builds any word or table;
+the words then follow from the parents, and the table is written row by
+row, mult[x a] = mult[x][L_a] with L_a the left letter column: one |M|^2
+table plus O(|M|) temporaries.
 
 The syntactic order of a morphism with an accepting set P is built from
 the right quotients of P (the sets {r : p r in P}), compared by inclusion
@@ -29,6 +37,8 @@ Brute-force set products and Green's relations live in the test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -245,64 +255,70 @@ class Morphism:
 
 
 def generated_morphism(
-    alphabet,
     letter_labels: dict,
-    mult_label,
+    right_mult,
     identity_label,
     *,
     cap: int = DEFAULT_MAX_MONOID,
     label_order=None,
-    accepting_label=None,
+    label_accepting=None,
 ) -> Morphism:
     """Close the letter labels under multiplication and index the result.
 
-    Labels are opaque hashable values with `mult_label` as the product.
-    Element ids are assigned in breadth-first shortlex order, so id 0 is the
-    identity and every element's representative word is shortlex-least.
-    The closure evaluates every product x . a once and records it as the
-    letter column R_a[x]; the full multiplication table is then filled by
-    the column recurrence mult[x][y'a] = R_a[mult[x][y']].  When given,
-    `label_order` maps the list of labels, by element id, to the boolean
-    order matrix.
+    The letters are the keys of `letter_labels`, in sorted order.  Labels
+    are opaque hashable values.  `right_mult(x)` is the map
+    y -> x y on labels; the closure asks for it once per element and calls
+    it once per product x a, so with tuple actions and
+    `lambda t: itemgetter(*t)` (see `transition_monoid`) each product is
+    one C call, and the rest of its cost is one dict probe.  Element ids
+    are assigned in breadth-first shortlex order, so id 0 is the identity
+    and every element's representative word is shortlex-least.
+
+    The closure keeps, per element, its parent and letter as two int
+    lists, and the ids of its products with the letters (the right letter
+    columns R_a[x] = x a).  More than `cap` elements raise CapError before
+    any word or table is built.  The words then follow from the parents,
+    and `_fill_table` writes the table row by row: one |M|^2 table plus
+    O(|M|) temporaries.  When given, `label_order` maps the list of
+    labels, by element id, to the boolean order matrix, and
+    `label_accepting` maps it to one truth value per element id, which
+    marks the accepting set.
     """
     letters = sorted(letter_labels)
+    gens = [letter_labels[a] for a in letters]
+    k = len(gens)
     labels = [identity_label]
     index = {identity_label: 0}
-    words = [()]
-    parent = [None]  # (parent element, letter position) for non-identity
-    gen_cols = {a: [] for a in letters}  # R_a[x] = index of x . a
-
-    frontier = 0
-    while frontier < len(labels):
-        x = frontier
-        frontier += 1
-        for a in letters:
-            lab = mult_label(labels[x], letter_labels[a])
-            y = index.get(lab)
+    parent, last = [-1], [0]  # y = parent[y] letters[last[y]]; none for the identity
+    right = []  # right[x k + i]: the id of x letters[i]
+    # `labels` grows while it is walked: its tail is the breadth-first frontier
+    for x, lab in enumerate(labels):
+        times = right_mult(lab)
+        for g in gens:
+            z = times(g)
+            y = index.get(z)
             if y is None:
-                y = index[lab] = len(labels)
-                labels.append(lab)
-                words.append(words[x] + (a,))
-                parent.append((x, a))
-                if len(labels) > cap:
+                y = len(labels)
+                if y >= cap:
                     raise CapError(f"monoid size cap exceeded ({cap})")
-            gen_cols[a].append(y)
+                index[z] = y
+                labels.append(z)
+                parent.append(x)
+                last.append(len(right) - x * k)  # right holds x's products so far
+            right.append(y)
 
     m = len(labels)
-    gen_cols = {a: np.array(col, dtype=np.int64) for a, col in gen_cols.items()}
-    mult = np.empty((m, m), dtype=np.int64)
-    mult[:, 0] = np.arange(m)
-    for y in range(1, m):
-        py, a = parent[y]
-        mult[:, y] = gen_cols[a][mult[:, py]]
+    words = [()]
+    for p, i in zip(parent[1:], last[1:]):
+        words.append(words[p] + (letters[i],))
+    letter_map = {a: index[g] for a, g in zip(letters, gens)}
+    mult = _fill_table(right, parent, last, list(letter_map.values()))
 
     leq = None if label_order is None else label_order(labels)
-
     accepting = None
-    if accepting_label is not None:
-        accepting = frozenset(x for x in range(m) if accepting_label(labels[x]))
+    if label_accepting is not None:
+        accepting = frozenset(compress(range(m), label_accepting(labels)))
 
-    letter_map = {a: index[letter_labels[a]] for a in letters}
     monoid = OrderedMonoid(mult, 0, leq=leq, repr_words=words,
                            generators=list(letter_map.values()))
     return Morphism(
@@ -313,32 +329,61 @@ def generated_morphism(
     )
 
 
+def _fill_table(right: list, parent: list, last: list, gens: list) -> np.ndarray:
+    """The table of a monoid closed breadth first, from its right letter
+    columns right[x k + i] = x a_i (k letters), each element's parent and
+    letter, and the letter ids.
+
+    Row x a is row x gathered at the left letter column L_a[z] = a z, as
+    (x a) z = x (a z): one contiguous `take` per row, in id order, so each
+    row's parent row is already written.  The left columns follow from the
+    right ones in the same order, a (z b) = (a z) b."""
+    k, m = len(gens), len(parent)
+    columns = []
+    for g in gens:
+        col = [g]  # col[z] = g z
+        for p, i in zip(parent[1:], last[1:]):
+            col.append(right[col[p] * k + i])
+        columns.append(np.array(col, dtype=np.int64))
+    mult = np.empty((m, m), dtype=np.int64)
+    mult[0] = np.arange(m)
+    rows = list(mult)
+    # the ids are in range by construction; mode="clip" lets `take` write
+    # straight into the row, where the default mode buffers `out`
+    for y, p, i in zip(range(1, m), parent[1:], last[1:]):
+        rows[p].take(columns[i], out=rows[y], mode="clip")
+    return mult
+
+
+def _action_times(t: tuple):
+    # right multiplication by the action t: t then u, gathered by one C call
+    return itemgetter(*t)
+
+
 def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
     """The syntactic morphism of L(d): the transition monoid of the minimal
     automaton, with the image of the language as accepting set.
 
     A letter's label is its column of the minimal table (the Moore quotient
     of d's reachable table, state 0 initial), an element's the tuple of
-    the states each state moves to.  Element ids and words come from the
-    closure over words, so they do not depend on how the states are
-    numbered."""
+    the states each state moves to.  The product of t1 by t2 (t1, then t2)
+    is `itemgetter(*t1)(t2)`, one C call per product for every state
+    count: each tuple carries one more slot, a fixed point past the last
+    state, so that the gather returns a tuple also at one state.  The
+    accepting set is read off the labels' first slots in one pass.
+    Element ids and words come from the closure over words, so they do not
+    depend on how the states are numbered."""
     letters, t = dfa_table(d)
     delta, finals = minimal_table(t)
+    n = len(finals)
+    letter_labels = {a: (*col, n) for a, col in zip(letters, delta.T.tolist())}
     final_mask = finals.tolist()
-    letter_labels = {a: tuple(col) for a, col in zip(letters, delta.T.tolist())}
-    identity = tuple(range(len(final_mask)))
-
-    def compose(t1, t2):
-        # t1 then t2: the action of the concatenated word
-        return tuple(t2[s] for s in t1)
-
     return generated_morphism(
-        letters,
         letter_labels,
-        compose,
-        identity,
+        _action_times,
+        tuple(range(n + 1)),
         cap=max_monoid,
-        accepting_label=lambda t: final_mask[t[0]],
+        label_accepting=lambda labels: map(final_mask.__getitem__, map(itemgetter(0), labels)),
     )
 
 

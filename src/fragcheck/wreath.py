@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -137,9 +138,8 @@ def wreath_morphism(
         _check_pair(base, n, pair)
     identity = (tuple([base.identity] * n), 0)
     morphism = generated_morphism(
-        sorted(letter_pairs),
         dict(letter_pairs),
-        lambda p1, p2: pair_product(base, n, p1, p2),
+        lambda p1: partial(pair_product, base, n, p1),
         identity,
         cap=cap,
         label_order=lambda pairs: _pair_order(base, n, pairs),
@@ -205,9 +205,8 @@ def _power_hom(base: OrderedMonoid, n: int, letter_labels: dict, cap: int) -> Mo
         label_order = lambda labels: _pointwise_leq(base, labels, n)
 
     return generated_morphism(
-        sorted(letter_labels),
         letter_labels,
-        mult_label,
+        lambda t1: partial(mult_label, t1),
         tuple([base.identity] * n),
         cap=cap,
         label_order=label_order,

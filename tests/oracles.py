@@ -41,7 +41,12 @@ to the same objects:
   and jumped over repeating periods;
 - `stable_j_preorder`, the stable J preorder as a float product of the
   two stable ideal scatters, which `stability.stable_green_preorder`
-  carried as its "Js" relation.
+  carried as its "Js" relation;
+- `transition_monoid_by_tuples`, the transition-monoid closure with a
+  per-state generator as its product, the letter columns kept per letter
+  and the table filled column by column, as `monoid.generated_morphism`
+  ran it before its products became one C call and its table was filled
+  row by row.
 """
 
 import itertools
@@ -51,9 +56,10 @@ from itertools import product
 import numpy as np
 
 from fragcheck import fologic as fo
-from fragcheck.automata import DEFAULT_STATE_CAP, Nfa, decorate_word, make_dfa, mod1
+from fragcheck.automata import (
+    DEFAULT_STATE_CAP, Nfa, decorate_word, dfa_table, make_dfa, minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
-from fragcheck.monoid import OrderedMonoid
+from fragcheck.monoid import DEFAULT_MAX_MONOID, Morphism, OrderedMonoid
 from fragcheck.stability import _product_mask
 
 
@@ -908,3 +914,47 @@ def stable_j_preorder(info):
     right = _product_mask(mult, info.stable).astype(np.float32)
     left = _product_mask(mult, info.stable, left=True).astype(np.float32)
     return ((left @ right) > 0.5).T.copy()  # counts stay exact below 2^24 elements
+
+
+def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
+    """The syntactic morphism of L(d) by the breadth-first closure over
+    tuple actions: each product a per-state generator, each word built as
+    its element is found, the letter columns R_a[x] = x . a kept per
+    letter and the table filled by the column recurrence
+    mult[x][y a] = R_a[mult[x][y]]."""
+    letters, t = dfa_table(d)
+    delta, finals = minimal_table(t)
+    final_mask = finals.tolist()
+    letter_labels = {a: tuple(col) for a, col in zip(letters, delta.T.tolist())}
+    identity = tuple(range(len(final_mask)))
+    labels, index, words, parent = [identity], {identity: 0}, [()], [None]
+    gen_cols = {a: [] for a in letters}
+    frontier = 0
+    while frontier < len(labels):
+        x = frontier
+        frontier += 1
+        for a in letters:
+            lab = tuple(letter_labels[a][s] for s in labels[x])
+            y = index.get(lab)
+            if y is None:
+                y = index[lab] = len(labels)
+                labels.append(lab)
+                words.append(words[x] + (a,))
+                parent.append((x, a))
+                if len(labels) > max_monoid:
+                    raise CapError(f"monoid size cap exceeded ({max_monoid})")
+            gen_cols[a].append(y)
+    m = len(labels)
+    gen_cols = {a: np.array(col, dtype=np.int64) for a, col in gen_cols.items()}
+    mult = np.empty((m, m), dtype=np.int64)
+    mult[:, 0] = np.arange(m)
+    for y in range(1, m):
+        py, a = parent[y]
+        mult[:, y] = gen_cols[a][mult[:, py]]
+    letter_map = {a: index[letter_labels[a]] for a in letters}
+    return Morphism(
+        monoid=OrderedMonoid(mult, 0, repr_words=words, generators=list(letter_map.values())),
+        alphabet=tuple(letters),
+        letter_map=letter_map,
+        accepting=frozenset(x for x in range(m) if final_mask[labels[x][0]]),
+    )

@@ -1,0 +1,49 @@
+"""The summary rules of tools/bench_pairs.py, on synthetic pairs."""
+
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+
+def run(setup_s=None, exit=0, correct=True, failed=0):
+    metrics = {} if setup_s is None else {"setup_s": setup_s}
+    return {"exit": exit, "correct": correct, "attempted": 10, "failed": failed,
+            "metrics": metrics}
+
+
+def pairs(change_runs):
+    return [{"seed": n, "parent": run(2.0 + 0.01 * n), "change": c}
+            for n, c in enumerate(change_runs)]
+
+
+def test_a_clean_faster_change_meets_the_gain_rule():
+    got = bench_pairs.summarize(pairs([run(1.0)] * 10), METRICS)["setup_s"]
+    assert (got["won"], got["pairs"], got["gain_rule_met"]) == (10, 10, True)
+    assert not got["beyond_bound"]
+
+
+def test_a_crashed_change_run_counts_as_a_pair_and_is_not_won():
+    crashed = run(exit=1, correct=None, failed=None)
+    ps = pairs([run(1.0)] * 9 + [crashed])
+    got = bench_pairs.summarize(ps, METRICS)["setup_s"]
+    assert (got["won"], got["pairs"]) == (9, 10)
+    assert not got["gain_rule_met"]  # nine tenths won, but one more unclean run
+    assert bench_pairs.failures(ps)["change"] == {"failed_items": 0, "unclean_runs": 1}
+
+
+def test_wrong_or_failed_items_lose_the_pair_and_the_gain():
+    for bad in (run(1.0, correct=False), run(1.0, failed=2)):
+        got = bench_pairs.summarize(pairs([run(1.0)] * 9 + [bad]), METRICS)["setup_s"]
+        assert got["won"] == 9 and got["pairs"] == 10
+        assert not got["gain_rule_met"]
+
+
+def test_a_metric_missing_on_the_change_side_is_beyond_its_bound():
+    got = bench_pairs.summarize(pairs([run()] * 3), METRICS)["setup_s"]
+    assert got == {"won": 0, "pairs": 3, "beyond_bound": True, "gain_rule_met": False}

@@ -97,6 +97,21 @@ def test_huge_modulus_is_capped_not_enumerated():
     assert validate(large, ["a", "b"]) == []
 
 
+def test_uniform_length_message_lists_few_residues_then_their_count():
+    # (base ((b))) has every length residue: a small modulus lists them all,
+    # as before, a large one the first eight and their count
+    b = parse_expr("(base ((b)))")
+    (few,) = validate(CodetProd(5, b, "a", b), ["a", "b"])
+    assert few.rule == "uniform-length"
+    assert few.message == (
+        "right operand must have exactly one length residue mod 5, found: 1, 2, 3, 4, 5")
+    (many,) = validate(CodetProd(100_000, b, "a", b), ["a", "b"])
+    assert many.rule == "uniform-length"
+    assert many.message == (
+        "right operand must have exactly one length residue mod 100000, "
+        "found: 1, 2, 3, 4, 5, 6, 7, 8, ... (100000 residues)")
+
+
 def test_violation_paths_locate_subterms():
     bad = Union(make_base([{"a"}]), make_base([{"a"}]))
     violations = validate(bad, ["a"])

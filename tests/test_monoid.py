@@ -1,6 +1,8 @@
 """Ordered monoids, syntactic morphisms, Green's relations and the local
 submonoid conditions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,66 @@ def test_transition_monoid_minimizes_first():
     assert grew >= 10
 
 
+def _cyclic_counter(n):
+    # a counts modulo n, b does nothing; L = the lengths in a divisible by n
+    states = [f"c{i}" for i in range(n)]
+    delta = {(q, "a"): states[(i + 1) % n] for i, q in enumerate(states)}
+    delta.update({(q, "b"): q for q in states})
+    return make_dfa(["a", "b"], states, "c0", ["c0"], delta)
+
+
+def test_transition_monoid_matches_the_tuple_closure(small_corpus):
+    # the closure by one C call per product and the row fill against the
+    # per-state generator and column fill: equal ids, words, tables,
+    # letters and accepting sets, and the same cap at the boundary
+    def same(d, cap=monoid_module.DEFAULT_MAX_MONOID):
+        h, want = transition_monoid(d, cap), oracles.transition_monoid_by_tuples(d, cap)
+        assert np.array_equal(h.monoid.mult, want.monoid.mult)
+        assert h.monoid.repr_words == want.monoid.repr_words
+        assert h.letter_map == want.letter_map and h.alphabet == want.alphabet
+        assert h.accepting == want.accepting
+        return h
+
+    rng = np.random.default_rng(13)
+    ladder = []
+    while len(ladder) < 20:  # ladder-shaped draws
+        d = random_dfa(rng, 7, 2)
+        try:
+            ladder.append(same(d, 824))
+        except CapError as e:
+            assert str(e) == "monoid size cap exceeded (824)"
+            with pytest.raises(CapError, match=r"^monoid size cap exceeded \(824\)$"):
+                oracles.transition_monoid_by_tuples(d, 824)
+    assert max(h.monoid.size for h in ladder) > 200
+    for d in small_corpus:
+        same(d)
+    for finals in ([], ["q"]):  # the empty language and A*, one state each
+        d = make_dfa(["a", "b"], ["q"], "q", finals, {("q", "a"): "q", ("q", "b"): "q"})
+        assert same(d).monoid.size == 1
+    counter = _cyclic_counter(300)  # more states than a byte can name
+    assert same(counter).monoid.size == 300
+    same(counter, 300)  # exactly cap elements pass
+    for build in (transition_monoid, oracles.transition_monoid_by_tuples):
+        with pytest.raises(CapError, match=r"^monoid size cap exceeded \(299\)$"):
+            build(counter, 299)
+
+
+def test_transition_monoid_peak_memory_is_about_its_table():
+    # the first draw of seed 2 with |M| >= 1500 under the ladder's cap of
+    # 2000; the fill writes the table in place, with no second |M|^2 buffer
+    rng = np.random.default_rng(2)
+    for _ in range(170):
+        d = random_dfa(rng, 8, 2)
+    tracemalloc.start()
+    try:
+        h = transition_monoid(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.monoid.size == 1580
+    assert peak < 1.25 * h.monoid.mult.nbytes
+
+
 def test_transition_monoid_cap():
     with pytest.raises(CapError):
         transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")), max_monoid=3)
@@ -110,8 +172,8 @@ def test_transition_monoid_cap():
 
 def test_generated_morphism_modular_counter():
     h = generated_morphism(
-        ("a",), {"a": 1}, lambda x, y: (x + y) % 3, 0,
-        accepting_label=lambda x: x == 0)
+        {"a": 1}, lambda x: lambda y: (x + y) % 3, 0,
+        label_accepting=lambda labels: [x == 0 for x in labels])
     assert h.monoid.size == 3
     assert h.image("aaa") == h.monoid.identity
     assert h.accepting == frozenset({0})
@@ -119,7 +181,7 @@ def test_generated_morphism_modular_counter():
 
 def test_generated_morphism_cap():
     with pytest.raises(CapError):
-        generated_morphism(("a",), {"a": 1}, lambda x, y: (x + y) % 64, 0, cap=10)
+        generated_morphism({"a": 1}, lambda x: lambda y: (x + y) % 64, 0, cap=10)
 
 
 def test_syntactic_order_zero_positions():
@@ -145,7 +207,7 @@ def test_syntactic_order_is_idempotent_and_in_place():
 
 
 def test_syntactic_order_needs_accepting_set():
-    h = generated_morphism(("a",), {"a": 1}, lambda x, y: (x + y) % 2, 0)
+    h = generated_morphism({"a": 1}, lambda x: lambda y: (x + y) % 2, 0)
     with pytest.raises(InputError):
         syntactic_order(h)
 
@@ -153,8 +215,8 @@ def test_syntactic_order_needs_accepting_set():
 def test_syntactic_order_rejects_non_syntactic_morphism():
     # all elements share every context when everything is accepting
     h = generated_morphism(
-        ("a",), {"a": 1}, lambda x, y: (x + y) % 2, 0,
-        accepting_label=lambda x: True)
+        {"a": 1}, lambda x: lambda y: (x + y) % 2, 0,
+        label_accepting=lambda labels: [True] * len(labels))
     with pytest.raises(InputError):
         syntactic_order(h)
 
