@@ -8,6 +8,10 @@ left ideals.  Quotienting by one side and then re-checking stable Green
 triviality on the other yields the level of a language in the two
 alternation hierarchies: level 2 is stable R-triviality (or L-triviality on
 the opposite side), level k+1 allows one more quotient step.
+
+Both steps read Green's relations off `monoid.JClasses`, and a quotient
+knows its generators (the letter classes), so its J-classes come from
+the Cayley-graph search, as those of every morphism's monoid do.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError
 from .monoid import _GATHER_IDS, Morphism, OrderedMonoid
-from .stability import _product_mask, is_stable_trivial, stability_info
+from .stability import is_stable_trivial, stability_info
 
 _SIDES = ("K", "D")
 
@@ -38,13 +42,15 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
         raise InputError(f"unknown side {side!r}, expected K or D")
     mon = m.monoid
     size, mult = mon.size, mon.mult
-    idems = mon.idempotents()
+    upset, idems = mon.j_classes().upset, mon.idempotents()
 
-    # has[y, x] iff x in yM (K side) or x in My (D side); signature entry
-    # j of x is y = e_j x (or x e_j), or -1 when e_j falls out of y's ideal
-    has = _product_mask(mult, np.arange(size), left=side == "D")
-    ys = mult[idems].T if side == "K" else mult[:, idems]
-    sigs = np.where(has[ys, idems], ys, -1)
+    # signature entry j of x is y = e_j x (or x e_j), or -1 when e_j falls
+    # out of y's ideal: y lies below e_j, so e_j is in yM (or My) exactly
+    # when y lies in the J-upset of e_j
+    sigs = np.empty((size, len(idems)), dtype=np.int64)
+    for j, e in enumerate(idems):
+        ys = mult[e] if side == "K" else mult[:, e]
+        sigs[:, j] = np.where(upset(e)[ys], ys, -1)
 
     index: dict = {}
     class_of = [index.setdefault(row.tobytes(), len(index)) for row in sigs]
@@ -54,10 +60,13 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
         classes[c].append(x)
 
     # the class of x y must be the class of (rep of x)(rep of y), checked
-    # in blocks of rows so that no |M| x |M| array of ids is built
+    # in blocks of rows so that no |M| x |M| array of ids is built; the
+    # quotient table is mapped to class ids in place, as every id is in
+    # range
     cls = np.asarray(class_of, dtype=np.int64)
     reps = np.asarray([members[0] for members in classes], dtype=np.int64)
-    qmult = cls[mult[np.ix_(reps, reps)]]
+    qmult = mult[np.ix_(reps, reps)]
+    np.take(cls, qmult, out=qmult, mode="clip")
     block = max(1, _GATHER_IDS // size)
     for lo in range(0, size, block):
         rows = cls[lo:lo + block]
@@ -73,11 +82,13 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
     accepting = None
     if m.accepting is not None:
         accepting = frozenset(class_of[x] for x in m.accepting)
-    quotient_monoid = OrderedMonoid(qmult, class_of[mon.identity], repr_words=words)
+    letter_map = {a: class_of[x] for a, x in m.letter_map.items()}
+    quotient_monoid = OrderedMonoid(qmult, class_of[mon.identity], repr_words=words,
+                                    generators=list(letter_map.values()))
     quotient = Morphism(
         monoid=quotient_monoid,
         alphabet=m.alphabet,
-        letter_map={a: class_of[x] for a, x in m.letter_map.items()},
+        letter_map=letter_map,
         accepting=accepting,
     )
     return CongruenceQuotient(

@@ -27,7 +27,8 @@ read on its table, it yields the least idempotent of each regular J-class
 and the class's upset {a : e in TaT}, which generates the local
 submonoid Me.  Each generated submonoid is closed once per generator set
 and kept on the monoid (`generated`), so a J-class shares one Me, and
-the stability layer's Mes and stable Me share the store.
+the stability layer's Mes and stable Me share the store.  The upsets
+also serve `stability.is_stable_trivial` and `hierarchy.sim_quotient`.
 `local_condition` checks e x e REL e over a member source, at the given
 idempotents: one per regular J-class suffices for Me (see `JClasses`).
 Sets of elements are sorted read-only int64 id arrays throughout.

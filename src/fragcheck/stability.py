@@ -47,7 +47,8 @@ middle that repeats with p, so the walk samples its frontier every p
 steps there, and once a sample repeats it jumps over every whole cycle
 left in the middle: past that repeat its length no longer depends on s.
 The Me of the stable submonoid S closes the upset in S of its J-class,
-from the monoid's `JClasses` of S, which every multiplier shares.
+from the monoid's `JClasses` of S, which every multiplier shares, and
+`is_stable_trivial` reads stable R- and L-classes off the same upsets.
 
 `stability_info` keeps one `StabilityInfo` per (morphism, multiplier) in
 a memo on the morphism, beside the power images that all multipliers
@@ -392,50 +393,33 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     return info
 
 
-_RELATIONS = ("Rs", "Ls")
-
-
-_SCATTER_IDS = 1 << 16  # products gathered per scatter (512 KiB of int64 ids)
-
-
-def _product_mask(mult: np.ndarray, elems, left: bool = False) -> np.ndarray:
-    """mask[z, x] iff x in z E, or x in E z when `left`, for the ids E.
-    One scatter per block of rows, sized so that the gathered products
-    stay small next to the table."""
-    size = mult.shape[0]
-    elems = np.asarray(elems)
-    mask = np.zeros((size, size), dtype=bool)
-    block = max(1, _SCATTER_IDS // max(1, elems.size))
-    for lo in range(0, size, block):
-        rows = np.arange(lo, min(lo + block, size))
-        prods = mult[np.ix_(elems, rows)].T if left else mult[np.ix_(rows, elems)]
-        mask[rows[:, None], prods] = True
-    return mask
-
-
-def stable_green_preorder(info: StabilityInfo, relation: str) -> np.ndarray:
-    """leq[x][y] iff x is below-or-equal y in the stable Green preorder:
-    x in yS (Rs) or x in Sy (Ls).
-
-    The ideal mask has[y, x] (x in the ideal of y) is a scatter of the
-    table's stable columns (yS) or rows (Sy)."""
-    if relation not in _RELATIONS:
-        raise InputError(f"unknown stable relation {relation!r}")
-    has = _product_mask(info.monoid.mult, info.stable, left=relation == "Ls")
-    return has.T.copy()
-
-
 def is_stable_trivial(
     info: StabilityInfo, relation: str
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Whether every class of the stable relation is a singleton; returns
-    the least offending pair otherwise."""
-    leq = stable_green_preorder(info, relation)
-    mutual = leq & leq.T & ~np.eye(leq.shape[0], dtype=bool)
-    pairs = np.argwhere(mutual)
-    if len(pairs):
-        x, y = map(int, pairs[0])
-        return False, (x, y)
+    """Whether every class of the stable relation is a singleton: x and y
+    of M are Rs-related when x = y t' and y = x t for some t, t' in the
+    stable submonoid S (Ls: x = t' y, y = t x).  Returns (False, (e, y))
+    otherwise, for the least idempotent e of the first regular J-class of
+    S (`stable_j_classes`) whose R-class in S, the members of e S in the
+    upset of e, has another member, and the least such y (Ls: S e).
+
+    One idempotent per regular J-class of S is enough.  If x = y t' and
+    y = x t are distinct, f = (t t')^w is an idempotent of S with x = x f;
+    f t lies in f S and f = (f t) t' (t t')^(w-1), so f t is R-related to
+    f inside S, and f t != f, since otherwise y = x f t = x f = x.
+    Conversely, two R-related elements of S are related in M.  All
+    R-classes of one regular D-class have the same size, and J = D in
+    the finite S, so the class of f is non-trivial exactly when the
+    R-class of its least idempotent is.  Ls is the mirror image.
+    """
+    if relation not in ("Rs", "Ls"):
+        raise InputError(f"unknown stable relation {relation!r}")
+    mult, stable, classes = info.monoid.mult, info.stable, info.stable_j_classes
+    for e in classes.representatives():
+        ideal = mult[e, stable] if relation == "Rs" else mult[stable, e]
+        others = ideal[classes.upset(e)[ideal] & (ideal != e)]
+        if others.size:
+            return False, (e, int(others.min()))
     return True, None
 
 

@@ -39,9 +39,13 @@ to the same objects:
   recurrence and the Mes block walk with one step per residue, as the
   stability layer ran them before it worked per distinct residue slot
   and jumped over repeating periods;
-- `stable_j_preorder`, the stable J preorder as a float product of the
-  two stable ideal scatters, which `stability.stable_green_preorder`
-  carried as its "Js" relation;
+- `stable_green_preorder` (with `_product_mask`), the stable R and L
+  preorders over all of M by |M|^2 scatters of the table's stable
+  columns or rows, from which `stability.is_stable_trivial` and
+  `hierarchy.sim_quotient` read their ideals before they read the
+  J-upsets of `monoid.JClasses`; and `stable_j_preorder`, the stable J
+  preorder as a float product of the two stable ideal scatters, which
+  `stable_green_preorder` carried as its "Js" relation;
 - `transition_monoid_by_tuples`, the transition-monoid closure with a
   per-state generator as its product, the letter columns kept per letter
   and the table filled column by column, as `monoid.generated_morphism`
@@ -60,7 +64,6 @@ from fragcheck.automata import (
     DEFAULT_STATE_CAP, Nfa, decorate_word, dfa_table, make_dfa, minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import DEFAULT_MAX_MONOID, Morphism, OrderedMonoid
-from fragcheck.stability import _product_mask
 
 
 def words(alphabet, max_len):
@@ -905,6 +908,36 @@ def local_checks_at_every_idempotent(h, info):
         "pi2_lt": local_condition_brute(mon, "geq", me_by_passes(None)),
         "fo2_mod_qda": local_condition_brute(mon, "eq", me_by_passes(inside), stable),
     }
+
+
+_SCATTER_IDS = 1 << 16  # products gathered per scatter (512 KiB of int64 ids)
+
+
+def _product_mask(mult, elems, left=False):
+    """mask[z, x] iff x in z E, or x in E z when `left`, for the ids E.
+    One scatter per block of rows, sized so that the gathered products
+    stay small next to the table."""
+    size = mult.shape[0]
+    elems = np.asarray(elems)
+    mask = np.zeros((size, size), dtype=bool)
+    block = max(1, _SCATTER_IDS // max(1, elems.size))
+    for lo in range(0, size, block):
+        rows = np.arange(lo, min(lo + block, size))
+        prods = mult[np.ix_(elems, rows)].T if left else mult[np.ix_(rows, elems)]
+        mask[rows[:, None], prods] = True
+    return mask
+
+
+def stable_green_preorder(info, relation):
+    """leq[x][y] iff x is below-or-equal y in the stable Green preorder:
+    x in yS (Rs) or x in Sy (Ls), for every x and y of M.
+
+    The ideal mask has[y, x] (x in the ideal of y) is a scatter of the
+    table's stable columns (yS) or rows (Sy)."""
+    if relation not in ("Rs", "Ls"):
+        raise InputError(f"unknown stable relation {relation!r}")
+    has = _product_mask(info.monoid.mult, info.stable, left=relation == "Ls")
+    return has.T.copy()
 
 
 def stable_j_preorder(info):

@@ -36,7 +36,7 @@ from fragcheck.monoid import (
     local_condition,
     transition_monoid,
 )
-from fragcheck.stability import stability_info, stable_green_preorder
+from fragcheck.stability import stability_info
 from fragcheck.wreath import lift_decorated_hom, project_hom
 
 CORPUS_SIZE = 200
@@ -440,8 +440,8 @@ def test_criterion_9_structural_invariants_on_corpus():
         green = oracles.green_classes(mon)
         r_eq = equivalence(green.r_leq)
         l_eq = equivalence(green.l_leq)
-        rs_leq = stable_green_preorder(info, "Rs")
-        ls_leq = stable_green_preorder(info, "Ls")
+        rs_leq = oracles.stable_green_preorder(info, "Rs")
+        ls_leq = oracles.stable_green_preorder(info, "Ls")
         rs_eq = equivalence(rs_leq)
         ls_eq = equivalence(ls_leq)
         context_eq, _ = local_condition(mon, mon.idempotents(), info.mes_members)

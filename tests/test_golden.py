@@ -13,6 +13,7 @@ import exprsuite
 from fragcheck.automata import dfa_to_json
 from fragcheck.fologic import compile_formula, parse_formula
 from fragcheck.fragments import analyze
+from fragcheck.hierarchy import sim_quotient, wv_level
 from fragcheck.modprod import expr_to_formula
 from fragcheck.monoid import transition_monoid
 from test_acceptance import CORPUS_CAP, SENTENCES, corpus
@@ -27,6 +28,10 @@ GOLDEN = {
     # of the criterion 7 expressions translated to formulas
     "fo compile": "7ff6abcb61cb7b2607a6a7579764f4da5a03157d0bd2f0aeeff67dcfc963ec28",
 }
+
+# `wv_level(h, max_level=|M| + 2)` as (w, v, w_sizes, v_sizes), then the
+# `class_of` of the K and D signature quotients, of every corpus language
+HIERARCHY = "bf6885bfdecbb726e8dc398c7379e0313ca8ad0cbe74ee751a81782c185707f9"
 
 
 def test_outputs_match_golden_digests():
@@ -44,3 +49,14 @@ def test_outputs_match_golden_digests():
     for formula, alphabet in formulas:
         digests["fo compile"].update(dfa_to_json(compile_formula(formula, alphabet)).encode())
     assert {name: h.hexdigest() for name, h in digests.items()} == GOLDEN
+
+
+def test_hierarchy_matches_golden_digest():
+    digest = hashlib.sha256()
+    for d in corpus():
+        h = transition_monoid(d, CORPUS_CAP)
+        lv = wv_level(h, max_level=h.monoid.size + 2)
+        digest.update(repr((lv.w, lv.v, lv.w_sizes, lv.v_sizes)).encode())
+        for side in ("K", "D"):
+            digest.update(repr(sim_quotient(h, side).class_of).encode())
+    assert digest.hexdigest() == HIERARCHY

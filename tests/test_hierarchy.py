@@ -1,5 +1,7 @@
 """Idempotent-signature quotients and the two alternation level counters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fragcheck.automata import minimize, regex_to_dfa
 from fragcheck.errors import InputError
 from fragcheck.hierarchy import sim_quotient, wv_level
 from fragcheck.monoid import transition_monoid
+from test_monoid import mid_size_draw
 
 
 def morphism(pattern):
@@ -74,6 +77,21 @@ def test_sim_quotient_never_grows(small_corpus):
             q = sim_quotient(h, side)
             assert q.quotient.monoid.size <= h.monoid.size
             assert sum(len(c) for c in q.classes) == h.monoid.size
+
+
+def test_sim_quotient_peak_memory_is_below_two_tables():
+    # one |Q|^2 quotient table mapped in place, signatures read off the
+    # J-upsets, and the congruence checked in blocks of rows
+    h = transition_monoid(mid_size_draw())
+    for side in ("K", "D"):
+        tracemalloc.start()
+        try:
+            q = sim_quotient(h, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.quotient.monoid.size <= h.monoid.size == 1580
+        assert peak < 2 * h.monoid.mult.nbytes
 
 
 def test_sim_quotient_rejects_unknown_side():

@@ -149,12 +149,18 @@ def test_transition_monoid_matches_the_tuple_closure(small_corpus):
             build(counter, 299)
 
 
-def test_transition_monoid_peak_memory_is_about_its_table():
-    # the first draw of seed 2 with |M| >= 1500 under the ladder's cap of
-    # 2000; the fill writes the table in place, with no second |M|^2 buffer
+def mid_size_draw():
+    """The first draw of seed 2 with |M| >= 1500 under the ladder's cap of
+    2000 (|M| = 1580), as a DFA; the memory guards run on its monoid."""
     rng = np.random.default_rng(2)
     for _ in range(170):
         d = random_dfa(rng, 8, 2)
+    return d
+
+
+def test_transition_monoid_peak_memory_is_about_its_table():
+    # the fill writes the table in place, with no second |M|^2 buffer
+    d = mid_size_draw()
     tracemalloc.start()
     try:
         h = transition_monoid(d)

@@ -3,6 +3,7 @@ submonoid of an idempotent."""
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ import oracles
 from fragcheck.automata import make_dfa, minimize, regex_to_dfa
 from fragcheck.errors import CapError, ConsistencyError, InputError
 from fragcheck.fragments import LanguageAnalysis, analyze
+from fragcheck.hierarchy import sim_quotient
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
@@ -25,8 +27,8 @@ from fragcheck.stability import (
     me_s,
     stability_index,
     stability_info,
-    stable_green_preorder,
 )
+from test_monoid import mid_size_draw
 
 
 def morphism(pattern, **kw):
@@ -126,7 +128,7 @@ def test_me_s_requires_idempotent():
 def test_stable_preorder_and_triviality():
     h = morphism("(bc)*")
     info = stability_info(h)
-    leq = stable_green_preorder(info, "Rs")
+    leq = oracles.stable_green_preorder(info, "Rs")
     one, bc = h.monoid.identity, h.image("bc")
     sink = h.image("bb")
     assert leq[sink, one] and not leq[one, sink]
@@ -134,13 +136,13 @@ def test_stable_preorder_and_triviality():
     ok, pair = is_stable_trivial(info, "Rs")
     assert ok and pair is None
     with pytest.raises(InputError):
-        stable_green_preorder(info, "Hs")
+        oracles.stable_green_preorder(info, "Hs")
 
 
 def test_stable_nontrivial_for_group():
     h = morphism("(b*ab*a)*b*")
     info = stability_info(h)
-    leq = stable_green_preorder(info, "Rs")
+    leq = oracles.stable_green_preorder(info, "Rs")
     ok, pair = is_stable_trivial(info, "Rs")
     assert not ok and pair is not None
     x, y = pair
@@ -156,7 +158,48 @@ def test_stable_triviality_on_even_length():
     js = oracles.stable_j_preorder(info)
     assert not (js & js.T & ~np.eye(js.shape[0], dtype=bool)).any()
     with pytest.raises(InputError):
-        stable_green_preorder(info, "Js")
+        oracles.stable_green_preorder(info, "Js")
+
+
+def test_stable_triviality_agrees_with_the_preorder_oracle(small_corpus):
+    # one idempotent per regular J-class of S against the mutual pairs of
+    # the |M|^2 ideal masks, on the corpus and on both signature quotients
+    cases = trivial = 0
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        for m in (h, sim_quotient(h, "K").quotient, sim_quotient(h, "D").quotient):
+            for multiplier in (1, 2, 3):
+                info = stability_info(m, multiplier)
+                for rel in ("Rs", "Ls"):
+                    leq = oracles.stable_green_preorder(info, rel)
+                    mutual = leq & leq.T & ~np.eye(m.monoid.size, dtype=bool)
+                    ok, pair = is_stable_trivial(info, rel)
+                    assert ok == (not mutual.any())
+                    if ok:
+                        assert pair is None
+                        trivial += 1
+                    else:
+                        e, y = pair
+                        assert m.monoid.is_idempotent(e) and e != y and mutual[e, y]
+                    cases += 1
+        with pytest.raises(InputError):
+            is_stable_trivial(stability_info(h), "Hs")
+    assert cases == 720 and 0 < trivial < cases
+
+
+def test_stable_triviality_peak_memory_is_far_below_the_table():
+    # no |M|^2 mask: the stable J-classes' upsets and one row of S per class
+    h = transition_monoid(mid_size_draw())
+    info = stability_info(h)
+    tracemalloc.start()
+    try:
+        for rel in ("Rs", "Ls"):
+            is_stable_trivial(info, rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.monoid.size == 1580
+    assert peak < h.monoid.mult.nbytes / 8
 
 
 def test_stability_against_brute_powers(small_corpus):
