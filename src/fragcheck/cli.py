@@ -554,9 +554,9 @@ def xcheck_battery(d: Dfa, max_monoid: int, morphism: Morphism | None = None) ->
     s = info.index
     if report.verdicts["sigma2_mod"] and s * s * mon.size <= 400:
         g = build_mod_witness(ordered, info)
-        ok, _ = local_condition(g.monoid, g.monoid.idempotents(), g.monoid.me_members,
-                                g.monoid.leq)
-        if not ok:
+        (offender,) = local_condition(g.monoid, g.monoid.idempotents(), g.monoid.me_members,
+                                      (g.monoid.leq,))
+        if offender is not None:
             failures.append("witness-local-condition")
         holds, _ = verify_vmod_implication(ordered, g, s, 2 * s + 2)
         if not holds:

@@ -93,6 +93,12 @@ class FragmentReport:
         return "\n".join(lines) + "\n"
 
 
+# The local fragments decided by one sweep over a member source, as
+# (e x e = e, e x e <= e, e x e >= e): over Me, and over Mes
+_ME_FRAGMENTS = ("fo2_lt", "sigma2_lt", "pi2_lt")
+_MES_FRAGMENTS = ("fo2_mod_new", "sigma2_mod", "pi2_mod")
+
+
 class LanguageAnalysis:
     """Lazy pipeline from a DFA to fragment verdicts.
 
@@ -106,6 +112,15 @@ class LanguageAnalysis:
     computed once and kept, so the conjunctions read their halves; the
     stable-submonoid checks run on the parent table through the ids of
     the stable submonoid.
+
+    The local fragments over one member source are decided together by
+    one `local_condition` sweep: fo2_lt, sigma2_lt and pi2_lt over Me, at
+    one idempotent per regular J-class (see `monoid.JClasses`), and
+    fo2_mod_new, sigma2_mod and pi2_mod over Mes, at every idempotent.
+    The order relations join a sweep when one of them is asked for or the
+    order is already bound on the monoid, so a lone equality check
+    (fo2_lt, fo2_mod_new) builds no order; a later order check sweeps
+    again for the relations still open.
     """
 
     def __init__(
@@ -150,22 +165,25 @@ class LanguageAnalysis:
             return True, None
         return False, self._words(monoid.omega(x), x)
 
-    def _local(self, members, order=None, idempotents=None) -> tuple[bool, Witness]:
-        """e x e against e over `members`, at every idempotent of the
-        monoid unless `idempotents` are given (see `local_condition`)."""
-        monoid = self.morphism.monoid
-        if idempotents is None:
-            idempotents = monoid.idempotents()
-        ok, pair = local_condition(monoid, idempotents, members, order)
-        if ok:
-            return True, None
-        return False, self._words(*pair)
+    def _local(self, members, idempotents, relations: dict) -> dict:
+        """The verdict of each fragment of `relations` (fragment -> order,
+        None for equality), from one sweep of e x e against e over
+        `members` at `idempotents` (see `local_condition`)."""
+        offenders = local_condition(self.morphism.monoid, idempotents, members,
+                                    tuple(relations.values()))
+        return {fid: (True, None) if pair is None else (False, self._words(*pair))
+                for fid, pair in zip(relations, offenders)}
 
-    def _local_me(self, order=None) -> tuple[bool, Witness]:
-        """e x e against e over Me, once per regular J-class (see
-        `monoid.JClasses`)."""
-        monoid = self.morphism.monoid
-        return self._local(monoid.me_members, order, monoid.j_classes().representatives())
+    def _relations(self, fragments: tuple, asked: str) -> dict:
+        """The fragments of one member source, (=, <=, >=), still to decide
+        with `asked`, each with its order (None for equality); the order
+        relations only when one is asked or the order is bound."""
+        eq, le, ge = fragments
+        relations = {eq: None}
+        if asked != eq or self.morphism.monoid.leq is not None:
+            leq = self.ordered.monoid.leq
+            relations.update({le: leq, ge: leq.T})
+        return {fid: order for fid, order in relations.items() if fid not in self._verdicts}
 
     def _conjunction(self, first: str, second: str) -> tuple[bool, Witness]:
         ok, witness = self.check(first)
@@ -174,37 +192,36 @@ class LanguageAnalysis:
         return self.check(second)
 
     def check(self, fragment: str) -> tuple[bool, Witness]:
-        got = self._verdicts.get(fragment)
-        if got is None:
-            got = self._verdicts[fragment] = self._check(fragment)
-        return got
+        if fragment not in self._verdicts:
+            self._verdicts.update(self._check(fragment))
+        return self._verdicts[fragment]
 
-    def _check(self, fragment: str) -> tuple[bool, Witness]:
-        if fragment == "fo_lt":
-            return self._aperiodicity()
-        if fragment == "fo2_lt":
-            return self._local_me()
-        if fragment == "sigma2_lt":
-            return self._local_me(self.ordered.monoid.leq)
-        if fragment == "pi2_lt":
-            return self._local_me(self.ordered.monoid.leq.T)
-        if fragment == "delta2_lt":
-            return self._conjunction("sigma2_lt", "pi2_lt")
-        if fragment == "fo_mod":
-            return self._aperiodicity(self.stability.stable)
+    def _check(self, fragment: str) -> dict:
+        """The verdict of `fragment`, with those its sweep decides too."""
+        if fragment in _ME_FRAGMENTS:
+            monoid = self.morphism.monoid
+            relations = self._relations(_ME_FRAGMENTS, fragment)
+            return self._local(monoid.me_members, monoid.j_classes().representatives(),
+                               relations)
+        if fragment in _MES_FRAGMENTS:
+            relations = self._relations(_MES_FRAGMENTS, fragment)
+            return self._local(self.stability.mes_members, self.morphism.monoid.idempotents(),
+                               relations)
         if fragment == "fo2_mod_qda":
             info = self.stability
-            return self._local(info.stable_me_members,
-                               idempotents=info.stable_j_classes.representatives())
-        if fragment == "sigma2_mod":
-            return self._local(self.stability.mes_members, self.ordered.monoid.leq)
-        if fragment == "pi2_mod":
-            return self._local(self.stability.mes_members, self.ordered.monoid.leq.T)
-        if fragment == "delta2_mod":
-            return self._conjunction("sigma2_mod", "pi2_mod")
-        if fragment == "fo2_mod_new":
-            return self._local(self.stability.mes_members)
-        raise InputError(f"unknown fragment {fragment!r}")
+            return self._local(info.stable_me_members, info.stable_j_classes.representatives(),
+                               {fragment: None})
+        if fragment == "fo_lt":
+            got = self._aperiodicity()
+        elif fragment == "fo_mod":
+            got = self._aperiodicity(self.stability.stable)
+        elif fragment == "delta2_lt":
+            got = self._conjunction("sigma2_lt", "pi2_lt")
+        elif fragment == "delta2_mod":
+            got = self._conjunction("sigma2_mod", "pi2_mod")
+        else:
+            raise InputError(f"unknown fragment {fragment!r}")
+        return {fragment: got}
 
 
 def analyze(
@@ -216,6 +233,8 @@ def analyze(
 ) -> FragmentReport:
     """Run every fragment check and assemble a report.  `morphism`, when
     given, is the syntactic morphism of L(d), as `LanguageAnalysis` takes it.
+    The syntactic order is bound before the local checks, so that one
+    sweep per member source (Me, Mes, the stable Me) decides them all.
 
     Two equalities hold for every language and are asserted here: the
     two-variable modular criterion agrees with DA on the stable monoid,
@@ -226,6 +245,7 @@ def analyze(
         d, language_id=language_id, max_monoid=max_monoid,
         index_multiplier=index_multiplier, morphism=morphism,
     )
+    syntactic_order(pipeline.morphism)  # bound first: one sweep decides =, <= and >=
     verdicts = {}
     witnesses = {}
     for fid in FRAGMENTS:
@@ -284,8 +304,8 @@ def build_mod_witness(
         raise InputError("witness construction needs the syntactic order")
     if info.morphism is not m:
         raise InputError("stability data belongs to a different morphism")
-    ok, pair = local_condition(mon, mon.idempotents(), info.mes_members, mon.leq)
-    if not ok:
+    (pair,) = local_condition(mon, mon.idempotents(), info.mes_members, (mon.leq,))
+    if pair is not None:
         e, x = pair
         raise InputError(
             "hypothesis violated: e x e <= e fails at "

@@ -13,14 +13,20 @@ the words then follow from the parents, and the table is written row by
 row, mult[x a] = mult[x][L_a] with L_a the left letter column: one |M|^2
 table plus O(|M|) temporaries.
 
+Every table handed to `OrderedMonoid` is checked: its entries in range
+(one pass), the identity law, and associativity, over the whole |M|^3
+cube at 64 elements or fewer and at 4096 fixed pseudo-random triples
+above that.
+
 The syntactic order of a morphism with an accepting set P is built from
 the right quotients of P (the sets {r : p r in P}), compared by inclusion
 once per pair of distinct quotients and then pulled back along the
-action of each element: O(|M|^2 k) time and O(|M|^2) memory for k
+action of each element, as packed rows of bits ANDed over the quotients:
+O(k |M|^2 / 8) time plus one |M|^2 unpack into the boolean matrix, for k
 distinct quotients, where k is the state count of the minimal automaton.
 This is Pin's ordered syntactic monoid ("A variety theorem without
 complementation", 1995).  Brute-force context enumeration of the same
-order lives in the test oracles.
+order, and its earlier byte-gather route, live in the test oracles.
 
 The J-order has one owner, `JClasses`: for the monoid, or a submonoid
 read on its table, it yields the least idempotent of each regular J-class
@@ -29,14 +35,16 @@ submonoid Me.  Each generated submonoid is closed once per generator set
 and kept on the monoid (`generated`), so a J-class shares one Me, and
 the stability layer's Mes and stable Me share the store.  The upsets
 also serve `stability.is_stable_trivial` and `hierarchy.sim_quotient`.
-`local_condition` checks e x e REL e over a member source, at the given
-idempotents: one per regular J-class suffices for Me (see `JClasses`).
+`local_condition` checks e x e = e, <= e and >= e over a member source
+in one sweep of the given idempotents, computing e x e once per visit:
+one idempotent per regular J-class suffices for Me (see `JClasses`).
 Sets of elements are sorted read-only int64 id arrays throughout.
 Brute-force set products and Green's relations live in the test oracles.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
@@ -59,6 +67,14 @@ def format_word(word: Word) -> str:
     return " ".join(str(a) for a in word)
 
 
+# 3 x 4096 fractions in [0, 1), drawn once: scaled by the size of a table
+# above 64 elements, they are the triples its associativity is sampled at.
+# Each is 53 random bits of a seeded standard-library generator, as
+# importing numpy.random would cost about 30 ms and 6 MB at every start.
+_TRIPLES = (np.frombuffer(random.Random(0).randbytes(3 * 4096 * 8), dtype=np.uint64)
+            >> np.uint64(11)).reshape(3, 4096) * 2.0 ** -53
+
+
 class OrderedMonoid:
     """A finite monoid with an optional compatible partial order.
 
@@ -68,14 +84,15 @@ class OrderedMonoid:
     """
 
     def __init__(self, mult, identity: int, leq=None, repr_words=None, generators=None):
-        self.mult = np.asarray(mult, dtype=np.int64)
+        self.mult = np.ascontiguousarray(mult, dtype=np.int64)  # flat takes read it in place
         if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
             raise InputError("multiplication table must be square")
         self.size = int(self.mult.shape[0])
         self.identity = int(identity)
         if not (0 <= self.identity < self.size):
             raise InputError("identity out of range")
-        if self.mult.size and (self.mult.min() < 0 or self.mult.max() >= self.size):
+        # one pass: a negative entry reads as a huge unsigned one
+        if self.mult.view(np.uint64).max() >= self.size:
             raise InputError("multiplication table entry out of range")
         self.leq = None if leq is None else np.asarray(leq, dtype=bool)
         if self.leq is not None and self.leq.shape != (self.size, self.size):
@@ -99,20 +116,25 @@ class OrderedMonoid:
         self._j_classes = {}  # None, or a submonoid's packed mask -> its JClasses
 
     def _validate(self):
+        """The identity law on its row and column, then associativity: the
+        whole |M|^3 cube at 64 elements or fewer, on a uint8 copy of the
+        table (256 KiB at 64), and above that the 4096 triples `_TRIPLES`
+        picks for the size, read by flat takes of the table.  An order is
+        checked reflexive and antisymmetric, and transitive at 64 elements
+        or fewer."""
         m, mult = self.size, self.mult
         e = self.identity
         if not (np.array_equal(mult[e], np.arange(m)) and
                 np.array_equal(mult[:, e], np.arange(m))):
             raise InputError("identity law fails")
         if m <= 64:
-            left = mult[mult]            # [x, y, z] -> (xy)z
-            right = mult[:, mult]        # [x, y, z] -> x(yz)
-            if not np.array_equal(left, right):
+            small = mult.astype(np.uint8)
+            if not np.array_equal(small[small], small[:, small]):  # (xy)z, x(yz)
                 raise InputError("multiplication is not associative")
         else:
-            rng = np.random.default_rng(m)
-            xs, ys, zs = rng.integers(0, m, size=(3, 4096))
-            if not np.array_equal(mult[mult[xs, ys], zs], mult[xs, mult[ys, zs]]):
+            xs, ys, zs = (_TRIPLES * m).astype(np.int64)
+            if not np.array_equal(mult.take(mult.take(xs * m + ys) * m + zs),
+                                  mult.take(xs * m + mult.take(ys * m + zs))):
                 raise InputError("multiplication is not associative")
         if self.leq is not None:
             if not self.leq.diagonal().all():
@@ -397,9 +419,16 @@ def syntactic_order(m: Morphism) -> Morphism:
     exactly when r lies in the quotient of p y, so x <= y iff the quotient
     of p y is included in the quotient of p x for every p.  The quotient of
     p y depends only on the quotient of p and on y, so one representative
-    p per distinct quotient suffices.  With k distinct quotients (the
-    states of the minimal automaton, for a transition monoid) this costs
-    O(|M|^2 k) time and O(|M|^2) memory.
+    p per distinct quotient suffices: with k distinct quotients (the
+    states of the minimal automaton, for a transition monoid) and
+    act[c, x] the quotient of rep_c x, x <= y iff contains[act[c, x],
+    act[c, y]] for every c, where contains[i, j] says that quotient j is
+    included in quotient i.
+
+    The rows of the matrix are built as packed bits (`_order_bits`) and
+    unpacked once: O(k |M|^2 / 8) time plus one |M|^2 unpack.  The traced
+    peak is about 1.2 |M|^2 bytes, the order included, as the bits of the
+    quotients are dropped before the AND pass.
 
     The order is canonical for the accepting set, so it is bound onto the
     morphism's monoid in place (idempotently) and the same morphism is
@@ -407,7 +436,8 @@ def syntactic_order(m: Morphism) -> Morphism:
     automaton, so the relation is still checked for antisymmetry: it
     fails, with InputError, exactly when two elements share every context,
     which means the morphism was not the syntactic morphism of its
-    accepting set.
+    accepting set.  Two elements share every context exactly when every
+    quotient moves them alike: when two columns of act are equal.
     """
     if m.monoid.leq is not None:
         return m
@@ -418,33 +448,61 @@ def syntactic_order(m: Morphism) -> Morphism:
     acc = np.zeros(size, dtype=bool)
     acc[list(m.accepting)] = True
 
-    rows = acc[mult]                  # [p, r] -> p r in P
-    packed = np.packbits(rows, axis=1)
+    packed = np.packbits(acc[mult], axis=1)  # [p]: the quotient of p, as bits
     width, buf = packed.shape[1], packed.tobytes()
-    index, reps, cls = {}, [], []     # cls[p]: which distinct row is p's
+    index, reps, cls = {}, [], []     # cls[p]: which distinct quotient is p's
     for p in range(size):
         c = index.setdefault(buf[p * width:(p + 1) * width], len(reps))
         if c == len(reps):
             reps.append(p)
         cls.append(c)
-
-    # contains[i, j]: quotient j is included in quotient i
-    quotients = rows.take(reps, 0).astype(np.float32)
+    quotients = np.unpackbits(packed[reps], axis=1, count=size).astype(np.float32)
+    del packed, buf
     contains = ((1.0 - quotients) @ quotients.T) == 0
-    leq = np.ones((size, size), dtype=bool)
-    for moved in np.take(cls, mult.take(reps, 0)):  # class of rep_c x, by x
-        leq &= contains.take(moved, 0).take(moved, 1)
+    act = np.array(cls).take(mult.take(reps, 0))  # act[c, x]: the quotient of rep_c x
 
-    if np.count_nonzero(leq & leq.T) > size:
-        both = leq & leq.T & ~np.eye(size, dtype=bool)
-        x, y = map(int, np.argwhere(both)[0])
+    alike = _first_alike(act)
+    if alike is not None:
+        x, y = alike
         raise InputError(
             "syntactic order not antisymmetric: elements "
             f"{format_word(m.word_of(x))} and {format_word(m.word_of(y))} "
             "share all contexts (not a syntactic morphism)"
         )
-    m.monoid.leq = leq
+    m.monoid.leq = np.unpackbits(_order_bits(contains, act), axis=1, count=size).view(bool)
     return m
+
+
+def _first_alike(act: np.ndarray) -> list | None:
+    """The least pair [x, y], x < y, of elements with equal columns of
+    `act`, or None when the columns are distinct."""
+    columns, step = act.T.tobytes(), act.shape[0] * act.itemsize
+    alike = {}  # column -> the elements with it, increasing
+    for x in range(act.shape[1]):
+        alike.setdefault(columns[x * step:(x + 1) * step], []).append(x)
+    pairs = [xs[:2] for xs in alike.values() if len(xs) > 1]
+    return min(pairs) if pairs else None
+
+
+def _order_bits(contains: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """Row x of the order as packed bits: bit y is set iff contains[act[c,
+    x], act[c, y]] for every class c.  Per class c, the set {y :
+    contains[i, act[c, y]]} is packed once per class i and gathered as the
+    row of each x, i = act[c, x]; the rows are ANDed in one |M| x |M|/8
+    byte array.  The classes go in blocks of about `_GATHER_IDS` gathered
+    bytes: one block for a tiny monoid, one class per block at large |M|."""
+    size = act.shape[1]
+    width = (size + 7) // 8
+    bits = np.full((size, width), 0xFF, dtype=np.uint8)
+    per = max(1, _GATHER_IDS // (size * width))  # classes per block
+    for lo in range(0, act.shape[0], per):
+        block = act[lo:lo + per]
+        n = block.shape[0]
+        # sets[i n + j]: the y with contains[i, block[j, y]], packed
+        sets = np.packbits(contains.take(block, axis=1), axis=2).reshape(-1, width)
+        for row in sets.take(block * n + np.arange(n)[:, None], axis=0):  # [j, x]
+            bits &= row
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -610,28 +668,34 @@ def me_submonoid(m: OrderedMonoid, e: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Local submonoid conditions
 
-def local_condition(
-    m: OrderedMonoid,
-    idempotents,
-    members,
-    order: np.ndarray | None = None,
-) -> tuple[bool, tuple[int, int] | None]:
-    """Check e x e REL e for every idempotent e in `idempotents`, in their
-    order, and every x in the sorted id array `members(e)`: Me
-    (`OrderedMonoid.me_members`), Mes (`StabilityInfo.mes_members`) or the
-    stable submonoid's Me (`StabilityInfo.stable_me_members`).  REL is
-    equality when `order` is None, and otherwise order[e x e, e]: the
-    monoid order for e x e <= e, its transpose for e x e >= e.  Returns
-    the first offending pair (e, x), members in increasing order.
+def local_condition(m: OrderedMonoid, idempotents, members, orders=(None,)) -> tuple:
+    """Check e x e REL e for each relation REL in `orders`, for every
+    idempotent e in `idempotents`, in their order, and every x in the
+    sorted id array `members(e)`: Me (`OrderedMonoid.me_members`), Mes
+    (`StabilityInfo.mes_members`) or the stable submonoid's Me
+    (`StabilityInfo.stable_me_members`).  A relation is equality when its
+    entry is None, and otherwise order[e x e, e]: the monoid order for
+    e x e <= e, its transpose for e x e >= e.
+
+    One sweep decides them all: e x e is computed once per visit, each
+    relation keeps its first offender (e, least x), and the sweep stops
+    once every relation has failed.  Returns, per relation, that pair, or
+    None when the relation holds throughout.
     """
     mult = m.mult
+    found = [None] * len(orders)
+    pending = dict(enumerate(orders))
     for e in idempotents:
         xs = members(e)
         exe = mult[mult[e, xs], e]
-        ok = exe == e if order is None else order[exe, e]
-        if not ok.all():
-            return False, (e, int(xs[ok.argmin()]))
-    return True, None
+        for i, order in list(pending.items()):
+            ok = exe == e if order is None else order[exe, e]
+            if not ok.all():
+                found[i] = (e, int(xs[ok.argmin()]))
+                del pending[i]
+        if not pending:
+            break
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

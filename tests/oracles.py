@@ -50,7 +50,10 @@ to the same objects:
   per-state generator as its product, the letter columns kept per letter
   and the table filled column by column, as `monoid.generated_morphism`
   ran it before its products became one C call and its table was filled
-  row by row.
+  row by row;
+- `syntactic_order_by_class_loop`, the syntactic order by one |M|^2 byte
+  gather per distinct right quotient, as `monoid.syntactic_order` built
+  it before it ANDed packed rows of bits.
 """
 
 import itertools
@@ -63,7 +66,7 @@ from fragcheck import fologic as fo
 from fragcheck.automata import (
     DEFAULT_STATE_CAP, Nfa, decorate_word, dfa_table, make_dfa, minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
-from fragcheck.monoid import DEFAULT_MAX_MONOID, Morphism, OrderedMonoid
+from fragcheck.monoid import DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, format_word
 
 
 def words(alphabet, max_len):
@@ -155,6 +158,14 @@ def power_images(h, max_k):
 
 def idempotents_brute(mon):
     return [x for x in range(mon.size) if int(mon.mult[x, x]) == x]
+
+
+def is_associative_brute(mult):
+    """Whether (x y) z = x (y z) for every triple, by a scalar loop."""
+    table = [[int(v) for v in row] for row in np.asarray(mult)]
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
 
 
 def closure_brute(mult, identity, generators):
@@ -341,6 +352,46 @@ def mes_by_residues(info, e, adm=None):
         blocks = np.zeros(mon.size, dtype=bool)
         blocks[mon.mult[ends[:, None], info.images[usable[:, r]]]] = True
     return closure_brute(mon.mult, mon.identity, np.flatnonzero(blocks).tolist())
+
+
+def syntactic_order_by_class_loop(h):
+    """The syntactic order matrix by one |M|^2 byte gather per distinct
+    right quotient of the accepting set, as `monoid.syntactic_order` built
+    it before it worked on packed bits: x <= y iff the quotient of p y is
+    included in that of p x for one representative p per quotient.  Raises
+    the same InputError when two elements share every context.  Leaves h
+    unchanged."""
+    size = h.monoid.size
+    mult = h.monoid.mult
+    acc = np.zeros(size, dtype=bool)
+    acc[list(h.accepting)] = True
+
+    rows = acc[mult]                  # [p, r] -> p r in P
+    packed = np.packbits(rows, axis=1)
+    width, buf = packed.shape[1], packed.tobytes()
+    index, reps, cls = {}, [], []     # cls[p]: which distinct row is p's
+    for p in range(size):
+        c = index.setdefault(buf[p * width:(p + 1) * width], len(reps))
+        if c == len(reps):
+            reps.append(p)
+        cls.append(c)
+
+    # contains[i, j]: quotient j is included in quotient i
+    quotients = rows.take(reps, 0).astype(np.float32)
+    contains = ((1.0 - quotients) @ quotients.T) == 0
+    leq = np.ones((size, size), dtype=bool)
+    for moved in np.take(cls, mult.take(reps, 0)):  # class of rep_c x, by x
+        leq &= contains.take(moved, 0).take(moved, 1)
+
+    if np.count_nonzero(leq & leq.T) > size:
+        both = leq & leq.T & ~np.eye(size, dtype=bool)
+        x, y = map(int, np.argwhere(both)[0])
+        raise InputError(
+            "syntactic order not antisymmetric: elements "
+            f"{format_word(h.word_of(x))} and {format_word(h.word_of(y))} "
+            "share all contexts (not a syntactic morphism)"
+        )
+    return leq
 
 
 def syntactic_leq_by_contexts(h):

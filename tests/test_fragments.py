@@ -78,10 +78,10 @@ def test_stable_checks_match_the_copied_submonoid(small_corpus):
         ok, x = is_aperiodic(sub)
         expected = (True, None) if ok else (False, words(sub.omega(x), x))
         assert pipeline.check("fo_mod") == expected
-        ok, pair = local_condition(sub, sub.idempotents(), sub.me_members)
-        expected = (True, None) if ok else (False, words(*pair))
+        (pair,) = local_condition(sub, sub.idempotents(), sub.me_members)
+        expected = (True, None) if pair is None else (False, words(*pair))
         assert pipeline.check("fo2_mod_qda") == expected
-        negative += not ok
+        negative += pair is not None
     assert 0 < negative < len(small_corpus)
 
 
@@ -139,34 +139,97 @@ def test_sigma2_sentence_computes_one_stable_upset_per_j_class(monkeypatch):
     assert len(stable_upsets) == 67
 
 
-def test_check_memoises_verdicts_for_the_conjunctions(monkeypatch):
+def _count_sweeps(monkeypatch):
+    """Record each local sweep the fragments module makes, as (member
+    source, relations), a relation being eq, leq or geq."""
     from fragcheck import fragments
     calls = []
     real = fragments.local_condition
 
-    def counted(m, idempotents, members, order=None):
-        if order is None:
-            relation = "eq"
-        else:
-            relation = "leq" if np.array_equal(order, m.leq) else "geq"
-            assert np.array_equal(order, m.leq if relation == "leq" else m.leq.T)
-        calls.append((members.__name__, relation))
-        return real(m, idempotents, members, order)
+    def counted(m, idempotents, members, orders=(None,)):
+        relations = []
+        for order in orders:
+            if order is None:
+                relations.append("eq")
+            else:
+                relation = "leq" if np.array_equal(order, m.leq) else "geq"
+                assert np.array_equal(order, m.leq if relation == "leq" else m.leq.T)
+                relations.append(relation)
+        calls.append((members.__name__, tuple(relations)))
+        return real(m, idempotents, members, orders)
 
     monkeypatch.setattr(fragments, "local_condition", counted)
+    return calls
+
+
+def test_check_memoises_verdicts_for_the_conjunctions(monkeypatch):
+    # one sweep per member source decides its =, <= and >= fragments
+    calls = _count_sweeps(monkeypatch)
     pipeline = LanguageAnalysis(dfa("(a|b)*aa(a|b)*"))
     first = pipeline.check("sigma2_lt")
     assert pipeline.check("delta2_lt") == pipeline.check("pi2_lt")
     assert pipeline.check("sigma2_lt") is first
-    assert sorted(calls) == [("me_members", "geq"), ("me_members", "leq")]
+    pipeline.check("fo2_lt")
+    assert calls == [("me_members", ("eq", "leq", "geq"))]
     pipeline.check("delta2_mod")
     pipeline.check("sigma2_mod")
     pipeline.check("fo2_mod_new")
     pipeline.check("fo2_mod_qda")
-    assert sorted(calls[2:]) == [
-        ("mes_members", "eq"), ("mes_members", "geq"), ("mes_members", "leq"),
-        ("stable_me_members", "eq"),
+    pipeline.check("pi2_mod")
+    assert calls[1:] == [
+        ("mes_members", ("eq", "leq", "geq")), ("stable_me_members", ("eq",)),
     ]
+
+
+def test_analyze_makes_one_sweep_per_member_source(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    analyze(dfa("(a|b)*aa(a|b)*"))
+    assert sorted(calls) == [
+        ("me_members", ("eq", "leq", "geq")), ("mes_members", ("eq", "leq", "geq")),
+        ("stable_me_members", ("eq",)),
+    ]
+
+
+def test_lone_equality_checks_build_no_order(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    d = dfa("(a|b)*aa(a|b)*")
+    for fid in ("fo2_lt", "fo2_mod_new"):
+        pipeline = LanguageAnalysis(d)
+        pipeline.check(fid)
+        assert pipeline.morphism.monoid.leq is None, fid
+    pipeline.check("fo2_lt")
+    assert pipeline.morphism.monoid.leq is None
+    # an order check then sweeps again for the two relations still open
+    pipeline.check("pi2_mod")
+    assert pipeline.morphism.monoid.leq is not None
+    assert calls == [
+        ("me_members", ("eq",)), ("mes_members", ("eq",)), ("me_members", ("eq",)),
+        ("mes_members", ("leq", "geq")),
+    ]
+    report = analyze(d)
+    for fid in ("fo2_lt", "fo2_mod_new", "sigma2_mod", "pi2_mod"):
+        assert pipeline.check(fid) == (report.verdicts[fid], report.witnesses[fid]), fid
+
+
+def test_local_sweeps_match_the_brute_loop_on_corpus(small_corpus):
+    # each relation's witness, from one sweep per member source, against
+    # the scalar loop at every idempotent, relation by relation
+    modes = {"fo2_lt": "eq", "sigma2_lt": "leq", "pi2_lt": "geq",
+             "fo2_mod_new": "eq", "sigma2_mod": "leq", "pi2_mod": "geq"}
+    negative = dict.fromkeys(modes, 0)
+    for d in small_corpus:
+        h = syntactic_order(transition_monoid(d, max_monoid=600))
+        mon = h.monoid
+        for multiplier in (1, 3):
+            pipeline = LanguageAnalysis(d, index_multiplier=multiplier, morphism=h)
+            info = pipeline.stability
+            for fid, mode in modes.items():
+                source = mon.me_members if fid.endswith("_lt") else info.mes_members
+                pair = oracles.local_condition_brute(mon, mode, lambda e: source(e).tolist())
+                words = None if pair is None else tuple(format_word(h.word_of(x)) for x in pair)
+                assert pipeline.check(fid) == (pair is None, words), (fid, multiplier)
+                negative[fid] += pair is not None
+    assert all(0 < n < 2 * len(small_corpus) for n in negative.values()), negative
 
 
 def test_check_fragment_rejects_unknown_name():

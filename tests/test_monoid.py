@@ -1,6 +1,7 @@
 """Ordered monoids, syntactic morphisms, Green's relations and the local
 submonoid conditions."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -50,15 +51,98 @@ def test_ordered_monoid_basics():
 
 
 def test_ordered_monoid_rejects_bad_tables():
-    with pytest.raises(InputError):
-        OrderedMonoid([[0, 1], [1, 1]], 1)  # 1 is not an identity
-    with pytest.raises(InputError):
-        OrderedMonoid([[1, 0], [0, 1]], 0)  # identity row broken
-    with pytest.raises(InputError):
+    refused = [
+        (([[0, 1], [1, 1]], 1), "identity law fails"),  # 1 is not an identity
+        (([[1, 0], [0, 1]], 0), "identity law fails"),  # identity row broken
         # x(yz) = (xy)z fails for this table
-        OrderedMonoid([[0, 1, 2], [1, 0, 0], [2, 2, 1]], 0)
-    with pytest.raises(InputError):
-        OrderedMonoid([[0, 1], [1, 0]], 0, leq=[[True, True], [True, True]])
+        (([[0, 1, 2], [1, 0, 0], [2, 2, 1]], 0), "multiplication is not associative"),
+        (([[0, 1], [1, 0]], 0, [[True, True], [True, True]]), "order is not antisymmetric"),
+        (([[0, 1], [1, 0]], 0, [[True, False], [False, False]]), "order is not reflexive"),
+        (([[0, 1, 2], [1, 1, 1], [2, 1, 2]], 0,
+          [[True, True, False], [False, True, True], [False, False, True]]),
+         "order is not transitive"),
+        (([[0, 1], [1]], 0), None),  # ragged: numpy refuses it
+        (([0, 1], 0), "multiplication table must be square"),
+        (([[0, 1, 2], [1, 2, 0]], 0), "multiplication table must be square"),
+        (([[0, 1], [1, 0]], 2), "identity out of range"),
+        (([[0, 1], [1, -1]], 0), "multiplication table entry out of range"),
+        (([[0, 1], [1, 2]], 0), "multiplication table entry out of range"),
+        (([[0]], 0, [[True, True]]), "order matrix must be size x size"),
+    ]
+    for args, message in refused:
+        if message is None:
+            with pytest.raises(ValueError):
+                OrderedMonoid(*args)
+            continue
+        with pytest.raises(InputError, match=f"^{message}$"):
+            OrderedMonoid(*args)
+
+
+def _with_identity(rest: np.ndarray) -> np.ndarray:
+    """The table of {1} + rest, with rest[x - 1, y - 1] the ids of x y."""
+    m = rest.shape[0] + 1
+    table = np.empty((m, m), dtype=np.int64)
+    table[0], table[:, 0] = np.arange(m), np.arange(m)
+    table[1:, 1:] = rest
+    return table
+
+
+def test_entries_out_of_range_are_refused_at_every_size():
+    for m in (2, 64, 65, 200):
+        table = _with_identity((np.add.outer(np.arange(m - 1), np.arange(m - 1)) % (m - 1)) + 1)
+        OrderedMonoid(table, 0)  # 1 + Z_(m-1) is a monoid
+        for x, y, bad in ((m - 1, m - 1, -1), (m - 1, 1, m), (1, m - 1, np.iinfo(np.int64).min),
+                          (1, 1, np.iinfo(np.int64).max)):
+            broken = table.copy()
+            broken[x, y] = bad
+            with pytest.raises(InputError, match="^multiplication table entry out of range$"):
+                OrderedMonoid(broken, 0)
+
+
+def test_sampled_associativity_refuses_a_largely_non_associative_table():
+    # {1} + (Z_99, x - y): (x - y) - z = x - (y - z) only where 2 z = 0
+    n = 99
+    table = _with_identity(np.subtract.outer(np.arange(n), np.arange(n)) % n + 1)
+    left, right = table[table], table[:, table]  # [x, y, z] -> (xy)z, x(yz)
+    assert np.count_nonzero(left != right) >= table.size * table.shape[0] / 4
+    with pytest.raises(InputError, match="^multiplication is not associative$"):
+        OrderedMonoid(table, 0)
+    # the same law on Z_99 under addition holds
+    OrderedMonoid(_with_identity(np.add.outer(np.arange(n), np.arange(n)) % n + 1), 0)
+
+
+def test_sampled_associativity_refuses_one_broken_row():
+    # {1} + Z_99 with one element multiplying like the next: about 2% of
+    # the triples fail, and the 4096 sampled triples find one
+    n = 99
+    table = _with_identity(np.add.outer(np.arange(n), np.arange(n)) % n + 1)
+    table[5, 1:] = table[6, 1:]
+    small = table.astype(np.uint8)
+    broken = np.count_nonzero(small[small] != small[:, small])
+    assert 0.01 * small.size * len(small) < broken < 0.03 * small.size * len(small)
+    with pytest.raises(InputError, match="^multiplication is not associative$"):
+        OrderedMonoid(table, 0)
+
+
+def test_associativity_cube_matches_the_triple_loop(small_corpus):
+    # random tables with an identity, and the tables of small monoids
+    rng = np.random.default_rng(16)
+    tables = [_with_identity(rng.integers(0, m, size=(m - 1, m - 1)))
+              for m in range(2, 9) for _ in range(60)]
+    tables += [transition_monoid(d, max_monoid=600).monoid.mult for d in small_corpus]
+    tables = [t for t in tables if t.shape[0] <= 8]
+    verdicts = []
+    for table in tables:
+        expected = oracles.is_associative_brute(table)
+        try:
+            OrderedMonoid(table, 0)
+            got = True
+        except InputError as err:
+            assert str(err) == "multiplication is not associative"
+            got = False
+        assert got == expected, table.tolist()
+        verdicts.append(got)
+    assert 20 <= sum(verdicts) <= len(verdicts) - 20
 
 
 def test_with_order_keeps_table():
@@ -333,10 +417,10 @@ def test_submonoid_view_requires_closed_subset():
 def test_local_condition_on_repeat_language():
     h = syntactic("(a|b)*(aa|bb)(a|b)*")
     m = h.monoid
-    ok, _ = local_condition(m, m.idempotents(), m.me_members, m.leq)
-    assert ok
-    ok, witness = local_condition(m, m.idempotents(), m.me_members)
-    assert not ok
+    (offender,) = local_condition(m, m.idempotents(), m.me_members, (m.leq,))
+    assert offender is None
+    (witness,) = local_condition(m, m.idempotents(), m.me_members)
+    assert witness is not None
     e, x = witness
     assert h.word_of(e) == ("a", "b")
     assert h.word_of(x) == ("a",)
@@ -347,8 +431,7 @@ def test_local_condition_on_repeat_language():
 def test_local_condition_mes_selector():
     h = syntactic("(bc)*")
     info = stability_info(h)
-    ok, _ = local_condition(h.monoid, h.monoid.idempotents(), info.mes_members)
-    assert ok
+    assert local_condition(h.monoid, h.monoid.idempotents(), info.mes_members) == (None,)
 
 
 def _first_offenders(h):
@@ -368,12 +451,50 @@ def _first_offenders(h):
         if expected_idempotents is not None:
             assert idempotents == expected_idempotents
             assert {e: set(members(e).tolist()) for e in idempotents} == stable_me
-        for order, mode in ((None, "eq"), (m.leq, "leq"), (m.leq.T, "geq")):
-            ok, pair = local_condition(m, idempotents, members, order)
-            expected = oracles.local_condition_brute(
-                m, mode, lambda e: members(e).tolist(), expected_idempotents)
-            assert pair == expected
-            assert ok == (expected is None)
+        relations = ((None, "eq"), (m.leq, "leq"), (m.leq.T, "geq"))
+        expected = [oracles.local_condition_brute(
+            m, mode, lambda e: members(e).tolist(), expected_idempotents)
+            for _, mode in relations]
+        # one sweep for all three, and each relation on its own
+        assert local_condition(m, idempotents, members, [o for o, _ in relations]) == (
+            tuple(expected))
+        for (order, _), pair in zip(relations, expected):
+            assert local_condition(m, idempotents, members, (order,)) == (pair,)
+
+
+def test_local_condition_closes_each_relation_at_its_own_offender(langs):
+    # relations that first fail at different idempotents: one sweep finds
+    # each one's first offender (e, least x), a relation that never fails
+    # reads None, and no idempotent past the last failure is visited
+    m = syntactic_order(transition_monoid(minimize(langs["factor_aa"]))).monoid
+    es = m.idempotents()
+    assert len(es) >= 3
+
+    def failing_at(e):
+        """An order that holds except at e x e <= e for the largest x of Me."""
+        xs = m.me_members(e)
+        exe = m.mult[m.mult[e, xs], e]
+        order = np.ones((m.size, m.size), dtype=bool)
+        order[exe[-1], e] = False
+        return order, (e, int(xs[exe == exe[-1]][0]))
+
+    (late, late_pair), (early, early_pair) = failing_at(es[2]), failing_at(es[0])
+    holds = np.ones((m.size, m.size), dtype=bool)
+    visited = []
+
+    def members(e):
+        visited.append(e)
+        return m.me_members(e)
+
+    assert local_condition(m, es, members, (late, early, holds)) == (
+        late_pair, early_pair, None)
+    assert visited == es
+    visited.clear()
+    assert local_condition(m, es, members, (late, early)) == (late_pair, early_pair)
+    assert visited == es[:3]
+    visited.clear()
+    assert local_condition(m, es, members, (early,)) == (early_pair,)
+    assert visited == es[:1]
 
 
 def test_local_condition_first_offender_on_corpus(small_corpus):
@@ -418,19 +539,96 @@ def _random_seven_state_dfa(seed):
                     [q for q, f in zip(states, finals) if f], delta)
 
 
+def _check_order_against_oracles(h):
+    """The packed order equals the class loop and the context enumeration."""
+    by_loop = oracles.syntactic_order_by_class_loop(h)
+    h = syntactic_order(h)
+    assert h.monoid.leq.dtype == bool
+    assert np.array_equal(h.monoid.leq, by_loop)
+    assert np.array_equal(h.monoid.leq, oracles.syntactic_leq_by_contexts(h))
+
+
 def test_syntactic_order_matches_context_oracle_on_corpus(small_corpus):
     for d in small_corpus:
-        h = syntactic_order(transition_monoid(d, max_monoid=600))
-        assert np.array_equal(h.monoid.leq, oracles.syntactic_leq_by_contexts(h))
+        _check_order_against_oracles(transition_monoid(d, max_monoid=600))
 
 
 @pytest.mark.parametrize("seed", [43, 58, 61])
 def test_syntactic_order_matches_context_oracle_at_mid_size(seed):
     d = minimize(_random_seven_state_dfa(seed))
     assert len(d.states) == 7
-    h = syntactic_order(transition_monoid(d))
+    h = transition_monoid(d)
     assert 150 <= h.monoid.size <= 300
-    assert np.array_equal(h.monoid.leq, oracles.syntactic_leq_by_contexts(h))
+    _check_order_against_oracles(h)
+
+
+def test_syntactic_order_over_many_classes_and_a_ragged_byte():
+    # 16 quotient classes and |M| = 31, so the last byte of a row is partial
+    d = minimize(regex_to_dfa("(a|b)*a(a|b)(a|b)(a|b)"))
+    h = transition_monoid(d)
+    assert (len(d.states), h.monoid.size) == (16, 31)
+    _check_order_against_oracles(h)
+
+
+def test_syntactic_order_one_class_per_block_matches_oracles(small_corpus, monkeypatch):
+    # a gather budget of one byte puts every quotient class in a block of its own
+    monkeypatch.setattr(monoid_module, "_GATHER_IDS", 1)
+    dfas = list(small_corpus) + [minimize(_random_seven_state_dfa(seed)) for seed in (43, 58, 61)]
+    dfas.append(minimize(regex_to_dfa("(a|b)*a(a|b)(a|b)(a|b)")))
+    for d in dfas:
+        _check_order_against_oracles(transition_monoid(d, max_monoid=600))
+
+
+def test_non_syntactic_accepting_sets_are_refused_as_before(small_corpus):
+    # random accepting sets on corpus monoids: refused (with the same
+    # first pair) exactly when the class loop refuses, else the same order
+    rng = np.random.default_rng(5)
+    refused = 0
+    for d in small_corpus:
+        mon = transition_monoid(d, max_monoid=600).monoid
+        if mon.size > 120:
+            continue
+        letters = {str(a): int(x) for a, x in zip("abc", mon.generators)}
+        for _ in range(3):
+            accepting = frozenset(np.flatnonzero(rng.random(mon.size) < 0.5).tolist())
+            h = Morphism(OrderedMonoid(mon.mult, 0, repr_words=mon.repr_words),
+                         tuple(letters), letters, accepting)
+            try:
+                expected = oracles.syntactic_order_by_class_loop(h)
+            except InputError as err:
+                refused += 1
+                with pytest.raises(InputError, match=f"^{re.escape(str(err))}$"):
+                    syntactic_order(h)
+                assert h.monoid.leq is None
+                continue
+            assert np.array_equal(syntactic_order(h).monoid.leq, expected)
+    assert refused > 20
+    # one accepting element of a 9-element monoid: {1, 6} and {2, 4} share
+    # every context, and the least pair is named, not the first one met
+    h = transition_monoid(small_corpus[29], max_monoid=600)
+    mon = h.monoid
+    h = Morphism(OrderedMonoid(mon.mult, 0, repr_words=mon.repr_words), h.alphabet,
+                 h.letter_map, frozenset({h.image("aca")}))
+    first, second = (format_word(mon.word_of(x)) for x in (1, 6))
+    with pytest.raises(InputError, match=f" elements {first} and {second} share all "):
+        oracles.syntactic_order_by_class_loop(h)
+    with pytest.raises(InputError, match=f" elements {first} and {second} share all "):
+        syntactic_order(h)
+
+
+def test_syntactic_order_peak_memory_is_below_two_byte_matrices():
+    # the packed rows are ANDed into |M|^2 / 8 bytes and unpacked once;
+    # the bits of the quotients are dropped first
+    h = transition_monoid(mid_size_draw())
+    size = h.monoid.size
+    tracemalloc.start()
+    try:
+        syntactic_order(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 1580
+    assert peak < 2 * size * size
 
 
 @pytest.mark.parametrize("seed", [43, 58, 61])
