@@ -15,9 +15,24 @@ normalized to n.  Truth on a word uses 1-based positions.  On the empty word
 an existential quantifier is false and a universal one is true.
 
 `compile_formula` turns a sentence into the minimal DFA of its models.  It
-works over letters enriched with the set of variables marked at a position,
-using one exactly-once validity automaton per quantifier scope; existential
-quantification is mark erasure followed by determinization.
+works over letters enriched with the set of variables marked at a position;
+existential quantification is mark erasure followed by determinization.
+Under a frame F (the variables bound above a subformula) a marked word is
+F-valid when each variable of F marks exactly one position.  The table of
+a subformula is exact on F-valid words only: it accepts an F-valid word iff
+the word satisfies the subformula, and may accept or reject any other
+marking.  Each rule keeps this:
+
+- `true` and `false` are one-state constants, and an atom decides at the
+  first mark of its variables, which is right when each is marked once;
+- `and`, `or` and `not` act pointwise, so they keep it on every word;
+- `(exists x f)` intersects the table of f with the exactly-once validity
+  automaton of F + (x) just before erasing x, so a kept marking of x is a
+  valid one, and the erasure accepts exactly the F-valid words with a
+  witness (`forall` is compiled as `not exists not`).
+
+At the top level F is empty and every word is valid, so the final table
+accepts exactly the models.
 
 Before compiling, `_rename_apart` names each binder by its nesting depth
 (v0, v1, ...) and interns the nodes bottom-up, so alpha-equivalent
@@ -33,13 +48,14 @@ Every intermediate automaton is an integer table: an int64 array of
 successors, states by marked letters, with a boolean mask of accepting
 states and state 0 as the start.  The marked letter `a << k | mask` carries
 letter index a and the variables whose bits mask sets, the innermost bound
-variable on the top bit k - 1.  Conjunction, disjunction, the atoms (each
-intersected with the validity automaton) and negation inside a scope are
-products over the pairs reachable from the start, one numpy step per
-breadth-first level (`automata.product_table`).  Erasing a variable reads
-two columns per marked letter of the outer scope, the variable unmarked
-and marked, and determinizes over subsets keyed by their sorted members.
-Each result is minimized by `automata.minimal_table`.  Only the final
+variable on the top bit k - 1.  Conjunction, disjunction and the validity
+intersection before an erasure are products over the pairs reachable from
+the start, one numpy step per breadth-first level
+(`automata.product_table`).  Erasing a variable reads two columns per
+marked letter of the outer scope, the variable unmarked and marked, and
+determinizes over subsets keyed by their sorted members.  Each result is
+minimized by `automata.minimal_table`; negation flips the accepting mask
+of a complete minimal table, which leaves it minimal.  Only the final
 table over plain letters, already minimal, becomes a `Dfa`, through
 `automata.table_dfa` for the canonical state names.
 
@@ -47,9 +63,11 @@ Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
 (InputError).  Compilation raises CapError when a quantifier scope would
 need more than MAX_MARKED_LETTERS marked letters, checked before its body is
 compiled; when determinization finds more subsets than the state cap; and
-when an automaton, once minimized, has more states than the state cap (a
-`mod` or `len` modulus above the cap is refused before its table is built,
-since no such atom minimizes to fewer states than its modulus).
+when a minimized intermediate table (an atom, a conjunction or
+disjunction, a body intersected with its validity automaton, or an
+erasure) has more states than the state cap.  A `mod` or `len` modulus
+above the cap is refused before its table is built, since no such atom
+minimizes to fewer states than its modulus.
 """
 
 from __future__ import annotations
@@ -581,6 +599,10 @@ class _Compiler:
     whose bit j is set in mask, so the variable a quantifier binds is the
     top bit of its body's columns.  Tables are those of `automata`, with
     marked letters as columns.
+
+    A table under a frame is exact on the words marking each frame variable
+    exactly once (see the module docstring): the validity automaton enters
+    only where a quantifier erases its variable.
     """
 
     def __init__(self, letters: list[str], cap: int):
@@ -595,7 +617,9 @@ class _Compiler:
     def validity(self, frame: tuple) -> Table:
         """Accepts the markings placing each frame variable exactly once.
         State s < 2**len(frame) has placed the variables whose bits s sets;
-        the last state is dead."""
+        the last state is dead.  A quantifier intersects its body with the
+        validity of its inner frame just before erasing its variable; no
+        other table is intersected with it."""
         size = len(frame)
         if size not in self._validity:
             full = (1 << size) - 1
@@ -610,23 +634,21 @@ class _Compiler:
         return np.zeros((1, len(self.letters) << len(frame)), np.int64), np.array([accept])
 
     def compile(self, f: Formula, frame: tuple) -> Table:
-        """The table of f under the frame, remembered per (node identity,
-        frame length): `_rename_apart` names binders by depth, so the frame
-        is fixed by its length, and shares equal subformulas, so each one
-        is compiled once per depth.  The lookup sits here, not in a
-        wrapper, so that each formula level costs one Python frame."""
+        """The table of f under the frame, exact on the words that mark
+        each frame variable exactly once and arbitrary on other markings.
+        It is remembered per (node identity, frame length): `_rename_apart`
+        names binders by depth, so the frame is fixed by its length, and
+        shares equal subformulas, so each one is compiled once per depth.
+        The lookup sits here, not in a wrapper, so that each formula level
+        costs one Python frame."""
         key = (id(f), len(frame))
         out = self._memo.get(key)
         if out is not None:
             return out
-        if isinstance(f, TrueF):
-            out = self.validity(frame) if frame else self._const(frame, True)
-        elif isinstance(f, FalseF):
-            out = self._const(frame, False)
+        if isinstance(f, (TrueF, FalseF)):
+            out = self._const(frame, isinstance(f, TrueF))
         elif isinstance(f, (Lab, Eq, Lt, Mod, Len)):
-            out = self._minimal(
-                product_table(self._atom(f, frame), self.validity(frame), np.logical_and)
-            )
+            out = self._minimal(self._atom(f, frame))
         elif isinstance(f, And):
             out = self._minimal(product_table(
                 self.compile(f.left, frame), self.compile(f.right, frame), np.logical_and))
@@ -634,7 +656,9 @@ class _Compiler:
             out = self._minimal(product_table(
                 self.compile(f.left, frame), self.compile(f.right, frame), np.logical_or))
         elif isinstance(f, Not):
-            out = self._negate(self.compile(f.sub, frame), frame)
+            # the complement of a complete minimal table is minimal
+            delta, finals = self.compile(f.sub, frame)
+            out = delta, ~finals
         elif isinstance(f, (Exists, Forall)):
             # (forall x f) is compiled as (not (exists x (not f)))
             inner = frame + (f.var,)
@@ -646,36 +670,34 @@ class _Compiler:
                 )
             body = self.compile(f.body, inner)
             if isinstance(f, Forall):
-                body = self._negate(body, inner)
-            out = self._minimal(self._project(body, frame))
+                body = body[0], ~body[1]
+            # the one validity product: only valid markings of f.var survive
+            # the erasure
+            valid = self._minimal(product_table(body, self.validity(inner), np.logical_and))
+            out = self._minimal(self._project(valid, frame))
             if isinstance(f, Forall):
-                out = self._negate(out, frame)
+                out = out[0], ~out[1]
         else:
             raise InputError(f"not a formula: {f!r}")
         self._memo[key] = out
         return out
 
-    def _negate(self, t: Table, frame: tuple) -> Table:
-        delta, finals = t
-        if not frame:
-            return self._minimal((delta, ~finals))
-        return self._minimal(product_table((delta, ~finals), self.validity(frame), np.logical_and))
-
     def _over_cap(self) -> CapError:
         return CapError(f"state cap exceeded ({self.cap}) while compiling")
 
     def _atom(self, f: Formula, frame: tuple) -> Table:
-        """The atom's automaton before the validity product.  The waiting
-        states come first; where the atom is decided for good, it moves to
-        one of two absorbing states, accepting then rejecting."""
+        """The atom's automaton, exact on validly marked words: it decides
+        at the first mark of its variables.  The waiting states come first;
+        where the atom is decided for good, it moves to one of two absorbing
+        states, accepting then rejecting."""
         cols = self.columns(frame)
 
         def marked(var):
             return (cols >> frame.index(var)) & 1 == 1
 
         if isinstance(f, (Len, Mod)) and f.modulus > self.cap:
-            # the residues stay pairwise distinguishable in the validity
-            # product, so its minimal table would exceed the cap anyway
+            # the residues stay pairwise distinguishable, so its minimal
+            # table would exceed the cap anyway
             raise self._over_cap()
         if isinstance(f, Len):
             states = np.arange(f.modulus)

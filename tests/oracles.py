@@ -610,9 +610,15 @@ def compile_formula_by_dfas(f, alphabet, state_cap=DEFAULT_STATE_CAP):
     """The minimal DFA of a sentence, compiled connective by connective
     through public `Dfa` objects: every intermediate is a product, a
     complement or a determinized projection over marked letters, built with
-    the dictionary routes above.  Raises
-    CapError where `fologic.compile_formula` does: on the subset count while
-    determinizing and on the minimal size after each connective."""
+    the dictionary routes above.
+
+    It keeps the exactly-once validity automaton at every node on purpose:
+    each intermediate accepts exactly the validly marked models, which
+    `fologic.compile_formula` only guarantees on validly marked words, so
+    the two constructions differ and meet only in the final DFA.  Both
+    raise CapError on the same kinds of events, the subset count while
+    determinizing and the size of an intermediate automaton, though not
+    always on the same intermediates."""
     letters = sorted(set(alphabet))
     if not letters:
         raise InputError("empty alphabet")

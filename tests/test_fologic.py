@@ -3,11 +3,12 @@ DFAs.  The evaluator walks positions directly, so it doubles as the oracle
 for the compiler."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import exprsuite
 import oracles
-from fragcheck.automata import dfa_to_doc, equivalent, minimize, regex_to_dfa
+from fragcheck import fologic
+from fragcheck.automata import DEFAULT_STATE_CAP, dfa_to_doc, equivalent, minimize, regex_to_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.fologic import (
     And,
@@ -238,10 +239,11 @@ def test_compile_matches_dfa_oracle_on_fixed_sentences():
 
 
 def test_compile_and_oracle_share_the_state_cap():
-    f = parse_formula(CAPPED)
-    for compiler in (compile_formula, oracles.compile_formula_by_dfas):
-        with pytest.raises(CapError):
-            compiler(f, ["a", "b"], state_cap=3)
+    for text in (CAPPED, "(forall x (not (mod x 7 1)))"):
+        f = parse_formula(text)
+        for compiler in (compile_formula, oracles.compile_formula_by_dfas):
+            with pytest.raises(CapError):
+                compiler(f, ["a", "b"], state_cap=3)
 
 
 def test_rename_apart_names_binders_by_depth():
@@ -294,6 +296,47 @@ def test_compile_matches_dfa_oracle_on_shared_subformulas():
             assert d.accepts(w) == eval_formula(f, w), (text, w)
 
 
+def test_one_validity_product_per_compiled_quantifier(monkeypatch):
+    """The exactly-once constraint is applied where a variable is erased
+    and nowhere else: each compiled quantifier (node, depth) intersects its
+    body with the validity table once, and atoms, `not` and `true` never
+    do."""
+    validity = fologic._Compiler.validity
+    compile_node = fologic._Compiler.compile
+    product_table = fologic.product_table
+    tables, compiling, products = [], [], []
+
+    def recording_validity(self, frame):
+        tables.append(validity(self, frame))
+        return tables[-1]
+
+    def recording_compile(self, f, frame):
+        compiling.append((f, len(frame)))
+        try:
+            return compile_node(self, f, frame)
+        finally:
+            compiling.pop()
+
+    def counting_product(t1, t2, accept):
+        if any(t is v for t in (t1, t2) for v in tables):
+            f, depth = compiling[-1]
+            products.append((id(f), depth, type(f)))
+        return product_table(t1, t2, accept)
+
+    monkeypatch.setattr(fologic._Compiler, "validity", recording_validity)
+    monkeypatch.setattr(fologic._Compiler, "compile", recording_compile)
+    monkeypatch.setattr(fologic, "product_table", counting_product)
+    for text, alphabet in [(t, ["a", "b", "c"]) for t in BATTERY] + [(t, ["a", "b"]) for t in SHARED]:
+        f = fologic._rename_apart(parse_formula(text))
+        compiler = fologic._Compiler(alphabet, DEFAULT_STATE_CAP)
+        del products[:]
+        compiler.compile(f, ())
+        binders = {id(g) for g in fologic._nodes(f) if isinstance(g, (Exists, Forall))}
+        assert all(kind in (Exists, Forall) for _, _, kind in products), text
+        assert sorted((node, depth) for node, depth, _ in products) == sorted(
+            key for key in compiler._memo if key[0] in binders), text
+
+
 @st.composite
 def formulas(draw, bound=(), quantifiers=3, size=4):
     """A formula over letters a, b whose free variables lie in `bound`, with
@@ -335,6 +378,10 @@ def formulas(draw, bound=(), quantifiers=3, size=4):
 
 
 @given(f=formulas())
+@example(f=parse_formula("(exists x (forall y (not (< x y))))"))
+@example(f=parse_formula("(forall x (exists y (and (not (lab y a)) (not (= x y)))))"))
+@example(f=parse_formula("(exists x (not (exists y (and (< y x) (not (mod y 2 1))))))"))
+@example(f=parse_formula("(forall x (forall y (or (not (lab x b)) (not (< y x)))))"))
 @settings(deadline=None, max_examples=100)
 def test_compile_matches_dfa_oracle_on_random_sentences(f):
     assert same_dfa(f, ["a", "b"]), to_sexp(f)
