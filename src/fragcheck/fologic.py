@@ -26,10 +26,12 @@ marking.  Each rule keeps this:
 - `true` and `false` are one-state constants, and an atom decides at the
   first mark of its variables, which is right when each is marked once;
 - `and`, `or` and `not` act pointwise, so they keep it on every word;
-- `(exists x f)` intersects the table of f with the exactly-once validity
-  automaton of F + (x) just before erasing x, so a kept marking of x is a
-  valid one, and the erasure accepts exactly the F-valid words with a
-  witness (`forall` is compiled as `not exists not`).
+- `(exists x f)` erases x from the table of f keeping only the runs
+  that mark x exactly once, so on an F-valid word every kept marking is
+  (F + x)-valid, and the erasure accepts exactly the F-valid words with a
+  witness (`forall` is compiled as `not exists not`).  The other
+  variables of F need no check there: their markings are fixed by the
+  outer word.
 
 At the top level F is empty and every word is valid, so the final table
 accepts exactly the models.
@@ -48,26 +50,25 @@ Every intermediate automaton is an integer table: an int64 array of
 successors, states by marked letters, with a boolean mask of accepting
 states and state 0 as the start.  The marked letter `a << k | mask` carries
 letter index a and the variables whose bits mask sets, the innermost bound
-variable on the top bit k - 1.  Conjunction, disjunction and the validity
-intersection before an erasure are products over the pairs reachable from
-the start, one numpy step per breadth-first level
-(`automata.product_table`).  Erasing a variable reads two columns per
-marked letter of the outer scope, the variable unmarked and marked, and
-determinizes over subsets keyed by their sorted members.  Each result is
-minimized by `automata.minimal_table`; negation flips the accepting mask
-of a complete minimal table, which leaves it minimal.  Only the final
-table over plain letters, already minimal, becomes a `Dfa`, through
-`automata.table_dfa` for the canonical state names.
+variable on the top bit k - 1.  Conjunction and disjunction are products
+over the pairs reachable from the start, one numpy step per breadth-first
+level (`automata.product_table`).  Erasing a variable reads two columns
+per marked letter of the outer scope, the variable unmarked and marked,
+and determinizes over subsets of (state, flag) pairs keyed by their sorted
+members, the flag saying whether the variable is already marked.  Each
+result is minimized by `automata.minimal_table`; negation flips the
+accepting mask of a complete minimal table, which leaves it minimal.  Only
+the final table over plain letters, already minimal, becomes a `Dfa`,
+through `automata.table_dfa` for the canonical state names.
 
 Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
 (InputError).  Compilation raises CapError when a quantifier scope would
 need more than MAX_MARKED_LETTERS marked letters, checked before its body is
-compiled; when determinization finds more subsets than the state cap; and
-when a minimized intermediate table (an atom, a conjunction or
-disjunction, a body intersected with its validity automaton, or an
-erasure) has more states than the state cap.  A `mod` or `len` modulus
-above the cap is refused before its table is built, since no such atom
-minimizes to fewer states than its modulus.
+compiled; when determinization finds more subsets of (state, flag) pairs
+than the state cap; and when a minimized intermediate table (an atom, a
+conjunction or disjunction, or an erasure) has more states than the state
+cap.  A `mod` or `len` modulus above the cap is refused before its table
+is built, since no such atom minimizes to fewer states than its modulus.
 """
 
 from __future__ import annotations
@@ -601,34 +602,18 @@ class _Compiler:
     marked letters as columns.
 
     A table under a frame is exact on the words marking each frame variable
-    exactly once (see the module docstring): the validity automaton enters
-    only where a quantifier erases its variable.
+    exactly once (see the module docstring): the exactly-once rule is
+    checked only where a quantifier erases its variable, and only for that
+    variable, inside the erasure's subset construction.
     """
 
     def __init__(self, letters: list[str], cap: int):
         self.letters = letters
         self.cap = cap
-        self._validity: dict[int, Table] = {}
         self._memo: dict[tuple[int, int], Table] = {}
 
     def columns(self, frame: tuple) -> np.ndarray:
         return np.arange(len(self.letters) << len(frame))
-
-    def validity(self, frame: tuple) -> Table:
-        """Accepts the markings placing each frame variable exactly once.
-        State s < 2**len(frame) has placed the variables whose bits s sets;
-        the last state is dead.  A quantifier intersects its body with the
-        validity of its inner frame just before erasing its variable; no
-        other table is intersected with it."""
-        size = len(frame)
-        if size not in self._validity:
-            full = (1 << size) - 1
-            placed = np.arange(full + 1)[:, None]
-            marks = self.columns(frame) & full
-            delta = np.where(placed & marks != 0, full + 1, placed | marks)
-            dead = np.full((1, len(marks)), full + 1)
-            self._validity[size] = (np.vstack([delta, dead]), np.arange(full + 2) == full)
-        return self._validity[size]
 
     def _const(self, frame: tuple, accept: bool) -> Table:
         return np.zeros((1, len(self.letters) << len(frame)), np.int64), np.array([accept])
@@ -671,10 +656,7 @@ class _Compiler:
             body = self.compile(f.body, inner)
             if isinstance(f, Forall):
                 body = body[0], ~body[1]
-            # the one validity product: only valid markings of f.var survive
-            # the erasure
-            valid = self._minimal(product_table(body, self.validity(inner), np.logical_and))
-            out = self._minimal(self._project(valid, frame))
+            out = self._minimal(self._project(body, frame))
             if isinstance(f, Forall):
                 out = out[0], ~out[1]
         else:
@@ -688,8 +670,8 @@ class _Compiler:
     def _atom(self, f: Formula, frame: tuple) -> Table:
         """The atom's automaton, exact on validly marked words: it decides
         at the first mark of its variables.  The waiting states come first;
-        where the atom is decided for good, it moves to one of two absorbing
-        states, accepting then rejecting."""
+        where the atom is decided for good, it moves to an absorbing state,
+        accepting or rejecting.  Every state is reachable from state 0."""
         cols = self.columns(frame)
 
         def marked(var):
@@ -727,21 +709,36 @@ class _Compiler:
 
     @staticmethod
     def _decided(waiting: np.ndarray) -> Table:
+        """The m waiting rows, then the accepting absorbing state m and,
+        only if some waiting row moves to it, the rejecting one m + 1: over
+        one letter, `(lab x a)` and `(mod x 1 1)` never reject."""
         m, width = waiting.shape
-        delta = np.vstack([waiting, np.full((1, width), m), np.full((1, width), m + 1)])
-        return delta, np.arange(m + 2) == m
+        size = m + 1 + int((waiting == m + 1).any())
+        delta = np.vstack([waiting, np.repeat(np.arange(m, size)[:, None], width, axis=1)])
+        return delta, np.arange(size) == m
 
     def _project(self, t: Table, frame: tuple) -> Table:
-        """Erase the innermost variable's marks and determinize.  Outer
-        column c reads the inner column `lo[c]` (variable unmarked) and
-        `lo[c] | top` (marked), so one subset step is two gathers, sorted
-        per column.  A subset is keyed by the bytes of its sorted members;
-        more subsets than the cap is a CapError."""
+        """Erase the innermost variable x, keeping only the runs that mark
+        it exactly once, and determinize.  The subsets are over pairs
+        (state, flag), pair 2 * state + flag, where the flag says x is
+        already marked: an unmarked column keeps the flag, a marked one
+        sets it, or drops the run when it is set.  A subset accepts when
+        one of its pairs is flagged at a final state.  Outer column c reads
+        the inner column `lo[c]` (x unmarked) and `lo[c] | top` (marked),
+        so one subset step is two gathers, sorted per column.  A subset is
+        keyed by the bytes of its sorted members; more subsets than the
+        cap is a CapError."""
         delta, finals = t
         cols = self.columns(frame)
         top = 1 << len(frame)
         lo = (cols >> len(frame) << (len(frame) + 1)) | (cols & (top - 1))
-        unmarked, marked = delta[:, lo], delta[:, lo | top]
+        dropped = 2 * len(finals)       # sorts after every pair
+        unmarked = np.repeat(2 * delta[:, lo], 2, axis=0)
+        unmarked[1::2] += 1             # the flag stays set
+        marked = np.repeat(2 * delta[:, lo | top] + 1, 2, axis=0)
+        marked[1::2] = dropped          # a second mark drops the run
+        accepts = np.repeat(finals, 2)
+        accepts[::2] = False
         keys = [np.zeros(1, np.int64).tobytes()]
         ids = {keys[0]: 0}
         rows, accepting = [], []
@@ -749,14 +746,12 @@ class _Compiler:
             members = np.frombuffer(key, np.int64)
             step = np.concatenate((unmarked[members], marked[members]))
             step.sort(axis=0)
-            repeat = np.zeros(step.shape, bool)
-            repeat[1:] = step[1:] == step[:-1]
-            step[repeat] = len(finals)  # sorts after every state
+            step[1:][step[1:] == step[:-1]] = dropped
             step.sort(axis=0)
             height = step.shape[0] * step.itemsize
             buf = step.T.tobytes()      # column c starts at c * height
             row = []
-            for c, size in enumerate((step.shape[0] - repeat.sum(0)).tolist()):
+            for c, size in enumerate((step < dropped).sum(0).tolist()):
                 nxt = buf[c * height:c * height + size * step.itemsize]
                 j = ids.setdefault(nxt, len(keys))
                 if j == len(keys):
@@ -765,7 +760,7 @@ class _Compiler:
                         raise CapError(f"state cap exceeded ({self.cap}) during determinization")
                 row.append(j)
             rows.append(row)
-            accepting.append(finals[members].any())
+            accepting.append(accepts[members].any())
         return np.array(rows, np.int64), np.array(accepting)
 
     def _minimal(self, t: Table) -> Table:

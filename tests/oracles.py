@@ -614,11 +614,13 @@ def compile_formula_by_dfas(f, alphabet, state_cap=DEFAULT_STATE_CAP):
 
     It keeps the exactly-once validity automaton at every node on purpose:
     each intermediate accepts exactly the validly marked models, which
-    `fologic.compile_formula` only guarantees on validly marked words, so
+    `fologic.compile_formula` only guarantees on validly marked words (it
+    checks the rule only inside each erasure, for the erased variable), so
     the two constructions differ and meet only in the final DFA.  Both
     raise CapError on the same kinds of events, the subset count while
     determinizing and the size of an intermediate automaton, though not
-    always on the same intermediates."""
+    always on the same intermediates: here a subset is a set of states of
+    the validity product, there a set of (state, flag) pairs."""
     letters = sorted(set(alphabet))
     if not letters:
         raise InputError("empty alphabet")

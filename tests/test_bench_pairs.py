@@ -1,6 +1,8 @@
-"""The summary rules of tools/bench_pairs.py, on synthetic pairs."""
+"""The summary rules of tools/bench_pairs.py, on synthetic pairs, and the
+copy of the working tree its change side runs from."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -47,3 +49,31 @@ def test_wrong_or_failed_items_lose_the_pair_and_the_gain():
 def test_a_metric_missing_on_the_change_side_is_beyond_its_bound():
     got = bench_pairs.summarize(pairs([run()] * 3), METRICS)["setup_s"]
     assert got == {"won": 0, "pairs": 3, "beyond_bound": True, "gain_rule_met": False}
+
+
+def test_the_working_tree_copy_carries_edits_and_untracked_files_but_not_ignored_ones(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("out/\n*.log\n")
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "result.json").write_text("ignored\n")
+    (repo / "run.log").write_text("ignored\n")
+
+    copy = bench_pairs.copy_working_tree(tmp_path / "copy", root=repo)
+    files = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (copy / "pkg" / "kept.py").read_text() == "edited\n"
+    assert (copy / "pkg" / "new.py").read_text() == "untracked\n"

@@ -2,6 +2,7 @@
 DFAs.  The evaluator walks positions directly, so it doubles as the oracle
 for the compiler."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -296,45 +297,93 @@ def test_compile_matches_dfa_oracle_on_shared_subformulas():
             assert d.accepts(w) == eval_formula(f, w), (text, w)
 
 
-def test_one_validity_product_per_compiled_quantifier(monkeypatch):
-    """The exactly-once constraint is applied where a variable is erased
-    and nowhere else: each compiled quantifier (node, depth) intersects its
-    body with the validity table once, and atoms, `not` and `true` never
-    do."""
-    validity = fologic._Compiler.validity
+def test_products_only_under_and_or_and_one_erasure_per_quantifier(monkeypatch):
+    """Each compiled `and`/`or` (node, depth) makes one product and each
+    compiled quantifier one erasure, which applies the exactly-once rule to
+    its variable itself: no other node makes a product or an erasure."""
     compile_node = fologic._Compiler.compile
+    project = fologic._Compiler._project
     product_table = fologic.product_table
-    tables, compiling, products = [], [], []
-
-    def recording_validity(self, frame):
-        tables.append(validity(self, frame))
-        return tables[-1]
+    compiling, products, erasures = [], [], []
 
     def recording_compile(self, f, frame):
-        compiling.append((f, len(frame)))
+        compiling.append((id(f), len(frame)))
         try:
             return compile_node(self, f, frame)
         finally:
             compiling.pop()
 
     def counting_product(t1, t2, accept):
-        if any(t is v for t in (t1, t2) for v in tables):
-            f, depth = compiling[-1]
-            products.append((id(f), depth, type(f)))
+        products.append(compiling[-1])
         return product_table(t1, t2, accept)
 
-    monkeypatch.setattr(fologic._Compiler, "validity", recording_validity)
+    def counting_project(self, t, frame):
+        erasures.append(compiling[-1])
+        return project(self, t, frame)
+
     monkeypatch.setattr(fologic._Compiler, "compile", recording_compile)
+    monkeypatch.setattr(fologic._Compiler, "_project", counting_project)
     monkeypatch.setattr(fologic, "product_table", counting_product)
     for text, alphabet in [(t, ["a", "b", "c"]) for t in BATTERY] + [(t, ["a", "b"]) for t in SHARED]:
         f = fologic._rename_apart(parse_formula(text))
         compiler = fologic._Compiler(alphabet, DEFAULT_STATE_CAP)
-        del products[:]
+        del products[:], erasures[:]
         compiler.compile(f, ())
-        binders = {id(g) for g in fologic._nodes(f) if isinstance(g, (Exists, Forall))}
-        assert all(kind in (Exists, Forall) for _, _, kind in products), text
-        assert sorted((node, depth) for node, depth, _ in products) == sorted(
-            key for key in compiler._memo if key[0] in binders), text
+        kinds = {id(g): type(g) for g in fologic._nodes(f)}
+
+        def compiled(*types):
+            return sorted(key for key in compiler._memo if kinds[key[0]] in types)
+
+        assert sorted(products) == compiled(And, Or), text
+        assert sorted(erasures) == compiled(Exists, Forall), text
+
+
+def test_erasure_keeps_only_runs_marking_the_variable_once():
+    """`_project` on hand-made body tables over one letter, column 0 the
+    letter with x unmarked and column 1 with x marked.  The body counts
+    the marks of x (0, 1, 2 or more); only a run with exactly one mark may
+    accept.  Compiled atoms decide at the first mark, so no sentence shows
+    a run taking a second mark; these tables do."""
+    counting = np.array([[0, 1], [1, 2], [2, 2]])
+    compiler = fologic._Compiler(["a"], DEFAULT_STATE_CAP)
+
+    def accepted(finals, n):
+        delta, accepting = compiler._project((counting, np.array(finals)), ())
+        state = 0
+        for _ in range(n):
+            state = delta[state, 0]
+        return bool(accepting[state])
+
+    lengths = range(5)
+    assert [accepted([False, True, False], n) for n in lengths] == [False] + [True] * 4
+    assert not any(accepted([False, False, True], n) for n in lengths)  # two marks
+    assert not any(accepted([True, False, False], n) for n in lengths)  # no mark
+
+
+def test_every_atom_state_is_reachable():
+    """Atom tables carry no state that no marked word reaches, so none
+    counts toward the state cap; `(lab x a)` over one letter never
+    rejects, nor does `(mod x 1 1)`."""
+    for letters in (["a"], ["a", "b"]):
+        for depth in (1, 2, 3):
+            frame = tuple(f"v{i}" for i in range(depth))
+            compiler = fologic._Compiler(letters, DEFAULT_STATE_CAP)
+            atoms = [Len(n, r) for n in range(1, 5) for r in range(1, n + 1)]
+            for x in frame:
+                atoms += [Lab(x, a) for a in letters]
+                atoms += [Mod(x, n, r) for n in range(1, 5) for r in range(1, n + 1)]
+                atoms += [kind(x, y) for kind in (Eq, Lt) for y in frame]
+            for atom in atoms:
+                delta, finals = compiler._atom(atom, frame)
+                seen, todo = {0}, [0]
+                while todo:
+                    for t in delta[todo.pop()].tolist():
+                        if t not in seen:
+                            seen.add(t)
+                            todo.append(t)
+                assert seen == set(range(len(finals))), (atom, letters, depth)
+    lab = fologic._Compiler(["a"], DEFAULT_STATE_CAP)._atom(Lab("v0", "a"), ("v0",))
+    assert lab[1].tolist() == [False, True]
 
 
 @st.composite

@@ -3,9 +3,11 @@
     python3 tools/bench_pairs.py --parent REV \\
         --workloads ladder,corpus --seeds 901-910 --seconds 12 --out BENCH_<n>.json
 
-Each side runs ``bench/run.py`` exactly as its own tree has it, from its
-own directory: the parent's files are exported with ``git archive`` into a
-temporary directory, and the change side is this checkout's working tree.
+Each side runs ``bench/run.py`` exactly as its own tree has it, from a
+copy in one temporary directory: the parent's committed files exported with
+``git archive``, and this checkout's working tree (its tracked files as
+they are on disk, with the untracked files git does not ignore), so both
+sides run from the same kind of directory.
 For every workload and seed the two sides run back to back, the parent
 first for even pair numbers and the change first for odd ones, so that a
 drift of the host's speed falls on both sides alike.
@@ -29,6 +31,7 @@ import argparse
 import hashlib
 import json
 import statistics
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -65,6 +68,21 @@ def export(rev: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def copy_working_tree(into: Path, root: Path = ROOT) -> Path:
+    """The working tree of the checkout at `root`, written under `into`:
+    its tracked files as they are on disk (uncommitted edits included,
+    deleted ones left out) and its untracked files that git does not
+    ignore."""
+    into.mkdir(parents=True)
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, check=True, capture_output=True).stdout
+    for name in listed.decode().split("\0"):
+        if name and (root / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
     return into
 
 
@@ -170,7 +188,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
+        trees = {"parent": export(args.parent, Path(tmp) / "parent"),
+                 "change": copy_working_tree(Path(tmp) / "change")}
         for workload in workloads:
             pairs = []
             for n, seed in enumerate(seeds):
