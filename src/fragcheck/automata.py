@@ -10,10 +10,11 @@ and a boolean mask of accepting states, with state 0 as the start.
 `dfa_table` reads a `Dfa` into the table of its reachable part (breadth
 first, letters sorted), `minimal_table` refines a table by Moore's
 algorithm, `product_table` builds the pair automaton over the pairs
-reachable from the start, and `table_dfa` names a table's states q0, q1,
-... in breadth-first order.  `minimize`, the Boolean operations,
-determinization, `monoid.transition_monoid` and the formula compiler all
-go through these four.
+reachable from the start (one Python loop over the pairs, refused above a
+state cap), and `table_dfa` names a table's states q0, q1, ... in
+breadth-first order.  `minimize`, the Boolean operations, determinization,
+`monoid.transition_monoid` and the formula compiler all go through these
+four.
 
 Residues of positions and lengths follow the 1..n convention throughout:
 "i mod n" means the unique k in {1, ..., n} congruent to i.
@@ -21,7 +22,6 @@ Residues of positions and lengths follow the 1..n convention throughout:
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -265,29 +265,31 @@ def minimal_table(t: Table) -> Table:
     return delta, finals
 
 
-def product_table(t1: Table, t2: Table, accept) -> Table:
+def product_table(t1: Table, t2: Table, accept, cap: int) -> Table:
     """The pair automaton over the pairs reachable from (0, 0), with
-    `accept` (a numpy Boolean ufunc) of the two accepting masks.  Pair
-    (p, q) has code p * n2 + q; each breadth-first level computes the
-    successor codes of all its pairs in one step and numbers the new codes
-    after the known ones, so the levels' rows, in order, are the rows of
-    states 0, 1, ..."""
+    `accept` (a numpy Boolean ufunc) of the two accepting masks.  One
+    breadth-first loop over the pairs, on the rows of both tables as Python
+    lists: each (pair, column) is one dict probe, and a new pair takes the
+    next number, so state 0 is (0, 0) and the states are numbered in the
+    order they are found.  More pairs than `cap` is a CapError."""
     (d1, f1), (d2, f2) = t1, t2
-    n2 = len(f2)
-    ids = {0: 0}
-    levels = []
-    frontier = np.zeros(1, np.int64)
-    while frontier.size:
-        succ = d1[frontier // n2] * n2 + d2[frontier % n2]
-        levels.append(succ)
-        known = len(ids)
-        for code in np.unique(succ).tolist():
-            ids.setdefault(code, len(ids))
-        frontier = np.fromiter(itertools.islice(ids, known, None), np.int64, len(ids) - known)
-    codes = np.fromiter(ids, np.int64, len(ids))
-    order = np.argsort(codes)
-    delta = order[np.searchsorted(codes, np.concatenate(levels), sorter=order)]
-    return delta, accept(f1[codes // n2], f2[codes % n2])
+    rows1, rows2 = d1.tolist(), d2.tolist()
+    pairs = [(0, 0)]
+    ids = {(0, 0): 0}
+    rows = []
+    for p, q in pairs:
+        row = []
+        for pair in zip(rows1[p], rows2[q]):
+            j = ids.get(pair)
+            if j is None:
+                j = ids[pair] = len(pairs)
+                pairs.append(pair)
+            row.append(j)
+        rows.append(row)
+        if len(pairs) > cap:
+            raise CapError(f"state cap exceeded ({cap}) by the reachable pairs of a product")
+    left, right = np.array(pairs, np.int64).T
+    return np.array(rows, np.int64), accept(f1[left], f2[right])
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -343,7 +345,7 @@ def _pair_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
     _require_same_alphabet(d1, d2)
     letters, t1 = dfa_table(d1)
     _, t2 = dfa_table(d2)
-    return table_dfa(letters, minimal_table(product_table(t1, t2, accept)))
+    return table_dfa(letters, minimal_table(product_table(t1, t2, accept, DEFAULT_STATE_CAP)))
 
 
 def intersect(d1: Dfa, d2: Dfa) -> Dfa:

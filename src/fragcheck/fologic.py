@@ -42,33 +42,38 @@ subformulas at equal depth become one object and the formula tree becomes
 a DAG.  The compiler remembers each table by (node identity, depth): a
 subformula that occurs many times, as the operands of an expanded `<->` or
 the repeated guards of a translated expression do, is compiled once per
-depth.  The walkers that only read a formula (free variables, letters,
-statistics, truth on a word) likewise visit a shared node once, or, for
-truth, once per binding of the variables above it.
+depth.  The same walk checks that the input is a sentence over the
+alphabet, so `compile_formula` walks its input once.  The walkers that only
+read a formula (free variables, letters, statistics, truth on a word)
+likewise visit a shared node once, or, for truth, once per binding of the
+variables above it.
 
 Every intermediate automaton is an integer table: an int64 array of
 successors, states by marked letters, with a boolean mask of accepting
 states and state 0 as the start.  The marked letter `a << k | mask` carries
 letter index a and the variables whose bits mask sets, the innermost bound
 variable on the top bit k - 1.  Conjunction and disjunction are products
-over the pairs reachable from the start, one numpy step per breadth-first
-level (`automata.product_table`).  Erasing a variable reads two columns
-per marked letter of the outer scope, the variable unmarked and marked,
-and determinizes over subsets of (state, flag) pairs keyed by their sorted
-members, the flag saying whether the variable is already marked.  Each
-result is minimized by `automata.minimal_table`; negation flips the
-accepting mask of a complete minimal table, which leaves it minimal.  Only
-the final table over plain letters, already minimal, becomes a `Dfa`,
-through `automata.table_dfa` for the canonical state names.
+over the pairs reachable from the start, one breadth-first loop over the
+pairs on the rows as Python lists (`automata.product_table`).  Erasing a
+variable reads two columns per marked letter of the outer scope, the
+variable unmarked and marked, and determinizes over subsets of (state,
+flag) pairs keyed by their sorted members, the flag saying whether the
+variable is already marked.  Each result is minimized by
+`automata.minimal_table`; negation flips the accepting mask of a complete
+minimal table, which leaves it minimal.  Only the final table over plain
+letters, already minimal, becomes a `Dfa`, through `automata.table_dfa` for
+the canonical state names.
 
 Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
 (InputError).  Compilation raises CapError when a quantifier scope would
 need more than MAX_MARKED_LETTERS marked letters, checked before its body is
-compiled; when determinization finds more subsets of (state, flag) pairs
-than the state cap; and when a minimized intermediate table (an atom, a
-conjunction or disjunction, or an erasure) has more states than the state
-cap.  A `mod` or `len` modulus above the cap is refused before its table
-is built, since no such atom minimizes to fewer states than its modulus.
+compiled; when a conjunction or disjunction reaches more pairs than the
+state cap, checked while the product numbers them, before any Moore round;
+when determinization finds more subsets of (state, flag) pairs than the
+state cap; and when a minimized intermediate table (an atom, a conjunction
+or disjunction, or an erasure) has more states than the state cap.  A `mod`
+or `len` modulus above the cap is refused before its table is built, since
+no such atom minimizes to fewer states than its modulus.
 """
 
 from __future__ import annotations
@@ -516,17 +521,13 @@ def _eval(f: Formula, word: tuple, env: dict, known: dict) -> bool:
 # Compilation to a DFA
 
 def compile_formula(f: Formula, alphabet: Sequence[str], state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """The minimal DFA of the sentence's models over the given alphabet."""
+    """The minimal DFA of the sentence's models over the given alphabet.
+    A formula with free variables, or with a label letter outside the
+    alphabet, is an InputError, found by the renaming walk."""
     letters = sorted(set(alphabet))
     if not letters:
         raise InputError("empty alphabet")
-    fv = free_vars(f)
-    if fv:
-        raise InputError(f"formula has free variables: {', '.join(sorted(fv))}")
-    for a in formula_letters(f):
-        if a not in letters:
-            raise InputError(f"formula letter {a!r} not in the alphabet")
-    return table_dfa(letters, _Compiler(letters, state_cap).compile(_rename_apart(f), ()))
+    return table_dfa(letters, _Compiler(letters, state_cap).compile(_rename_apart(f, letters), ()))
 
 
 def formula_letters(f: Formula) -> set[str]:
@@ -534,7 +535,7 @@ def formula_letters(f: Formula) -> set[str]:
     return {g.letter for g in _nodes(f) if isinstance(g, Lab)}
 
 
-def _rename_apart(f: Formula) -> Formula:
+def _rename_apart(f: Formula, letters: Sequence[str] | None = None) -> Formula:
     """The formula with every binder named by its nesting depth, v0 for an
     outermost quantifier, v1 for one directly inside it and so on, with
     equal subformulas shared.
@@ -547,11 +548,25 @@ def _rename_apart(f: Formula) -> Formula:
     sequence of names the binders above a node bound; the walk remembers
     its result per (input node identity, scope), so an input node that
     several parents share, as `<->` shares its operands, is walked once
-    per scope."""
+    per scope.
+
+    The walk also checks the input.  A formula with free variables is an
+    InputError naming all of them; after that, when `letters` is given, so
+    is a label letter outside them (the least such letter is named)."""
+    known = None if letters is None else set(letters)
+    free: set[str] = set()
+    foreign: set[str] = set()
     nodes: dict = {}                        # shape -> the one node of that shape
     done: dict[tuple, Formula] = {}         # (id(input node), scope) -> node
     scopes: list[tuple[dict, int]] = [({}, 0)]  # scope -> ({bound: depth name}, depth)
     inner_scope: dict[tuple, int] = {}      # (scope, bound name) -> scope
+
+    def bound(env, var):
+        name = env.get(var)
+        if name is None:
+            free.add(var)
+            return var
+        return name
 
     def walk(g, scope):
         key = (id(g), scope)
@@ -564,11 +579,13 @@ def _rename_apart(f: Formula) -> Formula:
         if isinstance(g, (TrueF, FalseF, Len)):
             out = shape = g
         elif isinstance(g, Lab):
-            out = shape = Lab(env[g.var], g.letter)
+            if known is not None and g.letter not in known:
+                foreign.add(g.letter)
+            out = shape = Lab(bound(env, g.var), g.letter)
         elif isinstance(g, Mod):
-            out = shape = Mod(env[g.var], g.modulus, g.residue)
+            out = shape = Mod(bound(env, g.var), g.modulus, g.residue)
         elif isinstance(g, (Eq, Lt)):
-            out = shape = type(g)(env[g.left], env[g.right])
+            out = shape = type(g)(bound(env, g.left), bound(env, g.right))
         elif isinstance(g, (And, Or)):
             left, right = walk(g.left, scope), walk(g.right, scope)
             out, shape = type(g)(left, right), (type(g), id(left), id(right))
@@ -587,7 +604,12 @@ def _rename_apart(f: Formula) -> Formula:
         out = done[key] = nodes.setdefault(shape, out)
         return out
 
-    return walk(f, 0)
+    out = walk(f, 0)
+    if free:
+        raise InputError(f"formula has free variables: {', '.join(sorted(free))}")
+    if foreign:
+        raise InputError(f"formula letter {min(foreign)!r} not in the alphabet")
+    return out
 
 
 class _Compiler:
@@ -636,10 +658,12 @@ class _Compiler:
             out = self._minimal(self._atom(f, frame))
         elif isinstance(f, And):
             out = self._minimal(product_table(
-                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_and))
+                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_and,
+                self.cap))
         elif isinstance(f, Or):
             out = self._minimal(product_table(
-                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_or))
+                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_or,
+                self.cap))
         elif isinstance(f, Not):
             # the complement of a complete minimal table is minimal
             delta, finals = self.compile(f.sub, frame)

@@ -582,6 +582,19 @@ def union_by_dicts(d1, d2):
     return _pair_product_by_dicts(d1, d2, lambda x, y: x or y)
 
 
+def reachable_pairs_by_fixpoint(t1, t2):
+    """The set of state pairs of two integer tables reachable from (0, 0):
+    add every pair's successors on every column until the set stops
+    growing."""
+    rows1, rows2 = t1[0].tolist(), t2[0].tolist()
+    reached = {(0, 0)}
+    while True:
+        grown = reached | {pair for p, q in reached for pair in zip(rows1[p], rows2[q])}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
 def determinize_by_dicts(nfa, alphabet, cap=DEFAULT_STATE_CAP):
     letters = sorted(alphabet)
     if not letters:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from fragcheck.automata import (
+    DEFAULT_STATE_CAP,
     DecoratedLetter,
     Dfa,
     InputError,
@@ -24,14 +25,18 @@ from fragcheck.automata import (
     is_empty,
     length_residues,
     make_dfa,
+    minimal_table,
     minimize,
     mod1,
     parse_dfa,
+    product_table,
     regex_to_dfa,
     reverse,
     shortest_accepted,
+    table_dfa,
     union,
 )
+from fragcheck.errors import CapError
 
 
 def test_mod1_wraps_into_one_based_range():
@@ -175,6 +180,56 @@ def test_table_routes_match_dict_oracles(seed):
         d2 = seeded_machine(rng, int(rng.integers(1, 7)), len(d1.alphabet), "random", 1)
         assert dfa_to_json(intersect(d1, d2)) == dfa_to_json(oracles.intersect_by_dicts(d1, d2))
         assert dfa_to_json(union(d1, d2)) == dfa_to_json(oracles.union_by_dicts(d1, d2))
+
+
+def seeded_table(rng, n, width):
+    """A table of n states over `width` columns, each a copy of one of a
+    few drawn columns, so columns repeat.  Only states 0..m-1 (m drawn in
+    1..n) move among themselves; the others, which state 0 cannot reach,
+    move anywhere."""
+    m = int(rng.integers(1, n + 1))
+    base = np.vstack([rng.integers(0, m, (m, width)), rng.integers(0, n, (n - m, width))])
+    delta = base[:, rng.integers(0, int(rng.integers(1, width + 1)), width)]
+    return delta.astype(np.int64), rng.integers(0, 2, n).astype(bool)
+
+
+def table_machine(letters, t):
+    delta, finals = t
+    states = range(len(finals))
+    return make_dfa(letters, states, 0, [q for q in states if finals[q]],
+                    {(q, a): int(delta[q, c]) for q in states for c, a in enumerate(letters)})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_table_matches_pair_closure_and_dict_products(seed):
+    rng = np.random.default_rng(2000 + seed)
+    for width in (1, 2, 3, 7, 32, 256):
+        letters = [f"{c:03d}" for c in range(width)]  # sorted in column order
+        for _ in range(2):
+            t1 = seeded_table(rng, int(rng.integers(1, 41)), width)
+            t2 = seeded_table(rng, int(rng.integers(1, 41)), width)
+            pairs = oracles.reachable_pairs_by_fixpoint(t1, t2)
+            d1, d2 = table_machine(letters, t1), table_machine(letters, t2)
+            for accept, by_dicts in ((np.logical_and, oracles.intersect_by_dicts),
+                                     (np.logical_or, oracles.union_by_dicts)):
+                delta, finals = product_table(t1, t2, accept, DEFAULT_STATE_CAP)
+                assert delta.shape == (len(pairs), width) and len(finals) == len(pairs)
+                seen, todo = {0}, [0]
+                while todo:
+                    for r in delta[todo.pop()].tolist():
+                        if r not in seen:
+                            seen.add(r)
+                            todo.append(r)
+                assert seen == set(range(len(pairs)))
+                # both minimal and named canonically, so equal languages
+                # give equal fields
+                got = table_dfa(letters, minimal_table((delta, finals)))
+                want = by_dicts(d1, d2)
+                assert (got.states, got.finals, got.delta) == (want.states, want.finals, want.delta)
+            # the cap counts the numbered pairs
+            product_table(t1, t2, np.logical_and, len(pairs))
+            with pytest.raises(CapError):
+                product_table(t1, t2, np.logical_and, len(pairs) - 1)
 
 
 def test_boolean_ops_require_matching_alphabets():

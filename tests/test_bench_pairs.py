@@ -5,6 +5,8 @@ import importlib.util
 import subprocess
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -77,3 +79,20 @@ def test_the_working_tree_copy_carries_edits_and_untracked_files_but_not_ignored
     assert files == [".gitignore", "pkg/kept.py", "pkg/new.py"]
     assert (copy / "pkg" / "kept.py").read_text() == "edited\n"
     assert (copy / "pkg" / "new.py").read_text() == "untracked\n"
+
+
+def test_a_misspelled_workload_exits_2_before_any_export(tmp_path, monkeypatch, capsys):
+    def export(*args):
+        raise AssertionError("exported a tree for an unknown workload")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", export)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main(["--parent", "HEAD", "--workloads", "corpus,formula",
+                          "--seeds", "1-2", "--out", str(out)])
+    assert stopped.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload 'formula'" in err
+    assert "choose from corpus, ladder, xcheck, formulas" in err
+    assert not out.exists()

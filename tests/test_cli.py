@@ -380,6 +380,16 @@ def test_marked_alphabet_cap(tmp_path, capsys):
     assert "marked-alphabet cap" in capsys.readouterr().err
 
 
+def test_reachable_pair_cap(capsys):
+    # the `and` of the two counters reaches about 1000 * 1001 pairs; the
+    # product stops at the state cap, before any Moore round on the pairs
+    text = "(exists x (exists y (and (mod x 1000 1) (mod y 1001 1))))"
+    start = time.process_time()
+    assert cli.main(["fo", "compile", "--sexp", text, "--alphabet", "a"]) == 3
+    assert time.process_time() - start < 6.0
+    assert "reachable pairs" in capsys.readouterr().err
+
+
 def nested_iff(core, count):
     """`core` wrapped in `count` levels of (<-> ... core): the expansion of
     each level names both operands twice."""

@@ -161,6 +161,31 @@ def test_compile_rejects_free_variables():
         compile_formula(parse_formula("(lab x a)"), ["a"])
 
 
+def test_compile_walks_the_sentence_once(monkeypatch):
+    """The renaming walk also finds free variables and foreign letters, so
+    `compile_formula` runs none of the other formula walks."""
+    def second_walk(*args):
+        raise AssertionError("compile_formula walked the formula twice")
+
+    for name in ("_nodes", "free_vars", "formula_letters"):
+        monkeypatch.setattr(fologic, name, second_walk)
+    for text in BATTERY + SHARED:
+        compile_formula(parse_formula(text), ["a", "b", "c"])
+    with pytest.raises(InputError, match="^formula has free variables: x, y$"):
+        compile_formula(parse_formula("(and (lab y a) (< x y))"), ["a"])
+    with pytest.raises(InputError, match="^formula letter 'c' not in the alphabet$"):
+        compile_formula(parse_formula("(exists x (or (lab x d) (lab x c)))"), ["a", "b"])
+
+
+def test_free_variables_are_reported_before_foreign_letters():
+    # x is bound in one operand of the shared `<->` and free in the other
+    text = "(and (<-> (exists x (lab x c)) (lab z a)) (lab x d))"
+    with pytest.raises(InputError, match="^formula has free variables: x, z$"):
+        compile_formula(parse_formula(text), ["a", "b"])
+    with pytest.raises(InputError, match="^formula letter 'c' not in the alphabet$"):
+        compile_formula(parse_formula(f"(forall x (forall z {text}))"), ["a", "b"])
+
+
 CAPPED = "(exists x (exists y (and (< x y) (and (mod x 7 1) (mod y 11 2)))))"
 
 
@@ -313,9 +338,9 @@ def test_products_only_under_and_or_and_one_erasure_per_quantifier(monkeypatch):
         finally:
             compiling.pop()
 
-    def counting_product(t1, t2, accept):
+    def counting_product(t1, t2, accept, cap):
         products.append(compiling[-1])
-        return product_table(t1, t2, accept)
+        return product_table(t1, t2, accept, cap)
 
     def counting_project(self, t, frame):
         erasures.append(compiling[-1])

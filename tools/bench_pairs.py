@@ -40,14 +40,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def parse_args(argv=None):
+def parse_args(argv, known):
+    """The arguments; a workload outside `known` (the names BENCHMARK.json
+    lists) exits 2 before anything is exported or run."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="revision of the parent side")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", required=True, help="seeds as a range 901-910 or a list 1,5,9")
     parser.add_argument("--seconds", type=int, default=12)
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    unknown = [w for w in args.workloads.split(",") if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(map(repr, unknown))}; "
+                     f"choose from {', '.join(known)}")
+    return args
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -174,10 +181,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, [w["name"] for w in benchmark["workloads"]])
     seeds = parse_seeds(args.seeds)
     workloads = args.workloads.split(",")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = benchmark["end_to_end"]
     doc = {
         "command": "python3 bench/run.py --workload W --seed N --seconds "
                    f"{args.seconds}",
