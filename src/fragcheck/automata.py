@@ -5,14 +5,15 @@ position residue 2); the algorithms only need letters to be hashable and
 mutually sortable.
 
 Minimization and the products run on integer tables.  A table is a pair
-(delta, finals): an int64 array of successor states, states by letters,
-and a boolean mask of accepting states, with state 0 as the start.
-`dfa_table` reads a `Dfa` into the table of its reachable part (breadth
-first, letters sorted), `minimal_table` refines a table by Moore's
-algorithm, `product_table` builds the pair automaton over the pairs
-reachable from the start (one Python loop over the pairs, refused above a
-state cap), and `table_dfa` names a table's states q0, q1, ... in
-breadth-first order.  `minimize`, the Boolean operations, determinization,
+(rows, finals): a list of rows, one per state, each a list or tuple of
+successor states by letter, and a list of accepting flags, with state 0 as
+the start.  `dfa_table` reads a `Dfa` into the table of its reachable part
+(breadth first, letters sorted), `minimal_table` refines a table by
+Moore's algorithm (one column at a time, over the distinct columns),
+`product_table` builds the pair automaton over the pairs reachable from
+the start (one Python loop over the pairs, refused above a state cap), and
+`table_dfa` names a table's states q0, q1, ... in breadth-first order.
+`minimize`, the Boolean operations, determinization,
 `monoid.transition_monoid` and the formula compiler all go through these
 four.
 
@@ -25,9 +26,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, and_, itemgetter, mul, or_
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import CapError, InputError
 
@@ -199,7 +200,7 @@ def _stringly(d: Dfa) -> Dfa:
 # ---------------------------------------------------------------------------
 # Minimization and canonical naming
 
-Table = tuple  # (delta, finals): see the module docstring
+Table = tuple  # (rows, finals): see the module docstring
 
 
 def dfa_table(d: Dfa) -> tuple[list, Table]:
@@ -218,15 +219,14 @@ def dfa_table(d: Dfa) -> tuple[list, Table]:
                 order.append(t)
             row.append(j)
         rows.append(row)
-    return letters, (np.array(rows, np.int64), np.array([q in d.finals for q in order]))
+    return letters, (rows, [q in d.finals for q in order])
 
 
 def table_dfa(letters, t: Table) -> Dfa:
     """The Dfa of the table's states reachable from state 0, named q0, q1,
     ... in breadth-first order with the columns (the letters, sorted) in
     order.  Two minimal tables of one language get identical names."""
-    delta, finals = t
-    rows = delta.tolist()
+    rows, finals = t
     order = [0]
     names = {0: "q0"}
     for q in order:
@@ -242,38 +242,55 @@ def table_dfa(letters, t: Table) -> Dfa:
 
 
 def minimal_table(t: Table) -> Table:
-    """Moore refinement.  A state's next block is its row (block, blocks of
-    its successors), keyed by bytes and numbered by first occurrence, so
-    state 0 stays the start.  States the table cannot reach from state 0
-    are kept, each in the block of the states it is equivalent to."""
-    delta, finals = t
+    """Moore refinement, one column at a time.  The blocks start as the
+    accepting and the rejecting states.  A column splits them by the pair
+    (block of the state, block of its successor in that column), keyed as
+    the int block * n + successor block, whose first term is kept until the
+    blocks change.  A column that split is tried again before the next
+    one, and the refinement is stable once every distinct column in turn
+    splits nothing.  Each step is a few C-level passes over the states
+    (`itemgetter`, `map`, `dict.fromkeys`), with no tuple per state.
+    Blocks are numbered by first occurrence, so state 0 stays the start
+    and two tables of one language over one column order give equal
+    quotients.  States the table cannot reach from state 0 are kept, each
+    in the block of the states it is equivalent to."""
+    rows, finals = t
     n = len(finals)
-    block = finals.astype(np.int64)
-    count = int(finals.any()) + int(not finals.all())
-    while count < n:
-        rows = np.column_stack((block, block[delta]))
-        width, buf = rows.shape[1] * rows.itemsize, rows.tobytes()
-        ids: dict[bytes, int] = {}
-        block = np.fromiter(
-            (ids.setdefault(buf[q * width:(q + 1) * width], len(ids)) for q in range(n)),
-            np.int64, n,
-        )
+    start = finals[0]
+    block = [0 if f == start else 1 for f in finals]
+    count = 1 + (1 in block)
+    if count == n:
+        return t
+    # successor blocks in one column, a tuple (n > 1) read by one C call
+    successors = [itemgetter(*col) for col in dict.fromkeys(zip(*rows))]
+    scaled = list(map(mul, block, repeat(n)))
+    quiet = c = 0                       # columns in a row that split nothing
+    while count < n and quiet < len(successors):
+        keys = list(map(add, scaled, successors[c](block)))
+        ids = dict.fromkeys(keys)
         if len(ids) == count:
-            _, reps = np.unique(block, return_index=True)
-            return block[delta[reps]], finals[reps]
-        count = len(ids)
-    return delta, finals
+            quiet += 1
+            c = (c + 1) % len(successors)
+        else:
+            count, quiet = len(ids), 0
+            block = list(map(dict(zip(ids, range(count))).__getitem__, keys))
+            scaled = list(map(mul, block, repeat(n)))
+    if count == n:
+        return t
+    least = dict(zip(reversed(block), range(n - 1, -1, -1)))  # block -> its first state
+    reps = list(map(least.__getitem__, range(count)))
+    get = block.__getitem__
+    return [list(map(get, rows[q])) for q in reps], [finals[q] for q in reps]
 
 
 def product_table(t1: Table, t2: Table, accept, cap: int) -> Table:
     """The pair automaton over the pairs reachable from (0, 0), with
-    `accept` (a numpy Boolean ufunc) of the two accepting masks.  One
-    breadth-first loop over the pairs, on the rows of both tables as Python
-    lists: each (pair, column) is one dict probe, and a new pair takes the
-    next number, so state 0 is (0, 0) and the states are numbered in the
-    order they are found.  More pairs than `cap` is a CapError."""
-    (d1, f1), (d2, f2) = t1, t2
-    rows1, rows2 = d1.tolist(), d2.tolist()
+    `accept` (`operator.and_` or `operator.or_`) of the two accepting
+    flags.  One breadth-first loop over the pairs: each (pair, column) is
+    one dict probe, and a new pair takes the next number, so state 0 is
+    (0, 0) and the states are numbered in the order they are found.  More
+    pairs than `cap` is a CapError."""
+    (rows1, f1), (rows2, f2) = t1, t2
     pairs = [(0, 0)]
     ids = {(0, 0): 0}
     rows = []
@@ -288,8 +305,7 @@ def product_table(t1: Table, t2: Table, accept, cap: int) -> Table:
         rows.append(row)
         if len(pairs) > cap:
             raise CapError(f"state cap exceeded ({cap}) by the reachable pairs of a product")
-    left, right = np.array(pairs, np.int64).T
-    return np.array(rows, np.int64), accept(f1[left], f2[right])
+    return rows, [accept(f1[p], f2[q]) for p, q in pairs]
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -336,8 +352,8 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa):
 # Boolean operations
 
 def complement(d: Dfa) -> Dfa:
-    letters, (delta, finals) = dfa_table(d)
-    return table_dfa(letters, minimal_table((delta, ~finals)))
+    letters, (rows, finals) = dfa_table(d)
+    return table_dfa(letters, minimal_table((rows, [not f for f in finals])))
 
 
 def _pair_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
@@ -349,11 +365,11 @@ def _pair_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
 
 
 def intersect(d1: Dfa, d2: Dfa) -> Dfa:
-    return _pair_product(d1, d2, np.logical_and)
+    return _pair_product(d1, d2, and_)
 
 
 def union(d1: Dfa, d2: Dfa) -> Dfa:
-    return _pair_product(d1, d2, np.logical_or)
+    return _pair_product(d1, d2, or_)
 
 
 def is_empty(d: Dfa) -> bool:
@@ -439,8 +455,8 @@ def determinize(nfa: Nfa, alphabet, cap: int = DEFAULT_STATE_CAP) -> Dfa:
                     raise CapError(f"state cap exceeded ({cap}) during determinization")
             row.append(j)
         rows.append(row)
-    finals = np.array([bool(s & nfa.finals) for s in subsets])
-    return table_dfa(letters, minimal_table((np.array(rows, np.int64), finals)))
+    finals = [bool(s & nfa.finals) for s in subsets]
+    return table_dfa(letters, minimal_table((rows, finals)))
 
 
 def reverse(d: Dfa) -> Dfa:

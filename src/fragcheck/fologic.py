@@ -48,18 +48,20 @@ read a formula (free variables, letters, statistics, truth on a word)
 likewise visit a shared node once, or, for truth, once per binding of the
 variables above it.
 
-Every intermediate automaton is an integer table: an int64 array of
-successors, states by marked letters, with a boolean mask of accepting
-states and state 0 as the start.  The marked letter `a << k | mask` carries
-letter index a and the variables whose bits mask sets, the innermost bound
-variable on the top bit k - 1.  Conjunction and disjunction are products
-over the pairs reachable from the start, one breadth-first loop over the
-pairs on the rows as Python lists (`automata.product_table`).  Erasing a
+Every intermediate automaton is an integer table of `automata`: a list of
+rows of successor states, one row per state and one entry per marked
+letter, with a list of accepting flags and state 0 as the start.  The
+marked letter `a << k | mask` carries letter index a and the variables
+whose bits mask sets, the innermost bound variable on the top bit k - 1.
+Atoms and constants are built as rows, already minimal.  Conjunction and
+disjunction are products over the pairs reachable from the start, one
+breadth-first loop over the pairs (`automata.product_table`).  Erasing a
 variable reads two columns per marked letter of the outer scope, the
 variable unmarked and marked, and determinizes over subsets of (state,
-flag) pairs keyed by their sorted members, the flag saying whether the
-variable is already marked.  Each result is minimized by
-`automata.minimal_table`; negation flips the accepting mask of a complete
+flag) pairs keyed by frozensets, the flag saying whether the variable is
+already marked; outer letters that read the same pair of columns share one
+subset step.  Each product and erasure is minimized by
+`automata.minimal_table`; negation flips the accepting flags of a complete
 minimal table, which leaves it minimal.  Only the final table over plain
 letters, already minimal, becomes a `Dfa`, through `automata.table_dfa` for
 the canonical state names.
@@ -70,19 +72,18 @@ need more than MAX_MARKED_LETTERS marked letters, checked before its body is
 compiled; when a conjunction or disjunction reaches more pairs than the
 state cap, checked while the product numbers them, before any Moore round;
 when determinization finds more subsets of (state, flag) pairs than the
-state cap; and when a minimized intermediate table (an atom, a conjunction
-or disjunction, or an erasure) has more states than the state cap.  A `mod`
-or `len` modulus above the cap is refused before its table is built, since
-no such atom minimizes to fewer states than its modulus.
+state cap; and when an intermediate table (an atom, or a minimized
+conjunction, disjunction or erasure) has more states than the state cap.  A
+`mod` or `len` modulus above the cap is refused before its table is built,
+since no such atom has fewer states than its modulus.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import _sexp
 from .automata import (
@@ -620,8 +621,13 @@ class _Compiler:
     of frame variables marked at that position.  Column
     `a << len(frame) | mask` is letter index a with the variables frame[j]
     whose bit j is set in mask, so the variable a quantifier binds is the
-    top bit of its body's columns.  Tables are those of `automata`, with
-    marked letters as columns.
+    top bit of its body's columns.  Tables are those of `automata` (rows
+    as Python lists, accepting flags as a list), with marked letters as
+    columns.  Atoms and constants are built minimal and skip Moore;
+    products and erasures go through `automata.minimal_table`.  An erasure
+    takes one subset step per distinct (unmarked, marked) pair of its
+    body's columns and keys its subsets by frozensets of (state, flag)
+    pairs.
 
     A table under a frame is exact on the words marking each frame variable
     exactly once (see the module docstring): the exactly-once rule is
@@ -634,11 +640,8 @@ class _Compiler:
         self.cap = cap
         self._memo: dict[tuple[int, int], Table] = {}
 
-    def columns(self, frame: tuple) -> np.ndarray:
-        return np.arange(len(self.letters) << len(frame))
-
     def _const(self, frame: tuple, accept: bool) -> Table:
-        return np.zeros((1, len(self.letters) << len(frame)), np.int64), np.array([accept])
+        return [[0] * (len(self.letters) << len(frame))], [accept]
 
     def compile(self, f: Formula, frame: tuple) -> Table:
         """The table of f under the frame, exact on the words that mark
@@ -655,19 +658,18 @@ class _Compiler:
         if isinstance(f, (TrueF, FalseF)):
             out = self._const(frame, isinstance(f, TrueF))
         elif isinstance(f, (Lab, Eq, Lt, Mod, Len)):
-            out = self._minimal(self._atom(f, frame))
+            out = self._capped(self._atom(f, frame))
         elif isinstance(f, And):
             out = self._minimal(product_table(
-                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_and,
+                self.compile(f.left, frame), self.compile(f.right, frame), operator.and_,
                 self.cap))
         elif isinstance(f, Or):
             out = self._minimal(product_table(
-                self.compile(f.left, frame), self.compile(f.right, frame), np.logical_or,
+                self.compile(f.left, frame), self.compile(f.right, frame), operator.or_,
                 self.cap))
         elif isinstance(f, Not):
             # the complement of a complete minimal table is minimal
-            delta, finals = self.compile(f.sub, frame)
-            out = delta, ~finals
+            out = _negated(self.compile(f.sub, frame))
         elif isinstance(f, (Exists, Forall)):
             # (forall x f) is compiled as (not (exists x (not f)))
             inner = frame + (f.var,)
@@ -679,10 +681,10 @@ class _Compiler:
                 )
             body = self.compile(f.body, inner)
             if isinstance(f, Forall):
-                body = body[0], ~body[1]
+                body = _negated(body)
             out = self._minimal(self._project(body, frame))
             if isinstance(f, Forall):
-                out = out[0], ~out[1]
+                out = _negated(out)
         else:
             raise InputError(f"not a formula: {f!r}")
         self._memo[key] = out
@@ -695,51 +697,57 @@ class _Compiler:
         """The atom's automaton, exact on validly marked words: it decides
         at the first mark of its variables.  The waiting states come first;
         where the atom is decided for good, it moves to an absorbing state,
-        accepting or rejecting.  Every state is reachable from state 0."""
-        cols = self.columns(frame)
+        accepting or rejecting.  Every state is reachable from state 0, and
+        no two states accept the same marked words, so the table is
+        minimal as built: a `len` residue cycle has one accepting state,
+        and a `mod` waiting state is told apart by how many letters it
+        reads before a mark is a hit."""
+        width = len(self.letters) << len(frame)
 
         def marked(var):
-            return (cols >> frame.index(var)) & 1 == 1
+            bit = 1 << frame.index(var)
+            return [c & bit != 0 for c in range(width)]
 
         if isinstance(f, (Len, Mod)) and f.modulus > self.cap:
-            # the residues stay pairwise distinguishable, so its minimal
-            # table would exceed the cap anyway
+            # the residues stay pairwise distinguishable, so its table
+            # would exceed the cap anyway
             raise self._over_cap()
         if isinstance(f, Len):
-            states = np.arange(f.modulus)
-            step = np.repeat(((states + 1) % f.modulus)[:, None], len(cols), axis=1)
-            return step, states == f.residue % f.modulus
-        if isinstance(f, Mod):
             n = f.modulus
-            residue = np.arange(n)[:, None]
-            hit = (residue + 1 - f.residue) % n == 0
-            return self._decided(
-                np.where(marked(f.var), np.where(hit, n, n + 1), (residue + 1) % n))
+            return [[(q + 1) % n] * width for q in range(n)], [q == f.residue % n for q in range(n)]
+        if isinstance(f, Mod):
+            n, x = f.modulus, marked(f.var)
+            waiting = []
+            for q in range(n):
+                on_mark, step = (n if (q + 1 - f.residue) % n == 0 else n + 1), (q + 1) % n
+                waiting.append([on_mark if m else step for m in x])
+            return self._decided(waiting)
         if isinstance(f, Lab):
-            here = (cols >> len(frame)) == self.letters.index(f.letter)
-            return self._decided(np.where(marked(f.var), np.where(here, 1, 2), 0)[None])
+            letter, shift = self.letters.index(f.letter), len(frame)
+            return self._decided([[(1 if c >> shift == letter else 2) if m else 0
+                                   for c, m in enumerate(marked(f.var))]])
         if isinstance(f, Eq):
             if f.left == f.right:
                 return self._const(frame, True)
-            x, y = marked(f.left), marked(f.right)
-            return self._decided(np.where(x & y, 1, np.where(x | y, 2, 0))[None])
+            pairs = list(zip(marked(f.left), marked(f.right)))
+            return self._decided([[1 if x and y else 2 if x or y else 0 for x, y in pairs]])
         if isinstance(f, Lt):
             if f.left == f.right:
                 return self._const(frame, False)
-            x, y = marked(f.left), marked(f.right)
+            pairs = list(zip(marked(f.left), marked(f.right)))
             # state 0: neither seen; state 1: the left one seen
-            return self._decided(np.stack([np.where(y, 3, np.where(x, 1, 0)), np.where(y, 2, 1)]))
+            return self._decided([[3 if y else 1 if x else 0 for x, y in pairs],
+                                  [2 if y else 1 for _, y in pairs]])
         raise InputError(f"not an atomic formula: {f!r}")
 
     @staticmethod
-    def _decided(waiting: np.ndarray) -> Table:
+    def _decided(waiting: list) -> Table:
         """The m waiting rows, then the accepting absorbing state m and,
         only if some waiting row moves to it, the rejecting one m + 1: over
         one letter, `(lab x a)` and `(mod x 1 1)` never reject."""
-        m, width = waiting.shape
-        size = m + 1 + int((waiting == m + 1).any())
-        delta = np.vstack([waiting, np.repeat(np.arange(m, size)[:, None], width, axis=1)])
-        return delta, np.arange(size) == m
+        m, width = len(waiting), len(waiting[0])
+        size = m + 1 + any(m + 1 in row for row in waiting)
+        return waiting + [[q] * width for q in range(m, size)], [q == m for q in range(size)]
 
     def _project(self, t: Table, frame: tuple) -> Table:
         """Erase the innermost variable x, keeping only the runs that mark
@@ -748,48 +756,58 @@ class _Compiler:
         already marked: an unmarked column keeps the flag, a marked one
         sets it, or drops the run when it is set.  A subset accepts when
         one of its pairs is flagged at a final state.  Outer column c reads
-        the inner column `lo[c]` (x unmarked) and `lo[c] | top` (marked),
-        so one subset step is two gathers, sorted per column.  A subset is
-        keyed by the bytes of its sorted members; more subsets than the
-        cap is a CapError."""
-        delta, finals = t
-        cols = self.columns(frame)
-        top = 1 << len(frame)
-        lo = (cols >> len(frame) << (len(frame) + 1)) | (cols & (top - 1))
-        dropped = 2 * len(finals)       # sorts after every pair
-        unmarked = np.repeat(2 * delta[:, lo], 2, axis=0)
-        unmarked[1::2] += 1             # the flag stays set
-        marked = np.repeat(2 * delta[:, lo | top] + 1, 2, axis=0)
-        marked[1::2] = dropped          # a second mark drops the run
-        accepts = np.repeat(finals, 2)
-        accepts[::2] = False
-        keys = [np.zeros(1, np.int64).tobytes()]
-        ids = {keys[0]: 0}
-        rows, accepting = [], []
-        for key in keys:
-            members = np.frombuffer(key, np.int64)
-            step = np.concatenate((unmarked[members], marked[members]))
-            step.sort(axis=0)
-            step[1:][step[1:] == step[:-1]] = dropped
-            step.sort(axis=0)
-            height = step.shape[0] * step.itemsize
-            buf = step.T.tobytes()      # column c starts at c * height
-            row = []
-            for c, size in enumerate((step < dropped).sum(0).tolist()):
-                nxt = buf[c * height:c * height + size * step.itemsize]
-                j = ids.setdefault(nxt, len(keys))
-                if j == len(keys):
-                    keys.append(nxt)
-                    if len(keys) > self.cap:
+        the inner column `lo` (x unmarked) and `lo | top` (marked); outer
+        columns that read equal (unmarked, marked) column contents share
+        one subset step, so each subset takes one step per distinct column
+        pair and its row spreads those over the outer columns.  A subset is
+        keyed by the frozenset of its pairs; more subsets than the cap is a
+        CapError."""
+        rows, finals = t
+        k = len(frame)
+        top = 1 << k
+        columns = list(zip(*rows))
+        dropped = 2 * len(finals)       # a run marking x twice
+        steps: dict[tuple, int] = {}    # (unmarked, marked) column -> its step
+        spread = []                     # outer column -> its step
+        for c in range(len(self.letters) << k):
+            lo = (c >> k << (k + 1)) | (c & (top - 1))
+            spread.append(steps.setdefault((columns[lo], columns[lo | top]), len(steps)))
+        # per step, the successor of pair p when x is unmarked and when marked
+        moves = [([2 * r + flag for r in unmarked for flag in (0, 1)],
+                  [v for r in marked for v in (2 * r + 1, dropped)])
+                 for unmarked, marked in steps]
+        flagged_finals = {2 * q + 1 for q, f in enumerate(finals) if f}
+        subsets = [frozenset((0,))]
+        ids = {subsets[0]: 0}
+        out, accepting = [], []
+        for subset in subsets:
+            targets = []
+            for unmarked, marked in moves:
+                nxt = set(map(unmarked.__getitem__, subset))
+                nxt.update(map(marked.__getitem__, subset))
+                nxt.discard(dropped)
+                nxt = frozenset(nxt)
+                j = ids.get(nxt)
+                if j is None:
+                    j = ids[nxt] = len(subsets)
+                    subsets.append(nxt)
+                    if len(subsets) > self.cap:
                         raise CapError(f"state cap exceeded ({self.cap}) during determinization")
-                row.append(j)
-            rows.append(row)
-            accepting.append(accepts[members].any())
-        return np.array(rows, np.int64), np.array(accepting)
+                targets.append(j)
+            out.append(list(map(targets.__getitem__, spread)))
+            accepting.append(not flagged_finals.isdisjoint(subset))
+        return out, accepting
 
     def _minimal(self, t: Table) -> Table:
         """The minimal table of t; one over the state cap is a CapError."""
-        t = minimal_table(t)
+        return self._capped(minimal_table(t))
+
+    def _capped(self, t: Table) -> Table:
         if len(t[1]) > self.cap:
             raise self._over_cap()
         return t
+
+
+def _negated(t: Table) -> Table:
+    rows, finals = t
+    return rows, [not f for f in finals]

@@ -397,10 +397,9 @@ def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
     Element ids and words come from the closure over words, so they do not
     depend on how the states are numbered."""
     letters, t = dfa_table(d)
-    delta, finals = minimal_table(t)
-    n = len(finals)
-    letter_labels = {a: (*col, n) for a, col in zip(letters, delta.T.tolist())}
-    final_mask = finals.tolist()
+    rows, final_mask = minimal_table(t)
+    n = len(final_mask)
+    letter_labels = {a: (*col, n) for a, col in zip(letters, zip(*rows))}
     return generated_morphism(
         letter_labels,
         _action_times,

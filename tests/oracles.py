@@ -53,7 +53,12 @@ to the same objects:
   row by row;
 - `syntactic_order_by_class_loop`, the syntactic order by one |M|^2 byte
   gather per distinct right quotient, as `monoid.syntactic_order` built
-  it before it ANDed packed rows of bits.
+  it before it ANDed packed rows of bits;
+- `minimal_table_by_bytes` and `erase_by_sorted_subsets`: Moore
+  refinement keyed by the bytes of whole numpy rows, and the formula
+  compiler's erasure by numpy gathers of sorted (state, flag) pairs keyed
+  by bytes, as `automata.minimal_table` and `fologic._Compiler._project`
+  ran them before tables became Python rows.
 """
 
 import itertools
@@ -586,13 +591,78 @@ def reachable_pairs_by_fixpoint(t1, t2):
     """The set of state pairs of two integer tables reachable from (0, 0):
     add every pair's successors on every column until the set stops
     growing."""
-    rows1, rows2 = t1[0].tolist(), t2[0].tolist()
+    rows1, rows2 = t1[0], t2[0]
     reached = {(0, 0)}
     while True:
         grown = reached | {pair for p, q in reached for pair in zip(rows1[p], rows2[q])}
         if grown == reached:
             return reached
         reached = grown
+
+
+def minimal_table_by_bytes(t):
+    """Moore refinement of a table on a numpy copy: each round keys every
+    state by the bytes of its row (block, blocks of its successors) and
+    numbers the keys by first occurrence; the quotient comes back as lists."""
+    delta, finals = np.array(t[0], np.int64), np.array(t[1], bool)
+    n = len(finals)
+    block = finals.astype(np.int64)
+    count = int(finals.any()) + int(not finals.all())
+    while count < n:
+        rows = np.column_stack((block, block[delta]))
+        width, buf = rows.shape[1] * rows.itemsize, rows.tobytes()
+        ids = {}
+        block = np.fromiter(
+            (ids.setdefault(buf[q * width:(q + 1) * width], len(ids)) for q in range(n)),
+            np.int64, n,
+        )
+        if len(ids) == count:
+            _, reps = np.unique(block, return_index=True)
+            return block[delta[reps]].tolist(), finals[reps].tolist()
+        count = len(ids)
+    return delta.tolist(), finals.tolist()
+
+
+def erase_by_sorted_subsets(t, depth, letter_count, cap=DEFAULT_STATE_CAP):
+    """The formula compiler's erasure of the innermost of `depth` + 1
+    frame variables, keeping the runs that mark it exactly once, on a numpy
+    copy of the body table: one subset step is two gathers of
+    (state, flag) pairs sorted per column, and a subset is keyed by the
+    bytes of its sorted members.  The table comes back as lists."""
+    delta, finals = np.array(t[0], np.int64), np.array(t[1], bool)
+    cols = np.arange(letter_count << depth)
+    top = 1 << depth
+    lo = (cols >> depth << (depth + 1)) | (cols & (top - 1))
+    dropped = 2 * len(finals)       # sorts after every pair
+    unmarked = np.repeat(2 * delta[:, lo], 2, axis=0)
+    unmarked[1::2] += 1             # the flag stays set
+    marked = np.repeat(2 * delta[:, lo | top] + 1, 2, axis=0)
+    marked[1::2] = dropped          # a second mark drops the run
+    accepts = np.repeat(finals, 2)
+    accepts[::2] = False
+    keys = [np.zeros(1, np.int64).tobytes()]
+    ids = {keys[0]: 0}
+    rows, accepting = [], []
+    for key in keys:
+        members = np.frombuffer(key, np.int64)
+        step = np.concatenate((unmarked[members], marked[members]))
+        step.sort(axis=0)
+        step[1:][step[1:] == step[:-1]] = dropped
+        step.sort(axis=0)
+        height = step.shape[0] * step.itemsize
+        buf = step.T.tobytes()      # column c starts at c * height
+        row = []
+        for c, size in enumerate((step < dropped).sum(0).tolist()):
+            nxt = buf[c * height:c * height + size * step.itemsize]
+            j = ids.setdefault(nxt, len(keys))
+            if j == len(keys):
+                keys.append(nxt)
+                if len(keys) > cap:
+                    raise CapError(f"state cap exceeded ({cap}) during determinization")
+            row.append(j)
+        rows.append(row)
+        accepting.append(bool(accepts[members].any()))
+    return rows, accepting
 
 
 def determinize_by_dicts(nfa, alphabet, cap=DEFAULT_STATE_CAP):
@@ -1028,9 +1098,8 @@ def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
     letter and the table filled by the column recurrence
     mult[x][y a] = R_a[mult[x][y]]."""
     letters, t = dfa_table(d)
-    delta, finals = minimal_table(t)
-    final_mask = finals.tolist()
-    letter_labels = {a: tuple(col) for a, col in zip(letters, delta.T.tolist())}
+    rows, final_mask = minimal_table(t)
+    letter_labels = {a: tuple(col) for a, col in zip(letters, zip(*rows))}
     identity = tuple(range(len(final_mask)))
     labels, index, words, parent = [identity], {identity: 0}, [()], [None]
     gen_cols = {a: [] for a in letters}

@@ -2,6 +2,7 @@
 the position-decoration machinery."""
 
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -182,22 +183,24 @@ def test_table_routes_match_dict_oracles(seed):
         assert dfa_to_json(union(d1, d2)) == dfa_to_json(oracles.union_by_dicts(d1, d2))
 
 
-def seeded_table(rng, n, width):
+def seeded_table(rng, n, width, finals="random"):
     """A table of n states over `width` columns, each a copy of one of a
     few drawn columns, so columns repeat.  Only states 0..m-1 (m drawn in
     1..n) move among themselves; the others, which state 0 cannot reach,
-    move anywhere."""
+    move anywhere.  `finals` is "random", "all" or "none"."""
     m = int(rng.integers(1, n + 1))
     base = np.vstack([rng.integers(0, m, (m, width)), rng.integers(0, n, (n - m, width))])
     delta = base[:, rng.integers(0, int(rng.integers(1, width + 1)), width)]
-    return delta.astype(np.int64), rng.integers(0, 2, n).astype(bool)
+    accepting = {"all": [True] * n, "none": [False] * n}.get(
+        finals, rng.integers(0, 2, n).astype(bool).tolist())
+    return delta.tolist(), accepting
 
 
 def table_machine(letters, t):
-    delta, finals = t
+    rows, finals = t
     states = range(len(finals))
     return make_dfa(letters, states, 0, [q for q in states if finals[q]],
-                    {(q, a): int(delta[q, c]) for q in states for c, a in enumerate(letters)})
+                    {(q, a): rows[q][c] for q in states for c, a in enumerate(letters)})
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -210,13 +213,14 @@ def test_product_table_matches_pair_closure_and_dict_products(seed):
             t2 = seeded_table(rng, int(rng.integers(1, 41)), width)
             pairs = oracles.reachable_pairs_by_fixpoint(t1, t2)
             d1, d2 = table_machine(letters, t1), table_machine(letters, t2)
-            for accept, by_dicts in ((np.logical_and, oracles.intersect_by_dicts),
-                                     (np.logical_or, oracles.union_by_dicts)):
+            for accept, by_dicts in ((operator.and_, oracles.intersect_by_dicts),
+                                     (operator.or_, oracles.union_by_dicts)):
                 delta, finals = product_table(t1, t2, accept, DEFAULT_STATE_CAP)
-                assert delta.shape == (len(pairs), width) and len(finals) == len(pairs)
+                assert [len(row) for row in delta] == [width] * len(pairs)
+                assert len(finals) == len(pairs)
                 seen, todo = {0}, [0]
                 while todo:
-                    for r in delta[todo.pop()].tolist():
+                    for r in delta[todo.pop()]:
                         if r not in seen:
                             seen.add(r)
                             todo.append(r)
@@ -227,9 +231,38 @@ def test_product_table_matches_pair_closure_and_dict_products(seed):
                 want = by_dicts(d1, d2)
                 assert (got.states, got.finals, got.delta) == (want.states, want.finals, want.delta)
             # the cap counts the numbered pairs
-            product_table(t1, t2, np.logical_and, len(pairs))
+            product_table(t1, t2, operator.and_, len(pairs))
             with pytest.raises(CapError):
-                product_table(t1, t2, np.logical_and, len(pairs) - 1)
+                product_table(t1, t2, operator.and_, len(pairs) - 1)
+
+
+def redundant_table(rng, n, width, finals):
+    """A seeded table of n states with each state then copied up to three
+    times, every successor pointing at one of the target's copies drawn at
+    random, so that Moore has blocks to merge."""
+    rows, accepting = seeded_table(rng, n, width, finals)
+    copies = [int(rng.integers(1, 4)) for _ in range(n)]
+    names = [(q, i) for q in range(n) for i in range(copies[q])]
+    index = {name: j for j, name in enumerate(names)}
+    return ([[index[r, int(rng.integers(0, copies[r]))] for r in rows[q]] for q, _ in names],
+            [accepting[q] for q, _ in names])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_table_matches_moore_by_bytes(seed):
+    """The column-wise Moore refinement gives the same quotient, numbered
+    alike, as whole-row refinement keyed by bytes: on tables with repeated
+    columns, states unreachable from 0, copied states, and every kind of
+    accepting set."""
+    rng = np.random.default_rng(3000 + seed)
+    for width in (1, 2, 3, 7, 32, 256):
+        for finals in ("random", "all", "none"):
+            for n in (1, 2, int(rng.integers(3, 41))):
+                for t in (seeded_table(rng, n, width, finals),
+                          redundant_table(rng, n, width, finals)):
+                    want = oracles.minimal_table_by_bytes(t)
+                    got = minimal_table(t)
+                    assert ([list(row) for row in got[0]], list(got[1])) == want
 
 
 def test_boolean_ops_require_matching_alphabets():

@@ -390,6 +390,16 @@ def test_reachable_pair_cap(capsys):
     assert "reachable pairs" in capsys.readouterr().err
 
 
+def test_atom_over_the_state_cap(capsys):
+    # `(mod x n r)` has n waiting states and two absorbing ones: at n + 2
+    # above the cap the atom is refused as built, before any Moore round
+    text = "(exists x (mod x 199999 1))"
+    start = time.process_time()
+    assert cli.main(["fo", "compile", "--sexp", text, "--alphabet", "a"]) == 3
+    assert time.process_time() - start < 6.0
+    assert capsys.readouterr().err == "error: state cap exceeded (200000) while compiling\n"
+
+
 def nested_iff(core, count):
     """`core` wrapped in `count` levels of (<-> ... core): the expansion of
     each level names both operands twice."""

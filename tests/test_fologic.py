@@ -8,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import exprsuite
 import oracles
+from test_automata import seeded_table
 from fragcheck import fologic
-from fragcheck.automata import DEFAULT_STATE_CAP, dfa_to_doc, equivalent, minimize, regex_to_dfa
+from fragcheck.automata import (
+    DEFAULT_STATE_CAP, dfa_to_doc, equivalent, minimal_table, minimize, regex_to_dfa)
 from fragcheck.errors import CapError, InputError
 from fragcheck.fologic import (
     And,
@@ -369,14 +371,14 @@ def test_erasure_keeps_only_runs_marking_the_variable_once():
     the marks of x (0, 1, 2 or more); only a run with exactly one mark may
     accept.  Compiled atoms decide at the first mark, so no sentence shows
     a run taking a second mark; these tables do."""
-    counting = np.array([[0, 1], [1, 2], [2, 2]])
+    counting = [[0, 1], [1, 2], [2, 2]]
     compiler = fologic._Compiler(["a"], DEFAULT_STATE_CAP)
 
     def accepted(finals, n):
-        delta, accepting = compiler._project((counting, np.array(finals)), ())
+        delta, accepting = compiler._project((counting, finals), ())
         state = 0
         for _ in range(n):
-            state = delta[state, 0]
+            state = delta[state][0]
         return bool(accepting[state])
 
     lengths = range(5)
@@ -385,30 +387,81 @@ def test_erasure_keeps_only_runs_marking_the_variable_once():
     assert not any(accepted([True, False, False], n) for n in lengths)  # no mark
 
 
+def every_atom(letters, depth, moduli):
+    """Each kind of atom over the letters and a frame of `depth` variables,
+    `len` and `mod` at every residue of every modulus given."""
+    frame = tuple(f"v{i}" for i in range(depth))
+    atoms = [Len(n, r) for n in moduli for r in range(1, n + 1)]
+    for x in frame:
+        atoms += [Lab(x, a) for a in letters]
+        atoms += [Mod(x, n, r) for n in moduli for r in range(1, n + 1)]
+        atoms += [kind(x, y) for kind in (Eq, Lt) for y in frame]
+    return frame, atoms
+
+
 def test_every_atom_state_is_reachable():
     """Atom tables carry no state that no marked word reaches, so none
     counts toward the state cap; `(lab x a)` over one letter never
     rejects, nor does `(mod x 1 1)`."""
     for letters in (["a"], ["a", "b"]):
         for depth in (1, 2, 3):
-            frame = tuple(f"v{i}" for i in range(depth))
+            frame, atoms = every_atom(letters, depth, range(1, 5))
             compiler = fologic._Compiler(letters, DEFAULT_STATE_CAP)
-            atoms = [Len(n, r) for n in range(1, 5) for r in range(1, n + 1)]
-            for x in frame:
-                atoms += [Lab(x, a) for a in letters]
-                atoms += [Mod(x, n, r) for n in range(1, 5) for r in range(1, n + 1)]
-                atoms += [kind(x, y) for kind in (Eq, Lt) for y in frame]
             for atom in atoms:
                 delta, finals = compiler._atom(atom, frame)
                 seen, todo = {0}, [0]
                 while todo:
-                    for t in delta[todo.pop()].tolist():
+                    for t in delta[todo.pop()]:
                         if t not in seen:
                             seen.add(t)
                             todo.append(t)
                 assert seen == set(range(len(finals))), (atom, letters, depth)
     lab = fologic._Compiler(["a"], DEFAULT_STATE_CAP)._atom(Lab("v0", "a"), ("v0",))
-    assert lab[1].tolist() == [False, True]
+    assert lab[1] == [False, True]
+
+
+def test_atoms_are_built_minimal():
+    """The compiler skips Moore on atoms: each atom table is its own Moore
+    quotient, state for state."""
+    for letters in (["a"], ["a", "b"]):
+        for depth in (1, 2, 3):
+            frame, atoms = every_atom(letters, depth, range(1, 6))
+            compiler = fologic._Compiler(letters, DEFAULT_STATE_CAP)
+            for atom in atoms:
+                t = compiler._atom(atom, frame)
+                assert minimal_table(t) == t, (atom, letters, depth)
+                assert oracles.minimal_table_by_bytes(t) == t, (atom, letters, depth)
+
+
+def test_an_atom_over_the_state_cap_is_refused():
+    """`(mod x n r)` has n waiting states and two absorbing ones; without
+    Moore the cap is checked on the table as built, with the message the
+    minimized table gave."""
+    f = parse_formula("(exists x (mod x 5 2))")
+    assert compile_formula(f, ["a"], state_cap=7).accepts("aa")
+    with pytest.raises(CapError, match=r"^state cap exceeded \(6\) while compiling$"):
+        compile_formula(f, ["a"], state_cap=6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_erasure_matches_sorted_subset_erasure(seed):
+    """`_project` numbers the same subsets in the same order as the numpy
+    erasure over sorted (state, flag) pairs, and refuses one subset past
+    the cap, on body tables with repeated columns, states unreachable from
+    0 and every kind of accepting set: outer widths 1, 2, 3, 7, 32 and 256."""
+    rng = np.random.default_rng(4000 + seed)
+    for letter_count, depth in ((1, 0), (2, 0), (1, 1), (3, 0), (7, 0), (2, 4), (1, 5),
+                                (1, 8), (2, 7)):
+        letters = [f"l{i}" for i in range(letter_count)]
+        frame = tuple(f"v{i}" for i in range(depth))
+        for _ in range(4):
+            finals = ("random", "all", "none")[int(rng.integers(0, 3))]
+            body = seeded_table(rng, int(rng.integers(1, 9)), letter_count << (depth + 1), finals)
+            want = oracles.erase_by_sorted_subsets(body, depth, letter_count)
+            assert fologic._Compiler(letters, len(want[1]))._project(body, frame) == want
+            if len(want[1]) > 1:
+                with pytest.raises(CapError):
+                    fologic._Compiler(letters, len(want[1]) - 1)._project(body, frame)
 
 
 @st.composite
