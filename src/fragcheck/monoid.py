@@ -32,8 +32,11 @@ The J-order has one owner, `JClasses`: for the monoid, or a submonoid
 read on its table, it yields the least idempotent of each regular J-class
 and the class's upset {a : e in TaT}, which generates the local
 submonoid Me.  Each generated submonoid is closed once per generator set
-and kept on the monoid (`generated`), so a J-class shares one Me, and
-the stability layer's Mes and stable Me share the store.  The upsets
+and kept on the monoid (`generated`), so a J-class shares one Me.  The
+stability layer keeps its stable Me there too, and its Mes, which it
+closes by its own block walk, under the mask of the block images, so the
+analyses at every index multiplier close a block set once.  The
+breadth-first closure starts from the generators.  The upsets
 also serve `stability.is_stable_trivial` and `hierarchy.sim_quotient`.
 `local_condition` checks e x e = e, <= e and >= e over a member source
 in one sweep of the given idempotents, computing e x e once per visit:
@@ -192,14 +195,20 @@ class OrderedMonoid:
         return OrderedMonoid(self.mult, self.identity, leq=leq,
                              repr_words=self.repr_words, generators=self.generators)
 
-    def generated(self, gens: np.ndarray) -> np.ndarray:
+    def generated(self, gens: np.ndarray, close=None) -> np.ndarray:
         """The sorted members of the submonoid generated by the ids marked
         in the boolean mask `gens`, built once per distinct mask and kept
-        for the life of the monoid (read-only)."""
+        for the life of the monoid (read-only).  `close`, when given, maps
+        the mask to those members in place of the breadth-first closure:
+        the stability layer closes Mes by its own block walk."""
         key = np.packbits(gens).tobytes()
         got = self._generated.get(key)
         if got is None:
-            got = _closure_members(self.mult, self.identity, np.flatnonzero(gens))
+            if close is None:
+                got = _closure_members(self.mult, self.identity, np.flatnonzero(gens))
+            else:
+                got = close(gens)
+            got.flags.writeable = False
             self._generated[key] = got
         return got
 
@@ -639,10 +648,12 @@ def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray) -> np.nd
     breadth-first frontier multiplied on the right by every generator.
     Each level gathers its products from the table in blocks of frontier
     rows, so no temporary holds more than about _GATHER_IDS ids; the
-    search stops early once every element is reached."""
+    search starts from the generators, and stops early once every element
+    is reached."""
     reached = np.zeros(mult.shape[0], dtype=bool)
     reached[identity] = True
-    frontier = np.array([identity])
+    reached[gens] = True
+    frontier = gens[gens != identity]
     block = max(1, _GATHER_IDS // max(1, gens.size))
     while frontier.size and not reached.all():
         hit = np.zeros_like(reached)

@@ -5,7 +5,8 @@ context-constrained local submonoids used by the modular fragment checks.
 Every set here is a sorted read-only int64 id array, the form the monoid's
 store of generated submonoids uses: the power images X_k (each step one
 boolean scatter X_k . X_1 through the table, repeats found by the bytes of
-the ids), the stable submonoid h(A^s) plus the identity, the residue sets,
+the ids), the stable submonoid h(A^s) plus the identity, the residue sets
+(below the preperiod each the union of two power images, by one mask),
 Me, Mes and the Me of the stable submonoid.  Only `admissible_images` and
 `me_s` hand out frozensets.
 
@@ -23,32 +24,44 @@ pair of r is that of J + (r - J) mod p, so there are at most 2J + p
 pairs, and exactly s at the least index, where no pair repeats.
 
 The table is built from the right-reach columns reach_j[z, i] (E[i] in
-z . residues[j]), which only ever permute rows.  With X_0 = {1} and
-X_(k+1) the union over the letters b of h(b) . X_k, the seed z . X_0 =
-{z} takes (least index) right steps to z . X_s, as X_s is X_(least
-index), and reach_0 is their union, as residues[0] = X_0 | X_s.  Since
-residues[j] = X_j | X_(j+s), residues[j+1] is the union of h(b) .
-residues[j] for j+1 < s, so
+z . residues[j]), which a step only gathers along z.  With X_0 = {1} and
+X_(k+1) the union over the letters b of h(b) . X_k, the power steps z .
+X_k follow from the seed z . X_0 = {z} by
 
-    reach_{j+1}[z] = OR_b reach_j[z . h(b)],
-    adm[a, (u, j)] = OR_{x in residues[u]} reach_j[x . h(a)],
+    (z . X_(k+1))[i] = OR_b (z . h(b) . X_k)[i],
 
-the second for every letter in one gather, once per pair with right slot
-j.  The recurrence runs once per slot and stops at the first repeat, so
-it is O(n |A| |M| |E|) boolean work and O(|M| |E|) extra memory.
-`admissible_images` runs the same recurrence over every column.
+one right step each, for k up to J + p - 1: the least index lies in [J,
+J + p), and every slot below J needs one power of that window.  The
+steps are kept, their columns packed 64 to a uint64 word and laid out
+[word, element], so a step gathers whole words along each letter's right
+column mult[:, b], copied contiguous once.  Since residues[v] = X_v |
+X_(v+s) and s is a multiple of p, each slot's reach is one kept step or
+the OR of two: X_v | X_(J + (v - J) mod p) below J (X_0 | X_s at slot
+0), and X_v from J on.  Then
+
+    adm[a, (u, v)] = OR_{x in residues[u]} reach_v[x . h(a)],
+
+one gather of packed words per letter and pair, unpacked once into the
+boolean table.  That is O((J + p + pairs) |A| |M| |E| / 64) word work
+and J + p packed steps of |M| |E| / 8 bytes.  `admissible_images` runs
+the same recurrence over every column.
 
 The local submonoid Mes of an idempotent e depends only on its pattern of
 usable letters adm[:, :, e]: it is the submonoid generated by the images
-of the usable blocks of exactly s letters, closed once per pattern in
-the monoid's store of generated submonoids.  The blocks come from a walk
-of s frontier steps whose step r depends only on the pair of r.  In the
-middle that repeats with p, so the walk samples its frontier every p
-steps there, and once a sample repeats it jumps over every whole cycle
-left in the middle: past that repeat its length no longer depends on s.
-The Me of the stable submonoid S closes the upset in S of its J-class,
-from the monoid's `JClasses` of S, which every multiplier shares, and
-`is_stable_trivial` reads stable R- and L-classes off the same upsets.
+B of the usable blocks of exactly s letters, once per pattern.  The
+blocks come from a walk of s frontier steps whose step r depends only on
+the pair of r.  In the middle that repeats with p, so the walk samples
+its frontier every p steps there, and once a sample repeats it jumps
+over every whole cycle left in the middle: past that repeat its length
+no longer depends on s.  Walked from a set C the same steps give C . B,
+so Mes, the union of the powers B^k, is the fixed point of the walk: each
+round walks from the elements the last one added, and one round confirms
+a block set that is already closed.  The result is kept in the monoid's
+store of generated submonoids under the mask of B, which the analyses at
+other multipliers, and Me, share.  The Me of the stable submonoid S
+closes the upset in S of its J-class, from the monoid's `JClasses` of S,
+which every multiplier shares, and `is_stable_trivial` reads stable R-
+and L-classes off the same upsets.
 
 `stability_info` keeps one `StabilityInfo` per (morphism, multiplier) in
 a memo on the morphism, beside the power images that all multipliers
@@ -208,21 +221,31 @@ class StabilityInfo:
         """The table adm[a, k, i]: cols[i] in residues[r] . h(a) .
         residues[s-1-r] for the r of the k-th distinct slot pair, letters
         in alphabet order, by the right-reach recurrence of the module
-        docstring on the columns `cols`, one step per slot."""
+        docstring on the columns `cols` (distinct ids), one right step per
+        power X_1 .. X_(J+p-1) over columns packed 64 to a word."""
         by_right, _ = self._residue_pairs()
-        mult, images = self.monoid.mult, self.images
-        steps = np.unique(images)
-        adm = np.empty((images.size, sum(map(len, by_right)), cols.size), dtype=bool)
-        seed = np.arange(self.monoid.size)[:, None] == cols  # z . X_0 = {z}
-        reach = seed
-        for _ in range(self.smallest_index):  # z . X_s, as X_s = X_(least index)
-            reach = _right_step(mult, steps, reach)
-        reach |= seed  # z . residues[0]
-        for v, group in enumerate(by_right):  # reach is z . residues[v]
+        mult, images, residues = self.monoid.mult, self.images, self.residues
+        j, p = self.preperiod, self.period
+        right = {b: np.ascontiguousarray(mult[:, b]) for b in np.unique(images).tolist()}
+        steps, letters = list(right.values()), [right[b] for b in images.tolist()]
+        at = np.arange(cols.size)
+        seed = np.zeros((-(-cols.size // 64), self.monoid.size), dtype=np.uint64)
+        seed[at // 64, cols] = np.uint64(1) << (at % 64).astype(np.uint64)  # z . X_0 = {z}
+        powers = [seed]  # powers[k][w, z]: bits of z . X_k
+        for _ in range(j + p - 1):
+            powers.append(_right_step(steps, powers[-1]))
+        packed = np.empty((images.size, sum(map(len, by_right)), seed.shape[0]), dtype=np.uint64)
+        for v, group in enumerate(by_right):
+            # z . residues[v]: X_v, with X_(v+s) = X_(J + (v-J) mod p) below J,
+            # ORed in place, as only slot v reads a power below J
+            reach = powers[v]
+            if v < j:
+                reach |= powers[j + (v - j) % p]
             for k, u in group:
-                adm[:, k] = reach[mult[self.residues[u], images[:, None]]].any(axis=1)
-            if v + 1 < len(by_right):
-                reach = _right_step(mult, steps, reach)
+                for a, column in enumerate(letters):
+                    packed[a, k] = np.bitwise_or.reduce(reach.take(column[residues[u]], axis=1), axis=1)
+        adm = np.unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
+                            count=cols.size, bitorder="little").view(bool)
         adm.flags.writeable = False
         return adm
 
@@ -259,12 +282,12 @@ class StabilityInfo:
         built once per usable-letter pattern and kept for the life of
         this object (read-only).
 
-        The images of the usable blocks come from a frontier walk from the
-        identity, step r through the letters usable at residue r; their
-        closure is the monoid's `generated`.  Step r depends only on the
-        slot pair of r, and in the middle (J <= r < s - J) that repeats
-        with the period p, so the walk samples its frontier every p steps
-        there and jumps ahead over whole cycles once a sample repeats.
+        The images B of the usable blocks come from a frontier walk from
+        the identity, step r through the letters usable at residue r
+        (`_walk`).  Mes is the union of the powers of B, closed by
+        walking on from what each round adds, and kept in the monoid's
+        store under the mask of B, so a block set met again, at another
+        multiplier or as an upset of Me, is closed once.
         """
         got = self._mes.get(e)
         if got is None:
@@ -272,25 +295,50 @@ class StabilityInfo:
             key = usable.tobytes()
             got = self._mes_by_pattern.get(key)
             if got is None:
-                mon, pair = self.monoid, self._residue_pairs()[1]
+                mon = self.monoid
                 letters = [self.images[u] for u in usable.T]
-                s, p = self.index, self.period
-                lo, hi = self.preperiod, s - self.preperiod  # the middle
-                blocks = np.zeros(mon.size, dtype=bool)
-                blocks[mon.identity] = True
-                seen = {}  # sampled frontier -> its r
-                r = 0
-                while r < s:
-                    if seen is not None and lo <= r <= hi - p and (r - lo) % p == 0:
-                        at = seen.setdefault(blocks.tobytes(), r)
-                        if at < r:  # the steps from r on repeat those from `at`
-                            r += (hi - r) // (r - at) * (r - at)
-                            seen = None
-                    blocks = _block_step(mon.mult, blocks, letters[pair[r]])
-                    r += 1
-                got = self._mes_by_pattern[key] = mon.generated(blocks)
+                start = np.zeros(mon.size, dtype=bool)
+                start[mon.identity] = True
+                blocks = self._walk(start, letters)
+                got = self._mes_by_pattern[key] = mon.generated(
+                    blocks, close=lambda b: self._walk_closure(b, letters))
             self._mes[e] = got
         return got
+
+    def _walk(self, blocks: np.ndarray, letters: list) -> np.ndarray:
+        """The mask of C . B for the set C marked in `blocks`, B the images
+        of the blocks of s letters whose letter at residue r lies in
+        letters[pair of r].  Step r depends only on the slot pair of r,
+        and in the middle (J <= r < s - J) that repeats with the period
+        p, so the walk samples its frontier every p steps there and jumps
+        ahead over whole cycles once a sample repeats."""
+        mult, pair = self.monoid.mult, self._residue_pairs()[1]
+        s, p = self.index, self.period
+        lo, hi = self.preperiod, s - self.preperiod  # the middle
+        seen = {}  # sampled frontier -> its r
+        r = 0
+        while r < s:
+            if seen is not None and lo <= r <= hi - p and (r - lo) % p == 0:
+                at = seen.setdefault(blocks.tobytes(), r)
+                if at < r:  # the steps from r on repeat those from `at`
+                    r += (hi - r) // (r - at) * (r - at)
+                    seen = None
+            blocks = _block_step(mult, blocks, letters[pair[r]])
+            r += 1
+        return blocks
+
+    def _walk_closure(self, blocks: np.ndarray, letters: list) -> np.ndarray:
+        """The sorted members of the submonoid generated by the block
+        images B marked in `blocks`: {1} | B | B^2 | ..., each round the
+        walk from the elements the round before added."""
+        reached = blocks.copy()
+        reached[self.monoid.identity] = True
+        frontier = blocks.copy()
+        frontier[self.monoid.identity] = False
+        while frontier.any():
+            frontier = self._walk(frontier, letters) & ~reached
+            reached |= frontier
+        return np.flatnonzero(reached)
 
     @property
     def stable_j_classes(self) -> JClasses:
@@ -307,12 +355,12 @@ class StabilityInfo:
         return self.monoid.generated(self.stable_j_classes.upset(e))
 
 
-def _right_step(mult: np.ndarray, steps: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """reach'[z] = OR_b reach[z . h(b)] over the letter images `steps`:
-    z . X_(k+1) from z . X_k."""
-    out = reach[mult[:, steps[0]]]
-    for b in steps[1:]:
-        out |= reach[mult[:, b]]
+def _right_step(columns: list, reach: np.ndarray) -> np.ndarray:
+    """reach'[:, z] = OR_b reach[:, z . h(b)] over the letters' right
+    columns `columns`, on packed words [w, z]: z . X_(k+1) from z . X_k."""
+    out = reach.take(columns[0], axis=1)
+    for column in columns[1:]:
+        out |= reach.take(column, axis=1)
     return out
 
 
@@ -367,15 +415,20 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
             f"elements exceeds the index cap (s * |M| at most {MAX_INDEX_CELLS} "
             f"for a multiplier above {FREE_MULTIPLIER})"
         )
-    stable = np.union1d(powers.at(s), [m.monoid.identity])
-    stable.flags.writeable = False
+
+    def union(*parts):  # the sorted ids of the union, by one mask
+        mask = np.zeros(m.monoid.size, dtype=bool)
+        for part in parts:
+            mask[part] = True
+        ids = np.flatnonzero(mask)
+        ids.flags.writeable = False
+        return ids
+
+    stable = union(powers.at(s), m.monoid.identity)
     # below the preperiod J, residues[r] = X_r | X_(r+s); from J on it is
     # X_r, as s is a multiple of the period p, and X_r repeats with p
     j, p = powers.preperiod, powers.period
-    head = [stable]
-    for r in range(1, j):
-        head.append(np.union1d(powers.at(r), powers.at(r + s)))
-        head[-1].flags.writeable = False
+    head = [stable] + [union(powers.at(r), powers.at(r + s)) for r in range(1, j)]
     loop = [powers.at(r) for r in range(j, j + p)]
     images = np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
     info = m._stability[multiplier] = StabilityInfo(
@@ -433,7 +486,9 @@ def me_s(m: Morphism, info: StabilityInfo, e: int) -> frozenset[int]:
     residues[r] . h(a) . residues[-(r+1) mod s]; the submonoid is
     generated by the images of the words of exactly s letters that meet
     that constraint.  It is built once per usable-letter pattern by
-    `StabilityInfo.mes_members` and kept on `info`.
+    `StabilityInfo.mes_members`, which walks those blocks and walks on
+    from them until nothing new is reached, and kept on `info` and, under
+    the mask of the block images, in the monoid's store.
     """
     if info.morphism is not m:
         raise InputError("stability data belongs to a different morphism")

@@ -39,6 +39,10 @@ to the same objects:
   recurrence and the Mes block walk with one step per residue, as the
   stability layer ran them before it worked per distinct residue slot
   and jumped over repeating periods;
+- `mes_by_block_closure`: Mes as the images of the usable blocks, walked
+  s frontier steps from the identity, closed by the monoid's
+  breadth-first closure, as `StabilityInfo.mes_members` built it before
+  it closed Mes by walking on from its blocks;
 - `stable_green_preorder` (with `_product_mask`), the stable R and L
   preorders over all of M by |M|^2 scatters of the table's stable
   columns or rows, from which `stability.is_stable_trivial` and
@@ -71,7 +75,8 @@ from fragcheck import fologic as fo
 from fragcheck.automata import (
     DEFAULT_STATE_CAP, Nfa, decorate_word, dfa_table, make_dfa, minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
-from fragcheck.monoid import DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, format_word
+from fragcheck.monoid import (
+    DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, _closure_members, format_word)
 
 
 def words(alphabet, max_len):
@@ -357,6 +362,22 @@ def mes_by_residues(info, e, adm=None):
         blocks = np.zeros(mon.size, dtype=bool)
         blocks[mon.mult[ends[:, None], info.images[usable[:, r]]]] = True
     return closure_brute(mon.mult, mon.identity, np.flatnonzero(blocks).tolist())
+
+
+def mes_by_block_closure(info, e):
+    """Mes at the idempotent e as the breadth-first closure of its block
+    images: s frontier steps from the identity, step r through the letters
+    usable at r (`info.usable`).  It reads the table directly, so it adds
+    nothing to the monoid's store of generated submonoids."""
+    mon = info.monoid
+    usable = info.usable(e)
+    blocks = np.zeros(mon.size, dtype=bool)
+    blocks[mon.identity] = True
+    for r in range(info.index):
+        ends = np.flatnonzero(blocks)
+        blocks = np.zeros(mon.size, dtype=bool)
+        blocks[mon.mult[ends[:, None], info.images[usable[:, r]]]] = True
+    return set(_closure_members(mon.mult, mon.identity, np.flatnonzero(blocks)).tolist())
 
 
 def syntactic_order_by_class_loop(h):

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from fragcheck.automata import make_dfa, minimize, regex_to_dfa
+from fragcheck.cli import generate_corpus
 from fragcheck.errors import CapError, ConsistencyError, InputError
 from fragcheck.fragments import LanguageAnalysis, analyze
 from fragcheck.hierarchy import sim_quotient
@@ -300,6 +301,56 @@ def test_mes_shared_per_usable_pattern(small_corpus):
     assert checked > 150
 
 
+def test_walked_mes_matches_the_closure_of_its_blocks(small_corpus):
+    # Mes closed by walking on from its blocks, against the breadth-first
+    # closure of the same blocks, at every idempotent and multiplier; the
+    # last corpus draw below (|M| = 103) has a block set B whose closure
+    # needs B^3, two rounds that add elements
+    checked = 0
+    deep = generate_corpus(count=249, max_states=5, max_letters=3, seed=0, max_monoid=600)[-1]
+    for d in [*small_corpus, deep]:
+        h = transition_monoid(d, max_monoid=600)
+        for multiplier in (1, 2, 3):
+            info = stability_info(h, multiplier)
+            for e in h.monoid.idempotents():
+                assert set(info.mes_members(e).tolist()) == oracles.mes_by_block_closure(info, e)
+                checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("multiplier", [1, 2])
+def test_packed_table_matches_per_residue_oracle_at_mid_size(multiplier):
+    # |E| = 212 idempotent columns cross the 64, 128 and 192 word
+    # boundaries, and the |M| = 1580 columns of admissible_images more
+    h = transition_monoid(mid_size_draw())
+    info = stability_info(h, multiplier)
+    idempotents = h.monoid.idempotents()
+    assert (h.monoid.size, len(idempotents)) == (1580, 212)
+    every = oracles.admissible_by_residues(info, np.arange(h.monoid.size))
+    usable = np.stack([info.usable(e) for e in idempotents], axis=2)
+    assert np.array_equal(usable, every[:, :, idempotents])
+    for i, a in enumerate(h.alphabet):
+        for r in range(info.index):
+            assert info.admissible_images(a, r) == set(np.flatnonzero(every[i, r]).tolist())
+
+
+def test_admissibility_peak_memory_is_the_packed_steps():
+    # the J + p power steps kept as packed words, plus two more steps'
+    # worth of temporaries and the unpacked table
+    h = transition_monoid(mid_size_draw())
+    info = stability_info(h)
+    cols = np.array(h.monoid.idempotents(), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        adm = info._admissible_at(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    step = h.monoid.size * -(-cols.size // 64) * 8
+    assert cols.size == 212
+    assert peak < (info.preperiod + info.period + 2) * step + adm.nbytes
+
+
 def test_index_cap_raises_before_residues():
     h = morphism("(bc)*")
     s = stability_index(h)
@@ -449,10 +500,13 @@ def test_per_pair_tables_match_per_residue_oracles(small_corpus):
 
 def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
     # (bc)*: preperiod 2, period 2, least index 2; x166,666 is just under
-    # the index cap.  The recurrence takes one right step per residue slot
-    # (2 to reach X_s, then 3 more), one column per distinct slot pair, and
-    # the block walk samples every period in the middle and jumps once a
-    # sample repeats: 6 steps per usable pattern at x3 and above
+    # the index cap.  The recurrence takes one right step per power X_1 ..
+    # X_(J+p-1), 3 at every multiplier, one column per distinct slot pair,
+    # and the block walk samples every period in the middle and jumps once
+    # a sample repeats: 6 steps per usable pattern at x3 and above.  At x1
+    # the 4 patterns walk 2 steps each, and 3 of their block sets take one
+    # confirming walk to close; x3 and above meet the same block sets in
+    # the monoid's store, so they walk no closure
     from fragcheck import stability
     counts = {"right": 0, "block": 0}
 
@@ -467,6 +521,7 @@ def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
     d = minimize(regex_to_dfa("(bc)*"))
     h = transition_monoid(d)
     base = analyze(d, morphism=h)
+    assert counts == {"right": 3, "block": 14}
     seen = {}
     for multiplier in (3, 166_666):
         counts.update(right=0, block=0)
@@ -475,4 +530,4 @@ def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
         assert report.verdicts == base.verdicts and report.witnesses == base.witnesses
         assert info.index == 2 * multiplier and len(info.residues) == info.index
         seen[multiplier] = (dict(counts), info._adm.shape, len(info._mes_by_pattern))
-    assert seen[3] == seen[166_666] == ({"right": 5, "block": 24}, (2, 6, 4), 4)
+    assert seen[3] == seen[166_666] == ({"right": 3, "block": 24}, (2, 6, 4), 4)

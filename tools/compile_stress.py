@@ -65,11 +65,11 @@ def limit_cpu():
     resource.setrlimit(resource.RLIMIT_CPU, (CPU_LIMIT_S, CPU_LIMIT_S))
 
 
-def run(sentence: str, alphabet: str) -> dict:
-    """One child process on one sentence, with what `wait4` says of it."""
+def run_child(command: list) -> dict:
+    """One child process running the command line `command` of
+    `fragcheck.cli`, with what `wait4` says of it."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, "-c", CHILD, "fo", "compile", "--json",
-            "--sexp", sentence, "--alphabet", alphabet]
+    argv = [sys.executable, "-c", CHILD, *command]
     child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
                              stderr=subprocess.DEVNULL, preexec_fn=limit_cpu)
     with child.stdout:
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     print(f"{'sentence':24} exit  child_cpu_s  command_s  peak_rss_mb  stdout_sha256")
     for _ in range(args.runs):
         for name, (sentence, alphabet) in SENTENCES.items():
-            r = run(sentence, alphabet)
+            r = run_child(["fo", "compile", "--json", "--sexp", sentence, "--alphabet", alphabet])
             runs[name].append(r)
             print(f"{name:24} {r['exit']:4}  {r['child_cpu_s']:11.3f}  {r['command_s']:9.3f}"
                   f"  {r['peak_rss_mb']:11.1f}  {r['stdout_sha256'][:16]}", flush=True)
