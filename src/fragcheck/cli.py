@@ -76,10 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full fragment report for a language")
     language_opts(p)
+    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("check", help="one fragment; exit 0 iff definable")
     p.add_argument("--fragment", required=True, choices=FRAGMENTS)
     language_opts(p)
+    p.set_defaults(handler=_cmd_check)
 
     fo = sub.add_parser("fo", help="first-order formulas")
     fo_sub = fo.add_subparsers(dest="subcommand", required=True)
@@ -88,10 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sexp", metavar="TEXT")
     p.add_argument("--alphabet", metavar="LETTERS")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_fo_compile)
     p = fo_sub.add_parser("eval", help="truth on one word; exit 0 iff true")
     p.add_argument("--formula", metavar="FILE")
     p.add_argument("--sexp", metavar="TEXT")
     p.add_argument("--word", required=True, metavar="WORD")
+    p.set_defaults(handler=_cmd_fo_eval)
 
     ex = sub.add_parser("expr", help="modular product expressions")
     ex_sub = ex.add_subparsers(dest="subcommand", required=True)
@@ -100,16 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sexp", metavar="TEXT")
     p.add_argument("--alphabet", required=True, metavar="LETTERS")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_expr_check)
     p = ex_sub.add_parser("to-fo", help="translate to a two-variable sentence")
     p.add_argument("--expr", metavar="FILE")
     p.add_argument("--sexp", metavar="TEXT")
     p.add_argument("--alphabet", required=True, metavar="LETTERS")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_expr_to_fo)
 
     p = sub.add_parser("witness", help="ordered witness for sigma2_mod")
     language_opts(p)
     p.add_argument("--max-len", type=int, default=None, metavar="L",
                    help="verify word pairs up to this length (default 2s+2)")
+    p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("xcheck", help="randomized cross-validation battery")
     p.add_argument("--count", type=int, default=50, metavar="N")
@@ -118,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="SEED")
     p.add_argument("--max-monoid", type=int, default=None, metavar="K")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_xcheck)
 
     return parser
 
@@ -310,6 +318,8 @@ def _cmd_expr_to_fo(args, out) -> int:
 
 
 def _cmd_witness(args, out) -> int:
+    if args.max_len is not None and args.max_len < 0:
+        raise InputError("--max-len must not be negative")
     d, _ = _load_dfa(args)
     cap = _resolve_cap(args.max_monoid)
     pipeline = LanguageAnalysis(
@@ -389,7 +399,14 @@ def random_dfa(rng: np.random.Generator, max_states: int, max_letters: int) -> D
 def _draws(count: int, max_states: int, max_letters: int, seed: int, max_monoid: int):
     """Yield `count` pairs (minimized random DFA, its syntactic morphism)
     whose monoids fit under the cap, drawing lazily; oversized draws are
-    discarded."""
+    discarded.  A state count below 2, a letter count below 1 or a
+    negative seed raises InputError."""
+    if max_states < 2:
+        raise InputError("--max-states must be at least 2")
+    if max_letters < 1:
+        raise InputError("--max-letters must be at least 1")
+    if seed < 0:
+        raise InputError("--seed must not be negative")
     rng = np.random.default_rng(seed)
     made = attempts = 0
     while made < count:
@@ -442,13 +459,14 @@ _IMPLICATIONS = (
 )
 
 
-def xcheck_battery(d: Dfa, max_monoid: int, morphism: Morphism | None = None) -> list[str]:
-    """Cross-validation invariants for one language.  Returns the names of
-    the failed checks (empty when everything agrees).  `morphism`, when
-    given, is the syntactic morphism of L(d), as `LanguageAnalysis` takes
-    it."""
+def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = None) -> list[str]:
+    """Cross-validation invariants for one language, given by its minimal
+    DFA `minimal`, as `_draws` and `generate_corpus` yield them.  Returns
+    the names of the failed checks (empty when everything agrees); a DFA
+    that is not minimal fails `minimize-idempotent`.  `morphism`, when
+    given, is the syntactic morphism of L(minimal), as `LanguageAnalysis`
+    takes it."""
     failures: list[str] = []
-    minimal = minimize(d)
 
     again = minimize(minimal)
     if len(again.states) != len(minimal.states) or not equivalent(again, minimal)[0]:
@@ -614,23 +632,9 @@ def _cmd_xcheck(args, out) -> int:
 
 
 def run(args, out) -> int:
-    if args.command == "analyze":
-        return _cmd_analyze(args, out)
-    if args.command == "check":
-        return _cmd_check(args, out)
-    if args.command == "fo":
-        if args.subcommand == "compile":
-            return _cmd_fo_compile(args, out)
-        return _cmd_fo_eval(args, out)
-    if args.command == "expr":
-        if args.subcommand == "check":
-            return _cmd_expr_check(args, out)
-        return _cmd_expr_to_fo(args, out)
-    if args.command == "witness":
-        return _cmd_witness(args, out)
-    if args.command == "xcheck":
-        return _cmd_xcheck(args, out)
-    raise InputError(f"unknown command {args.command!r}")
+    """Run the command that `build_parser` parsed into `args`, writing its
+    report to `out`; returns the exit code."""
+    return args.handler(args, out)
 
 
 def main(argv=None) -> int:

@@ -302,7 +302,7 @@ def build_mod_witness(
     mon = m.monoid
     if mon.leq is None:
         raise InputError("witness construction needs the syntactic order")
-    if info.morphism is not m:
+    if info.powers is not m._stability.get("powers"):
         raise InputError("stability data belongs to a different morphism")
     (pair,) = local_condition(mon, mon.idempotents(), info.mes_members, (mon.leq,))
     if pair is not None:
@@ -382,7 +382,8 @@ def verify_vmod_implication(
     The implication only depends on a word through the triple (image
     under g of its decoration, image under h, length mod n), so the pairs
     are checked on the finitely many reachable triples; the failure
-    reported is the first one in shortlex discovery order.
+    reported is the first one in shortlex discovery order.  The walk stops
+    at the first length that reaches no new triple.
     """
     if m.monoid.leq is None or g.monoid.leq is None:
         raise InputError("both morphisms must carry orders")
@@ -395,6 +396,8 @@ def verify_vmod_implication(
     words = {start: ()}
     frontier = [start]
     for _ in range(max_len):
+        if not frontier:
+            break
         nxt_frontier = []
         for gx, hx, r in frontier:
             w = words[(gx, hx, r)]

@@ -260,7 +260,7 @@ class Morphism:
     letter_map: dict
     accepting: frozenset | None = None
     # the stability layer's memo (see `stability.stability_info`): its
-    # power images, and one StabilityInfo per index multiplier
+    # per-morphism entry, and one StabilityInfo per index multiplier
     _stability: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):

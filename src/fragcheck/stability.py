@@ -3,24 +3,30 @@ the stable submonoid, residue-constrained context sets, and the
 context-constrained local submonoids used by the modular fragment checks.
 
 Every set here is a sorted read-only int64 id array, the form the monoid's
-store of generated submonoids uses: the power images X_k (each step one
-boolean scatter X_k . X_1 through the table, repeats found by the bytes of
-the ids), the stable submonoid h(A^s) plus the identity, the residue sets
-(below the preperiod each the union of two power images, by one mask),
-Me, Mes and the Me of the stable submonoid.  Only `admissible_images` and
-`me_s` hand out frozensets.
+store of generated submonoids uses.  Only `admissible_images` and `me_s`
+hand out frozensets.
+
+What a stability index shares with its multiples is built once per
+morphism, by `_PowerImages`: the power images X_k, each step one boolean
+scatter X_k . X_1 through the table, stored up to their first repeat (found
+by the bytes of the ids), which fixes their preperiod J and period p; the
+residue slots; and the stable submonoid S = h(A^s) plus the identity,
+checked closed under the table once, in blocks of rows.  The residue set
+residues[r], the image of the words of length congruent to r mod s, is the
+slot of slot(r) = r below J and J + (r - J) mod p from J on: slot 0 is S,
+slot v < J is X_v | X_(v+s) (by one mask) and slot v >= J is X_v.  Every
+stability index s is a multiple of p and at least J, so these are the same
+arrays at every multiple of the least index.  A `StabilityInfo` holds only
+what s changes: the residue tuple, the pair index, the admissibility tables
+and the Mes walks.
 
 A letter a is admissible at residue r for an element x when x lies in
-residues[r] . h(a) . residues[s-1-r].  The residue sets repeat: below the
-preperiod J of the power images, residues[r] = X_r | X_(r+s), and from J
-on residues[r] is X_r, one array repeating with the period p, so
-residues[r] is residues[slot(r)] for one of n = min(s, J + p) slots, and
-s is a multiple of p.  The local checks only ask admissibility of
-idempotents, so one boolean table adm[a, k, i] (|A| x pairs x |E|) per
-`StabilityInfo` answers it for every letter, idempotent E[i] and
-distinct slot pair k = (slot(r), slot(s-1-r)); a pair index of s entries
-maps each residue to its pair.  Away from the ends (J <= r < s - J) the
-pair of r is that of J + (r - J) mod p, so there are at most 2J + p
+residues[r] . h(a) . residues[s-1-r].  The local checks only ask
+admissibility of idempotents, so one boolean table adm[a, k, i] (|A| x
+pairs x |E|) per `StabilityInfo` answers it for every letter, idempotent
+E[i] and distinct slot pair k = (slot(r), slot(s-1-r)); a pair index of s
+entries maps each residue to its pair.  Away from the ends (J <= r < s -
+J) the pair of r is that of J + (r - J) mod p, so there are at most 2J + p
 pairs, and exactly s at the least index, where no pair repeats.
 
 The table is built from the right-reach columns reach_j[z, i] (E[i] in
@@ -34,10 +40,8 @@ one right step each, for k up to J + p - 1: the least index lies in [J,
 J + p), and every slot below J needs one power of that window.  The
 steps are kept, their columns packed 64 to a uint64 word and laid out
 [word, element], so a step gathers whole words along each letter's right
-column mult[:, b], copied contiguous once.  Since residues[v] = X_v |
-X_(v+s) and s is a multiple of p, each slot's reach is one kept step or
-the OR of two: X_v | X_(J + (v - J) mod p) below J (X_0 | X_s at slot
-0), and X_v from J on.  Then
+column mult[:, b], copied contiguous once.  Each slot's reach is one kept
+step, or below J the OR of two: X_v | X_(slot(v+s)).  Then
 
     adm[a, (u, v)] = OR_{x in residues[u]} reach_v[x . h(a)],
 
@@ -63,10 +67,10 @@ closes the upset in S of its J-class, from the monoid's `JClasses` of S,
 which every multiplier shares, and `is_stable_trivial` reads stable R-
 and L-classes off the same upsets.
 
-`stability_info` keeps one `StabilityInfo` per (morphism, multiplier) in
-a memo on the morphism, beside the power images that all multipliers
-share.  An info holds its morphism only weakly, so the memo forms no
-reference cycle and goes with the morphism.
+`stability_info` keeps the per-morphism entry and one `StabilityInfo` per
+multiplier in a memo on the morphism.  Both hold the monoid, and neither
+holds the morphism, so the memo forms no reference cycle and goes with the
+morphism.
 
 A multiplied index is capped: s = T * (least index) with T above
 FREE_MULTIPLIER and s |M| above MAX_INDEX_CELLS raises CapError before the
@@ -77,7 +81,6 @@ FREE_MULTIPLIER costs at most that many times its analysis.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from itertools import chain, cycle, islice
 
@@ -97,41 +100,57 @@ FREE_MULTIPLIER = 3
 
 
 class _PowerImages:
-    """The sequence X_k = image of words of length exactly k, k >= 1, as
-    sorted read-only id arrays, stored up to its first repetition.  Each
-    step is one boolean scatter of X_k . X_1 through the table."""
+    """What every stability index of a morphism shares, built once: the
+    monoid, the letter images (in `alphabet` order), the power images
+    X_k = image of the words of length exactly k, stored as seq[k] up to
+    their first repetition, their `preperiod` J and `period` p, the
+    residue `slots` and the stable submonoid (`stable`, and its `mask`
+    over the monoid).  Building it checks that the stable set is closed
+    under the table and raises ConsistencyError otherwise."""
 
     def __init__(self, m: Morphism):
-        mult = m.monoid.mult
-        x1 = np.unique(np.array(list(m.letter_map.values()), dtype=np.int64))
-        x1.flags.writeable = False
-        seen = {x1.tobytes(): 1}
-        seq = [x1]
-        k = 1
+        mon = self.monoid = m.monoid
+        self.alphabet = m.alphabet
+        self.images = np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
+        mult = mon.mult
+        x1 = np.unique(self.images)
+        seq, seen = [np.array([mon.identity]), x1], {x1.tobytes(): 1}
         while True:
-            k += 1
-            hit = np.zeros(m.monoid.size, dtype=bool)
+            k = len(seq)
+            hit = np.zeros(mon.size, dtype=bool)
             hit[mult[seq[-1][:, None], x1]] = True
             nxt = np.flatnonzero(hit)
             key = nxt.tobytes()
             if key in seen:
-                self.preperiod = seen[key]
-                self.period = k - seen[key]
+                self.preperiod, self.period = seen[key], k - seen[key]
                 break
-            seen[key] = k
-            nxt.flags.writeable = False
-            seq.append(nxt)
             if k > _ITERATION_CAP:
                 raise CapError("power-image iteration cap exceeded")
-        self.seq = seq  # seq[i] = X_{i+1}
+            seen[key] = k
+            seq.append(nxt)
+        for x in seq:
+            x.flags.writeable = False
+        self.seq = seq  # seq[k] = X_k, k < J + p
+        slots = []
+        for v in range(self.preperiod):  # X_v | X_(v+s), by one mask
+            mask = np.zeros(mon.size, dtype=bool)
+            mask[self.at(v)] = mask[self.at(v + self.smallest_index)] = True
+            ids = np.flatnonzero(mask)
+            ids.flags.writeable = mask.flags.writeable = False
+            slots.append(ids)
+            if v == 0:
+                self.stable, self.mask = ids, mask
+        self.slots = tuple(slots + seq[self.preperiod:])
+        _check_closed(mult, self.stable, self.mask)
+
+    def slot(self, k: int) -> int:
+        """The slot of k: k below the preperiod J, J + (k - J) mod p from
+        there; X_k is seq[slot(k)] and residues[k] is slots[slot(k)]."""
+        j = self.preperiod
+        return k if k < j else j + (k - j) % self.period
 
     def at(self, k: int) -> np.ndarray:
-        if k < 1:
-            raise InputError("power index must be at least 1")
-        if k <= len(self.seq):
-            return self.seq[k - 1]
-        j, p = self.preperiod, self.period
-        return self.seq[j - 1 + (k - j) % p]
+        return self.seq[self.slot(k)]
 
     @property
     def smallest_index(self) -> int:
@@ -141,73 +160,52 @@ class _PowerImages:
 
 @dataclass(eq=False)
 class StabilityInfo:
-    """Everything derived from a choice of stability index s.
+    """What a choice of stability index s adds to the per-morphism entry
+    `powers`: residues[r] is the image of all words whose length is
+    congruent to r mod s (the empty word contributing only to residue 0),
+    which is exactly h(A^r) united with h(A^(r+s)), the array
+    powers.slots[slot(r)]; residues[0] is `stable`.
 
-    `stable` holds the ids of the stable submonoid and residues[r] the
-    image of all words whose length is congruent to r mod s (with the empty
-    word contributing only to residue 0), which is exactly h(A^r) united
-    with h(A^(r+s)); each is a sorted read-only id array, and residues[0]
-    is `stable`.  From r = `preperiod` on, residues[r] is the power image
-    X_r, one array repeating with `period`.  Building the object checks
-    that `stable` is closed under the table, in blocks of rows, and raises
-    ConsistencyError otherwise.
-
-    It reads the morphism's `monoid` and letter `images` (in `alphabet`
-    order); `morphism` is held weakly, and is None once it is gone.
+    It reads the morphism's `monoid`, letter `images` and `stable`
+    submonoid through `powers`.
     """
 
-    monoid: OrderedMonoid
-    alphabet: tuple
-    images: np.ndarray
+    powers: _PowerImages
     index: int
-    smallest_index: int
-    preperiod: int
-    period: int
-    stable: np.ndarray
     residues: tuple
-    _owner: weakref.ref = field(repr=False)
-    _stable_mask: np.ndarray = field(init=False)  # [x]: x lies in `stable`
     _pairs: tuple | None = field(init=False, default=None)  # see `_residue_pairs`
     _adm: np.ndarray | None = field(init=False, default=None)  # [letter, pair, i] at idempotent i
     _column: dict = field(init=False, default_factory=dict)  # idempotent -> its i in _adm
     _adm_all: np.ndarray | None = field(init=False, default=None)  # [letter, pair, x] at every x
-    _mes: dict = field(init=False, default_factory=dict)  # idempotent -> members of Mes
-    _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> same
-    _stable_j: JClasses | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        mult = self.monoid.mult
-        ids = self.stable
-        inside = np.zeros(mult.shape[0], dtype=bool)
-        inside[ids] = True
-        block = max(1, _GATHER_IDS // max(1, ids.size))
-        for lo in range(0, ids.size, block):
-            if not inside[mult[ids[lo:lo + block, None], ids]].all():
-                raise ConsistencyError("the stable set is not closed under multiplication")
-        inside.flags.writeable = False
-        self._stable_mask = inside
+    _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> Mes
 
     @property
-    def morphism(self) -> Morphism | None:
-        return self._owner()
+    def monoid(self) -> OrderedMonoid:
+        return self.powers.monoid
+
+    @property
+    def images(self) -> np.ndarray:
+        return self.powers.images
+
+    @property
+    def stable(self) -> np.ndarray:
+        return self.powers.stable
 
     def _residue_pairs(self) -> tuple:
-        """(by_right, pair) for the distinct pairs (slot(r), slot(s-1-r)),
-        where residues[r] is residues[slot(r)], slot(r) = r below the
-        preperiod J and J + (r - J) mod p from there: by_right[v] lists
-        (k, u) for the k-th pair (u, v), and pair[r] is the k of r.  A
-        middle r (J <= r < s - J) has the pair of J + (r - J) mod p, so
-        only the ends and one period of the middle are looked at."""
+        """(by_right, pair) for the distinct slot pairs (slot(r),
+        slot(s-1-r)): by_right[v] lists (k, u) for the k-th pair (u, v),
+        and pair[r] is the k of r.  A middle r (J <= r < s - J) has the
+        pair of J + (r - J) mod p, so only the ends and one period of the
+        middle are looked at."""
         if self._pairs is None:
-            s, j, p = self.index, self.preperiod, self.period
+            s, slot = self.index, self.powers.slot
+            j, p = self.powers.preperiod, self.powers.period
             middle = max(0, s - 2 * j)
             loop = j + min(p, middle)  # the ends and one period: [0, loop) and [j + middle, s)
             index, ks = {}, []
             by_right = [[] for _ in range(min(s, j + p))]
             for r in chain(range(loop), range(j + middle, s)):
-                x = s - 1 - r
-                u = r if r < j else j + (r - j) % p
-                v = x if x < j else j + (x - j) % p
+                u, v = slot(r), slot(s - 1 - r)
                 k = index.get((u, v))
                 if k is None:
                     k = index[(u, v)] = len(index)
@@ -224,26 +222,26 @@ class StabilityInfo:
         docstring on the columns `cols` (distinct ids), one right step per
         power X_1 .. X_(J+p-1) over columns packed 64 to a word."""
         by_right, _ = self._residue_pairs()
-        mult, images, residues = self.monoid.mult, self.images, self.residues
-        j, p = self.preperiod, self.period
+        powers, mult, images = self.powers, self.monoid.mult, self.images
         right = {b: np.ascontiguousarray(mult[:, b]) for b in np.unique(images).tolist()}
         steps, letters = list(right.values()), [right[b] for b in images.tolist()]
         at = np.arange(cols.size)
         seed = np.zeros((-(-cols.size // 64), self.monoid.size), dtype=np.uint64)
         seed[at // 64, cols] = np.uint64(1) << (at % 64).astype(np.uint64)  # z . X_0 = {z}
-        powers = [seed]  # powers[k][w, z]: bits of z . X_k
-        for _ in range(j + p - 1):
-            powers.append(_right_step(steps, powers[-1]))
+        reach = [seed]  # reach[k][w, z]: bits of z . X_k
+        for _ in range(powers.preperiod + powers.period - 1):
+            reach.append(_right_step(steps, reach[-1]))
         packed = np.empty((images.size, sum(map(len, by_right)), seed.shape[0]), dtype=np.uint64)
         for v, group in enumerate(by_right):
-            # z . residues[v]: X_v, with X_(v+s) = X_(J + (v-J) mod p) below J,
-            # ORed in place, as only slot v reads a power below J
-            reach = powers[v]
-            if v < j:
-                reach |= powers[j + (v - j) % p]
+            # z . slots[v]: below J, X_(v+s) is ORed in place, as only slot
+            # v reads a power below J
+            here = reach[v]
+            if v < powers.preperiod:
+                here |= reach[powers.slot(v + self.index)]
             for k, u in group:
                 for a, column in enumerate(letters):
-                    packed[a, k] = np.bitwise_or.reduce(reach.take(column[residues[u]], axis=1), axis=1)
+                    packed[a, k] = np.bitwise_or.reduce(
+                        here.take(column[powers.slots[u]], axis=1), axis=1)
         adm = np.unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
                             count=cols.size, bitorder="little").view(bool)
         adm.flags.writeable = False
@@ -274,7 +272,7 @@ class StabilityInfo:
         O(n |A| |M|^2) boolean work for n residue slots."""
         if self._adm_all is None:
             self._adm_all = self._admissible_at(np.arange(self.monoid.size))
-        row = self._adm_all[self.alphabet.index(letter), self._residue_pairs()[1][r]]
+        row = self._adm_all[self.powers.alphabet.index(letter), self._residue_pairs()[1][r]]
         return frozenset(np.flatnonzero(row).tolist())
 
     def mes_members(self, e: int) -> np.ndarray:
@@ -289,20 +287,17 @@ class StabilityInfo:
         store under the mask of B, so a block set met again, at another
         multiplier or as an upset of Me, is closed once.
         """
-        got = self._mes.get(e)
+        usable = self._usable_by_pair(e)
+        key = usable.tobytes()
+        got = self._mes_by_pattern.get(key)
         if got is None:
-            usable = self._usable_by_pair(e)
-            key = usable.tobytes()
-            got = self._mes_by_pattern.get(key)
-            if got is None:
-                mon = self.monoid
-                letters = [self.images[u] for u in usable.T]
-                start = np.zeros(mon.size, dtype=bool)
-                start[mon.identity] = True
-                blocks = self._walk(start, letters)
-                got = self._mes_by_pattern[key] = mon.generated(
-                    blocks, close=lambda b: self._walk_closure(b, letters))
-            self._mes[e] = got
+            mon = self.monoid
+            letters = [self.images[u] for u in usable.T]
+            start = np.zeros(mon.size, dtype=bool)
+            start[mon.identity] = True
+            blocks = self._walk(start, letters)
+            got = self._mes_by_pattern[key] = mon.generated(
+                blocks, close=lambda b: self._walk_closure(b, letters))
         return got
 
     def _walk(self, blocks: np.ndarray, letters: list) -> np.ndarray:
@@ -313,8 +308,8 @@ class StabilityInfo:
         p, so the walk samples its frontier every p steps there and jumps
         ahead over whole cycles once a sample repeats."""
         mult, pair = self.monoid.mult, self._residue_pairs()[1]
-        s, p = self.index, self.period
-        lo, hi = self.preperiod, s - self.preperiod  # the middle
+        s, p = self.index, self.powers.period
+        lo, hi = self.powers.preperiod, s - self.powers.preperiod  # the middle
         seen = {}  # sampled frontier -> its r
         r = 0
         while r < s:
@@ -344,9 +339,7 @@ class StabilityInfo:
     def stable_j_classes(self) -> JClasses:
         """The regular J-classes of the stable submonoid S, in S's own
         J-order, from the monoid's store: every multiplier shares them."""
-        if self._stable_j is None:
-            self._stable_j = self.monoid.j_classes(self._stable_mask)
-        return self._stable_j
+        return self.monoid.j_classes(self.powers.mask)
 
     def stable_me_members(self, e: int) -> np.ndarray:
         """The sorted members of Me taken inside the stable submonoid S, for
@@ -372,8 +365,18 @@ def _block_step(mult: np.ndarray, blocks: np.ndarray, letters: np.ndarray) -> np
     return out
 
 
+def _check_closed(mult: np.ndarray, ids: np.ndarray, inside: np.ndarray):
+    """Raise ConsistencyError unless the set `ids`, marked in `inside`, is
+    closed under the table, gathered in blocks of rows."""
+    block = max(1, _GATHER_IDS // ids.size)
+    for lo in range(0, ids.size, block):
+        if not inside[mult[ids[lo:lo + block, None], ids]].all():
+            raise ConsistencyError("the stable set is not closed under multiplication")
+
+
 def _power_images(m: Morphism) -> _PowerImages:
-    """The power images of m, built on first use and kept in its memo."""
+    """The per-morphism entry of m, built on first use and kept in its
+    memo."""
     got = m._stability.get("powers")
     if got is None:
         got = m._stability["powers"] = _PowerImages(m)
@@ -389,12 +392,11 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     """Stability data for s = multiplier * (smallest index).
 
     Any multiple of the smallest index is again a stability index; the
-    fragment checks must be invariant under the choice.  The stable set and
-    the residue sets are sorted read-only id arrays; the residue tuple is
-    built from its head below the preperiod and one period of power
-    images, which its tail repeats as the same arrays.  A multiplier
-    above FREE_MULTIPLIER that gives s |M| above MAX_INDEX_CELLS raises
-    CapError, on every call.
+    fragment checks must be invariant under the choice.  The residue
+    tuple is built from the per-morphism slots: the slots below the
+    preperiod, then one period of power images, which its tail repeats as
+    the same arrays.  A multiplier above FREE_MULTIPLIER that gives s |M|
+    above MAX_INDEX_CELLS raises CapError, on every call.
 
     The result is memoised on the morphism, one object per multiplier, so
     repeated calls return the same object with its tables built once; the
@@ -407,42 +409,16 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     if info is not None:
         return info
     powers = _power_images(m)
-    smallest = powers.smallest_index
-    s = smallest * multiplier
+    s = powers.smallest_index * multiplier
     if multiplier > FREE_MULTIPLIER and s * m.monoid.size > MAX_INDEX_CELLS:
         raise CapError(
             f"stability index {s} (multiplier {multiplier}) on {m.monoid.size} "
             f"elements exceeds the index cap (s * |M| at most {MAX_INDEX_CELLS} "
             f"for a multiplier above {FREE_MULTIPLIER})"
         )
-
-    def union(*parts):  # the sorted ids of the union, by one mask
-        mask = np.zeros(m.monoid.size, dtype=bool)
-        for part in parts:
-            mask[part] = True
-        ids = np.flatnonzero(mask)
-        ids.flags.writeable = False
-        return ids
-
-    stable = union(powers.at(s), m.monoid.identity)
-    # below the preperiod J, residues[r] = X_r | X_(r+s); from J on it is
-    # X_r, as s is a multiple of the period p, and X_r repeats with p
-    j, p = powers.preperiod, powers.period
-    head = [stable] + [union(powers.at(r), powers.at(r + s)) for r in range(1, j)]
-    loop = [powers.at(r) for r in range(j, j + p)]
-    images = np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
+    j, slots = powers.preperiod, powers.slots
     info = m._stability[multiplier] = StabilityInfo(
-        monoid=m.monoid,
-        alphabet=m.alphabet,
-        images=images,
-        index=s,
-        smallest_index=smallest,
-        preperiod=j,
-        period=p,
-        stable=stable,
-        residues=tuple(chain(head, islice(cycle(loop), s - j))),
-        _owner=weakref.ref(m),
-    )
+        powers=powers, index=s, residues=tuple(chain(slots[:j], islice(cycle(slots[j:]), s - j))))
     return info
 
 
@@ -490,7 +466,7 @@ def me_s(m: Morphism, info: StabilityInfo, e: int) -> frozenset[int]:
     from them until nothing new is reached, and kept on `info` and, under
     the mask of the block images, in the monoid's store.
     """
-    if info.morphism is not m:
+    if info.powers is not m._stability.get("powers"):
         raise InputError("stability data belongs to a different morphism")
     if not m.monoid.is_idempotent(e):
         raise InputError(f"element {e} is not idempotent")

@@ -267,9 +267,8 @@ def admissible_by_stable_scatter(info):
     """The table adm[a, r, x] (x in residues[r] . h(a) . residues[s-1-r])
     by the right-reach recurrence over full |M| x |M| matrices, seeded with
     reach_0[z, x] = x in z . stable by one scatter of the stable columns."""
-    h, s = info.morphism, info.index
-    mult, size = np.asarray(h.monoid.mult), h.monoid.size
-    images = np.array([h.letter_map[a] for a in h.alphabet])
+    s, images = info.index, info.images
+    mult, size = np.asarray(info.monoid.mult), info.monoid.size
     adm = np.zeros((len(images), s, size), dtype=bool)
     reach = np.zeros((size, size), dtype=bool)
     stable = sorted(info.stable)
@@ -294,14 +293,13 @@ def mes_by_residue_search(info, e, adm=None):
     every level sits at one residue r and pushes its frontier through the
     letters usable at r (adm[a, r, e], from `admissible_by_stable_scatter`
     unless given), and reached[r] marks what residue r has seen."""
-    h, s = info.morphism, info.index
-    mult, identity = np.asarray(h.monoid.mult), h.monoid.identity
+    s, images = info.index, info.images
+    mult, identity = np.asarray(info.monoid.mult), info.monoid.identity
     if adm is None:
         adm = admissible_by_stable_scatter(info)
-    images = np.array([h.letter_map[a] for a in h.alphabet])
     usable = adm[:, :, e]
     cols = [mult[:, images[usable[:, r]]] for r in range(s)]
-    reached = np.zeros((s, h.monoid.size), dtype=bool)
+    reached = np.zeros((s, info.monoid.size), dtype=bool)
     reached[0, identity] = True
     frontier, r = np.array([identity]), 0
     while frontier.size:
@@ -465,7 +463,7 @@ def stable_me_brute(info):
     """Me of the stable submonoid S at each of its idempotents, in parent
     ids: S copied into a monoid of its own by `submonoid_view`, and Me
     taken there from the definition by `me_brute`."""
-    sub, ids = submonoid_view(info.morphism.monoid, info.stable)
+    sub, ids = submonoid_view(info.monoid, info.stable)
     return {ids[e]: {ids[x] for x in xs} for e, xs in me_brute(sub).items()}
 
 

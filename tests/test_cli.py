@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -224,11 +227,11 @@ def test_xcheck_builds_two_monoids_per_instance(monkeypatch):
     assert len(builds) == 2 * 6
 
 
-def test_xcheck_battery_runs_moore_refinement_seven_times(monkeypatch):
-    # minimize (the input, then its idempotence), complement (the minimal
-    # DFA, then the complement back for the involution), the complement's
-    # transition monoid, and decorate at n = 2 and 3; the recognition
-    # rebuild is compared unminimized
+def test_xcheck_battery_runs_moore_refinement_six_times(monkeypatch):
+    # minimize (the idempotence check on the minimal input), complement
+    # (the minimal DFA, then the complement back for the involution), the
+    # complement's transition monoid, and decorate at n = 2 and 3; the
+    # recognition rebuild is compared unminimized
     from fragcheck import automata, monoid
     draws = list(cli._draws(6, 5, 3, 1, 32))
     runs = []
@@ -242,32 +245,101 @@ def test_xcheck_battery_runs_moore_refinement_seven_times(monkeypatch):
         monkeypatch.setattr(module, "minimal_table", counted)
     for d, morphism in draws:
         assert cli.xcheck_battery(d, 32, morphism) == []
-    assert len(runs) == 7 * len(draws)
+    assert len(runs) == 6 * len(draws)
+
+
+def test_xcheck_battery_flags_a_dfa_that_is_not_minimal():
+    # a* over {a, b} with the accepting state split in two: the battery
+    # takes its input as minimal, and the idempotence check is what says
+    # it is not
+    d = make_dfa(["a", "b"], ["p", "q", "r"], "p", ["p", "q"],
+                 {("p", "a"): "q", ("q", "a"): "p", ("p", "b"): "r", ("q", "b"): "r",
+                  ("r", "a"): "r", ("r", "b"): "r"})
+    assert cli.xcheck_battery(d, 32) == ["minimize-idempotent"]
+    assert cli.xcheck_battery(minimize(d), 32) == []
+
+
+@pytest.mark.parametrize("flag, value, draw", [
+    ("--max-states", "1", (1, 3, 0)), ("--max-letters", "0", (5, 0, 0)),
+    ("--seed", "-1", (5, 3, -1)),
+])
+def test_xcheck_refuses_draw_flags_out_of_range(capsys, flag, value, draw):
+    # exit 2 from the command, InputError from the library: (max_states,
+    # max_letters, seed) of `generate_corpus`
+    assert cli.main(["xcheck", "--count", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+    with pytest.raises(InputError):
+        cli.generate_corpus(2, *draw, 32)
+
+
+@given(max_states=st.integers(-2, 6), max_letters=st.integers(-2, 4),
+       seed=st.integers(-3, 2**64))
+@settings(deadline=None, max_examples=40)
+def test_xcheck_draw_flags_fuzz(max_states, max_letters, seed):
+    # an answer, malformed input (2) or a cap (3), never a traceback
+    argv = ["xcheck", "--count", "1", "--max-states", str(max_states),
+            "--max-letters", str(max_letters), "--seed", str(seed)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2, 3)
+
+
+def test_witness_refuses_a_negative_length_bound(capsys):
+    assert cli.main(["witness", "--regex", "(bc)*", "--max-len", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --max-len must not be negative\n"
+
+
+def test_witness_length_bound_stops_once_no_triple_is_new():
+    # the walk leaves its loop at the first length that adds no triple, so
+    # a huge bound costs what a small one does and reports the same; run
+    # in a child with a time limit, as a walk over every length would not
+    # end for hours
+    src = str(pathlib.Path(cli.__file__).parents[1])
+
+    def witness(bound):
+        done = subprocess.run(
+            [sys.executable, "-m", "fragcheck.cli", "witness", "--regex", "(bc)*",
+             "--max-len", bound], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src})
+        return done.returncode, done.stdout
+
+    code, small = witness("1000")
+    code_huge, huge = witness("1000000000000")
+    assert code == code_huge == 0
+    assert huge == small.replace("length 1000\n", "length 1000000000000\n")
 
 
 def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
-    # every analysis of one morphism, at any multiplier, shares its power
-    # images and one StabilityInfo per multiplier; the hierarchy quotients
-    # are morphisms of their own
+    # every analysis of one morphism, at any multiplier, shares its
+    # per-morphism entry, whose stable set is checked for closure once, and
+    # one StabilityInfo per multiplier; the hierarchy quotients are
+    # morphisms of their own
     from fragcheck import stability
-    powers, infos = [], []
+    powers, infos, checks = [], [], []
     real_powers, real_info = stability._PowerImages, stability.StabilityInfo
+    real_check = stability._check_closed
 
     def counted_powers(m):
         powers.append(m)
         return real_powers(m)
 
     def counted_info(**fields):
-        infos.append((fields["_owner"](), fields["index"]))  # the morphism, held weakly
+        infos.append((fields["powers"], fields["index"]))
         return real_info(**fields)
+
+    def counted_check(*args):
+        checks.append(args)
+        return real_check(*args)
 
     monkeypatch.setattr(stability, "_PowerImages", counted_powers)
     monkeypatch.setattr(stability, "StabilityInfo", counted_info)
+    monkeypatch.setattr(stability, "_check_closed", counted_check)
     code, text = run_cli(["xcheck", "--count", "6", "--seed", "1"])
     assert code == 0 and "6 instances, 0 with failures" in text
     # the lists keep every morphism alive, so no two share an id
-    assert len({id(m) for m in powers}) == len(powers)
-    assert len({(id(m), s) for m, s in infos}) == len(infos)
+    assert len({id(m) for m in powers}) == len(powers) == len(checks)
+    assert len({(id(p), s) for p, s in infos}) == len(infos)
+    assert len({id(p) for p, _ in infos}) == len(powers)
     # at least the draw's three multipliers and the complement's one
     assert len(infos) >= 4 * 6
 

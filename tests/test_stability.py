@@ -54,7 +54,7 @@ def test_alternating_blocks_language():
     h = morphism("(bc)*")
     info = stability_info(h)
     assert info.index == 2
-    assert info.smallest_index == 2
+    assert info.powers.smallest_index == 2
     one = h.monoid.identity
     bc, cb, sink = h.image("bc"), h.image("cb"), h.image("bb")
     assert info.stable.tolist() == sorted({one, bc, cb, sink})
@@ -69,8 +69,7 @@ def test_index_multiplier_scales_but_keeps_stable():
     base = stability_info(h)
     doubled = stability_info(h, multiplier=2)
     assert doubled.index == 2 * base.index
-    assert doubled.smallest_index == base.smallest_index
-    assert np.array_equal(doubled.stable, base.stable)
+    assert doubled.powers is base.powers and doubled.stable is base.stable
     assert len(doubled.residues) == doubled.index
 
 
@@ -348,7 +347,7 @@ def test_admissibility_peak_memory_is_the_packed_steps():
         tracemalloc.stop()
     step = h.monoid.size * -(-cols.size // 64) * 8
     assert cols.size == 212
-    assert peak < (info.preperiod + info.period + 2) * step + adm.nbytes
+    assert peak < (info.powers.preperiod + info.powers.period + 2) * step + adm.nbytes
 
 
 def test_index_cap_raises_before_residues():
@@ -381,14 +380,21 @@ def test_index_cap_spares_the_least_index_and_small_multipliers():
         stability_info(h, FREE_MULTIPLIER + 1)
 
 
-def test_stable_set_checked_for_closure_when_built():
+def test_stable_set_checked_for_closure_when_built(monkeypatch):
+    from fragcheck import stability
     h = morphism("(a|b)*aa(a|b)*")
+    a, real = h.image("a"), stability._PowerImages.at
+    # power images read as {a}: the stable set {1, a} is not closed, as a a
+    # lies outside it, and the refused entry is not kept
+    with monkeypatch.context() as patch:
+        patch.setattr(stability._PowerImages, "at",
+                      lambda self, k: real(self, k) if k == 0 else np.array([a]))
+        for multiplier in (1, 2):
+            with pytest.raises(ConsistencyError):
+                stability_info(h, multiplier)
+    assert h._stability == {}
     info = stability_info(h)
-    # {1, a} is not closed: a a lies outside it
-    with pytest.raises(ConsistencyError):
-        dataclasses.replace(info, stable=np.array([h.monoid.identity, h.image("a")]))
-    again = dataclasses.replace(info, stable=info.stable)
-    assert again.stable_me_members(h.image("aa")).tolist() == list(h.monoid.elements())
+    assert info.stable_me_members(h.image("aa")).tolist() == list(h.monoid.elements())
 
 
 def test_stability_info_memoised_per_morphism_and_multiplier():
@@ -431,13 +437,14 @@ def test_refused_multiplier_raises_on_every_call():
 
 
 def test_replace_builds_a_fresh_checked_object_outside_the_memo():
+    # a copy shares the per-morphism entry, whose stable set was checked
+    # when it was built, and stays out of the memo
     h = morphism("(a|b)*aa(a|b)*")
     info = stability_info(h)
-    again = dataclasses.replace(info, stable=info.stable)
+    again = dataclasses.replace(info, residues=info.residues)
     assert again is not info and stability_info(h) is info
-    with pytest.raises(ConsistencyError):
-        dataclasses.replace(info, stable=np.array([h.monoid.identity, h.image("a")]))
-    assert stability_info(h) is info
+    assert again.powers is info.powers is h._stability["powers"]
+    assert again.stable_me_members(h.image("aa")).tolist() == list(h.monoid.elements())
 
 
 def test_analysed_morphism_is_freed_by_reference_counting():
@@ -452,7 +459,7 @@ def test_analysed_morphism_is_freed_by_reference_counting():
         for multiplier in (1, 3):
             analyze(d, index_multiplier=multiplier, morphism=h)
         info = stability_info(h)
-        assert info.morphism is h and info.stable_j_classes is not None
+        assert info.powers is h._stability["powers"] and info.stable_j_classes is not None
         refs = [weakref.ref(h), weakref.ref(h.monoid), weakref.ref(info)]
         del h, info
         assert [ref() for ref in refs] == [None, None, None]
