@@ -13,9 +13,10 @@ Moore's algorithm (one column at a time, over the distinct columns),
 `product_table` builds the pair automaton over the pairs reachable from
 the start (one Python loop over the pairs, refused above a state cap), and
 `table_dfa` names a table's states q0, q1, ... in breadth-first order.
-`minimize`, the Boolean operations, determinization,
-`monoid.transition_monoid` and the formula compiler all go through these
-four.
+`minimize`, the Boolean operations, determinization, the position-residue
+decoration (`decorate`, whose residue product is written straight into a
+table over the letters' decorated copies), `monoid.transition_monoid` and
+the formula compiler all go through these four.
 
 Residues of positions and lengths follow the 1..n convention throughout:
 "i mod n" means the unique k in {1, ..., n} congruent to i.
@@ -650,27 +651,35 @@ def decorated_letters(alphabet, n: int) -> list[str]:
 
 def decorate(d: Dfa, n: int) -> Dfa:
     """The language of decorated words of L: the image of L under the
-    residue decoration starting at offset 0.  The product has the states
-    (q, r) with r = prefix length mod n, plus a sink for words whose
-    residues are inconsistent with their positions."""
+    residue decoration starting at offset 0.  The residue product is built
+    as a table over d's reachable table (`dfa_table`): state q n + r is the
+    pair (q, r), r the prefix length mod n, and the last state is a sink
+    for words whose residues are inconsistent with their positions.  Its
+    columns are the decorated letters in sorted order, as
+    `decorated_letters` lists them; one Moore run (`minimal_table`) gives
+    the canonical minimal DFA."""
     if n < 1:
         raise InputError("modulus must be at least 1")
-    sink = "sink"
-    states = [(q, r) for q in d.states for r in range(n)] + [sink]
-    delta = {}
-    letters = decorated_letters(d.alphabet, n)
-    parsed = [DecoratedLetter.parse(x) for x in letters]
-    for q in d.states:
+    letters, (rows, finals) = dfa_table(d)
+    # the decorated letters, sorted, each with its base column and residue mod n
+    columns = sorted((DecoratedLetter(a, r).text, b, r % n)
+                     for b, a in enumerate(letters) for r in range(1, n + 1))
+    texts = [text for text, _, _ in columns]
+    by_residue = [[] for _ in range(n)]  # [r]: (column, base column) read after r letters
+    for c, (_, b, r) in enumerate(columns):
+        by_residue[r].append((c, b))
+    sink = len(rows) * n
+    table = []
+    for row in rows:
         for r in range(n):
-            for text, dl in zip(letters, parsed):
-                if dl.residue == mod1(r + 1, n):
-                    delta[((q, r), text)] = (d.delta[(q, dl.base)], (r + 1) % n)
-                else:
-                    delta[((q, r), text)] = sink
-    for text in letters:
-        delta[(sink, text)] = sink
-    finals = [(q, r) for q in d.states for r in range(n) if q in d.finals]
-    return minimize(make_dfa(letters, states, (d.initial, 0), finals, delta))
+            out = [sink] * len(texts)
+            nxt = (r + 1) % n
+            for c, b in by_residue[nxt]:
+                out[c] = row[b] * n + nxt
+            table.append(out)
+    table.append([sink] * len(texts))
+    accepting = [f for f in finals for _ in range(n)] + [False]
+    return table_dfa(texts, minimal_table((table, accepting)))
 
 
 def _residue_reach(d: Dfa, n: int) -> set:

@@ -18,15 +18,16 @@ import numpy as np
 
 from .automata import (
     DEFAULT_STATE_CAP,
+    DecoratedLetter,
     Dfa,
     complement,
     decorate,
-    decorate_word,
     dfa_to_doc,
     dfa_to_json,
     equivalent,
     make_dfa,
     minimize,
+    mod1,
     parse_dfa,
     regex_to_dfa,
 )
@@ -55,7 +56,6 @@ from .monoid import (
     syntactic_order,
     transition_monoid,
 )
-from .stability import stability_info
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xcheck", help="randomized cross-validation battery")
     p.add_argument("--count", type=int, default=50, metavar="N")
-    p.add_argument("--max-states", type=int, default=5, metavar="S")
-    p.add_argument("--max-letters", type=int, default=3, metavar="L")
+    p.add_argument("--max-states", type=int, default=5, metavar="S",
+                   help=f"states per draw, 2 to {MAX_DRAW_STATES} (default 5)")
+    p.add_argument("--max-letters", type=int, default=3, metavar="L",
+                   help=f"letters per draw, 1 to {MAX_DRAW_LETTERS} (default 3)")
     p.add_argument("--seed", type=int, default=0, metavar="SEED")
     p.add_argument("--max-monoid", type=int, default=None, metavar="K")
     p.add_argument("--json", action="store_true")
@@ -377,6 +379,14 @@ def _cmd_witness(args, out) -> int:
 # ---------------------------------------------------------------------------
 # Randomized cross-validation
 
+# Upper bounds of `xcheck --max-states` and `--max-letters`: the letters are
+# named a to z, and a draw at both bounds takes about 10 ms to make, minimise
+# and refuse under a tiny monoid cap, and 45 ms under the default cap
+# (2-core x86-64, CPython 3.11).
+MAX_DRAW_STATES = 64
+MAX_DRAW_LETTERS = 26
+
+
 def random_dfa(rng: np.random.Generator, max_states: int, max_letters: int) -> Dfa:
     """One random machine: uniform transition table over a uniform state
     count (2..max) and letter count (1..max), final sets uniform among the
@@ -399,12 +409,17 @@ def random_dfa(rng: np.random.Generator, max_states: int, max_letters: int) -> D
 def _draws(count: int, max_states: int, max_letters: int, seed: int, max_monoid: int):
     """Yield `count` pairs (minimized random DFA, its syntactic morphism)
     whose monoids fit under the cap, drawing lazily; oversized draws are
-    discarded.  A state count below 2, a letter count below 1 or a
-    negative seed raises InputError."""
+    discarded.  A state count outside 2..MAX_DRAW_STATES, a letter count
+    outside 1..MAX_DRAW_LETTERS or a negative seed raises InputError
+    before anything is drawn."""
     if max_states < 2:
         raise InputError("--max-states must be at least 2")
+    if max_states > MAX_DRAW_STATES:
+        raise InputError(f"--max-states must be at most {MAX_DRAW_STATES}")
     if max_letters < 1:
         raise InputError("--max-letters must be at least 1")
+    if max_letters > MAX_DRAW_LETTERS:
+        raise InputError(f"--max-letters must be at most {MAX_DRAW_LETTERS}")
     if seed < 0:
         raise InputError("--seed must not be negative")
     rng = np.random.default_rng(seed)
@@ -488,16 +503,14 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
         failures.append("analyze-consistency")
         return failures
 
+    # rows[x][i]: x times the i-th letter's image
+    rows = mon.mult[:, [morphism.letter_map[a] for a in morphism.alphabet]].tolist()
     rebuilt = make_dfa(
         morphism.alphabet,
         list(mon.elements()),
         mon.identity,
         morphism.accepting,
-        {
-            (x, a): mon.mul(x, morphism.letter_map[a])
-            for x in mon.elements()
-            for a in morphism.alphabet
-        },
+        {(x, a): y for x, row in enumerate(rows) for a, y in zip(morphism.alphabet, row)},
     )
     if not equivalent(rebuilt, minimal)[0]:
         failures.append("recognition-rebuild")
@@ -523,13 +536,27 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     if report.verdicts["fo2_lt"] != report.verdicts["delta2_lt"]:
         failures.append("two-var-alternation-collapse")
 
+    # Mes inside Me, once per distinct pair of member arrays (each Me is
+    # shared by its J-class, each Mes by its usable-letter pattern)
     info = pipeline.stability
+    s = info.index
+    pairs = {}
     for e in mon.idempotents():
-        if not np.isin(info.mes_members(e), mon.me_members(e), assume_unique=True).all():
+        me, mes = mon.me_members(e), info.mes_members(e)
+        pairs[id(me), id(mes)] = (me, mes)
+    for me, mes in pairs.values():
+        inside = np.zeros(mon.size, dtype=bool)
+        inside[me] = True
+        if not inside[mes].all():
             failures.append("stable-subset")
             break
 
-    if not np.array_equal(stability_info(morphism, 2).stable, info.stable):
+    # the stable set at 2s, {1} | X_2s = {1} | X_s X_s, read from the table
+    x_s = info.powers.at(s)
+    doubled = np.zeros(mon.size, dtype=bool)
+    doubled[mon.mult[x_s[:, None], x_s]] = True
+    doubled[mon.identity] = True
+    if not np.array_equal(np.flatnonzero(doubled), info.stable):
         failures.append("stable-invariance")
 
     # Every word w up to length 4: its decoration must be accepted iff w
@@ -541,17 +568,24 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     # same words and verdicts as enumerating them all.
     for n in (2, 3):
         decorated = decorate(minimal, n)
-        finals, start = decorated.finals, decorated.initial
+        finals, start, delta = decorated.finals, decorated.initial, decorated.delta
+        # texts[r]: (letter, the letter decorated with r + 1, then with r + 2)
+        texts = [
+            [(a, DecoratedLetter(a, r + 1).text, DecoratedLetter(a, mod1(r + 2, n)).text)
+             for a in minimal.alphabet]
+            for r in range(n)
+        ]
         ok = (start in finals) == (minimal.initial in minimal.finals)
         triples = {(minimal.initial, start, start)}
         for length in range(1, 5):
             # the letter at position `length`, decorated at offsets 0 and 1
-            steps = [
-                (a, decorate_word((a,), n, length - 1)[0], decorate_word((a,), n, length)[0])
-                for a in minimal.alphabet
-            ]
+            steps = texts[(length - 1) % n]
+            for _, a0, a1 in steps:  # as `Dfa.run` refuses them
+                for text in (a0, a1):
+                    if (start, text) not in delta:
+                        raise InputError(f"letter {text!r} outside alphabet")
             triples = {
-                (minimal.delta[(q, a)], decorated.run((a0,), p), decorated.run((a1,), p1))
+                (minimal.delta[(q, a)], delta[(p, a0)], delta[(p1, a1)])
                 for q, p, p1 in triples
                 for a, a0, a1 in steps
             }
@@ -569,11 +603,11 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     ):
         failures.append("order-duality")
 
-    s = info.index
     if report.verdicts["sigma2_mod"] and s * s * mon.size <= 400:
         g = build_mod_witness(ordered, info)
-        (offender,) = local_condition(g.monoid, g.monoid.idempotents(), g.monoid.me_members,
-                                      (g.monoid.leq,))
+        # one idempotent per regular J-class decides e Me e <= e (`JClasses`)
+        (offender,) = local_condition(g.monoid, g.monoid.j_classes().representatives(),
+                                      g.monoid.me_members, (g.monoid.leq,))
         if offender is not None:
             failures.append("witness-local-condition")
         holds, _ = verify_vmod_implication(ordered, g, s, 2 * s + 2)

@@ -16,13 +16,13 @@ implication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .automata import Dfa, DecoratedLetter, decorated_letters, mod1
 from .errors import ConsistencyError, InputError
 from .monoid import (
+    _GATHER_IDS,
     DEFAULT_MAX_MONOID,
     Morphism,
     format_word,
@@ -278,8 +278,7 @@ def analyze(
 # ---------------------------------------------------------------------------
 # The ordered witness behind a positive sigma2_mod verdict
 
-_SINK = ("sink",)
-_EPS = ("eps",)
+_EPS, _SINK = -1, -2  # the labels of the empty-word class and of the sink
 
 
 def build_mod_witness(
@@ -289,11 +288,19 @@ def build_mod_witness(
 
     Decorated words over residues 1..s collapse to: the empty-word class,
     a sink class for words whose residues do not chain consecutively, and
-    one class per reachable triple (start residue, end residue, image
-    under the base morphism).  The order puts the sink below everything
+    one class per reachable triple (start residue i, end residue j, image
+    x under the base morphism).  The order puts the sink below everything
     and compares equal-profile classes by the base order; the resulting
     morphism g satisfies g(decorate(u)) <= g(decorate(v)) only if
     h(u) <= h(v) for words of equal length residue.
+
+    A class is labelled by an int: (i, j, x) by ((i - 1) s + (j - 1)) |M|
+    + x, the empty word by -1 and the sink by -2.  A product decodes its
+    left label once and reads x1 x2 from the column of x2 in the base
+    table, taken as a list once per x2 (the letter images, in practice);
+    the order decodes every label by one `np.divmod`.  Labels are equal
+    exactly when the classes are, so the closure numbers the classes as
+    it would any other faithful labels.
 
     Requires the base morphism to carry the syntactic order and to
     satisfy the sigma2_mod hypothesis.  A witness with more than
@@ -311,53 +318,51 @@ def build_mod_witness(
             "hypothesis violated: e x e <= e fails at "
             f"e={format_word(m.word_of(e))} x={format_word(m.word_of(x))}"
         )
-    s = info.index
+    s, size, mult = info.index, mon.size, mon.mult
 
-    letter_labels = {}
-    for a in m.alphabet:
-        for i in range(1, s + 1):
-            letter_labels[DecoratedLetter(str(a), i).text] = (
-                "wf",
-                i,
-                i,
-                m.letter_map[a],
-            )
+    letter_labels = {DecoratedLetter(str(a), i + 1).text: (i * s + i) * size + m.letter_map[a]
+                     for a in m.alphabet for i in range(s)}  # the class (i + 1, i + 1, h(a))
 
-    def mult_label(l1, l2):
-        if l1 == _EPS:
-            return l2
-        if l2 == _EPS:
-            return l1
-        if l1 == _SINK or l2 == _SINK:
-            return _SINK
-        _, i1, j1, x1 = l1
-        _, i2, j2, x2 = l2
-        if i2 != mod1(j1 + 1, s):
-            return _SINK
-        return ("wf", i1, j2, mon.mul(x1, x2))
+    columns = {}  # x2 -> the column x2 of the base table, as a list
+
+    def right_mult(l1):
+        if l1 < 0:
+            return (lambda l2: l2) if l1 == _EPS else (lambda l2: _SINK)
+        profile, x1 = divmod(l1, size)
+        start = profile - profile % s  # (i1 - 1) s
+        follow = (profile + 1) % s  # i2 - 1 for a well-formed product
+
+        def times(l2):
+            if l2 < 0:
+                return l1 if l2 == _EPS else _SINK
+            profile2, x2 = divmod(l2, size)
+            if profile2 // s != follow:
+                return _SINK
+            column = columns.get(x2)
+            if column is None:
+                column = columns[x2] = mult[:, x2].tolist()
+            return (start + profile2 % s) * size + column[x1]
+
+        return times
 
     def label_order(labels):
         # the sink lies below everything, the empty word only below itself,
         # and well-formed classes compare by the base order when their
         # start and end residues agree
-        kind = np.array([lab[0] for lab in labels])
-        eps, wf = kind == "eps", kind == "wf"
-        start, end, base = np.array(
-            [lab[1:] if lab[0] == "wf" else (0, 0, 0) for lab in labels], dtype=np.int64
-        ).reshape(len(labels), 3).T
+        labels = np.array(labels, dtype=np.int64)
+        eps, wf = labels == _EPS, labels >= 0
+        profile, base = np.divmod(labels, size)  # base is in range for -1 and -2 too
         return (
-            (kind == "sink")[:, None]
+            (labels == _SINK)[:, None]
             | (eps[:, None] & eps)
-            | (wf[:, None] & wf
-               & (start[:, None] == start) & (end[:, None] == end)
-               & mon.leq[base[:, None], base])
+            | (wf[:, None] & (profile[:, None] == profile) & mon.leq[base[:, None], base])
         )
 
-    bound = s * s * mon.size + 2
+    bound = s * s * size + 2
     cap = bound + 1 if max_monoid is None else min(max_monoid, bound + 1)
     g = generated_morphism(
         letter_labels,
-        lambda l1: partial(mult_label, l1),
+        right_mult,
         _EPS,
         cap=cap,
         label_order=label_order,
@@ -381,9 +386,14 @@ def verify_vmod_implication(
 
     The implication only depends on a word through the triple (image
     under g of its decoration, image under h, length mod n), so the pairs
-    are checked on the finitely many reachable triples; the failure
-    reported is the first one in shortlex discovery order.  The walk stops
-    at the first length that reaches no new triple.
+    are checked on the finitely many reachable triples.  The triples are
+    found breadth first, by length and then by letter, each with the
+    first word that reaches it; a step reads its letter's right columns
+    of both tables, taken as lists once (g's once per residue).  The walk
+    stops at the first length that reaches no new triple.  The pairs are
+    then tested in blocks of rows of about `_GATHER_IDS` cells, one
+    boolean matrix per block, and the failure reported is the first pair
+    (t1, t2) in row-major order of discovery.
     """
     if m.monoid.leq is None or g.monoid.leq is None:
         raise InputError("both morphisms must carry orders")
@@ -391,6 +401,11 @@ def verify_vmod_implication(
     if set(g.letter_map) != expected:
         raise InputError("decorated alphabet does not match the base alphabet")
     letters = sorted(m.alphabet)
+    h_columns = m.monoid.mult[:, [m.letter_map[a] for a in letters]].T.tolist()
+    steps = []  # steps[r]: per letter, (it, its g column at residue r + 1, its h column)
+    for r in range(n):
+        g_ids = [g.letter_map[DecoratedLetter(str(a), mod1(r + 1, n)).text] for a in letters]
+        steps.append(list(zip(letters, g.monoid.mult[:, g_ids].T.tolist(), h_columns)))
     start = (g.monoid.identity, m.monoid.identity, 0)
     triples = [start]
     words = {start: ()}
@@ -399,24 +414,25 @@ def verify_vmod_implication(
         if not frontier:
             break
         nxt_frontier = []
-        for gx, hx, r in frontier:
-            w = words[(gx, hx, r)]
-            for a in letters:
-                dl = DecoratedLetter(str(a), mod1(r + 1, n)).text
-                triple = (
-                    g.monoid.mul(gx, g.letter_map[dl]),
-                    m.monoid.mul(hx, m.letter_map[a]),
-                    (r + 1) % n,
-                )
-                if triple not in words:
-                    words[triple] = w + (a,)
-                    triples.append(triple)
-                    nxt_frontier.append(triple)
+        for triple in frontier:
+            gx, hx, r = triple
+            w = words[triple]
+            r1 = (r + 1) % n
+            for a, g_column, h_column in steps[r]:
+                got = (g_column[gx], h_column[hx], r1)
+                if got not in words:
+                    words[got] = w + (a,)
+                    triples.append(got)
+                    nxt_frontier.append(got)
         frontier = nxt_frontier
-    for g1, h1, r1 in triples:
-        for g2, h2, r2 in triples:
-            if r1 != r2:
-                continue
-            if g.monoid.leq[g1, g2] and not m.monoid.leq[h1, h2]:
-                return False, (words[(g1, h1, r1)], words[(g2, h2, r2)])
+    gs, hs, rs = np.array(triples, dtype=np.int64).T
+    g_leq, h_leq = g.monoid.leq, m.monoid.leq
+    block = max(1, _GATHER_IDS // len(triples))
+    for lo in range(0, len(triples), block):
+        rows = slice(lo, lo + block)
+        bad = ((rs[rows, None] == rs) & g_leq[gs[rows, None], gs]
+               & ~h_leq[hs[rows, None], hs])
+        if bad.any():
+            t1, t2 = divmod(int(bad.argmax()), len(triples))
+            return False, (words[triples[lo + t1]], words[triples[t2]])
     return True, None

@@ -14,6 +14,13 @@ def small_corpus():
 
 
 @pytest.fixture(scope="session")
+def xcheck_corpus():
+    # the shape `xcheck` draws by default (at most 5 states and 3 letters),
+    # under the benchmark's monoid cap
+    return generate_corpus(count=60, max_states=5, max_letters=3, seed=7, max_monoid=32)
+
+
+@pytest.fixture(scope="session")
 def langs():
     return {
         "odd_pair": regex_to_dfa("((a|b)(a|b))*(aa|bb)(a|b)*"),

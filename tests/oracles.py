@@ -62,21 +62,31 @@ to the same objects:
   refinement keyed by the bytes of whole numpy rows, and the formula
   compiler's erasure by numpy gathers of sorted (state, flag) pairs keyed
   by bytes, as `automata.minimal_table` and `fologic._Compiler._project`
-  ran them before tables became Python rows.
+  ran them before tables became Python rows;
+- `decorate_by_dict_product`, `mod_witness_by_tuple_labels` and
+  `vmod_implication_by_pair_loop`: the residue product over the `Dfa`
+  dictionaries, minimised; the sigma2_mod witness over tuple labels, one
+  `OrderedMonoid.mul` per product; and its implication check with the
+  pairs tested in a Python loop, as `automata.decorate`,
+  `fragments.build_mod_witness` and `fragments.verify_vmod_implication`
+  ran them before they moved onto integer tables and labels.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from fragcheck import fologic as fo
 from fragcheck.automata import (
-    DEFAULT_STATE_CAP, Nfa, decorate_word, dfa_table, make_dfa, minimal_table, mod1)
+    DEFAULT_STATE_CAP, DecoratedLetter, Nfa, decorate_word, decorated_letters, dfa_table,
+    make_dfa, minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
-    DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, _closure_members, format_word)
+    DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, _closure_members, format_word,
+    generated_morphism)
 
 
 def words(alphabet, max_len):
@@ -1151,3 +1161,99 @@ def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
         letter_map=letter_map,
         accepting=frozenset(x for x in range(m) if final_mask[labels[x][0]]),
     )
+
+
+def decorate_by_dict_product(d, n):
+    """The decorated language of L(d), as `automata.decorate` built it
+    before it built the residue product as a table: the product over the
+    states (q, r) of d and a sink as a `Dfa` dictionary, then minimised by
+    `minimize_by_dicts`."""
+    sink = "sink"
+    states = [(q, r) for q in d.states for r in range(n)] + [sink]
+    delta = {}
+    letters = decorated_letters(d.alphabet, n)
+    parsed = [DecoratedLetter.parse(x) for x in letters]
+    for q in d.states:
+        for r in range(n):
+            for text, dl in zip(letters, parsed):
+                if dl.residue == mod1(r + 1, n):
+                    delta[((q, r), text)] = (d.delta[(q, dl.base)], (r + 1) % n)
+                else:
+                    delta[((q, r), text)] = sink
+    for text in letters:
+        delta[(sink, text)] = sink
+    finals = [(q, r) for q in d.states for r in range(n) if q in d.finals]
+    return minimize_by_dicts(make_dfa(letters, states, (d.initial, 0), finals, delta))
+
+
+def mod_witness_by_tuple_labels(m, info):
+    """The sigma2_mod witness of `fragments.build_mod_witness`, as it was
+    built before its labels became ints: a class is ("eps",), ("sink",)
+    or ("wf", i, j, x), each product is one `OrderedMonoid.mul`, and the
+    order compares the kinds as numpy string arrays."""
+    mon, s = m.monoid, info.index
+    eps, sink = ("eps",), ("sink",)
+    letter_labels = {DecoratedLetter(str(a), i).text: ("wf", i, i, m.letter_map[a])
+                     for a in m.alphabet for i in range(1, s + 1)}
+
+    def mult_label(l1, l2):
+        if l1 == eps:
+            return l2
+        if l2 == eps:
+            return l1
+        if l1 == sink or l2 == sink:
+            return sink
+        _, i1, j1, x1 = l1
+        _, i2, j2, x2 = l2
+        if i2 != mod1(j1 + 1, s):
+            return sink
+        return ("wf", i1, j2, mon.mul(x1, x2))
+
+    def label_order(labels):
+        kind = np.array([lab[0] for lab in labels])
+        is_eps, wf = kind == "eps", kind == "wf"
+        start, end, base = np.array(
+            [lab[1:] if lab[0] == "wf" else (0, 0, 0) for lab in labels], dtype=np.int64
+        ).reshape(len(labels), 3).T
+        return (
+            (kind == "sink")[:, None]
+            | (is_eps[:, None] & is_eps)
+            | (wf[:, None] & wf
+               & (start[:, None] == start) & (end[:, None] == end)
+               & mon.leq[base[:, None], base])
+        )
+
+    return generated_morphism(letter_labels, lambda l1: partial(mult_label, l1), eps,
+                              cap=s * s * mon.size + 3, label_order=label_order)
+
+
+def vmod_implication_by_pair_loop(m, g, n, max_len):
+    """`fragments.verify_vmod_implication` as it ran before it stepped
+    through list columns and tested the pairs in blocks: the triples by
+    `OrderedMonoid.mul`, then every pair in a Python loop, the first
+    failure in row-major order."""
+    letters = sorted(m.alphabet)
+    start = (g.monoid.identity, m.monoid.identity, 0)
+    triples = [start]
+    found = {start: ()}
+    frontier = [start]
+    for _ in range(max_len):
+        if not frontier:
+            break
+        nxt_frontier = []
+        for gx, hx, r in frontier:
+            w = found[(gx, hx, r)]
+            for a in letters:
+                dl = DecoratedLetter(str(a), mod1(r + 1, n)).text
+                triple = (g.monoid.mul(gx, g.letter_map[dl]),
+                          m.monoid.mul(hx, m.letter_map[a]), (r + 1) % n)
+                if triple not in found:
+                    found[triple] = w + (a,)
+                    triples.append(triple)
+                    nxt_frontier.append(triple)
+        frontier = nxt_frontier
+    for g1, h1, r1 in triples:
+        for g2, h2, r2 in triples:
+            if r1 == r2 and g.monoid.leq[g1, g2] and not m.monoid.leq[h1, h2]:
+                return False, (found[(g1, h1, r1)], found[(g2, h2, r2)])
+    return True, None

@@ -345,6 +345,18 @@ def test_decoration_membership_round_trip(word, n):
     assert dec.accepts(decorate_word(word, n)) == d.accepts(word)
 
 
+def test_decorate_matches_dict_product_oracle(xcheck_corpus):
+    # the table product gives the document the dictionary product did, on
+    # minimal inputs and on one with an unreachable and a redundant state
+    spare = make_dfa(["a", "b"], ["p", "q", "r", "u"], "p", ["p", "q", "u"],
+                     {("p", "a"): "q", ("q", "a"): "p", ("p", "b"): "r", ("q", "b"): "r",
+                      ("r", "a"): "r", ("r", "b"): "r", ("u", "a"): "p", ("u", "b"): "u"})
+    for d in [*xcheck_corpus, spare]:
+        for n in range(1, 5):
+            assert dfa_to_json(decorate(d, n)) == dfa_to_json(
+                oracles.decorate_by_dict_product(d, n)), (dfa_to_json(d), n)
+
+
 def test_decorate_with_modulus_one_relabels():
     d = regex_to_dfa("(a|b)*aa(a|b)*")
     dec = decorate(d, 1)

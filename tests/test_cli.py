@@ -9,11 +9,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from fragcheck import cli
+from fragcheck import cli, stability
 from fragcheck._sexp import MAX_DEPTH
 from fragcheck.automata import (
     MAX_PATTERN_DEPTH, DecoratedLetter, complement, decorate, decorated_letters, dfa_to_json,
@@ -259,18 +260,48 @@ def test_xcheck_battery_flags_a_dfa_that_is_not_minimal():
     assert cli.xcheck_battery(minimize(d), 32) == []
 
 
+def test_stable_invariance_reads_the_stable_set_from_the_table(monkeypatch):
+    # a stable set other than {1} | X_s X_s is flagged, here all of M for
+    # an aperiodic language whose stable submonoid is smaller; the stable
+    # set at 2s is the array of s, so comparing those two could not flag it
+    d = minimize(regex_to_dfa("(a|b)*ab"))
+    assert cli.xcheck_battery(d, 32) == []
+    monkeypatch.setattr(stability.StabilityInfo, "stable",
+                        property(lambda info: np.arange(info.monoid.size)))
+    assert cli.xcheck_battery(d, 32) == ["stable-invariance"]
+
+
 @pytest.mark.parametrize("flag, value, draw", [
     ("--max-states", "1", (1, 3, 0)), ("--max-letters", "0", (5, 0, 0)),
     ("--seed", "-1", (5, 3, -1)),
+    ("--max-states", str(cli.MAX_DRAW_STATES + 1), (cli.MAX_DRAW_STATES + 1, 3, 0)),
+    ("--max-letters", str(cli.MAX_DRAW_LETTERS + 1), (5, cli.MAX_DRAW_LETTERS + 1, 0)),
 ])
 def test_xcheck_refuses_draw_flags_out_of_range(capsys, flag, value, draw):
     # exit 2 from the command, InputError from the library: (max_states,
-    # max_letters, seed) of `generate_corpus`
+    # max_letters, seed) of `generate_corpus`; refused before any draw
+    start = time.process_time()
     assert cli.main(["xcheck", "--count", "2", flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and "Traceback" not in err
     with pytest.raises(InputError):
         cli.generate_corpus(2, *draw, 32)
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("states, letters, cap", [
+    ("2", "2000000", "2"), ("2", "60000", "2"), ("200000", "1", "10"),
+])
+def test_xcheck_refuses_huge_draws_at_once(capsys, states, letters, cap):
+    # a draw of two million letters ran out of letter names, one of 60000
+    # letters or 200000 states did not end within a minute
+    start = time.process_time()
+    argv = ["xcheck", "--count", "1", "--seed", "0", "--max-states", states,
+            "--max-letters", letters, "--max-monoid", cap]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-") and "at most" in err and "Traceback" not in err
+    assert time.process_time() - start < 1.0
 
 
 @given(max_states=st.integers(-2, 6), max_letters=st.integers(-2, 4),
@@ -314,7 +345,6 @@ def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
     # per-morphism entry, whose stable set is checked for closure once, and
     # one StabilityInfo per multiplier; the hierarchy quotients are
     # morphisms of their own
-    from fragcheck import stability
     powers, infos, checks = [], [], []
     real_powers, real_info = stability._PowerImages, stability.StabilityInfo
     real_check = stability._check_closed
@@ -344,11 +374,6 @@ def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
     assert len(infos) >= 4 * 6
 
 
-@pytest.fixture(scope="module")
-def decoration_corpus():
-    return cli.generate_corpus(60, 5, 3, 7, 32)
-
-
 def residue_blind(d, n):
     """Accepts a decorated word iff its base word lies in L(d), whatever
     its residues, so only decorations at offset 1 tell it apart."""
@@ -369,14 +394,14 @@ _DECORATIONS = {
 @pytest.mark.parametrize("variant, flagged", [
     ("unchanged", 0), ("complement", 60), ("modulus n+1", 44), ("residue-blind", 45),
 ])
-def test_decoration_check_matches_enumeration(monkeypatch, decoration_corpus, variant, flagged):
+def test_decoration_check_matches_enumeration(monkeypatch, xcheck_corpus, variant, flagged):
     # the battery walks reachable state triples; the oracle enumerates
     # every word, and a wrong decorated language must be flagged alike
     variant_decorate = _DECORATIONS[variant]
     monkeypatch.setattr(cli, "decorate", variant_decorate)
-    got = ["decoration-membership" in cli.xcheck_battery(d, 32) for d in decoration_corpus]
+    got = ["decoration-membership" in cli.xcheck_battery(d, 32) for d in xcheck_corpus]
     want = [oracles.decoration_membership_fails(minimize(d), variant_decorate)
-            for d in decoration_corpus]
+            for d in xcheck_corpus]
     assert got == want
     assert sum(got) == flagged
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fragcheck import fragments
 from fragcheck.automata import complement, intersect, minimize, regex_to_dfa
 from fragcheck.errors import ConsistencyError, InputError
 from fragcheck.fologic import compile_formula, parse_formula
@@ -18,6 +19,7 @@ from fragcheck.fragments import (
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
+    export_monoid,
     format_word,
     is_aperiodic,
     local_condition,
@@ -360,6 +362,58 @@ def test_build_mod_witness_order_follows_label_rule(small_corpus):
             break
     else:
         pytest.fail("no corpus language with a nontrivial sigma2_mod witness")
+
+
+def _witnesses(corpus):
+    """(h, info, g): the ordered syntactic morphism, the stability data
+    and the witness, for every corpus language with sigma2_mod, at index
+    multipliers 1 and 2."""
+    for d in corpus:
+        h = syntactic_order(transition_monoid(d, max_monoid=32))
+        for multiplier in (1, 2):
+            pipeline = LanguageAnalysis(d, index_multiplier=multiplier, morphism=h)
+            if pipeline.check("sigma2_mod")[0]:
+                info = pipeline.stability
+                yield h, info, build_mod_witness(h, info)
+
+
+def test_mod_witness_matches_tuple_label_oracle(xcheck_corpus):
+    built = 0
+    for h, info, g in _witnesses(xcheck_corpus):
+        assert export_monoid(g) == export_monoid(oracles.mod_witness_by_tuple_labels(h, info))
+        built += 1
+    assert built >= 60
+
+
+def _weakened(g, leq):
+    """g with the relation `leq` in place of its order; the implication
+    check reads the relation as it is, so it need not be an order."""
+    mon = OrderedMonoid(g.monoid.mult, g.monoid.identity, repr_words=g.monoid.repr_words)
+    mon.leq = leq
+    return Morphism(monoid=mon, alphabet=g.alphabet, letter_map=g.letter_map)
+
+
+@pytest.mark.parametrize("gather", [None, 7])
+def test_vmod_implication_matches_pair_loop_oracle(monkeypatch, xcheck_corpus, gather):
+    # the same verdict and the same first counterexample, on the witnesses
+    # and on witnesses whose order claims more pairs: every pair, or also
+    # every pair of words of equal length residue; `gather` forces blocks
+    # of a few rows
+    if gather is not None:
+        monkeypatch.setattr(fragments, "_GATHER_IDS", gather)
+    failed = 0
+    for h, info, g in _witnesses(xcheck_corpus):
+        s = info.index
+        size = g.monoid.size
+        every = np.ones((size, size), dtype=bool)
+        alike = np.array([[len(u) % s == len(v) % s for v in g.monoid.repr_words]
+                          for u in g.monoid.repr_words])
+        for witness in (g, _weakened(g, every), _weakened(g, g.monoid.leq | alike)):
+            for max_len in (s, 2 * s + 2):
+                got = verify_vmod_implication(h, witness, s, max_len)
+                assert got == oracles.vmod_implication_by_pair_loop(h, witness, s, max_len)
+                failed += not got[0]
+    assert failed >= 100
 
 
 def test_build_mod_witness_requires_order_and_hypothesis():

@@ -10,12 +10,13 @@ import hashlib
 import json
 
 import exprsuite
-from fragcheck.automata import dfa_to_json
+from fragcheck.automata import decorate, dfa_to_json
 from fragcheck.fologic import compile_formula, parse_formula
-from fragcheck.fragments import analyze
+from fragcheck.fragments import (
+    LanguageAnalysis, analyze, build_mod_witness, verify_vmod_implication)
 from fragcheck.hierarchy import sim_quotient, wv_level
 from fragcheck.modprod import expr_to_formula
-from fragcheck.monoid import transition_monoid
+from fragcheck.monoid import export_monoid, transition_monoid
 from test_acceptance import CORPUS_CAP, SENTENCES, corpus
 
 GOLDEN = {
@@ -32,6 +33,12 @@ GOLDEN = {
 # `wv_level(h, max_level=|M| + 2)` as (w, v, w_sizes, v_sizes), then the
 # `class_of` of the K and D signature quotients, of every corpus language
 HIERARCHY = "bf6885bfdecbb726e8dc398c7379e0313ca8ad0cbe74ee751a81782c185707f9"
+
+# per corpus language, `dfa_to_json(decorate(d, n))` for n = 1..4; then,
+# where sigma2_mod holds at index multiplier 1, the JSON of `export_monoid`
+# of its `build_mod_witness` and the repr of `verify_vmod_implication` at
+# length 2s + 2
+DECORATION_WITNESS = "ae5e5385573b1c7356d3cff1e3673bb5a8f38813098bb9e3378ca5e6a919ad2c"
 
 
 def test_outputs_match_golden_digests():
@@ -60,3 +67,18 @@ def test_hierarchy_matches_golden_digest():
         for side in ("K", "D"):
             digest.update(repr(sim_quotient(h, side).class_of).encode())
     assert digest.hexdigest() == HIERARCHY
+
+
+def test_decorations_and_witnesses_match_golden_digest():
+    digest = hashlib.sha256()
+    for d in corpus():
+        for n in range(1, 5):
+            digest.update(dfa_to_json(decorate(d, n)).encode())
+        pipeline = LanguageAnalysis(d, max_monoid=CORPUS_CAP)
+        if pipeline.check("sigma2_mod")[0]:
+            s = pipeline.stability.index
+            g = build_mod_witness(pipeline.ordered, pipeline.stability)
+            digest.update(json.dumps(export_monoid(g)).encode())
+            verdict = verify_vmod_implication(pipeline.ordered, g, s, 2 * s + 2)
+            digest.update(repr(verdict).encode())
+    assert digest.hexdigest() == DECORATION_WITNESS
