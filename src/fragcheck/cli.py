@@ -52,6 +52,8 @@ from .modprod import expr_to_formula, parse_expr, validate
 from .monoid import (
     DEFAULT_MAX_MONOID,
     Morphism,
+    _all,
+    _any,
     local_condition,
     syntactic_order,
     transition_monoid,
@@ -400,7 +402,7 @@ def random_dfa(rng: np.random.Generator, max_states: int, max_letters: int) -> D
     }
     while True:
         mask = rng.integers(0, 2, size=n).astype(bool)
-        if mask.any() and not mask.all():
+        if _any(mask) and not _all(mask):
             break
     finals = [q for q, bit in zip(states, mask) if bit]
     return make_dfa(letters, states, "q0", finals, delta)
@@ -547,7 +549,7 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     for me, mes in pairs.values():
         inside = np.zeros(mon.size, dtype=bool)
         inside[me] = True
-        if not inside[mes].all():
+        if not _all(inside[mes]):
             failures.append("stable-subset")
             break
 
@@ -556,7 +558,7 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     doubled = np.zeros(mon.size, dtype=bool)
     doubled[mon.mult[x_s[:, None], x_s]] = True
     doubled[mon.identity] = True
-    if not np.array_equal(np.flatnonzero(doubled), info.stable):
+    if doubled.nonzero()[0].tobytes() != info.stable.tobytes():
         failures.append("stable-invariance")
 
     # Every word w up to length 4: its decoration must be accepted iff w
@@ -599,7 +601,7 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     co_ordered = syntactic_order(co_morphism)
     ordered = pipeline.ordered
     if co_ordered.monoid.size != mon.size or not (
-        (co_ordered.monoid.leq == ordered.monoid.leq.T).all()
+        _all(co_ordered.monoid.leq == ordered.monoid.leq.T)
     ):
         failures.append("order-duality")
 

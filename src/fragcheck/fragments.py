@@ -25,6 +25,7 @@ from .monoid import (
     _GATHER_IDS,
     DEFAULT_MAX_MONOID,
     Morphism,
+    _any,
     format_word,
     generated_morphism,
     is_aperiodic,
@@ -116,7 +117,8 @@ class LanguageAnalysis:
     The local fragments over one member source are decided together by
     one `local_condition` sweep: fo2_lt, sigma2_lt and pi2_lt over Me, at
     one idempotent per regular J-class (see `monoid.JClasses`), and
-    fo2_mod_new, sigma2_mod and pi2_mod over Mes, at every idempotent.
+    fo2_mod_new, sigma2_mod and pi2_mod over Mes, at one idempotent per
+    regular J-class of the stable submonoid (see `stability`).
     The order relations join a sweep when one of them is asked for or the
     order is already bound on the monoid, so a lone equality check
     (fo2_lt, fo2_mod_new) builds no order; a later order check sweeps
@@ -204,8 +206,9 @@ class LanguageAnalysis:
             return self._local(monoid.me_members, monoid.j_classes().representatives(),
                                relations)
         if fragment in _MES_FRAGMENTS:
+            info = self.stability
             relations = self._relations(_MES_FRAGMENTS, fragment)
-            return self._local(self.stability.mes_members, self.morphism.monoid.idempotents(),
+            return self._local(info.mes_members, info.stable_j_classes.representatives(),
                                relations)
         if fragment == "fo2_mod_qda":
             info = self.stability
@@ -303,7 +306,9 @@ def build_mod_witness(
     it would any other faithful labels.
 
     Requires the base morphism to carry the syntactic order and to
-    satisfy the sigma2_mod hypothesis.  A witness with more than
+    satisfy the sigma2_mod hypothesis, which is checked at one idempotent
+    per regular J-class of the stable submonoid, as `analyze` checks it
+    (see `stability`).  A witness with more than
     `max_monoid` elements, when that cap is given, raises CapError.
     """
     mon = m.monoid
@@ -311,7 +316,8 @@ def build_mod_witness(
         raise InputError("witness construction needs the syntactic order")
     if info.powers is not m._stability.get("powers"):
         raise InputError("stability data belongs to a different morphism")
-    (pair,) = local_condition(mon, mon.idempotents(), info.mes_members, (mon.leq,))
+    (pair,) = local_condition(mon, info.stable_j_classes.representatives(), info.mes_members,
+                              (mon.leq,))
     if pair is not None:
         e, x = pair
         raise InputError(
@@ -432,7 +438,7 @@ def verify_vmod_implication(
         rows = slice(lo, lo + block)
         bad = ((rs[rows, None] == rs) & g_leq[gs[rows, None], gs]
                & ~h_leq[hs[rows, None], hs])
-        if bad.any():
+        if _any(bad):
             t1, t2 = divmod(int(bad.argmax()), len(triples))
             return False, (words[triples[lo + t1]], words[triples[t2]])
     return True, None

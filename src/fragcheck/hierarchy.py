@@ -70,7 +70,7 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
     block = max(1, _GATHER_IDS // size)
     for lo in range(0, size, block):
         rows = cls[lo:lo + block]
-        if not np.array_equal(cls[mult[lo:lo + block]], qmult[rows[:, None], cls]):
+        if cls[mult[lo:lo + block]].tobytes() != qmult[rows[:, None], cls].tobytes():
             raise ConsistencyError(
                 f"the {side}-side signature relation failed to be a congruence"
             )

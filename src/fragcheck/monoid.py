@@ -41,8 +41,21 @@ also serve `stability.is_stable_trivial` and `hierarchy.sim_quotient`.
 `local_condition` checks e x e = e, <= e and >= e over a member source
 in one sweep of the given idempotents, computing e x e once per visit:
 one idempotent per regular J-class suffices for Me (see `JClasses`).
-Sets of elements are sorted read-only int64 id arrays throughout.
-Brute-force set products and Green's relations live in the test oracles.
+Each visit tests e x e = e first; where it holds for every x, the
+(reflexive) orders hold too, so they are gathered only at the visits
+where equality fails.  Sets of elements are sorted read-only int64 id
+arrays throughout.  Brute-force set products and Green's relations live
+in the test oracles.
+
+The per-call paths call numpy's C entry points, not its Python-level
+convenience wrappers, which cost 1-4 us a call, several times the C call
+beside them, on the tiny monoids that make up most inputs: `_all` and
+`_any` count the nonzero entries in place of `ndarray.all()` and `.any()`
+without an axis; a 1-D mask gives its ids by `nonzero()[0]`, not
+`np.flatnonzero`; arrays of one dtype and shape compare by `tobytes()`,
+not `np.array_equal`; a short list of ids is deduplicated by
+`sorted(set(...))`, not `np.unique`; and a fresh mask is `np.zeros` of a
+shape, not `np.zeros_like`.  Reductions along an axis stay numpy's.
 """
 
 from __future__ import annotations
@@ -77,6 +90,21 @@ def format_word(word: Word) -> str:
 _TRIPLES = (np.frombuffer(random.Random(0).randbytes(3 * 4096 * 8), dtype=np.uint64)
             >> np.uint64(11)).reshape(3, 4096) * 2.0 ** -53
 
+try:  # the C function that `np.count_nonzero` calls from a Python frame
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy 1.x
+    _count_nonzero = np.count_nonzero
+
+
+def _all(a: np.ndarray) -> bool:
+    """`a.all()` without its Python-level wrapper (`numpy/_core/_methods`)."""
+    return _count_nonzero(a) == a.size
+
+
+def _any(a: np.ndarray) -> bool:
+    """`a.any()` without its Python-level wrapper."""
+    return _count_nonzero(a) != 0
+
 
 class OrderedMonoid:
     """A finite monoid with an optional compatible partial order.
@@ -107,16 +135,16 @@ class OrderedMonoid:
             raise InputError("need one representative word per element")
         # ids that generate the monoid (the letter images of a morphism),
         # which open the Cayley-graph search for Me; None when unknown
-        self.generators = None if generators is None else np.unique(
-            np.asarray(generators, dtype=np.int64))
+        self.generators = None if generators is None else np.array(
+            sorted(set(np.asarray(generators, dtype=np.int64).tolist())), dtype=np.int64)
         if self.generators is not None and self.generators.size and (
                 self.generators[0] < 0 or self.generators[-1] >= self.size):
             raise InputError("generator out of range")
         self._validate()
-        self._generated = {}  # packed generator mask -> sorted members
+        self._generated = {}  # generator mask bytes -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
         self._idempotents = None
-        self._j_classes = {}  # None, or a submonoid's packed mask -> its JClasses
+        self._j_classes = {}  # None, or a submonoid's mask bytes -> its JClasses
 
     def _validate(self):
         """The identity law on its row and column, then associativity: the
@@ -127,27 +155,27 @@ class OrderedMonoid:
         or fewer."""
         m, mult = self.size, self.mult
         e = self.identity
-        if not (np.array_equal(mult[e], np.arange(m)) and
-                np.array_equal(mult[:, e], np.arange(m))):
+        ids = np.arange(m).tobytes()  # each comparison is of equal dtypes and shapes
+        if not (mult[e].tobytes() == ids and mult[:, e].tobytes() == ids):
             raise InputError("identity law fails")
         if m <= 64:
             small = mult.astype(np.uint8)
-            if not np.array_equal(small[small], small[:, small]):  # (xy)z, x(yz)
+            if small[small].tobytes() != small[:, small].tobytes():  # (xy)z, x(yz)
                 raise InputError("multiplication is not associative")
         else:
             xs, ys, zs = (_TRIPLES * m).astype(np.int64)
-            if not np.array_equal(mult.take(mult.take(xs * m + ys) * m + zs),
-                                  mult.take(xs * m + mult.take(ys * m + zs))):
+            if (mult.take(mult.take(xs * m + ys) * m + zs).tobytes()
+                    != mult.take(xs * m + mult.take(ys * m + zs)).tobytes()):
                 raise InputError("multiplication is not associative")
         if self.leq is not None:
-            if not self.leq.diagonal().all():
+            if not _all(self.leq.diagonal()):
                 raise InputError("order is not reflexive")
             both = self.leq & self.leq.T
-            if (both & ~np.eye(m, dtype=bool)).any():
+            if _any(both & ~np.eye(m, dtype=bool)):
                 raise InputError("order is not antisymmetric")
             if m <= 64:
                 closure = (self.leq.astype(int) @ self.leq.astype(int)) > 0
-                if (closure & ~self.leq).any():
+                if _any(closure & ~self.leq):
                     raise InputError("order is not transitive")
 
     def elements(self):
@@ -174,7 +202,7 @@ class OrderedMonoid:
         """The idempotents in increasing order, as a new list each call; the
         diagonal test runs once per monoid."""
         if self._idempotents is None:
-            self._idempotents = np.flatnonzero(self.mult.diagonal() == np.arange(self.size))
+            self._idempotents = (self.mult.diagonal() == np.arange(self.size)).nonzero()[0]
         return self._idempotents.tolist()
 
     def omega(self, x: int) -> int:
@@ -201,11 +229,11 @@ class OrderedMonoid:
         for the life of the monoid (read-only).  `close`, when given, maps
         the mask to those members in place of the breadth-first closure:
         the stability layer closes Mes by its own block walk."""
-        key = np.packbits(gens).tobytes()
+        key = gens.tobytes()
         got = self._generated.get(key)
         if got is None:
             if close is None:
-                got = _closure_members(self.mult, self.identity, np.flatnonzero(gens))
+                got = _closure_members(self.mult, self.identity, gens.nonzero()[0])
             else:
                 got = close(gens)
             got.flags.writeable = False
@@ -226,7 +254,7 @@ class OrderedMonoid:
         `inside`, kept per submonoid.  The whole monoid is searched by its
         Cayley graph above `_BFS_MIN_SIZE` elements when it knows
         generators, which must then generate it (InputError otherwise)."""
-        key = None if inside is None or inside.all() else np.packbits(inside).tobytes()
+        key = None if inside is None or _all(inside) else inside.tobytes()
         got = self._j_classes.get(key)
         if got is None:
             cayley, g = None, self.generators
@@ -501,7 +529,8 @@ def _order_bits(contains: np.ndarray, act: np.ndarray) -> np.ndarray:
     bytes: one block for a tiny monoid, one class per block at large |M|."""
     size = act.shape[1]
     width = (size + 7) // 8
-    bits = np.full((size, width), 0xFF, dtype=np.uint8)
+    bits = np.empty((size, width), dtype=np.uint8)
+    bits.fill(0xFF)
     per = max(1, _GATHER_IDS // (size * width))  # classes per block
     for lo in range(0, act.shape[0], per):
         block = act[lo:lo + per]
@@ -550,7 +579,7 @@ class JClasses:
     def __init__(self, mult: np.ndarray, idempotents: np.ndarray, inside=None, cayley=None):
         self._mult, self._inside, self._cayley = mult, inside, cayley
         self._rows = max(1, _GATHER_IDS // mult.shape[0])  # table rows per block
-        self._ids = None if inside is None else np.flatnonzero(inside)
+        self._ids = None if inside is None else inside.nonzero()[0]
         self._pending = idempotents if inside is None else idempotents[inside[idempotents]]
         self._reps = []  # least idempotents of the classes opened, increasing
         self._upsets = {}  # placed idempotent -> the upset of its class
@@ -578,7 +607,7 @@ class JClasses:
         e, self._open = self._open, None
         rest, up = self._pending, self._upsets[e]
         above = up[rest]
-        if above.any():
+        if _any(above):
             same = above & self._down(e)[rest]
             self._upsets.update(dict.fromkeys(rest[same].tolist(), up))
             self._pending = rest[~same]
@@ -606,7 +635,8 @@ class JClasses:
             return _reach(self._cayley, e, backward=True)
         if inside is None:
             return (mult == e).any(axis=1)[mult].any(axis=0)
-        left, up, blocks = np.zeros_like(inside), np.zeros_like(inside), self._blocks(self._ids)
+        left, up = np.zeros(inside.size, dtype=bool), np.zeros(inside.size, dtype=bool)
+        blocks = self._blocks(self._ids)
         for rows in blocks:
             left[rows] = ((mult[rows] == e) & inside).any(axis=1)
         for rows in blocks:
@@ -617,8 +647,9 @@ class JClasses:
         if self._cayley is not None:
             return _reach(self._cayley, e)
         mult, cols = self._mult, slice(None) if self._ids is None else self._ids
-        down = np.zeros(mult.shape[0], dtype=bool)
-        for rows in self._blocks(np.unique(mult[cols, e])):  # T e
+        down, te = np.zeros(mult.shape[0], dtype=bool), np.zeros(mult.shape[0], dtype=bool)
+        te[mult[cols, e]] = True  # T e
+        for rows in self._blocks(te.nonzero()[0]):
             down[mult[rows][:, cols]] = True
         return down
 
@@ -629,11 +660,11 @@ def _reach(cayley: np.ndarray, e: int, backward: bool = False) -> np.ndarray:
     reached = np.zeros(cayley.shape[0], dtype=bool)
     reached[e] = True
     frontier = reached
-    while frontier.any():
+    while _any(frontier):
         if backward:  # the x with an edge into the last level
             frontier = frontier[cayley].any(axis=1)
         else:  # the ends of the edges out of the last level
-            ends, frontier = cayley[frontier], np.zeros_like(reached)
+            ends, frontier = cayley[frontier], np.zeros(reached.size, dtype=bool)
             frontier[ends] = True
         frontier &= ~reached
         reached |= frontier
@@ -655,14 +686,14 @@ def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray) -> np.nd
     reached[gens] = True
     frontier = gens[gens != identity]
     block = max(1, _GATHER_IDS // max(1, gens.size))
-    while frontier.size and not reached.all():
-        hit = np.zeros_like(reached)
+    while frontier.size and not _all(reached):
+        hit = np.zeros(reached.size, dtype=bool)
         for lo in range(0, frontier.size, block):
             hit[mult[frontier[lo:lo + block, None], gens]] = True
         hit &= ~reached
         reached |= hit
-        frontier = np.flatnonzero(hit)
-    members = np.flatnonzero(reached)
+        frontier = hit.nonzero()[0]
+    members = reached.nonzero()[0]
     members.flags.writeable = False
     return members
 
@@ -685,12 +716,15 @@ def local_condition(m: OrderedMonoid, idempotents, members, orders=(None,)) -> t
     (`StabilityInfo.mes_members`) or the stable submonoid's Me
     (`StabilityInfo.stable_me_members`).  A relation is equality when its
     entry is None, and otherwise order[e x e, e]: the monoid order for
-    e x e <= e, its transpose for e x e >= e.
+    e x e <= e, its transpose for e x e >= e.  Every order passed must be
+    reflexive, as these are.
 
     One sweep decides them all: e x e is computed once per visit, each
     relation keeps its first offender (e, least x), and the sweep stops
-    once every relation has failed.  Returns, per relation, that pair, or
-    None when the relation holds throughout.
+    once every relation has failed.  Each visit tests e x e = e first:
+    where it holds for every x, every relation holds at e, the orders
+    being reflexive, so none of them is gathered there.  Returns, per
+    relation, that pair, or None when the relation holds throughout.
     """
     mult = m.mult
     found = [None] * len(orders)
@@ -698,9 +732,12 @@ def local_condition(m: OrderedMonoid, idempotents, members, orders=(None,)) -> t
     for e in idempotents:
         xs = members(e)
         exe = mult[mult[e, xs], e]
+        equal = exe == e
+        if _all(equal):
+            continue
         for i, order in list(pending.items()):
-            ok = exe == e if order is None else order[exe, e]
-            if not ok.all():
+            ok = equal if order is None else order[exe, e]
+            if not _all(ok):
                 found[i] = (e, int(xs[ok.argmin()]))
                 del pending[i]
         if not pending:

@@ -67,6 +67,29 @@ closes the upset in S of its J-class, from the monoid's `JClasses` of S,
 which every multiplier shares, and `is_stable_trivial` reads stable R-
 and L-classes off the same upsets.
 
+The checks over Mes (`fragments`) visit one idempotent per regular
+J-class of S, its least (`StabilityInfo.stable_j_classes`), which decides
+e Mes e = e, <= e and >= e for every idempotent:
+
+- Every idempotent of M lies in S: e = h(w) gives e = e^s = h(w^s).
+- Take e and f in one regular J-class of S, with a, a' in S as in the
+  `monoid.JClasses` docstring (a a' = e, a' a = f, a a' a = a, a' a a' =
+  a').  If e = x h(b) y with x in residues[r] and y in residues[s-1-r],
+  then f = a' e a = (a' x) h(b) (y a), where a' x lies in residues[r] and
+  y a in residues[s-1-r], as S = residues[0]; and back.  So e and f have
+  one usable pattern, and therefore one Mes array.
+- For x in Mes(f), a x a' lies in Mes(e).  Take words alpha for a and
+  alpha' for a' with |alpha| and |alpha'| multiples of s, and a word v of
+  x made of usable blocks.  Every letter of alpha and of alpha' sits
+  inside alpha alpha', whose image is e, at the residue it has in alpha v
+  alpha'; so every letter of alpha v alpha' is usable for e.
+- Then f x f = a' e (a x a') e a, so e x e = e (or <= e, or >= e, the
+  order being compatible with the product) over Mes(e) carries over to
+  f, and back.  The least failing idempotent is therefore the least
+  idempotent of the first failing class, and its least x is taken from
+  the same sorted array, so the witnesses are those of a visit to every
+  idempotent.
+
 `stability_info` keeps the per-morphism entry and one `StabilityInfo` per
 multiplier in a memo on the morphism.  Both hold the monoid, and neither
 holds the morphism, so the memo forms no reference cycle and goes with the
@@ -82,12 +105,13 @@ FREE_MULTIPLIER costs at most that many times its analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, cycle, islice
 
 import numpy as np
 
 from .errors import CapError, ConsistencyError, InputError
-from .monoid import _GATHER_IDS, JClasses, Morphism, OrderedMonoid
+from .monoid import _GATHER_IDS, JClasses, Morphism, OrderedMonoid, _all, _any
 
 _ITERATION_CAP = 100_000
 
@@ -97,6 +121,8 @@ MAX_INDEX_CELLS = 2_000_000
 # Multipliers up to this one are never capped: they cost at most that many
 # times the least index, which is never capped either.
 FREE_MULTIPLIER = 3
+# _BITS[i]: bit i of a packed uint64 word
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class _PowerImages:
@@ -104,22 +130,22 @@ class _PowerImages:
     monoid, the letter images (in `alphabet` order), the power images
     X_k = image of the words of length exactly k, stored as seq[k] up to
     their first repetition, their `preperiod` J and `period` p, the
-    residue `slots` and the stable submonoid (`stable`, and its `mask`
-    over the monoid).  Building it checks that the stable set is closed
-    under the table and raises ConsistencyError otherwise."""
+    residue `slots` and the stable submonoid (`stable`, its `mask` over
+    the monoid, and its `j_classes`).  Building it checks that the stable
+    set is closed under the table and raises ConsistencyError otherwise."""
 
     def __init__(self, m: Morphism):
         mon = self.monoid = m.monoid
         self.alphabet = m.alphabet
         self.images = np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
         mult = mon.mult
-        x1 = np.unique(self.images)
+        x1 = np.array(sorted(set(self.images.tolist())), dtype=np.int64)
         seq, seen = [np.array([mon.identity]), x1], {x1.tobytes(): 1}
         while True:
             k = len(seq)
             hit = np.zeros(mon.size, dtype=bool)
             hit[mult[seq[-1][:, None], x1]] = True
-            nxt = np.flatnonzero(hit)
+            nxt = hit.nonzero()[0]
             key = nxt.tobytes()
             if key in seen:
                 self.preperiod, self.period = seen[key], k - seen[key]
@@ -135,7 +161,7 @@ class _PowerImages:
         for v in range(self.preperiod):  # X_v | X_(v+s), by one mask
             mask = np.zeros(mon.size, dtype=bool)
             mask[self.at(v)] = mask[self.at(v + self.smallest_index)] = True
-            ids = np.flatnonzero(mask)
+            ids = mask.nonzero()[0]
             ids.flags.writeable = mask.flags.writeable = False
             slots.append(ids)
             if v == 0:
@@ -151,6 +177,11 @@ class _PowerImages:
 
     def at(self, k: int) -> np.ndarray:
         return self.seq[self.slot(k)]
+
+    @cached_property
+    def j_classes(self) -> JClasses:
+        """The regular J-classes of S, looked up in the monoid's store once."""
+        return self.monoid.j_classes(self.mask)
 
     @property
     def smallest_index(self) -> int:
@@ -223,11 +254,11 @@ class StabilityInfo:
         power X_1 .. X_(J+p-1) over columns packed 64 to a word."""
         by_right, _ = self._residue_pairs()
         powers, mult, images = self.powers, self.monoid.mult, self.images
-        right = {b: np.ascontiguousarray(mult[:, b]) for b in np.unique(images).tolist()}
+        right = {b: np.ascontiguousarray(mult[:, b]) for b in sorted(set(images.tolist()))}
         steps, letters = list(right.values()), [right[b] for b in images.tolist()]
         at = np.arange(cols.size)
         seed = np.zeros((-(-cols.size // 64), self.monoid.size), dtype=np.uint64)
-        seed[at // 64, cols] = np.uint64(1) << (at % 64).astype(np.uint64)  # z . X_0 = {z}
+        seed[at >> 6, cols] = _BITS[at & 63]  # z . X_0 = {z}
         reach = [seed]  # reach[k][w, z]: bits of z . X_k
         for _ in range(powers.preperiod + powers.period - 1):
             reach.append(_right_step(steps, reach[-1]))
@@ -273,7 +304,7 @@ class StabilityInfo:
         if self._adm_all is None:
             self._adm_all = self._admissible_at(np.arange(self.monoid.size))
         row = self._adm_all[self.powers.alphabet.index(letter), self._residue_pairs()[1][r]]
-        return frozenset(np.flatnonzero(row).tolist())
+        return frozenset(row.nonzero()[0].tolist())
 
     def mes_members(self, e: int) -> np.ndarray:
         """The sorted members of Mes for the idempotent e (see `me_s`),
@@ -330,16 +361,16 @@ class StabilityInfo:
         reached[self.monoid.identity] = True
         frontier = blocks.copy()
         frontier[self.monoid.identity] = False
-        while frontier.any():
+        while _any(frontier):
             frontier = self._walk(frontier, letters) & ~reached
             reached |= frontier
-        return np.flatnonzero(reached)
+        return reached.nonzero()[0]
 
     @property
     def stable_j_classes(self) -> JClasses:
         """The regular J-classes of the stable submonoid S, in S's own
         J-order, from the monoid's store: every multiplier shares them."""
-        return self.monoid.j_classes(self.powers.mask)
+        return self.powers.j_classes
 
     def stable_me_members(self, e: int) -> np.ndarray:
         """The sorted members of Me taken inside the stable submonoid S, for
@@ -370,7 +401,7 @@ def _check_closed(mult: np.ndarray, ids: np.ndarray, inside: np.ndarray):
     closed under the table, gathered in blocks of rows."""
     block = max(1, _GATHER_IDS // ids.size)
     for lo in range(0, ids.size, block):
-        if not inside[mult[ids[lo:lo + block, None], ids]].all():
+        if not _all(inside[mult[ids[lo:lo + block, None], ids]]):
             raise ConsistencyError("the stable set is not closed under multiplication")
 
 

@@ -34,7 +34,10 @@ to the same objects:
   {a in T : e in T a T} by two passes over the whole table, with an
   `inside` mask for the stable submonoid, and the Me local checks run
   from it at every idempotent, as the library ran them before it visited
-  one idempotent per regular J-class;
+  one idempotent per regular J-class; and `mes_checks_at_every_idempotent`,
+  the Mes local checks at every idempotent, as the library ran them
+  before it visited one idempotent per regular J-class of the stable
+  submonoid;
 - `admissible_by_residues` and `mes_by_residues`: the admissibility
   recurrence and the Mes block walk with one step per residue, as the
   stability layer ran them before it worked per distinct residue slot
@@ -1078,6 +1081,17 @@ def local_checks_at_every_idempotent(h, info):
         "sigma2_lt": local_condition_brute(mon, "leq", me_by_passes(None)),
         "pi2_lt": local_condition_brute(mon, "geq", me_by_passes(None)),
         "fo2_mod_qda": local_condition_brute(mon, "eq", me_by_passes(inside), stable),
+    }
+
+
+def mes_checks_at_every_idempotent(h, info):
+    """The first offender (e, x), or None, of fo2_mod_new, sigma2_mod and
+    pi2_mod, visiting every idempotent in increasing order, over the Mes
+    arrays of `info`.  h must carry its order."""
+    mon = h.monoid
+    return {
+        fid: local_condition_brute(mon, mode, info.mes_members)
+        for fid, mode in (("fo2_mod_new", "eq"), ("sigma2_mod", "leq"), ("pi2_mod", "geq"))
     }
 
 

@@ -1,6 +1,8 @@
 """Fragment verdicts, the combined report, and the ordered wreath-style
 witness for the modular product criteria."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,33 @@ def test_one_visit_per_j_class_matches_every_idempotent_on_corpus():
             by_brute = [ids[e] for e in oracles.j_class_representatives(sub)]
             assert list(info.stable_j_classes.representatives()) == by_brute
         assert list(mon.j_classes().representatives()) == oracles.j_class_representatives(mon)
+
+
+def test_mes_checks_at_one_idempotent_per_stable_j_class_match_every_idempotent(
+        xcheck_corpus):
+    # fo2_mod_new, sigma2_mod, pi2_mod and the hypothesis guard of
+    # build_mod_witness visit the least idempotent of each regular J-class
+    # of S; the offenders equal those of visits to every idempotent
+    failing = 0
+    for d in xcheck_corpus:
+        h = syntactic_order(transition_monoid(d, 32))
+        for multiplier in (1, 2, 3):
+            pipeline = LanguageAnalysis(d, max_monoid=32, index_multiplier=multiplier,
+                                        morphism=h)
+            info = pipeline.stability
+            expected = oracles.mes_checks_at_every_idempotent(h, info)
+            for fid, pair in expected.items():
+                words = None if pair is None else tuple(format_word(h.word_of(x)) for x in pair)
+                assert pipeline.check(fid) == (pair is None, words), (fid, multiplier)
+            pair = expected["sigma2_mod"]
+            if pair is None:
+                build_mod_witness(h, info)
+                continue
+            failing += 1
+            e, x = (format_word(h.word_of(y)) for y in pair)
+            with pytest.raises(InputError, match=re.escape(f"fails at e={e} x={x}") + "$"):
+                build_mod_witness(h, info)
+    assert failing
 
 
 # A Sigma_2[<,MOD] sentence with |M| = 5216 and a stable submonoid of 849

@@ -465,20 +465,24 @@ def _first_offenders(h):
 def test_local_condition_closes_each_relation_at_its_own_offender(langs):
     # relations that first fail at different idempotents: one sweep finds
     # each one's first offender (e, least x), a relation that never fails
-    # reads None, and no idempotent past the last failure is visited
+    # reads None, and no idempotent past the last failure is visited.  The
+    # orders are reflexive, as local_condition requires, so they can fail
+    # only at idempotents where e x e = e fails for some x of Me: 2, 4, 5
     m = syntactic_order(transition_monoid(minimize(langs["factor_aa"]))).monoid
     es = m.idempotents()
-    assert len(es) >= 3
+    assert es == [0, 2, 3, 4, 5]
 
     def failing_at(e):
-        """An order that holds except at e x e <= e for the largest x of Me."""
+        """A reflexive order that holds except at e x e <= e for the
+        largest x of Me with e x e != e."""
         xs = m.me_members(e)
         exe = m.mult[m.mult[e, xs], e]
+        last = exe[exe != e][-1]
         order = np.ones((m.size, m.size), dtype=bool)
-        order[exe[-1], e] = False
-        return order, (e, int(xs[exe == exe[-1]][0]))
+        order[last, e] = False
+        return order, (e, int(xs[exe == last][0]))
 
-    (late, late_pair), (early, early_pair) = failing_at(es[2]), failing_at(es[0])
+    (late, late_pair), (early, early_pair) = failing_at(es[3]), failing_at(es[1])
     holds = np.ones((m.size, m.size), dtype=bool)
     visited = []
 
@@ -491,10 +495,10 @@ def test_local_condition_closes_each_relation_at_its_own_offender(langs):
     assert visited == es
     visited.clear()
     assert local_condition(m, es, members, (late, early)) == (late_pair, early_pair)
-    assert visited == es[:3]
+    assert visited == es[:4]
     visited.clear()
     assert local_condition(m, es, members, (early,)) == (early_pair,)
-    assert visited == es[:1]
+    assert visited == es[:2]
 
 
 def test_local_condition_first_offender_on_corpus(small_corpus):
