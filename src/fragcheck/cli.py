@@ -134,21 +134,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Largest --max-monoid / FRAGCHECK_MAX_MONOID: a monoid of K elements is
+# held as a K x K int64 table, 8 K^2 bytes, 2 GiB at this ceiling.
+MAX_MONOID_CEILING = 16_384
+
+
 def _resolve_cap(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise InputError("--max-monoid must be positive")
-        return value
-    env = os.environ.get("FRAGCHECK_MAX_MONOID")
-    if env is not None:
+    """The monoid cap: the flag, else FRAGCHECK_MAX_MONOID, else the
+    default; one that is not in 1..MAX_MONOID_CEILING raises InputError."""
+    name = "--max-monoid"
+    if value is None:
+        env = os.environ.get("FRAGCHECK_MAX_MONOID")
+        if env is None:
+            return DEFAULT_MAX_MONOID
+        name = "FRAGCHECK_MAX_MONOID"
         try:
-            cap = int(env)
+            value = int(env)
         except ValueError:
-            raise InputError(f"FRAGCHECK_MAX_MONOID is not an integer: {env!r}") from None
-        if cap < 1:
-            raise InputError("FRAGCHECK_MAX_MONOID must be positive")
-        return cap
-    return DEFAULT_MAX_MONOID
+            raise InputError(f"{name} is not an integer: {env!r}") from None
+    if value < 1:
+        raise InputError(f"{name} must be positive")
+    if value > MAX_MONOID_CEILING:
+        raise InputError(f"{name} must be at most {MAX_MONOID_CEILING}")
+    return value
 
 
 def _read_file(path: str) -> str:
@@ -227,11 +235,12 @@ def _emit(out, doc: dict):
 # Commands
 
 def _cmd_analyze(args, out) -> int:
+    cap = _resolve_cap(args.max_monoid)
     d, lid = _load_dfa(args)
     report = analyze(
         d,
         language_id=lid,
-        max_monoid=_resolve_cap(args.max_monoid),
+        max_monoid=cap,
         index_multiplier=_multiplier(args),
     )
     if args.json:
@@ -242,10 +251,11 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    cap = _resolve_cap(args.max_monoid)
     d, _ = _load_dfa(args)
     pipeline = LanguageAnalysis(
         d,
-        max_monoid=_resolve_cap(args.max_monoid),
+        max_monoid=cap,
         index_multiplier=_multiplier(args),
     )
     ok, witness = pipeline.check(args.fragment)
@@ -324,8 +334,8 @@ def _cmd_expr_to_fo(args, out) -> int:
 def _cmd_witness(args, out) -> int:
     if args.max_len is not None and args.max_len < 0:
         raise InputError("--max-len must not be negative")
-    d, _ = _load_dfa(args)
     cap = _resolve_cap(args.max_monoid)
+    d, _ = _load_dfa(args)
     pipeline = LanguageAnalysis(
         d,
         max_monoid=cap,

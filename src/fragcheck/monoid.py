@@ -28,15 +28,17 @@ This is Pin's ordered syntactic monoid ("A variety theorem without
 complementation", 1995).  Brute-force context enumeration of the same
 order, and its earlier byte-gather route, live in the test oracles.
 
-The J-order has one owner, `JClasses`: for the monoid, or a submonoid
-read on its table, it yields the least idempotent of each regular J-class
-and the class's upset {a : e in TaT}, which generates the local
-submonoid Me.  Each generated submonoid is closed once per generator set
-and kept on the monoid (`generated`), so a J-class shares one Me.  The
-stability layer keeps its stable Me there too, and its Mes, which it
-closes by its own block walk, under the mask of the block images, so the
-analyses at every index multiplier close a block set once.  The
-breadth-first closure starts from the generators.  The upsets
+The J-order of the monoid has one owner, `JClasses`: it yields the least
+idempotent of each regular J-class and the class's upset {a : e in MaM},
+which generates the local submonoid Me, by two passes over the table or
+by a search of the Cayley graph.  The stability layer places the
+J-classes of its stable submonoid with the same lazy placement, from
+upsets of its own.  Each generated submonoid is closed once per
+generator set and kept on the monoid (`generated`), so a J-class shares
+one Me.  The stability layer keeps its stable Me there too, and its Mes,
+which it closes by its own block walk, under the mask of the block
+images, so the analyses at every index multiplier close a block set
+once.  The breadth-first closure starts from the generators.  The upsets
 also serve `stability.is_stable_trivial` and `hierarchy.sim_quotient`.
 `local_condition` checks e x e = e, <= e and >= e over a member source
 in one sweep of the given idempotents, computing e x e once per visit:
@@ -51,7 +53,8 @@ The per-call paths call numpy's C entry points, not its Python-level
 convenience wrappers, which cost 1-4 us a call, several times the C call
 beside them, on the tiny monoids that make up most inputs: `_all` and
 `_any` count the nonzero entries in place of `ndarray.all()` and `.any()`
-without an axis; a 1-D mask gives its ids by `nonzero()[0]`, not
+without an axis; `_packbits` and `_unpackbits` are numpy's C functions
+without their dispatchers; a 1-D mask gives its ids by `nonzero()[0]`, not
 `np.flatnonzero`; arrays of one dtype and shape compare by `tobytes()`,
 not `np.array_equal`; a short list of ids is deduplicated by
 `sorted(set(...))`, not `np.unique`; and a fresh mask is `np.zeros` of a
@@ -90,10 +93,13 @@ def format_word(word: Word) -> str:
 _TRIPLES = (np.frombuffer(random.Random(0).randbytes(3 * 4096 * 8), dtype=np.uint64)
             >> np.uint64(11)).reshape(3, 4096) * 2.0 ** -53
 
-try:  # the C function that `np.count_nonzero` calls from a Python frame
+try:  # the C functions that `np.count_nonzero`, `np.packbits` and
+    # `np.unpackbits` call from a Python frame
     from numpy._core.multiarray import count_nonzero as _count_nonzero
+    from numpy._core._multiarray_umath import packbits as _packbits
+    from numpy._core._multiarray_umath import unpackbits as _unpackbits
 except ImportError:  # numpy 1.x
-    _count_nonzero = np.count_nonzero
+    _count_nonzero, _packbits, _unpackbits = np.count_nonzero, np.packbits, np.unpackbits
 
 
 def _all(a: np.ndarray) -> bool:
@@ -144,7 +150,7 @@ class OrderedMonoid:
         self._generated = {}  # generator mask bytes -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
         self._idempotents = None
-        self._j_classes = {}  # None, or a submonoid's mask bytes -> its JClasses
+        self._j_classes = None  # the JClasses of the monoid, once built
 
     def _validate(self):
         """The identity law on its row and column, then associativity: the
@@ -249,23 +255,19 @@ class OrderedMonoid:
             got = self._me[e] = self.generated(self.j_classes().upset(e))
         return got
 
-    def j_classes(self, inside: np.ndarray | None = None) -> "JClasses":
-        """The regular J-classes of the monoid, or of its submonoid marked in
-        `inside`, kept per submonoid.  The whole monoid is searched by its
-        Cayley graph above `_BFS_MIN_SIZE` elements when it knows
+    def j_classes(self) -> "JClasses":
+        """The regular J-classes of the monoid, built once.  It is searched by
+        its Cayley graph above `_BFS_MIN_SIZE` elements when it knows
         generators, which must then generate it (InputError otherwise)."""
-        key = None if inside is None or _all(inside) else inside.tobytes()
-        got = self._j_classes.get(key)
-        if got is None:
+        if self._j_classes is None:
             cayley, g = None, self.generators
-            if key is None and g is not None and self.size > _BFS_MIN_SIZE:
+            if g is not None and self.size > _BFS_MIN_SIZE:
                 if _closure_members(self.mult, self.identity, g).size != self.size:
                     raise InputError("the generators do not generate the monoid")
                 cayley = np.concatenate([self.mult[:, g], self.mult[g].T], axis=1)
             self.idempotents()  # fills the sorted id array `_idempotents`
-            got = self._j_classes[key] = JClasses(
-                self.mult, self._idempotents, None if key is None else inside, cayley)
-        return got
+            self._j_classes = JClasses(self.mult, self._idempotents, cayley)
+        return self._j_classes
 
 
 def is_aperiodic(m: OrderedMonoid, elements=None) -> tuple[bool, int | None]:
@@ -484,7 +486,7 @@ def syntactic_order(m: Morphism) -> Morphism:
     acc = np.zeros(size, dtype=bool)
     acc[list(m.accepting)] = True
 
-    packed = np.packbits(acc[mult], axis=1)  # [p]: the quotient of p, as bits
+    packed = _packbits(acc[mult], axis=1)  # [p]: the quotient of p, as bits
     width, buf = packed.shape[1], packed.tobytes()
     index, reps, cls = {}, [], []     # cls[p]: which distinct quotient is p's
     for p in range(size):
@@ -492,7 +494,7 @@ def syntactic_order(m: Morphism) -> Morphism:
         if c == len(reps):
             reps.append(p)
         cls.append(c)
-    quotients = np.unpackbits(packed[reps], axis=1, count=size).astype(np.float32)
+    quotients = _unpackbits(packed[reps], axis=1, count=size).astype(np.float32)
     del packed, buf
     contains = ((1.0 - quotients) @ quotients.T) == 0
     act = np.array(cls).take(mult.take(reps, 0))  # act[c, x]: the quotient of rep_c x
@@ -505,7 +507,7 @@ def syntactic_order(m: Morphism) -> Morphism:
             f"{format_word(m.word_of(x))} and {format_word(m.word_of(y))} "
             "share all contexts (not a syntactic morphism)"
         )
-    m.monoid.leq = np.unpackbits(_order_bits(contains, act), axis=1, count=size).view(bool)
+    m.monoid.leq = _unpackbits(_order_bits(contains, act), axis=1, count=size).view(bool)
     return m
 
 
@@ -536,7 +538,7 @@ def _order_bits(contains: np.ndarray, act: np.ndarray) -> np.ndarray:
         block = act[lo:lo + per]
         n = block.shape[0]
         # sets[i n + j]: the y with contains[i, block[j, y]], packed
-        sets = np.packbits(contains.take(block, axis=1), axis=2).reshape(-1, width)
+        sets = _packbits(contains.take(block, axis=1), axis=2).reshape(-1, width)
         for row in sets.take(block * n + np.arange(n)[:, None], axis=0):  # [j, x]
             bits &= row
     return bits
@@ -554,16 +556,18 @@ _BFS_MIN_SIZE = 256
 
 
 class JClasses:
-    """The regular J-classes of a submonoid T, placed lazily in order of
-    their least idempotents.  T is the monoid of the table `mult`, or its
-    submonoid marked in `inside`: then only T's rows are read, in blocks.
+    """The regular J-classes of a monoid T, placed lazily in order of their
+    least idempotents.  For T = M, the monoid of the table `mult`, two
+    routes remain, the table passes and the Cayley graph; the stability
+    layer's subclass places the classes of its stable submonoid S from
+    upsets of its own (its `_up` and `_below`).
 
     The least idempotent e not yet placed opens a class and gets its upset
-    {a in T : e in T a T}, by two passes over the rows or by a backward
+    {a in T : e in T a T}, by two passes over the table or by a backward
     search of the Cayley graph `cayley` (x -> x g, then x -> g x).  Its
-    downset T e T, a scatter or a forward search, is built only when the
-    next class is wanted and a later unplaced idempotent lies in the upset;
-    the idempotents in both join the class.
+    downset T e T, a scatter of rows or a forward search, is built only
+    when the next class is wanted and a later unplaced idempotent lies in
+    the upset; the idempotents in both join the class.
 
     One visit per class decides e Me e = e (or <= e, or >= e).  J-related
     idempotents e, f of the finite T are D-related: some a, a' in T have
@@ -576,11 +580,9 @@ class JClasses:
     first failing idempotent, and x is searched at it as before.
     """
 
-    def __init__(self, mult: np.ndarray, idempotents: np.ndarray, inside=None, cayley=None):
-        self._mult, self._inside, self._cayley = mult, inside, cayley
-        self._rows = max(1, _GATHER_IDS // mult.shape[0])  # table rows per block
-        self._ids = None if inside is None else inside.nonzero()[0]
-        self._pending = idempotents if inside is None else idempotents[inside[idempotents]]
+    def __init__(self, mult: np.ndarray, idempotents: np.ndarray, cayley=None):
+        self._mult, self._cayley = mult, cayley
+        self._pending = idempotents
         self._reps = []  # least idempotents of the classes opened, increasing
         self._upsets = {}  # placed idempotent -> the upset of its class
         self._open = None  # the class opened last, until its rest is placed
@@ -608,7 +610,7 @@ class JClasses:
         rest, up = self._pending, self._upsets[e]
         above = up[rest]
         if _any(above):
-            same = above & self._down(e)[rest]
+            same = above & self._below(e, rest)
             self._upsets.update(dict.fromkeys(rest[same].tolist(), up))
             self._pending = rest[~same]
 
@@ -624,34 +626,24 @@ class JClasses:
         self._reps.append(e)
         return True
 
-    def _blocks(self, ids: np.ndarray) -> list:
-        return [ids[lo:lo + self._rows] for lo in range(0, ids.size, self._rows)]
-
     def _up(self, e: int) -> np.ndarray:
-        """The z in T with e in z T, then the a in T with some x a among
-        them, x in T."""
-        mult, inside = self._mult, self._inside
+        """The z with e in z M, then the a with some x a among them."""
         if self._cayley is not None:
             return _reach(self._cayley, e, backward=True)
-        if inside is None:
-            return (mult == e).any(axis=1)[mult].any(axis=0)
-        left, up = np.zeros(inside.size, dtype=bool), np.zeros(inside.size, dtype=bool)
-        blocks = self._blocks(self._ids)
-        for rows in blocks:
-            left[rows] = ((mult[rows] == e) & inside).any(axis=1)
-        for rows in blocks:
-            up |= left[mult[rows]].any(axis=0)
-        return up & inside
+        mult = self._mult
+        return (mult == e).any(axis=1)[mult].any(axis=0)
 
-    def _down(self, e: int) -> np.ndarray:
+    def _below(self, e: int, rest: np.ndarray) -> np.ndarray:
+        """Which of the idempotents `rest` lie in T e T."""
         if self._cayley is not None:
-            return _reach(self._cayley, e)
-        mult, cols = self._mult, slice(None) if self._ids is None else self._ids
-        down, te = np.zeros(mult.shape[0], dtype=bool), np.zeros(mult.shape[0], dtype=bool)
-        te[mult[cols, e]] = True  # T e
-        for rows in self._blocks(te.nonzero()[0]):
-            down[mult[rows][:, cols]] = True
-        return down
+            return _reach(self._cayley, e)[rest]
+        mult = self._mult
+        down, me = np.zeros(mult.shape[0], dtype=bool), np.zeros(mult.shape[0], dtype=bool)
+        me[mult[:, e]] = True  # M e
+        ids, block = me.nonzero()[0], max(1, _GATHER_IDS // mult.shape[0])
+        for lo in range(0, ids.size, block):  # M e M, in blocks of rows
+            down[mult[ids[lo:lo + block]]] = True
+        return down[rest]
 
 
 def _reach(cayley: np.ndarray, e: int, backward: bool = False) -> np.ndarray:

@@ -10,8 +10,9 @@ What a stability index shares with its multiples is built once per
 morphism, by `_PowerImages`: the power images X_k, each step one boolean
 scatter X_k . X_1 through the table, stored up to their first repeat (found
 by the bytes of the ids), which fixes their preperiod J and period p; the
-residue slots; and the stable submonoid S = h(A^s) plus the identity,
-checked closed under the table once, in blocks of rows.  The residue set
+residue slots; the stable submonoid S = h(A^s) plus the identity, checked
+closed under the table once, every cell of S x S read in blocks of whole
+rows; the power steps below; and S's regular J-classes.  The residue set
 residues[r], the image of the words of length congruent to r mod s, is the
 slot of slot(r) = r below J and J + (r - J) mod p from J on: slot 0 is S,
 slot v < J is X_v | X_(v+s) (by one mask) and slot v >= J is X_v.  Every
@@ -36,19 +37,44 @@ X_k follow from the seed z . X_0 = {z} by
 
     (z . X_(k+1))[i] = OR_b (z . h(b) . X_k)[i],
 
-one right step each, for k up to J + p - 1: the least index lies in [J,
-J + p), and every slot below J needs one power of that window.  The
-steps are kept, their columns packed 64 to a uint64 word and laid out
-[word, element], so a step gathers whole words along each letter's right
-column mult[:, b], copied contiguous once.  Each slot's reach is one kept
-step, or below J the OR of two: X_v | X_(slot(v+s)).  Then
+one right step each, over the distinct letter images b, for k up to J +
+p - 1: the least index lies in [J, J + p), and every slot below J needs
+one power of that window.  Their columns are packed 64 to a uint64 word
+and laid out [word, element], so a step gathers whole words along each
+image's right column mult[:, b], copied contiguous once.  Each slot's
+reach reach_v is then one step, or below J the OR of two, X_v |
+X_(slot(v+s)), taken in place once every step is built.  None of this
+depends on s, as slot(v + s) is the same at every multiple of the least
+index, so the slot reaches are built once per morphism, at the
+idempotent columns, and shared, read-only, by every multiplier and the
+J-classes of S.  Then
 
-    adm[a, (u, v)] = OR_{x in residues[u]} reach_v[x . h(a)],
+    adm[b, (u, v)] = OR_{x in residues[u]} reach_v[x . b],
 
-one gather of packed words per letter and pair, unpacked once into the
-boolean table.  That is O((J + p + pairs) |A| |M| |E| / 64) word work
-and J + p packed steps of |M| |E| / 8 bytes.  `admissible_images` runs
-the same recurrence over every column.
+one gather of packed words per distinct letter image b and pair, unpacked
+once into the boolean table, which each letter reads at its image.  That
+is O((J + p + pairs) |A| |M| |E| / 64) word work and J + p packed steps
+of |M| |E| / 8 bytes.  `admissible_images` runs the same recurrence over
+every column, with steps of its own.
+
+The regular J-classes of S come from the same steps, by a lemma: for an
+idempotent e != 1 and any a in S, e lies in S a S iff it lies in X_s a
+X_s.  Indeed e = e^s lies in X_s, and if e = u a v with u, v in S, then e
+= (e u) a (v e), where e u and v e lie in X_s, as X_s . S = S . X_s = X_s.
+When 1 lies in X_s the same holds for e = 1; otherwise 1 = u a v in S
+forces u = a = v = 1, as a product with a factor in X_s lies in X_s, so
+the class and the upset of 1 are {1}.  So the upset in S of every
+idempotent is read off one table: the reach z . X_s at z = a (slot(s)
+right steps from the seed, at or above J), then slot(s) left steps along
+the rows mult[b] of the letter images,
+
+    (X_(k+1) . a . X_s)[i] = OR_b (X_k . (b . a) . X_s)[i],
+
+which end at X_slot(s) . a . X_s = X_s a X_s, unpacked once, ANDed with
+S's mask, and the identity set in the upset of 1.  The classes are placed
+lazily, as M's are (`monoid.JClasses`), in order of their least
+idempotents: f joins the class of e when each lies in the other's
+upset, so S needs no downsets.
 
 The local submonoid Mes of an idempotent e depends only on its pattern of
 usable letters adm[:, :, e]: it is the submonoid generated by the images
@@ -63,7 +89,7 @@ round walks from the elements the last one added, and one round confirms
 a block set that is already closed.  The result is kept in the monoid's
 store of generated submonoids under the mask of B, which the analyses at
 other multipliers, and Me, share.  The Me of the stable submonoid S
-closes the upset in S of its J-class, from the monoid's `JClasses` of S,
+closes the upset in S of its J-class, from the J-classes of S above,
 which every multiplier shares, and `is_stable_trivial` reads stable R-
 and L-classes off the same upsets.
 
@@ -111,7 +137,9 @@ from itertools import chain, cycle, islice
 import numpy as np
 
 from .errors import CapError, ConsistencyError, InputError
-from .monoid import _GATHER_IDS, JClasses, Morphism, OrderedMonoid, _all, _any
+from .monoid import (
+    _GATHER_IDS, JClasses, Morphism, OrderedMonoid, _all, _any, _unpackbits,
+)
 
 _ITERATION_CAP = 100_000
 
@@ -127,12 +155,14 @@ _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 class _PowerImages:
     """What every stability index of a morphism shares, built once: the
-    monoid, the letter images (in `alphabet` order), the power images
+    monoid, the letter images (in `alphabet` order) and the `right`
+    columns of the distinct ones, the `idempotents`, the power images
     X_k = image of the words of length exactly k, stored as seq[k] up to
     their first repetition, their `preperiod` J and `period` p, the
-    residue `slots` and the stable submonoid (`stable`, its `mask` over
-    the monoid, and its `j_classes`).  Building it checks that the stable
-    set is closed under the table and raises ConsistencyError otherwise."""
+    residue `slots`, the stable submonoid (`stable`, its `mask` over the
+    monoid, and its `j_classes`) and the slot reaches `steps`.  Building it
+    checks that the stable set is closed under the table and raises
+    ConsistencyError otherwise."""
 
     def __init__(self, m: Morphism):
         mon = self.monoid = m.monoid
@@ -168,6 +198,15 @@ class _PowerImages:
                 self.stable, self.mask = ids, mask
         self.slots = tuple(slots + seq[self.preperiod:])
         _check_closed(mult, self.stable, self.mask)
+        # the letters' distinct images X_1, in increasing order, each
+        # letter's place among them, and their right columns mult[:, b],
+        # each copied contiguous once
+        self.letter_index = x1.searchsorted(self.images)
+        self.right = [np.ascontiguousarray(mult[:, b]) for b in x1.tolist()]
+        # the idempotents, increasing, and each one's column in `steps`
+        idempotents = mon.idempotents()
+        self.idempotents = np.array(idempotents, dtype=np.int64)
+        self.column = {f: i for i, f in enumerate(idempotents)}
 
     def slot(self, k: int) -> int:
         """The slot of k: k below the preperiod J, J + (k - J) mod p from
@@ -179,9 +218,35 @@ class _PowerImages:
         return self.seq[self.slot(k)]
 
     @cached_property
-    def j_classes(self) -> JClasses:
-        """The regular J-classes of S, looked up in the monoid's store once."""
-        return self.monoid.j_classes(self.mask)
+    def steps(self) -> list:
+        """The slot reaches at the idempotent columns (`steps_at`), built
+        once and shared by every multiplier and by `j_classes`."""
+        return self.steps_at(self.idempotents)
+
+    def steps_at(self, cols: np.ndarray) -> list:
+        """The slot reaches reach[v][w, z], v < J + p: bit i of word w is set
+        iff cols[64 w + i] lies in z . slots[v].  The seed z . X_0 = {z}
+        takes one right step per power, along the `right` columns, to z .
+        X_k; then each slot v below J ORs in its X_slot(v+s), in place,
+        before the arrays are handed out.  They are read-only, as they are
+        shared."""
+        right = self.right
+        at = np.arange(cols.size)
+        seed = np.zeros((-(-cols.size // 64), self.monoid.size), dtype=np.uint64)
+        seed[at >> 6, cols] = _BITS[at & 63]  # z . X_0 = {z}
+        reach = [seed]
+        for _ in range(self.preperiod + self.period - 1):
+            reach.append(_step(right, reach[-1]))
+        for v in range(self.preperiod):  # z . (X_v | X_(v+s))
+            reach[v] |= reach[self.slot(v + self.smallest_index)]
+        for step in reach:
+            step.flags.writeable = False
+        return reach
+
+    @cached_property
+    def j_classes(self) -> "_StableJClasses":
+        """The regular J-classes of S, from the upsets of every idempotent."""
+        return _StableJClasses(self)
 
     @property
     def smallest_index(self) -> int:
@@ -205,9 +270,8 @@ class StabilityInfo:
     index: int
     residues: tuple
     _pairs: tuple | None = field(init=False, default=None)  # see `_residue_pairs`
-    _adm: np.ndarray | None = field(init=False, default=None)  # [letter, pair, i] at idempotent i
-    _column: dict = field(init=False, default_factory=dict)  # idempotent -> its i in _adm
-    _adm_all: np.ndarray | None = field(init=False, default=None)  # [letter, pair, x] at every x
+    _adm: np.ndarray | None = field(init=False, default=None)  # [image, pair, i] at idempotent i
+    _adm_all: np.ndarray | None = field(init=False, default=None)  # [image, pair, x] at every x
     _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> Mes
 
     @property
@@ -246,53 +310,44 @@ class StabilityInfo:
             self._pairs = (by_right, pair)
         return self._pairs
 
-    def _admissible_at(self, cols: np.ndarray) -> np.ndarray:
-        """The table adm[a, k, i]: cols[i] in residues[r] . h(a) .
-        residues[s-1-r] for the r of the k-th distinct slot pair, letters
-        in alphabet order, by the right-reach recurrence of the module
-        docstring on the columns `cols` (distinct ids), one right step per
-        power X_1 .. X_(J+p-1) over columns packed 64 to a word."""
+    def _admissible_at(self, steps: list, count: int) -> np.ndarray:
+        """The table adm[d, k, i]: column i of the slot reaches `steps` (of
+        `count` columns, see `_PowerImages.steps_at`) lies in residues[r] .
+        b . residues[s-1-r], for the d-th distinct letter image b and the r
+        of the k-th distinct slot pair, by one gather of packed words per
+        image and pair, unpacked once."""
         by_right, _ = self._residue_pairs()
-        powers, mult, images = self.powers, self.monoid.mult, self.images
-        right = {b: np.ascontiguousarray(mult[:, b]) for b in sorted(set(images.tolist()))}
-        steps, letters = list(right.values()), [right[b] for b in images.tolist()]
-        at = np.arange(cols.size)
-        seed = np.zeros((-(-cols.size // 64), self.monoid.size), dtype=np.uint64)
-        seed[at >> 6, cols] = _BITS[at & 63]  # z . X_0 = {z}
-        reach = [seed]  # reach[k][w, z]: bits of z . X_k
-        for _ in range(powers.preperiod + powers.period - 1):
-            reach.append(_right_step(steps, reach[-1]))
-        packed = np.empty((images.size, sum(map(len, by_right)), seed.shape[0]), dtype=np.uint64)
+        powers = self.powers
+        right = powers.right  # one per distinct letter image
+        packed = np.empty((len(right), sum(map(len, by_right)), steps[0].shape[0]),
+                          dtype=np.uint64)
         for v, group in enumerate(by_right):
-            # z . slots[v]: below J, X_(v+s) is ORed in place, as only slot
-            # v reads a power below J
-            here = reach[v]
-            if v < powers.preperiod:
-                here |= reach[powers.slot(v + self.index)]
+            here = steps[v]
             for k, u in group:
-                for a, column in enumerate(letters):
-                    packed[a, k] = np.bitwise_or.reduce(
-                        here.take(column[powers.slots[u]], axis=1), axis=1)
-        adm = np.unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
-                            count=cols.size, bitorder="little").view(bool)
+                for d, column in enumerate(right):
+                    packed[d, k] = np.bitwise_or.reduce(
+                        here.take(column.take(powers.slots[u]), axis=1), axis=1)
+        adm = _unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
+                          count=count, bitorder="little").view(bool)
         adm.flags.writeable = False
         return adm
 
     def _usable_by_pair(self, e: int) -> np.ndarray:
-        """u[a, k]: the letter a is usable at the residues of the k-th slot
-        pair for the idempotent e.  The table behind it covers every
-        idempotent and is built on first use."""
+        """u[d, k]: the d-th distinct letter image is usable at the residues
+        of the k-th slot pair for the idempotent e.  The table behind it
+        covers every idempotent and is built on first use, from the shared
+        slot reaches."""
+        powers = self.powers
         if self._adm is None:
-            idempotents = self.monoid.idempotents()
-            self._adm = self._admissible_at(np.array(idempotents, dtype=np.int64))
-            self._column = {f: i for i, f in enumerate(idempotents)}
-        return self._adm[:, :, self._column[e]]
+            self._adm = self._admissible_at(powers.steps, powers.idempotents.size)
+        return self._adm[:, :, powers.column[e]]
 
     def usable(self, e: int) -> np.ndarray:
         """The usable-letter pattern of the idempotent e: u[a, r] iff e lies
         in residues[r] . h(a) . residues[s-1-r], letters in alphabet order;
-        one gather of the per-pair table over the pair index."""
-        return self._usable_by_pair(e)[:, self._residue_pairs()[1]]
+        one gather of the per-pair table over the letters and the pair
+        index."""
+        return self._usable_by_pair(e)[self.powers.letter_index][:, self._residue_pairs()[1]]
 
     def admissible_images(self, letter, r: int) -> frozenset[int]:
         """All values x . h(letter) . y with x in residues[r] and y in
@@ -301,9 +356,12 @@ class StabilityInfo:
         One row of the admissibility table over every element, built once
         per object by the recurrence of the module docstring, in
         O(n |A| |M|^2) boolean work for n residue slots."""
+        powers = self.powers
         if self._adm_all is None:
-            self._adm_all = self._admissible_at(np.arange(self.monoid.size))
-        row = self._adm_all[self.powers.alphabet.index(letter), self._residue_pairs()[1][r]]
+            every = np.arange(self.monoid.size)
+            self._adm_all = self._admissible_at(powers.steps_at(every), every.size)
+        d = powers.letter_index[powers.alphabet.index(letter)]
+        row = self._adm_all[d, self._residue_pairs()[1][r]]
         return frozenset(row.nonzero()[0].tolist())
 
     def mes_members(self, e: int) -> np.ndarray:
@@ -323,7 +381,7 @@ class StabilityInfo:
         got = self._mes_by_pattern.get(key)
         if got is None:
             mon = self.monoid
-            letters = [self.images[u] for u in usable.T]
+            letters = [self.powers.seq[1][u] for u in usable.T]
             start = np.zeros(mon.size, dtype=bool)
             start[mon.identity] = True
             blocks = self._walk(start, letters)
@@ -369,7 +427,8 @@ class StabilityInfo:
     @property
     def stable_j_classes(self) -> JClasses:
         """The regular J-classes of the stable submonoid S, in S's own
-        J-order, from the monoid's store: every multiplier shares them."""
+        J-order, from the per-morphism entry: every multiplier shares
+        them."""
         return self.powers.j_classes
 
     def stable_me_members(self, e: int) -> np.ndarray:
@@ -379,9 +438,11 @@ class StabilityInfo:
         return self.monoid.generated(self.stable_j_classes.upset(e))
 
 
-def _right_step(columns: list, reach: np.ndarray) -> np.ndarray:
-    """reach'[:, z] = OR_b reach[:, z . h(b)] over the letters' right
-    columns `columns`, on packed words [w, z]: z . X_(k+1) from z . X_k."""
+def _step(columns: list, reach: np.ndarray) -> np.ndarray:
+    """out[:, z] = OR_c reach[:, c[z]] over the index arrays c of `columns`,
+    on packed words [w, z]: along the right columns mult[:, b] of the
+    letter images, z . X_(k+1) from z . X_k; along their rows mult[b],
+    X_(k+1) . a . Y from X_k . a . Y."""
     out = reach.take(columns[0], axis=1)
     for column in columns[1:]:
         out |= reach.take(column, axis=1)
@@ -398,11 +459,41 @@ def _block_step(mult: np.ndarray, blocks: np.ndarray, letters: np.ndarray) -> np
 
 def _check_closed(mult: np.ndarray, ids: np.ndarray, inside: np.ndarray):
     """Raise ConsistencyError unless the set `ids`, marked in `inside`, is
-    closed under the table, gathered in blocks of rows."""
-    block = max(1, _GATHER_IDS // ids.size)
+    closed under the table.  Every cell of ids x ids is read, in blocks of
+    rows of about `_GATHER_IDS` products: the rows are taken whole, looked
+    up in `inside`, then cut to the columns `ids`."""
+    block = max(1, _GATHER_IDS // mult.shape[0])
     for lo in range(0, ids.size, block):
-        if not _all(inside[mult[ids[lo:lo + block, None], ids]]):
+        if not _all(inside.take(mult.take(ids[lo:lo + block], 0)).take(ids, 1)):
             raise ConsistencyError("the stable set is not closed under multiplication")
+
+
+class _StableJClasses(JClasses):
+    """The regular J-classes of the stable submonoid S, placed lazily like
+    M's, from one table of upsets in S of every idempotent (see the module
+    docstring): row i is {a in S : E[i] in S a S}.  f joins the class of e
+    when each lies in the other's upset, so no downset is built."""
+
+    def __init__(self, powers: _PowerImages):
+        mon, ids = powers.monoid, powers.idempotents
+        super().__init__(mon.mult, ids)
+        n = powers.slot(powers.smallest_index)
+        reach = powers.steps[n]  # E[i] in a . X_s
+        rows = [mon.mult[b] for b in powers.seq[1].tolist()]
+        for _ in range(n):  # X_(k+1) . a . X_s from X_k . a . X_s
+            reach = _step(rows, reach)
+        words = np.ascontiguousarray(reach.T).astype("<u8", copy=False).view(np.uint8)
+        bits = _unpackbits(words, axis=1, count=ids.size, bitorder="little").view(bool)
+        table = np.logical_and(bits.T, powers.mask, out=np.empty(bits.shape[::-1], bool))
+        table[ids.searchsorted(mon.identity), mon.identity] = True  # 1 in S 1 S
+        table.flags.writeable = False
+        self._table, self._idempotents = table, ids
+
+    def _up(self, e: int) -> np.ndarray:
+        return self._table[self._idempotents.searchsorted(e)]
+
+    def _below(self, e: int, rest: np.ndarray) -> np.ndarray:
+        return self._table[self._idempotents.searchsorted(rest), e]
 
 
 def _power_images(m: Morphism) -> _PowerImages:

@@ -34,7 +34,10 @@ to the same objects:
   {a in T : e in T a T} by two passes over the whole table, with an
   `inside` mask for the stable submonoid, and the Me local checks run
   from it at every idempotent, as the library ran them before it visited
-  one idempotent per regular J-class; and `mes_checks_at_every_idempotent`,
+  one idempotent per regular J-class.  With the mask it is also the
+  stable upset as `monoid.JClasses` placed it before the stability layer
+  read the upsets of S off the power steps; and
+  `mes_checks_at_every_idempotent`,
   the Mes local checks at every idempotent, as the library ran them
   before it visited one idempotent per regular J-class of the stable
   submonoid;
@@ -50,7 +53,7 @@ to the same objects:
   preorders over all of M by |M|^2 scatters of the table's stable
   columns or rows, from which `stability.is_stable_trivial` and
   `hierarchy.sim_quotient` read their ideals before they read the
-  J-upsets of `monoid.JClasses`; and `stable_j_preorder`, the stable J
+  J-upsets of the monoid and of S; and `stable_j_preorder`, the stable J
   preorder as a float product of the two stable ideal scatters, which
   `stable_green_preorder` carried as its "Js" relation;
 - `transition_monoid_by_tuples`, the transition-monoid closure with a

@@ -195,6 +195,51 @@ def test_max_monoid_env_override(monkeypatch, capsys):
     capsys.readouterr()
 
 
+# A 6-state DFA whose syntactic monoid is the full transformation monoid T6,
+# with 6^6 = 46656 elements: a cycles the states, b swaps q0 and q1, c
+# sends q1 to q0
+T6_DFA = str(pathlib.Path(__file__).parent / "data" / "t6.json")
+
+
+def _cli_under_memory_limit(args, env=()):
+    """(exit code, stderr, wall s) of the command in a child process whose
+    address space is limited to 3 GiB."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "fragcheck.cli", *args],
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": src, **dict(env)})
+    return done.returncode, done.stderr, time.monotonic() - start
+
+
+def test_a_monoid_cap_above_the_ceiling_is_refused_before_anything_is_built():
+    # T6 under a cap of 100000 would need a 46656^2 int64 table (16.2 GiB):
+    # the cap is refused with exit 2 before the DFA is read; at the default
+    # cap the closure stops at 10000 elements with exit 3
+    ceiling = f"must be at most {cli.MAX_MONOID_CEILING}\n"
+    code, err, wall = _cli_under_memory_limit(["analyze", "--dfa", T6_DFA, "--max-monoid", "100000"])
+    assert (code, err) == (2, "error: --max-monoid " + ceiling) and wall < 20
+    code, err, wall = _cli_under_memory_limit(["analyze", "--dfa", T6_DFA],
+                                              env={"FRAGCHECK_MAX_MONOID": "100000"})
+    assert (code, err) == (2, "error: FRAGCHECK_MAX_MONOID " + ceiling) and wall < 20
+    code, err, wall = _cli_under_memory_limit(["analyze", "--dfa", T6_DFA])
+    assert (code, err) == (3, "error: monoid size cap exceeded (10000)\n") and wall < 20
+
+
+def test_monoid_cap_ceiling_is_inclusive(monkeypatch):
+    assert cli._resolve_cap(cli.MAX_MONOID_CEILING) == cli.MAX_MONOID_CEILING
+    monkeypatch.setenv("FRAGCHECK_MAX_MONOID", str(cli.MAX_MONOID_CEILING))
+    assert cli._resolve_cap(None) == cli.MAX_MONOID_CEILING
+    monkeypatch.setenv("FRAGCHECK_MAX_MONOID", str(cli.MAX_MONOID_CEILING + 1))
+    with pytest.raises(InputError, match="FRAGCHECK_MAX_MONOID must be at most"):
+        cli._resolve_cap(None)
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze"], ["check", "--fragment", "fo_mod"], ["witness"],
 ], ids=["analyze", "check", "witness"])
@@ -342,12 +387,13 @@ def test_witness_length_bound_stops_once_no_triple_is_new():
 
 def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
     # every analysis of one morphism, at any multiplier, shares its
-    # per-morphism entry, whose stable set is checked for closure once, and
-    # one StabilityInfo per multiplier; the hierarchy quotients are
+    # per-morphism entry, whose stable set is checked for closure once and
+    # whose power steps are built once, and one StabilityInfo per
+    # multiplier; the hierarchy quotients are
     # morphisms of their own
-    powers, infos, checks = [], [], []
+    powers, infos, checks, steps = [], [], [], []
     real_powers, real_info = stability._PowerImages, stability.StabilityInfo
-    real_check = stability._check_closed
+    real_check, real_steps = stability._check_closed, real_powers.steps_at
 
     def counted_powers(m):
         powers.append(m)
@@ -361,13 +407,21 @@ def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
         checks.append(args)
         return real_check(*args)
 
+    def counted_steps(self, cols):
+        steps.append((self, cols.size))
+        return real_steps(self, cols)
+
     monkeypatch.setattr(stability, "_PowerImages", counted_powers)
+    monkeypatch.setattr(real_powers, "steps_at", counted_steps)
     monkeypatch.setattr(stability, "StabilityInfo", counted_info)
     monkeypatch.setattr(stability, "_check_closed", counted_check)
     code, text = run_cli(["xcheck", "--count", "6", "--seed", "1"])
     assert code == 0 and "6 instances, 0 with failures" in text
     # the lists keep every morphism alive, so no two share an id
     assert len({id(m) for m in powers}) == len(powers) == len(checks)
+    # one set of power steps, at the idempotent columns, per morphism
+    assert len({id(p) for p, _ in steps}) == len(steps) == len(powers)
+    assert all(size == len(p.monoid.idempotents()) for p, size in steps)
     assert len({(id(p), s) for p, s in infos}) == len(infos)
     assert len({id(p) for p, _ in infos}) == len(powers)
     # at least the draw's three multipliers and the complement's one

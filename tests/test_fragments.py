@@ -147,16 +147,15 @@ SIGMA2_SENTENCE = """
 
 
 def test_sigma2_sentence_computes_one_stable_upset_per_j_class(monkeypatch):
-    from fragcheck.monoid import JClasses
+    from fragcheck.stability import _StableJClasses
     stable_upsets = []
-    real = JClasses._up
+    real = _StableJClasses._up
 
     def counted(self, e):
-        if self._ids is not None:
-            stable_upsets.append(e)
+        stable_upsets.append(e)
         return real(self, e)
 
-    monkeypatch.setattr(JClasses, "_up", counted)
+    monkeypatch.setattr(_StableJClasses, "_up", counted)
     d = compile_formula(parse_formula(SIGMA2_SENTENCE), ["a", "b"])
     h = transition_monoid(d)
     report = analyze(d, morphism=h)

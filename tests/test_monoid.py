@@ -689,27 +689,6 @@ def test_me_cayley_route_at_mid_size(monkeypatch):
     _check_me_against_brute_and_j_classes(h)
 
 
-@pytest.mark.parametrize("gather_ids", [1 << 16, 1], ids=["one-block", "row-blocks"])
-def test_j_classes_of_submonoids_match_brute(small_corpus, monkeypatch, gather_ids):
-    # submonoids T generated by seeded random subsets, read on the parent
-    # table: the upsets equal the two masked passes over the whole table,
-    # and the representatives the least idempotents of T's own J-classes
-    monkeypatch.setattr(monoid_module, "_GATHER_IDS", gather_ids)
-    rng = np.random.default_rng(11)
-    for d in small_corpus[:20]:
-        m = transition_monoid(d, max_monoid=600).monoid
-        for _ in range(3):
-            inside = np.zeros(m.size, dtype=bool)
-            inside[m.generated(rng.random(m.size) < 0.2)] = True
-            classes = m.j_classes(inside)
-            sub, ids = oracles.submonoid_view(m, np.flatnonzero(inside))
-            expected = [ids[e] for e in oracles.j_class_representatives(sub)]
-            assert list(classes.representatives()) == expected
-            for e in (x for x in ids if m.is_idempotent(x)):
-                assert np.array_equal(classes.upset(e),
-                                      oracles.j_upset_by_passes(m.mult, e, inside))
-
-
 def test_closure_in_small_blocks_matches_brute(small_corpus, monkeypatch):
     # a tiny gather budget splits every frontier into one-row blocks
     monkeypatch.setattr(monoid_module, "_GATHER_IDS", 1)

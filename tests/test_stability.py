@@ -29,7 +29,7 @@ from fragcheck.stability import (
     stability_index,
     stability_info,
 )
-from test_monoid import mid_size_draw
+from test_monoid import _random_seven_state_dfa, mid_size_draw
 
 
 def morphism(pattern, **kw):
@@ -341,13 +341,87 @@ def test_admissibility_peak_memory_is_the_packed_steps():
     cols = np.array(h.monoid.idempotents(), dtype=np.int64)
     tracemalloc.start()
     try:
-        adm = info._admissible_at(cols)
+        adm = info._admissible_at(info.powers.steps_at(cols), cols.size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     step = h.monoid.size * -(-cols.size // 64) * 8
     assert cols.size == 212
     assert peak < (info.powers.preperiod + info.powers.period + 2) * step + adm.nbytes
+
+
+def _check_stable_j_classes(h) -> bool:
+    """Check the stable J-classes of h at x1, x2 and x3: the least
+    idempotents of S's own J-classes as representatives, and every
+    idempotent's upset in S equal to the two masked passes over the whole
+    table.  Returns whether the identity lies in X_s."""
+    mon = h.monoid
+    sub, ids = oracles.submonoid_view(mon, stability_info(h).stable)
+    expected = [ids[e] for e in oracles.j_class_representatives(sub)]
+    for multiplier in (1, 2, 3):
+        info = stability_info(h, multiplier)
+        mask = np.zeros(mon.size, dtype=bool)
+        mask[info.stable] = True
+        assert list(info.stable_j_classes.representatives()) == expected
+        for e in mon.idempotents():
+            assert (info.stable_j_classes.upset(e).tobytes()
+                    == oracles.j_upset_by_passes(mon.mult, e, mask).tobytes()), (multiplier, e)
+    return bool((info.powers.at(info.index) == mon.identity).any())
+
+
+def test_stable_j_classes_match_passes_and_brute(small_corpus, xcheck_corpus):
+    # the corpora and two ladder-size draws (7 states, 2 letters), with
+    # the identity inside X_s and outside it, where its upset is {1}
+    dfas = list(small_corpus) + list(xcheck_corpus)
+    dfas += [minimize(_random_seven_state_dfa(seed)) for seed in (43, 58)]
+    identity_in_xs = {_check_stable_j_classes(transition_monoid(d, max_monoid=600))
+                      for d in dfas}
+    assert identity_in_xs == {True, False}
+
+
+def test_stable_upsets_across_word_boundaries_at_mid_size():
+    # |E| = 212: the upsets of idempotents in the first, second and last
+    # packed words equal the two masked passes
+    h = transition_monoid(mid_size_draw())
+    mon, info = h.monoid, stability_info(h)
+    mask = np.zeros(mon.size, dtype=bool)
+    mask[info.stable] = True
+    idempotents = mon.idempotents()
+    assert len(idempotents) == 212
+    for i in (0, 63, 64, 127, 128, 191, 192, 211):
+        e = idempotents[i]
+        assert (info.stable_j_classes.upset(e).tobytes()
+                == oracles.j_upset_by_passes(mon.mult, e, mask).tobytes()), i
+
+
+def test_stable_j_classes_with_and_without_the_identity_in_xs():
+    # (a|b)*: both letters map to 1, so 1 lies in X_s; (bc)*: it does not,
+    # and its class in S is {1}
+    h = morphism("(a|b)*")
+    assert _check_stable_j_classes(h)
+    h = morphism("(bc)*")
+    assert not _check_stable_j_classes(h)
+    one = h.monoid.identity
+    assert stability_info(h).stable_j_classes.upset(one).nonzero()[0].tolist() == [one]
+
+
+def test_closure_check_finds_a_product_outside_in_the_last_row_block(monkeypatch):
+    # three table rows per block, so S's rows are read in many blocks; a
+    # product planted outside S in the last block is found, and the table
+    # as built passes
+    from fragcheck import stability
+    h = transition_monoid(mid_size_draw())
+    powers = stability_info(h).powers
+    mult, ids, mask = h.monoid.mult, powers.stable, powers.mask
+    monkeypatch.setattr(stability, "_GATHER_IDS", 3 * h.monoid.size)
+    assert ids.size > 3 * 10 and not mask.all()
+    stability._check_closed(mult, ids, mask)
+    outside = int((~mask).nonzero()[0][0])
+    for row, col in ((ids[-1], ids[-1]), (ids[-1], ids[0]), (ids[-2], ids[ids.size // 2])):
+        planted = mult.copy()
+        planted[row, col] = outside
+        with pytest.raises(ConsistencyError, match="not closed"):
+            stability._check_closed(planted, ids, mask)
 
 
 def test_index_cap_raises_before_residues():
@@ -507,15 +581,16 @@ def test_per_pair_tables_match_per_residue_oracles(small_corpus):
 
 def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
     # (bc)*: preperiod 2, period 2, least index 2; x166,666 is just under
-    # the index cap.  The recurrence takes one right step per power X_1 ..
-    # X_(J+p-1), 3 at every multiplier, one column per distinct slot pair,
-    # and the block walk samples every period in the middle and jumps once
+    # the index cap.  The power steps are built once per morphism, at x1:
+    # one right step per power X_1 .. X_(J+p-1), 3, and the stable
+    # J-classes' slot(s) = 2 left steps; the recurrence then takes one
+    # column per distinct slot pair at every multiplier, and the block walk samples every period in the middle and jumps once
     # a sample repeats: 6 steps per usable pattern at x3 and above.  At x1
     # the 4 patterns walk 2 steps each, and 3 of their block sets take one
     # confirming walk to close; x3 and above meet the same block sets in
     # the monoid's store, so they walk no closure
     from fragcheck import stability
-    counts = {"right": 0, "block": 0}
+    counts = {"step": 0, "block": 0}
 
     def counted(name, real):
         def step(*args):
@@ -523,18 +598,18 @@ def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
             return real(*args)
         return step
 
-    monkeypatch.setattr(stability, "_right_step", counted("right", stability._right_step))
+    monkeypatch.setattr(stability, "_step", counted("step", stability._step))
     monkeypatch.setattr(stability, "_block_step", counted("block", stability._block_step))
     d = minimize(regex_to_dfa("(bc)*"))
     h = transition_monoid(d)
     base = analyze(d, morphism=h)
-    assert counts == {"right": 3, "block": 14}
+    assert counts == {"step": 5, "block": 14}
     seen = {}
     for multiplier in (3, 166_666):
-        counts.update(right=0, block=0)
+        counts.update(step=0, block=0)
         report = analyze(d, index_multiplier=multiplier, morphism=h)
         info = stability_info(h, multiplier)
         assert report.verdicts == base.verdicts and report.witnesses == base.witnesses
         assert info.index == 2 * multiplier and len(info.residues) == info.index
         seen[multiplier] = (dict(counts), info._adm.shape, len(info._mes_by_pattern))
-    assert seen[3] == seen[166_666] == ({"right": 3, "block": 24}, (2, 6, 4), 4)
+    assert seen[3] == seen[166_666] == ({"step": 0, "block": 24}, (2, 6, 4), 4)
