@@ -18,6 +18,20 @@ decoration (`decorate`, whose residue product is written straight into a
 table over the letters' decorated copies), `monoid.transition_monoid` and
 the formula compiler all go through these four.
 
+`determinize` is the one subset construction: from a start subset, a
+successor function and an accepting test, over any hashable subsets.  A
+pattern is compiled on its position automaton (Glushkov 1961; Berry and
+Sethi 1986), which has no ε-moves, held in Python int bit masks: position
+0 is the start and position i the i-th letter occurrence of the pattern,
+`first`, `last` and `follow[p]` are masks of positions, and a subset S
+steps on the letter a to (OR of follow[p] for p in S) & the mask of the
+positions that read a.  Each subset of positions matches one ε-closed
+subset of Thompson's ε-NFA of the pattern, as each Thompson letter target
+is entered only by its letter edge, so the two constructions reach the
+same number of subsets and the same patterns reach the state cap.
+`reverse` and `concat_letter` determinize frozensets of states over a
+(state, letter) -> set dict.
+
 Residues of positions and lengths follow the 1..n convention throughout:
 "i mod n" means the unique k in {1, ..., n} congruent to i.
 """
@@ -395,60 +409,20 @@ def shortest_accepted(d: Dfa) -> Word | None:
 
 
 # ---------------------------------------------------------------------------
-# NFA internals (regex, reversal, concatenation, projection)
+# Subset construction (regex, reversal, concatenation)
 
-class Nfa:
-    """Internal nondeterministic automaton with epsilon moves."""
-
-    def __init__(self):
-        self.n = 0
-        self.eps = {}
-        self.trans = {}
-        self.starts = set()
-        self.finals = set()
-
-    def new_state(self) -> int:
-        q = self.n
-        self.n += 1
-        self.eps.setdefault(q, set())
-        return q
-
-    def add(self, src: int, letter, dst: int):
-        self.trans.setdefault((src, letter), set()).add(dst)
-
-    def add_eps(self, src: int, dst: int):
-        self.eps.setdefault(src, set()).add(dst)
-
-    def closure(self, states) -> frozenset:
-        out = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for t in self.eps.get(q, ()):
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return frozenset(out)
-
-
-def determinize(nfa: Nfa, alphabet, cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """The minimal DFA of the NFA, by the subset construction over the
-    subsets reachable from the start; more subsets than the cap is a
-    CapError."""
-    letters = sorted(alphabet)
-    if not letters:
-        raise InputError("empty alphabet")
-    start = nfa.closure(nfa.starts)
+def determinize(letters, start, successors, accepting, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """The minimal DFA, over the sorted `letters`, of the subsets reachable
+    from `start`: `successors(subset)` lists the successor subsets, one per
+    letter in order, and `accepting(subset)` is True when the subset
+    accepts.  Subsets are any hashable values.  More subsets than the cap
+    is a CapError."""
     subsets = [start]
     index = {start: 0}
     rows = []
     for subset in subsets:
         row = []
-        for a in letters:
-            targets = set()
-            for q in subset:
-                targets |= nfa.trans.get((q, a), set())
-            nxt = nfa.closure(targets)
+        for nxt in successors(subset):
             j = index.setdefault(nxt, len(subsets))
             if j == len(subsets):
                 subsets.append(nxt)
@@ -456,19 +430,27 @@ def determinize(nfa: Nfa, alphabet, cap: int = DEFAULT_STATE_CAP) -> Dfa:
                     raise CapError(f"state cap exceeded ({cap}) during determinization")
             row.append(j)
         rows.append(row)
-    finals = [bool(s & nfa.finals) for s in subsets]
-    return table_dfa(letters, minimal_table((rows, finals)))
+    return table_dfa(letters, minimal_table((rows, list(map(accepting, subsets)))))
+
+
+def _determinize_moves(letters, moves: dict, starts, finals, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """`determinize` over frozensets of states, where `moves` maps (state,
+    letter) to the set of the states it leads to."""
+    finals = frozenset(finals)
+
+    def successors(subset):
+        return [frozenset().union(*[moves.get((q, a), ()) for q in subset]) for a in letters]
+
+    return determinize(letters, frozenset(starts), successors,
+                       lambda subset: not finals.isdisjoint(subset), cap)
 
 
 def reverse(d: Dfa) -> Dfa:
     """The mirror-image language."""
-    nfa = Nfa()
-    index = {q: nfa.new_state() for q in d.states}
+    moves = {}
     for (q, a), t in d.delta.items():
-        nfa.add(index[t], a, index[q])
-    nfa.starts = {index[q] for q in d.finals}
-    nfa.finals = {index[d.initial]}
-    return determinize(nfa, d.alphabet)
+        moves.setdefault((t, a), set()).add(q)
+    return _determinize_moves(sorted(d.alphabet), moves, d.finals, {d.initial})
 
 
 def concat_letter(d1: Dfa, letter, d2: Dfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -476,18 +458,14 @@ def concat_letter(d1: Dfa, letter, d2: Dfa, cap: int = DEFAULT_STATE_CAP) -> Dfa
     _require_same_alphabet(d1, d2)
     if letter not in set(d1.alphabet):
         raise InputError(f"letter {letter!r} outside alphabet")
-    nfa = Nfa()
-    left = {q: nfa.new_state() for q in d1.states}
-    right = {q: nfa.new_state() for q in d2.states}
-    for (q, a), t in d1.delta.items():
-        nfa.add(left[q], a, left[t])
-    for (q, a), t in d2.delta.items():
-        nfa.add(right[q], a, right[t])
+    left = {q: i for i, q in enumerate(d1.states)}
+    right = {q: i for i, q in enumerate(d2.states, len(left))}
+    moves = {(left[q], a): {left[t]} for (q, a), t in d1.delta.items()}
+    moves.update(((right[q], a), {right[t]}) for (q, a), t in d2.delta.items())
     for q in d1.finals:
-        nfa.add(left[q], letter, right[d2.initial])
-    nfa.starts = {left[d1.initial]}
-    nfa.finals = {right[q] for q in d2.finals}
-    return determinize(nfa, d1.alphabet, cap)
+        moves[(left[q], letter)].add(right[d2.initial])
+    return _determinize_moves(sorted(d1.alphabet), moves, {left[d1.initial]},
+                              {right[q] for q in d2.finals}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -500,48 +478,75 @@ def concat_letter(d1: Dfa, letter, d2: Dfa, cap: int = DEFAULT_STATE_CAP) -> Dfa
 #   atom   := letter | '(' alt ')'
 # so "()" denotes the empty word. Letters are single characters other than
 # the metacharacters; whitespace is ignored.  Groups may nest at most
-# MAX_PATTERN_DEPTH deep.  Concatenations and alternations are n-ary nodes
-# and runs of stars one node, so only group nesting makes the parse and
-# the Thompson construction recurse (at most four frames per group).
+# MAX_PATTERN_DEPTH deep.  Concatenations, alternations and runs of stars
+# are read in loops, so only group nesting makes the parse recurse.
 
 _META = set("()|*")
 MAX_PATTERN_DEPTH = 100
 
 
+def _bits(mask: int):
+    """The set bits of mask, lowest first, as bit indices."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
     """Compile a pattern to the minimal DFA over the union of the pattern's
-    letters and the optionally declared alphabet."""
+    letters and the optionally declared alphabet, by the subset
+    construction on its position automaton (see the module docstring)."""
     tokens = [c for c in pattern if not c.isspace()]
     pos = 0
     depth = 0  # groups open at pos
+    follow = [0]  # follow[p]: the positions that may come right after position p
+    reads = {}  # letter -> the positions that read it
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
 
+    # Each parse returns (first, last, nullable) of what it read: the
+    # positions that may begin and end a word of it, and whether it
+    # matches the empty word.
+
     def parse_alt():
         nonlocal pos
-        branches = [parse_concat()]
+        first, last, nullable = parse_concat()
         while peek() == "|":
             pos += 1
-            branches.append(parse_concat())
-        return branches[0] if len(branches) == 1 else ("alt", branches)
+            f, l, n = parse_concat()
+            first, last, nullable = first | f, last | l, nullable or n
+        return first, last, nullable
 
     def parse_concat():
         parts = []
         while peek() is not None and peek() not in ")|":
             parts.append(parse_repeat())
-        if not parts:
-            return ("eps",)
-        return parts[0] if len(parts) == 1 else ("cat", parts)
+        # right to left, `first` is the first mask of the parts after the
+        # current one: what may follow the current part's last positions
+        first = last = 0
+        nullable = True
+        for f, l, n in reversed(parts):
+            if first:
+                for p in _bits(l):
+                    follow[p] |= first
+            if nullable:
+                last |= l
+            first = first | f if n else f
+            nullable = nullable and n
+        return first, last, nullable
 
     def parse_repeat():
         nonlocal pos
-        node = parse_atom()
-        stars = 0
+        first, last, nullable = parse_atom()
+        if peek() != "*":
+            return first, last, nullable
         while peek() == "*":
             pos += 1
-            stars += 1
-        return ("star", node, stars) if stars else node
+        for p in _bits(last):
+            follow[p] |= first
+        return first, last, True
 
     def parse_atom():
         nonlocal pos, depth
@@ -552,84 +557,36 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
                     f"pattern groups nested deeper than {MAX_PATTERN_DEPTH} at offset {pos}")
             pos += 1
             depth += 1
-            node = parse_alt()
+            group = parse_alt()
             depth -= 1
             if peek() != ")":
                 raise InputError(f"unbalanced parenthesis in pattern at offset {pos}")
             pos += 1
-            return node
+            return group
         if c is None or c in _META:
             raise InputError(f"unexpected {c!r} in pattern at offset {pos}")
         pos += 1
-        return ("lit", c)
+        bit = 1 << len(follow)
+        follow.append(0)
+        reads[c] = reads.get(c, 0) | bit
+        return bit, bit, False
 
-    ast = parse_alt()
+    follow[0], last, nullable = parse_alt()
     if pos != len(tokens):
         raise InputError(f"trailing input in pattern at offset {pos}")
-
-    letters = set()
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        if node[0] == "lit":
-            letters.add(node[1])
-        elif node[0] in ("cat", "alt"):
-            stack.extend(node[1])
-        elif node[0] == "star":
-            stack.append(node[1])
-    if alphabet is not None:
-        letters |= set(alphabet)
+    letters = sorted(set(reads).union(alphabet or ()))
     if not letters:
         raise InputError("pattern uses no letters and no alphabet was declared")
+    masks = [reads.get(a, 0) for a in letters]
+    finals = last | nullable  # the start, position 0, accepts when nullable
 
-    nfa = Nfa()
+    def successors(subset):
+        after = 0
+        for p in _bits(subset):
+            after |= follow[p]
+        return [after & m for m in masks]
 
-    def build(node) -> tuple[int, int]:
-        # n-ary nodes fold left, exactly as nested binary nodes would
-        if node[0] == "eps":
-            s = nfa.new_state()
-            f = nfa.new_state()
-            nfa.add_eps(s, f)
-            return s, f
-        if node[0] == "lit":
-            s = nfa.new_state()
-            f = nfa.new_state()
-            nfa.add(s, node[1], f)
-            return s, f
-        if node[0] == "cat":
-            s, f = build(node[1][0])
-            for part in node[1][1:]:
-                s2, f2 = build(part)
-                nfa.add_eps(f, s2)
-                f = f2
-            return s, f
-        if node[0] == "alt":
-            s1, f1 = build(node[1][0])
-            for branch in node[1][1:]:
-                s2, f2 = build(branch)
-                s = nfa.new_state()
-                f = nfa.new_state()
-                nfa.add_eps(s, s1)
-                nfa.add_eps(s, s2)
-                nfa.add_eps(f1, f)
-                nfa.add_eps(f2, f)
-                s1, f1 = s, f
-            return s1, f1
-        s1, f1 = build(node[1])  # star, applied node[2] times
-        for _ in range(node[2]):
-            s = nfa.new_state()
-            f = nfa.new_state()
-            nfa.add_eps(s, s1)
-            nfa.add_eps(s, f)
-            nfa.add_eps(f1, s1)
-            nfa.add_eps(f1, f)
-            s1, f1 = s, f
-        return s1, f1
-
-    start, final = build(ast)
-    nfa.starts = {start}
-    nfa.finals = {final}
-    return determinize(nfa, sorted(letters))
+    return determinize(letters, 1, successors, lambda subset: bool(subset & finals))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,10 @@ from .automata import Dfa, dfa_table, minimal_table
 from .errors import CapError, ConsistencyError, InputError
 
 DEFAULT_MAX_MONOID = 10_000
+# Most cells the labels of a transition monoid may hold together: an
+# element of the monoid of an n-state automaton is labelled by a tuple of
+# n + 1 state ids, so the labels take |M| (n + 1) pointers, 1 GiB here.
+MAX_LABEL_CELLS = 1 << 27
 
 Word = tuple
 
@@ -434,18 +438,33 @@ def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
     state, so that the gather returns a tuple also at one state.  The
     accepting set is read off the labels' first slots in one pass.
     Element ids and words come from the closure over words, so they do not
-    depend on how the states are numbered."""
+    depend on how the states are numbered.
+
+    The labels are held until the closure ends, so the cap is lowered to
+    MAX_LABEL_CELLS // (n + 1) elements when that is below `max_monoid`,
+    and more elements than that raise CapError with its own message.  As
+    the words reach all n states, |M| >= n, so n states above the cap are
+    refused before the closure starts."""
     letters, t = dfa_table(d)
     rows, final_mask = minimal_table(t)
     n = len(final_mask)
+    cap = min(max_monoid, MAX_LABEL_CELLS // (n + 1))
     letter_labels = {a: (*col, n) for a, col in zip(letters, zip(*rows))}
-    return generated_morphism(
-        letter_labels,
-        _action_times,
-        tuple(range(n + 1)),
-        cap=max_monoid,
-        label_accepting=lambda labels: map(final_mask.__getitem__, map(itemgetter(0), labels)),
-    )
+    try:
+        if n > cap:
+            raise CapError(f"monoid size cap exceeded ({cap})")
+        return generated_morphism(
+            letter_labels,
+            _action_times,
+            tuple(range(n + 1)),
+            cap=cap,
+            label_accepting=lambda labels: map(final_mask.__getitem__, map(itemgetter(0), labels)),
+        )
+    except CapError:
+        if cap == max_monoid:
+            raise
+        raise CapError(f"monoid label cap exceeded (more than {cap} elements of {n + 1} "
+                       f"cells, at most {MAX_LABEL_CELLS} cells)") from None
 
 
 def syntactic_order(m: Morphism) -> Morphism:

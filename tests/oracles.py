@@ -87,7 +87,7 @@ import numpy as np
 
 from fragcheck import fologic as fo
 from fragcheck.automata import (
-    DEFAULT_STATE_CAP, DecoratedLetter, Nfa, decorate_word, decorated_letters, dfa_table,
+    DEFAULT_STATE_CAP, DecoratedLetter, decorate_word, decorated_letters, dfa_table,
     make_dfa, minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
@@ -700,11 +700,14 @@ def erase_by_sorted_subsets(t, depth, letter_count, cap=DEFAULT_STATE_CAP):
     return rows, accepting
 
 
-def determinize_by_dicts(nfa, alphabet, cap=DEFAULT_STATE_CAP):
+def determinize_by_dicts(moves, starts, finals, alphabet, cap=DEFAULT_STATE_CAP):
+    """The minimal DFA of a nondeterministic automaton, by the subset
+    construction over frozensets: `moves` maps (state, letter) to the set
+    of the states it leads to."""
     letters = sorted(alphabet)
     if not letters:
         raise InputError("empty alphabet")
-    start = nfa.closure(nfa.starts)
+    start = frozenset(starts)
     states = [start]
     seen = {start}
     delta = {}
@@ -712,16 +715,16 @@ def determinize_by_dicts(nfa, alphabet, cap=DEFAULT_STATE_CAP):
         for a in letters:
             targets = set()
             for q in subset:
-                targets |= nfa.trans.get((q, a), set())
-            nxt = nfa.closure(targets)
+                targets |= moves.get((q, a), set())
+            nxt = frozenset(targets)
             delta[(subset, a)] = nxt
             if nxt not in seen:
                 seen.add(nxt)
                 states.append(nxt)
                 if len(states) > cap:
                     raise CapError(f"state cap exceeded ({cap}) during determinization")
-    finals = [s for s in states if s & nfa.finals]
-    return minimize_by_dicts(make_dfa(letters, states, start, finals, delta))
+    accepting = [s for s in states if s & finals]
+    return minimize_by_dicts(make_dfa(letters, states, start, accepting, delta))
 
 
 def compile_formula_by_dfas(f, alphabet, state_cap=DEFAULT_STATE_CAP):
@@ -876,14 +879,11 @@ class _DfaCompiler:
         raise InputError(f"not a formula: {f!r}")
 
     def _project(self, d, var, frame):
-        nfa = Nfa()
-        index = {q: nfa.new_state() for q in d.states}
+        moves = {}
         for (q, (a, marks)), t in d.delta.items():
             erased = tuple(v for v in marks if v != var)
-            nfa.add(index[q], (a, erased), index[t])
-        nfa.starts = {index[d.initial]}
-        nfa.finals = {index[q] for q in d.finals}
-        return determinize_by_dicts(nfa, self.marked(frame), self.cap)
+            moves.setdefault((q, (a, erased)), set()).add(t)
+        return determinize_by_dicts(moves, {d.initial}, d.finals, self.marked(frame), self.cap)
 
     def _atomic(self, f, frame):
         m = self.marked(frame)

@@ -1,14 +1,18 @@
 """DFA layer: construction, minimization, boolean algebra, regexes, and
 the position-decoration machinery."""
 
+import itertools
 import json
 import operator
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from fragcheck.cli import random_dfa
 from fragcheck.automata import (
     DEFAULT_STATE_CAP,
     DecoratedLetter,
@@ -299,6 +303,65 @@ def test_regex_long_flat_patterns_do_not_recurse():
     assert equivalent(regex_to_dfa("a|" * 1200 + "b"), regex_to_dfa("a|b"))[0]
     d = regex_to_dfa("c" * 1000)
     assert d.accepts("c" * 1000) and not d.accepts("c" * 999)
+
+
+def _random_pattern(rng, depth=0, height=0):
+    """A pattern over a-c with empty branches, "()", star runs and groups
+    nested up to 4 deep.  Stars nest at most 2 deep (star height 2), as
+    Python's backtracking re takes minutes on some deeper nestings."""
+    branches = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        parts = []
+        for _ in range(rng.randint(0, 3)):
+            stars = "*" * rng.choice((0, 0, 1, 2, 3)) if height < 2 else ""
+            if depth < 4 and rng.random() < 0.35:
+                inner = _random_pattern(rng, depth + 1, height + bool(stars))
+                parts.append("(" + inner + ")" + stars)
+            else:
+                parts.append(rng.choice("abc") + stars)
+        branches.append("".join(parts))
+    return "|".join(branches)
+
+
+# the union, over the first 14 words xyz of {a,b,c}^3 in product order, of
+# (a|b|c)*x(a|b|c)*y(a|b|c)*z(a|b|c)*: 503 characters, 6 states
+REGEX_UNION = "|".join(
+    "(a|b|c)*" + "(a|b|c)*".join(w) + "(a|b|c)*"
+    for w in list(itertools.product("abc", repeat=3))[:14])
+
+
+def test_regex_matches_python_re():
+    # Python's re is the independent matcher; it rejects a run of stars,
+    # which denotes what one star does
+    rng = random.Random(2027)
+    patterns = [REGEX_UNION, "()", "()*", "(|a)*", "((a*)*|)b**"]
+    patterns += [_random_pattern(rng) for _ in range(60)]
+    all_words = ["".join(w) for w in oracles.words("abc", 6)]
+    for pattern in patterns:
+        d = regex_to_dfa(pattern, alphabet="abc")
+        matcher = re.compile(re.sub(r"\*+", "*", pattern))
+        for w in all_words:
+            assert d.accepts(w) == bool(matcher.fullmatch(w)), (pattern, w)
+    assert len(REGEX_UNION) == 503 and len(regex_to_dfa(REGEX_UNION).states) == 6
+
+
+def test_reverse_and_concat_letter_match_brute_membership():
+    rng = np.random.default_rng(27)
+    draws = [random_dfa(rng, 4, 3) for _ in range(24)]
+    for d in draws[:8]:
+        rev = reverse(d)
+        for w in oracles.words(d.alphabet, 6):
+            assert rev.accepts(w) == oracles.accepts(d, w[::-1])
+    pairs = [(d1, d2) for d1, d2 in zip(draws[::2], draws[1::2])
+             if d1.alphabet == d2.alphabet]
+    assert len(pairs) >= 4
+    for d1, d2 in pairs:
+        letter = d1.alphabet[-1]
+        joined = concat_letter(d1, letter, d2)
+        for w in oracles.words(d1.alphabet, 6):
+            want = any(w[i] == letter and oracles.accepts(d1, w[:i])
+                       and oracles.accepts(d2, w[i + 1:]) for i in range(len(w)))
+            assert joined.accepts(w) == want, w
 
 
 def test_reverse_and_concat_letter():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from fragcheck import cli, stability
+from fragcheck import cli, monoid, stability
 from fragcheck._sexp import MAX_DEPTH
 from fragcheck.automata import (
     MAX_PATTERN_DEPTH, DecoratedLetter, complement, decorate, decorated_letters, dfa_to_json,
@@ -229,6 +229,25 @@ def test_a_monoid_cap_above_the_ceiling_is_refused_before_anything_is_built():
     assert (code, err) == (2, "error: FRAGCHECK_MAX_MONOID " + ceiling) and wall < 20
     code, err, wall = _cli_under_memory_limit(["analyze", "--dfa", T6_DFA])
     assert (code, err) == (3, "error: monoid size cap exceeded (10000)\n") and wall < 20
+
+
+def test_regex_state_cap_exits_3():
+    # (a|b)*a(a|b)^17 remembers the last 18 letters: 2^18 subsets of
+    # positions, past the 200000 state cap
+    code, err, wall = _cli_under_memory_limit(["analyze", "--regex", "(a|b)*a" + "(a|b)" * 17])
+    assert (code, err) == (3, "error: state cap exceeded (200000) during determinization\n")
+    assert wall < 20
+
+
+def test_monoid_label_cap_exits_3_before_the_closure():
+    # (a|b)*a(a|b)^15 has 65536 states, so at least 65536 elements of 65537
+    # label cells each: past MAX_LABEL_CELLS, refused before any label is
+    # made (the closure ended in a MemoryError under 3 GiB at 2.96 GB)
+    cells = monoid.MAX_LABEL_CELLS
+    code, err, wall = _cli_under_memory_limit(["analyze", "--regex", "(a|b)*a" + "(a|b)" * 15])
+    assert (code, err) == (3, f"error: monoid label cap exceeded (more than {cells // 65537} "
+                              f"elements of 65537 cells, at most {cells} cells)\n")
+    assert wall < 20
 
 
 def test_monoid_cap_ceiling_is_inclusive(monkeypatch):

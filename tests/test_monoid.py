@@ -260,6 +260,25 @@ def test_transition_monoid_cap():
         transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")), max_monoid=3)
 
 
+def test_transition_monoid_label_cap(monkeypatch):
+    # (a|b)*a(a|b)(a|b): 8 states, so labels of 9 cells, and |M| = 15
+    d = minimize(regex_to_dfa("(a|b)*a(a|b)(a|b)"))
+    monkeypatch.setattr(monoid_module, "MAX_LABEL_CELLS", 9 * 15)
+    assert transition_monoid(d).monoid.size == 15
+    monkeypatch.setattr(monoid_module, "MAX_LABEL_CELLS", 9 * 14)
+    with pytest.raises(CapError, match=r"^monoid label cap exceeded \(more than 14 elements "
+                                       r"of 9 cells, at most 126 cells\)$"):
+        transition_monoid(d)
+    # a cap below the 8 states is refused before the closure starts, with
+    # the message of the cap that binds
+    monkeypatch.setattr(monoid_module, "generated_morphism", None)
+    with pytest.raises(CapError, match=r"^monoid size cap exceeded \(5\)$"):
+        transition_monoid(d, max_monoid=5)
+    monkeypatch.setattr(monoid_module, "MAX_LABEL_CELLS", 9 * 7)
+    with pytest.raises(CapError, match=r"^monoid label cap exceeded \(more than 7 elements"):
+        transition_monoid(d)
+
+
 def test_generated_morphism_modular_counter():
     h = generated_morphism(
         {"a": 1}, lambda x: lambda y: (x + y) % 3, 0,

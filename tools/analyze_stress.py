@@ -10,14 +10,20 @@ The inputs are seeded recipes:
 - the mid-size draw of `tests/test_monoid.py`, the 170th draw of
   `cli.random_dfa(np.random.default_rng(2), 8, 2)`: |M| = 1580;
 - the 8571 draw, the 1213th draw of
-  `cli.random_dfa(np.random.default_rng(4), 8, 2)`: |M| = 8571.
+  `cli.random_dfa(np.random.default_rng(4), 8, 2)`: |M| = 8571;
+- the regex union, a 503-character pattern: the union, over the first 14
+  words xyz of {a,b,c}^3 in `itertools.product` order, of
+  `(a|b|c)*x(a|b|c)*y(a|b|c)*z(a|b|c)*`, with 6 states and |M| = 10.
 
 The piecewise-testable union of the earlier large-input measurements is
-left out: its pattern is not recorded in the repository.
+left out: its pattern is not recorded in the repository; the regex union
+stands in for it.
 
-Each recipe is built once, in this process, and written as a DFA document
-to a temporary directory; each child then runs `analyze --json` on it at
-index multiplier 1 and 3.  The child imports `fragcheck` from the `src`
+Each DFA recipe is built once, in this process, and written as a DFA
+document to a temporary directory; each child then runs `analyze --json`
+on it at index multiplier 1 and 3.  The regex union's child runs
+`analyze --json --regex PATTERN`, so compiling the pattern is inside the
+command's time.  The child imports `fragcheck` from the `src`
 directory of the checkout this file sits in, so a copy of this file in
 another checkout times that checkout.
 
@@ -30,6 +36,7 @@ Runs go round the inputs in turn, `--runs` times.
 """
 
 import argparse
+import itertools
 import os
 import statistics
 import sys
@@ -72,26 +79,35 @@ RECIPES = {
     "draw-8571": lambda: draw(4, 1213),
 }
 
+PATTERNS = {
+    "regex-union": "|".join("(a|b|c)*" + "(a|b|c)*".join(w) + "(a|b|c)*"
+                            for w in list(itertools.product("abc", repeat=3))[:14]),
+}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=3, help="runs per input and multiplier")
-    parser.add_argument("--only", choices=sorted(RECIPES), action="append",
+    parser.add_argument("--only", choices=sorted(RECIPES.keys() | PATTERNS.keys()), action="append",
                         help="time only this input (repeatable)")
     args = parser.parse_args(argv)
     from fragcheck.automata import dfa_to_json
-    names = args.only or list(RECIPES)
+    names = args.only or [*RECIPES, *PATTERNS]
     cases = [(name, t) for name in names for t in MULTIPLIERS]
     runs = {case: [] for case in cases}
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
+        sources = {}  # name -> the command's input flags
         for name in names:
-            paths[name] = os.path.join(tmp, f"{name}.json")
-            Path(paths[name]).write_text(dfa_to_json(RECIPES[name]()))
+            if name in PATTERNS:
+                sources[name] = ["--regex", PATTERNS[name]]
+                continue
+            path = os.path.join(tmp, f"{name}.json")
+            Path(path).write_text(dfa_to_json(RECIPES[name]()))
+            sources[name] = ["--dfa", path]
         print(f"{'input':18} {'x':>2} exit  child_cpu_s  command_s  peak_rss_mb  report_sha256")
         for _ in range(args.runs):
             for name, t in cases:
-                r = run_child(["analyze", "--json", "--dfa", paths[name],
+                r = run_child(["analyze", "--json", *sources[name],
                                "--index-multiplier", str(t)])
                 runs[(name, t)].append(r)
                 print(f"{name:18} {t:2} {r['exit']:4}  {r['child_cpu_s']:11.3f}"
