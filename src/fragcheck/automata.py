@@ -11,8 +11,13 @@ the start.  `dfa_table` reads a `Dfa` into the table of its reachable part
 (breadth first, letters sorted), `minimal_table` refines a table by
 Moore's algorithm (one column at a time, over the distinct columns),
 `product_table` builds the pair automaton over the pairs reachable from
-the start (one Python loop over the pairs, refused above a state cap), and
-`table_dfa` names a table's states q0, q1, ... in breadth-first order.
+the start (one Python loop over the pairs, refused above a state cap),
+with every pair that an absorbing component decides numbered as one sink,
+and `table_dfa` names a table's states q0, q1, ... in breadth-first order.
+An absorbing state (`absorbing_states`) is one whose row holds only
+itself: it accepts every word or none, which its row shows with no Moore
+round.  So a product, and an erasure in the formula compiler, numbers one
+state for all the pairs or subsets whose language such a state decides.
 `minimize`, the Boolean operations, determinization, the position-residue
 decoration (`decorate`, whose residue product is written straight into a
 table over the letters' decorated copies), `monoid.transition_monoid` and
@@ -298,29 +303,61 @@ def minimal_table(t: Table) -> Table:
     return [list(map(get, rows[q])) for q in reps], [finals[q] for q in reps]
 
 
+def absorbing_states(t: Table, flag: bool) -> set:
+    """The states of the table whose rows are all self-loops and whose
+    accepting flag is `flag`: each accepts every word or none."""
+    rows, finals = t
+    return {q for q, row in enumerate(rows)
+            if finals[q] == flag and row[0] == q and row.count(q) == len(row)}
+
+
 def product_table(t1: Table, t2: Table, accept, cap: int) -> Table:
     """The pair automaton over the pairs reachable from (0, 0), with
     `accept` (`operator.and_` or `operator.or_`) of the two accepting
-    flags.  One breadth-first loop over the pairs: each (pair, column) is
-    one dict probe, and a new pair takes the next number, so state 0 is
-    (0, 0) and the states are numbered in the order they are found.  More
-    pairs than `cap` is a CapError."""
+    flags.  A pair with an absorbing component at the flag z =
+    accept(False, True), rejecting under `and_` and accepting under `or_`,
+    accepts every word or none, whatever the other component, so all such
+    pairs are one sink state: its row is all self-loops and its flag z.
+    One breadth-first loop over the pairs: each (pair, column) is one dict
+    probe, and a new pair (or the sink, the first time a pair maps to it)
+    takes the next number, so state 0 is (0, 0) and the states are
+    numbered in the order they are found; when (0, 0) itself is such a
+    pair, the sink is state 0 and the only state.  The result is a
+    quotient of the plain pair automaton by language equality, numbered in
+    the order of its classes' first pairs, so Moore gives the same minimal
+    table.  Tables that are not minimal may hold several absorbing states
+    of one flag; all of them collapse.  More states than `cap` (the sink
+    counted once) is a CapError."""
     (rows1, f1), (rows2, f2) = t1, t2
-    pairs = [(0, 0)]
+    width = len(rows1[0])
+    zero = accept(False, True)
+    sunk1, sunk2 = absorbing_states(t1, zero), absorbing_states(t2, zero)
+    sink = 0 if 0 in sunk1 or 0 in sunk2 else None
+    pairs = [None if sink == 0 else (0, 0)]     # None stands for the sink
     ids = {(0, 0): 0}
     rows = []
-    for p, q in pairs:
-        row = []
-        for pair in zip(rows1[p], rows2[q]):
-            j = ids.get(pair)
-            if j is None:
-                j = ids[pair] = len(pairs)
-                pairs.append(pair)
-            row.append(j)
-        rows.append(row)
+    for state in pairs:
+        if state is None:
+            rows.append([sink] * width)
+        else:
+            row = []
+            for pair in zip(rows1[state[0]], rows2[state[1]]):
+                j = ids.get(pair)
+                if j is None:
+                    if pair[0] in sunk1 or pair[1] in sunk2:
+                        if sink is None:
+                            sink = len(pairs)
+                            pairs.append(None)
+                        j = ids[pair] = sink
+                    else:
+                        j = ids[pair] = len(pairs)
+                        pairs.append(pair)
+                row.append(j)
+            rows.append(row)
         if len(pairs) > cap:
             raise CapError(f"state cap exceeded ({cap}) by the reachable pairs of a product")
-    return rows, [accept(f1[p], f2[q]) for p, q in pairs]
+    return rows, [zero if state is None else accept(f1[state[0]], f2[state[1]])
+                  for state in pairs]
 
 
 def minimize(d: Dfa) -> Dfa:

@@ -55,27 +55,35 @@ marked letter `a << k | mask` carries letter index a and the variables
 whose bits mask sets, the innermost bound variable on the top bit k - 1.
 Atoms and constants are built as rows, already minimal.  Conjunction and
 disjunction are products over the pairs reachable from the start, one
-breadth-first loop over the pairs (`automata.product_table`).  Erasing a
-variable reads two columns per marked letter of the outer scope, the
-variable unmarked and marked, and determinizes over subsets of (state,
-flag) pairs keyed by frozensets, the flag saying whether the variable is
-already marked; outer letters that read the same pair of columns share one
-subset step.  Each product and erasure is minimized by
-`automata.minimal_table`; negation flips the accepting flags of a complete
-minimal table, which leaves it minimal.  Only the final table over plain
-letters, already minimal, becomes a `Dfa`, through `automata.table_dfa` for
-the canonical state names.
+breadth-first loop over the pairs (`automata.product_table`), in which
+all the pairs with a component absorbing at the operation's annihilating
+flag (rejecting for `and`, accepting for `or`) are one sink state.
+Erasing a variable reads two columns per marked letter of the outer
+scope, the variable unmarked and marked, and determinizes over subsets of
+(state, flag) pairs keyed by frozensets, the flag saying whether the
+variable is already marked; outer letters that read the same pair of
+columns share one subset step.  The runs at an absorbing rejecting state
+are dropped, and every subset holding a marked run at an absorbing
+accepting state is one accepting sink.  Atoms move to absorbing states
+once they are decided, so such states are common in the tables above
+them.  Both collapses are quotients by language equality: they change no
+minimal table, only what is numbered before Moore.  Each product and
+erasure is minimized by `automata.minimal_table`; negation flips the
+accepting flags of a complete minimal table, which leaves it minimal.
+Only the final table over plain letters, already minimal, becomes a `Dfa`,
+through `automata.table_dfa` for the canonical state names.
 
 Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
 (InputError).  Compilation raises CapError when a quantifier scope would
 need more than MAX_MARKED_LETTERS marked letters, checked before its body is
-compiled; when a conjunction or disjunction reaches more pairs than the
-state cap, checked while the product numbers them, before any Moore round;
-when determinization finds more subsets of (state, flag) pairs than the
-state cap; and when an intermediate table (an atom, or a minimized
-conjunction, disjunction or erasure) has more states than the state cap.  A
-`mod` or `len` modulus above the cap is refused before its table is built,
-since no such atom has fewer states than its modulus.
+compiled; when a conjunction or disjunction reaches more states than the
+state cap, the sink counted once, checked while the product numbers them,
+before any Moore round; when determinization finds more subsets of (state,
+flag) pairs than the state cap, after the dead runs are dropped and with
+the accepting sink counted once; and when an intermediate table (an atom,
+or a minimized conjunction, disjunction or erasure) has more states than
+the state cap.  A `mod` or `len` modulus above the cap is refused before
+its table is built, since no such atom has fewer states than its modulus.
 """
 
 from __future__ import annotations
@@ -87,7 +95,8 @@ from typing import Iterable, Sequence
 
 from . import _sexp
 from .automata import (
-    DEFAULT_STATE_CAP, Dfa, Table, minimal_table, mod1, product_table, table_dfa,
+    DEFAULT_STATE_CAP, Dfa, Table, absorbing_states, minimal_table, mod1, product_table,
+    table_dfa,
 )
 from .errors import CapError, InputError
 
@@ -624,10 +633,12 @@ class _Compiler:
     top bit of its body's columns.  Tables are those of `automata` (rows
     as Python lists, accepting flags as a list), with marked letters as
     columns.  Atoms and constants are built minimal and skip Moore;
-    products and erasures go through `automata.minimal_table`.  An erasure
-    takes one subset step per distinct (unmarked, marked) pair of its
-    body's columns and keys its subsets by frozensets of (state, flag)
-    pairs.
+    products and erasures go through `automata.minimal_table`.  A product
+    numbers one sink for the pairs an absorbing component decides.  An
+    erasure takes one subset step per distinct (unmarked, marked) pair of
+    its body's columns, keys its subsets by frozensets of (state, flag)
+    pairs, drops the runs at absorbing rejecting states and numbers one
+    sink for the subsets an absorbing accepting state decides.
 
     A table under a frame is exact on the words marking each frame variable
     exactly once (see the module docstring): the exactly-once rule is
@@ -761,23 +772,40 @@ class _Compiler:
         one subset step, so each subset takes one step per distinct column
         pair and its row spreads those over the outer columns.  A subset is
         keyed by the frozenset of its pairs; more subsets than the cap is a
-        CapError."""
+        CapError.
+
+        Runs whose future is known are not numbered.  At an absorbing
+        rejecting state no run accepts again, so both its pairs are dropped
+        like a second mark.  At an absorbing accepting state u the pair
+        (u, 1) keeps accepting along the unmarked columns, so a subset
+        holding one accepts every word: all such subsets are one accepting
+        sink, the subset {(u0, 1)} of the least such u0, which steps to
+        itself.  (u, 0) still needs its mark and is kept as it is.  Both
+        are quotients by language equality, so the minimal table is the
+        same."""
         rows, finals = t
         k = len(frame)
         top = 1 << k
         columns = list(zip(*rows))
-        dropped = 2 * len(finals)       # a run marking x twice
+        dropped = 2 * len(finals)       # a run marking x twice or gone dead
+        dead = absorbing_states(t, False)
+        alive = absorbing_states(t, True)
+        full = 2 * min(alive) + 1 if alive else dropped  # the sink's one pair
+        sink = frozenset((full,))
+        # what each pair is kept as: dropped, the sink's pair or itself
+        kept = [dropped if r in dead else full if flag and r in alive else 2 * r + flag
+                for r in range(len(finals)) for flag in (0, 1)]
         steps: dict[tuple, int] = {}    # (unmarked, marked) column -> its step
         spread = []                     # outer column -> its step
         for c in range(len(self.letters) << k):
             lo = (c >> k << (k + 1)) | (c & (top - 1))
             spread.append(steps.setdefault((columns[lo], columns[lo | top]), len(steps)))
         # per step, the successor of pair p when x is unmarked and when marked
-        moves = [([2 * r + flag for r in unmarked for flag in (0, 1)],
-                  [v for r in marked for v in (2 * r + 1, dropped)])
+        moves = [([kept[2 * r + flag] for r in unmarked for flag in (0, 1)],
+                  [v for r in marked for v in (kept[2 * r + 1], dropped)])
                  for unmarked, marked in steps]
         flagged_finals = {2 * q + 1 for q, f in enumerate(finals) if f}
-        subsets = [frozenset((0,))]
+        subsets = [frozenset() if 0 in dead else frozenset((0,))]
         ids = {subsets[0]: 0}
         out, accepting = [], []
         for subset in subsets:
@@ -786,7 +814,7 @@ class _Compiler:
                 nxt = set(map(unmarked.__getitem__, subset))
                 nxt.update(map(marked.__getitem__, subset))
                 nxt.discard(dropped)
-                nxt = frozenset(nxt)
+                nxt = sink if full in nxt else frozenset(nxt)
                 j = ids.get(nxt)
                 if j is None:
                     j = ids[nxt] = len(subsets)

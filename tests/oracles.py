@@ -68,7 +68,10 @@ to the same objects:
   refinement keyed by the bytes of whole numpy rows, and the formula
   compiler's erasure by numpy gathers of sorted (state, flag) pairs keyed
   by bytes, as `automata.minimal_table` and `fologic._Compiler._project`
-  ran them before tables became Python rows;
+  ran them before tables became Python rows; the erasure makes the same
+  collapses at absorbing states as `_project`, found by its own numpy
+  test of the rows, and `reachable_pairs_by_fixpoint` counts the product
+  states with the same sink as `automata.product_table`;
 - `decorate_by_dict_product`, `mod_witness_by_tuple_labels` and
   `vmod_implication_by_pair_loop`: the residue product over the `Dfa`
   dictionaries, minimised; the sigma2_mod witness over tuple labels, one
@@ -622,14 +625,24 @@ def union_by_dicts(d1, d2):
     return _pair_product_by_dicts(d1, d2, lambda x, y: x or y)
 
 
-def reachable_pairs_by_fixpoint(t1, t2):
-    """The set of state pairs of two integer tables reachable from (0, 0):
-    add every pair's successors on every column until the set stops
-    growing."""
+def reachable_pairs_by_fixpoint(t1, t2, accept):
+    """The states of the product of two integer tables reachable from
+    (0, 0), where every pair with a component that is absorbing at the
+    flag accept(False, True) counts as the one state "sink": add the
+    successors of every other state on every column until the set stops
+    growing.  A state is absorbing when its row holds only itself."""
+    zero = accept(False, True)
     rows1, rows2 = t1[0], t2[0]
-    reached = {(0, 0)}
+    sunk1 = {p for p, row in enumerate(rows1) if t1[1][p] == zero and set(row) == {p}}
+    sunk2 = {q for q, row in enumerate(rows2) if t2[1][q] == zero and set(row) == {q}}
+
+    def state(pair):
+        return "sink" if pair[0] in sunk1 or pair[1] in sunk2 else pair
+
+    reached = {state((0, 0))}
     while True:
-        grown = reached | {pair for p, q in reached for pair in zip(rows1[p], rows2[q])}
+        grown = reached | {state(pair) for s in reached if s != "sink"
+                           for pair in zip(rows1[s[0]], rows2[s[1]])}
         if grown == reached:
             return reached
         reached = grown
@@ -663,19 +676,30 @@ def erase_by_sorted_subsets(t, depth, letter_count, cap=DEFAULT_STATE_CAP):
     frame variables, keeping the runs that mark it exactly once, on a numpy
     copy of the body table: one subset step is two gathers of
     (state, flag) pairs sorted per column, and a subset is keyed by the
-    bytes of its sorted members.  The table comes back as lists."""
+    bytes of its sorted members.  Pairs at an absorbing rejecting state
+    are dropped from every subset, and a subset holding a flagged pair at
+    an absorbing accepting state is replaced by the subset holding only
+    the flagged pair of the least such state.  The table comes back as
+    lists."""
     delta, finals = np.array(t[0], np.int64), np.array(t[1], bool)
+    n = len(finals)
     cols = np.arange(letter_count << depth)
     top = 1 << depth
     lo = (cols >> depth << (depth + 1)) | (cols & (top - 1))
-    dropped = 2 * len(finals)       # sorts after every pair
+    absorbing = (delta == np.arange(n)[:, None]).all(axis=1)
+    dropped = 2 * n                 # sorts after every pair
+    gone = np.append(np.repeat(absorbing & ~finals, 2), True)      # by pair, then dropped
+    full = np.append(np.repeat(absorbing & finals, 2) & np.tile([False, True], n), False)
+    sink = np.flatnonzero(full)[:1].astype(np.int64).tobytes()
     unmarked = np.repeat(2 * delta[:, lo], 2, axis=0)
     unmarked[1::2] += 1             # the flag stays set
     marked = np.repeat(2 * delta[:, lo | top] + 1, 2, axis=0)
     marked[1::2] = dropped          # a second mark drops the run
+    unmarked[gone[unmarked]] = dropped
+    marked[gone[marked]] = dropped
     accepts = np.repeat(finals, 2)
     accepts[::2] = False
-    keys = [np.zeros(1, np.int64).tobytes()]
+    keys = [np.zeros(0 if gone[0] else 1, np.int64).tobytes()]
     ids = {keys[0]: 0}
     rows, accepting = [], []
     for key in keys:
@@ -686,9 +710,10 @@ def erase_by_sorted_subsets(t, depth, letter_count, cap=DEFAULT_STATE_CAP):
         step.sort(axis=0)
         height = step.shape[0] * step.itemsize
         buf = step.T.tobytes()      # column c starts at c * height
+        sunk = full[step].any(0).tolist()
         row = []
         for c, size in enumerate((step < dropped).sum(0).tolist()):
-            nxt = buf[c * height:c * height + size * step.itemsize]
+            nxt = sink if sunk[c] else buf[c * height:c * height + size * step.itemsize]
             j = ids.setdefault(nxt, len(keys))
             if j == len(keys):
                 keys.append(nxt)

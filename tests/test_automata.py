@@ -207,37 +207,71 @@ def table_machine(letters, t):
                     {(q, a): rows[q][c] for q in states for c, a in enumerate(letters)})
 
 
+def plant_absorbing(rng, t):
+    """The table with 1-3 absorbing accepting and 1-3 absorbing rejecting
+    states added, each entered on a random column from a random state that
+    state 0 reaches.  In one draw of four, state 0 itself is first made
+    absorbing, accepting or rejecting at random, and the added states are
+    left unreachable."""
+    rows, finals = [list(row) for row in t[0]], list(t[1])
+    width = len(rows[0])
+    sources = [0]
+    if rng.integers(0, 4) == 0:
+        rows[0], finals[0], sources = [0] * width, bool(rng.integers(0, 2)), []
+    for q in sources:
+        for r in rows[q]:
+            if r not in sources:
+                sources.append(r)
+    for flag in (True, False):
+        for _ in range(int(rng.integers(1, 4))):
+            q = len(rows)
+            if sources:
+                rows[sources[int(rng.integers(0, len(sources)))]][int(rng.integers(0, width))] = q
+            rows.append([q] * width)
+            finals.append(flag)
+    return rows, finals
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_product_table_matches_pair_closure_and_dict_products(seed):
+    """On tables with absorbing accepting and rejecting states planted, the
+    product numbers the pairs the fixpoint reaches, with every pair that
+    has an absorbing component at the operation's annihilating flag as one
+    sink, and its minimal table is the product of the dictionary route;
+    each seed reaches the sink under both operations."""
     rng = np.random.default_rng(2000 + seed)
+    sunk = set()                    # the operations whose product reached the sink
     for width in (1, 2, 3, 7, 32, 256):
         letters = [f"{c:03d}" for c in range(width)]  # sorted in column order
         for _ in range(2):
-            t1 = seeded_table(rng, int(rng.integers(1, 41)), width)
-            t2 = seeded_table(rng, int(rng.integers(1, 41)), width)
-            pairs = oracles.reachable_pairs_by_fixpoint(t1, t2)
+            t1 = plant_absorbing(rng, seeded_table(rng, int(rng.integers(1, 41)), width))
+            t2 = plant_absorbing(rng, seeded_table(rng, int(rng.integers(1, 41)), width))
             d1, d2 = table_machine(letters, t1), table_machine(letters, t2)
             for accept, by_dicts in ((operator.and_, oracles.intersect_by_dicts),
                                      (operator.or_, oracles.union_by_dicts)):
+                states = oracles.reachable_pairs_by_fixpoint(t1, t2, accept)
+                if "sink" in states:
+                    sunk.add(accept)
                 delta, finals = product_table(t1, t2, accept, DEFAULT_STATE_CAP)
-                assert [len(row) for row in delta] == [width] * len(pairs)
-                assert len(finals) == len(pairs)
+                assert [len(row) for row in delta] == [width] * len(states)
+                assert len(finals) == len(states)
                 seen, todo = {0}, [0]
                 while todo:
                     for r in delta[todo.pop()]:
                         if r not in seen:
                             seen.add(r)
                             todo.append(r)
-                assert seen == set(range(len(pairs)))
+                assert seen == set(range(len(states)))
                 # both minimal and named canonically, so equal languages
                 # give equal fields
                 got = table_dfa(letters, minimal_table((delta, finals)))
                 want = by_dicts(d1, d2)
                 assert (got.states, got.finals, got.delta) == (want.states, want.finals, want.delta)
-            # the cap counts the numbered pairs
-            product_table(t1, t2, operator.and_, len(pairs))
-            with pytest.raises(CapError):
-                product_table(t1, t2, operator.and_, len(pairs) - 1)
+                # the cap counts the numbered states, the sink among them
+                product_table(t1, t2, accept, len(states))
+                with pytest.raises(CapError):
+                    product_table(t1, t2, accept, len(states) - 1)
+    assert sunk == {operator.and_, operator.or_}
 
 
 def redundant_table(rng, n, width, finals):

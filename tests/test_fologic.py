@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import exprsuite
 import oracles
-from test_automata import seeded_table
+from test_automata import plant_absorbing, seeded_table
 from fragcheck import fologic
 from fragcheck.automata import (
     DEFAULT_STATE_CAP, dfa_to_doc, equivalent, minimal_table, minimize, regex_to_dfa)
@@ -365,6 +365,31 @@ def test_products_only_under_and_or_and_one_erasure_per_quantifier(monkeypatch):
         assert sorted(erasures) == compiled(Exists, Forall), text
 
 
+def test_battery_and_shared_number_few_states_for_moore(monkeypatch):
+    # products number one sink for the pairs an absorbing component
+    # decides, and erasures drop the runs at absorbing rejecting states and
+    # collapse the subsets an absorbing accepting state decides; numbering
+    # every pair and subset reads 350 states into Moore, 218 product states
+    # and 132 erasure subsets
+    counts = {"moore": 0, "product": 0, "erasure": 0}
+
+    def counting(name, build, read=lambda args, out: out):
+        def call(*args):
+            out = build(*args)
+            counts[name] += len(read(args, out)[1])
+            return out
+        return call
+
+    monkeypatch.setattr(fologic, "minimal_table", counting(
+        "moore", fologic.minimal_table, lambda args, out: args[0]))
+    monkeypatch.setattr(fologic, "product_table", counting("product", fologic.product_table))
+    monkeypatch.setattr(fologic._Compiler, "_project", counting(
+        "erasure", fologic._Compiler._project))
+    for text, alphabet in [(t, ["a", "b", "c"]) for t in BATTERY] + [(t, ["a", "b"]) for t in SHARED]:
+        compile_formula(parse_formula(text), alphabet)
+    assert counts == {"moore": 248, "product": 162, "erasure": 86}
+
+
 def test_erasure_keeps_only_runs_marking_the_variable_once():
     """`_project` on hand-made body tables over one letter, column 0 the
     letter with x unmarked and column 1 with x marked.  The body counts
@@ -444,24 +469,39 @@ def test_an_atom_over_the_state_cap_is_refused():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_erasure_matches_sorted_subset_erasure(seed):
+def test_erasure_matches_sorted_subset_erasure(seed, monkeypatch):
     """`_project` numbers the same subsets in the same order as the numpy
     erasure over sorted (state, flag) pairs, and refuses one subset past
     the cap, on body tables with repeated columns, states unreachable from
-    0 and every kind of accepting set: outer widths 1, 2, 3, 7, 32 and 256."""
+    0, every kind of accepting set and planted absorbing states: outer
+    widths 1, 2, 3, 7, 32 and 256.  Each seed has bodies where dropping
+    the runs at absorbing rejecting states, and where the accepting sink,
+    saves subsets."""
     rng = np.random.default_rng(4000 + seed)
+    absorbing = fologic.absorbing_states
+    saving = set()                  # the flags whose collapse saved subsets
     for letter_count, depth in ((1, 0), (2, 0), (1, 1), (3, 0), (7, 0), (2, 4), (1, 5),
                                 (1, 8), (2, 7)):
         letters = [f"l{i}" for i in range(letter_count)]
         frame = tuple(f"v{i}" for i in range(depth))
         for _ in range(4):
             finals = ("random", "all", "none")[int(rng.integers(0, 3))]
-            body = seeded_table(rng, int(rng.integers(1, 9)), letter_count << (depth + 1), finals)
+            body = plant_absorbing(rng, seeded_table(
+                rng, int(rng.integers(1, 9)), letter_count << (depth + 1), finals))
             want = oracles.erase_by_sorted_subsets(body, depth, letter_count)
             assert fologic._Compiler(letters, len(want[1]))._project(body, frame) == want
             if len(want[1]) > 1:
                 with pytest.raises(CapError):
                     fologic._Compiler(letters, len(want[1]) - 1)._project(body, frame)
+            # the erasure without one of the collapses, until each has shown
+            for flag in {False, True} - saving:
+                monkeypatch.setattr(fologic, "absorbing_states",
+                                    lambda t, f, flag=flag: set() if f == flag else absorbing(t, f))
+                plain = fologic._Compiler(letters, DEFAULT_STATE_CAP)._project(body, frame)
+                if len(plain[1]) > len(want[1]):
+                    saving.add(flag)
+                monkeypatch.setattr(fologic, "absorbing_states", absorbing)
+    assert saving == {False, True}
 
 
 @st.composite

@@ -31,3 +31,29 @@ def test_head_export_imports_beside_the_checkout_and_analyzes_alike(tmp_path):
     finally:
         for name in [n for n in sys.modules if n.split(".")[0] == "fragcheck_head"]:
             del sys.modules[name]
+
+
+def test_formulas_items_run_on_the_parent_classes_and_summarise_alike(tmp_path):
+    """The parent side's `formulas` items, rebuilt on the parent's own
+    `modprod` classes, come in the change side's order and summarise alike
+    on both sides, and the change side's expressions are left as they
+    were."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    head = interleave.load_export("HEAD", "fragcheck_head", tmp_path)
+    change = {attr: getattr(workloads, attr) for attr in interleave.ITEM_MODULES}
+    try:
+        sides = {"change": change, "parent": interleave.submodules(head)}
+        items = interleave.side_items("formulas", 3, 1, sides, workloads)
+        assert [label for label, _ in items["parent"]] == [label for label, _ in items["change"]]
+        assert workloads.data.VALID[0][1].__class__.__module__ == "fragcheck.modprod"
+        summary = workloads.WORKLOADS["formulas"].summary
+        for i, (label, _) in enumerate(items["change"]):
+            got = {side: summary(interleave.timed(items[side][i][1], modules, workloads)[0])
+                   for side, modules in sides.items()}
+            assert got["change"] == got["parent"], label
+    finally:
+        for attr, module in change.items():
+            setattr(workloads, attr, module)
+        for name in [n for n in sys.modules if n.split(".")[0] == "fragcheck_head"]:
+            del sys.modules[name]

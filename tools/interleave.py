@@ -1,25 +1,31 @@
 """Time one workload's items on a parent revision and on this checkout, in one
 process, item by item.
 
-    python3 tools/interleave.py --parent REV --workload corpus|ladder|xcheck \\
+    python3 tools/interleave.py --parent REV --workload corpus|ladder|xcheck|formulas \\
         --seed N [--reps 7]
 
 The parent's ``src/fragcheck``, exported with ``git archive``, is imported
 under a second package name; its relative imports keep that copy
 self-contained beside this checkout's ``fragcheck``.  The inputs are built
-once, by this checkout's ``bench/workloads.py``, sized for the run length
+by this checkout's ``bench/workloads.py``, sized for the run length
 ``BENCHMARK.json`` sets.  Each item is then run on either package by
-swapping the module globals the items call through (``workloads.fragments``
-and ``workloads.cli``).
+swapping the module globals the items call through (``workloads.fragments``,
+``cli``, ``automata``, ``fologic`` and ``modprod``).  The ``formulas``
+items carry expressions that ``bench/data.py`` builds from this checkout's
+``fragcheck.modprod`` classes, which the parent's ``validate`` and
+``eval_expr`` do not accept; so the parent side's items are generated again
+from the same seed, with each expression printed as an s-expression and
+read back by the parent's ``modprod.parse_expr``.
 
 It first runs every item on both packages and exits 1 unless the outputs
-are identical.  Then, for each of ``--reps`` reps, it runs every item on
-both sides, the parent first for even (rep + item) and the change first
-for odd, and sums each side's CPU time (``time.process_time``).  It prints
-each rep's change/parent ratio of those sums and their median.  Both sides
-share one process, one heap and one host state, so the ratio moves far
-less between reps than the separate runs of ``tools/bench_pairs.py`` move
-between pairs; it sizes a change, and does not replace that benchmark.
+(each item's result in the workload's ``summary`` form) are identical.
+Then, for each of ``--reps`` reps, it runs every item on both sides, the
+parent first for even (rep + item) and the change first for odd, and sums
+each side's CPU time (``time.process_time``).  It prints each rep's
+change/parent ratio of those sums and their median.  Both sides share one
+process, one heap and one host state, so the ratio moves far less between
+reps than the separate runs of ``tools/bench_pairs.py`` move between
+pairs; it sizes a change, and does not replace that benchmark.
 """
 
 import argparse
@@ -31,10 +37,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("corpus", "ladder", "xcheck")
+WORKLOADS = ("corpus", "ladder", "xcheck", "formulas")
+ITEM_MODULES = ("fragments", "cli", "automata", "fologic", "modprod")
 
 
 def load_export(rev: str, name: str, into: Path):
@@ -56,12 +64,37 @@ def load_export(rev: str, name: str, into: Path):
 def submodules(package) -> dict:
     """The modules the workload items call through, from `package`."""
     return {attr: importlib.import_module(f"{package.__name__}.{attr}")
-            for attr in ("fragments", "cli")}
+            for attr in ITEM_MODULES}
 
 
-def timed(call, sides: dict, workloads, side: str):
-    """One run of `call` with the item globals of `side`: (result, CPU s)."""
-    for attr, module in sides[side].items():
+def side_items(name: str, seed: int, seconds: int, sides: dict, workloads) -> dict:
+    """Each side's items of the workload, in one order: the change side's
+    as `workloads` generates them, and the parent side's alike, except
+    that the `formulas` expressions are rebuilt by the parent's `modprod`."""
+    workload = workloads.WORKLOADS[name]
+    items = {"change": workload.generate(seed, seconds).items}
+    items["parent"] = items["change"]
+    if name == "formulas":
+        data = workloads.data
+        print_expr = sides["change"]["modprod"].expr_to_sexp
+        read_expr = sides["parent"]["modprod"].parse_expr
+
+        def rebuilt(rows):
+            return [(label, read_expr(print_expr(expr)), *rest) for label, expr, *rest in rows]
+
+        workloads.data = types.SimpleNamespace(
+            VALID=rebuilt(data.VALID), INVALID=rebuilt(data.INVALID), SENTENCES=data.SENTENCES)
+        try:
+            items["parent"] = workload.generate(seed, seconds).items
+        finally:
+            workloads.data = data
+    return items
+
+
+def timed(call, modules: dict, workloads):
+    """One run of `call` with the item globals set to `modules`: (result,
+    CPU s)."""
+    for attr, module in modules.items():
         setattr(workloads, attr, module)
     start = time.process_time()
     result = call()
@@ -86,12 +119,16 @@ def main(argv=None) -> int:
         parent = load_export(args.parent, "fragcheck_parent", Path(tmp))
         sides = {"change": submodules(fragcheck), "parent": submodules(parent)}
         seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-        items = workloads.WORKLOADS[args.workload].generate(args.seed, seconds).items
-        print(f"{args.workload} seed {args.seed}: {len(items)} items, parent {args.parent}",
-              flush=True)
+        items = side_items(args.workload, args.seed, seconds, sides, workloads)
+        summary = workloads.WORKLOADS[args.workload].summary
+        print(f"{args.workload} seed {args.seed}: {len(items['change'])} items, "
+              f"parent {args.parent}", flush=True)
 
-        for label, call in items:
-            got = {side: timed(call, sides, workloads, side)[0] for side in sides}
+        for i, (label, _) in enumerate(items["change"]):
+            got = {}
+            for side, modules in sides.items():
+                # the summary reads the side's own classes, still in place
+                got[side] = summary(timed(items[side][i][1], modules, workloads)[0])
             if got["change"] != got["parent"]:
                 print(f"outputs differ at {label}", file=sys.stderr)
                 return 1
@@ -101,10 +138,10 @@ def main(argv=None) -> int:
         for rep in range(args.reps):
             gc.collect()
             total = dict.fromkeys(sides, 0.0)
-            for i, (_, call) in enumerate(items):
+            for i in range(len(items["change"])):
                 order = ("parent", "change") if (rep + i) % 2 == 0 else ("change", "parent")
                 for side in order:
-                    total[side] += timed(call, sides, workloads, side)[1]
+                    total[side] += timed(items[side][i][1], sides[side], workloads)[1]
             ratios.append(total["change"] / total["parent"])
             print(f"rep {rep}: parent {total['parent']:.3f} s, change {total['change']:.3f} s,"
                   f" change/parent {ratios[-1]:.4f}", flush=True)
