@@ -24,18 +24,20 @@ table over the letters' decorated copies), `monoid.transition_monoid` and
 the formula compiler all go through these four.
 
 `determinize` is the one subset construction: from a start subset, a
-successor function and an accepting test, over any hashable subsets.  A
-pattern is compiled on its position automaton (Glushkov 1961; Berry and
-Sethi 1986), which has no ε-moves, held in Python int bit masks: position
-0 is the start and position i the i-th letter occurrence of the pattern,
-`first`, `last` and `follow[p]` are masks of positions, and a subset S
-steps on the letter a to (OR of follow[p] for p in S) & the mask of the
-positions that read a.  Each subset of positions matches one ε-closed
-subset of Thompson's ε-NFA of the pattern, as each Thompson letter target
-is entered only by its letter edge, so the two constructions reach the
-same number of subsets and the same patterns reach the state cap.
-`reverse` and `concat_letter` determinize frozensets of states over a
-(state, letter) -> set dict.
+successor function and an accepting test, over any hashable subsets, it
+returns the subset table, which its four callers (`regex_to_dfa`,
+`reverse`, `concat_letter` and the formula compiler's erasure) minimise
+and name themselves.  A pattern is compiled on its position automaton
+(Glushkov 1961; Berry and Sethi 1986), which has no ε-moves, held in
+Python int bit masks: position 0 is the start and position i the i-th
+letter occurrence of the pattern, `first`, `last` and `follow[p]` are
+masks of positions, and a subset S steps on the letter a to (OR of
+follow[p] for p in S) & the mask of the positions that read a.  Each
+subset of positions matches one ε-closed subset of Thompson's ε-NFA of
+the pattern, as each Thompson letter target is entered only by its letter
+edge, so the two constructions reach the same number of subsets and the
+same patterns reach the state cap.  `reverse` and `concat_letter`
+determinize frozensets of states over a (state, letter) -> set dict.
 
 Residues of positions and lengths follow the 1..n convention throughout:
 "i mod n" means the unique k in {1, ..., n} congruent to i.
@@ -448,38 +450,39 @@ def shortest_accepted(d: Dfa) -> Word | None:
 # ---------------------------------------------------------------------------
 # Subset construction (regex, reversal, concatenation)
 
-def determinize(letters, start, successors, accepting, cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """The minimal DFA, over the sorted `letters`, of the subsets reachable
-    from `start`: `successors(subset)` lists the successor subsets, one per
-    letter in order, and `accepting(subset)` is True when the subset
-    accepts.  Subsets are any hashable values.  More subsets than the cap
-    is a CapError."""
+def determinize(start, successors, accepting, cap: int = DEFAULT_STATE_CAP) -> Table:
+    """The table of the subsets reachable from `start`, numbered in the
+    order they are found: `successors(subset)` gives the successor
+    subsets, one per column in order, and `accepting(subset)` is True when
+    the subset accepts.  Subsets are any hashable values.  More subsets
+    than the cap is a CapError."""
     subsets = [start]
     index = {start: 0}
     rows = []
     for subset in subsets:
         row = []
         for nxt in successors(subset):
-            j = index.setdefault(nxt, len(subsets))
-            if j == len(subsets):
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(subsets)
                 subsets.append(nxt)
                 if len(subsets) > cap:
                     raise CapError(f"state cap exceeded ({cap}) during determinization")
             row.append(j)
         rows.append(row)
-    return table_dfa(letters, minimal_table((rows, list(map(accepting, subsets)))))
+    return rows, list(map(accepting, subsets))
 
 
 def _determinize_moves(letters, moves: dict, starts, finals, cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """`determinize` over frozensets of states, where `moves` maps (state,
-    letter) to the set of the states it leads to."""
+    """The minimal DFA of `determinize` over frozensets of states, where
+    `moves` maps (state, letter) to the set of the states it leads to."""
     finals = frozenset(finals)
 
     def successors(subset):
         return [frozenset().union(*[moves.get((q, a), ()) for q in subset]) for a in letters]
 
-    return determinize(letters, frozenset(starts), successors,
-                       lambda subset: not finals.isdisjoint(subset), cap)
+    return table_dfa(letters, minimal_table(determinize(
+        frozenset(starts), successors, lambda subset: not finals.isdisjoint(subset), cap)))
 
 
 def reverse(d: Dfa) -> Dfa:
@@ -623,7 +626,8 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
             after |= follow[p]
         return [after & m for m in masks]
 
-    return determinize(letters, 1, successors, lambda subset: bool(subset & finals))
+    return table_dfa(letters, minimal_table(
+        determinize(1, successors, lambda subset: bool(subset & finals))))
 
 
 # ---------------------------------------------------------------------------

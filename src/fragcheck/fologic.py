@@ -62,11 +62,11 @@ Erasing a variable reads two columns per marked letter of the outer
 scope, the variable unmarked and marked, and determinizes over subsets of
 (state, flag) pairs keyed by frozensets, the flag saying whether the
 variable is already marked; outer letters that read the same pair of
-columns share one subset step.  The runs at an absorbing rejecting state
-are dropped, and every subset holding a marked run at an absorbing
-accepting state is one accepting sink.  Atoms move to absorbing states
-once they are decided, so such states are common in the tables above
-them.  Both collapses are quotients by language equality: they change no
+columns share one subset step, and `automata.determinize` numbers the
+subsets.  The runs at an absorbing rejecting state are dropped, and every
+subset holding a marked run at an absorbing accepting state is one
+accepting sink.  Atoms move to absorbing states once they are decided, so
+such states are common in the tables above them.  Both collapses are quotients by language equality: they change no
 minimal table, only what is numbered before Moore.  Each product and
 erasure is minimized by `automata.minimal_table`; negation flips the
 accepting flags of a complete minimal table, which leaves it minimal.
@@ -95,8 +95,8 @@ from typing import Iterable, Sequence
 
 from . import _sexp
 from .automata import (
-    DEFAULT_STATE_CAP, Dfa, Table, absorbing_states, minimal_table, mod1, product_table,
-    table_dfa,
+    DEFAULT_STATE_CAP, Dfa, Table, absorbing_states, determinize, minimal_table, mod1,
+    product_table, table_dfa,
 )
 from .errors import CapError, InputError
 
@@ -638,7 +638,8 @@ class _Compiler:
     erasure takes one subset step per distinct (unmarked, marked) pair of
     its body's columns, keys its subsets by frozensets of (state, flag)
     pairs, drops the runs at absorbing rejecting states and numbers one
-    sink for the subsets an absorbing accepting state decides.
+    sink for the subsets an absorbing accepting state decides; the
+    subsets are numbered by `automata.determinize`.
 
     A table under a frame is exact on the words marking each frame variable
     exactly once (see the module docstring): the exactly-once rule is
@@ -769,10 +770,11 @@ class _Compiler:
         one of its pairs is flagged at a final state.  Outer column c reads
         the inner column `lo` (x unmarked) and `lo | top` (marked); outer
         columns that read equal (unmarked, marked) column contents share
-        one subset step, so each subset takes one step per distinct column
-        pair and its row spreads those over the outer columns.  A subset is
-        keyed by the frozenset of its pairs; more subsets than the cap is a
-        CapError.
+        one subset step.  So `automata.determinize` numbers the subsets
+        with one successor per distinct column pair, the steps in the order
+        of their first outer column, and each row is spread over the outer
+        columns afterwards.  A subset is keyed by the frozenset of its
+        pairs; more subsets than the cap is a CapError.
 
         Runs whose future is known are not numbered.  At an absorbing
         rejecting state no run accepts again, so both its pairs are dropped
@@ -804,27 +806,22 @@ class _Compiler:
         moves = [([kept[2 * r + flag] for r in unmarked for flag in (0, 1)],
                   [v for r in marked for v in (kept[2 * r + 1], dropped)])
                  for unmarked, marked in steps]
+        del columns, steps              # the body's columns, copied, are not read again
         flagged_finals = {2 * q + 1 for q, f in enumerate(finals) if f}
-        subsets = [frozenset() if 0 in dead else frozenset((0,))]
-        ids = {subsets[0]: 0}
-        out, accepting = [], []
-        for subset in subsets:
-            targets = []
+
+        def successors(subset):
             for unmarked, marked in moves:
                 nxt = set(map(unmarked.__getitem__, subset))
                 nxt.update(map(marked.__getitem__, subset))
                 nxt.discard(dropped)
-                nxt = sink if full in nxt else frozenset(nxt)
-                j = ids.get(nxt)
-                if j is None:
-                    j = ids[nxt] = len(subsets)
-                    subsets.append(nxt)
-                    if len(subsets) > self.cap:
-                        raise CapError(f"state cap exceeded ({self.cap}) during determinization")
-                targets.append(j)
-            out.append(list(map(targets.__getitem__, spread)))
-            accepting.append(not flagged_finals.isdisjoint(subset))
-        return out, accepting
+                yield sink if full in nxt else frozenset(nxt)
+
+        table, accepting = determinize(
+            frozenset() if 0 in dead else frozenset((0,)), successors,
+            lambda subset: not flagged_finals.isdisjoint(subset), self.cap)
+        for i, row in enumerate(table):  # in place: each step row is freed as it is spread
+            table[i] = list(map(row.__getitem__, spread))
+        return table, accepting
 
     def _minimal(self, t: Table) -> Table:
         """The minimal table of t; one over the state cap is a CapError."""

@@ -13,11 +13,14 @@ An expression denotes a regular language over a fixed ambient alphabet:
     (cprod n E1 a E2)       the mirror-image condition, imposed on L2 with
                             positions counted from the right end
 
-`validate` reports every violated side condition with the subexpression
-path.  `expr_to_formula` builds a two-variable first-order sentence with
-modular predicates defining the same language; it relativizes the operand
-sentences to the prefix and suffix of the unique marker position, so it
-requires a valid expression.
+One walk builds the minimal DFA bottom-up, lists every violated side
+condition with its subexpression path, and records each product's unique
+marker residue.  `validate` returns the violations; `eval_expr` returns
+the DFA, and needs only letters inside the alphabet and moduli of at
+least 1.  `expr_to_formula` builds from the residues a two-variable
+first-order sentence with modular predicates defining the same language;
+it relativizes the operand sentences to the prefix and suffix of the
+unique marker position, so it requires a valid expression.
 """
 
 from __future__ import annotations
@@ -32,15 +35,15 @@ from .automata import (
     decorated_alphabet,
     intersect,
     length_residues,
-    make_dfa,
-    minimize,
+    minimal_table,
     mod1,
     reverse,
     shortest_accepted,
+    table_dfa,
     union,
 )
 from . import _sexp
-from .errors import InputError
+from .errors import CapError, InputError
 from .fologic import (
     And,
     Eq,
@@ -55,6 +58,7 @@ from .fologic import (
     Not,
     Or,
     TrueF,
+    _children,
     and_all,
     make_len,
     make_mod,
@@ -177,62 +181,43 @@ def expr_to_sexp(e: LangExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation to a DFA
+# One walk: the DFA, the violated side conditions and the marker residues
 
 def eval_expr(e: LangExpr, alphabet, cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    letters = sorted(set(alphabet))
-    if not letters:
-        raise InputError("empty alphabet")
-    return _eval(e, tuple(letters), cap)
+    """The minimal DFA of the expression.  A letter outside the alphabet or a
+    modulus below 1 is an InputError with its violation's message; the
+    other side conditions are not needed."""
+    d, violations, _ = _walk(e, alphabet, cap)
+    if d is None:
+        raise InputError(next(v.message for v in violations if v.rule in ("alphabet", "modulus")))
+    return d
 
-
-def _eval(e: LangExpr, letters: tuple, cap: int) -> Dfa:
-    if isinstance(e, Base):
-        letter_set = set(letters)
-        for s in e.sets:
-            for a in s:
-                if a not in letter_set:
-                    raise InputError(f"letter {a!r} outside alphabet")
-        n = e.modulus
-        dead = "dead"
-        states: list = list(range(n)) + [dead]
-        delta = {}
-        for r in range(n):
-            for a in letters:
-                delta[(r, a)] = (r + 1) % n if a in e.sets[r] else dead
-        for a in letters:
-            delta[(dead, a)] = dead
-        return minimize(make_dfa(letters, states, 0, [0], delta))
-    if isinstance(e, Union):
-        return union(_eval(e.left, letters, cap), _eval(e.right, letters, cap))
-    if isinstance(e, (DetProd, CodetProd)):
-        if e.letter not in set(letters):
-            raise InputError(f"letter {e.letter!r} outside alphabet")
-        d1 = _eval(e.left, letters, cap)
-        d2 = _eval(e.right, letters, cap)
-        return concat_letter(d1, e.letter, d2, cap)
-    raise InputError(f"not an expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Side conditions
 
 def validate(e: LangExpr, alphabet) -> list[Violation]:
     """Every violated structural constraint, in discovery order (parents
     after children).  An empty list means the expression is well formed."""
+    return _walk(e, alphabet, DEFAULT_STATE_CAP)[1]
+
+
+def _walk(e: LangExpr, alphabet, cap: int) -> tuple[Dfa | None, list[Violation], dict]:
+    """The minimal DFA (None once a letter outside the alphabet or a modulus
+    below 1 stops the walk), the violations in discovery order, and the
+    unique length residue of each product's guarded operand by `id`."""
     letters = sorted(set(alphabet))
     if not letters:
         raise InputError("empty alphabet")
-    out: list[Violation] = []
-    _check(e, "root", tuple(letters), out)
-    return out
+    violations: list[Violation] = []
+    residues: dict[int, int] = {}
+    d = _check(e, "root", tuple(letters), cap, violations, residues)
+    return d, violations, residues
 
 
 # a uniform-length violation lists at most this many residues, then their count
 _RESIDUES_SHOWN = 8
 
 
-def _check(e: LangExpr, path: str, letters: tuple, out: list) -> Dfa | None:
+def _check(e: LangExpr, path: str, letters: tuple, cap: int, out: list,
+           residues: dict) -> Dfa | None:
     letter_set = set(letters)
     if isinstance(e, Base):
         bad = sorted({a for s in e.sets for a in s if a not in letter_set})
@@ -241,10 +226,15 @@ def _check(e: LangExpr, path: str, letters: tuple, out: list) -> Dfa | None:
                 Violation(path, "alphabet", f"letters outside the alphabet: {', '.join(bad)}")
             )
             return None
-        return _eval(e, letters, DEFAULT_STATE_CAP)
+        n = e.modulus  # rows 0..n-1 step through the block, row n is dead
+        rows = [[(r + 1) % n if a in e.sets[r] else n for a in letters] for r in range(n)]
+        rows.append([n] * len(letters))
+        return table_dfa(letters, minimal_table((rows, [r == 0 for r in range(n + 1)])))
+    if not isinstance(e, (Union, DetProd, CodetProd)):
+        raise InputError(f"not an expression: {e!r}")
+    d1 = _check(e.left, path + ".left", letters, cap, out, residues)
+    d2 = _check(e.right, path + ".right", letters, cap, out, residues)
     if isinstance(e, Union):
-        d1 = _check(e.left, path + ".left", letters, out)
-        d2 = _check(e.right, path + ".right", letters, out)
         if d1 is None or d2 is None:
             return None
         w = shortest_accepted(intersect(d1, d2))
@@ -258,53 +248,48 @@ def _check(e: LangExpr, path: str, letters: tuple, out: list) -> Dfa | None:
                 )
             )
         return union(d1, d2)
-    if isinstance(e, (DetProd, CodetProd)):
-        d1 = _check(e.left, path + ".left", letters, out)
-        d2 = _check(e.right, path + ".right", letters, out)
-        if e.letter not in letter_set:
-            out.append(
-                Violation(path, "alphabet", f"marker letter outside the alphabet: {e.letter}")
+    if e.letter not in letter_set:
+        out.append(Violation(path, "alphabet", f"marker letter outside the alphabet: {e.letter}"))
+        return None
+    if e.modulus < 1:
+        out.append(Violation(path, "modulus", f"modulus must be at least 1, got {e.modulus}"))
+        return None
+    if d1 is None or d2 is None:
+        return None
+    n = e.modulus
+    if isinstance(e, DetProd):
+        side, checked = "left", d1
+    else:
+        side, checked = "right", d2
+    found = length_residues(checked, n)
+    if len(found) != 1:
+        shown = ", ".join(str(r) for r in sorted(found)[:_RESIDUES_SHOWN]) or "none"
+        if len(found) > _RESIDUES_SHOWN:
+            shown += f", ... ({len(found)} residues)"
+        out.append(
+            Violation(
+                path,
+                "uniform-length",
+                f"{side} operand must have exactly one length residue mod {n}, found: {shown}",
             )
-            return None
-        if e.modulus < 1:
-            out.append(Violation(path, "modulus", f"modulus must be at least 1, got {e.modulus}"))
-            return None
-        if d1 is None or d2 is None:
-            return None
-        n = e.modulus
-        if isinstance(e, DetProd):
-            side, checked = "left", d1
-        else:
-            side, checked = "right", d2
-        residues = length_residues(checked, n)
-        if len(residues) != 1:
-            found = ", ".join(str(r) for r in sorted(residues)[:_RESIDUES_SHOWN]) or "none"
-            if len(residues) > _RESIDUES_SHOWN:
-                found += f", ... ({len(residues)} residues)"
+        )
+    else:
+        (i,) = found
+        residues[id(e)] = i
+        probe = DecoratedLetter(e.letter, mod1(i + 1, n)).text
+        scan = checked if isinstance(e, DetProd) else reverse(checked)
+        if probe in decorated_alphabet(scan, n):
+            where = "a position" if isinstance(e, DetProd) else "a position from the right end"
             out.append(
                 Violation(
                     path,
-                    "uniform-length",
-                    f"{side} operand must have exactly one length residue mod {n}, found: {found}",
+                    "determinism",
+                    f"{side} operand contains the marker letter {e.letter} at "
+                    f"{where} congruent to {mod1(i + 1, n)} mod {n}",
+                    probe,
                 )
             )
-        else:
-            (i,) = residues
-            probe = DecoratedLetter(e.letter, mod1(i + 1, n)).text
-            scan = checked if isinstance(e, DetProd) else reverse(checked)
-            if probe in decorated_alphabet(scan, n):
-                where = "a position" if isinstance(e, DetProd) else "a position from the right end"
-                out.append(
-                    Violation(
-                        path,
-                        "determinism",
-                        f"{side} operand contains the marker letter {e.letter} at "
-                        f"{where} congruent to {mod1(i + 1, n)} mod {n}",
-                        probe,
-                    )
-                )
-        return concat_letter(d1, e.letter, d2, DEFAULT_STATE_CAP)
-    raise InputError(f"not an expression: {e!r}")
+    return concat_letter(d1, e.letter, d2, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -357,80 +342,110 @@ def _rho(ctx: _Marker, side: str, v: str) -> Formula:
     return Exists(mv, And(cmp, _unique_marker(ctx, mv)))
 
 
-def _relativize(f: Formula, ctx: _Marker, side: str) -> Formula:
-    if isinstance(f, (TrueF, FalseF, Lab, Eq, Lt)):
+# Most formula nodes the translation of one expression may build, each
+# counted once per occurrence.  A product guards every quantifier of its
+# operands' sentences with a side test that brings in two more quantifiers,
+# so a sentence grows about sixfold per level of product nesting.  The
+# largest sentence of the test and benchmark expressions has 529 nodes.
+MAX_SENTENCE_NODES = 100_000
+
+
+def _tree_size(f: Formula) -> int:
+    """The nodes of f counted as a tree: a shared node once per occurrence."""
+    size, stack = 0, [f]
+    while stack:
+        size += 1
+        stack.extend(_children(stack.pop()))
+    return size
+
+
+class _Translation:
+    """The sentences of one valid expression's subexpressions, from the
+    residues its walk recorded, built within MAX_SENTENCE_NODES nodes: the
+    count is checked as each node is made, so deep nesting stops early."""
+
+    def __init__(self, residues: dict):
+        self.residues = residues
+        self.nodes = 0
+
+    def _built(self, f: Formula, size: int | None = None) -> Formula:
+        """f, whose making added `size` nodes, or all of f's when None."""
+        self.nodes += _tree_size(f) if size is None else size
+        if self.nodes > MAX_SENTENCE_NODES:
+            raise CapError(f"formula node cap exceeded ({MAX_SENTENCE_NODES}) "
+                           f"while translating the expression")
         return f
-    if isinstance(f, Mod):
-        if side == "left":
-            return f
-        mv = _other(f.var)
-        n = f.modulus
-        shift = [
-            Or(Not(make_mod(mv, n, t)), make_mod(f.var, n, mod1(t + f.residue, n)))
-            for t in range(1, n + 1)
-        ]
-        return Exists(mv, And(_unique_marker(ctx, mv), and_all(shift)))
-    if isinstance(f, Len):
-        n = f.modulus
-        if side == "left":
-            # prefix length = marker position - 1
-            return Exists(
-                "x",
-                And(_unique_marker(ctx, "x"), make_mod("x", n, mod1(f.residue + 1, n))),
-            )
-        # suffix length = word length - marker position
-        cases = [
-            Or(Not(make_mod("x", n, t)), make_len(n, mod1(t + f.residue, n)))
-            for t in range(1, n + 1)
-        ]
-        return Exists("x", And(_unique_marker(ctx, "x"), and_all(cases)))
-    if isinstance(f, And):
-        return And(_relativize(f.left, ctx, side), _relativize(f.right, ctx, side))
-    if isinstance(f, Or):
-        return Or(_relativize(f.left, ctx, side), _relativize(f.right, ctx, side))
-    if isinstance(f, Not):
-        return Not(_relativize(f.sub, ctx, side))
-    if isinstance(f, Exists):
-        return Exists(f.var, And(_rho(ctx, side, f.var), _relativize(f.body, ctx, side)))
-    if isinstance(f, Forall):
-        return Forall(
-            f.var, Or(Not(_rho(ctx, side, f.var)), _relativize(f.body, ctx, side))
-        )
-    raise InputError(f"not a formula: {f!r}")
+
+    def sentence(self, e: LangExpr) -> Formula:
+        if isinstance(e, Base):
+            n = e.modulus
+            position_rules = [
+                Or(
+                    Not(make_mod("x", n, i)),
+                    or_all([Lab("x", a) for a in sorted(e.sets[i - 1])]),
+                )
+                for i in range(1, n + 1)
+            ]
+            return self._built(And(make_len(n, n), Forall("x", and_all(position_rules))))
+        if isinstance(e, Union):
+            return self._built(Or(self.sentence(e.left), self.sentence(e.right)), 1)
+        if isinstance(e, (DetProd, CodetProd)):
+            n = e.modulus
+            ctx = _Marker(e.letter, n, mod1(self.residues[id(e)] + 1, n), isinstance(e, CodetProd))
+            left = self.relativize(self.sentence(e.left), ctx, "left")
+            right = self.relativize(self.sentence(e.right), ctx, "right")
+            marker = self._built(_marker_at(ctx, "x"))
+            return self._built(And(Exists("x", marker), And(left, right)), 3)
+        raise InputError(f"not an expression: {e!r}")
+
+    def relativize(self, f: Formula, ctx: _Marker, side: str) -> Formula:
+        if isinstance(f, (TrueF, FalseF, Lab, Eq, Lt)) or (isinstance(f, Mod) and side == "left"):
+            return self._built(f, 1)
+        if isinstance(f, Mod):
+            mv = _other(f.var)
+            n = f.modulus
+            shift = [
+                Or(Not(make_mod(mv, n, t)), make_mod(f.var, n, mod1(t + f.residue, n)))
+                for t in range(1, n + 1)
+            ]
+            return self._built(Exists(mv, And(_unique_marker(ctx, mv), and_all(shift))))
+        if isinstance(f, Len):
+            n = f.modulus
+            if side == "left":
+                # prefix length = marker position - 1
+                return self._built(Exists(
+                    "x",
+                    And(_unique_marker(ctx, "x"), make_mod("x", n, mod1(f.residue + 1, n))),
+                ))
+            # suffix length = word length - marker position
+            cases = [
+                Or(Not(make_mod("x", n, t)), make_len(n, mod1(t + f.residue, n)))
+                for t in range(1, n + 1)
+            ]
+            return self._built(Exists("x", And(_unique_marker(ctx, "x"), and_all(cases))))
+        if isinstance(f, (And, Or)):
+            return self._built(type(f)(self.relativize(f.left, ctx, side),
+                                       self.relativize(f.right, ctx, side)), 1)
+        if isinstance(f, Not):
+            return self._built(Not(self.relativize(f.sub, ctx, side)), 1)
+        if isinstance(f, Exists):
+            guard = self._built(_rho(ctx, side, f.var))
+            return self._built(Exists(f.var, And(guard, self.relativize(f.body, ctx, side))), 2)
+        if isinstance(f, Forall):
+            guard = self._built(_rho(ctx, side, f.var))
+            return self._built(
+                Forall(f.var, Or(Not(guard), self.relativize(f.body, ctx, side))), 3)
+        raise InputError(f"not a formula: {f!r}")
 
 
 def expr_to_formula(e: LangExpr, alphabet) -> Formula:
     """A sentence over two variables defining the expression's language.
-    The expression must satisfy all side conditions."""
-    violations = validate(e, alphabet)
+    The expression must satisfy all side conditions, and its sentence be
+    built within MAX_SENTENCE_NODES nodes."""
+    _, violations, residues = _walk(e, alphabet, DEFAULT_STATE_CAP)
     if violations:
         first = violations[0]
         raise InputError(
             f"expression violates product constraints at {first.path}: {first.message}"
         )
-    letters = tuple(sorted(set(alphabet)))
-    return _formula_of(e, letters)
-
-
-def _formula_of(e: LangExpr, letters: tuple) -> Formula:
-    if isinstance(e, Base):
-        n = e.modulus
-        position_rules = [
-            Or(
-                Not(make_mod("x", n, i)),
-                or_all([Lab("x", a) for a in sorted(e.sets[i - 1])]),
-            )
-            for i in range(1, n + 1)
-        ]
-        return And(make_len(n, n), Forall("x", and_all(position_rules)))
-    if isinstance(e, Union):
-        return Or(_formula_of(e.left, letters), _formula_of(e.right, letters))
-    if isinstance(e, (DetProd, CodetProd)):
-        n = e.modulus
-        checked = e.left if isinstance(e, DetProd) else e.right
-        (i,) = length_residues(_eval(checked, letters, DEFAULT_STATE_CAP), n)
-        ctx = _Marker(e.letter, n, mod1(i + 1, n), isinstance(e, CodetProd))
-        left = _relativize(_formula_of(e.left, letters), ctx, "left")
-        right = _relativize(_formula_of(e.right, letters), ctx, "right")
-        return And(Exists("x", _marker_at(ctx, "x")), And(left, right))
-    raise InputError(f"not an expression: {e!r}")
+    return _Translation(residues).sentence(e)

@@ -18,8 +18,8 @@ slot of slot(r) = r below J and J + (r - J) mod p from J on: slot 0 is S,
 slot v < J is X_v | X_(v+s) (by one mask) and slot v >= J is X_v.  Every
 stability index s is a multiple of p and at least J, so these are the same
 arrays at every multiple of the least index.  A `StabilityInfo` holds only
-what s changes: the residue tuple, the pair index, the admissibility tables
-and the Mes walks.
+what s changes: the pair index, the admissibility tables and the Mes
+walks.
 
 A letter a is admissible at residue r for an element x when x lies in
 residues[r] . h(a) . residues[s-1-r].  The local checks only ask
@@ -123,9 +123,9 @@ morphism.
 
 A multiplied index is capped: s = T * (least index) with T above
 FREE_MULTIPLIER and s |M| above MAX_INDEX_CELLS raises CapError before the
-residue tuple or the pair index exists; those two are all that still
-grows with s.  The least index itself is never refused, and T up to
-FREE_MULTIPLIER costs at most that many times its analysis.
+pair index exists, which is all that still grows with s.  The least index
+itself is never refused, and T up to FREE_MULTIPLIER costs at most that
+many times its analysis.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ from .monoid import (
 _ITERATION_CAP = 100_000
 
 # Largest s |M| for a multiplied stability index s on |M| elements: the
-# residue tuple and the pair index grow with s.
+# pair index grows with s.
 MAX_INDEX_CELLS = 2_000_000
 # Multipliers up to this one are never capped: they cost at most that many
 # times the least index, which is never capped either.
@@ -257,10 +257,10 @@ class _PowerImages:
 @dataclass(eq=False)
 class StabilityInfo:
     """What a choice of stability index s adds to the per-morphism entry
-    `powers`: residues[r] is the image of all words whose length is
-    congruent to r mod s (the empty word contributing only to residue 0),
-    which is exactly h(A^r) united with h(A^(r+s)), the array
-    powers.slots[slot(r)]; residues[0] is `stable`.
+    `powers`.  The residue set residues[r], the image of all words whose
+    length is congruent to r mod s (the empty word contributing only to
+    residue 0), is exactly h(A^r) united with h(A^(r+s)), the array
+    powers.slots[powers.slot(r)]; residues[0] is `stable`.
 
     It reads the morphism's `monoid`, letter `images` and `stable`
     submonoid through `powers`.
@@ -268,7 +268,6 @@ class StabilityInfo:
 
     powers: _PowerImages
     index: int
-    residues: tuple
     _pairs: tuple | None = field(init=False, default=None)  # see `_residue_pairs`
     _adm: np.ndarray | None = field(init=False, default=None)  # [image, pair, i] at idempotent i
     _adm_all: np.ndarray | None = field(init=False, default=None)  # [image, pair, x] at every x
@@ -514,11 +513,11 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     """Stability data for s = multiplier * (smallest index).
 
     Any multiple of the smallest index is again a stability index; the
-    fragment checks must be invariant under the choice.  The residue
-    tuple is built from the per-morphism slots: the slots below the
-    preperiod, then one period of power images, which its tail repeats as
-    the same arrays.  A multiplier above FREE_MULTIPLIER that gives s |M|
-    above MAX_INDEX_CELLS raises CapError, on every call.
+    fragment checks must be invariant under the choice.  Its residue sets
+    are the per-morphism slots: the slots below the preperiod, then one
+    period of power images, which the residues past it repeat as the same
+    arrays.  A multiplier above FREE_MULTIPLIER that gives s |M| above
+    MAX_INDEX_CELLS raises CapError, on every call.
 
     The result is memoised on the morphism, one object per multiplier, so
     repeated calls return the same object with its tables built once; the
@@ -538,9 +537,7 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
             f"elements exceeds the index cap (s * |M| at most {MAX_INDEX_CELLS} "
             f"for a multiplier above {FREE_MULTIPLIER})"
         )
-    j, slots = powers.preperiod, powers.slots
-    info = m._stability[multiplier] = StabilityInfo(
-        powers=powers, index=s, residues=tuple(chain(slots[:j], islice(cycle(slots[j:]), s - j))))
+    info = m._stability[multiplier] = StabilityInfo(powers=powers, index=s)
     return info
 
 

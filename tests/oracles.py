@@ -282,6 +282,12 @@ def submonoid_view(m, elements):
     return OrderedMonoid(table, int(pos[m.identity]), leq=leq, repr_words=words), tuple(elems)
 
 
+def residue_set(info, r):
+    """residues[r] of the stability info: the image of the words whose
+    length is congruent to r mod s, its per-morphism slot."""
+    return info.powers.slots[info.powers.slot(r)]
+
+
 def admissible_by_stable_scatter(info):
     """The table adm[a, r, x] (x in residues[r] . h(a) . residues[s-1-r])
     by the right-reach recurrence over full |M| x |M| matrices, seeded with
@@ -294,7 +300,7 @@ def admissible_by_stable_scatter(info):
     reach[np.arange(size)[:, None], mult[:, stable]] = True
     for j in range(s):
         r = s - 1 - j
-        left = np.array(sorted(info.residues[r]))
+        left = np.array(sorted(residue_set(info, r)))
         for i, b in enumerate(images):
             hit = np.zeros(size, dtype=bool)  # residues[r] . h(a)
             hit[mult[left, b]] = True
@@ -357,7 +363,7 @@ def admissible_by_residues(info, cols):
     adm = np.empty((images.size, s, cols.size), dtype=bool)
     for j in range(s):
         r = s - 1 - j
-        adm[:, r] = reach[mult[info.residues[r], images[:, None]]].any(axis=1)
+        adm[:, r] = reach[mult[residue_set(info, r), images[:, None]]].any(axis=1)
         if j + 1 < s:
             reach = right_step(reach)
     return adm

@@ -250,6 +250,20 @@ def test_monoid_label_cap_exits_3_before_the_closure():
     assert wall < 20
 
 
+def test_nested_products_exit_3_at_the_sentence_node_cap():
+    # eight nested (dprod 1 (base ((a))) b ...) would translate to a
+    # sentence of some 24 million nodes, six times more per level; the
+    # translation stops at the node cap
+    chain = "(base ((b)))"
+    for _ in range(8):
+        chain = f"(dprod 1 (base ((a))) b {chain})"
+    code, err, wall = _cli_under_memory_limit(["expr", "to-fo", "--sexp", chain,
+                                               "--alphabet", "a,b"])
+    assert (code, err) == (3, "error: formula node cap exceeded (100000) "
+                              "while translating the expression\n")
+    assert wall < 20
+
+
 def test_monoid_cap_ceiling_is_inclusive(monkeypatch):
     assert cli._resolve_cap(cli.MAX_MONOID_CEILING) == cli.MAX_MONOID_CEILING
     monkeypatch.setenv("FRAGCHECK_MAX_MONOID", str(cli.MAX_MONOID_CEILING))

@@ -5,6 +5,7 @@ import pytest
 
 import exprsuite
 import oracles
+from fragcheck import modprod
 from fragcheck.automata import equivalent, minimize, mod1, regex_to_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.fologic import compile_formula, eval_formula
@@ -76,6 +77,19 @@ def test_invalid_suite_reports_expected_rules():
 def test_validator_flags_letters_outside_alphabet():
     violations = validate(exprsuite.BC, ["a", "b"])
     assert {v.rule for v in violations} == {"alphabet"}
+
+
+def test_eval_expr_refuses_what_stops_the_walk_with_its_message():
+    # a letter outside the alphabet or a modulus below 1 leaves no DFA to
+    # return; the other side conditions are not needed to evaluate
+    with pytest.raises(InputError, match="^marker letter outside the alphabet: z$"):
+        eval_expr(DetProd(2, exprsuite.BC, "z", exprsuite.BC), ["b", "c"])
+    with pytest.raises(InputError, match="^letters outside the alphabet: a$"):
+        eval_expr(exprsuite.AA, ["b", "c"])
+    with pytest.raises(InputError, match="^modulus must be at least 1, got 0$"):
+        eval_expr(DetProd(0, exprsuite.BC, "a", exprsuite.BC), ["a", "b", "c"])
+    expr, alphabet, _ = exprsuite.INVALID[0]
+    assert eval_expr(expr, alphabet).accepts(("a",))
 
 
 def test_validator_flags_nonpositive_modulus():
@@ -195,3 +209,50 @@ def test_blocks_translate_to_strict_alternation_sentence():
     d = compile_formula(f, ["b", "c"])
     ok, _ = equivalent(minimize(d), minimize(regex_to_dfa("(bc)*")))
     assert ok
+
+
+def test_expr_to_formula_builds_each_operand_once(monkeypatch):
+    # one walk gives the DFAs, the violations and the marker residues: no
+    # guarded operand is evaluated again for its residue
+    calls = {"concat_letter": 0, "union": 0}
+
+    def counted(name):
+        build = getattr(modprod, name)
+
+        def call(*args):
+            calls[name] += 1
+            return build(*args)
+        return call
+
+    def nodes(e, kind):
+        if isinstance(e, Base):
+            return 0
+        return isinstance(e, kind) + nodes(e.left, kind) + nodes(e.right, kind)
+
+    for name in calls:
+        monkeypatch.setattr(modprod, name, counted(name))
+    products = unions = 0
+    for _, expr, alphabet, _ in exprsuite.VALID:
+        expr_to_formula(expr, alphabet)
+        products += nodes(expr, (DetProd, CodetProd))
+        unions += nodes(expr, Union)
+    assert calls == {"concat_letter": products, "union": unions}
+    assert products == 10
+
+
+def _product_chain(depth):
+    """(dprod 1 (base ((a))) b ...) nested `depth` deep around (base ((b)))."""
+    text = "(base ((b)))"
+    for _ in range(depth):
+        text = f"(dprod 1 (base ((a))) b {text})"
+    return parse_expr(text)
+
+
+def test_nested_products_stop_at_the_node_cap():
+    # each level guards every quantifier below it with two more, so the
+    # sentence grows about sixfold per level: 20775 nodes at depth 4; the
+    # count of built nodes passes the cap at depth 5, before the tree does
+    f = expr_to_formula(_product_chain(4), ["a", "b"])
+    assert modprod._tree_size(f) == 20775
+    with pytest.raises(CapError, match=r"formula node cap exceeded \(100000\)"):
+        expr_to_formula(_product_chain(5), ["a", "b"])

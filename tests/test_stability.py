@@ -59,9 +59,9 @@ def test_alternating_blocks_language():
     bc, cb, sink = h.image("bc"), h.image("cb"), h.image("bb")
     assert info.stable.tolist() == sorted({one, bc, cb, sink})
     # odd residue holds the images of odd-length words
-    assert info.residues[1].tolist() == sorted(
+    assert oracles.residue_set(info, 1).tolist() == sorted(
         {h.image("b"), h.image("c"), h.image("bbb")})
-    assert info.residues[0] is info.stable
+    assert oracles.residue_set(info, 0) is info.stable
 
 
 def test_index_multiplier_scales_but_keeps_stable():
@@ -70,7 +70,7 @@ def test_index_multiplier_scales_but_keeps_stable():
     doubled = stability_info(h, multiplier=2)
     assert doubled.index == 2 * base.index
     assert doubled.powers is base.powers and doubled.stable is base.stable
-    assert len(doubled.residues) == doubled.index
+    assert len(doubled._residue_pairs()[1]) == doubled.index
 
 
 def test_multiplier_must_be_positive():
@@ -81,13 +81,13 @@ def test_multiplier_must_be_positive():
 
 def test_residue_sets_partition_reachability():
     h = morphism("(bc)*")
-    rs = stability_info(h).residues
-    assert len(rs) == 2
+    info = stability_info(h)
+    assert info.index == 2
     brute = oracles.power_images(h, 4 * h.monoid.size)
     s = stability_index(h)
     for r in range(1, s):
-        assert rs[r].tolist() == sorted(brute[r] | brute[r + s])
-    assert rs[0].tolist() == sorted(brute[s] | {h.monoid.identity})
+        assert oracles.residue_set(info, r).tolist() == sorted(brute[r] | brute[r + s])
+    assert oracles.residue_set(info, 0).tolist() == sorted(brute[s] | {h.monoid.identity})
 
 
 def test_me_s_trivial_for_empty_word_language():
@@ -215,10 +215,11 @@ def test_stability_against_brute_powers(small_corpus):
                 assert s % t != 0 or brute[t] != brute[t + s]
         # sorted read-only id arrays, equal to the enumerated images
         assert info.stable.tolist() == sorted(brute[s] | {h.monoid.identity})
-        assert info.residues[0] is info.stable
+        assert oracles.residue_set(info, 0) is info.stable
         for r in range(1, s):
-            assert info.residues[r].tolist() == sorted(brute[r] | brute[r + s])
-        for ids in info.residues:
+            assert oracles.residue_set(info, r).tolist() == sorted(brute[r] | brute[r + s])
+        for r in range(s):
+            ids = oracles.residue_set(info, r)
             assert ids.dtype == np.int64 and not ids.flags.writeable
 
 
@@ -515,7 +516,7 @@ def test_replace_builds_a_fresh_checked_object_outside_the_memo():
     # when it was built, and stays out of the memo
     h = morphism("(a|b)*aa(a|b)*")
     info = stability_info(h)
-    again = dataclasses.replace(info, residues=info.residues)
+    again = dataclasses.replace(info)
     assert again is not info and stability_info(h) is info
     assert again.powers is info.powers is h._stability["powers"]
     assert again.stable_me_members(h.image("aa")).tolist() == list(h.monoid.elements())
@@ -610,6 +611,6 @@ def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
         report = analyze(d, index_multiplier=multiplier, morphism=h)
         info = stability_info(h, multiplier)
         assert report.verdicts == base.verdicts and report.witnesses == base.witnesses
-        assert info.index == 2 * multiplier and len(info.residues) == info.index
+        assert info.index == 2 * multiplier and len(info._residue_pairs()[1]) == info.index
         seen[multiplier] = (dict(counts), info._adm.shape, len(info._mes_by_pattern))
     assert seen[3] == seen[166_666] == ({"step": 0, "block": 24}, (2, 6, 4), 4)

@@ -1,22 +1,24 @@
-"""Time `fo compile` on the formula compiler's stress sentences, each run in
-a child process.
+"""Time the formula compiler's stress commands, each run in a child process.
 
     python3 tools/compile_stress.py [--runs 3]
 
-The sentences are the two-modulus sentence at 100/101 over {a}, the
-three-counter sentence at 30/31/29 over {a, b}, the two-modulus sentence at
-1000/1001 over {a}, which reaches more pairs than the state cap and exits 3,
-and seven nested quantifiers over {a, b}, whose innermost scope has 256
-marked letters.  The child imports `fragcheck` from the `src` directory of
-the checkout this file sits in, so a copy of this file in another checkout
-times that checkout.
+The cases are `fo compile --json` on the two-modulus sentence at 100/101
+over {a}, the three-counter sentence at 30/31/29 over {a, b}, the
+two-modulus sentence at 1000/1001 over {a}, which reaches more pairs than
+the state cap and exits 3, and seven nested quantifiers over {a, b}, whose
+innermost scope has 256 marked letters; and `expr to-fo --json` on eight
+nested `(dprod 1 (base ((a))) b ...)` over {a, b}, whose sentence would
+grow about sixfold per level and which exits 3 at the sentence node cap.
+Each case carries its command line.  The child imports `fragcheck` from
+the `src` directory of the checkout this file sits in, so a copy of this
+file in another checkout times that checkout.
 
-For every run it prints the sentence's name, the child's exit code, its CPU
+For every run it prints the case's name, the child's exit code, its CPU
 seconds (user plus system, interpreter start included, from `wait4`), the
 CPU seconds of the command itself (`time.process_time` around
 `cli.main`, measured in the child), the child's peak RSS, and the sha256
-of the command's stdout; then, per sentence, the medians.  Runs go round
-the sentences in turn, `--runs` times.
+of the command's stdout; then, per case, the medians.  Runs go round the
+cases in turn, `--runs` times.
 """
 
 import argparse
@@ -34,13 +36,25 @@ SEVEN = "(and (mod x0 5 1) (and (mod x3 4 2) (or (lab x6 a) (and (mod x5 3 1) (<
 for _i in reversed(range(7)):
     SEVEN = f"(exists x{_i} {SEVEN})"
 
-SENTENCES = {
-    "two-modulus 100/101": ("(exists x (exists y (and (mod x 100 1) (mod y 101 1))))", "a"),
-    "three-counter 30/31/29": (
+CHAIN = "(base ((b)))"
+for _i in range(8):
+    CHAIN = f"(dprod 1 (base ((a))) b {CHAIN})"
+
+
+def compile_case(sentence: str, alphabet: str) -> list:
+    return ["fo", "compile", "--json", "--sexp", sentence, "--alphabet", alphabet]
+
+
+CASES = {
+    "two-modulus 100/101": compile_case(
+        "(exists x (exists y (and (mod x 100 1) (mod y 101 1))))", "a"),
+    "three-counter 30/31/29": compile_case(
         "(exists x (exists y (exists z (and (mod x 30 1) (and (mod y 31 1) (mod z 29 1))))))",
         "a,b"),
-    "two-modulus 1000/1001": ("(exists x (exists y (and (mod x 1000 1) (mod y 1001 1))))", "a"),
-    "256 columns": (SEVEN, "a,b"),
+    "two-modulus 1000/1001": compile_case(
+        "(exists x (exists y (and (mod x 1000 1) (mod y 1001 1))))", "a"),
+    "256 columns": compile_case(SEVEN, "a,b"),
+    "dprod chain depth 8": ["expr", "to-fo", "--json", "--sexp", CHAIN, "--alphabet", "a,b"],
 }
 
 # the child: run the command with its stdout captured, then print the exit
@@ -90,13 +104,13 @@ def run_child(command: list) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--runs", type=int, default=3, help="runs per sentence")
+    parser.add_argument("--runs", type=int, default=3, help="runs per case")
     args = parser.parse_args(argv)
-    runs = {name: [] for name in SENTENCES}
-    print(f"{'sentence':24} exit  child_cpu_s  command_s  peak_rss_mb  stdout_sha256")
+    runs = {name: [] for name in CASES}
+    print(f"{'case':24} exit  child_cpu_s  command_s  peak_rss_mb  stdout_sha256")
     for _ in range(args.runs):
-        for name, (sentence, alphabet) in SENTENCES.items():
-            r = run_child(["fo", "compile", "--json", "--sexp", sentence, "--alphabet", alphabet])
+        for name, command in CASES.items():
+            r = run_child(command)
             runs[name].append(r)
             print(f"{name:24} {r['exit']:4}  {r['child_cpu_s']:11.3f}  {r['command_s']:9.3f}"
                   f"  {r['peak_rss_mb']:11.1f}  {r['stdout_sha256'][:16]}", flush=True)
