@@ -4,30 +4,34 @@ Serialized letters are strings ("a", or "a@2" for the letter a carrying
 position residue 2); the algorithms only need letters to be hashable and
 mutually sortable.
 
-Minimization and the products run on integer tables.  A table is a pair
-(rows, finals): a list of rows, one per state, each a list or tuple of
-successor states by letter, and a list of accepting flags, with state 0 as
-the start.  `dfa_table` reads a `Dfa` into the table of its reachable part
-(breadth first, letters sorted), `minimal_table` refines a table by
-Moore's algorithm (one column at a time, over the distinct columns),
-`product_table` builds the pair automaton over the pairs reachable from
-the start (one Python loop over the pairs, refused above a state cap),
-with every pair that an absorbing component decides numbered as one sink,
-and `table_dfa` names a table's states q0, q1, ... in breadth-first order.
-An absorbing state (`absorbing_states`) is one whose row holds only
-itself: it accepts every word or none, which its row shows with no Moore
-round.  So a product, and an erasure in the formula compiler, numbers one
-state for all the pairs or subsets whose language such a state decides.
-`minimize`, the Boolean operations, determinization, the position-residue
-decoration (`decorate`, whose residue product is written straight into a
-table over the letters' decorated copies), `monoid.transition_monoid` and
-the formula compiler all go through these four.
+A `Dfa` is its table.  A table is a pair (rows, finals): a list of rows,
+one per state, each a list or tuple of successor states by letter, and a
+list of accepting flags, with state 0 as the start.  A `Dfa` holds the
+letters in sorted order as its columns and the canonical table of its
+language's automaton: every state reachable, numbered breadth first with
+the columns in order.  `table_dfa` renumbers any table so, keeping the
+states reachable from 0; it is the one way a table becomes a `Dfa`.  State
+names exist only at the edges: `make_dfa` and `parse_dfa` read any names
+and table them, and `dfa_to_doc` names the states q0, q1, ...
+`minimal_table` refines a table by Moore's algorithm (one column at a
+time, over the distinct columns), and `product_table` builds the pair
+automaton over the pairs reachable from the start (one Python loop over
+the pairs, refused above a state cap), with every pair that an absorbing
+component decides numbered as one sink.  An absorbing state
+(`absorbing_states`) is one whose row holds only itself: it accepts every
+word or none, which its row shows with no Moore round.  So a product, and
+an erasure in the formula compiler, numbers one state for all the pairs
+or subsets whose language such a state decides.  `minimize`, the Boolean
+operations, determinization, the position-residue decoration (`decorate`,
+whose residue product is written straight into a table over the letters'
+decorated copies), `monoid.transition_monoid` and the formula compiler
+all go through these.
 
 `determinize` is the one subset construction: from a start subset, a
 successor function and an accepting test, over any hashable subsets, it
 returns the subset table, which its four callers (`regex_to_dfa`,
 `reverse`, `concat_letter` and the formula compiler's erasure) minimise
-and name themselves.  A pattern is compiled on its position automaton
+and renumber themselves.  A pattern is compiled on its position automaton
 (Glushkov 1961; Berry and Sethi 1986), which has no ε-moves, held in
 Python int bit masks: position 0 is the start and position i the i-th
 letter occurrence of the pattern, `first`, `last` and `follow[p]` are
@@ -37,7 +41,8 @@ subset of positions matches one ε-closed subset of Thompson's ε-NFA of
 the pattern, as each Thompson letter target is entered only by its letter
 edge, so the two constructions reach the same number of subsets and the
 same patterns reach the state cap.  `reverse` and `concat_letter`
-determinize frozensets of states over a (state, letter) -> set dict.
+determinize frozensets of states over per-state, per-column sets of
+states, read off the rows.
 
 Residues of positions and lengths follow the 1..n convention throughout:
 "i mod n" means the unique k in {1, ..., n} congruent to i.
@@ -48,7 +53,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import compress, count, repeat
 from operator import add, and_, itemgetter, mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -82,60 +88,79 @@ class DecoratedLetter(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Dfa:
-    """A complete DFA.  `delta` maps every (state, letter) pair to a state."""
+    """A complete DFA as its canonical table.  `alphabet` holds the letters
+    in sorted order, one column each; `rows[q][c]` is the successor of
+    state q on the letter `alphabet[c]`, and `accepting[q]` its flag.
+    State 0 is the start, every state is reachable, and the states are
+    numbered breadth first with the columns in order (`table_dfa`)."""
 
     alphabet: tuple
-    states: tuple
-    initial: object
-    finals: frozenset
-    delta: dict
+    rows: tuple
+    accepting: tuple
 
-    def __post_init__(self):
-        if not self.alphabet:
-            raise InputError("empty alphabet")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InputError("duplicate letters in alphabet")
-        if not self.states or len(set(self.states)) != len(self.states):
-            raise InputError("states must be nonempty and unique")
-        state_set = set(self.states)
-        if self.initial not in state_set:
-            raise InputError("initial state not among states")
-        if not self.finals <= state_set:
-            raise InputError("final states not among states")
-        expected = {(q, a) for q in self.states for a in self.alphabet}
-        if set(self.delta) != expected:
-            missing = expected - set(self.delta)
-            extra = set(self.delta) - expected
-            if missing:
-                q, a = sorted(missing, key=repr)[0]
-                raise InputError(f"incomplete delta: no transition from {q!r} on {a!r}")
-            q, a = sorted(extra, key=repr)[0]
-            raise InputError(f"transition from unknown state/letter pair ({q!r}, {a!r})")
-        for (q, a), t in self.delta.items():
-            if t not in state_set:
-                raise InputError(f"transition target {t!r} not among states")
+    @cached_property
+    def columns(self) -> dict:
+        """Each letter's column."""
+        return {a: c for c, a in enumerate(self.alphabet)}
 
-    def run(self, word: Iterable, start=None):
-        q = self.initial if start is None else start
+    def run(self, word: Iterable) -> int:
+        q, columns = 0, self.columns
         for a in word:
-            if (q, a) not in self.delta:
+            if a not in columns:
                 raise InputError(f"letter {a!r} outside alphabet")
-            q = self.delta[(q, a)]
+            q = self.rows[q][columns[a]]
         return q
 
     def accepts(self, word: Iterable) -> bool:
-        return self.run(word) in self.finals
+        return self.accepting[self.run(word)]
+
+    # Read-only named views, for readers outside the package that predate
+    # the table; the package itself reads only the table.
+    states = property(lambda self: range(len(self.rows)))
+    initial = property(lambda self: 0)
+
+    @cached_property
+    def finals(self) -> frozenset:
+        return frozenset(compress(count(), self.accepting))
+
+    @cached_property
+    def delta(self) -> dict:
+        return {(q, a): t for q, row in enumerate(self.rows) for a, t in zip(self.alphabet, row)}
 
 
 def make_dfa(alphabet, states, initial, finals, transitions) -> Dfa:
-    """Build a Dfa from a transition mapping {(state, letter): state}."""
-    return Dfa(
-        alphabet=tuple(alphabet),
-        states=tuple(states),
-        initial=initial,
-        finals=frozenset(finals),
-        delta=dict(transitions),
-    )
+    """The Dfa of a transition mapping {(state, letter): state} over any
+    hashable state names: the table of the part reachable from `initial`."""
+    alphabet, states, finals = tuple(alphabet), tuple(states), frozenset(finals)
+    delta = dict(transitions)
+    if not alphabet:
+        raise InputError("empty alphabet")
+    if len(set(alphabet)) != len(alphabet):
+        raise InputError("duplicate letters in alphabet")
+    if not states or len(set(states)) != len(states):
+        raise InputError("states must be nonempty and unique")
+    state_set = set(states)
+    if initial not in state_set:
+        raise InputError("initial state not among states")
+    if not finals <= state_set:
+        raise InputError("final states not among states")
+    expected = {(q, a) for q in states for a in alphabet}
+    if set(delta) != expected:
+        missing = expected - set(delta)
+        extra = set(delta) - expected
+        if missing:
+            q, a = sorted(missing, key=repr)[0]
+            raise InputError(f"incomplete delta: no transition from {q!r} on {a!r}")
+        q, a = sorted(extra, key=repr)[0]
+        raise InputError(f"transition from unknown state/letter pair ({q!r}, {a!r})")
+    for t in delta.values():
+        if t not in state_set:
+            raise InputError(f"transition target {t!r} not among states")
+    letters = sorted(alphabet)
+    order = [initial, *(q for q in states if q != initial)]
+    index = {q: i for i, q in enumerate(order)}
+    rows = [[index[delta[(q, a)]] for a in letters] for q in order]
+    return table_dfa(letters, (rows, [q in finals for q in order]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +221,15 @@ def parse_dfa(text: str) -> Dfa:
 
 
 def dfa_to_doc(d: Dfa) -> dict:
-    d = _stringly(d)
+    """The document of the table, its states named q0, q1, ..."""
+    names = [f"q{q}" for q in range(len(d.rows))]
     return {
         "alphabet": list(d.alphabet),
-        "states": list(d.states),
-        "initial": d.initial,
-        "finals": [q for q in d.states if q in d.finals],
-        "transitions": [[q, a, d.delta[(q, a)]] for q in d.states for a in d.alphabet],
+        "states": names,
+        "initial": "q0",
+        "finals": [q for q, f in zip(names, d.accepting) if f],
+        "transitions": [[q, a, names[t]] for q, row in zip(names, d.rows)
+                        for a, t in zip(d.alphabet, row)],
     }
 
 
@@ -210,57 +237,28 @@ def dfa_to_json(d: Dfa) -> str:
     return json.dumps(dfa_to_doc(d), indent=2)
 
 
-def _stringly(d: Dfa) -> Dfa:
-    """Rename states to q0, q1, ... unless they already are plain strings."""
-    if all(isinstance(q, str) for q in d.states) and all(
-        isinstance(a, str) for a in d.alphabet
-    ):
-        return d
-    return table_dfa(*dfa_table(d))
-
-
 # ---------------------------------------------------------------------------
-# Minimization and canonical naming
+# Tables and minimization
 
 Table = tuple  # (rows, finals): see the module docstring
 
 
-def dfa_table(d: Dfa) -> tuple[list, Table]:
-    """The sorted letters and the table of the part of d reachable from its
-    initial state, numbered breadth first with letters in sorted order."""
-    letters = sorted(d.alphabet)
-    order = [d.initial]
-    index = {d.initial: 0}
-    rows = []
-    for q in order:
-        row = []
-        for a in letters:
-            t = d.delta[(q, a)]
-            j = index.setdefault(t, len(order))
-            if j == len(order):
-                order.append(t)
-            row.append(j)
-        rows.append(row)
-    return letters, (rows, [q in d.finals for q in order])
-
-
 def table_dfa(letters, t: Table) -> Dfa:
-    """The Dfa of the table's states reachable from state 0, named q0, q1,
-    ... in breadth-first order with the columns (the letters, sorted) in
-    order.  Two minimal tables of one language get identical names."""
+    """The Dfa of the table's states reachable from state 0, renumbered
+    breadth first with the columns (the letters, sorted) in order: the one
+    way a table becomes a Dfa.  Two minimal tables of one language give
+    equal Dfas."""
     rows, finals = t
     order = [0]
-    names = {0: "q0"}
+    index = {0: 0}
     for q in order:
         for r in rows[q]:
-            if r not in names:
-                names[r] = f"q{len(order)}"
+            if r not in index:
+                index[r] = len(order)
                 order.append(r)
-    transitions = {
-        (names[q], a): names[r] for q in order for a, r in zip(letters, rows[q])
-    }
-    accepting = [names[q] for q in order if finals[q]]
-    return make_dfa(letters, [names[q] for q in order], "q0", accepting, transitions)
+    get = index.__getitem__
+    return Dfa(tuple(letters), tuple(tuple(map(get, rows[q])) for q in order),
+               tuple(finals[q] for q in order))
 
 
 def minimal_table(t: Table) -> Table:
@@ -363,32 +361,24 @@ def product_table(t1: Table, t2: Table, accept, cap: int) -> Table:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA with canonically named, BFS-ordered states.
-
-    The result is the unique minimal automaton of the language: states are
-    named q0, q1, ... in breadth-first order from the initial state with
-    letters taken in sorted order, so equal languages yield identical
-    documents byte for byte.
-    """
-    letters, t = dfa_table(d)
-    return table_dfa(letters, minimal_table(t))
+    """The minimal DFA of the language, canonically numbered: equal
+    languages give equal tables and identical documents byte for byte."""
+    return table_dfa(d.alphabet, minimal_table((d.rows, d.accepting)))
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> tuple[bool, Word | None]:
     """Language equality, with a shortest (then lexicographically least)
     distinguishing word when the languages differ."""
     _require_same_alphabet(d1, d2)
-    letters = sorted(d1.alphabet)
-    start = (d1.initial, d2.initial)
-    seen = {start: ()}
-    queue = deque([start])
+    rows1, rows2 = d1.rows, d2.rows
+    seen = {(0, 0): ()}
+    queue = deque(seen)
     while queue:
-        q1, q2 = queue.popleft()
-        word = seen[(q1, q2)]
-        if (q1 in d1.finals) != (q2 in d2.finals):
+        q1, q2 = pair = queue.popleft()
+        word = seen[pair]
+        if d1.accepting[q1] != d2.accepting[q2]:
             return False, word
-        for a in letters:
-            nxt = (d1.delta[(q1, a)], d2.delta[(q2, a)])
+        for a, nxt in zip(d1.alphabet, zip(rows1[q1], rows2[q2])):
             if nxt not in seen:
                 seen[nxt] = word + (a,)
                 queue.append(nxt)
@@ -396,9 +386,9 @@ def equivalent(d1: Dfa, d2: Dfa) -> tuple[bool, Word | None]:
 
 
 def _require_same_alphabet(d1: Dfa, d2: Dfa):
-    if set(d1.alphabet) != set(d2.alphabet):
+    if d1.alphabet != d2.alphabet:
         raise InputError(
-            f"alphabet mismatch: {sorted(d1.alphabet)!r} vs {sorted(d2.alphabet)!r}"
+            f"alphabet mismatch: {list(d1.alphabet)!r} vs {list(d2.alphabet)!r}"
         )
 
 
@@ -406,16 +396,14 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa):
 # Boolean operations
 
 def complement(d: Dfa) -> Dfa:
-    letters, (rows, finals) = dfa_table(d)
-    return table_dfa(letters, minimal_table((rows, [not f for f in finals])))
+    return table_dfa(d.alphabet, minimal_table((d.rows, [not f for f in d.accepting])))
 
 
 def _pair_product(d1: Dfa, d2: Dfa, accept) -> Dfa:
     """The minimal product automaton of two DFAs over one alphabet."""
     _require_same_alphabet(d1, d2)
-    letters, t1 = dfa_table(d1)
-    _, t2 = dfa_table(d2)
-    return table_dfa(letters, minimal_table(product_table(t1, t2, accept, DEFAULT_STATE_CAP)))
+    t1, t2 = (d1.rows, d1.accepting), (d2.rows, d2.accepting)
+    return table_dfa(d1.alphabet, minimal_table(product_table(t1, t2, accept, DEFAULT_STATE_CAP)))
 
 
 def intersect(d1: Dfa, d2: Dfa) -> Dfa:
@@ -426,21 +414,15 @@ def union(d1: Dfa, d2: Dfa) -> Dfa:
     return _pair_product(d1, d2, or_)
 
 
-def is_empty(d: Dfa) -> bool:
-    return shortest_accepted(d) is None
-
-
 def shortest_accepted(d: Dfa) -> Word | None:
     """A shortest accepted word (lexicographically least among those), or None."""
-    letters = sorted(d.alphabet)
-    seen = {d.initial: ()}
-    queue = deque([d.initial])
+    seen = {0: ()}
+    queue = deque(seen)
     while queue:
         q = queue.popleft()
-        if q in d.finals:
+        if d.accepting[q]:
             return seen[q]
-        for a in letters:
-            t = d.delta[(q, a)]
+        for a, t in zip(d.alphabet, d.rows[q]):
             if t not in seen:
                 seen[t] = seen[q] + (a,)
                 queue.append(t)
@@ -473,13 +455,14 @@ def determinize(start, successors, accepting, cap: int = DEFAULT_STATE_CAP) -> T
     return rows, list(map(accepting, subsets))
 
 
-def _determinize_moves(letters, moves: dict, starts, finals, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def _determinize_moves(letters, moves: list, starts, finals, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """The minimal DFA of `determinize` over frozensets of states, where
-    `moves` maps (state, letter) to the set of the states it leads to."""
+    `moves[q][c]` is the set of the states that q leads to in column c."""
     finals = frozenset(finals)
+    columns = range(len(letters))
 
     def successors(subset):
-        return [frozenset().union(*[moves.get((q, a), ()) for q in subset]) for a in letters]
+        return [frozenset().union(*[moves[q][c] for q in subset]) for c in columns]
 
     return table_dfa(letters, minimal_table(determinize(
         frozenset(starts), successors, lambda subset: not finals.isdisjoint(subset), cap)))
@@ -487,25 +470,25 @@ def _determinize_moves(letters, moves: dict, starts, finals, cap: int = DEFAULT_
 
 def reverse(d: Dfa) -> Dfa:
     """The mirror-image language."""
-    moves = {}
-    for (q, a), t in d.delta.items():
-        moves.setdefault((t, a), set()).add(q)
-    return _determinize_moves(sorted(d.alphabet), moves, d.finals, {d.initial})
+    moves = [[set() for _ in d.alphabet] for _ in d.rows]
+    for q, row in enumerate(d.rows):
+        for c, t in enumerate(row):
+            moves[t][c].add(q)
+    return _determinize_moves(d.alphabet, moves, compress(count(), d.accepting), {0})
 
 
 def concat_letter(d1: Dfa, letter, d2: Dfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """The language L(d1) . letter . L(d2)."""
     _require_same_alphabet(d1, d2)
-    if letter not in set(d1.alphabet):
+    if letter not in d1.columns:
         raise InputError(f"letter {letter!r} outside alphabet")
-    left = {q: i for i, q in enumerate(d1.states)}
-    right = {q: i for i, q in enumerate(d2.states, len(left))}
-    moves = {(left[q], a): {left[t]} for (q, a), t in d1.delta.items()}
-    moves.update(((right[q], a), {right[t]}) for (q, a), t in d2.delta.items())
-    for q in d1.finals:
-        moves[(left[q], letter)].add(right[d2.initial])
-    return _determinize_moves(sorted(d1.alphabet), moves, {left[d1.initial]},
-                              {right[q] for q in d2.finals}, cap)
+    shift = len(d1.rows)  # d2's state q is state shift + q
+    moves = [[{t} for t in row] for row in d1.rows]
+    moves += [[{shift + t} for t in row] for row in d2.rows]
+    for q in compress(count(), d1.accepting):
+        moves[q][d1.columns[letter]].add(shift)
+    return _determinize_moves(d1.alphabet, moves, {0},
+                              {shift + q for q in compress(count(), d2.accepting)}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -650,25 +633,23 @@ def decorated_letters(alphabet, n: int) -> list[str]:
 def decorate(d: Dfa, n: int) -> Dfa:
     """The language of decorated words of L: the image of L under the
     residue decoration starting at offset 0.  The residue product is built
-    as a table over d's reachable table (`dfa_table`): state q n + r is the
-    pair (q, r), r the prefix length mod n, and the last state is a sink
-    for words whose residues are inconsistent with their positions.  Its
-    columns are the decorated letters in sorted order, as
-    `decorated_letters` lists them; one Moore run (`minimal_table`) gives
-    the canonical minimal DFA."""
+    as a table over d's table: state q n + r is the pair (q, r), r the
+    prefix length mod n, and the last state is a sink for words whose
+    residues are inconsistent with their positions.  Its columns are the
+    decorated letters in sorted order, as `decorated_letters` lists them;
+    one Moore run (`minimal_table`) gives the canonical minimal DFA."""
     if n < 1:
         raise InputError("modulus must be at least 1")
-    letters, (rows, finals) = dfa_table(d)
     # the decorated letters, sorted, each with its base column and residue mod n
     columns = sorted((DecoratedLetter(a, r).text, b, r % n)
-                     for b, a in enumerate(letters) for r in range(1, n + 1))
+                     for b, a in enumerate(d.alphabet) for r in range(1, n + 1))
     texts = [text for text, _, _ in columns]
     by_residue = [[] for _ in range(n)]  # [r]: (column, base column) read after r letters
     for c, (_, b, r) in enumerate(columns):
         by_residue[r].append((c, b))
-    sink = len(rows) * n
+    sink = len(d.rows) * n
     table = []
-    for row in rows:
+    for row in d.rows:
         for r in range(n):
             out = [sink] * len(texts)
             nxt = (r + 1) % n
@@ -676,35 +657,35 @@ def decorate(d: Dfa, n: int) -> Dfa:
                 out[c] = row[b] * n + nxt
             table.append(out)
     table.append([sink] * len(texts))
-    accepting = [f for f in finals for _ in range(n)] + [False]
+    accepting = [f for f in d.accepting for _ in range(n)] + [False]
     return table_dfa(texts, minimal_table((table, accepting)))
 
 
 def _residue_reach(d: Dfa, n: int) -> set:
     """The pairs (q, r) such that some word of length congruent to r mod n
-    leads from the initial state to q.  More than DEFAULT_STATE_CAP
-    possible pairs raise CapError."""
+    leads from the start to q.  More than DEFAULT_STATE_CAP possible pairs
+    raise CapError."""
     if n < 1:
         raise InputError("modulus must be at least 1")
-    if len(d.states) * n > DEFAULT_STATE_CAP:
+    if len(d.rows) * n > DEFAULT_STATE_CAP:
         raise CapError(
-            f"modulus {n} on {len(d.states)} states exceeds the state cap "
+            f"modulus {n} on {len(d.rows)} states exceeds the state cap "
             f"({DEFAULT_STATE_CAP} state and residue pairs)")
-    seen = {(d.initial, 0)}
+    seen = {(0, 0)}
     queue = deque(seen)
     while queue:
         q, r = queue.popleft()
-        for a in d.alphabet:
-            nxt = (d.delta[(q, a)], (r + 1) % n)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        r = (r + 1) % n
+        for t in d.rows[q]:
+            if (t, r) not in seen:
+                seen.add((t, r))
+                queue.append((t, r))
     return seen
 
 
 def length_residues(d: Dfa, n: int) -> frozenset[int]:
     """All residues (1..n convention) of lengths of words in L."""
-    return frozenset(mod1(r, n) for q, r in _residue_reach(d, n) if q in d.finals)
+    return frozenset(mod1(r, n) for q, r in _residue_reach(d, n) if d.accepting[q])
 
 
 def decorated_alphabet(d: Dfa, n: int) -> frozenset[str]:
@@ -712,18 +693,18 @@ def decorated_alphabet(d: Dfa, n: int) -> frozenset[str]:
     residue r+1 wherever a leads from a pair (q, r) reached by the prefix
     to a state from which a final state is reachable."""
     reach = _residue_reach(d, n)
-    back = {}
-    for (q, a), t in d.delta.items():
-        back.setdefault(t, set()).add(q)
-    co = set(d.finals)
+    back = [[] for _ in d.rows]
+    for q, row in enumerate(d.rows):
+        for t in row:
+            back[t].append(q)
+    co = set(compress(count(), d.accepting))
     queue = deque(co)
     while queue:
-        q = queue.popleft()
-        for p in back.get(q, ()):
+        for p in back[queue.popleft()]:
             if p not in co:
                 co.add(p)
                 queue.append(p)
     return frozenset(
         DecoratedLetter(a, mod1(r + 1, n)).text
-        for q, r in reach for a in d.alphabet if d.delta[(q, a)] in co
+        for q, r in reach for a, t in zip(d.alphabet, d.rows[q]) if t in co
     )

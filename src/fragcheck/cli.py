@@ -25,11 +25,11 @@ from .automata import (
     dfa_to_doc,
     dfa_to_json,
     equivalent,
-    make_dfa,
     minimize,
     mod1,
     parse_dfa,
     regex_to_dfa,
+    table_dfa,
 )
 from .errors import CapError, ConsistencyError, InputError
 from .fologic import (
@@ -402,20 +402,17 @@ MAX_DRAW_LETTERS = 26
 def random_dfa(rng: np.random.Generator, max_states: int, max_letters: int) -> Dfa:
     """One random machine: uniform transition table over a uniform state
     count (2..max) and letter count (1..max), final sets uniform among the
-    proper nonempty subsets, initial state fixed at 0."""
+    proper nonempty subsets, initial state fixed at 0; the Dfa keeps the
+    states reachable from it."""
     n = int(rng.integers(2, max_states + 1))
     k = int(rng.integers(1, max_letters + 1))
     letters = [chr(ord("a") + i) for i in range(k)]
-    states = [f"q{i}" for i in range(n)]
-    delta = {
-        (q, a): states[int(rng.integers(0, n))] for q in states for a in letters
-    }
+    rows = [[int(rng.integers(0, n)) for _ in letters] for _ in range(n)]
     while True:
         mask = rng.integers(0, 2, size=n).astype(bool)
         if _any(mask) and not _all(mask):
             break
-    finals = [q for q, bit in zip(states, mask) if bit]
-    return make_dfa(letters, states, "q0", finals, delta)
+    return table_dfa(letters, (rows, mask.tolist()))
 
 
 def _draws(count: int, max_states: int, max_letters: int, seed: int, max_monoid: int):
@@ -496,7 +493,7 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     failures: list[str] = []
 
     again = minimize(minimal)
-    if len(again.states) != len(minimal.states) or not equivalent(again, minimal)[0]:
+    if len(again.rows) != len(minimal.rows) or not equivalent(again, minimal)[0]:
         failures.append("minimize-idempotent")
 
     co_minimal = complement(minimal)
@@ -515,15 +512,11 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
         failures.append("analyze-consistency")
         return failures
 
-    # rows[x][i]: x times the i-th letter's image
+    # the monoid acting on itself: row x holds x times each letter's image,
+    # and the identity is id 0 (`generated_morphism`)
     rows = mon.mult[:, [morphism.letter_map[a] for a in morphism.alphabet]].tolist()
-    rebuilt = make_dfa(
-        morphism.alphabet,
-        list(mon.elements()),
-        mon.identity,
-        morphism.accepting,
-        {(x, a): y for x, row in enumerate(rows) for a, y in zip(morphism.alphabet, row)},
-    )
+    rebuilt = table_dfa(morphism.alphabet,
+                        (rows, [x in morphism.accepting for x in range(mon.size)]))
     if not equivalent(rebuilt, minimal)[0]:
         failures.append("recognition-rebuild")
 
@@ -580,29 +573,26 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     # same words and verdicts as enumerating them all.
     for n in (2, 3):
         decorated = decorate(minimal, n)
-        finals, start, delta = decorated.finals, decorated.initial, decorated.delta
-        # texts[r]: (letter, the letter decorated with r + 1, then with r + 2)
-        texts = [
-            [(a, DecoratedLetter(a, r + 1).text, DecoratedLetter(a, mod1(r + 2, n)).text)
-             for a in minimal.alphabet]
-            for r in range(n)
-        ]
-        ok = (start in finals) == (minimal.initial in minimal.finals)
-        triples = {(minimal.initial, start, start)}
+        rows, accepting = decorated.rows, decorated.accepting
+        # texts[i][c]: the c-th letter decorated with the residue of i + 1
+        texts = [[DecoratedLetter(a, mod1(i + 1, n)).text for a in minimal.alphabet]
+                 for i in range(n + 1)]
+        missing = [text for row in texts for text in row if text not in decorated.columns]
+        if missing:  # as `Dfa.run` refuses them
+            raise InputError(f"letter {missing[0]!r} outside alphabet")
+        column = [list(map(decorated.columns.get, row)) for row in texts]
+        ok = accepting[0] == minimal.accepting[0]
+        triples = {(0, 0, 0)}
         for length in range(1, 5):
             # the letter at position `length`, decorated at offsets 0 and 1
-            steps = texts[(length - 1) % n]
-            for _, a0, a1 in steps:  # as `Dfa.run` refuses them
-                for text in (a0, a1):
-                    if (start, text) not in delta:
-                        raise InputError(f"letter {text!r} outside alphabet")
+            at, after = column[(length - 1) % n], column[(length - 1) % n + 1]
             triples = {
-                (minimal.delta[(q, a)], delta[(p, a0)], delta[(p1, a1)])
+                (minimal.rows[q][c], rows[p][at[c]], rows[p1][after[c]])
                 for q, p, p1 in triples
-                for a, a0, a1 in steps
+                for c in range(len(at))
             }
             for q, p, p1 in triples:
-                if (p in finals) != (q in minimal.finals) or (n > 1 and p1 in finals):
+                if accepting[p] != minimal.accepting[q] or (n > 1 and accepting[p1]):
                     ok = False
         if not ok:
             failures.append("decoration-membership")
@@ -655,7 +645,7 @@ def _cmd_xcheck(args, out) -> int:
             "instances": [
                 {
                     "index": idx,
-                    "states": len(d.states),
+                    "states": len(d.rows),
                     "letters": len(d.alphabet),
                     "monoid": monoid_size,
                     "failures": failures,
@@ -668,7 +658,7 @@ def _cmd_xcheck(args, out) -> int:
         for idx, d, monoid_size, failures in entries:
             status = "ok" if not failures else "FAIL " + ",".join(failures)
             out.write(
-                f"instance {idx:03d} states={len(d.states)} "
+                f"instance {idx:03d} states={len(d.rows)} "
                 f"letters={len(d.alphabet)} monoid={monoid_size} {status}\n"
             )
             if failures:

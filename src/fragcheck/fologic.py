@@ -71,7 +71,7 @@ minimal table, only what is numbered before Moore.  Each product and
 erasure is minimized by `automata.minimal_table`; negation flips the
 accepting flags of a complete minimal table, which leaves it minimal.
 Only the final table over plain letters, already minimal, becomes a `Dfa`,
-through `automata.table_dfa` for the canonical state names.
+through `automata.table_dfa`, which numbers its states canonically.
 
 Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
 (InputError).  Compilation raises CapError when a quantifier scope would
@@ -102,9 +102,10 @@ from .errors import CapError, InputError
 
 # Deepest formula tree the parser builds.  The n-ary `and`/`or` fold into
 # right-nested binary trees, one level per operand.  The walkers that
-# recurse (parsing, renaming, compiling, truth on a word, printing) take one
-# or two Python frames per level, so this keeps them under Python's default
-# recursion limit of 1000; the others walk an explicit stack.
+# recurse (parsing, renaming, compiling, truth on a word) take one or two
+# Python frames per level, so this keeps them under Python's default
+# recursion limit of 1000; the others walk an explicit stack, printing
+# among them, as `modprod` translates expressions into deeper sentences.
 MAX_FORMULA_DEPTH = 500
 
 # Most marked letters (letters times subsets of the variables in scope) one
@@ -363,31 +364,36 @@ def parse_formula_document(text: str) -> tuple[list[str] | None, Formula]:
 
 
 def to_sexp(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Lab):
-        return f"(lab {f.var} {f.letter})"
-    if isinstance(f, Eq):
-        return f"(= {f.left} {f.right})"
-    if isinstance(f, Lt):
-        return f"(< {f.left} {f.right})"
-    if isinstance(f, Mod):
-        return f"(mod {f.var} {f.modulus} {f.residue})"
-    if isinstance(f, Len):
-        return f"(len {f.modulus} {f.residue})"
-    if isinstance(f, And):
-        return f"(and {to_sexp(f.left)} {to_sexp(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {to_sexp(f.left)} {to_sexp(f.right)})"
-    if isinstance(f, Not):
-        return f"(not {to_sexp(f.sub)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {to_sexp(f.body)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var} {to_sexp(f.body)})"
-    raise InputError(f"not a formula: {f!r}")
+    """The formula as an s-expression, written from an explicit stack of
+    formulas and literal text, so deep trees do not recurse."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, TrueF):
+            out.append("true")
+        elif isinstance(g, FalseF):
+            out.append("false")
+        elif isinstance(g, Lab):
+            out.append(f"(lab {g.var} {g.letter})")
+        elif isinstance(g, Eq):
+            out.append(f"(= {g.left} {g.right})")
+        elif isinstance(g, Lt):
+            out.append(f"(< {g.left} {g.right})")
+        elif isinstance(g, Mod):
+            out.append(f"(mod {g.var} {g.modulus} {g.residue})")
+        elif isinstance(g, Len):
+            out.append(f"(len {g.modulus} {g.residue})")
+        elif isinstance(g, (And, Or, Not, Exists, Forall)):
+            head = type(g).__name__.lower()
+            out.append(f"({head} {g.var}" if isinstance(g, (Exists, Forall)) else f"({head}")
+            stack.append(")")
+            for c in reversed(_children(g)):
+                stack += [c, " "]
+        else:
+            raise InputError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 def _children(f: Formula) -> tuple:

@@ -328,6 +328,11 @@ def _marker_at(ctx: _Marker, v: str) -> Formula:
     return And(Lab(v, ctx.letter), and_all(cases))
 
 
+def _marker_size(ctx: _Marker) -> int:
+    """The nodes of `_marker_at(ctx, v)`: 5 per residue case from the right."""
+    return 5 * ctx.modulus + 1 if ctx.from_right else 3
+
+
 def _unique_marker(ctx: _Marker, v: str) -> Formula:
     """v is the first (dprod) or last (cprod) marker position."""
     w = _other(v)
@@ -362,18 +367,26 @@ def _tree_size(f: Formula) -> int:
 class _Translation:
     """The sentences of one valid expression's subexpressions, from the
     residues its walk recorded, built within MAX_SENTENCE_NODES nodes: the
-    count is checked as each node is made, so deep nesting stops early."""
+    count is checked as each node is made, so deep nesting stops early,
+    and a part that grows with a modulus is checked before it is built."""
 
     def __init__(self, residues: dict):
         self.residues = residues
         self.nodes = 0
 
-    def _built(self, f: Formula, size: int | None = None) -> Formula:
-        """f, whose making added `size` nodes, or all of f's when None."""
-        self.nodes += _tree_size(f) if size is None else size
-        if self.nodes > MAX_SENTENCE_NODES:
+    def _fits(self, size: int) -> None:
+        """Refuse a sentence that `size` more nodes take past the cap.  Checked
+        before a part is built, `size` is a lower bound of what `_built` then
+        counts, so the part is refused exactly when it would be afterwards."""
+        if self.nodes + size > MAX_SENTENCE_NODES:
             raise CapError(f"formula node cap exceeded ({MAX_SENTENCE_NODES}) "
                            f"while translating the expression")
+
+    def _built(self, f: Formula, size: int | None = None) -> Formula:
+        """f, whose making added `size` nodes, or all of f's when None."""
+        size = _tree_size(f) if size is None else size
+        self._fits(size)
+        self.nodes += size
         return f
 
     def sentence(self, e: LangExpr) -> Formula:
@@ -394,6 +407,7 @@ class _Translation:
             ctx = _Marker(e.letter, n, mod1(self.residues[id(e)] + 1, n), isinstance(e, CodetProd))
             left = self.relativize(self.sentence(e.left), ctx, "left")
             right = self.relativize(self.sentence(e.right), ctx, "right")
+            self._fits(_marker_size(ctx))
             marker = self._built(_marker_at(ctx, "x"))
             return self._built(And(Exists("x", marker), And(left, right)), 3)
         raise InputError(f"not an expression: {e!r}")
@@ -401,6 +415,10 @@ class _Translation:
     def relativize(self, f: Formula, ctx: _Marker, side: str) -> Formula:
         if isinstance(f, (TrueF, FalseF, Lab, Eq, Lt)) or (isinstance(f, Mod) and side == "left"):
             return self._built(f, 1)
+        if isinstance(f, (Mod, Len, Exists, Forall)):
+            # a unique marker (two markers), and on the right n shifted residue cases
+            shifted = isinstance(f, (Mod, Len)) and side == "right"
+            self._fits(2 * _marker_size(ctx) + (5 * f.modulus - 1 if shifted else 0))
         if isinstance(f, Mod):
             mv = _other(f.var)
             n = f.modulus

@@ -70,7 +70,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .automata import Dfa, dfa_table, minimal_table
+from .automata import Dfa, minimal_table
 from .errors import CapError, ConsistencyError, InputError
 
 DEFAULT_MAX_MONOID = 10_000
@@ -431,7 +431,7 @@ def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
     automaton, with the image of the language as accepting set.
 
     A letter's label is its column of the minimal table (the Moore quotient
-    of d's reachable table, state 0 initial), an element's the tuple of
+    of d's table, state 0 initial), an element's the tuple of
     the states each state moves to.  The product of t1 by t2 (t1, then t2)
     is `itemgetter(*t1)(t2)`, one C call per product for every state
     count: each tuple carries one more slot, a fixed point past the last
@@ -445,11 +445,10 @@ def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
     and more elements than that raise CapError with its own message.  As
     the words reach all n states, |M| >= n, so n states above the cap are
     refused before the closure starts."""
-    letters, t = dfa_table(d)
-    rows, final_mask = minimal_table(t)
+    rows, final_mask = minimal_table((d.rows, d.accepting))
     n = len(final_mask)
     cap = min(max_monoid, MAX_LABEL_CELLS // (n + 1))
-    letter_labels = {a: (*col, n) for a, col in zip(letters, zip(*rows))}
+    letter_labels = {a: (*col, n) for a, col in zip(d.alphabet, zip(*rows))}
     try:
         if n > cap:
             raise CapError(f"monoid size cap exceeded ({cap})")

@@ -11,7 +11,10 @@ to the same objects:
 - `minimize_by_dicts`, `intersect_by_dicts`, `union_by_dicts`,
   `complement_by_dicts` and `determinize_by_dicts`: Moore refinement, the
   pair product and the subset construction over the `Dfa` dictionaries,
-  as the automata module ran them before they moved onto integer tables;
+  as the automata module ran them before they moved onto integer tables.
+  A `Dfa` is now its table, so these dictionaries are its `delta` view,
+  with its `states`, `initial` and `finals` views, and the DFAs they build
+  go back through `make_dfa`;
 - `compile_formula_by_dfas`, the formula compiler as it was before it
   moved onto integer tables: it composes those dictionary operations
   connective by connective, with its own renaming of bound variables and
@@ -90,8 +93,8 @@ import numpy as np
 
 from fragcheck import fologic as fo
 from fragcheck.automata import (
-    DEFAULT_STATE_CAP, DecoratedLetter, decorate_word, decorated_letters, dfa_table,
-    make_dfa, minimal_table, mod1)
+    DEFAULT_STATE_CAP, DecoratedLetter, decorate_word, decorated_letters, make_dfa,
+    minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
     DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, _closure_members, format_word,
@@ -1174,8 +1177,8 @@ def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
     its element is found, the letter columns R_a[x] = x . a kept per
     letter and the table filled by the column recurrence
     mult[x][y a] = R_a[mult[x][y]]."""
-    letters, t = dfa_table(d)
-    rows, final_mask = minimal_table(t)
+    letters = d.alphabet
+    rows, final_mask = minimal_table((d.rows, d.accepting))
     letter_labels = {a: tuple(col) for a, col in zip(letters, zip(*rows))}
     identity = tuple(range(len(final_mask)))
     labels, index, words, parent = [identity], {identity: 0}, [()], [None]

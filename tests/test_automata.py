@@ -27,7 +27,6 @@ from fragcheck.automata import (
     dfa_to_json,
     equivalent,
     intersect,
-    is_empty,
     length_residues,
     make_dfa,
     minimal_table,
@@ -79,9 +78,39 @@ def test_make_dfa_runs_and_accepts():
 
 
 def test_incomplete_delta_rejected():
-    with pytest.raises(InputError):
-        Dfa(alphabet=("a", "b"), states=(0, 1), initial=0, finals=frozenset({0}),
-            delta={(0, "a"): 1, (1, "a"): 0, (0, "b"): 0})
+    with pytest.raises(InputError, match=r"^incomplete delta: no transition from 1 on 'b'$"):
+        make_dfa(("a", "b"), (0, 1), 0, {0}, {(0, "a"): 1, (1, "a"): 0, (0, "b"): 0})
+
+
+def test_parse_dfa_tables_the_reachable_part_of_any_names():
+    # letters out of order, names that are not q0, q1, ..., a start that is
+    # not listed first and an unreachable state: (a|b)*a
+    doc = {
+        "alphabet": ["b", "a"],
+        "states": ["z", "odd", "start"],
+        "initial": "start",
+        "finals": ["odd", "z"],
+        "transitions": [["z", "b", "start"], ["z", "a", "z"],
+                        ["odd", "b", "start"], ["odd", "a", "odd"],
+                        ["start", "b", "start"], ["start", "a", "odd"]],
+    }
+    d = parse_dfa(json.dumps(doc))
+    direct = make_dfa(doc["alphabet"], doc["states"], doc["initial"], doc["finals"],
+                      {(q, a): t for q, a, t in doc["transitions"]})
+    assert (d.alphabet, d.rows, d.accepting) == (("a", "b"), ((1, 0), (1, 0)), (False, True))
+    assert (direct.alphabet, direct.rows, direct.accepting) == (d.alphabet, d.rows, d.accepting)
+    assert json.loads(dfa_to_json(d)) == {
+        "alphabet": ["a", "b"],
+        "states": ["q0", "q1"],
+        "initial": "q0",
+        "finals": ["q1"],
+        "transitions": [["q0", "a", "q1"], ["q0", "b", "q0"],
+                        ["q1", "a", "q1"], ["q1", "b", "q0"]],
+    }
+    assert equivalent(d, regex_to_dfa("(a|b)*a"))[0]
+    assert equivalent(parse_dfa(dfa_to_json(d)), d)[0]
+    for w in oracles.words("ab", 5):
+        assert d.accepts(w) == (w[-1:] == ("a",)), w
 
 
 def test_parse_dfa_json_round_trip():
@@ -266,7 +295,7 @@ def test_product_table_matches_pair_closure_and_dict_products(seed):
                 # give equal fields
                 got = table_dfa(letters, minimal_table((delta, finals)))
                 want = by_dicts(d1, d2)
-                assert (got.states, got.finals, got.delta) == (want.states, want.finals, want.delta)
+                assert (got.rows, got.accepting) == (want.rows, want.accepting)
                 # the cap counts the numbered states, the sink among them
                 product_table(t1, t2, accept, len(states))
                 with pytest.raises(CapError):
@@ -310,9 +339,7 @@ def test_boolean_ops_require_matching_alphabets():
 
 def test_emptiness_and_shortest_word():
     d = regex_to_dfa("(a|b)*aa(a|b)*")
-    assert not is_empty(d)
     assert shortest_accepted(d) == ("a", "a")
-    assert is_empty(intersect(d, complement(d)))
     assert shortest_accepted(intersect(d, complement(d))) is None
 
 

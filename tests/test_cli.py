@@ -137,6 +137,22 @@ def test_expr_to_fo_round_trip():
     assert ok
 
 
+def test_expr_to_fo_prints_sentences_deeper_than_the_recursion_limit():
+    # a base of n position sets translates to n rules in one right-nested
+    # conjunction, n levels deep: the printer walks it without recursing
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    for n in (1000, 3000):
+        sets = " ".join(["(a)"] * n)
+        done = subprocess.run(
+            [sys.executable, "-m", "fragcheck.cli", "expr", "to-fo",
+             "--sexp", f"(base ({sets}))", "--alphabet", "a"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        rules = [f"(or (not (mod x {n} {i})) (lab x a))" for i in range(1, n + 1)]
+        body = "".join(f"(and {rule} " for rule in rules[:-1]) + rules[-1] + ")" * (n - 1)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"(and (len {n} {n}) (forall x {body}))\n"
+
+
 def test_witness_report():
     code, text = run_cli(["witness", "--regex", "((a|b)(a|b))*"])
     assert code == 0

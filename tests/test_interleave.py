@@ -3,23 +3,42 @@ checkout's under a second name."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 from fragcheck import fragments
 from fragcheck.automata import minimize, regex_to_dfa
 
-spec = importlib.util.spec_from_file_location(
-    "interleave", Path(__file__).resolve().parent.parent / "tools" / "interleave.py")
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("interleave", ROOT / "tools" / "interleave.py")
 interleave = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(interleave)
 
 
+def exported_head(tmp_path):
+    """This checkout's `src/fragcheck`, committed once to a repository of
+    its own under tmp_path and exported from there as `fragcheck_head`:
+    the tests need no git history around the checkout."""
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src" / "fragcheck", repo / "src" / "fragcheck",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(repo), "-c", "user.name=fragcheck", "-c",
+           "user.email=fragcheck@localhost", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "src"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "export"], check=True)
+    into = tmp_path / "export"
+    into.mkdir()
+    return interleave.load_export("HEAD", "fragcheck_head", into, repo), into
+
+
 def test_head_export_imports_beside_the_checkout_and_analyzes_alike(tmp_path):
-    head = interleave.load_export("HEAD", "fragcheck_head", tmp_path)
+    head, into = exported_head(tmp_path)
     try:
         other = interleave.submodules(head)["fragments"]
-        assert Path(other.__file__).parent == tmp_path / "fragcheck_head"
+        assert Path(other.__file__).parent == into / "fragcheck_head"
         assert other is not fragments
         assert other.analyze.__module__ == "fragcheck_head.fragments"
         for pattern in ("(a|b)*", "(aa)*", "a(a|b)*", "(ab)*", "((a|b)(a|b))*(aa|bb)(a|b)*"):
@@ -38,9 +57,9 @@ def test_formulas_items_run_on_the_parent_classes_and_summarise_alike(tmp_path):
     `modprod` classes, come in the change side's order and summarise alike
     on both sides, and the change side's expressions are left as they
     were."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    sys.path.insert(0, str(ROOT / "bench"))
     import workloads
-    head = interleave.load_export("HEAD", "fragcheck_head", tmp_path)
+    head, _ = exported_head(tmp_path)
     change = {attr: getattr(workloads, attr) for attr in interleave.ITEM_MODULES}
     try:
         sides = {"change": change, "parent": interleave.submodules(head)}

@@ -1,6 +1,12 @@
 """Block-product language expressions: evaluation, validation, printing,
 and the translation into first-order sentences."""
 
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+
 import pytest
 
 import exprsuite
@@ -256,3 +262,22 @@ def test_nested_products_stop_at_the_node_cap():
     assert modprod._tree_size(f) == 20775
     with pytest.raises(CapError, match=r"formula node cap exceeded \(100000\)"):
         expr_to_formula(_product_chain(5), ["a", "b"])
+
+
+def test_a_cprod_marker_past_the_node_cap_is_refused_before_it_is_built():
+    # a marker counted from the right holds one residue case per residue,
+    # 5 n + 1 nodes: at n = 100000 its operands' side tests would need more
+    # than the cap, which refuses them before their cases are made.  Making
+    # the cases first costs some 2 CPU s; the child gets 2 s in all
+    src = str(pathlib.Path(modprod.__file__).parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "fragcheck.cli", "expr", "to-fo", "--alphabet", "a,b",
+         "--sexp", "(cprod 100000 (base ((b))) a (base ((a) ())))"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (
+        3, "error: formula node cap exceeded (100000) while translating the expression\n")

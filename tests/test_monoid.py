@@ -172,20 +172,33 @@ def test_transition_monoid_word_of_is_shortlex():
     assert h.word_of(h.image("ab")) == ("a", "b")
 
 
+def _doubled(d):
+    """d with two copies (q, 0) and (q, 1) of each state, every move
+    switching copies: the copies of a state are equivalent."""
+    delta = {((q, i), a): (t, 1 - i)
+             for q, row in enumerate(d.rows) for a, t in zip(d.alphabet, row) for i in (0, 1)}
+    states = [(q, i) for q in range(len(d.rows)) for i in (0, 1)]
+    finals = [(q, i) for q, i in states if d.accepting[q]]
+    return make_dfa(d.alphabet, states, (0, 0), finals, delta)
+
+
 def test_transition_monoid_minimizes_first():
-    # random machines with unreachable and equivalent states give the same
-    # morphism as their minimal automata: table, words, letters, accepting
+    # random machines with equivalent states give the same morphism as
+    # their minimal automata: table, words, letters, accepting.  A Dfa
+    # keeps only its reachable states, so each draw is also taken with its
+    # states doubled
     rng = np.random.default_rng(11)
     grew = 0
     for _ in range(40):
-        d = random_dfa(rng, 5, 3)
-        m = minimize(d)
-        grew += len(d.states) > len(m.states)
-        h, want = transition_monoid(d), transition_monoid(m)
-        assert np.array_equal(h.monoid.mult, want.monoid.mult)
-        assert h.monoid.repr_words == want.monoid.repr_words
-        assert h.letter_map == want.letter_map and h.alphabet == want.alphabet
-        assert h.accepting == want.accepting
+        drawn = random_dfa(rng, 5, 3)
+        for d in (drawn, _doubled(drawn)):
+            m = minimize(d)
+            grew += len(d.rows) > len(m.rows)
+            h, want = transition_monoid(d), transition_monoid(m)
+            assert np.array_equal(h.monoid.mult, want.monoid.mult)
+            assert h.monoid.repr_words == want.monoid.repr_words
+            assert h.letter_map == want.letter_map and h.alphabet == want.alphabet
+            assert h.accepting == want.accepting
     assert grew >= 10
 
 

@@ -45,10 +45,10 @@ WORKLOADS = ("corpus", "ladder", "xcheck", "formulas")
 ITEM_MODULES = ("fragments", "cli", "automata", "fologic", "modprod")
 
 
-def load_export(rev: str, name: str, into: Path):
-    """Import `rev`'s committed `src/fragcheck` as the package `name`, from a
-    copy written under `into`."""
-    archive = subprocess.run(["git", "archive", rev, "src/fragcheck"], cwd=ROOT, check=True,
+def load_export(rev: str, name: str, into: Path, root: Path = ROOT):
+    """Import `rev`'s committed `src/fragcheck` of the repository at `root`
+    as the package `name`, from a copy written under `into`."""
+    archive = subprocess.run(["git", "archive", rev, "src/fragcheck"], cwd=root, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     path = into / name
