@@ -63,6 +63,12 @@ from .errors import CapError, InputError
 Word = tuple  # tuple of letters
 
 DEFAULT_STATE_CAP = 200_000
+# Most cells, bits of follow masks, that a pattern's subset construction
+# may OR together: each subset ORs the follow masks of its positions, one
+# bit per position each, so the work grows with the positions and the
+# subsets both.  The patterns of the tests, the state cap's included, OR
+# under 2^26.
+MAX_FOLLOW_CELLS = 1 << 28
 
 
 def mod1(i: int, n: int) -> int:
@@ -519,7 +525,12 @@ def _bits(mask: int):
 def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
     """Compile a pattern to the minimal DFA over the union of the pattern's
     letters and the optionally declared alphabet, by the subset
-    construction on its position automaton (see the module docstring)."""
+    construction on its position automaton (see the module docstring).
+
+    Each subset ORs the follow masks of its positions, P bits each for P
+    positions (the start included), so all the subsets of a pattern may
+    OR at most MAX_FOLLOW_CELLS // P of them: more raise CapError with
+    their own message, as more than DEFAULT_STATE_CAP subsets do."""
     tokens = [c for c in pattern if not c.isspace()]
     pos = 0
     depth = 0  # groups open at pos
@@ -602,8 +613,15 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
         raise InputError("pattern uses no letters and no alphabet was declared")
     masks = [reads.get(a, 0) for a in letters]
     finals = last | nullable  # the start, position 0, accepts when nullable
+    limit = MAX_FOLLOW_CELLS // len(follow)  # follow masks the subsets may OR
+    ored = 0
 
     def successors(subset):
+        nonlocal ored
+        ored += subset.bit_count()
+        if ored > limit:
+            raise CapError(f"pattern follow cap exceeded (more than {limit} follow masks of "
+                           f"{len(follow)} cells, at most {MAX_FOLLOW_CELLS} cells)")
         after = 0
         for p in _bits(subset):
             after |= follow[p]

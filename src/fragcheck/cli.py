@@ -5,6 +5,10 @@ Exit codes: 0 success (and "definable" / "true" for verdict commands),
 3 a size cap was exceeded.  All reports are deterministic byte for byte
 for a fixed command line, including the randomized cross-check battery,
 which is driven entirely by its seed.
+
+The formula compiler (`fologic`), the modular products (`modprod`) and the
+hierarchy levels (`hierarchy`) are imported by the handlers that use them,
+so `analyze`, `check` and `witness` start without them.
 """
 
 from __future__ import annotations
@@ -32,14 +36,6 @@ from .automata import (
     table_dfa,
 )
 from .errors import CapError, ConsistencyError, InputError
-from .fologic import (
-    compile_formula,
-    eval_formula,
-    formula_letters,
-    formula_stats,
-    parse_formula_document,
-    to_sexp,
-)
 from .fragments import (
     FRAGMENTS,
     LanguageAnalysis,
@@ -47,8 +43,6 @@ from .fragments import (
     build_mod_witness,
     verify_vmod_implication,
 )
-from .hierarchy import wv_level
-from .modprod import expr_to_formula, parse_expr, validate
 from .monoid import (
     DEFAULT_MAX_MONOID,
     Morphism,
@@ -188,6 +182,7 @@ def _load_dfa(args) -> tuple[Dfa, str]:
 
 
 def _load_formula(args):
+    from .fologic import parse_formula_document
     if (args.formula is None) == (args.sexp is None):
         raise InputError("exactly one of --formula and --sexp is required")
     text = _read_file(args.formula) if args.formula else args.sexp
@@ -195,6 +190,7 @@ def _load_formula(args):
 
 
 def _formula_alphabet(args, doc_alphabet, formula) -> list[str]:
+    from .fologic import formula_letters
     if getattr(args, "alphabet", None):
         return _split_alphabet(args.alphabet)
     if doc_alphabet:
@@ -206,6 +202,7 @@ def _formula_alphabet(args, doc_alphabet, formula) -> list[str]:
 
 
 def _load_expr(args):
+    from .modprod import parse_expr
     if (args.expr is None) == (args.sexp is None):
         raise InputError("exactly one of --expr and --sexp is required")
     text = _read_file(args.expr) if args.expr else args.sexp
@@ -277,6 +274,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_fo_compile(args, out) -> int:
+    from .fologic import compile_formula, formula_stats
     doc_alphabet, formula = _load_formula(args)
     alphabet = _formula_alphabet(args, doc_alphabet, formula)
     d = compile_formula(formula, alphabet)
@@ -288,6 +286,7 @@ def _cmd_fo_compile(args, out) -> int:
 
 
 def _cmd_fo_eval(args, out) -> int:
+    from .fologic import eval_formula
     _, formula = _load_formula(args)
     value = eval_formula(formula, _parse_word(args.word))
     out.write("true\n" if value else "false\n")
@@ -295,6 +294,7 @@ def _cmd_fo_eval(args, out) -> int:
 
 
 def _cmd_expr_check(args, out) -> int:
+    from .modprod import validate
     expr = _load_expr(args)
     alphabet = _split_alphabet(args.alphabet)
     violations = validate(expr, alphabet)
@@ -321,6 +321,8 @@ def _cmd_expr_check(args, out) -> int:
 
 
 def _cmd_expr_to_fo(args, out) -> int:
+    from .fologic import formula_stats, to_sexp
+    from .modprod import expr_to_formula
     expr = _load_expr(args)
     alphabet = _split_alphabet(args.alphabet)
     formula = expr_to_formula(expr, alphabet)
@@ -617,6 +619,7 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
             failures.append("witness-implication")
 
     if report.verdicts["fo2_mod_new"]:
+        from .hierarchy import wv_level
         levels = wv_level(morphism, max_level=mon.size + 2)
         if levels.w is None or levels.v is None:
             failures.append("hierarchy-bound")

@@ -5,13 +5,17 @@ order, when present, is a full boolean matrix leq[x][y] meaning x <= y.
 Morphisms carry shortlex-least representative words for every element.
 
 Every morphism built here comes from one breadth-first closure,
-`generated_morphism` (Froidure & Pin 1997): transition monoids, whose
-product of tuple actions is one C call, `itemgetter(*t1)(t2)`, and the
-witness, wreath and power morphisms.  It keeps each element's parent and
-letter as ints and checks the size cap before it builds any word or table;
-the words then follow from the parents, and the table is written row by
-row, mult[x a] = mult[x][L_a] with L_a the left letter column: one |M|^2
-table plus O(|M|) temporaries.
+`generated_morphism` (Froidure & Pin 1997): transition monoids, and the
+witness, wreath and power morphisms.  A transition monoid labels an
+element by its action on the states of the minimal automaton: below 256
+states as n bytes, whose product with a letter is one `bytes.translate`
+by the letter's 256-byte table, and from 256 states up, which a byte
+cannot name, as a tuple, whose product is one `itemgetter(*t1)(t2)`.  The
+morphism keeps those labels as its `action`.  The closure keeps each
+element's parent and letter as ints and checks the size cap before it
+builds any word or table; the words then follow from the parents, and
+the table is written row by row, mult[x a] = mult[x][L_a] with L_a the
+left letter column: one |M|^2 table plus O(|M|) temporaries.
 
 Every table handed to `OrderedMonoid` is checked: its entries in range
 (one pass), the identity law, and associativity, over the whole |M|^3
@@ -25,8 +29,13 @@ action of each element, as packed rows of bits ANDed over the quotients:
 O(k |M|^2 / 8) time plus one |M|^2 unpack into the boolean matrix, for k
 distinct quotients, where k is the state count of the minimal automaton.
 This is Pin's ordered syntactic monoid ("A variety theorem without
-complementation", 1995).  Brute-force context enumeration of the same
-order, and its earlier byte-gather route, live in the test oracles.
+complementation", 1995).  For a transition monoid the quotients and the
+action are read off its labels, one n x |M| array; only a morphism that
+carries no action, such as one built by hand, takes the table route,
+which finds the distinct quotients by an |M|^2 gather of P along the
+table and checks that no two elements share every context.  Brute-force
+context enumeration of the same order, and its earlier byte-gather
+route, live in the test oracles.
 
 The J-order of the monoid has one owner, `JClasses`: it yields the least
 idempotent of each regular J-class and the class's upset {a : e in MaM},
@@ -75,8 +84,9 @@ from .errors import CapError, ConsistencyError, InputError
 
 DEFAULT_MAX_MONOID = 10_000
 # Most cells the labels of a transition monoid may hold together: an
-# element of the monoid of an n-state automaton is labelled by a tuple of
-# n + 1 state ids, so the labels take |M| (n + 1) pointers, 1 GiB here.
+# element of the monoid of an n-state automaton is labelled by n + 1 cells,
+# pointers of a tuple from 256 states up (1 GiB here), so the labels take
+# |M| (n + 1) cells.  The n-byte labels below 256 states are counted alike.
 MAX_LABEL_CELLS = 1 << 27
 
 Word = tuple
@@ -287,12 +297,17 @@ def is_aperiodic(m: OrderedMonoid, elements=None) -> tuple[bool, int | None]:
 @dataclass(frozen=True, eq=False)
 class Morphism:
     """A surjective morphism from the free monoid over `alphabet` onto
-    `monoid`, with an optional accepting set (the image of a language)."""
+    `monoid`, with an optional accepting set (the image of a language).
+
+    `action`, set by `transition_monoid` only, holds the closure's labels
+    (joined into one bytes object below 256 states) for
+    `syntactic_order`."""
 
     monoid: OrderedMonoid
     alphabet: tuple
     letter_map: dict
     accepting: frozenset | None = None
+    action: bytes | tuple | None = field(default=None, repr=False)
     # the stability layer's memo (see `stability.stability_info`): its
     # per-morphism entry, and one StabilityInfo per index multiplier
     _stability: dict = field(init=False, repr=False, default_factory=dict)
@@ -328,15 +343,18 @@ def generated_morphism(
     cap: int = DEFAULT_MAX_MONOID,
     label_order=None,
     label_accepting=None,
+    label_action=None,
 ) -> Morphism:
     """Close the letter labels under multiplication and index the result.
 
-    The letters are the keys of `letter_labels`, in sorted order.  Labels
-    are opaque hashable values.  `right_mult(x)` is the map
-    y -> x y on labels; the closure asks for it once per element and calls
-    it once per product x a, so with tuple actions and
-    `lambda t: itemgetter(*t)` (see `transition_monoid`) each product is
-    one C call, and the rest of its cost is one dict probe.  Element ids
+    The letters are the keys of `letter_labels`, in sorted order, each
+    mapped to its label or to what `right_mult` takes in its place (the
+    byte tables of `transition_monoid`).  Labels are opaque hashable
+    values.  `right_mult(x)` is the map y -> x y; the closure asks for it
+    once per element and calls it once per product x a, so with
+    `bytes.translate` or `itemgetter` (see `transition_monoid`) each
+    product is one C call, and the rest of its cost is one dict probe.
+    Each letter's id is read off the identity's products.  Element ids
     are assigned in breadth-first shortlex order, so id 0 is the identity
     and every element's representative word is shortlex-least.
 
@@ -346,9 +364,10 @@ def generated_morphism(
     any word or table is built.  The words then follow from the parents,
     and `_fill_table` writes the table row by row: one |M|^2 table plus
     O(|M|) temporaries.  When given, `label_order` maps the list of
-    labels, by element id, to the boolean order matrix, and
+    labels, by element id, to the boolean order matrix,
     `label_accepting` maps it to one truth value per element id, which
-    marks the accepting set.
+    marks the accepting set, and `label_action` maps it to the morphism's
+    `action`.
     """
     letters = sorted(letter_labels)
     gens = [letter_labels[a] for a in letters]
@@ -377,21 +396,21 @@ def generated_morphism(
     words = [()]
     for p, i in zip(parent[1:], last[1:]):
         words.append(words[p] + (letters[i],))
-    letter_map = {a: index[g] for a, g in zip(letters, gens)}
-    mult = _fill_table(right, parent, last, list(letter_map.values()))
+    letter_map = dict(zip(letters, right[:k]))  # 1 a = a
+    mult = _fill_table(right, parent, last, right[:k])
 
     leq = None if label_order is None else label_order(labels)
     accepting = None
     if label_accepting is not None:
         accepting = frozenset(compress(range(m), label_accepting(labels)))
 
-    monoid = OrderedMonoid(mult, 0, leq=leq, repr_words=words,
-                           generators=list(letter_map.values()))
+    monoid = OrderedMonoid(mult, 0, leq=leq, repr_words=words, generators=right[:k])
     return Morphism(
         monoid=monoid,
         alphabet=tuple(letters),
         letter_map=letter_map,
         accepting=accepting,
+        action=None if label_action is None else label_action(labels),
     )
 
 
@@ -426,38 +445,57 @@ def _action_times(t: tuple):
     return itemgetter(*t)
 
 
+def _translate_times(t: bytes):
+    # right multiplication by the action t: t then a letter, one C call by
+    # the letter's 256-byte table
+    return t.translate
+
+
 def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
     """The syntactic morphism of L(d): the transition monoid of the minimal
     automaton, with the image of the language as accepting set.
 
-    A letter's label is its column of the minimal table (the Moore quotient
-    of d's table, state 0 initial), an element's the tuple of
-    the states each state moves to.  The product of t1 by t2 (t1, then t2)
-    is `itemgetter(*t1)(t2)`, one C call per product for every state
-    count: each tuple carries one more slot, a fixed point past the last
-    state, so that the gather returns a tuple also at one state.  The
-    accepting set is read off the labels' first slots in one pass.
-    Element ids and words come from the closure over words, so they do not
-    depend on how the states are numbered.
+    An element's label is its action on the n states of the minimal table
+    (the Moore quotient of d's table, state 0 initial): the states each
+    state moves to, which the morphism keeps as its `action`.  Below 256
+    states a label is n bytes, and its product with a letter is one
+    `bytes.translate` by the letter's column padded to a 256-byte table.
+    From 256 states up, which a byte cannot name, a label is a tuple with
+    one more slot, a fixed point past the last state, and the product of
+    t1 by t2 (t1, then t2) is `itemgetter(*t1)(t2)`: the extra slot makes
+    the gather return a tuple also at one state.  The state count alone
+    picks the encoding; either way a product is one C call.  The accepting
+    set is read off the labels' first slots in one pass.  Element ids and
+    words come from the closure over words, so they do not depend on how
+    the states are numbered, nor on the encoding.
 
     The labels are held until the closure ends, so the cap is lowered to
     MAX_LABEL_CELLS // (n + 1) elements when that is below `max_monoid`,
-    and more elements than that raise CapError with its own message.  As
-    the words reach all n states, |M| >= n, so n states above the cap are
+    and more elements than that raise CapError with its own message: a
+    cell is a pointer of a tuple label and a byte of a byte label, so
+    byte labels at the cap hold an eighth of the tuples' memory.  As the
+    words reach all n states, |M| >= n, so n states above the cap are
     refused before the closure starts."""
     rows, final_mask = minimal_table((d.rows, d.accepting))
     n = len(final_mask)
     cap = min(max_monoid, MAX_LABEL_CELLS // (n + 1))
-    letter_labels = {a: (*col, n) for a, col in zip(d.alphabet, zip(*rows))}
+    if n < 256:
+        pad = bytes(256 - n)
+        letter_ops = {a: bytes(col) + pad for a, col in zip(d.alphabet, zip(*rows))}
+        times, identity, action = _translate_times, bytes(range(n)), b"".join
+    else:
+        letter_ops = {a: (*col, n) for a, col in zip(d.alphabet, zip(*rows))}
+        times, identity, action = _action_times, tuple(range(n + 1)), tuple
     try:
         if n > cap:
             raise CapError(f"monoid size cap exceeded ({cap})")
         return generated_morphism(
-            letter_labels,
-            _action_times,
-            tuple(range(n + 1)),
+            letter_ops,
+            times,
+            identity,
             cap=cap,
             label_accepting=lambda labels: map(final_mask.__getitem__, map(itemgetter(0), labels)),
+            label_action=action,
         )
     except CapError:
         if cap == max_monoid:
@@ -481,6 +519,18 @@ def syntactic_order(m: Morphism) -> Morphism:
     act[c, y]] for every c, where contains[i, j] says that quotient j is
     included in quotient i.
 
+    A transition monoid carries its `action`, and its quotients are read
+    off it (Pin's theorem: the order is the inclusion of the minimal
+    automaton's right languages, along the action).  The quotient of p is
+    that of the state 0 p, and the states' right languages are distinct,
+    so the classes are the n states, with act[q, x] = q x the label of x
+    at q and quotient q = {x : q x final}.  Distinct labels are distinct
+    columns of act, so that route needs no antisymmetry check.  A morphism
+    without an action (built by hand, say) takes the table route: the
+    quotient of every p from the |M|^2 gather of the accepting set along
+    the table, one representative per distinct quotient, and the check
+    below.
+
     The rows of the matrix are built as packed bits (`_order_bits`) and
     unpacked once: O(k |M|^2 / 8) time plus one |M|^2 unpack.  The traced
     peak is about 1.2 |M|^2 bytes, the order included, as the bits of the
@@ -488,43 +538,51 @@ def syntactic_order(m: Morphism) -> Morphism:
 
     The order is canonical for the accepting set, so it is bound onto the
     morphism's monoid in place (idempotently) and the same morphism is
-    returned.  Nothing here assumes the morphism came from a minimal
-    automaton, so the relation is still checked for antisymmetry: it
-    fails, with InputError, exactly when two elements share every context,
-    which means the morphism was not the syntactic morphism of its
-    accepting set.  Two elements share every context exactly when every
-    quotient moves them alike: when two columns of act are equal.
+    returned.  The table route does not assume the morphism came from a
+    minimal automaton, so there the relation is checked for antisymmetry:
+    it fails, with InputError, exactly when two elements share every
+    context, which means the morphism was not the syntactic morphism of
+    its accepting set.  Two elements share every context exactly when
+    every quotient moves them alike: when two columns of act are equal.
     """
     if m.monoid.leq is not None:
         return m
     if m.accepting is None:
         raise InputError("syntactic order needs an accepting set")
     size = m.monoid.size
-    mult = m.monoid.mult
     acc = np.zeros(size, dtype=bool)
     acc[list(m.accepting)] = True
 
-    packed = _packbits(acc[mult], axis=1)  # [p]: the quotient of p, as bits
-    width, buf = packed.shape[1], packed.tobytes()
-    index, reps, cls = {}, [], []     # cls[p]: which distinct quotient is p's
-    for p in range(size):
-        c = index.setdefault(buf[p * width:(p + 1) * width], len(reps))
-        if c == len(reps):
-            reps.append(p)
-        cls.append(c)
-    quotients = _unpackbits(packed[reps], axis=1, count=size).astype(np.float32)
-    del packed, buf
+    if m.action is not None:
+        if isinstance(m.action, bytes):
+            act = np.frombuffer(m.action, dtype=np.uint8).reshape(size, -1).T.astype(np.intp)
+        else:  # tuples, with the fixed point in their last slot
+            act = np.array(m.action, dtype=np.intp)[:, :-1].T
+        final = np.zeros(act.shape[0], dtype=bool)
+        final[act[0]] = acc  # the state 0 x is final iff x accepts
+        quotients = final[act].astype(np.float32)  # [q, x]: q x is final
+    else:
+        mult = m.monoid.mult
+        packed = _packbits(acc[mult], axis=1)  # [p]: the quotient of p, as bits
+        width, buf = packed.shape[1], packed.tobytes()
+        index, reps, cls = {}, [], []     # cls[p]: which distinct quotient is p's
+        for p in range(size):
+            c = index.setdefault(buf[p * width:(p + 1) * width], len(reps))
+            if c == len(reps):
+                reps.append(p)
+            cls.append(c)
+        quotients = _unpackbits(packed[reps], axis=1, count=size).astype(np.float32)
+        del packed, buf
+        act = np.array(cls).take(mult.take(reps, 0))  # act[c, x]: the quotient of rep_c x
+        alike = _first_alike(act)
+        if alike is not None:
+            x, y = alike
+            raise InputError(
+                "syntactic order not antisymmetric: elements "
+                f"{format_word(m.word_of(x))} and {format_word(m.word_of(y))} "
+                "share all contexts (not a syntactic morphism)"
+            )
     contains = ((1.0 - quotients) @ quotients.T) == 0
-    act = np.array(cls).take(mult.take(reps, 0))  # act[c, x]: the quotient of rep_c x
-
-    alike = _first_alike(act)
-    if alike is not None:
-        x, y = alike
-        raise InputError(
-            "syntactic order not antisymmetric: elements "
-            f"{format_word(m.word_of(x))} and {format_word(m.word_of(y))} "
-            "share all contexts (not a syntactic morphism)"
-        )
     m.monoid.leq = _unpackbits(_order_bits(contains, act), axis=1, count=size).view(bool)
     return m
 

@@ -88,10 +88,13 @@ so Mes, the union of the powers B^k, is the fixed point of the walk: each
 round walks from the elements the last one added, and one round confirms
 a block set that is already closed.  The result is kept in the monoid's
 store of generated submonoids under the mask of B, which the analyses at
-other multipliers, and Me, share.  The Me of the stable submonoid S
-closes the upset in S of its J-class, from the J-classes of S above,
-which every multiplier shares, and `is_stable_trivial` reads stable R-
-and L-classes off the same upsets.
+other multipliers, and Me, share.  Where the pattern is full, every
+letter usable at every residue, nothing is walked, as Mes = S: every word
+of s letters is then a usable block, so B = h(A^s) = X_s, and as X_s X_s
+= X_2s = X_s, the submonoid B generates is {1} | X_s = S.  The Me of the
+stable submonoid S closes the upset in S of its J-class, from the
+J-classes of S above, which every multiplier shares, and
+`is_stable_trivial` reads stable R- and L-classes off the same upsets.
 
 The checks over Mes (`fragments`) visit one idempotent per regular
 J-class of S, its least (`StabilityInfo.stable_j_classes`), which decides
@@ -373,19 +376,24 @@ class StabilityInfo:
         (`_walk`).  Mes is the union of the powers of B, closed by
         walking on from what each round adds, and kept in the monoid's
         store under the mask of B, so a block set met again, at another
-        multiplier or as an upset of Me, is closed once.
+        multiplier or as an upset of Me, is closed once.  Where every
+        letter is usable at every residue, Mes is the stable submonoid S
+        (see the module docstring), and nothing is walked.
         """
         usable = self._usable_by_pair(e)
         key = usable.tobytes()
         got = self._mes_by_pattern.get(key)
         if got is None:
-            mon = self.monoid
-            letters = [self.powers.seq[1][u] for u in usable.T]
-            start = np.zeros(mon.size, dtype=bool)
-            start[mon.identity] = True
-            blocks = self._walk(start, letters)
-            got = self._mes_by_pattern[key] = mon.generated(
-                blocks, close=lambda b: self._walk_closure(b, letters))
+            if _all(usable):
+                got = self.stable
+            else:
+                mon = self.monoid
+                letters = [self.powers.seq[1][u] for u in usable.T]
+                start = np.zeros(mon.size, dtype=bool)
+                start[mon.identity] = True
+                blocks = self._walk(start, letters)
+                got = mon.generated(blocks, close=lambda b: self._walk_closure(b, letters))
+            self._mes_by_pattern[key] = got
         return got
 
     def _walk(self, blocks: np.ndarray, letters: list) -> np.ndarray:

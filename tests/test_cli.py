@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from fragcheck import cli, monoid, stability
+from fragcheck import automata, cli, monoid, stability
 from fragcheck._sexp import MAX_DEPTH
 from fragcheck.automata import (
     MAX_PATTERN_DEPTH, DecoratedLetter, complement, decorate, decorated_letters, dfa_to_json,
@@ -253,6 +253,41 @@ def test_regex_state_cap_exits_3():
     code, err, wall = _cli_under_memory_limit(["analyze", "--regex", "(a|b)*a" + "(a|b)" * 17])
     assert (code, err) == (3, "error: state cap exceeded (200000) during determinization\n")
     assert wall < 20
+
+
+def test_regex_follow_cap_exits_3_within_seconds():
+    # (ab|b)*a repeated 2000 times has 8001 positions, and its subsets OR
+    # some 144 follow masks each: it reached the state cap only after some
+    # 11 CPU s, and now stops at the follow cap under a 5 s CPU limit
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "fragcheck.cli", "analyze", "--regex",
+                           "(ab|b)*a" * 2000],
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": src})
+    cells = automata.MAX_FOLLOW_CELLS
+    assert (done.returncode, done.stderr) == (
+        3, f"error: pattern follow cap exceeded (more than {cells // 8001} follow masks of "
+           f"8001 cells, at most {cells} cells)\n")
+
+
+def test_analyze_does_not_import_the_compiler_modules():
+    # the formula compiler, the modular products and the hierarchy levels
+    # are imported by the commands that use them
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    child = ("import sys\n"
+             "from fragcheck import cli\n"
+             "code = cli.main(['analyze', '--regex', '(ab)*'])\n"
+             "names = ('fologic', 'modprod', 'hierarchy')\n"
+             "print(code, [n for n in names if 'fragcheck.' + n in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_monoid_label_cap_exits_3_before_the_closure():

@@ -210,12 +210,26 @@ def _cyclic_counter(n):
     return make_dfa(["a", "b"], states, "c0", ["c0"], delta)
 
 
+def _reset_counter(n):
+    # a counts the n - 1 states of a cycle, b resets them to its start, c
+    # leads to a rejecting sink: n states, and |M| = 2 n - 1 (the
+    # rotations, the resets followed by rotations, and the zero)
+    states = [f"c{i}" for i in range(n - 1)] + ["sink"]
+    delta = {(q, "a"): states[(i + 1) % (n - 1)] for i, q in enumerate(states[:-1])}
+    delta.update({(q, "b"): states[0] for q in states[:-1]})
+    delta.update({(q, "c"): "sink" for q in states})
+    delta.update({("sink", "a"): "sink", ("sink", "b"): "sink"})
+    return make_dfa(["a", "b", "c"], states, "c0", ["c0"], delta)
+
+
 def test_transition_monoid_matches_the_tuple_closure(small_corpus):
-    # the closure by one C call per product and the row fill against the
-    # per-state generator and column fill: equal ids, words, tables,
-    # letters and accepting sets, and the same cap at the boundary
+    # the closure by one C call per product (byte labels below 256 states,
+    # tuple labels from 256 up) and the row fill against the per-state
+    # generator and column fill: equal ids, words, tables, letters and
+    # accepting sets, and the same cap at the boundary
     def same(d, cap=monoid_module.DEFAULT_MAX_MONOID):
         h, want = transition_monoid(d, cap), oracles.transition_monoid_by_tuples(d, cap)
+        assert isinstance(h.action, bytes if len(minimize(d).rows) < 256 else tuple)
         assert np.array_equal(h.monoid.mult, want.monoid.mult)
         assert h.monoid.repr_words == want.monoid.repr_words
         assert h.letter_map == want.letter_map and h.alphabet == want.alphabet
@@ -238,6 +252,8 @@ def test_transition_monoid_matches_the_tuple_closure(small_corpus):
     for finals in ([], ["q"]):  # the empty language and A*, one state each
         d = make_dfa(["a", "b"], ["q"], "q", finals, {("q", "a"): "q", ("q", "b"): "q"})
         assert same(d).monoid.size == 1
+    for n in (255, 256):  # one state on each side of the byte labels
+        assert same(_reset_counter(n)).monoid.size == 2 * n - 1
     counter = _cyclic_counter(300)  # more states than a byte can name
     assert same(counter).monoid.size == 300
     same(counter, 300)  # exactly cap elements pass
@@ -596,6 +612,33 @@ def test_syntactic_order_matches_context_oracle_at_mid_size(seed):
     h = transition_monoid(d)
     assert 150 <= h.monoid.size <= 300
     _check_order_against_oracles(h)
+
+
+def test_syntactic_order_from_the_action_matches_the_table_route(small_corpus):
+    # the order read off the closure's labels against the class loop and
+    # against the table route, which the same morphism takes without its
+    # action: the corpus, ladder-shaped draws, the mid-size draw, and one
+    # automaton on each side of the byte labels' 256 states
+    rng = np.random.default_rng(13)
+    ladder = []
+    while len(ladder) < 8:
+        try:
+            h = transition_monoid(random_dfa(rng, 7, 2), 824)
+        except CapError:
+            continue
+        if h.monoid.size >= 150:
+            ladder.append(h)
+    morphisms = [transition_monoid(d, max_monoid=600) for d in small_corpus] + ladder
+    morphisms += [transition_monoid(d) for d in (mid_size_draw(), _reset_counter(255),
+                                                 _reset_counter(256))]
+    assert [type(h.action) for h in morphisms[-3:]] == [bytes, bytes, tuple]
+    for h in morphisms:
+        mon = h.monoid
+        table = Morphism(OrderedMonoid(mon.mult, 0, repr_words=mon.repr_words),
+                         h.alphabet, h.letter_map, h.accepting)
+        leq = syntactic_order(h).monoid.leq
+        assert np.array_equal(leq, oracles.syntactic_order_by_class_loop(h))
+        assert np.array_equal(leq, syntactic_order(table).monoid.leq)
 
 
 def test_syntactic_order_over_many_classes_and_a_ragged_byte():

@@ -543,6 +543,24 @@ def test_analysed_morphism_is_freed_by_reference_counting():
             gc.enable()
 
 
+def test_mes_is_the_stable_submonoid_at_every_full_pattern(small_corpus):
+    # every letter usable at every residue: every s-letter word is a
+    # usable block, so Mes = {1} | X_s = S, which `mes_members` hands out
+    # without a walk; the per-residue walk and closure reach S too
+    full = 0
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        for multiplier in (1, 2, 3):
+            info = stability_info(h, multiplier)
+            every = oracles.admissible_by_residues(info, np.arange(h.monoid.size))
+            for e in h.monoid.idempotents():
+                if every[:, :, e].all():
+                    full += 1
+                    assert info.mes_members(e) is info.stable
+                    assert oracles.mes_by_residues(info, e, every) == set(info.stable.tolist())
+    assert full > 100
+
+
 PERIODIC = ("(bc)*", "a(bc)*", "(abc)*", "b(aa)*")
 MULTIPLIERS = (1, 2, 3, 5, 8)
 
@@ -585,11 +603,13 @@ def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
     # the index cap.  The power steps are built once per morphism, at x1:
     # one right step per power X_1 .. X_(J+p-1), 3, and the stable
     # J-classes' slot(s) = 2 left steps; the recurrence then takes one
-    # column per distinct slot pair at every multiplier, and the block walk samples every period in the middle and jumps once
-    # a sample repeats: 6 steps per usable pattern at x3 and above.  At x1
-    # the 4 patterns walk 2 steps each, and 3 of their block sets take one
-    # confirming walk to close; x3 and above meet the same block sets in
-    # the monoid's store, so they walk no closure
+    # column per distinct slot pair at every multiplier, and the block walk
+    # samples every period in the middle and jumps once a sample repeats: 6
+    # steps per walked pattern at x3 and above.  Of the 4 usable patterns,
+    # the one of the zero bb is full, so its Mes is S and it walks
+    # nothing.  At x1 the other 3 walk 2 steps each, and 2 of their block
+    # sets take one confirming walk to close; x3 and above meet the same
+    # block sets in the monoid's store, so they walk no closure
     from fragcheck import stability
     counts = {"step": 0, "block": 0}
 
@@ -604,7 +624,7 @@ def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
     d = minimize(regex_to_dfa("(bc)*"))
     h = transition_monoid(d)
     base = analyze(d, morphism=h)
-    assert counts == {"step": 5, "block": 14}
+    assert counts == {"step": 5, "block": 10}
     seen = {}
     for multiplier in (3, 166_666):
         counts.update(step=0, block=0)
@@ -613,4 +633,4 @@ def test_large_multiplier_costs_what_the_periods_do(monkeypatch):
         assert report.verdicts == base.verdicts and report.witnesses == base.witnesses
         assert info.index == 2 * multiplier and len(info._residue_pairs()[1]) == info.index
         seen[multiplier] = (dict(counts), info._adm.shape, len(info._mes_by_pattern))
-    assert seen[3] == seen[166_666] == ({"step": 0, "block": 24}, (2, 6, 4), 4)
+    assert seen[3] == seen[166_666] == ({"step": 0, "block": 18}, (2, 6, 4), 4)

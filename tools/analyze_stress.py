@@ -13,7 +13,10 @@ The inputs are seeded recipes:
   `cli.random_dfa(np.random.default_rng(4), 8, 2)`: |M| = 8571;
 - the regex union, a 503-character pattern: the union, over the first 14
   words xyz of {a,b,c}^3 in `itertools.product` order, of
-  `(a|b|c)*x(a|b|c)*y(a|b|c)*z(a|b|c)*`, with 6 states and |M| = 10.
+  `(a|b|c)*x(a|b|c)*y(a|b|c)*z(a|b|c)*`, with 6 states and |M| = 10;
+- the start-up case, `(ab)*`, with |M| = 6, whose command is nearly all
+  interpreter start and imports: its child CPU is the cost of starting one
+  `analyze` command.
 
 The piecewise-testable union of the earlier large-input measurements is
 left out: its pattern is not recorded in the repository; the regex union
@@ -21,11 +24,11 @@ stands in for it.
 
 Each DFA recipe is built once, in this process, and written as a DFA
 document to a temporary directory; each child then runs `analyze --json`
-on it at index multiplier 1 and 3.  The regex union's child runs
-`analyze --json --regex PATTERN`, so compiling the pattern is inside the
-command's time.  The child imports `fragcheck` from the `src`
-directory of the checkout this file sits in, so a copy of this file in
-another checkout times that checkout.
+on it at index multiplier 1 and 3.  The children of the regex union and
+of the start-up case run `analyze --json --regex PATTERN`, so compiling
+the pattern is inside the command's time.  The child imports `fragcheck`
+from the `src` directory of the checkout this file sits in, so a copy of
+this file in another checkout times that checkout.
 
 For every run it prints the input's name and multiplier, the child's exit
 code, its CPU seconds (user plus system, interpreter start included, from
@@ -82,6 +85,7 @@ RECIPES = {
 PATTERNS = {
     "regex-union": "|".join("(a|b|c)*" + "(a|b|c)*".join(w) + "(a|b|c)*"
                             for w in list(itertools.product("abc", repeat=3))[:14]),
+    "start-up": "(ab)*",
 }
 
 
