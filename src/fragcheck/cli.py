@@ -48,6 +48,7 @@ from .monoid import (
     Morphism,
     _all,
     _any,
+    complement_morphism,
     local_condition,
     syntactic_order,
     transition_monoid,
@@ -491,7 +492,17 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     the names of the failed checks (empty when everything agrees); a DFA
     that is not minimal fails `minimize-idempotent`.  `morphism`, when
     given, is the syntactic morphism of L(minimal), as `LanguageAnalysis`
-    takes it."""
+    takes it.
+
+    One monoid serves the whole battery: the complement's syntactic
+    morphism is `complement_morphism` of the language's, one table with
+    two orders.  The sharing is exact, also for an input that is not
+    minimal: element ids come from words, and the table depends only on
+    the rows of the minimal automaton, which the complement shares with
+    its final states flipped.  What the duality checks compare is still
+    derived on its own from the complement's accepting set: its order,
+    built by `syntactic_order` and never taken as a transpose, and its
+    eleven verdicts."""
     failures: list[str] = []
 
     again = minimize(minimal)
@@ -503,8 +514,8 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
         failures.append("complement-involution")
 
     # one syntactic morphism per language, shared by the analyses at every
-    # index multiplier; the complement's is built on its own, since the
-    # duality checks compare the two
+    # index multiplier and, with the complementary accepting set and an
+    # order of its own, by the complement's analysis
     pipeline = LanguageAnalysis(minimal, max_monoid=max_monoid, morphism=morphism)
     morphism = pipeline.morphism
     mon = morphism.monoid
@@ -522,7 +533,7 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     if not equivalent(rebuilt, minimal)[0]:
         failures.append("recognition-rebuild")
 
-    co_morphism = transition_monoid(co_minimal, max_monoid)
+    co_morphism = complement_morphism(morphism)
     co_report = analyze(co_minimal, max_monoid=max_monoid, morphism=co_morphism)
     for fid in FRAGMENTS:
         if report.verdicts[fid] != co_report.verdicts[_DUAL[fid]]:

@@ -17,10 +17,10 @@ builds any word or table; the words then follow from the parents, and
 the table is written row by row, mult[x a] = mult[x][L_a] with L_a the
 left letter column: one |M|^2 table plus O(|M|) temporaries.
 
-Every table handed to `OrderedMonoid` is checked: its entries in range
-(one pass), the identity law, and associativity, over the whole |M|^3
-cube at 64 elements or fewer and at 4096 fixed pseudo-random triples
-above that.
+Every table handed to the `OrderedMonoid` constructor is checked: its
+entries in range (one pass), the identity law, and associativity, over
+the whole |M|^3 cube at 64 elements or fewer and at 4096 fixed
+pseudo-random triples above that.
 
 The syntactic order of a morphism with an accepting set P is built from
 the right quotients of P (the sets {r : p r in P}), compared by inclusion
@@ -36,6 +36,13 @@ which finds the distinct quotients by an |M|^2 gather of P along the
 table and checks that no two elements share every context.  Brute-force
 context enumeration of the same order, and its earlier byte-gather
 route, live in the test oracles.
+
+The complement of a language has the same syntactic monoid, with the
+complementary accepting set, and the reverse order.  `complement_morphism`
+builds it from the language's morphism without a second closure: a
+sibling monoid (`OrderedMonoid.with_order`) shares the table, the words
+and the order-free caches, and the two morphisms share one stability
+memo, while each monoid binds its own order.
 
 The J-order of the monoid has one owner, `JClasses`: it yields the least
 idempotent of each regular J-class and the class's upset {a : e in MaM},
@@ -72,6 +79,7 @@ shape, not `np.zeros_like`.  Reductions along an axis stay numpy's.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from itertools import compress
@@ -145,9 +153,6 @@ class OrderedMonoid:
         # one pass: a negative entry reads as a huge unsigned one
         if self.mult.view(np.uint64).max() >= self.size:
             raise InputError("multiplication table entry out of range")
-        self.leq = None if leq is None else np.asarray(leq, dtype=bool)
-        if self.leq is not None and self.leq.shape != (self.size, self.size):
-            raise InputError("order matrix must be size x size")
         self.repr_words = None if repr_words is None else tuple(
             tuple(w) for w in repr_words
         )
@@ -161,6 +166,7 @@ class OrderedMonoid:
                 self.generators[0] < 0 or self.generators[-1] >= self.size):
             raise InputError("generator out of range")
         self._validate()
+        self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
         self._idempotents = None
@@ -170,9 +176,7 @@ class OrderedMonoid:
         """The identity law on its row and column, then associativity: the
         whole |M|^3 cube at 64 elements or fewer, on a uint8 copy of the
         table (256 KiB at 64), and above that the 4096 triples `_TRIPLES`
-        picks for the size, read by flat takes of the table.  An order is
-        checked reflexive and antisymmetric, and transitive at 64 elements
-        or fewer."""
+        picks for the size, read by flat takes of the table."""
         m, mult = self.size, self.mult
         e = self.identity
         ids = np.arange(m).tobytes()  # each comparison is of equal dtypes and shapes
@@ -187,16 +191,25 @@ class OrderedMonoid:
             if (mult.take(mult.take(xs * m + ys) * m + zs).tobytes()
                     != mult.take(xs * m + mult.take(ys * m + zs)).tobytes()):
                 raise InputError("multiplication is not associative")
-        if self.leq is not None:
-            if not _all(self.leq.diagonal()):
-                raise InputError("order is not reflexive")
-            both = self.leq & self.leq.T
-            if _any(both & ~np.eye(m, dtype=bool)):
-                raise InputError("order is not antisymmetric")
-            if m <= 64:
-                closure = (self.leq.astype(int) @ self.leq.astype(int)) > 0
-                if _any(closure & ~self.leq):
-                    raise InputError("order is not transitive")
+
+    def _checked_order(self, leq) -> np.ndarray | None:
+        """`leq` as a boolean matrix, checked square of the monoid's size,
+        reflexive and antisymmetric, and transitive at 64 elements or
+        fewer; None stays None."""
+        if leq is None:
+            return None
+        leq, m = np.asarray(leq, dtype=bool), self.size
+        if leq.shape != (m, m):
+            raise InputError("order matrix must be size x size")
+        if not _all(leq.diagonal()):
+            raise InputError("order is not reflexive")
+        if _any(leq & leq.T & ~np.eye(m, dtype=bool)):
+            raise InputError("order is not antisymmetric")
+        if m <= 64:
+            closure = (leq.astype(int) @ leq.astype(int)) > 0
+            if _any(closure & ~leq):
+                raise InputError("order is not transitive")
+        return leq
 
     def elements(self):
         return range(self.size)
@@ -240,8 +253,17 @@ class OrderedMonoid:
         return self.repr_words[x]
 
     def with_order(self, leq) -> "OrderedMonoid":
-        return OrderedMonoid(self.mult, self.identity, leq=leq,
-                             repr_words=self.repr_words, generators=self.generators)
+        """A sibling monoid with the order `leq` (None for none), checked as
+        the constructor checks an order.  The table is not checked again:
+        the sibling shares it, with the words, the generators and the
+        caches that do not read the order.  The generated submonoids and
+        the Me arrays are one store, which either monoid fills for both;
+        the idempotents and the J-classes are shared once built, as they
+        are in a monoid that has analysed its language.  Its order is its
+        own: binding one leaves the other's as it was."""
+        sibling = copy.copy(self)
+        sibling.leq = self._checked_order(leq)
+        return sibling
 
     def generated(self, gens: np.ndarray, close=None) -> np.ndarray:
         """The sorted members of the submonoid generated by the ids marked
@@ -309,7 +331,8 @@ class Morphism:
     accepting: frozenset | None = None
     action: bytes | tuple | None = field(default=None, repr=False)
     # the stability layer's memo (see `stability.stability_info`): its
-    # per-morphism entry, and one StabilityInfo per index multiplier
+    # per-morphism entry, and one StabilityInfo per index multiplier; a
+    # morphism and its `complement_morphism` hold one memo
     _stability: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -502,6 +525,33 @@ def transition_monoid(d: Dfa, max_monoid: int = DEFAULT_MAX_MONOID) -> Morphism:
             raise
         raise CapError(f"monoid label cap exceeded (more than {cap} elements of {n + 1} "
                        f"cells, at most {MAX_LABEL_CELLS} cells)") from None
+
+
+def complement_morphism(m: Morphism) -> Morphism:
+    """The syntactic morphism of the complement of the language that m
+    recognises: the same monoid with the complementary accepting set.
+
+    Complementing the accepting set keeps the syntactic congruence, and
+    only the order changes, to the reverse one (Pin 1995).  For a
+    transition monoid the sharing is exact: the complement's minimal
+    automaton has the same rows with the final states flipped, so its
+    closure meets the same actions at the same shortlex words, and gives
+    the same ids, table and letter map.  So the result shares m's table,
+    words, generators and order-free caches (`OrderedMonoid.with_order`),
+    its `action`, and its stability memo, which never reads an order.  Its
+    monoid carries no order: `syntactic_order` builds the complement's from
+    its own accepting set, in place, and leaves m's as it is."""
+    if m.accepting is None:
+        raise InputError("complement needs an accepting set")
+    co = Morphism(
+        monoid=m.monoid.with_order(None),
+        alphabet=m.alphabet,
+        letter_map=m.letter_map,
+        accepting=frozenset(range(m.monoid.size)) - m.accepting,
+        action=m.action,
+    )
+    object.__setattr__(co, "_stability", m._stability)  # frozen; one memo for both
+    return co
 
 
 def syntactic_order(m: Morphism) -> Morphism:

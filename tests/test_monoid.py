@@ -12,9 +12,11 @@ from fragcheck import monoid as monoid_module
 from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
 from fragcheck.cli import random_dfa
 from fragcheck.errors import CapError, InputError
+from fragcheck.fragments import analyze
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
+    complement_morphism,
     format_word,
     generated_morphism,
     is_aperiodic,
@@ -150,6 +152,65 @@ def test_with_order_keeps_table():
     ordered = u1.with_order([[True, False], [True, True]])
     assert ordered.le(1, 0) and not ordered.le(0, 1)
     assert np.array_equal(ordered.mult, u1.mult)
+
+
+def test_with_order_checks_the_order_and_shares_the_caches():
+    # the sibling shares the table and the order-free caches, not the order
+    h = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
+    m = h.monoid
+    e = m.idempotents()[1]
+    me = m.me_members(e)
+    sibling = m.with_order(None)
+    assert sibling.mult is m.mult and sibling.repr_words is m.repr_words
+    assert sibling.generators is m.generators and sibling.leq is None
+    assert sibling.j_classes() is m.j_classes() and sibling.me_members(e) is me
+    built = sibling.generated(np.ones(m.size, dtype=bool))
+    assert m.generated(np.ones(m.size, dtype=bool)) is built
+    syntactic_order(h)
+    assert sibling.leq is None and m.with_order(m.leq).leq is not None
+    # a given order is checked as the constructor checks it
+    u1 = OrderedMonoid([[0, 1], [1, 1]], 0)
+    for leq, message in (([[True]], "order matrix must be size x size"),
+                         ([[False, False], [True, True]], "order is not reflexive"),
+                         ([[True, True], [True, True]], "order is not antisymmetric")):
+        for build in (lambda: u1.with_order(leq),
+                      lambda: OrderedMonoid([[0, 1], [1, 1]], 0, leq=leq)):
+            with pytest.raises(InputError, match=message):
+                build()
+    cycle = np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool)  # 0 <= 1 <= 2, not 0 <= 2
+    with pytest.raises(InputError, match="order is not transitive"):
+        OrderedMonoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0).with_order(cycle)
+
+
+def test_complement_morphism_matches_an_independent_build(small_corpus, xcheck_corpus):
+    # a* over {a, b} with the accepting state split in two, as in the
+    # battery's not-minimal test: the morphism is the minimal automaton's
+    not_minimal = make_dfa(["a", "b"], ["p", "q", "r"], "p", ["p", "q"],
+                           {("p", "a"): "q", ("q", "a"): "p", ("p", "b"): "r",
+                            ("q", "b"): "r", ("r", "a"): "r", ("r", "b"): "r"})
+    for i, d in enumerate([*small_corpus, *xcheck_corpus, not_minimal]):
+        h = transition_monoid(d, max_monoid=600)
+        co = complement_morphism(h)
+        co_d = complement(d)
+        want = transition_monoid(co_d, max_monoid=600)
+        assert co.monoid.mult is h.monoid.mult
+        assert co.monoid.mult.tobytes() == want.monoid.mult.tobytes()
+        assert co.monoid.repr_words == want.monoid.repr_words
+        assert co.alphabet == want.alphabet and co.letter_map == want.letter_map
+        assert co.accepting == want.accepting
+        # binding either order first leaves the other monoid without one
+        first, second = (co, h) if i % 2 else (h, co)
+        syntactic_order(first)
+        assert second.monoid.leq is None
+        syntactic_order(second)
+        leq = syntactic_order(want).monoid.leq
+        assert np.array_equal(co.monoid.leq, leq)
+        assert np.array_equal(co.monoid.leq, h.monoid.leq.T)
+        for t in (1, 2, 3):
+            assert (analyze(co_d, max_monoid=600, index_multiplier=t, morphism=co).to_doc()
+                    == analyze(co_d, max_monoid=600, index_multiplier=t,
+                               morphism=want).to_doc()), (i, t)
+        assert co._stability is h._stability
 
 
 def test_transition_monoid_of_aa_factor_language():

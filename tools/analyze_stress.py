@@ -1,5 +1,5 @@
-"""Time `analyze` on the large monoids the repository can rebuild, each run
-in a child process.
+"""Time `analyze` on the large monoids the repository can rebuild, and the
+`xcheck` battery on its largest draw, each run in a child process.
 
     python3 tools/analyze_stress.py [--runs 3] [--only NAME]
 
@@ -16,7 +16,11 @@ The inputs are seeded recipes:
   `(a|b|c)*x(a|b|c)*y(a|b|c)*z(a|b|c)*`, with 6 states and |M| = 10;
 - the start-up case, `(ab)*`, with |M| = 6, whose command is nearly all
   interpreter start and imports: its child CPU is the cost of starting one
-  `analyze` command.
+  `analyze` command;
+- the 9310 draw, `xcheck --json --count 1 --seed 1 --max-states 16
+  --max-letters 16` at the default monoid cap: its one instance is a
+  7-state, 2-letter DFA with |M| = 9310, drawn and run through the whole
+  cross-check battery inside the command's time.
 
 The piecewise-testable union of the earlier large-input measurements is
 left out: its pattern is not recorded in the repository; the regex union
@@ -26,7 +30,9 @@ Each DFA recipe is built once, in this process, and written as a DFA
 document to a temporary directory; each child then runs `analyze --json`
 on it at index multiplier 1 and 3.  The children of the regex union and
 of the start-up case run `analyze --json --regex PATTERN`, so compiling
-the pattern is inside the command's time.  The child imports `fragcheck`
+the pattern is inside the command's time.  The `xcheck` case takes no
+multiplier and runs once per round; its rows show `-` in the `x` column.
+The child imports `fragcheck`
 from the `src` directory of the checkout this file sits in, so a copy of
 this file in another checkout times that checkout.
 
@@ -82,6 +88,11 @@ RECIPES = {
     "draw-8571": lambda: draw(4, 1213),
 }
 
+XCHECKS = {
+    "xcheck-9310": ["xcheck", "--json", "--count", "1", "--seed", "1",
+                    "--max-states", "16", "--max-letters", "16"],
+}
+
 PATTERNS = {
     "regex-union": "|".join("(a|b|c)*" + "(a|b|c)*".join(w) + "(a|b|c)*"
                             for w in list(itertools.product("abc", repeat=3))[:14]),
@@ -92,36 +103,39 @@ PATTERNS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=3, help="runs per input and multiplier")
-    parser.add_argument("--only", choices=sorted(RECIPES.keys() | PATTERNS.keys()), action="append",
-                        help="time only this input (repeatable)")
+    parser.add_argument("--only", choices=sorted(RECIPES.keys() | PATTERNS.keys() | XCHECKS.keys()),
+                        action="append", help="time only this input (repeatable)")
     args = parser.parse_args(argv)
     from fragcheck.automata import dfa_to_json
-    names = args.only or [*RECIPES, *PATTERNS]
-    cases = [(name, t) for name in names for t in MULTIPLIERS]
-    runs = {case: [] for case in cases}
+    names = args.only or [*RECIPES, *PATTERNS, *XCHECKS]
     with tempfile.TemporaryDirectory() as tmp:
-        sources = {}  # name -> the command's input flags
+        commands = {}  # (name, multiplier or "-") -> the command line
         for name in names:
-            if name in PATTERNS:
-                sources[name] = ["--regex", PATTERNS[name]]
+            if name in XCHECKS:
+                commands[(name, "-")] = XCHECKS[name]
                 continue
-            path = os.path.join(tmp, f"{name}.json")
-            Path(path).write_text(dfa_to_json(RECIPES[name]()))
-            sources[name] = ["--dfa", path]
+            if name in PATTERNS:
+                source = ["--regex", PATTERNS[name]]
+            else:
+                path = os.path.join(tmp, f"{name}.json")
+                Path(path).write_text(dfa_to_json(RECIPES[name]()))
+                source = ["--dfa", path]
+            for t in MULTIPLIERS:
+                commands[(name, t)] = ["analyze", "--json", *source, "--index-multiplier", str(t)]
+        runs = {case: [] for case in commands}
         print(f"{'input':18} {'x':>2} exit  child_cpu_s  command_s  peak_rss_mb  report_sha256")
         for _ in range(args.runs):
-            for name, t in cases:
-                r = run_child(["analyze", "--json", *sources[name],
-                               "--index-multiplier", str(t)])
+            for (name, t), command in commands.items():
+                r = run_child(command)
                 runs[(name, t)].append(r)
-                print(f"{name:18} {t:2} {r['exit']:4}  {r['child_cpu_s']:11.3f}"
+                print(f"{name:18} {t:>2} {r['exit']:4}  {r['child_cpu_s']:11.3f}"
                       f"  {r['command_s']:9.3f}  {r['peak_rss_mb']:11.1f}"
                       f"  {r['stdout_sha256'][:16]}", flush=True)
     print("medians:")
     for (name, t), rs in runs.items():
         exits = sorted({r["exit"] for r in rs})
         digests = sorted({r["stdout_sha256"][:16] for r in rs})
-        print(f"{name:18} {t:2} exit {exits}  child_cpu_s "
+        print(f"{name:18} {t:>2} exit {exits}  child_cpu_s "
               f"{statistics.median(r['child_cpu_s'] for r in rs):.3f}  command_s "
               f"{statistics.median(r['command_s'] for r in rs):.3f}  peak_rss_mb "
               f"{statistics.median(r['peak_rss_mb'] for r in rs):.1f}  sha256 {' '.join(digests)}")
