@@ -46,6 +46,7 @@ from .fragments import (
 from .monoid import (
     DEFAULT_MAX_MONOID,
     Morphism,
+    _GATHER_IDS,
     _all,
     _any,
     complement_morphism,
@@ -570,9 +571,12 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
             break
 
     # the stable set at 2s, {1} | X_2s = {1} | X_s X_s, read from the table
+    # in blocks of rows of about _GATHER_IDS products
     x_s = info.powers.at(s)
     doubled = np.zeros(mon.size, dtype=bool)
-    doubled[mon.mult[x_s[:, None], x_s]] = True
+    block = max(1, _GATHER_IDS // max(1, x_s.size))
+    for lo in range(0, x_s.size, block):
+        doubled[mon.mult[x_s[lo:lo + block, None], x_s]] = True
     doubled[mon.identity] = True
     if doubled.nonzero()[0].tobytes() != info.stable.tobytes():
         failures.append("stable-invariance")

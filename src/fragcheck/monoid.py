@@ -2,7 +2,8 @@
 
 Elements are integer ids 0..size-1.  Multiplication is a full table; the
 order, when present, is a full boolean matrix leq[x][y] meaning x <= y.
-Morphisms carry shortlex-least representative words for every element.
+Morphisms carry shortlex-least representative words for every element,
+spelled by the closure's spanning tree.
 
 Every morphism built here comes from one breadth-first closure,
 `generated_morphism` (Froidure & Pin 1997): transition monoids, and the
@@ -13,14 +14,21 @@ by the letter's 256-byte table, and from 256 states up, which a byte
 cannot name, as a tuple, whose product is one `itemgetter(*t1)(t2)`.  The
 morphism keeps those labels as its `action`.  The closure keeps each
 element's parent and letter as ints and checks the size cap before it
-builds any word or table; the words then follow from the parents, and
-the table is written row by row, mult[x a] = mult[x][L_a] with L_a the
-left letter column: one |M|^2 table plus O(|M|) temporaries.
+builds the table, which is written row by row, mult[x a] = mult[x][L_a]
+with L_a the left letter column: one |M|^2 table plus O(|M|)
+temporaries.  The parents and letters are handed to the monoid as its
+spanning tree; a word is spelled by walking the tree from its element,
+and the list of every word is built only when read.
 
 Every table handed to the `OrderedMonoid` constructor is checked: its
 entries in range (one pass), the identity law, and associativity, over
 the whole |M|^3 cube at 64 elements or fewer and at 4096 fixed
-pseudo-random triples above that.
+pseudo-random triples above that.  A spanning tree handed with it is
+checked before its first use (a word, Me or the J-classes) by one
+gather, mult[parent[y], letter[y]] = y with parent[y] < y for every y !=
+0, which proves by induction on y that the letters generate the monoid;
+generators given without a tree are checked once by a closure instead.
+A monoid built only to read its size checks neither.
 
 The syntactic order of a morphism with an accepting set P is built from
 the right quotients of P (the sets {r : p r in P}), compared by inclusion
@@ -45,17 +53,24 @@ and the order-free caches, and the two morphisms share one stability
 memo, while each monoid binds its own order.
 
 The J-order of the monoid has one owner, `JClasses`: it yields the least
-idempotent of each regular J-class and the class's upset {a : e in MaM},
-which generates the local submonoid Me, by two passes over the table or
-by a search of the Cayley graph.  The stability layer places the
-J-classes of its stable submonoid with the same lazy placement, from
-upsets of its own.  Each generated submonoid is closed once per
-generator set and kept on the monoid (`generated`), so a J-class shares
-one Me.  The stability layer keeps its stable Me there too, and its Mes,
-which it closes by its own block walk, under the mask of the block
-images, so the analyses at every index multiplier close a block set
-once.  The breadth-first closure starts from the generators.  The upsets
-also serve `stability.is_stable_trivial` and `hierarchy.sim_quotient`.
+idempotent of each regular J-class and the class's upset U_e = {a : e in
+MaM}, by two passes over the table per class, or, for a monoid with a
+tree above `_BFS_MIN_SIZE` elements, from one table of the upsets of
+every idempotent that letter steps build, packed 64 idempotents to a
+word (`_upset_table`): as many right steps along the letter columns as
+the tree is deep reach {z : e in zM}, and as many left steps along the
+letter rows reach U_e.  The stability layer places the J-classes of its
+stable submonoid from a table of its own, with the same lazy placement.
+Me is generated by U_e, and by the letters in U_e alone (see
+`me_members`), so a monoid with generators closes only those letters,
+and none when every letter is in U_e, where Me = M.  Each generated
+submonoid is closed once per generator set and kept on the monoid
+(`generated`), so J-classes with one letter set share one Me.  The
+stability layer keeps its stable Me there too, closed until it fills the
+stable submonoid, and its Mes, which it closes by its own block walk,
+under the mask of the block images, so the analyses at every index
+multiplier close a block set once.  The upsets also serve
+`stability.is_stable_trivial` and `hierarchy.sim_quotient`.
 `local_condition` checks e x e = e, <= e and >= e over a member source
 in one sweep of the given idempotents, computing e x e once per visit:
 one idempotent per regular J-class suffices for Me (see `JClasses`).
@@ -82,6 +97,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
@@ -138,11 +154,21 @@ class OrderedMonoid:
     """A finite monoid with an optional compatible partial order.
 
     `generators`, when given, must generate the monoid (a morphism passes
-    its letter images); the Cayley-graph search for Me relies on it and
-    checks it once before its first use, raising InputError otherwise.
+    its letter images); Me is closed from them, and with a tree the
+    J-classes of a large monoid are placed by letter steps.  `tree`, when
+    given with them, is a spanning tree of the right Cayley graph from
+    the identity, id 0: (parent, last, names) with element y = parent[y]
+    times the generator last[y] (of `generators` in the order given) and
+    parent[0] = -1, and names[i] the letter of the i-th generator.  Before
+    the first use of the generators or the tree, the tree is checked by
+    one gather, which proves that the generators generate; the words,
+    names[last[y]] appended to the word of parent[y], are built only when
+    read.  Generators given without a tree are checked by a closure
+    instead.  Either check raises InputError.
     """
 
-    def __init__(self, mult, identity: int, leq=None, repr_words=None, generators=None):
+    def __init__(self, mult, identity: int, leq=None, repr_words=None, generators=None,
+                 tree=None):
         self.mult = np.ascontiguousarray(mult, dtype=np.int64)  # flat takes read it in place
         if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
             raise InputError("multiplication table must be square")
@@ -153,19 +179,21 @@ class OrderedMonoid:
         # one pass: a negative entry reads as a huge unsigned one
         if self.mult.view(np.uint64).max() >= self.size:
             raise InputError("multiplication table entry out of range")
-        self.repr_words = None if repr_words is None else tuple(
-            tuple(w) for w in repr_words
-        )
-        if self.repr_words is not None and len(self.repr_words) != self.size:
+        self._words = None if repr_words is None else tuple(tuple(w) for w in repr_words)
+        if self._words is not None and len(self._words) != self.size:
             raise InputError("need one representative word per element")
         # ids that generate the monoid (the letter images of a morphism),
-        # which open the Cayley-graph search for Me; None when unknown
+        # sorted; None when unknown
         self.generators = None if generators is None else np.array(
             sorted(set(np.asarray(generators, dtype=np.int64).tolist())), dtype=np.int64)
         if self.generators is not None and self.generators.size and (
                 self.generators[0] < 0 or self.generators[-1] >= self.size):
             raise InputError("generator out of range")
         self._validate()
+        if tree is not None and generators is None:
+            raise InputError("a tree needs the generators its letters index")
+        self._tree = None if tree is None else _Tree(*tree, generators)
+        self._generating = False  # the generators are checked before their first use
         self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
@@ -191,6 +219,40 @@ class OrderedMonoid:
             if (mult.take(mult.take(xs * m + ys) * m + zs).tobytes()
                     != mult.take(xs * m + mult.take(ys * m + zs)).tobytes()):
                 raise InputError("multiplication is not associative")
+
+    def _letters(self) -> np.ndarray | None:
+        """The generators, once they are known to generate the monoid
+        (InputError otherwise); None when the monoid knows none.  They are
+        checked on the first call: along the tree by `_check_tree`, or
+        without one by a closure."""
+        if self.generators is not None and not self._generating:
+            if self._tree is not None:
+                self._check_tree()
+            elif _closure_members(self.mult, self.identity, self.generators).size != self.size:
+                raise InputError("the generators do not generate the monoid")
+            self._generating = True
+        return self.generators
+
+    def _check_tree(self):
+        """Check the spanning tree (parent, last, names) over the generators
+        in the order given by one gather: for every y != 0, 0 <= parent[y]
+        < y, 0 <= last[y] < len(names) and mult[parent[y], gen[last[y]]] =
+        y.  By induction on y every element is then a product of
+        generators, the word the tree spells for it."""
+        tree, m = self._tree, self.size
+        parent, last = tree.parent, tree.last
+        gens = np.array(tree.letters, dtype=np.int64)
+        if len(parent) != m or len(last) != m or gens.shape != (len(tree.names),):
+            raise InputError("the tree needs one parent and letter per element, "
+                             "and one name per generator")
+        if self.identity != 0 or parent[0] != -1:
+            raise InputError("the tree must be rooted at the identity, element 0")
+        ps = np.array(parent[1:], dtype=np.int64)
+        ls = np.array(last[1:], dtype=np.int64)
+        ids = np.arange(1, m, dtype=np.uint64)  # a negative entry reads as a huge one
+        if not (_all(ps.view(np.uint64) < ids) and _all(ls.view(np.uint64) < gens.size)
+                and self.mult.take(ps * m + gens.take(ls)).tobytes() == ids.tobytes()):
+            raise InputError("the tree does not spell its elements")
 
     def _checked_order(self, leq) -> np.ndarray | None:
         """`leq` as a boolean matrix, checked square of the monoid's size,
@@ -247,10 +309,22 @@ class OrderedMonoid:
             y = int(self.mult[y, x])
         raise ConsistencyError("no idempotent power found")
 
+    @property
+    def repr_words(self) -> tuple | None:
+        """The representative word of every element, by id: the words
+        given, or the tree's, built on first read; None without either."""
+        if self._tree is None:
+            return self._words
+        self._letters()  # the tree is checked before it spells
+        return self._tree.words
+
     def word_of(self, x: int) -> Word:
-        if self.repr_words is None:
+        if self._tree is not None:
+            self._letters()
+            return self._tree.word(x)
+        if self._words is None:
             return (f"#{x}",)
-        return self.repr_words[x]
+        return self._words[x]
 
     def with_order(self, leq) -> "OrderedMonoid":
         """A sibling monoid with the order `leq` (None for none), checked as
@@ -269,8 +343,10 @@ class OrderedMonoid:
         """The sorted members of the submonoid generated by the ids marked
         in the boolean mask `gens`, built once per distinct mask and kept
         for the life of the monoid (read-only).  `close`, when given, maps
-        the mask to those members in place of the breadth-first closure:
-        the stability layer closes Mes by its own block walk."""
+        the mask to those members in place of the plain breadth-first
+        closure: Me closes its letters from its upset, the stable Me stops
+        at |S| elements, and Mes is closed by the stability layer's block
+        walk."""
         key = gens.tobytes()
         got = self._generated.get(key)
         if got is None:
@@ -283,27 +359,83 @@ class OrderedMonoid:
         return got
 
     def me_members(self, e: int) -> np.ndarray:
-        """The sorted members of Me for the idempotent e (read-only): the
-        closure of its J-class's upset {a : e in MaM} (`j_classes`), once
-        per class, so J-equivalent idempotents get the same array."""
+        """The sorted members of Me for the idempotent e (read-only).
+
+        Me is generated by the upset U_e = {a : e in MaM} of e's J-class
+        (`j_classes`), and, when the monoid knows generators, by the
+        letters in U_e alone: each u in U_e is a product of letters, and e
+        lies in M a M for every letter a of that product, as M u M does.
+        So the letters in U_e are closed, from U_e; when every letter is
+        in U_e, Me = M and nothing is closed.  The store is keyed by the
+        mask of those letters, so J-classes with one letter set share one
+        array.  A monoid without generators closes U_e itself."""
         got = self._me.get(e)
         if got is None:
-            got = self._me[e] = self.generated(self.j_classes().upset(e))
+            up = self.j_classes().upset(e)
+            letters = self._letters()
+            if letters is None:
+                got = self.generated(up)
+            else:
+                inside = letters[up.take(letters)]
+                mask = np.zeros(self.size, dtype=bool)
+                mask[inside] = True
+                if inside.size == letters.size:
+                    got = self.generated(mask, lambda _: np.arange(self.size))
+                else:
+                    got = self.generated(mask, lambda _: _closure_members(
+                        self.mult, self.identity, inside, seed=up.nonzero()[0]))
+            self._me[e] = got
         return got
 
     def j_classes(self) -> "JClasses":
-        """The regular J-classes of the monoid, built once.  It is searched by
-        its Cayley graph above `_BFS_MIN_SIZE` elements when it knows
-        generators, which must then generate it (InputError otherwise)."""
+        """The regular J-classes of the monoid, built once: above
+        `_BFS_MIN_SIZE` elements, from the upset table of every idempotent
+        that letter steps build (`_upset_table`) when the monoid has a
+        tree, and by table passes otherwise."""
         if self._j_classes is None:
-            cayley, g = None, self.generators
-            if g is not None and self.size > _BFS_MIN_SIZE:
-                if _closure_members(self.mult, self.identity, g).size != self.size:
-                    raise InputError("the generators do not generate the monoid")
-                cayley = np.concatenate([self.mult[:, g], self.mult[g].T], axis=1)
             self.idempotents()  # fills the sorted id array `_idempotents`
-            self._j_classes = JClasses(self.mult, self._idempotents, cayley)
+            table = None
+            if self._tree is not None and self.size > _BFS_MIN_SIZE:
+                table = _upset_table(self.mult, self._idempotents, self._letters(),
+                                     self._tree.depth)
+            self._j_classes = JClasses(self.mult, self._idempotents, table)
         return self._j_classes
+
+
+class _Tree:
+    """A checked spanning tree of a monoid's right Cayley graph (see
+    `OrderedMonoid`), over the generator ids `letters` in the order of
+    their `names`: the words it spells, built on first read, and its
+    depth, the length of its longest word."""
+
+    def __init__(self, parent: list, last: list, names, letters):
+        self.parent, self.last, self.names, self.letters = parent, last, names, letters
+        self._spelled = {}  # element -> its word, for the elements asked
+
+    def word(self, x: int) -> Word:
+        """The word of x, by walking the tree up to the root, once per x."""
+        got = self._spelled.get(x)
+        if got is None:
+            got, y, parent, last, names = (), x, self.parent, self.last, self.names
+            while y:
+                got = (names[last[y]],) + got
+                y = parent[y]
+            self._spelled[x] = got
+        return got
+
+    @cached_property
+    def words(self) -> tuple:
+        words, names = [()], self.names
+        for p, i in zip(self.parent[1:], self.last[1:]):
+            words.append(words[p] + (names[i],))
+        return tuple(words)
+
+    @cached_property
+    def depth(self) -> int:
+        depth = [0]
+        for p in self.parent[1:]:
+            depth.append(depth[p] + 1)
+        return max(depth)
 
 
 def is_aperiodic(m: OrderedMonoid, elements=None) -> tuple[bool, int | None]:
@@ -384,9 +516,9 @@ def generated_morphism(
     The closure keeps, per element, its parent and letter as two int
     lists, and the ids of its products with the letters (the right letter
     columns R_a[x] = x a).  More than `cap` elements raise CapError before
-    any word or table is built.  The words then follow from the parents,
-    and `_fill_table` writes the table row by row: one |M|^2 table plus
-    O(|M|) temporaries.  When given, `label_order` maps the list of
+    the table is built.  `_fill_table` writes it row by row: one |M|^2
+    table plus O(|M|) temporaries.  The parents and letters are the
+    monoid's spanning tree, which spells the words.  When given, `label_order` maps the list of
     labels, by element id, to the boolean order matrix,
     `label_accepting` maps it to one truth value per element id, which
     marks the accepting set, and `label_action` maps it to the morphism's
@@ -416,9 +548,6 @@ def generated_morphism(
             right.append(y)
 
     m = len(labels)
-    words = [()]
-    for p, i in zip(parent[1:], last[1:]):
-        words.append(words[p] + (letters[i],))
     letter_map = dict(zip(letters, right[:k]))  # 1 a = a
     mult = _fill_table(right, parent, last, right[:k])
 
@@ -427,7 +556,7 @@ def generated_morphism(
     if label_accepting is not None:
         accepting = frozenset(compress(range(m), label_accepting(labels)))
 
-    monoid = OrderedMonoid(mult, 0, leq=leq, repr_words=words, generators=right[:k])
+    monoid = OrderedMonoid(mult, 0, leq=leq, generators=right[:k], tree=(parent, last, letters))
     return Morphism(
         monoid=monoid,
         alphabet=tuple(letters),
@@ -673,27 +802,78 @@ def _order_bits(contains: np.ndarray, act: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Local submonoids
 
-# Above this size a monoid with known generators finds its J-classes by the
-# Cayley-graph search, below it by table passes.  Placing every class of
-# the monoids of the benchmark's seed-1 inputs (2-core x86-64), passes
-# against search: 1214 corpus monoids (|M| <= 128) 0.074 against 0.181 s,
-# 20 ladder monoids (|M| 195-802) 0.034 against 0.016 s.
-_BFS_MIN_SIZE = 256
+# Above this size a monoid with a tree places its J-classes from the
+# letter-step table (`_upset_table`), below it by table passes.  Placing
+# every class and reading every idempotent's upset on the monoids of the
+# benchmark's seed-1 corpus and ladder inputs (2-core x86-64, least of 5),
+# passes against the table: 1179 monoids of 1-80 elements 0.028 against
+# 0.039 s, 35 of 81-128 0.0047 against 0.0037 s, 20 of 129-802 0.0175
+# against 0.0036 s.
+_BFS_MIN_SIZE = 80
+
+# _BITS[i]: bit i of a packed uint64 word
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _packed_seed(cols: np.ndarray, size: int) -> np.ndarray:
+    """seed[w, z] over `size` elements: bit i of word w is set iff z =
+    cols[64 w + i]."""
+    at = np.arange(cols.size)
+    seed = np.zeros((-(-cols.size // 64), size), dtype=np.uint64)
+    seed[at >> 6, cols] = _BITS[at & 63]
+    return seed
+
+
+def _step(columns, reach: np.ndarray) -> np.ndarray:
+    """out[:, z] = OR_c reach[:, c[z]] over the index rows c of `columns`,
+    on packed words [w, z]: along the right letter columns mult[:, b],
+    from {z : f in z Y} to {z : f in z b Y}; along the rows mult[b], from
+    {a : f in X a Y} to {a : f in X b a Y}."""
+    out = reach.take(columns[0], axis=1)
+    for column in columns[1:]:
+        out |= reach.take(column, axis=1)
+    return out
+
+
+def _unpacked(reach: np.ndarray, count: int) -> np.ndarray:
+    """The packed words reach[w, z] as booleans bits[z, i], i < count."""
+    words = np.ascontiguousarray(reach.T).astype("<u8", copy=False).view(np.uint8)
+    return _unpackbits(words, axis=1, count=count, bitorder="little").view(bool)
+
+
+def _upset_table(mult: np.ndarray, ids: np.ndarray, letters: np.ndarray,
+                 rounds: int) -> np.ndarray:
+    """table[i, a]: the idempotent ids[i] lies in M a M, for a monoid that
+    the ids `letters` generate in words of at most `rounds` letters.
+
+    Every idempotent at once, packed 64 to a word: from the seed {E_i},
+    `rounds` right steps along the letter columns mult[:, b], each ORed
+    into the last, reach Z_i = {z : E_i in z M}, as E_i = z x with x a
+    word of at most `rounds` letters; then as many left steps along the
+    letter rows mult[b] reach {a : x a in Z_i for some x}, the upset."""
+    reach = _packed_seed(ids, mult.shape[0])
+    right = list(mult.take(letters, axis=1).T.copy())
+    for _ in range(rounds):
+        reach |= _step(right, reach)
+    left = [mult[b] for b in letters.tolist()]
+    for _ in range(rounds):
+        reach |= _step(left, reach)
+    return np.ascontiguousarray(_unpacked(reach, ids.size).T)
 
 
 class JClasses:
     """The regular J-classes of a monoid T, placed lazily in order of their
-    least idempotents.  For T = M, the monoid of the table `mult`, two
-    routes remain, the table passes and the Cayley graph; the stability
-    layer's subclass places the classes of its stable submonoid S from
-    upsets of its own (its `_up` and `_below`).
+    least idempotents, from one of two sources of upsets: table passes
+    over T = M, or a table of the upsets of every idempotent, rows and
+    columns, which `_upset_table` builds for a large M and the stability
+    layer builds for its stable submonoid S.
 
     The least idempotent e not yet placed opens a class and gets its upset
-    {a in T : e in T a T}, by two passes over the table or by a backward
-    search of the Cayley graph `cayley` (x -> x g, then x -> g x).  Its
-    downset T e T, a scatter of rows or a forward search, is built only
-    when the next class is wanted and a later unplaced idempotent lies in
-    the upset; the idempotents in both join the class.
+    {a in T : e in T a T}: two passes over the table, or a row of the
+    upset table.  When the next class is wanted and a later unplaced
+    idempotent f lies in the upset, f joins the class if it also lies in
+    T e T: in the downset, a scatter of rows, or where the upset table
+    has e in the row of f.
 
     One visit per class decides e Me e = e (or <= e, or >= e).  J-related
     idempotents e, f of the finite T are D-related: some a, a' in T have
@@ -706,9 +886,9 @@ class JClasses:
     first failing idempotent, and x is searched at it as before.
     """
 
-    def __init__(self, mult: np.ndarray, idempotents: np.ndarray, cayley=None):
-        self._mult, self._cayley = mult, cayley
-        self._pending = idempotents
+    def __init__(self, mult: np.ndarray, idempotents: np.ndarray, table=None):
+        self._mult, self._table = mult, table
+        self._ids = self._pending = idempotents
         self._reps = []  # least idempotents of the classes opened, increasing
         self._upsets = {}  # placed idempotent -> the upset of its class
         self._open = None  # the class opened last, until its rest is placed
@@ -754,15 +934,15 @@ class JClasses:
 
     def _up(self, e: int) -> np.ndarray:
         """The z with e in z M, then the a with some x a among them."""
-        if self._cayley is not None:
-            return _reach(self._cayley, e, backward=True)
+        if self._table is not None:
+            return self._table[self._ids.searchsorted(e)]
         mult = self._mult
         return (mult == e).any(axis=1)[mult].any(axis=0)
 
     def _below(self, e: int, rest: np.ndarray) -> np.ndarray:
         """Which of the idempotents `rest` lie in T e T."""
-        if self._cayley is not None:
-            return _reach(self._cayley, e)[rest]
+        if self._table is not None:
+            return self._table[self._ids.searchsorted(rest), e]
         mult = self._mult
         down, me = np.zeros(mult.shape[0], dtype=bool), np.zeros(mult.shape[0], dtype=bool)
         me[mult[:, e]] = True  # M e
@@ -772,39 +952,27 @@ class JClasses:
         return down[rest]
 
 
-def _reach(cayley: np.ndarray, e: int, backward: bool = False) -> np.ndarray:
-    """The mask of the x reached from e along the edges x -> cayley[x, k],
-    or reaching e when `backward`, breadth first: one gather per level."""
-    reached = np.zeros(cayley.shape[0], dtype=bool)
-    reached[e] = True
-    frontier = reached
-    while _any(frontier):
-        if backward:  # the x with an edge into the last level
-            frontier = frontier[cayley].any(axis=1)
-        else:  # the ends of the edges out of the last level
-            ends, frontier = cayley[frontier], np.zeros(reached.size, dtype=bool)
-            frontier[ends] = True
-        frontier &= ~reached
-        reached |= frontier
-    return reached
-
-
 _GATHER_IDS = 1 << 16  # products gathered at once by a closure (512 KiB of ids)
 
 
-def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray) -> np.ndarray:
+def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray, seed=None,
+                     limit: int | None = None) -> np.ndarray:
     """Sorted members of the submonoid generated by the ids `gens`, by a
     breadth-first frontier multiplied on the right by every generator.
     Each level gathers its products from the table in blocks of frontier
-    rows, so no temporary holds more than about _GATHER_IDS ids; the
-    search starts from the generators, and stops early once every element
-    is reached."""
+    rows, so no temporary holds more than about _GATHER_IDS ids.  The
+    search starts from the generators, or from the ids `seed`, members
+    that include them, and stops early once `limit` elements are reached:
+    every element by default, or the size of a submonoid known to hold
+    the generators."""
     reached = np.zeros(mult.shape[0], dtype=bool)
+    start = gens if seed is None else seed
     reached[identity] = True
-    reached[gens] = True
-    frontier = gens[gens != identity]
+    reached[start] = True
+    frontier = start[start != identity]
     block = max(1, _GATHER_IDS // max(1, gens.size))
-    while frontier.size and not _all(reached):
+    limit = reached.size if limit is None else limit
+    while frontier.size and _count_nonzero(reached) < limit:
         hit = np.zeros(reached.size, dtype=bool)
         for lo in range(0, frontier.size, block):
             hit[mult[frontier[lo:lo + block, None], gens]] = True

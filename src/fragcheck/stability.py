@@ -7,8 +7,9 @@ store of generated submonoids uses.  Only `admissible_images` and `me_s`
 hand out frozensets.
 
 What a stability index shares with its multiples is built once per
-morphism, by `_PowerImages`: the power images X_k, each step one boolean
-scatter X_k . X_1 through the table, stored up to their first repeat (found
+morphism, by `_PowerImages`: the power images X_k, each step one `take`
+of the ids X_k along the stacked right columns of the letter images X_1
+and one `put` into a fresh mask, stored up to their first repeat (found
 by the bytes of the ids), which fixes their preperiod J and period p; the
 residue slots; the stable submonoid S = h(A^s) plus the identity, checked
 closed under the table once, every cell of S x S read in blocks of whole
@@ -41,7 +42,8 @@ one right step each, over the distinct letter images b, for k up to J +
 p - 1: the least index lies in [J, J + p), and every slot below J needs
 one power of that window.  Their columns are packed 64 to a uint64 word
 and laid out [word, element], so a step gathers whole words along each
-image's right column mult[:, b], copied contiguous once.  Each slot's
+image's right column mult[:, b], a row of one contiguous stack of the
+distinct images' columns, built once.  Each slot's
 reach reach_v is then one step, or below J the OR of two, X_v |
 X_(slot(v+s)), taken in place once every step is built.  None of this
 depends on s, as slot(v + s) is the same at every multiple of the least
@@ -72,18 +74,19 @@ the rows mult[b] of the letter images,
 
 which end at X_slot(s) . a . X_s = X_s a X_s, unpacked once, ANDed with
 S's mask, and the identity set in the upset of 1.  The classes are placed
-lazily, as M's are (`monoid.JClasses`), in order of their least
-idempotents: f joins the class of e when each lies in the other's
-upset, so S needs no downsets.
+lazily by `monoid.JClasses`, which reads this table as it reads M's
+letter-step table, in order of their least idempotents: f joins the
+class of e when each lies in the other's upset, so S needs no downsets.
 
 The local submonoid Mes of an idempotent e depends only on its pattern of
 usable letters adm[:, :, e]: it is the submonoid generated by the images
 B of the usable blocks of exactly s letters, once per pattern.  The
 blocks come from a walk of s frontier steps whose step r depends only on
-the pair of r.  In the middle that repeats with p, so the walk samples
-its frontier every p steps there, and once a sample repeats it jumps
-over every whole cycle left in the middle: past that repeat its length
-no longer depends on s.  Walked from a set C the same steps give C . B,
+the pair of r: one `take` of the frontier along the rows of the stack
+that hold the letters usable at r, and one `put`.  In the middle that
+repeats with p, so the walk samples its frontier every p steps there,
+and once a sample repeats it jumps over every whole cycle left in the
+middle: past that repeat its length no longer depends on s.  Walked from a set C the same steps give C . B,
 so Mes, the union of the powers B^k, is the fixed point of the walk: each
 round walks from the elements the last one added, and one round confirms
 a block set that is already closed.  The result is kept in the monoid's
@@ -93,8 +96,10 @@ letter usable at every residue, nothing is walked, as Mes = S: every word
 of s letters is then a usable block, so B = h(A^s) = X_s, and as X_s X_s
 = X_2s = X_s, the submonoid B generates is {1} | X_s = S.  The Me of the
 stable submonoid S closes the upset in S of its J-class, from the
-J-classes of S above, which every multiplier shares, and
-`is_stable_trivial` reads stable R- and L-classes off the same upsets.
+J-classes of S above, which every multiplier shares; the upset lies in
+S, which is checked closed, so the closure stops as soon as it holds |S|
+elements.  `is_stable_trivial` reads stable R- and L-classes off the
+same upsets.
 
 The checks over Mes (`fragments`) visit one idempotent per regular
 J-class of S, its least (`StabilityInfo.stable_j_classes`), which decides
@@ -141,7 +146,8 @@ import numpy as np
 
 from .errors import CapError, ConsistencyError, InputError
 from .monoid import (
-    _GATHER_IDS, JClasses, Morphism, OrderedMonoid, _all, _any, _unpackbits,
+    _GATHER_IDS, JClasses, Morphism, OrderedMonoid, _all, _any, _closure_members,
+    _packed_seed, _step, _unpackbits, _unpacked,
 )
 
 _ITERATION_CAP = 100_000
@@ -152,18 +158,17 @@ MAX_INDEX_CELLS = 2_000_000
 # Multipliers up to this one are never capped: they cost at most that many
 # times the least index, which is never capped either.
 FREE_MULTIPLIER = 3
-# _BITS[i]: bit i of a packed uint64 word
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class _PowerImages:
     """What every stability index of a morphism shares, built once: the
-    monoid, the letter images (in `alphabet` order) and the `right`
-    columns of the distinct ones, the `idempotents`, the power images
-    X_k = image of the words of length exactly k, stored as seq[k] up to
-    their first repetition, their `preperiod` J and `period` p, the
-    residue `slots`, the stable submonoid (`stable`, its `mask` over the
-    monoid, and its `j_classes`) and the slot reaches `steps`.  Building it
+    monoid, the letter images (in `alphabet` order), the `stack` of the
+    right columns of the distinct ones and its rows `right`, the
+    `idempotents`, the power images X_k = image of the words of length
+    exactly k, stored as seq[k] up to their first repetition, their
+    `preperiod` J and `period` p, the residue `slots`, the stable
+    submonoid (`stable`, its `mask` over the monoid, and its `j_classes`)
+    and the slot reaches `steps`.  Building it
     checks that the stable set is closed under the table and raises
     ConsistencyError otherwise."""
 
@@ -173,11 +178,18 @@ class _PowerImages:
         self.images = np.array([m.letter_map[a] for a in m.alphabet], dtype=np.int64)
         mult = mon.mult
         x1 = np.array(sorted(set(self.images.tolist())), dtype=np.int64)
+        # the letters' distinct images X_1, in increasing order, each
+        # letter's place among them, the stack of their right columns
+        # mult[:, b], one contiguous row each, and its rows
+        self.letter_index = x1.searchsorted(self.images)
+        stack = self.stack = mult.take(x1, axis=1).T.copy()
+        self.right = list(stack)
+        self._letter_rows = {}  # usable mask bytes -> rows of the stack
         seq, seen = [np.array([mon.identity]), x1], {x1.tobytes(): 1}
         while True:
             k = len(seq)
             hit = np.zeros(mon.size, dtype=bool)
-            hit[mult[seq[-1][:, None], x1]] = True
+            hit.put(stack.take(seq[-1], axis=1), True)
             nxt = hit.nonzero()[0]
             key = nxt.tobytes()
             if key in seen:
@@ -201,15 +213,19 @@ class _PowerImages:
                 self.stable, self.mask = ids, mask
         self.slots = tuple(slots + seq[self.preperiod:])
         _check_closed(mult, self.stable, self.mask)
-        # the letters' distinct images X_1, in increasing order, each
-        # letter's place among them, and their right columns mult[:, b],
-        # each copied contiguous once
-        self.letter_index = x1.searchsorted(self.images)
-        self.right = [np.ascontiguousarray(mult[:, b]) for b in x1.tolist()]
         # the idempotents, increasing, and each one's column in `steps`
         idempotents = mon.idempotents()
         self.idempotents = np.array(idempotents, dtype=np.int64)
         self.column = {f: i for i, f in enumerate(idempotents)}
+
+    def letter_rows(self, usable: np.ndarray) -> np.ndarray:
+        """The rows of `stack` at the distinct letter images marked in
+        `usable`, copied once per distinct mask."""
+        key = usable.tobytes()
+        got = self._letter_rows.get(key)
+        if got is None:
+            got = self._letter_rows[key] = self.stack.compress(usable, axis=0)
+        return got
 
     def slot(self, k: int) -> int:
         """The slot of k: k below the preperiod J, J + (k - J) mod p from
@@ -234,10 +250,7 @@ class _PowerImages:
         before the arrays are handed out.  They are read-only, as they are
         shared."""
         right = self.right
-        at = np.arange(cols.size)
-        seed = np.zeros((-(-cols.size // 64), self.monoid.size), dtype=np.uint64)
-        seed[at >> 6, cols] = _BITS[at & 63]  # z . X_0 = {z}
-        reach = [seed]
+        reach = [_packed_seed(cols, self.monoid.size)]  # z . X_0 = {z}
         for _ in range(self.preperiod + self.period - 1):
             reach.append(_step(right, reach[-1]))
         for v in range(self.preperiod):  # z . (X_v | X_(v+s))
@@ -247,9 +260,22 @@ class _PowerImages:
         return reach
 
     @cached_property
-    def j_classes(self) -> "_StableJClasses":
-        """The regular J-classes of S, from the upsets of every idempotent."""
-        return _StableJClasses(self)
+    def j_classes(self) -> JClasses:
+        """The regular J-classes of S, placed like M's (`monoid.JClasses`)
+        from one table of the upsets in S of every idempotent (see the
+        module docstring): row i is {a in S : E[i] in S a S}, and f joins
+        the class of e when each lies in the other's upset."""
+        mon, ids = self.monoid, self.idempotents
+        n = self.slot(self.smallest_index)
+        reach = self.steps[n]  # E[i] in a . X_s
+        rows = [mon.mult[b] for b in self.seq[1].tolist()]
+        for _ in range(n):  # X_(k+1) . a . X_s from X_k . a . X_s
+            reach = _step(rows, reach)
+        bits = _unpacked(reach, ids.size)
+        table = np.logical_and(bits.T, self.mask, out=np.empty(bits.shape[::-1], bool))
+        table[ids.searchsorted(mon.identity), mon.identity] = True  # 1 in S 1 S
+        table.flags.writeable = False
+        return JClasses(mon.mult, ids, table)
 
     @property
     def smallest_index(self) -> int:
@@ -388,7 +414,7 @@ class StabilityInfo:
                 got = self.stable
             else:
                 mon = self.monoid
-                letters = [self.powers.seq[1][u] for u in usable.T]
+                letters = [self.powers.letter_rows(u) for u in usable.T]
                 start = np.zeros(mon.size, dtype=bool)
                 start[mon.identity] = True
                 blocks = self._walk(start, letters)
@@ -403,7 +429,7 @@ class StabilityInfo:
         and in the middle (J <= r < s - J) that repeats with the period
         p, so the walk samples its frontier every p steps there and jumps
         ahead over whole cycles once a sample repeats."""
-        mult, pair = self.monoid.mult, self._residue_pairs()[1]
+        pair = self._residue_pairs()[1]
         s, p = self.index, self.powers.period
         lo, hi = self.powers.preperiod, s - self.powers.preperiod  # the middle
         seen = {}  # sampled frontier -> its r
@@ -414,7 +440,7 @@ class StabilityInfo:
                 if at < r:  # the steps from r on repeat those from `at`
                     r += (hi - r) // (r - at) * (r - at)
                     seen = None
-            blocks = _block_step(mult, blocks, letters[pair[r]])
+            blocks = _block_step(letters[pair[r]], blocks)
             r += 1
         return blocks
 
@@ -441,26 +467,19 @@ class StabilityInfo:
     def stable_me_members(self, e: int) -> np.ndarray:
         """The sorted members of Me taken inside the stable submonoid S, for
         an idempotent e of S: the closure of its J-class's upset {a in S :
-        e in S a S} in the monoid's store (read-only)."""
-        return self.monoid.generated(self.stable_j_classes.upset(e))
+        e in S a S} in the monoid's store (read-only).  The upset lies in S,
+        which is closed, so the closure stops once it reaches |S|
+        elements."""
+        mon = self.monoid
+        return mon.generated(self.stable_j_classes.upset(e), lambda up: _closure_members(
+            mon.mult, mon.identity, up.nonzero()[0], limit=self.stable.size))
 
 
-def _step(columns: list, reach: np.ndarray) -> np.ndarray:
-    """out[:, z] = OR_c reach[:, c[z]] over the index arrays c of `columns`,
-    on packed words [w, z]: along the right columns mult[:, b] of the
-    letter images, z . X_(k+1) from z . X_k; along their rows mult[b],
-    X_(k+1) . a . Y from X_k . a . Y."""
-    out = reach.take(columns[0], axis=1)
-    for column in columns[1:]:
-        out |= reach.take(column, axis=1)
-    return out
-
-
-def _block_step(mult: np.ndarray, blocks: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """The mask of x . h(a) over the x marked in `blocks` and the letter
-    images `letters`."""
+def _block_step(right: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The mask of x . b over the x marked in `blocks` and the letter
+    images b whose right columns are the rows of `right`."""
     out = np.zeros(blocks.size, dtype=bool)
-    out[mult[blocks.nonzero()[0][:, None], letters]] = True
+    out.put(right.take(blocks.nonzero()[0], axis=1), True)
     return out
 
 
@@ -473,34 +492,6 @@ def _check_closed(mult: np.ndarray, ids: np.ndarray, inside: np.ndarray):
     for lo in range(0, ids.size, block):
         if not _all(inside.take(mult.take(ids[lo:lo + block], 0)).take(ids, 1)):
             raise ConsistencyError("the stable set is not closed under multiplication")
-
-
-class _StableJClasses(JClasses):
-    """The regular J-classes of the stable submonoid S, placed lazily like
-    M's, from one table of upsets in S of every idempotent (see the module
-    docstring): row i is {a in S : E[i] in S a S}.  f joins the class of e
-    when each lies in the other's upset, so no downset is built."""
-
-    def __init__(self, powers: _PowerImages):
-        mon, ids = powers.monoid, powers.idempotents
-        super().__init__(mon.mult, ids)
-        n = powers.slot(powers.smallest_index)
-        reach = powers.steps[n]  # E[i] in a . X_s
-        rows = [mon.mult[b] for b in powers.seq[1].tolist()]
-        for _ in range(n):  # X_(k+1) . a . X_s from X_k . a . X_s
-            reach = _step(rows, reach)
-        words = np.ascontiguousarray(reach.T).astype("<u8", copy=False).view(np.uint8)
-        bits = _unpackbits(words, axis=1, count=ids.size, bitorder="little").view(bool)
-        table = np.logical_and(bits.T, powers.mask, out=np.empty(bits.shape[::-1], bool))
-        table[ids.searchsorted(mon.identity), mon.identity] = True  # 1 in S 1 S
-        table.flags.writeable = False
-        self._table, self._idempotents = table, ids
-
-    def _up(self, e: int) -> np.ndarray:
-        return self._table[self._idempotents.searchsorted(e)]
-
-    def _below(self, e: int, rest: np.ndarray) -> np.ndarray:
-        return self._table[self._idempotents.searchsorted(rest), e]
 
 
 def _power_images(m: Morphism) -> _PowerImages:

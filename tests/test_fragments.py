@@ -147,18 +147,22 @@ SIGMA2_SENTENCE = """
 
 
 def test_sigma2_sentence_computes_one_stable_upset_per_j_class(monkeypatch):
-    from fragcheck.stability import _StableJClasses
-    stable_upsets = []
-    real = _StableJClasses._up
+    # M's classes and S's share the placement code, so the upsets read are
+    # counted per placement, and S's are told apart afterwards
+    from fragcheck.monoid import JClasses
+    upsets = []
+    real = JClasses._up
 
     def counted(self, e):
-        stable_upsets.append(e)
+        upsets.append((self, e))
         return real(self, e)
 
-    monkeypatch.setattr(_StableJClasses, "_up", counted)
+    monkeypatch.setattr(JClasses, "_up", counted)
     d = compile_formula(parse_formula(SIGMA2_SENTENCE), ["a", "b"])
     h = transition_monoid(d)
     report = analyze(d, morphism=h)
+    stable_upsets = [e for classes, e in upsets
+                     if classes is stability_info(h).stable_j_classes]
     assert (report.monoid_size, report.stable_size) == (5216, 849)
     modular = [fid for fid in FRAGMENTS if "_mod" in fid]
     assert len(modular) == 6

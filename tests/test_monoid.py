@@ -788,41 +788,175 @@ def test_admissible_images_match_brute_at_mid_size(seed):
             assert info.admissible_images(a, r) == images, (a, r)
 
 
-def _me_on_fresh_monoid(h):
-    """Me at every idempotent, on a copy of h's monoid with empty stores."""
+def _fresh_monoid(h, tree=True):
+    """A copy of h's monoid with empty stores: with h's letters and, when
+    `tree`, its spanning tree; without either when `tree` is None."""
     mon = h.monoid
-    fresh = OrderedMonoid(mon.mult, mon.identity, generators=mon.generators)
+    if tree is None:
+        return OrderedMonoid(mon.mult, mon.identity)
+    letters = [h.letter_map[a] for a in h.alphabet]
+    if not tree:
+        return OrderedMonoid(mon.mult, mon.identity, generators=letters)
+    return OrderedMonoid(mon.mult, mon.identity, generators=letters,
+                         tree=(mon._tree.parent, mon._tree.last, h.alphabet))
+
+
+def _me_on_fresh_monoid(h, tree=True):
+    """Me at every idempotent, on a copy of h's monoid with empty stores."""
+    fresh = _fresh_monoid(h, tree)
     return fresh, {e: fresh.me_members(e) for e in fresh.idempotents()}
 
 
-def _check_me_against_brute_and_j_classes(h):
-    fresh, me = _me_on_fresh_monoid(h)
+def _check_me_against_brute_and_j_classes(h, tree=True):
+    fresh, me = _me_on_fresh_monoid(h, tree)
     brute = oracles.me_brute(fresh)
     assert {e: set(xs.tolist()) for e, xs in me.items()} == brute
     # Me depends only on the J-class: J-equivalent idempotents share one
-    # array, and idempotents in different J-classes never do
-    owners = {}
+    # array.  With letters, two classes share one exactly when the same
+    # letters lie in their upsets; without, each class has its own
+    letters = frozenset(h.letter_map.values())
     for cls in oracles.green_classes(fresh).j_classes:
-        arrays = {id(me[e]) for e in cls if e in me}
-        assert len(arrays) <= 1
-        for key in arrays:
-            assert owners.setdefault(key, cls) == cls
+        assert len({id(me[e]) for e in cls if e in me}) <= 1
+    generators = {}
+    for e in me:
+        upset = frozenset(np.flatnonzero(oracles.j_upset_by_passes(fresh.mult, e)).tolist())
+        generators[e] = upset if tree is None else upset & letters
+    for e in me:
+        for f in me:
+            assert (me[e] is me[f]) == (generators[e] == generators[f]), (e, f)
 
 
-@pytest.mark.parametrize("route_min_size", [0, 10**9], ids=["cayley", "mask"])
+@pytest.mark.parametrize("route_min_size", [0, 10**9], ids=["table", "mask"])
 def test_me_shared_per_j_class_and_matches_definition(small_corpus, monkeypatch, route_min_size):
-    # both routes to the generator set {a : e in MaM}: the reverse search in
-    # the two-sided Cayley graph and the two table passes
+    # both routes to the upsets {a : e in MaM}: the letter-step table and
+    # the two table passes; Me from the letters in the upset, from a monoid
+    # proved generated by its tree or by a closure, and from the whole upset
+    # on a monoid without generators
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", route_min_size)
     for d in small_corpus:
-        _check_me_against_brute_and_j_classes(transition_monoid(d, max_monoid=600))
+        h = transition_monoid(d, max_monoid=600)
+        for tree in (True, False, None):
+            _check_me_against_brute_and_j_classes(h, tree)
 
 
-def test_me_cayley_route_at_mid_size(monkeypatch):
-    h = transition_monoid(minimize(_random_seven_state_dfa(43)))
-    assert h.monoid.size <= monoid_module._BFS_MIN_SIZE
+def _ladder_draws(count):
+    """The first `count` ladder-shaped draws (7 states, 2 letters) of seed 13
+    with 150 to 300 elements, as morphisms: small enough for `me_brute`."""
+    rng = np.random.default_rng(13)
+    out = []
+    while len(out) < count:
+        try:
+            h = transition_monoid(random_dfa(rng, 7, 2), 300)
+        except CapError:
+            continue
+        if h.monoid.size >= 150:
+            out.append(h)
+    return out
+
+
+def test_me_table_route_at_mid_size():
+    # the seed-43 draw and ladder-shaped draws lie above the table route's
+    # threshold, so their J-classes come from the letter-step table
+    morphisms = [transition_monoid(minimize(_random_seven_state_dfa(43)))] + _ladder_draws(2)
+    for h in morphisms:
+        assert h.monoid.size > monoid_module._BFS_MIN_SIZE
+        _check_me_against_brute_and_j_classes(h)
+
+
+def test_me_matches_the_upset_closure_on_the_mid_size_draw():
+    # at |M| = 1580 the brute scan of `me_brute` is too slow, so Me is
+    # checked against its definition by the table-pass upsets of the
+    # oracles and the plain closure of the whole upset
+    h = transition_monoid(mid_size_draw())
+    mon = h.monoid
+    assert mon.size == 1580
+    closed = {}
+    for e in mon.idempotents():
+        up = oracles.j_upset_by_passes(mon.mult, e)
+        key = up.tobytes()
+        if key not in closed:
+            closed[key] = monoid_module._closure_members(mon.mult, mon.identity, np.flatnonzero(up))
+        assert mon.me_members(e).tobytes() == closed[key].tobytes(), e
+
+
+def test_me_is_the_monoid_at_a_full_letter_set_without_a_closure(monkeypatch):
+    # the zero of (a|b)*aa(a|b)* lies in M a M for every letter a
+    h = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
+    mon = h.monoid
+    zero = h.image("aa")
+    assert all(mon.mul(zero, x) == zero == mon.mul(x, zero) for x in mon.elements())
+    closures = []
+    monkeypatch.setattr(monoid_module, "_closure_members",
+                        lambda *args, **kw: closures.append(args) or None)
+    assert mon.me_members(zero).tolist() == list(mon.elements())
+    assert closures == []
+
+
+@pytest.mark.parametrize("route_min_size", [0, 10**9], ids=["table", "passes"])
+def test_letter_step_table_matches_the_table_passes(small_corpus, monkeypatch, route_min_size):
+    monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", route_min_size)
+    morphisms = [transition_monoid(d, max_monoid=600) for d in small_corpus]
+    # a 7-element monoid of depth 2 whose left steps need both rounds
+    deep_left = make_dfa(("a", "b"), ["0", "1", "2", "3"], "0", ["0", "2"], {
+        ("0", "a"): "1", ("0", "b"): "1", ("1", "a"): "2", ("1", "b"): "3",
+        ("2", "a"): "2", ("2", "b"): "2", ("3", "a"): "3", ("3", "b"): "3"})
+    morphisms.append(transition_monoid(deep_left))
+    assert (morphisms[-1].monoid.size, morphisms[-1].monoid._tree.depth) == (7, 2)
+    for h in morphisms + _ladder_draws(2):
+        mon = _fresh_monoid(h)
+        classes = mon.j_classes()
+        assert (classes._table is not None) == (route_min_size == 0)
+        ids = np.array(mon.idempotents())
+        table = monoid_module._upset_table(mon.mult, ids, mon.generators, mon._tree.depth)
+        for i, e in enumerate(ids.tolist()):
+            want = oracles.j_upset_by_passes(mon.mult, e).tobytes()
+            assert classes.upset(e).tobytes() == want == table[i].tobytes(), e
+
+
+def test_a_corrupted_tree_is_refused(monkeypatch):
+    # the tree is checked before its first use: a word, Me or the J-classes
+    # (the table route, which reads the tree's depth)
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
-    _check_me_against_brute_and_j_classes(h)
+    h = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
+    mon = h.monoid
+    parent, last = mon._tree.parent, mon._tree.last
+    letters = [h.letter_map[a] for a in h.alphabet]
+    y = mon.size - 1
+    assert OrderedMonoid(mon.mult, 0, generators=letters,
+                         tree=(parent, last, h.alphabet)).word_of(y) == mon.word_of(y)
+    wrong_parent = parent[:y] + [parent[y] - 1]
+    wrong_last = last[:y] + [1 - last[y]]
+    late_parent = parent[:y] + [y]
+    for tree in ((wrong_parent, last), (parent, wrong_last), (late_parent, last),
+                 ([5] + parent[1:], last)):
+        for use in (lambda m: m.word_of(y), lambda m: m.repr_words,
+                    lambda m: m.me_members(0), lambda m: m.j_classes()):
+            built = OrderedMonoid(mon.mult, 0, generators=letters, tree=(*tree, h.alphabet))
+            with pytest.raises(InputError):
+                use(built)
+    with pytest.raises(InputError):
+        OrderedMonoid(mon.mult, 0, tree=(parent, last, h.alphabet))
+
+
+def test_the_tree_spells_the_words_on_demand():
+    h = transition_monoid(minimize(_random_seven_state_dfa(43)))
+    mon = h.monoid
+    walked = [mon.word_of(x) for x in mon.elements()]
+    assert "words" not in mon._tree.__dict__
+    assert walked == list(oracles.transition_monoid_by_tuples(
+        minimize(_random_seven_state_dfa(43))).monoid.repr_words)
+    assert mon.repr_words == tuple(walked)
+    assert all(h.image(w) == x for x, w in enumerate(walked))
+
+
+def test_a_closure_stops_at_its_limit():
+    # Z/6 is generated by 1; a closure told that 3 elements hold the result
+    # stops at the level that reaches them
+    ids = np.arange(6)
+    table = (ids[:, None] + ids) % 6
+    full = monoid_module._closure_members(table, 0, np.array([1]))
+    assert full.tolist() == list(range(6))
+    assert monoid_module._closure_members(table, 0, np.array([1]), limit=3).tolist() == [0, 1, 2]
 
 
 def test_closure_in_small_blocks_matches_brute(small_corpus, monkeypatch):
@@ -840,8 +974,9 @@ def test_generators_must_lie_in_the_monoid():
 
 
 def test_cayley_route_refuses_generators_that_do_not_generate(monkeypatch):
-    # in Z/6, 2 reaches only the even residues, so the search would miss
-    # the odd ones; the route checks the generators before trusting them
+    # in Z/6, 2 reaches only the even residues, so Me closed from the
+    # letters would miss the odd ones; generators given without a tree are
+    # checked before they are trusted
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
     ids = np.arange(6)
     table = (ids[:, None] + ids) % 6

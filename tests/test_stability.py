@@ -561,6 +561,31 @@ def test_mes_is_the_stable_submonoid_at_every_full_pattern(small_corpus):
     assert full > 100
 
 
+def test_stable_me_closure_stops_at_the_stable_submonoid(small_corpus, monkeypatch):
+    # the stable Me's generators lie in S, which is closed, so its closure
+    # is told |S| and stops once it holds that many elements
+    from fragcheck import stability
+    limits = []
+    real = stability._closure_members
+
+    def recorded(*args, **kw):
+        limits.append(kw.get("limit"))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(stability, "_closure_members", recorded)
+    whole = 0
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        info = stability_info(h)
+        limits.clear()
+        for e, brute in oracles.stable_me_brute(info).items():
+            got = info.stable_me_members(e)
+            assert set(got.tolist()) == brute
+            whole += got.size == info.stable.size
+        assert limits and set(limits) == {info.stable.size}
+    assert whole > 40
+
+
 PERIODIC = ("(bc)*", "a(bc)*", "(abc)*", "b(aa)*")
 MULTIPLIERS = (1, 2, 3, 5, 8)
 

@@ -22,7 +22,9 @@ It first runs every item on both packages and exits 1 unless the outputs
 Then, for each of ``--reps`` reps, it runs every item on both sides, the
 parent first for even (rep + item) and the change first for odd, and sums
 each side's CPU time (``time.process_time``).  It prints each rep's
-change/parent ratio of those sums and their median.  Both sides share one
+change/parent ratio of those sums and their median, then each item's
+median CPU over the reps on both sides, with their ratio, which shows
+where in the workload a change gains or loses.  Both sides share one
 process, one heap and one host state, so the ratio moves far less between
 reps than the separate runs of ``tools/bench_pairs.py`` move between
 pairs; it sizes a change, and does not replace that benchmark.
@@ -135,18 +137,27 @@ def main(argv=None) -> int:
         print("outputs identical", flush=True)
 
         ratios = []
+        per_item = {side: [[] for _ in items["change"]] for side in sides}  # CPU s per rep
         for rep in range(args.reps):
             gc.collect()
             total = dict.fromkeys(sides, 0.0)
             for i in range(len(items["change"])):
                 order = ("parent", "change") if (rep + i) % 2 == 0 else ("change", "parent")
                 for side in order:
-                    total[side] += timed(items[side][i][1], sides[side], workloads)[1]
+                    cpu = timed(items[side][i][1], sides[side], workloads)[1]
+                    per_item[side][i].append(cpu)
+                    total[side] += cpu
             ratios.append(total["change"] / total["parent"])
             print(f"rep {rep}: parent {total['parent']:.3f} s, change {total['change']:.3f} s,"
                   f" change/parent {ratios[-1]:.4f}", flush=True)
         print(f"median change/parent {statistics.median(ratios):.4f} "
               f"(range {min(ratios):.4f}-{max(ratios):.4f} over {args.reps} reps)")
+        print("item: median CPU ms, parent / change")
+        for i, (label, _) in enumerate(items["change"]):
+            parent_ms, change_ms = (1000 * statistics.median(per_item[side][i])
+                                    for side in ("parent", "change"))
+            ratio = change_ms / parent_ms if parent_ms else float("nan")
+            print(f"  {label}: {parent_ms:.3f} / {change_ms:.3f} ({ratio:.3f})")
     return 0
 
 
