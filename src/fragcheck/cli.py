@@ -502,8 +502,19 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     the rows of the minimal automaton, which the complement shares with
     its final states flipped.  What the duality checks compare is still
     derived on its own from the complement's accepting set: its order,
-    built by `syntactic_order` and never taken as a transpose, and its
-    eleven verdicts."""
+    built by `syntactic_order` and never taken as a transpose, and the
+    verdicts that read it.
+
+    The four analyses (x1, the complement, x2, x3) share each verdict
+    that reads neither their own s nor their own order, as
+    `LanguageAnalysis` keeps it: fo_lt, fo2_lt, fo_mod and fo2_mod_qda are
+    decided once per language, fo2_mod_new once per multiplier, and the
+    order verdicts of M once per order.  No check loses power by this:
+    for those verdicts the index-invariance and duality checks compared
+    the outputs of one deterministic computation on one table, which
+    could not differ; what reads s or the order is still computed by
+    every analysis it belongs to, and `analyze`'s consistency assertions,
+    fo2_mod_qda against fo2_mod_new included, run at every multiplier."""
     failures: list[str] = []
 
     again = minimize(minimal)

@@ -98,6 +98,16 @@ class FragmentReport:
 # (e x e = e, e x e <= e, e x e >= e): over Me, and over Mes
 _ME_FRAGMENTS = ("fo2_lt", "sigma2_lt", "pi2_lt")
 _MES_FRAGMENTS = ("fo2_mod_new", "sigma2_mod", "pi2_mod")
+# What each verdict reads beyond the morphism, which names where it is
+# kept (see `LanguageAnalysis`)
+_READS = {
+    "fo_lt": "table", "fo2_lt": "table",
+    "fo_mod": "stable", "fo2_mod_qda": "stable",
+    "fo2_mod_new": "index",
+    "sigma2_lt": "order", "pi2_lt": "order", "delta2_lt": "order",
+    "sigma2_mod": "index and order", "pi2_mod": "index and order",
+    "delta2_mod": "index and order",
+}
 
 
 class LanguageAnalysis:
@@ -109,10 +119,28 @@ class LanguageAnalysis:
     morphism of L(d), from `transition_monoid`, may pass it as `morphism`;
     it is then used as it is, so that several analyses of one language
     (at several index multipliers, say) share one monoid, and through the
-    morphism's memo one `StabilityInfo` per multiplier.  Each verdict is
-    computed once and kept, so the conjunctions read their halves; the
+    morphism's memo one `StabilityInfo` per multiplier.  The
     stable-submonoid checks run on the parent table through the ids of
     the stable submonoid.
+
+    Each verdict is computed once and kept with what it reads, so the
+    conjunctions read their halves, and the analyses of one language at
+    other multipliers, and of its complement (`complement_morphism`),
+    read what does not depend on their own s or order:
+
+    - fo_lt and fo2_lt read the table: the monoid's `table_verdicts`,
+      which its `with_order` siblings share;
+    - fo_mod and fo2_mod_qda read the stable submonoid S, which no
+      multiple of the index changes: the per-morphism stability entry
+      (`StabilityInfo.powers.verdicts`), which the complement shares.  When
+      S = M they are fo_lt's and fo2_lt's verdicts, which the same sweeps
+      decide (see `stability`);
+    - fo2_mod_new reads s but no order: the `StabilityInfo` of its
+      multiplier, which the complement shares;
+    - sigma2_lt, pi2_lt and delta2_lt read the order of M: the
+      `order_verdicts` of the monoid that carries it;
+    - sigma2_mod, pi2_mod and delta2_mod read s and the order: the
+      analysis itself.
 
     The local fragments over one member source are decided together by
     one `local_condition` sweep: fo2_lt, sigma2_lt and pi2_lt over Me, at
@@ -138,7 +166,9 @@ class LanguageAnalysis:
         self.max_monoid = max_monoid
         self.index_multiplier = index_multiplier
         self._morphism = morphism
-        self._verdicts = {}  # fragment -> (verdict, witness)
+        self._info = None  # the StabilityInfo of the multiplier, once read
+        self._verdicts = {}  # fragment -> (verdict, witness), of those that read s and the order
+        self._stores = {}  # what a verdict reads (`_READS`) -> the dict that keeps it
 
     @property
     def morphism(self) -> Morphism:
@@ -152,7 +182,9 @@ class LanguageAnalysis:
 
     @property
     def stability(self) -> StabilityInfo:
-        return stability_info(self.morphism, self.index_multiplier)
+        if self._info is None:
+            self._info = stability_info(self.morphism, self.index_multiplier)
+        return self._info
 
     # -- individual fragments ------------------------------------------------
 
@@ -185,7 +217,8 @@ class LanguageAnalysis:
         if asked != eq or self.morphism.monoid.leq is not None:
             leq = self.ordered.monoid.leq
             relations.update({le: leq, ge: leq.T})
-        return {fid: order for fid, order in relations.items() if fid not in self._verdicts}
+        return {fid: order for fid, order in relations.items()
+                if fid not in self._store(_READS[fid])}
 
     def _conjunction(self, first: str, second: str) -> tuple[bool, Witness]:
         ok, witness = self.check(first)
@@ -193,10 +226,37 @@ class LanguageAnalysis:
             return False, witness
         return self.check(second)
 
+    def _store(self, reads: str) -> dict:
+        """The dict that keeps the verdicts that read `reads` (`_READS`, see
+        the class docstring), found once per analysis."""
+        store = self._stores.get(reads)
+        if store is None:
+            if reads == "table":
+                store = self.morphism.monoid.table_verdicts
+            elif reads == "stable":
+                store = self.stability.powers.verdicts
+            elif reads == "index":
+                store = self.stability.verdicts
+            elif reads == "order":
+                # the monoid's even before its order is bound: only a
+                # sweep that binds the order puts verdicts there
+                store = self.morphism.monoid.order_verdicts
+            else:
+                store = self._verdicts
+            self._stores[reads] = store
+        return store
+
     def check(self, fragment: str) -> tuple[bool, Witness]:
-        if fragment not in self._verdicts:
-            self._verdicts.update(self._check(fragment))
-        return self._verdicts[fragment]
+        reads = _READS.get(fragment)
+        if reads is None:
+            raise InputError(f"unknown fragment {fragment!r}")
+        got = self._store(reads).get(fragment)
+        if got is None:
+            decided = self._check(fragment)
+            for fid, verdict in decided.items():
+                self._store(_READS[fid])[fid] = verdict
+            got = decided[fragment]
+        return got
 
     def _check(self, fragment: str) -> dict:
         """The verdict of `fragment`, with those its sweep decides too."""
@@ -210,20 +270,21 @@ class LanguageAnalysis:
             relations = self._relations(_MES_FRAGMENTS, fragment)
             return self._local(info.mes_members, info.stable_j_classes.representatives(),
                                relations)
-        if fragment == "fo2_mod_qda":
+        if _READS[fragment] == "stable" and self.stability.powers.whole:
+            # S = M: the same sweep as the fragment's over M
+            got = self.check("fo_lt" if fragment == "fo_mod" else "fo2_lt")
+        elif fragment == "fo2_mod_qda":
             info = self.stability
             return self._local(info.stable_me_members, info.stable_j_classes.representatives(),
                                {fragment: None})
-        if fragment == "fo_lt":
+        elif fragment == "fo_lt":
             got = self._aperiodicity()
         elif fragment == "fo_mod":
             got = self._aperiodicity(self.stability.stable)
         elif fragment == "delta2_lt":
             got = self._conjunction("sigma2_lt", "pi2_lt")
-        elif fragment == "delta2_mod":
+        else:  # delta2_mod, as `check` knows every fragment
             got = self._conjunction("sigma2_mod", "pi2_mod")
-        else:
-            raise InputError(f"unknown fragment {fragment!r}")
         return {fragment: got}
 
 

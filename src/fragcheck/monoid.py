@@ -60,7 +60,8 @@ every idempotent that letter steps build, packed 64 idempotents to a
 word (`_upset_table`): as many right steps along the letter columns as
 the tree is deep reach {z : e in zM}, and as many left steps along the
 letter rows reach U_e.  The stability layer places the J-classes of its
-stable submonoid from a table of its own, with the same lazy placement.
+stable submonoid from a table of its own, with the same lazy placement,
+or reads these when the stable submonoid is the whole monoid.
 Me is generated by U_e, and by the letters in U_e alone (see
 `me_members`), so a monoid with generators closes only those letters,
 and none when every letter is in U_e, where Me = M.  Each generated
@@ -197,6 +198,9 @@ class OrderedMonoid:
         self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
+        # the verdicts kept with the monoid (see `fragments.LanguageAnalysis`):
+        # those that read only the table, and those that read the order
+        self.table_verdicts, self.order_verdicts = {}, {}
         self._idempotents = None
         self._j_classes = None  # the JClasses of the monoid, once built
 
@@ -333,10 +337,12 @@ class OrderedMonoid:
         caches that do not read the order.  The generated submonoids and
         the Me arrays are one store, which either monoid fills for both;
         the idempotents and the J-classes are shared once built, as they
-        are in a monoid that has analysed its language.  Its order is its
-        own: binding one leaves the other's as it was."""
+        are in a monoid that has analysed its language.  So are the
+        `table_verdicts`.  Its order is its own, with its `order_verdicts`:
+        binding one leaves the other's as it was."""
         sibling = copy.copy(self)
         sibling.leq = self._checked_order(leq)
+        sibling.order_verdicts = {}
         return sibling
 
     def generated(self, gens: np.ndarray, close=None) -> np.ndarray:

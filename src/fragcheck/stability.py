@@ -12,15 +12,15 @@ of the ids X_k along the stacked right columns of the letter images X_1
 and one `put` into a fresh mask, stored up to their first repeat (found
 by the bytes of the ids), which fixes their preperiod J and period p; the
 residue slots; the stable submonoid S = h(A^s) plus the identity, checked
-closed under the table once, every cell of S x S read in blocks of whole
-rows; the power steps below; and S's regular J-classes.  The residue set
-residues[r], the image of the words of length congruent to r mod s, is the
-slot of slot(r) = r below J and J + (r - J) mod p from J on: slot 0 is S,
-slot v < J is X_v | X_(v+s) (by one mask) and slot v >= J is X_v.  Every
-stability index s is a multiple of p and at least J, so these are the same
-arrays at every multiple of the least index.  A `StabilityInfo` holds only
-what s changes: the pair index, the admissibility tables and the Mes
-walks.
+closed under the table once (`_check_closed`, below); the power steps
+below; and S's regular J-classes.  The residue set residues[r], the image
+of the words of length congruent to r mod s, is the slot of slot(r) = r
+below J and J + (r - J) mod p from J on: slot 0 is S, slot v < J is X_v
+| X_(v+s) (by one mask) and slot v >= J is X_v.  Every stability index s
+is a multiple of p and at least J, so these are the same arrays at every
+multiple of the least index.  A `StabilityInfo` holds only what s
+changes: the pair index, the admissibility tables, the Mes walks and the
+verdict that reads s but no order, fo2_mod_new (`fragments`).
 
 A letter a is admissible at residue r for an element x when x lies in
 residues[r] . h(a) . residues[s-1-r].  The local checks only ask
@@ -65,10 +65,10 @@ X_s.  Indeed e = e^s lies in X_s, and if e = u a v with u, v in S, then e
 = (e u) a (v e), where e u and v e lie in X_s, as X_s . S = S . X_s = X_s.
 When 1 lies in X_s the same holds for e = 1; otherwise 1 = u a v in S
 forces u = a = v = 1, as a product with a factor in X_s lies in X_s, so
-the class and the upset of 1 are {1}.  So the upset in S of every
-idempotent is read off one table: the reach z . X_s at z = a (slot(s)
-right steps from the seed, at or above J), then slot(s) left steps along
-the rows mult[b] of the letter images,
+the class and the upset of 1 are {1}.  So, when S is short of M, the
+upset in S of every idempotent is read off one table: the reach z . X_s
+at z = a (slot(s) right steps from the seed, at or above J), then
+slot(s) left steps along the rows mult[b] of the letter images,
 
     (X_(k+1) . a . X_s)[i] = OR_b (X_k . (b . a) . X_s)[i],
 
@@ -94,12 +94,29 @@ store of generated submonoids under the mask of B, which the analyses at
 other multipliers, and Me, share.  Where the pattern is full, every
 letter usable at every residue, nothing is walked, as Mes = S: every word
 of s letters is then a usable block, so B = h(A^s) = X_s, and as X_s X_s
-= X_2s = X_s, the submonoid B generates is {1} | X_s = S.  The Me of the
-stable submonoid S closes the upset in S of its J-class, from the
-J-classes of S above, which every multiplier shares; the upset lies in
-S, which is checked closed, so the closure stops as soon as it holds |S|
-elements.  `is_stable_trivial` reads stable R- and L-classes off the
+= X_2s = X_s, the submonoid B generates is {1} | X_s = S.  The Me of a
+stable submonoid S short of M closes the upset in S of its J-class, from
+the J-classes of S above, which every multiplier shares; the upset lies
+in S, which is checked closed, so the closure stops as soon as it holds
+|S| elements.  `is_stable_trivial` reads stable R- and L-classes off the
 same upsets.
+
+The closure check reads every cell of S x S once, in blocks of rows.
+When S holds more than half of an M of more than 64 elements, the blocks
+are whole rows of the table, looked up in S's mask in place, with the
+rows and columns outside S ORed in as passing: no row is copied or cut.
+Otherwise only S's rows are taken and cut to S's columns, which reads
+|S|^2 cells, not |M|^2, in fewer numpy calls.
+
+Often S is M itself: every element is then the image of a word of length
+a multiple of s, or 1.  Then S's structures are M's, and none of them is
+built again.  S . S lies in M by the range check on every entry that the
+`OrderedMonoid` constructor makes, so the closure check is skipped
+without losing strength; S's J-classes are M's (`monoid.JClasses`), so
+no upset table of S is built and no left steps are taken; and the stable
+Me is M's Me.  The verdicts over S then equal those over M, from the
+same sweeps over the same ids with the same witnesses: fo_mod is fo_lt,
+and fo2_mod_qda is fo2_lt (see `fragments.LanguageAnalysis`).
 
 The checks over Mes (`fragments`) visit one idempotent per regular
 J-class of S, its least (`StabilityInfo.stable_j_classes`), which decides
@@ -167,9 +184,10 @@ class _PowerImages:
     `idempotents`, the power images X_k = image of the words of length
     exactly k, stored as seq[k] up to their first repetition, their
     `preperiod` J and `period` p, the residue `slots`, the stable
-    submonoid (`stable`, its `mask` over the monoid, and its `j_classes`)
-    and the slot reaches `steps`.  Building it
-    checks that the stable set is closed under the table and raises
+    submonoid (`stable`, its `mask` over the monoid, whether it is the
+    `whole` monoid, and its `j_classes`), the slot reaches `steps` and the
+    `verdicts` that read the stable submonoid.  Building it checks that a
+    stable set short of the monoid is closed under the table and raises
     ConsistencyError otherwise."""
 
     def __init__(self, m: Morphism):
@@ -212,7 +230,11 @@ class _PowerImages:
             if v == 0:
                 self.stable, self.mask = ids, mask
         self.slots = tuple(slots + seq[self.preperiod:])
-        _check_closed(mult, self.stable, self.mask)
+        # S = M: S . S lies in M by the constructor's range check on the table
+        self.whole = self.stable.size == mon.size
+        if not self.whole:
+            _check_closed(mult, self.stable, self.mask)
+        self.verdicts = {}  # fragment -> (verdict, witness), of those that read S (`fragments`)
         # the idempotents, increasing, and each one's column in `steps`
         idempotents = mon.idempotents()
         self.idempotents = np.array(idempotents, dtype=np.int64)
@@ -262,9 +284,16 @@ class _PowerImages:
     @cached_property
     def j_classes(self) -> JClasses:
         """The regular J-classes of S, placed like M's (`monoid.JClasses`)
-        from one table of the upsets in S of every idempotent (see the
-        module docstring): row i is {a in S : E[i] in S a S}, and f joins
-        the class of e when each lies in the other's upset."""
+        from one table of the upsets in S of every idempotent
+        (`_upset_table`); when S = M, M's own."""
+        if self.whole:
+            return self.monoid.j_classes()
+        return JClasses(self.monoid.mult, self.idempotents, self._upset_table())
+
+    def _upset_table(self) -> np.ndarray:
+        """Row i is {a in S : E[i] in S a S}, from the steps (see the module
+        docstring), and f joins the class of e when each lies in the
+        other's upset."""
         mon, ids = self.monoid, self.idempotents
         n = self.slot(self.smallest_index)
         reach = self.steps[n]  # E[i] in a . X_s
@@ -275,7 +304,7 @@ class _PowerImages:
         table = np.logical_and(bits.T, self.mask, out=np.empty(bits.shape[::-1], bool))
         table[ids.searchsorted(mon.identity), mon.identity] = True  # 1 in S 1 S
         table.flags.writeable = False
-        return JClasses(mon.mult, ids, table)
+        return table
 
     @property
     def smallest_index(self) -> int:
@@ -301,6 +330,8 @@ class StabilityInfo:
     _adm: np.ndarray | None = field(init=False, default=None)  # [image, pair, i] at idempotent i
     _adm_all: np.ndarray | None = field(init=False, default=None)  # [image, pair, x] at every x
     _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> Mes
+    # fragment -> (verdict, witness), of those that read s but no order (`fragments`)
+    verdicts: dict = field(init=False, default_factory=dict)
 
     @property
     def monoid(self) -> OrderedMonoid:
@@ -469,8 +500,10 @@ class StabilityInfo:
         an idempotent e of S: the closure of its J-class's upset {a in S :
         e in S a S} in the monoid's store (read-only).  The upset lies in S,
         which is closed, so the closure stops once it reaches |S|
-        elements."""
+        elements.  When S = M, it is M's Me (`me_members`)."""
         mon = self.monoid
+        if self.powers.whole:
+            return mon.me_members(e)
         return mon.generated(self.stable_j_classes.upset(e), lambda up: _closure_members(
             mon.mult, mon.identity, up.nonzero()[0], limit=self.stable.size))
 
@@ -485,13 +518,28 @@ def _block_step(right: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 def _check_closed(mult: np.ndarray, ids: np.ndarray, inside: np.ndarray):
     """Raise ConsistencyError unless the set `ids`, marked in `inside`, is
-    closed under the table.  Every cell of ids x ids is read, in blocks of
-    rows of about `_GATHER_IDS` products: the rows are taken whole, looked
-    up in `inside`, then cut to the columns `ids`."""
-    block = max(1, _GATHER_IDS // mult.shape[0])
-    for lo in range(0, ids.size, block):
-        if not _all(inside.take(mult.take(ids[lo:lo + block], 0)).take(ids, 1)):
-            raise ConsistencyError("the stable set is not closed under multiplication")
+    closed under the table.  Every cell of ids x ids is read once, in
+    blocks of rows of about `_GATHER_IDS` products.  When the set holds
+    most rows of a table of more than 64, the blocks are whole rows of the
+    table, read in place and looked up in `inside`, with the rows and
+    columns outside the set ORed in as passing; otherwise only the set's
+    rows are taken, cut to its columns and looked up, which takes fewer
+    numpy calls on a small table and reads fewer cells for a sparse set."""
+    m = mult.shape[0]
+    if m > 64 and 2 * ids.size > m:
+        outside = ~inside
+        block = max(1, _GATHER_IDS // m)
+        for lo in range(0, m, block):
+            hit = inside.take(mult[lo:lo + block])
+            hit |= outside
+            hit |= outside[lo:lo + block, None]
+            if not _all(hit):
+                raise ConsistencyError("the stable set is not closed under multiplication")
+    else:
+        block = max(1, _GATHER_IDS // ids.size)
+        for lo in range(0, ids.size, block):
+            if not _all(inside.take(mult.take(ids[lo:lo + block], 0).take(ids, 1))):
+                raise ConsistencyError("the stable set is not closed under multiplication")
 
 
 def _power_images(m: Morphism) -> _PowerImages:

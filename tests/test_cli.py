@@ -471,10 +471,10 @@ def test_witness_length_bound_stops_once_no_triple_is_new():
 
 def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
     # every analysis of one morphism, at any multiplier, shares its
-    # per-morphism entry, whose stable set is checked for closure once and
-    # whose power steps are built once, and one StabilityInfo per
-    # multiplier; the hierarchy quotients are
-    # morphisms of their own
+    # per-morphism entry, whose stable set is checked for closure once
+    # when it is short of the monoid (S = M needs no check) and whose power
+    # steps are built once, and one StabilityInfo per multiplier; the
+    # hierarchy quotients are morphisms of their own
     powers, infos, checks, steps = [], [], [], []
     real_powers, real_info = stability._PowerImages, stability.StabilityInfo
     real_check, real_steps = stability._check_closed, real_powers.steps_at
@@ -502,7 +502,10 @@ def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
     code, text = run_cli(["xcheck", "--count", "6", "--seed", "1"])
     assert code == 0 and "6 instances, 0 with failures" in text
     # the lists keep every morphism alive, so no two share an id
-    assert len({id(m) for m in powers}) == len(powers) == len(checks)
+    assert len({id(m) for m in powers}) == len(powers)
+    short = [p for p, _ in steps if p.stable.size < p.monoid.size]
+    assert 0 < len(short) < len(powers)
+    assert sorted(id(ids) for _, ids, _ in checks) == sorted(id(p.stable) for p in short)
     # one set of power steps, at the idempotent columns, per morphism
     assert len({id(p) for p, _ in steps}) == len(steps) == len(powers)
     assert all(size == len(p.monoid.idempotents()) for p, size in steps)
@@ -511,6 +514,50 @@ def test_xcheck_derives_stability_data_once_per_morphism(monkeypatch):
     # at least the draw's three multipliers; the complement's morphism
     # shares the memo, so its analysis reads the draw's x1 StabilityInfo
     assert len(infos) >= 3 * 6
+
+
+def test_xcheck_decides_each_verdict_once_per_what_it_reads(monkeypatch):
+    # the battery analyses each language at x1, x2 and x3 and its
+    # complement at x1: the verdicts that read the table, or S, are decided
+    # once per language, fo2_mod_new once per multiplier, the order
+    # verdicts of M once per order, and those that read s and the order in
+    # every analysis
+    from fragcheck.fragments import FRAGMENTS, LanguageAnalysis
+    decided = []  # (fragment, what it read), every object kept alive
+    real = LanguageAnalysis._check
+
+    def counted(self, fragment):
+        got = real(self, fragment)
+        for fid in got:
+            if fid in ("fo_lt", "fo2_lt"):
+                read = self.morphism.monoid.mult
+            elif fid in ("fo_mod", "fo2_mod_qda"):
+                read = self.stability.powers
+            elif fid == "fo2_mod_new":
+                read = self.stability
+            elif fid.endswith("_lt"):
+                read = self.morphism.monoid.leq
+            else:
+                read = self
+            decided.append((fid, read))
+        return got
+
+    monkeypatch.setattr(LanguageAnalysis, "_check", counted)
+    code, text = run_cli(["xcheck", "--count", "6", "--seed", "1"])
+    assert code == 0 and "6 instances, 0 with failures" in text
+    assert len({(fid, id(read)) for fid, read in decided}) == len(decided)
+    per = {"fo_lt": 1, "fo2_lt": 1, "fo_mod": 1, "fo2_mod_qda": 1, "fo2_mod_new": 3,
+           "sigma2_lt": 2, "pi2_lt": 2, "delta2_lt": 2,
+           "sigma2_mod": 4, "pi2_mod": 4, "delta2_mod": 4}
+    assert sorted(per) == sorted(FRAGMENTS)
+    for fid, count in per.items():
+        assert sum(got == fid for got, _ in decided) == 6 * count, fid
+
+
+def test_xcheck_battery_finds_no_failure_on_many_draws():
+    # the verdicts one analysis reads from another's are checked by the
+    # battery's duality and invariance checks on every draw
+    assert all(cli.xcheck_battery(d, 32, h) == [] for d, h in cli._draws(300, 5, 3, 7, 32))
 
 
 def residue_blind(d, n):

@@ -21,6 +21,7 @@ from fragcheck.fragments import (
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
+    complement_morphism,
     export_monoid,
     format_word,
     is_aperiodic,
@@ -197,7 +198,8 @@ def _count_sweeps(monkeypatch):
 
 
 def test_check_memoises_verdicts_for_the_conjunctions(monkeypatch):
-    # one sweep per member source decides its =, <= and >= fragments
+    # one sweep per member source decides its =, <= and >= fragments; S =
+    # M here, so fo2_mod_qda is fo2_lt's verdict, from the same sweep
     calls = _count_sweeps(monkeypatch)
     pipeline = LanguageAnalysis(dfa("(a|b)*aa(a|b)*"))
     first = pipeline.check("sigma2_lt")
@@ -208,20 +210,49 @@ def test_check_memoises_verdicts_for_the_conjunctions(monkeypatch):
     pipeline.check("delta2_mod")
     pipeline.check("sigma2_mod")
     pipeline.check("fo2_mod_new")
-    pipeline.check("fo2_mod_qda")
+    assert pipeline.check("fo2_mod_qda") is pipeline.check("fo2_lt")
     pipeline.check("pi2_mod")
-    assert calls[1:] == [
-        ("mes_members", ("eq", "leq", "geq")), ("stable_me_members", ("eq",)),
-    ]
+    assert calls[1:] == [("mes_members", ("eq", "leq", "geq"))]
+
+
+# (a|b)*aa(a|b)*: S = M, |M| = 6; ((a|b)(a|b))*(aa|bb)(a|b)*: |S| = 9 < |M| = 15
+WHOLE, SHORT = "(a|b)*aa(a|b)*", "((a|b)(a|b))*(aa|bb)(a|b)*"
 
 
 def test_analyze_makes_one_sweep_per_member_source(monkeypatch):
+    # the stable Me is swept only where S is short of M: where S = M it is
+    # Me, at M's J-classes, which the sweep over Me has decided
     calls = _count_sweeps(monkeypatch)
-    analyze(dfa("(a|b)*aa(a|b)*"))
+    analyze(dfa(WHOLE))
+    assert sorted(calls) == [
+        ("me_members", ("eq", "leq", "geq")), ("mes_members", ("eq", "leq", "geq")),
+    ]
+    calls.clear()
+    analyze(dfa(SHORT))
     assert sorted(calls) == [
         ("me_members", ("eq", "leq", "geq")), ("mes_members", ("eq", "leq", "geq")),
         ("stable_me_members", ("eq",)),
     ]
+
+
+def test_verdicts_are_kept_with_what_they_read(monkeypatch):
+    # a second analysis of one morphism, at another multiplier, and the
+    # complement's analysis, sweep only for what reads their own s or order
+    calls = _count_sweeps(monkeypatch)
+    for pattern in (WHOLE, SHORT):
+        d = dfa(pattern)
+        h = transition_monoid(d)
+        first = analyze(d, morphism=h)
+        calls.clear()
+        again = analyze(d, morphism=h, index_multiplier=3)
+        assert sorted(calls) == [("mes_members", ("eq", "leq", "geq"))], pattern
+        assert again.to_doc() == analyze(d, index_multiplier=3).to_doc()
+        calls.clear()
+        co = analyze(complement(d), morphism=complement_morphism(h))
+        assert sorted(calls) == [("me_members", ("leq", "geq")),
+                                 ("mes_members", ("leq", "geq"))], pattern
+        assert co.to_doc() == analyze(complement(d)).to_doc()
+        assert first.to_doc() == analyze(d).to_doc()
 
 
 def test_lone_equality_checks_build_no_order(monkeypatch):

@@ -76,3 +76,18 @@ def test_formulas_items_run_on_the_parent_classes_and_summarise_alike(tmp_path):
             setattr(workloads, attr, module)
         for name in [n for n in sys.modules if n.split(".")[0] == "fragcheck_head"]:
             del sys.modules[name]
+
+
+def test_each_side_runs_first_on_half_of_each_kind():
+    # corpus items alternate x1 and x3 of one language; counting places
+    # per multiplier, not per item, gives each side half of each kind in
+    # every rep, where the item's own parity gave every x1 item one side
+    labels = [f"r{i:04d}@x{m}" for i in range(6) for m in (1, 3)] + ["ex@x1", "ex@x3"]
+    place = interleave.places(labels)
+    assert place == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+    for rep in (0, 1):
+        for kind in ("@x1", "@x3"):
+            firsts = [(rep + k) % 2 == 0 for label, k in zip(labels, place)
+                      if label.endswith(kind)]
+            assert abs(2 * sum(firsts) - len(firsts)) <= 1
+    assert interleave.places(["m000", "m001", "m002"]) == [0, 1, 2]

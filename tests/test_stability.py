@@ -407,22 +407,37 @@ def test_stable_j_classes_with_and_without_the_identity_in_xs():
 
 
 def test_closure_check_finds_a_product_outside_in_the_last_row_block(monkeypatch):
-    # three table rows per block, so S's rows are read in many blocks; a
-    # product planted outside S in the last block is found, and the table
-    # as built passes
+    # three table rows per block, so the rows are read in many blocks; a
+    # product planted outside the set in any row of a block, or in the
+    # last block, is found, and the table as built passes.  S holds most rows, so its rows are read whole;
+    # an ideal M z M with the identity, a submonoid that holds under half
+    # the rows, takes its own rows
     from fragcheck import stability
     h = transition_monoid(mid_size_draw())
+    mult, size = h.monoid.mult, h.monoid.size
     powers = stability_info(h).powers
-    mult, ids, mask = h.monoid.mult, powers.stable, powers.mask
-    monkeypatch.setattr(stability, "_GATHER_IDS", 3 * h.monoid.size)
-    assert ids.size > 3 * 10 and not mask.all()
-    stability._check_closed(mult, ids, mask)
-    outside = int((~mask).nonzero()[0][0])
-    for row, col in ((ids[-1], ids[-1]), (ids[-1], ids[0]), (ids[-2], ids[ids.size // 2])):
-        planted = mult.copy()
-        planted[row, col] = outside
-        with pytest.raises(ConsistencyError, match="not closed"):
-            stability._check_closed(planted, ids, mask)
+    sets = [(powers.stable, powers.mask)]
+    for z in reversed(range(size)):
+        mask = np.zeros(size, dtype=bool)
+        mask[mult[mult[:, z]]] = True  # M z M
+        mask[h.monoid.identity] = True
+        if 3 * 10 < np.count_nonzero(mask) < size / 2:
+            sets.append((mask.nonzero()[0], mask))
+            break
+    assert len(sets) == 2 and 2 * sets[0][0].size > size
+    monkeypatch.setattr(stability, "_GATHER_IDS", 3 * size)
+    for ids, mask in sets:
+        assert 3 * 10 < ids.size < size
+        stability._check_closed(mult, ids, mask)
+        outside = int((~mask).nonzero()[0][0])
+        # rows at every place of a block of up to 12 rows, then the last
+        cells = [(row, ids[-1]) for row in ids[:12]]
+        cells += [(ids[-1], ids[-1]), (ids[-1], ids[0]), (ids[-2], ids[ids.size // 2])]
+        for row, col in cells:
+            planted = mult.copy()
+            planted[row, col] = outside
+            with pytest.raises(ConsistencyError, match="not closed"):
+                stability._check_closed(planted, ids, mask)
 
 
 def test_index_cap_raises_before_residues():
@@ -562,8 +577,9 @@ def test_mes_is_the_stable_submonoid_at_every_full_pattern(small_corpus):
 
 
 def test_stable_me_closure_stops_at_the_stable_submonoid(small_corpus, monkeypatch):
-    # the stable Me's generators lie in S, which is closed, so its closure
-    # is told |S| and stops once it holds that many elements
+    # where S is short of M, the stable Me's generators lie in S, which is
+    # closed, so its closure is told |S| and stops once it holds that many
+    # elements; where S = M, the stable Me is M's Me and closes nothing here
     from fragcheck import stability
     limits = []
     real = stability._closure_members
@@ -573,7 +589,7 @@ def test_stable_me_closure_stops_at_the_stable_submonoid(small_corpus, monkeypat
         return real(*args, **kw)
 
     monkeypatch.setattr(stability, "_closure_members", recorded)
-    whole = 0
+    whole = short = 0
     for d in small_corpus:
         h = transition_monoid(d, max_monoid=600)
         info = stability_info(h)
@@ -582,8 +598,50 @@ def test_stable_me_closure_stops_at_the_stable_submonoid(small_corpus, monkeypat
             got = info.stable_me_members(e)
             assert set(got.tolist()) == brute
             whole += got.size == info.stable.size
-        assert limits and set(limits) == {info.stable.size}
-    assert whole > 40
+        if info.stable.size < h.monoid.size:
+            short += 1
+            assert limits and set(limits) == {info.stable.size}
+        else:
+            assert limits == []
+    assert whole > 40 and short > 10
+
+
+def test_a_stable_submonoid_equal_to_the_monoid_reuses_its_structures(small_corpus,
+                                                                       monkeypatch):
+    # S = M: S's J-classes and stable Me are M's own, and neither the
+    # closure check nor S's upset table runs; S short of M takes its own
+    from fragcheck import stability
+    checks, tables = [], []
+    real_check, real_table = stability._check_closed, stability._PowerImages._upset_table
+
+    def counted_check(*args):
+        checks.append(args)
+        return real_check(*args)
+
+    def counted_table(self):
+        tables.append(self)
+        return real_table(self)
+
+    monkeypatch.setattr(stability, "_check_closed", counted_check)
+    monkeypatch.setattr(stability._PowerImages, "_upset_table", counted_table)
+    routes = {True: 0, False: 0}
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        mon = h.monoid
+        checks.clear()
+        tables.clear()
+        info = stability_info(h)
+        whole = info.stable.size == mon.size
+        routes[whole] += 1
+        assert info.powers.whole == whole
+        brute = oracles.stable_me_brute(info)
+        for e in mon.idempotents():
+            got = info.stable_me_members(e)
+            assert set(got.tolist()) == brute[e]
+            assert (got is mon.me_members(e)) == whole
+        assert (info.stable_j_classes is mon.j_classes()) == whole
+        assert (len(checks), len(tables)) == ((0, 0) if whole else (1, 1))
+    assert routes[True] > 10 and routes[False] > 10, routes
 
 
 PERIODIC = ("(bc)*", "a(bc)*", "(abc)*", "b(aa)*")

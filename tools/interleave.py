@@ -19,9 +19,14 @@ read back by the parent's ``modprod.parse_expr``.
 
 It first runs every item on both packages and exits 1 unless the outputs
 (each item's result in the workload's ``summary`` form) are identical.
-Then, for each of ``--reps`` reps, it runs every item on both sides, the
-parent first for even (rep + item) and the change first for odd, and sums
-each side's CPU time (``time.process_time``).  It prints each rep's
+Then, for each of ``--reps`` reps, it runs every item on both sides and
+sums each side's CPU time (``time.process_time``).  Items are of one kind
+when their labels end alike after an ``@`` (the index multiplier of a
+``corpus`` item; every item of the other workloads is of one kind), and
+the k-th item of a kind runs the parent first for even (rep + k) and the
+change first for odd: so in every rep each side runs first on half of each
+kind, and the side that runs second, on warm caches, is not the same for
+every item of a kind.  It prints each rep's
 change/parent ratio of those sums and their median, then each item's
 median CPU over the reps on both sides, with their ratio, which shows
 where in the workload a change gains or loses.  Both sides share one
@@ -93,6 +98,18 @@ def side_items(name: str, seed: int, seconds: int, sides: dict, workloads) -> di
     return items
 
 
+def places(labels) -> list:
+    """Each item's place among the items of its kind, the part of its
+    label after an ``@``, in the order given."""
+    seen = {}
+    out = []
+    for label in labels:
+        kind = label.partition("@")[2]
+        out.append(seen.get(kind, 0))
+        seen[kind] = out[-1] + 1
+    return out
+
+
 def timed(call, modules: dict, workloads):
     """One run of `call` with the item globals set to `modules`: (result,
     CPU s)."""
@@ -136,13 +153,15 @@ def main(argv=None) -> int:
                 return 1
         print("outputs identical", flush=True)
 
+        place = places(label for label, _ in items["change"])
         ratios = []
         per_item = {side: [[] for _ in items["change"]] for side in sides}  # CPU s per rep
         for rep in range(args.reps):
             gc.collect()
             total = dict.fromkeys(sides, 0.0)
             for i in range(len(items["change"])):
-                order = ("parent", "change") if (rep + i) % 2 == 0 else ("change", "parent")
+                order = (("parent", "change") if (rep + place[i]) % 2 == 0
+                         else ("change", "parent"))
                 for side in order:
                     cpu = timed(items[side][i][1], sides[side], workloads)[1]
                     per_item[side][i].append(cpu)
