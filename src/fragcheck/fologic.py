@@ -66,24 +66,31 @@ columns share one subset step, and `automata.determinize` numbers the
 subsets.  The runs at an absorbing rejecting state are dropped, and every
 subset holding a marked run at an absorbing accepting state is one
 accepting sink.  Atoms move to absorbing states once they are decided, so
-such states are common in the tables above them.  Both collapses are quotients by language equality: they change no
-minimal table, only what is numbered before Moore.  Each product and
-erasure is minimized by `automata.minimal_table`; negation flips the
-accepting flags of a complete minimal table, which leaves it minimal.
-Only the final table over plain letters, already minimal, becomes a `Dfa`,
-through `automata.table_dfa`, which numbers its states canonically.
+such states are common in the tables above them.  Both collapses are
+quotients by language equality: they change no minimal table, only what is
+numbered.  Negation flips the accepting flags of a complete table.
+
+`automata.minimal_table` (Moore) runs at two places only: on the body of
+each quantifier, before its erasure, since the subset construction is the
+one step whose cost can grow exponentially with its input; and on the
+sentence's table.  Products, negations and erasures keep the tables they
+build: a product needs only complete operands, and already collapses the
+absorbing states an operand that is not minimal may repeat.  So the
+minimal sentence table over plain letters becomes a `Dfa` through
+`automata.table_dfa`, which numbers its states canonically.
 
 Three caps apply.  The parser rejects trees deeper than MAX_FORMULA_DEPTH
 (InputError).  Compilation raises CapError when a quantifier scope would
 need more than MAX_MARKED_LETTERS marked letters, checked before its body is
 compiled; when a conjunction or disjunction reaches more states than the
-state cap, the sink counted once, checked while the product numbers them,
-before any Moore round; when determinization finds more subsets of (state,
-flag) pairs than the state cap, after the dead runs are dropped and with
-the accepting sink counted once; and when an intermediate table (an atom,
-or a minimized conjunction, disjunction or erasure) has more states than
-the state cap.  A `mod` or `len` modulus above the cap is refused before
-its table is built, since no such atom has fewer states than its modulus.
+state cap, the sink counted once, checked while the product numbers them
+from operands that no Moore run has reduced; when determinization finds
+more subsets of (state, flag) pairs than the state cap, in the erasure of a
+minimized body, after the dead runs are dropped and with the accepting sink
+counted once; and when an atom has more states than the state cap.  A
+`mod` or `len` modulus above the cap is refused before its table is built,
+since no such atom has fewer states than its modulus.  Moore only shrinks a
+table, so the sentence's table, itself within the cap, needs no check.
 """
 
 from __future__ import annotations
@@ -543,7 +550,8 @@ def compile_formula(f: Formula, alphabet: Sequence[str], state_cap: int = DEFAUL
     letters = sorted(set(alphabet))
     if not letters:
         raise InputError("empty alphabet")
-    return table_dfa(letters, _Compiler(letters, state_cap).compile(_rename_apart(f, letters), ()))
+    table = _Compiler(letters, state_cap).compile(_rename_apart(f, letters), ())
+    return table_dfa(letters, minimal_table(table))
 
 
 def formula_letters(f: Formula) -> set[str]:
@@ -591,33 +599,38 @@ def _rename_apart(f: Formula, letters: Sequence[str] | None = None) -> Formula:
             return out
         env, depth = scopes[scope]
         # an atom is interned by its value, a compound node by its type,
-        # bound name and the identities of its (interned) children
+        # bound name and the identities of its (interned) children; a
+        # compound node is built from its parts only when its shape is new
+        parts = None
         if isinstance(g, (TrueF, FalseF, Len)):
-            out = shape = g
+            shape = g
         elif isinstance(g, Lab):
             if known is not None and g.letter not in known:
                 foreign.add(g.letter)
-            out = shape = Lab(bound(env, g.var), g.letter)
+            shape = Lab(bound(env, g.var), g.letter)
         elif isinstance(g, Mod):
-            out = shape = Mod(bound(env, g.var), g.modulus, g.residue)
+            shape = Mod(bound(env, g.var), g.modulus, g.residue)
         elif isinstance(g, (Eq, Lt)):
-            out = shape = type(g)(bound(env, g.left), bound(env, g.right))
+            shape = type(g)(bound(env, g.left), bound(env, g.right))
         elif isinstance(g, (And, Or)):
-            left, right = walk(g.left, scope), walk(g.right, scope)
-            out, shape = type(g)(left, right), (type(g), id(left), id(right))
+            parts = walk(g.left, scope), walk(g.right, scope)
+            shape = (type(g), id(parts[0]), id(parts[1]))
         elif isinstance(g, Not):
-            sub = walk(g.sub, scope)
-            out, shape = Not(sub), (Not, id(sub))
+            parts = (walk(g.sub, scope),)
+            shape = (Not, id(parts[0]))
         elif isinstance(g, (Exists, Forall)):
             name = f"v{depth}"
             inner = inner_scope.setdefault((scope, g.var), len(scopes))
             if inner == len(scopes):
                 scopes.append(({**env, g.var: name}, depth + 1))
-            body = walk(g.body, inner)
-            out, shape = type(g)(name, body), (type(g), name, id(body))
+            parts = name, walk(g.body, inner)
+            shape = (type(g), name, id(parts[1]))
         else:
             raise InputError(f"not a formula: {g!r}")
-        out = done[key] = nodes.setdefault(shape, out)
+        out = nodes.get(shape)
+        if out is None:
+            out = nodes[shape] = shape if parts is None else type(g)(*parts)
+        done[key] = out
         return out
 
     out = walk(f, 0)
@@ -638,11 +651,12 @@ class _Compiler:
     whose bit j is set in mask, so the variable a quantifier binds is the
     top bit of its body's columns.  Tables are those of `automata` (rows
     as Python lists, accepting flags as a list), with marked letters as
-    columns.  Atoms and constants are built minimal and skip Moore;
-    products and erasures go through `automata.minimal_table`.  A product
-    numbers one sink for the pairs an absorbing component decides.  An
-    erasure takes one subset step per distinct (unmarked, marked) pair of
-    its body's columns, keys its subsets by frozensets of (state, flag)
+    columns.  Atoms and constants are built minimal; products, negations
+    and erasures keep the tables they build, and only the body of an
+    erasure goes through `automata.minimal_table`.  A product numbers one
+    sink for the pairs an absorbing component decides.  An erasure takes
+    one subset step per distinct (unmarked, marked) pair of its body's
+    columns, keys its subsets by frozensets of (state, flag)
     pairs, drops the runs at absorbing rejecting states and numbers one
     sink for the subsets an absorbing accepting state decides; the
     subsets are numbered by `automata.determinize`.
@@ -663,12 +677,13 @@ class _Compiler:
 
     def compile(self, f: Formula, frame: tuple) -> Table:
         """The table of f under the frame, exact on the words that mark
-        each frame variable exactly once and arbitrary on other markings.
-        It is remembered per (node identity, frame length): `_rename_apart`
-        names binders by depth, so the frame is fixed by its length, and
-        shares equal subformulas, so each one is compiled once per depth.
-        The lookup sits here, not in a wrapper, so that each formula level
-        costs one Python frame."""
+        each frame variable exactly once and arbitrary on other markings:
+        complete and reachable from state 0, but minimal only for an atom
+        or a constant.  It is remembered per (node identity, frame
+        length): `_rename_apart` names binders by depth, so the frame is
+        fixed by its length, and shares equal subformulas, so each one is
+        compiled once per depth.  The lookup sits here, not in a wrapper,
+        so that each formula level costs one Python frame."""
         key = (id(f), len(frame))
         out = self._memo.get(key)
         if out is not None:
@@ -676,17 +691,19 @@ class _Compiler:
         if isinstance(f, (TrueF, FalseF)):
             out = self._const(frame, isinstance(f, TrueF))
         elif isinstance(f, (Lab, Eq, Lt, Mod, Len)):
-            out = self._capped(self._atom(f, frame))
+            out = self._atom(f, frame)
+            if len(out[1]) > self.cap:
+                raise self._over_cap()
         elif isinstance(f, And):
-            out = self._minimal(product_table(
+            out = product_table(
                 self.compile(f.left, frame), self.compile(f.right, frame), operator.and_,
-                self.cap))
+                self.cap)
         elif isinstance(f, Or):
-            out = self._minimal(product_table(
+            out = product_table(
                 self.compile(f.left, frame), self.compile(f.right, frame), operator.or_,
-                self.cap))
+                self.cap)
         elif isinstance(f, Not):
-            # the complement of a complete minimal table is minimal
+            # the complement of a complete table
             out = _negated(self.compile(f.sub, frame))
         elif isinstance(f, (Exists, Forall)):
             # (forall x f) is compiled as (not (exists x (not f)))
@@ -697,10 +714,12 @@ class _Compiler:
                     f"marked-alphabet cap exceeded ({MAX_MARKED_LETTERS}): "
                     f"{width} marked letters under {len(inner)} nested quantifiers"
                 )
-            body = self.compile(f.body, inner)
+            # the subset construction is the one step whose cost grows
+            # exponentially with its input, so its body is minimal
+            body = minimal_table(self.compile(f.body, inner))
             if isinstance(f, Forall):
                 body = _negated(body)
-            out = self._minimal(self._project(body, frame))
+            out = self._project(body, frame)
             if isinstance(f, Forall):
                 out = _negated(out)
         else:
@@ -828,15 +847,6 @@ class _Compiler:
         for i, row in enumerate(table):  # in place: each step row is freed as it is spread
             table[i] = list(map(row.__getitem__, spread))
         return table, accepting
-
-    def _minimal(self, t: Table) -> Table:
-        """The minimal table of t; one over the state cap is a CapError."""
-        return self._capped(minimal_table(t))
-
-    def _capped(self, t: Table) -> Table:
-        if len(t[1]) > self.cap:
-            raise self._over_cap()
-        return t
 
 
 def _negated(t: Table) -> Table:

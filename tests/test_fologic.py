@@ -365,12 +365,45 @@ def test_products_only_under_and_or_and_one_erasure_per_quantifier(monkeypatch):
         assert sorted(erasures) == compiled(Exists, Forall), text
 
 
+def test_moore_runs_on_each_erasure_body_and_on_the_sentence(monkeypatch):
+    """Products and negations keep the tables they build: Moore runs once
+    per compiled quantifier (node, depth), on the body it erases, and once
+    on the sentence's table, never for an `and`, `or` or `not`."""
+    compile_node = fologic._Compiler.compile
+    minimal = fologic.minimal_table
+    compiling, runs, sentences = [], [], []
+
+    def recording_compile(self, f, frame):
+        if not compiling:
+            sentences.append((self, f))     # keeps the renamed nodes alive
+        compiling.append((id(f), len(frame)))
+        try:
+            return compile_node(self, f, frame)
+        finally:
+            compiling.pop()
+
+    def counting_minimal(t):
+        runs.append(compiling[-1] if compiling else "sentence")
+        return minimal(t)
+
+    monkeypatch.setattr(fologic._Compiler, "compile", recording_compile)
+    monkeypatch.setattr(fologic, "minimal_table", counting_minimal)
+    for text, alphabet in [(t, ["a", "b", "c"]) for t in BATTERY] + [(t, ["a", "b"]) for t in SHARED]:
+        del runs[:], sentences[:]
+        compile_formula(parse_formula(text), alphabet)
+        [(compiler, f)] = sentences
+        kinds = {id(g): type(g) for g in fologic._nodes(f)}
+        quantifiers = sorted(key for key in compiler._memo if kinds[key[0]] in (Exists, Forall))
+        assert sorted(run for run in runs if run != "sentence") == quantifiers, text
+        assert runs.count("sentence") == 1 and runs[-1] == "sentence", text
+
+
 def test_battery_and_shared_number_few_states_for_moore(monkeypatch):
     # products number one sink for the pairs an absorbing component
     # decides, and erasures drop the runs at absorbing rejecting states and
-    # collapse the subsets an absorbing accepting state decides; numbering
-    # every pair and subset reads 350 states into Moore, 218 product states
-    # and 132 erasure subsets
+    # collapse the subsets an absorbing accepting state decides; Moore runs
+    # only on the bodies of erasures and on the sentences, so products read
+    # operands that no Moore run has reduced
     counts = {"moore": 0, "product": 0, "erasure": 0}
 
     def counting(name, build, read=lambda args, out: out):
@@ -387,7 +420,7 @@ def test_battery_and_shared_number_few_states_for_moore(monkeypatch):
         "erasure", fologic._Compiler._project))
     for text, alphabet in [(t, ["a", "b", "c"]) for t in BATTERY] + [(t, ["a", "b"]) for t in SHARED]:
         compile_formula(parse_formula(text), alphabet)
-    assert counts == {"moore": 248, "product": 162, "erasure": 86}
+    assert counts == {"moore": 165, "product": 170, "erasure": 86}
 
 
 def test_erasure_keeps_only_runs_marking_the_variable_once():
@@ -552,3 +585,15 @@ def formulas(draw, bound=(), quantifiers=3, size=4):
 @settings(deadline=None, max_examples=100)
 def test_compile_matches_dfa_oracle_on_random_sentences(f):
     assert same_dfa(f, ["a", "b"]), to_sexp(f)
+
+
+@given(f=formulas(), cap=st.sampled_from([4, 8, 16]))
+@settings(deadline=None, max_examples=100)
+def test_a_state_cap_refuses_a_sentence_or_gives_its_dfa(f, cap):
+    """A cap may refuse a sentence, but never changes the DFA it compiles
+    to."""
+    try:
+        capped = compile_formula(f, ["a", "b"], state_cap=cap)
+    except CapError:
+        return
+    assert dfa_to_doc(capped) == dfa_to_doc(compile_formula(f, ["a", "b"])), to_sexp(f)

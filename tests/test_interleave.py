@@ -8,8 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fragcheck import fragments
-from fragcheck.automata import minimize, regex_to_dfa
+from fragcheck import fologic, fragments
+from fragcheck.automata import dfa_to_json, minimize, regex_to_dfa
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("interleave", ROOT / "tools" / "interleave.py")
@@ -49,6 +49,24 @@ def test_head_export_imports_beside_the_checkout_and_analyzes_alike(tmp_path):
                 assert docs[0] == docs[1], (pattern, multiplier)
     finally:
         for name in [n for n in sys.modules if n.split(".")[0] == "fragcheck_head"]:
+            del sys.modules[name]
+
+
+def test_the_change_side_is_a_copy_of_the_checkout_under_its_own_name(tmp_path):
+    """The change side is not the `fragcheck` the inputs are built with:
+    it is imported from a copy of this checkout's sources, so neither
+    timed side is the first import."""
+    change = interleave.load_copy("fragcheck_copy", tmp_path)
+    try:
+        copied = interleave.submodules(change)
+        assert Path(copied["fologic"].__file__).parent == tmp_path / "fragcheck_copy"
+        assert copied["fologic"] is not fologic
+        for text in ("(exists x (lab x a))", "(forall x (exists y (and (< x y) (mod y 2 1))))"):
+            docs = [dfa_to_json(module.compile_formula(module.parse_formula(text), ["a", "b"]))
+                    for module in (fologic, copied["fologic"])]
+            assert docs[0] == docs[1], text
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "fragcheck_copy"]:
             del sys.modules[name]
 
 

@@ -5,17 +5,20 @@ process, item by item.
         --seed N [--reps 7]
 
 The parent's ``src/fragcheck``, exported with ``git archive``, is imported
-under a second package name; its relative imports keep that copy
-self-contained beside this checkout's ``fragcheck``.  The inputs are built
-by this checkout's ``bench/workloads.py``, sized for the run length
-``BENCHMARK.json`` sets.  Each item is then run on either package by
-swapping the module globals the items call through (``workloads.fragments``,
-``cli``, ``automata``, ``fologic`` and ``modprod``).  The ``formulas``
-items carry expressions that ``bench/data.py`` builds from this checkout's
-``fragcheck.modprod`` classes, which the parent's ``validate`` and
-``eval_expr`` do not accept; so the parent side's items are generated again
-from the same seed, with each expression printed as an s-expression and
-read back by the parent's ``modprod.parse_expr``.
+as ``fragcheck_parent``, and a copy of this checkout's ``src/fragcheck`` (as
+it is on disk) as ``fragcheck_change``; their relative imports keep each
+copy self-contained.  The inputs are built by this checkout's
+``bench/workloads.py``, sized for the run length ``BENCHMARK.json`` sets,
+which imports this checkout's package as ``fragcheck``: that first import
+builds the inputs and times nothing, so neither timed side is the package
+imported first.  Each item is then run on either side by swapping the
+module globals the items call through (``workloads.fragments``, ``cli``,
+``automata``, ``fologic`` and ``modprod``).  The ``formulas`` items carry
+expressions that ``bench/data.py`` builds from ``fragcheck.modprod``
+classes, which another package's ``validate`` and ``eval_expr`` do not
+accept; so each side's items are generated again from the same seed, with
+each expression printed as an s-expression and read back by the side's
+``modprod.parse_expr``.
 
 It first runs every item on both packages and exits 1 unless the outputs
 (each item's result in the workload's ``summary`` form) are identical.
@@ -39,6 +42,7 @@ import argparse
 import gc
 import importlib.util
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -58,8 +62,20 @@ def load_export(rev: str, name: str, into: Path, root: Path = ROOT):
     archive = subprocess.run(["git", "archive", rev, "src/fragcheck"], cwd=root, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    path = into / name
-    (into / "src" / "fragcheck").rename(path)
+    (into / "src" / "fragcheck").rename(into / name)
+    return load_package(name, into / name)
+
+
+def load_copy(name: str, into: Path, root: Path = ROOT):
+    """Import the `src/fragcheck` of the checkout at `root`, as it is on
+    disk, as the package `name`, from a copy written under `into`."""
+    shutil.copytree(root / "src" / "fragcheck", into / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return load_package(name, into / name)
+
+
+def load_package(name: str, path: Path):
+    """Import the package directory `path` as `name`."""
     spec = importlib.util.spec_from_file_location(
         name, path / "__init__.py", submodule_search_locations=[str(path)])
     package = importlib.util.module_from_spec(spec)
@@ -75,16 +91,17 @@ def submodules(package) -> dict:
 
 
 def side_items(name: str, seed: int, seconds: int, sides: dict, workloads) -> dict:
-    """Each side's items of the workload, in one order: the change side's
-    as `workloads` generates them, and the parent side's alike, except
-    that the `formulas` expressions are rebuilt by the parent's `modprod`."""
+    """Each side's items of the workload, in one order, as `workloads`
+    generates them, except that each side's `formulas` expressions are
+    rebuilt by that side's `modprod` from the ones `bench/data.py` built."""
     workload = workloads.WORKLOADS[name]
-    items = {"change": workload.generate(seed, seconds).items}
-    items["parent"] = items["change"]
-    if name == "formulas":
-        data = workloads.data
-        print_expr = sides["change"]["modprod"].expr_to_sexp
-        read_expr = sides["parent"]["modprod"].parse_expr
+    if name != "formulas":
+        return dict.fromkeys(sides, workload.generate(seed, seconds).items)
+    data = workloads.data
+    print_expr = importlib.import_module("fragcheck.modprod").expr_to_sexp
+    items = {}
+    for side, modules in sides.items():
+        read_expr = modules["modprod"].parse_expr
 
         def rebuilt(rows):
             return [(label, read_expr(print_expr(expr)), *rest) for label, expr, *rest in rows]
@@ -92,7 +109,7 @@ def side_items(name: str, seed: int, seconds: int, sides: dict, workloads) -> di
         workloads.data = types.SimpleNamespace(
             VALID=rebuilt(data.VALID), INVALID=rebuilt(data.INVALID), SENTENCES=data.SENTENCES)
         try:
-            items["parent"] = workload.generate(seed, seconds).items
+            items[side] = workload.generate(seed, seconds).items
         finally:
             workloads.data = data
     return items
@@ -131,12 +148,12 @@ def main(argv=None) -> int:
         parser.error("--reps must be at least 1")
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    import fragcheck
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
+        change = load_copy("fragcheck_change", Path(tmp))
         parent = load_export(args.parent, "fragcheck_parent", Path(tmp))
-        sides = {"change": submodules(fragcheck), "parent": submodules(parent)}
+        sides = {"change": submodules(change), "parent": submodules(parent)}
         seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
         items = side_items(args.workload, args.seed, seconds, sides, workloads)
         summary = workloads.WORKLOADS[args.workload].summary
