@@ -68,7 +68,11 @@ subset holding a marked run at an absorbing accepting state is one
 accepting sink.  Atoms move to absorbing states once they are decided, so
 such states are common in the tables above them.  Both collapses are
 quotients by language equality: they change no minimal table, only what is
-numbered.  Negation flips the accepting flags of a complete table.
+numbered.  Negation flips the accepting flags of a complete table.  A
+conjunction or disjunction with an operand that decides it, the constant
+false under `and` and true under `or`, is that constant: a constant node
+is seen before either operand is compiled, and a one-state table of that
+flag once it is, and the other operand is then not compiled.
 
 `automata.minimal_table` (Moore) runs at two places only: on the body of
 each quantifier, before its erasure, since the subset construction is the
@@ -90,7 +94,8 @@ minimized body, after the dead runs are dropped and with the accepting sink
 counted once; and when an atom has more states than the state cap.  A
 `mod` or `len` modulus above the cap is refused before its table is built,
 since no such atom has fewer states than its modulus.  Moore only shrinks a
-table, so the sentence's table, itself within the cap, needs no check.
+table, so the sentence's table, itself within the cap, needs no check.  An
+operand that a deciding constant leaves uncompiled meets none of the caps.
 """
 
 from __future__ import annotations
@@ -641,6 +646,11 @@ def _rename_apart(f: Formula, letters: Sequence[str] | None = None) -> Formula:
     return out
 
 
+# per connective: the product's accepting rule, the flag that decides it
+# whatever the other operand, and the constant node of that flag
+_PRODUCTS = {And: (operator.and_, False, FalseF), Or: (operator.or_, True, TrueF)}
+
+
 class _Compiler:
     """Compiles subformulas to integer tables over marked letters.
 
@@ -694,14 +704,23 @@ class _Compiler:
             out = self._atom(f, frame)
             if len(out[1]) > self.cap:
                 raise self._over_cap()
-        elif isinstance(f, And):
-            out = product_table(
-                self.compile(f.left, frame), self.compile(f.right, frame), operator.and_,
-                self.cap)
-        elif isinstance(f, Or):
-            out = product_table(
-                self.compile(f.left, frame), self.compile(f.right, frame), operator.or_,
-                self.cap)
+        elif isinstance(f, (And, Or)):
+            # an operand that is the constant deciding the product is the
+            # result, and the other operand is not compiled: a constant node
+            # is seen before either side is compiled, a one-state table of
+            # that flag once it is
+            accept, zero, deciding = _PRODUCTS[type(f)]
+            left, right = f.left, f.right
+            if type(left) is deciding or type(right) is deciding:
+                out = self._const(frame, zero)
+            else:
+                out = self.compile(left, frame)
+                if len(out[1]) > 1 or out[1][0] != zero:
+                    right = self.compile(right, frame)
+                    if len(right[1]) > 1 or right[1][0] != zero:
+                        out = product_table(out, right, accept, self.cap)
+                    else:
+                        out = right
         elif isinstance(f, Not):
             # the complement of a complete table
             out = _negated(self.compile(f.sub, frame))

@@ -21,14 +21,25 @@ spanning tree; a word is spelled by walking the tree from its element,
 and the list of every word is built only when read.
 
 Every table handed to the `OrderedMonoid` constructor is checked: its
-entries in range (one pass), the identity law, and associativity, over
-the whole |M|^3 cube at 64 elements or fewer and at 4096 fixed
-pseudo-random triples above that.  A spanning tree handed with it is
-checked before its first use (a word, Me or the J-classes) by one
-gather, mult[parent[y], letter[y]] = y with parent[y] < y for every y !=
-0, which proves by induction on y that the letters generate the monoid;
-generators given without a tree are checked once by a closure instead.
-A monoid built only to read its size checks neither.
+entries in range (one pass), the identity law, and associativity.  A
+spanning tree handed with it is checked by one gather, mult[parent[y],
+letter[y]] = y with parent[y] < y for every y != 0, which proves by
+induction on y that the letters generate the monoid; generators given
+without a tree are checked by a closure instead.  Associativity is then
+checked at one of three strengths:
+
+- up to 128 elements, with generators, as every monoid that
+  `generated_morphism` builds has: in full, by Light's test over the
+  letters, (x a) y = x (a y) for every letter a and all x, y, once the
+  tree or the closure has proven that they generate (Clifford & Preston
+  1961, section 1.2);
+- up to 64 elements, without generators: in full, over the whole |M|^3
+  cube, which is Light's test over every element;
+- above that: at 4096 fixed pseudo-random triples.
+
+Above 128 elements the tree or the closure runs before the generators'
+first use (a word, Me or the J-classes) instead, and a monoid built only
+to read its size checks neither.
 
 The syntactic order of a morphism with an accepting set P is built from
 the right quotients of P (the sets {r : p r in P}), compared by inclusion
@@ -126,11 +137,31 @@ def format_word(word: Word) -> str:
 
 
 # 3 x 4096 fractions in [0, 1), drawn once: scaled by the size of a table
-# above 64 elements, they are the triples its associativity is sampled at.
+# that `_light` does not check, they are the triples its associativity is
+# sampled at.
 # Each is 53 random bits of a seeded standard-library generator, as
 # importing numpy.random would cost about 30 ms and 6 MB at every start.
 _TRIPLES = (np.frombuffer(random.Random(0).randbytes(3 * 4096 * 8), dtype=np.uint64)
             >> np.uint64(11)).reshape(3, 4096) * 2.0 ** -53
+
+# Most elements of a table whose generators `_light` checks in full: over
+# the corpus workload's monoids of 65 to 128 elements it takes about 30 us
+# a table, where the 4096 sampled triples take about 50 us
+_LIGHT_MAX_SIZE = 128
+
+
+def _light(mult: np.ndarray, gens: np.ndarray) -> bool:
+    """Light's associativity test (Clifford & Preston 1961, section 1.2):
+    whether (x a) y = x (a y) for every a in the ids `gens` and all x, y,
+    by two gathers [x, i, y] of |M|^2 |G| cells: of the table itself up to
+    2048 cells, and of a uint8 copy of it (at most 256 elements) above
+    that, where the copy costs less than it saves.  The a that pass hold
+    the identity, by the identity law, and are closed under products, so
+    when `gens` generate the monoid the whole table is associative; over
+    every element it is the |M|^3 cube."""
+    small = mult if mult.size * gens.size <= 2048 else mult.astype(np.uint8)
+    return (small.take(small.take(gens, axis=1), axis=0).tobytes()  # (x a) y
+            == small.take(small.take(gens, axis=0), axis=1).tobytes())  # x (a y)
 
 try:  # the C functions that `np.count_nonzero`, `np.packbits` and
     # `np.unpackbits` call from a Python frame
@@ -160,12 +191,14 @@ class OrderedMonoid:
     given with them, is a spanning tree of the right Cayley graph from
     the identity, id 0: (parent, last, names) with element y = parent[y]
     times the generator last[y] (of `generators` in the order given) and
-    parent[0] = -1, and names[i] the letter of the i-th generator.  Before
-    the first use of the generators or the tree, the tree is checked by
-    one gather, which proves that the generators generate; the words,
-    names[last[y]] appended to the word of parent[y], are built only when
-    read.  Generators given without a tree are checked by a closure
-    instead.  Either check raises InputError.
+    parent[0] = -1, and names[i] the letter of the i-th generator.  The
+    tree is checked by one gather, which proves that the generators
+    generate; the words, names[last[y]] appended to the word of parent[y],
+    are built only when read.  Generators given without a tree are checked
+    by a closure instead.  Either check raises InputError, when the
+    monoid is built at `_LIGHT_MAX_SIZE` elements or fewer, where Light's
+    test reads the proven generators (see `_validate`), and before the
+    first use of the generators or the tree above that.
     """
 
     def __init__(self, mult, identity: int, leq=None, repr_words=None, generators=None,
@@ -190,11 +223,11 @@ class OrderedMonoid:
         if self.generators is not None and self.generators.size and (
                 self.generators[0] < 0 or self.generators[-1] >= self.size):
             raise InputError("generator out of range")
-        self._validate()
         if tree is not None and generators is None:
             raise InputError("a tree needs the generators its letters index")
         self._tree = None if tree is None else _Tree(*tree, generators)
         self._generating = False  # the generators are checked before their first use
+        self._validate()
         self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
@@ -205,24 +238,28 @@ class OrderedMonoid:
         self._j_classes = None  # the JClasses of the monoid, once built
 
     def _validate(self):
-        """The identity law on its row and column, then associativity: the
-        whole |M|^3 cube at 64 elements or fewer, on a uint8 copy of the
-        table (256 KiB at 64), and above that the 4096 triples `_TRIPLES`
-        picks for the size, read by flat takes of the table."""
+        """The identity law on its row and column, then associativity.  At
+        `_LIGHT_MAX_SIZE` elements or fewer the table is checked in full by
+        Light's test (`_light`): over the generators, which `_letters`
+        proves generate first (InputError otherwise), and, in a monoid of 64
+        elements or fewer that knows none, over every element, which is the
+        whole |M|^3 cube.  Every other table is checked at the 4096 triples
+        `_TRIPLES` picks for its size, read by flat takes of the table."""
         m, mult = self.size, self.mult
         e = self.identity
         ids = np.arange(m).tobytes()  # each comparison is of equal dtypes and shapes
         if not (mult[e].tobytes() == ids and mult[:, e].tobytes() == ids):
             raise InputError("identity law fails")
-        if m <= 64:
-            small = mult.astype(np.uint8)
-            if small[small].tobytes() != small[:, small].tobytes():  # (xy)z, x(yz)
-                raise InputError("multiplication is not associative")
+        if m <= _LIGHT_MAX_SIZE and self.generators is not None:
+            associative = _light(mult, self._letters())
+        elif m <= 64:
+            associative = _light(mult, np.arange(m))
         else:
             xs, ys, zs = (_TRIPLES * m).astype(np.int64)
-            if (mult.take(mult.take(xs * m + ys) * m + zs).tobytes()
-                    != mult.take(xs * m + mult.take(ys * m + zs)).tobytes()):
-                raise InputError("multiplication is not associative")
+            associative = (mult.take(mult.take(xs * m + ys) * m + zs).tobytes()
+                           == mult.take(xs * m + mult.take(ys * m + zs)).tobytes())
+        if not associative:
+            raise InputError("multiplication is not associative")
 
     def _letters(self) -> np.ndarray | None:
         """The generators, once they are known to generate the monoid
@@ -1023,7 +1060,8 @@ def local_condition(m: OrderedMonoid, idempotents, members, orders=(None,)) -> t
     pending = dict(enumerate(orders))
     for e in idempotents:
         xs = members(e)
-        exe = mult[mult[e, xs], e]
+        # a take from the column mult[:, e] would first copy all of it
+        exe = mult[mult[e].take(xs), e]
         equal = exe == e
         if _all(equal):
             continue

@@ -53,11 +53,13 @@ J-classes of S.  Then
 
     adm[b, (u, v)] = OR_{x in residues[u]} reach_v[x . b],
 
-one gather of packed words per distinct letter image b and pair, unpacked
-once into the boolean table, which each letter reads at its image.  That
-is O((J + p + pairs) |A| |M| |E| / 64) word work and J + p packed steps
-of |M| |E| / 8 bytes.  `admissible_images` runs the same recurrence over
-every column, with steps of its own.
+one gather of packed words per pair, for every distinct letter image b
+at once, unpacked once into the boolean table, which each letter reads at
+its image.  That is O((J + p + pairs) |A| |M| |E| / 64) word work and J +
+p packed steps of |M| |E| / 8 bytes.  `admissible_images` runs the same
+recurrence over every column, with steps of its own, and gathers each
+slot in blocks of members, so that no gather holds much more than
+`monoid._GATHER_IDS` words.
 
 The regular J-classes of S come from the same steps, by a lemma: for an
 idempotent e != 1 and any a in S, e lies in S a S iff it lies in X_s a
@@ -374,18 +376,26 @@ class StabilityInfo:
         `count` columns, see `_PowerImages.steps_at`) lies in residues[r] .
         b . residues[s-1-r], for the d-th distinct letter image b and the r
         of the k-th distinct slot pair, by one gather of packed words per
-        image and pair, unpacked once."""
+        pair for every image at once, [word, image, x] at the products x b
+        of the slot's members x, OR-reduced over x and unpacked once.  A
+        slot goes in blocks of members, so that a gather holds about
+        `_GATHER_IDS` words."""
         by_right, _ = self._residue_pairs()
         powers = self.powers
-        right = powers.right  # one per distinct letter image
-        packed = np.empty((len(right), sum(map(len, by_right)), steps[0].shape[0]),
-                          dtype=np.uint64)
+        stack = powers.stack  # [image, x] = x b
+        words = steps[0].shape[0]
+        packed = np.empty((stack.shape[0], sum(map(len, by_right)), words), dtype=np.uint64)
+        block = max(1, _GATHER_IDS // max(1, words * stack.shape[0]))
         for v, group in enumerate(by_right):
             here = steps[v]
             for k, u in group:
-                for d, column in enumerate(right):
-                    packed[d, k] = np.bitwise_or.reduce(
-                        here.take(column.take(powers.slots[u]), axis=1), axis=1)
+                ids = powers.slots[u]
+                out = np.bitwise_or.reduce(
+                    here.take(stack.take(ids[:block], axis=1), axis=1), axis=2)
+                for lo in range(block, ids.size, block):
+                    out |= np.bitwise_or.reduce(
+                        here.take(stack.take(ids[lo:lo + block], axis=1), axis=1), axis=2)
+                packed[:, k] = out.T  # out is [word, image]
         adm = _unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
                           count=count, bitorder="little").view(bool)
         adm.flags.writeable = False

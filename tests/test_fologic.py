@@ -197,6 +197,24 @@ def test_compile_state_cap():
         compile_formula(f, ["a", "b"], state_cap=3)
 
 
+def test_a_deciding_constant_ends_a_product():
+    # X nests one quantifier too many for MAX_MARKED_LETTERS, so compiling
+    # it is refused; as the operand of an `or` with true or an `and` with
+    # false it is never compiled, on either side of a constant node, and
+    # after an operand whose compiled table has one state of that flag
+    deep = "(lab x0 a)"
+    for i in reversed(range(fologic.MAX_MARKED_LETTERS.bit_length())):
+        deep = f"(exists x{i} {deep})"
+    with pytest.raises(CapError, match="marked-alphabet cap"):
+        compile_formula(parse_formula(deep), ["a"])
+    for text, accepts in ((f"(or true {deep})", True), (f"(or {deep} true)", True),
+                          (f"(and false {deep})", False), (f"(and {deep} false)", False),
+                          (f"(or (not false) {deep})", True),
+                          (f"(and (exists x false) {deep})", False)):
+        d = compile_formula(parse_formula(text), ["a"])
+        assert d.rows == ((0,),) and d.accepting == (accepts,), text
+
+
 def test_formula_stats_counts():
     f = parse_formula("(exists x (exists y (and (mod x 2 1) (< x y))))")
     stats = formula_stats(f)

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from fragcheck import monoid as monoid_module
 from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
-from fragcheck.cli import random_dfa
+from fragcheck.cli import generate_corpus, random_dfa
 from fragcheck.errors import CapError, InputError
 from fragcheck.fragments import analyze
 from fragcheck.monoid import (
@@ -126,25 +126,91 @@ def test_sampled_associativity_refuses_one_broken_row():
         OrderedMonoid(table, 0)
 
 
+def _tree_edges(mon) -> set:
+    """The cells (parent[y], letter[y]) that the tree check of mon reads."""
+    tree = mon._tree
+    return set(zip(tree.parent[1:], (tree.letters[i] for i in tree.last[1:])))
+
+
+def _with_one_wrong_entry(h, rng, count: int) -> list:
+    """Up to `count` copies of the table of h, each with one entry changed
+    off the tree's edges and off the identity's row and column: the tree
+    and the closure both still prove that the letters generate."""
+    mon, m = h.monoid, h.monoid.size
+    edges = _tree_edges(mon)
+    cells = [(x, y) for x in range(1, m) for y in range(1, m) if (x, y) not in edges]
+    out = []
+    for i in rng.choice(len(cells), size=min(count, len(cells)), replace=False):
+        x, y = cells[i]
+        table = mon.mult.copy()
+        table[x, y] = (table[x, y] + rng.integers(1, m)) % m
+        out.append(table)
+    return out
+
+
 def test_associativity_cube_matches_the_triple_loop(small_corpus):
-    # random tables with an identity, and the tables of small monoids
+    # random tables with an identity, and the tables of small monoids, on
+    # the cube; and the corpus tables as built and with one wrong entry on
+    # Light's test over their letters, with the tree and with the closure
     rng = np.random.default_rng(16)
-    tables = [_with_identity(rng.integers(0, m, size=(m - 1, m - 1)))
-              for m in range(2, 9) for _ in range(60)]
-    tables += [transition_monoid(d, max_monoid=600).monoid.mult for d in small_corpus]
-    tables = [t for t in tables if t.shape[0] <= 8]
-    verdicts = []
-    for table in tables:
+    cases = [(_with_identity(rng.integers(0, m, size=(m - 1, m - 1))), {})
+             for m in range(2, 9) for _ in range(60)]
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        mon = h.monoid
+        if mon.size <= 8:
+            cases.append((mon.mult, {}))
+        if 3 <= mon.size <= 24:
+            letters = [h.letter_map[a] for a in h.alphabet]
+            tree = (mon._tree.parent, mon._tree.last, h.alphabet)
+            for table in [mon.mult, *_with_one_wrong_entry(h, rng, 6)]:
+                cases += [(table, {"generators": letters, "tree": tree}),
+                          (table, {"generators": letters})]
+    verdicts = {True: [], False: []}
+    for table, given in cases:
         expected = oracles.is_associative_brute(table)
         try:
-            OrderedMonoid(table, 0)
+            OrderedMonoid(table, 0, **given)
             got = True
         except InputError as err:
             assert str(err) == "multiplication is not associative"
             got = False
-        assert got == expected, table.tolist()
-        verdicts.append(got)
-    assert 20 <= sum(verdicts) <= len(verdicts) - 20
+        assert got == expected, (table.tolist(), given)
+        verdicts["generators" in given].append(got)
+    for found in verdicts.values():
+        assert 10 <= sum(found) <= len(found) - 20
+
+
+def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss():
+    # a transition monoid of 65-128 elements with one entry changed where
+    # none of the 4096 sampled triples reads, off the tree's edges and off
+    # the identity's row and column: without generators the table is only
+    # sampled, and passes; with its letters Light's test checks it in full
+    d = generate_corpus(count=50, max_states=5, max_letters=2, seed=7, max_monoid=128)[-1]
+    h = transition_monoid(d)
+    mon, m = h.monoid, h.monoid.size
+    assert 64 < m <= monoid_module._LIGHT_MAX_SIZE
+    xs, ys, zs = (monoid_module._TRIPLES * m).astype(np.int64)
+    mult = mon.mult
+    xy, yz = mult[xs, ys], mult[ys, zs]
+    read = {*zip(xs.tolist(), ys.tolist()), *zip(xy.tolist(), zs.tolist()),
+            *zip(ys.tolist(), zs.tolist()), *zip(xs.tolist(), yz.tolist())}
+    edges = _tree_edges(mon)
+    for x, y in ((x, y) for x in range(1, m) for y in range(1, m)):
+        if (x, y) in read or (x, y) in edges:
+            continue
+        table = mult.copy()
+        table[x, y] = (table[x, y] + 1) % m
+        small = table.astype(np.uint8)
+        if small[small].tobytes() != small[:, small].tobytes():
+            break
+    else:
+        raise AssertionError("no unread entry breaks associativity")
+    OrderedMonoid(table, 0)
+    letters = [h.letter_map[a] for a in h.alphabet]
+    for given in ({"tree": (mon._tree.parent, mon._tree.last, h.alphabet)}, {}):
+        with pytest.raises(InputError, match="^multiplication is not associative$"):
+            OrderedMonoid(table, 0, generators=letters, **given)
 
 
 def test_with_order_keeps_table():
@@ -914,28 +980,37 @@ def test_letter_step_table_matches_the_table_passes(small_corpus, monkeypatch, r
 
 
 def test_a_corrupted_tree_is_refused(monkeypatch):
-    # the tree is checked before its first use: a word, Me or the J-classes
-    # (the table route, which reads the tree's depth)
+    # up to _LIGHT_MAX_SIZE elements the tree is checked when the monoid is
+    # built, as Light's test reads the letters it proves; above that, before
+    # its first use: a word, Me or the J-classes (the table route, which
+    # reads the tree's depth)
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
-    h = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
-    mon = h.monoid
-    parent, last = mon._tree.parent, mon._tree.last
-    letters = [h.letter_map[a] for a in h.alphabet]
-    y = mon.size - 1
-    assert OrderedMonoid(mon.mult, 0, generators=letters,
-                         tree=(parent, last, h.alphabet)).word_of(y) == mon.word_of(y)
-    wrong_parent = parent[:y] + [parent[y] - 1]
-    wrong_last = last[:y] + [1 - last[y]]
-    late_parent = parent[:y] + [y]
-    for tree in ((wrong_parent, last), (parent, wrong_last), (late_parent, last),
-                 ([5] + parent[1:], last)):
-        for use in (lambda m: m.word_of(y), lambda m: m.repr_words,
-                    lambda m: m.me_members(0), lambda m: m.j_classes()):
-            built = OrderedMonoid(mon.mult, 0, generators=letters, tree=(*tree, h.alphabet))
-            with pytest.raises(InputError):
-                use(built)
-    with pytest.raises(InputError):
-        OrderedMonoid(mon.mult, 0, tree=(parent, last, h.alphabet))
+    small = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
+    large = _ladder_draws(1)[0]
+    assert small.monoid.size <= monoid_module._LIGHT_MAX_SIZE < large.monoid.size
+    for h in (small, large):
+        mon = h.monoid
+        parent, last = mon._tree.parent, mon._tree.last
+        letters = [h.letter_map[a] for a in h.alphabet]
+        y = mon.size - 1
+        assert OrderedMonoid(mon.mult, 0, generators=letters,
+                             tree=(parent, last, h.alphabet)).word_of(y) == mon.word_of(y)
+        wrong_parent = parent[:y] + [parent[y] - 1]
+        wrong_last = last[:y] + [1 - last[y]]
+        late_parent = parent[:y] + [y]
+        for tree in ((wrong_parent, last), (parent, wrong_last), (late_parent, last),
+                     ([5] + parent[1:], last)):
+            if h is small:
+                with pytest.raises(InputError):
+                    OrderedMonoid(mon.mult, 0, generators=letters, tree=(*tree, h.alphabet))
+                continue
+            for use in (lambda m: m.word_of(y), lambda m: m.repr_words,
+                        lambda m: m.me_members(0), lambda m: m.j_classes()):
+                built = OrderedMonoid(mon.mult, 0, generators=letters, tree=(*tree, h.alphabet))
+                with pytest.raises(InputError):
+                    use(built)
+        with pytest.raises(InputError):
+            OrderedMonoid(mon.mult, 0, tree=(parent, last, h.alphabet))
 
 
 def test_the_tree_spells_the_words_on_demand():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fragcheck import stability as stability_module
 from fragcheck.automata import make_dfa, minimize, regex_to_dfa
 from fragcheck.cli import generate_corpus
 from fragcheck.errors import CapError, ConsistencyError, InputError
@@ -262,6 +263,24 @@ def test_admissible_images_match_brute_on_corpus(small_corpus):
             brute = oracles.admissible_brute(h, info.index)
             for (a, r), images in brute.items():
                 assert info.admissible_images(a, r) == images, (a, r)
+
+
+def test_admissibility_in_one_member_blocks_matches_brute(small_corpus, monkeypatch):
+    # a gather budget of one word splits every slot into one-member blocks,
+    # on both routes: the idempotent columns and every column
+    monkeypatch.setattr(stability_module, "_GATHER_IDS", 1)
+    for d in small_corpus:
+        h = transition_monoid(d, max_monoid=600)
+        for multiplier in (1, 3):
+            info = stability_info(h, multiplier)
+            brute = oracles.admissible_brute(h, info.index)
+            for (a, r), images in brute.items():
+                assert info.admissible_images(a, r) == images, (a, r)
+            for e in h.monoid.idempotents():
+                usable = info.usable(e)
+                for i, a in enumerate(h.alphabet):
+                    for r in range(info.index):
+                        assert usable[i, r] == (e in brute[(a, r)]), (e, a, r)
 
 
 def test_usable_patterns_match_brute_at_every_idempotent(small_corpus):
