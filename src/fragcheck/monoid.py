@@ -28,16 +28,18 @@ induction on y that the letters generate the monoid; generators given
 without a tree are checked by a closure instead.  Associativity is then
 checked at one of three strengths:
 
-- up to 128 elements, with generators, as every monoid that
-  `generated_morphism` builds has: in full, by Light's test over the
-  letters, (x a) y = x (a y) for every letter a and all x, y, once the
-  tree or the closure has proven that they generate (Clifford & Preston
-  1961, section 1.2);
+- with generators, as every monoid that `generated_morphism` builds has,
+  up to 64 elements, and above that while the test reads at most 2^15
+  cells |M|^2 |G| (every monoid of at most 128 elements over 2 letters,
+  104 over 3, 90 over 4): in full, by Light's test over the letters,
+  (x a) y = x (a y) for every letter a and all x, y, once the tree or the
+  closure has proven that they generate (Clifford & Preston 1961,
+  section 1.2);
 - up to 64 elements, without generators: in full, over the whole |M|^3
   cube, which is Light's test over every element;
-- above that: at 4096 fixed pseudo-random triples.
+- every other table: at 4096 fixed pseudo-random triples.
 
-Above 128 elements the tree or the closure runs before the generators'
+On a sampled table the tree or the closure runs before the generators'
 first use (a word, Me or the J-classes) instead, and a monoid built only
 to read its size checks neither.
 
@@ -144,10 +146,14 @@ def format_word(word: Word) -> str:
 _TRIPLES = (np.frombuffer(random.Random(0).randbytes(3 * 4096 * 8), dtype=np.uint64)
             >> np.uint64(11)).reshape(3, 4096) * 2.0 ** -53
 
-# Most elements of a table whose generators `_light` checks in full: over
-# the corpus workload's monoids of 65 to 128 elements it takes about 30 us
-# a table, where the 4096 sampled triples take about 50 us
-_LIGHT_MAX_SIZE = 128
+# Most cells |M|^2 |G| that `_light` reads over the letters G of a table
+# above 64 elements, which is sampled otherwise: those of 2 letters at 128
+# elements.  On transition monoids of random 4- to 7-state automata with
+# 65 to 200 elements and 2 to 10 letters, the test cost less than the
+# 4096 sampled triples (about 45 us) on every one up to there, and more on
+# most from about 40000 cells up: in the median 1.4 times as much at 45000
+# to 70000 cells and 1.9 times at 70000 to 110000 (2-core x86-64, numpy 2.4)
+_LIGHT_MAX_CELLS = 1 << 15
 
 
 def _light(mult: np.ndarray, gens: np.ndarray) -> bool:
@@ -195,10 +201,10 @@ class OrderedMonoid:
     tree is checked by one gather, which proves that the generators
     generate; the words, names[last[y]] appended to the word of parent[y],
     are built only when read.  Generators given without a tree are checked
-    by a closure instead.  Either check raises InputError, when the
-    monoid is built at `_LIGHT_MAX_SIZE` elements or fewer, where Light's
-    test reads the proven generators (see `_validate`), and before the
-    first use of the generators or the tree above that.
+    by a closure instead.  Either check raises InputError: when the
+    monoid is built, if Light's test reads the proven generators (see
+    `_validate`), and before the first use of the generators or the tree
+    otherwise.
     """
 
     def __init__(self, mult, identity: int, leq=None, repr_words=None, generators=None,
@@ -238,19 +244,22 @@ class OrderedMonoid:
         self._j_classes = None  # the JClasses of the monoid, once built
 
     def _validate(self):
-        """The identity law on its row and column, then associativity.  At
-        `_LIGHT_MAX_SIZE` elements or fewer the table is checked in full by
-        Light's test (`_light`): over the generators, which `_letters`
-        proves generate first (InputError otherwise), and, in a monoid of 64
-        elements or fewer that knows none, over every element, which is the
-        whole |M|^3 cube.  Every other table is checked at the 4096 triples
-        `_TRIPLES` picks for its size, read by flat takes of the table."""
+        """The identity law on its row and column, then associativity, in
+        full by Light's test (`_light`) where it costs no more than the
+        route it replaces: over the generators, which `_letters` proves
+        generate first (InputError otherwise), at 64 elements or fewer or
+        while it reads at most `_LIGHT_MAX_CELLS` cells; and, in a monoid
+        of 64 elements or fewer that knows none, over every element, which
+        is the whole |M|^3 cube.  Every other table is checked at the 4096
+        triples `_TRIPLES` picks for its size, read by flat takes of the
+        table."""
         m, mult = self.size, self.mult
         e = self.identity
         ids = np.arange(m).tobytes()  # each comparison is of equal dtypes and shapes
         if not (mult[e].tobytes() == ids and mult[:, e].tobytes() == ids):
             raise InputError("identity law fails")
-        if m <= _LIGHT_MAX_SIZE and self.generators is not None:
+        letters = self.generators  # distinct, so no more than m of them
+        if letters is not None and (m <= 64 or m * m * letters.size <= _LIGHT_MAX_CELLS):
             associative = _light(mult, self._letters())
         elif m <= 64:
             associative = _light(mult, np.arange(m))

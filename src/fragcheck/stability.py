@@ -389,13 +389,12 @@ class StabilityInfo:
         for v, group in enumerate(by_right):
             here = steps[v]
             for k, u in group:
-                ids = powers.slots[u]
-                out = np.bitwise_or.reduce(
-                    here.take(stack.take(ids[:block], axis=1), axis=1), axis=2)
-                for lo in range(block, ids.size, block):
-                    out |= np.bitwise_or.reduce(
+                ids = powers.slots[u]  # never empty: the alphabet is not
+                for lo in range(0, ids.size, block):
+                    part = np.bitwise_or.reduce(  # [word, image]
                         here.take(stack.take(ids[lo:lo + block], axis=1), axis=1), axis=2)
-                packed[:, k] = out.T  # out is [word, image]
+                    out = part if lo == 0 else out | part
+                packed[:, k] = out.T
         adm = _unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
                           count=count, bitorder="little").view(bool)
         adm.flags.writeable = False

@@ -178,18 +178,20 @@ def test_associativity_cube_matches_the_triple_loop(small_corpus):
         assert got == expected, (table.tolist(), given)
         verdicts["generators" in given].append(got)
     for found in verdicts.values():
-        assert 10 <= sum(found) <= len(found) - 20
+        assert 20 <= sum(found) <= len(found) - 20
 
 
-def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss():
+def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss(monkeypatch):
     # a transition monoid of 65-128 elements with one entry changed where
     # none of the 4096 sampled triples reads, off the tree's edges and off
     # the identity's row and column: without generators the table is only
-    # sampled, and passes; with its letters Light's test checks it in full
+    # sampled, and passes; with its letters Light's test checks it in full,
+    # while it reads no more than _LIGHT_MAX_CELLS cells
     d = generate_corpus(count=50, max_states=5, max_letters=2, seed=7, max_monoid=128)[-1]
     h = transition_monoid(d)
     mon, m = h.monoid, h.monoid.size
-    assert 64 < m <= monoid_module._LIGHT_MAX_SIZE
+    cells = m * m * mon.generators.size
+    assert 64 < m and cells <= monoid_module._LIGHT_MAX_CELLS
     xs, ys, zs = (monoid_module._TRIPLES * m).astype(np.int64)
     mult = mon.mult
     xy, yz = mult[xs, ys], mult[ys, zs]
@@ -211,6 +213,8 @@ def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss():
     for given in ({"tree": (mon._tree.parent, mon._tree.last, h.alphabet)}, {}):
         with pytest.raises(InputError, match="^multiplication is not associative$"):
             OrderedMonoid(table, 0, generators=letters, **given)
+    monkeypatch.setattr(monoid_module, "_LIGHT_MAX_CELLS", cells - 1)
+    OrderedMonoid(table, 0, generators=letters)
 
 
 def test_with_order_keeps_table():
@@ -980,14 +984,15 @@ def test_letter_step_table_matches_the_table_passes(small_corpus, monkeypatch, r
 
 
 def test_a_corrupted_tree_is_refused(monkeypatch):
-    # up to _LIGHT_MAX_SIZE elements the tree is checked when the monoid is
-    # built, as Light's test reads the letters it proves; above that, before
-    # its first use: a word, Me or the J-classes (the table route, which
-    # reads the tree's depth)
+    # where Light's test reads the letters the tree proves, the tree is
+    # checked when the monoid is built; on a sampled table, before its
+    # first use: a word, Me or the J-classes (the table route, which reads
+    # the tree's depth)
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
     small = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
     large = _ladder_draws(1)[0]
-    assert small.monoid.size <= monoid_module._LIGHT_MAX_SIZE < large.monoid.size
+    assert small.monoid.size <= 64
+    assert large.monoid.size ** 2 * large.monoid.generators.size > monoid_module._LIGHT_MAX_CELLS
     for h in (small, large):
         mon = h.monoid
         parent, last = mon._tree.parent, mon._tree.last
