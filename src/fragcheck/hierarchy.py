@@ -9,9 +9,11 @@ triviality on the other yields the level of a language in the two
 alternation hierarchies: level 2 is stable R-triviality (or L-triviality on
 the opposite side), level k+1 allows one more quotient step.
 
-Both steps read Green's relations off `monoid.JClasses`, and a quotient
-knows its generators (the letter classes), so its J-classes come from
-the Cayley-graph search, as those of every morphism's monoid do.
+Both steps read Green's relations off `monoid.JClasses`.  A quotient
+carries a spanning tree read off its source's (`monoid.quotient_morphism`),
+so its words are shortlex-least and, above `monoid._BFS_MIN_SIZE`
+elements, its J-classes are placed by letter steps, as those of every
+morphism's monoid are.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .monoid import _GATHER_IDS, Morphism, OrderedMonoid
+from .monoid import _GATHER_IDS, Morphism, quotient_morphism
 from .stability import is_stable_trivial, stability_info
 
 _SIDES = ("K", "D")
@@ -52,6 +54,7 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
         ys = mult[e] if side == "K" else mult[:, e]
         sigs[:, j] = np.where(upset(e)[ys], ys, -1)
 
+    # classes are numbered by their least elements, as `quotient_morphism` reads them
     index: dict = {}
     class_of = [index.setdefault(row.tobytes(), len(index)) for row in sigs]
     k = len(index)
@@ -64,7 +67,8 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
     # quotient table is mapped to class ids in place, as every id is in
     # range
     cls = np.asarray(class_of, dtype=np.int64)
-    reps = np.asarray([members[0] for members in classes], dtype=np.int64)
+    least = [members[0] for members in classes]
+    reps = np.asarray(least, dtype=np.int64)
     qmult = mult[np.ix_(reps, reps)]
     np.take(cls, qmult, out=qmult, mode="clip")
     block = max(1, _GATHER_IDS // size)
@@ -75,28 +79,12 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
                 f"the {side}-side signature relation failed to be a congruence"
             )
 
-    words = [
-        min((mon.word_of(x) for x in members), key=lambda w: (len(w), w))
-        for members in classes
-    ]
-    accepting = None
-    if m.accepting is not None:
-        accepting = frozenset(class_of[x] for x in m.accepting)
-    letter_map = {a: class_of[x] for a, x in m.letter_map.items()}
-    quotient_monoid = OrderedMonoid(qmult, class_of[mon.identity], repr_words=words,
-                                    generators=list(letter_map.values()))
-    quotient = Morphism(
-        monoid=quotient_monoid,
-        alphabet=m.alphabet,
-        letter_map=letter_map,
-        accepting=accepting,
-    )
     return CongruenceQuotient(
         source=m,
         side=side,
         classes=tuple(tuple(c) for c in classes),
         class_of=tuple(class_of),
-        quotient=quotient,
+        quotient=quotient_morphism(m, class_of, least, qmult),
     )
 
 

@@ -21,27 +21,22 @@ spanning tree; a word is spelled by walking the tree from its element,
 and the list of every word is built only when read.
 
 Every table handed to the `OrderedMonoid` constructor is checked: its
-entries in range (one pass), the identity law, and associativity.  A
-spanning tree handed with it is checked by one gather, mult[parent[y],
-letter[y]] = y with parent[y] < y for every y != 0, which proves by
-induction on y that the letters generate the monoid; generators given
-without a tree are checked by a closure instead.  Associativity is then
+entries in range (one pass), the identity law, and associativity.  Every
+monoid built here carries its closure's spanning tree, and the
+constructor checks it by one gather, mult[parent[y], letter[y]] = y with
+parent[y] < y for every y != 0, which proves by induction on y that the
+letters generate the monoid.  The quotients of `hierarchy` read their
+trees off their sources' (`quotient_morphism`).  Associativity is then
 checked at one of three strengths:
 
-- with generators, as every monoid that `generated_morphism` builds has,
-  up to 64 elements, and above that while the test reads at most 2^15
-  cells |M|^2 |G| (every monoid of at most 128 elements over 2 letters,
-  104 over 3, 90 over 4): in full, by Light's test over the letters,
-  (x a) y = x (a y) for every letter a and all x, y, once the tree or the
-  closure has proven that they generate (Clifford & Preston 1961,
-  section 1.2);
-- up to 64 elements, without generators: in full, over the whole |M|^3
-  cube, which is Light's test over every element;
+- with a tree, up to 64 elements, and above that while the test reads at
+  most 2^15 cells |M|^2 |G| (every monoid of at most 128 elements over 2
+  letters, 104 over 3, 90 over 4): in full, by Light's test over the
+  letters, (x a) y = x (a y) for every letter a and all x, y (Clifford &
+  Preston 1961, section 1.2);
+- up to 64 elements, without a tree: in full, over the whole |M|^3 cube,
+  which is Light's test over every element;
 - every other table: at 4096 fixed pseudo-random triples.
-
-On a sampled table the tree or the closure runs before the generators'
-first use (a word, Me or the J-classes) instead, and a monoid built only
-to read its size checks neither.
 
 The syntactic order of a morphism with an accepting set P is built from
 the right quotients of P (the sets {r : p r in P}), compared by inclusion
@@ -50,13 +45,11 @@ action of each element, as packed rows of bits ANDed over the quotients:
 O(k |M|^2 / 8) time plus one |M|^2 unpack into the boolean matrix, for k
 distinct quotients, where k is the state count of the minimal automaton.
 This is Pin's ordered syntactic monoid ("A variety theorem without
-complementation", 1995).  For a transition monoid the quotients and the
-action are read off its labels, one n x |M| array; only a morphism that
-carries no action, such as one built by hand, takes the table route,
-which finds the distinct quotients by an |M|^2 gather of P along the
-table and checks that no two elements share every context.  Brute-force
-context enumeration of the same order, and its earlier byte-gather
-route, live in the test oracles.
+complementation", 1995).  The quotients and the action are read off the
+labels of a transition monoid, one n x |M| array; a morphism without
+them has no syntactic order here.  Brute-force context enumeration of
+the same order, and its earlier byte-gather route, live in the test
+oracles.
 
 The complement of a language has the same syntactic monoid, with the
 complementary accepting set, and the reverse order.  `complement_morphism`
@@ -76,7 +69,7 @@ letter rows reach U_e.  The stability layer places the J-classes of its
 stable submonoid from a table of its own, with the same lazy placement,
 or reads these when the stable submonoid is the whole monoid.
 Me is generated by U_e, and by the letters in U_e alone (see
-`me_members`), so a monoid with generators closes only those letters,
+`me_members`), so a monoid with a tree closes only those letters,
 and none when every letter is in U_e, where Me = M.  Each generated
 submonoid is closed once per generator set and kept on the monoid
 (`generated`), so J-classes with one letter set share one Me.  The
@@ -191,24 +184,21 @@ def _any(a: np.ndarray) -> bool:
 class OrderedMonoid:
     """A finite monoid with an optional compatible partial order.
 
-    `generators`, when given, must generate the monoid (a morphism passes
-    its letter images); Me is closed from them, and with a tree the
-    J-classes of a large monoid are placed by letter steps.  `tree`, when
-    given with them, is a spanning tree of the right Cayley graph from
-    the identity, id 0: (parent, last, names) with element y = parent[y]
-    times the generator last[y] (of `generators` in the order given) and
-    parent[0] = -1, and names[i] the letter of the i-th generator.  The
-    tree is checked by one gather, which proves that the generators
-    generate; the words, names[last[y]] appended to the word of parent[y],
-    are built only when read.  Generators given without a tree are checked
-    by a closure instead.  Either check raises InputError: when the
-    monoid is built, if Light's test reads the proven generators (see
-    `_validate`), and before the first use of the generators or the tree
-    otherwise.
+    `tree`, when given, is a spanning tree of the right Cayley graph from
+    the identity, id 0: (parent, last, names, letters), with element y =
+    parent[y] times the letter letters[last[y]], parent[0] = -1, and
+    names[i] the name of the i-th letter.  The constructor checks it by one
+    gather (`_check_tree`), which proves that the letters generate the
+    monoid, and raises InputError otherwise.  `generators`, the distinct
+    letters, sorted, then prove associativity by Light's test (see
+    `_validate`), close Me and, above `_BFS_MIN_SIZE` elements, place the
+    J-classes by letter steps; the words, names[last[y]] appended to the
+    word of parent[y], are spelled when read.  A monoid without a tree (a
+    wreath product, or a table built by hand) has no generators, takes the
+    table routes, and spells x as `#x`.
     """
 
-    def __init__(self, mult, identity: int, leq=None, repr_words=None, generators=None,
-                 tree=None):
+    def __init__(self, mult, identity: int, leq=None, tree=None):
         self.mult = np.ascontiguousarray(mult, dtype=np.int64)  # flat takes read it in place
         if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
             raise InputError("multiplication table must be square")
@@ -219,20 +209,9 @@ class OrderedMonoid:
         # one pass: a negative entry reads as a huge unsigned one
         if self.mult.view(np.uint64).max() >= self.size:
             raise InputError("multiplication table entry out of range")
-        self._words = None if repr_words is None else tuple(tuple(w) for w in repr_words)
-        if self._words is not None and len(self._words) != self.size:
-            raise InputError("need one representative word per element")
-        # ids that generate the monoid (the letter images of a morphism),
-        # sorted; None when unknown
-        self.generators = None if generators is None else np.array(
-            sorted(set(np.asarray(generators, dtype=np.int64).tolist())), dtype=np.int64)
-        if self.generators is not None and self.generators.size and (
-                self.generators[0] < 0 or self.generators[-1] >= self.size):
-            raise InputError("generator out of range")
-        if tree is not None and generators is None:
-            raise InputError("a tree needs the generators its letters index")
-        self._tree = None if tree is None else _Tree(*tree, generators)
-        self._generating = False  # the generators are checked before their first use
+        self._tree = None if tree is None else _Tree(*tree)
+        # the ids that generate the monoid, sorted; None without a tree
+        self.generators = None if tree is None else self._check_tree()
         self._validate()
         self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
@@ -243,16 +222,40 @@ class OrderedMonoid:
         self._idempotents = None
         self._j_classes = None  # the JClasses of the monoid, once built
 
+    def _check_tree(self) -> np.ndarray:
+        """Check the spanning tree by one gather, and return its distinct
+        letters, sorted: for every y != 0, 0 <= parent[y] < y, 0 <= last[y]
+        < len(names) and mult[parent[y], letters[last[y]]] = y, with every
+        letter in range.  By induction on y every element is then a product
+        of letters, the word the tree spells for it."""
+        tree, m = self._tree, self.size
+        letters = tree.letters
+        if len(tree.parent) != m or len(tree.last) != m or letters.shape != (len(tree.names),):
+            raise InputError("the tree needs one parent and letter per element, "
+                             "and one name per letter")
+        if self.identity != 0 or tree.parent[0] != -1:
+            raise InputError("the tree must be rooted at the identity, element 0")
+        given = letters.tolist()
+        gens = sorted(set(given))
+        if gens and (gens[0] < 0 or gens[-1] >= m):
+            raise InputError("the tree's letters must lie in the monoid")
+        ps = np.array(tree.parent, dtype=np.int64)[1:]
+        ls = np.array(tree.last, dtype=np.int64)[1:]
+        ids = np.arange(1, m, dtype=np.uint64)  # a negative entry reads as a huge one
+        if not (_all(ps.view(np.uint64) < ids) and _all(ls.view(np.uint64) < letters.size)
+                and self.mult[ps, letters.take(ls)].tobytes() == ids.tobytes()):
+            raise InputError("the tree does not spell its elements")
+        return letters if gens == given else np.array(gens, dtype=np.int64)
+
     def _validate(self):
         """The identity law on its row and column, then associativity, in
         full by Light's test (`_light`) where it costs no more than the
-        route it replaces: over the generators, which `_letters` proves
-        generate first (InputError otherwise), at 64 elements or fewer or
-        while it reads at most `_LIGHT_MAX_CELLS` cells; and, in a monoid
-        of 64 elements or fewer that knows none, over every element, which
-        is the whole |M|^3 cube.  Every other table is checked at the 4096
-        triples `_TRIPLES` picks for its size, read by flat takes of the
-        table."""
+        route it replaces: over the generators the tree has proven, at 64
+        elements or fewer or while it reads at most `_LIGHT_MAX_CELLS`
+        cells; and, in a monoid of 64 elements or fewer without a tree,
+        over every element, which is the whole |M|^3 cube.  Every other
+        table is checked at the 4096 triples `_TRIPLES` picks for its size,
+        read by flat takes of the table."""
         m, mult = self.size, self.mult
         e = self.identity
         ids = np.arange(m).tobytes()  # each comparison is of equal dtypes and shapes
@@ -260,7 +263,7 @@ class OrderedMonoid:
             raise InputError("identity law fails")
         letters = self.generators  # distinct, so no more than m of them
         if letters is not None and (m <= 64 or m * m * letters.size <= _LIGHT_MAX_CELLS):
-            associative = _light(mult, self._letters())
+            associative = _light(mult, letters)
         elif m <= 64:
             associative = _light(mult, np.arange(m))
         else:
@@ -269,40 +272,6 @@ class OrderedMonoid:
                            == mult.take(xs * m + mult.take(ys * m + zs)).tobytes())
         if not associative:
             raise InputError("multiplication is not associative")
-
-    def _letters(self) -> np.ndarray | None:
-        """The generators, once they are known to generate the monoid
-        (InputError otherwise); None when the monoid knows none.  They are
-        checked on the first call: along the tree by `_check_tree`, or
-        without one by a closure."""
-        if self.generators is not None and not self._generating:
-            if self._tree is not None:
-                self._check_tree()
-            elif _closure_members(self.mult, self.identity, self.generators).size != self.size:
-                raise InputError("the generators do not generate the monoid")
-            self._generating = True
-        return self.generators
-
-    def _check_tree(self):
-        """Check the spanning tree (parent, last, names) over the generators
-        in the order given by one gather: for every y != 0, 0 <= parent[y]
-        < y, 0 <= last[y] < len(names) and mult[parent[y], gen[last[y]]] =
-        y.  By induction on y every element is then a product of
-        generators, the word the tree spells for it."""
-        tree, m = self._tree, self.size
-        parent, last = tree.parent, tree.last
-        gens = np.array(tree.letters, dtype=np.int64)
-        if len(parent) != m or len(last) != m or gens.shape != (len(tree.names),):
-            raise InputError("the tree needs one parent and letter per element, "
-                             "and one name per generator")
-        if self.identity != 0 or parent[0] != -1:
-            raise InputError("the tree must be rooted at the identity, element 0")
-        ps = np.array(parent[1:], dtype=np.int64)
-        ls = np.array(last[1:], dtype=np.int64)
-        ids = np.arange(1, m, dtype=np.uint64)  # a negative entry reads as a huge one
-        if not (_all(ps.view(np.uint64) < ids) and _all(ls.view(np.uint64) < gens.size)
-                and self.mult.take(ps * m + gens.take(ls)).tobytes() == ids.tobytes()):
-            raise InputError("the tree does not spell its elements")
 
     def _checked_order(self, leq) -> np.ndarray | None:
         """`leq` as a boolean matrix, checked square of the monoid's size,
@@ -361,20 +330,12 @@ class OrderedMonoid:
 
     @property
     def repr_words(self) -> tuple | None:
-        """The representative word of every element, by id: the words
-        given, or the tree's, built on first read; None without either."""
-        if self._tree is None:
-            return self._words
-        self._letters()  # the tree is checked before it spells
-        return self._tree.words
+        """The representative word of every element, by id, as the tree
+        spells them, built on first read; None without a tree."""
+        return None if self._tree is None else self._tree.words
 
     def word_of(self, x: int) -> Word:
-        if self._tree is not None:
-            self._letters()
-            return self._tree.word(x)
-        if self._words is None:
-            return (f"#{x}",)
-        return self._words[x]
+        return (f"#{x}",) if self._tree is None else self._tree.word(x)
 
     def with_order(self, leq) -> "OrderedMonoid":
         """A sibling monoid with the order `leq` (None for none), checked as
@@ -414,17 +375,17 @@ class OrderedMonoid:
         """The sorted members of Me for the idempotent e (read-only).
 
         Me is generated by the upset U_e = {a : e in MaM} of e's J-class
-        (`j_classes`), and, when the monoid knows generators, by the
+        (`j_classes`), and, when the monoid has a tree, by the
         letters in U_e alone: each u in U_e is a product of letters, and e
         lies in M a M for every letter a of that product, as M u M does.
         So the letters in U_e are closed, from U_e; when every letter is
         in U_e, Me = M and nothing is closed.  The store is keyed by the
         mask of those letters, so J-classes with one letter set share one
-        array.  A monoid without generators closes U_e itself."""
+        array.  A monoid without a tree closes U_e itself."""
         got = self._me.get(e)
         if got is None:
             up = self.j_classes().upset(e)
-            letters = self._letters()
+            letters = self.generators
             if letters is None:
                 got = self.generated(up)
             else:
@@ -448,20 +409,21 @@ class OrderedMonoid:
             self.idempotents()  # fills the sorted id array `_idempotents`
             table = None
             if self._tree is not None and self.size > _BFS_MIN_SIZE:
-                table = _upset_table(self.mult, self._idempotents, self._letters(),
+                table = _upset_table(self.mult, self._idempotents, self.generators,
                                      self._tree.depth)
             self._j_classes = JClasses(self.mult, self._idempotents, table)
         return self._j_classes
 
 
 class _Tree:
-    """A checked spanning tree of a monoid's right Cayley graph (see
-    `OrderedMonoid`), over the generator ids `letters` in the order of
-    their `names`: the words it spells, built on first read, and its
-    depth, the length of its longest word."""
+    """A spanning tree of a monoid's right Cayley graph (see
+    `OrderedMonoid`), over the letter ids `letters` in the order of their
+    `names`: the words it spells, built on first read, and its depth, the
+    length of its longest word."""
 
     def __init__(self, parent: list, last: list, names, letters):
-        self.parent, self.last, self.names, self.letters = parent, last, names, letters
+        self.parent, self.last, self.names = parent, last, names
+        self.letters = np.array(letters, dtype=np.int64)
         self._spelled = {}  # element -> its word, for the elements asked
 
     def word(self, x: int) -> Word:
@@ -505,9 +467,10 @@ class Morphism:
     """A surjective morphism from the free monoid over `alphabet` onto
     `monoid`, with an optional accepting set (the image of a language).
 
-    `action`, set by `transition_monoid` only, holds the closure's labels
-    (joined into one bytes object below 256 states) for
-    `syntactic_order`."""
+    `action`, set by `transition_monoid` (and shared by
+    `complement_morphism`), holds the closure's labels (joined into one
+    bytes object below 256 states), from which `syntactic_order` reads the
+    order; a morphism without one has no syntactic order here."""
 
     monoid: OrderedMonoid
     alphabet: tuple
@@ -608,7 +571,7 @@ def generated_morphism(
     if label_accepting is not None:
         accepting = frozenset(compress(range(m), label_accepting(labels)))
 
-    monoid = OrderedMonoid(mult, 0, leq=leq, generators=right[:k], tree=(parent, last, letters))
+    monoid = OrderedMonoid(mult, 0, leq=leq, tree=(parent, last, letters, right[:k]))
     return Morphism(
         monoid=monoid,
         alphabet=tuple(letters),
@@ -735,6 +698,33 @@ def complement_morphism(m: Morphism) -> Morphism:
     return co
 
 
+def quotient_morphism(m: Morphism, class_of: list, least: list, mult) -> Morphism:
+    """The morphism onto the quotient of m's monoid by a congruence: x maps
+    to class_of[x], the classes are numbered in the order of their least
+    elements `least`, and `mult` is the table of the classes.
+
+    The quotient's spanning tree is read off m's, which spells
+    shortlex-least words, so ids are in shortlex order of those words.  The
+    least element r of a class then spells the class's least word, and its
+    parent p is the least element of its own class: a p' < p in p's class
+    would give p' a in r's class, spelled by a word shortlex below r's.
+    So class c = class_of[r] has the parent class_of[p] < c and r's
+    letter, and spells r's word.  A monoid without a tree raises
+    InputError.  The congruence itself is the caller's to check."""
+    tree = m.monoid._tree
+    if tree is None:
+        raise InputError("a quotient needs a monoid with a spanning tree")
+    parent, last = tree.parent, tree.last
+    qtree = ([-1] + [class_of[parent[r]] for r in least[1:]], [last[r] for r in least],
+             tree.names, [class_of[a] for a in tree.letters.tolist()])
+    return Morphism(
+        monoid=OrderedMonoid(mult, 0, tree=qtree),
+        alphabet=m.alphabet,
+        letter_map={a: class_of[x] for a, x in m.letter_map.items()},
+        accepting=None if m.accepting is None else frozenset(class_of[x] for x in m.accepting),
+    )
+
+
 def syntactic_order(m: Morphism) -> Morphism:
     """The syntactic order x <= y iff every accepting context of y is an
     accepting context of x, materialized as a full order matrix.
@@ -744,23 +734,20 @@ def syntactic_order(m: Morphism) -> Morphism:
     exactly when r lies in the quotient of p y, so x <= y iff the quotient
     of p y is included in the quotient of p x for every p.  The quotient of
     p y depends only on the quotient of p and on y, so one representative
-    p per distinct quotient suffices: with k distinct quotients (the
-    states of the minimal automaton, for a transition monoid) and
-    act[c, x] the quotient of rep_c x, x <= y iff contains[act[c, x],
-    act[c, y]] for every c, where contains[i, j] says that quotient j is
-    included in quotient i.
+    p per distinct quotient suffices: with k distinct quotients and act[c,
+    x] the quotient of rep_c x, x <= y iff contains[act[c, x], act[c, y]]
+    for every c, where contains[i, j] says that quotient j is included in
+    quotient i.
 
-    A transition monoid carries its `action`, and its quotients are read
-    off it (Pin's theorem: the order is the inclusion of the minimal
-    automaton's right languages, along the action).  The quotient of p is
-    that of the state 0 p, and the states' right languages are distinct,
-    so the classes are the n states, with act[q, x] = q x the label of x
-    at q and quotient q = {x : q x final}.  Distinct labels are distinct
-    columns of act, so that route needs no antisymmetry check.  A morphism
-    without an action (built by hand, say) takes the table route: the
-    quotient of every p from the |M|^2 gather of the accepting set along
-    the table, one representative per distinct quotient, and the check
-    below.
+    The quotients and act are read off the morphism's `action`, which a
+    transition monoid carries (Pin's theorem: the order is the inclusion
+    of the minimal automaton's right languages, along the action).  The
+    quotient of p is that of the state 0 p, and the states' right
+    languages are distinct, so the classes are the n states, with act[q,
+    x] = q x the label of x at q and quotient q = {x : q x final}.  A
+    morphism without an action raises InputError: every morphism that is
+    ordered here comes from `transition_monoid`, and the others get their
+    order from `generated_morphism`'s `label_order`.
 
     The rows of the matrix are built as packed bits (`_order_bits`) and
     unpacked once: O(k |M|^2 / 8) time plus one |M|^2 unpack.  The traced
@@ -769,64 +756,27 @@ def syntactic_order(m: Morphism) -> Morphism:
 
     The order is canonical for the accepting set, so it is bound onto the
     morphism's monoid in place (idempotently) and the same morphism is
-    returned.  The table route does not assume the morphism came from a
-    minimal automaton, so there the relation is checked for antisymmetry:
-    it fails, with InputError, exactly when two elements share every
-    context, which means the morphism was not the syntactic morphism of
-    its accepting set.  Two elements share every context exactly when
-    every quotient moves them alike: when two columns of act are equal.
+    returned.
     """
     if m.monoid.leq is not None:
         return m
     if m.accepting is None:
         raise InputError("syntactic order needs an accepting set")
+    if m.action is None:
+        raise InputError("syntactic order needs the action of a transition monoid")
     size = m.monoid.size
     acc = np.zeros(size, dtype=bool)
     acc[list(m.accepting)] = True
-
-    if m.action is not None:
-        if isinstance(m.action, bytes):
-            act = np.frombuffer(m.action, dtype=np.uint8).reshape(size, -1).T.astype(np.intp)
-        else:  # tuples, with the fixed point in their last slot
-            act = np.array(m.action, dtype=np.intp)[:, :-1].T
-        final = np.zeros(act.shape[0], dtype=bool)
-        final[act[0]] = acc  # the state 0 x is final iff x accepts
-        quotients = final[act].astype(np.float32)  # [q, x]: q x is final
-    else:
-        mult = m.monoid.mult
-        packed = _packbits(acc[mult], axis=1)  # [p]: the quotient of p, as bits
-        width, buf = packed.shape[1], packed.tobytes()
-        index, reps, cls = {}, [], []     # cls[p]: which distinct quotient is p's
-        for p in range(size):
-            c = index.setdefault(buf[p * width:(p + 1) * width], len(reps))
-            if c == len(reps):
-                reps.append(p)
-            cls.append(c)
-        quotients = _unpackbits(packed[reps], axis=1, count=size).astype(np.float32)
-        del packed, buf
-        act = np.array(cls).take(mult.take(reps, 0))  # act[c, x]: the quotient of rep_c x
-        alike = _first_alike(act)
-        if alike is not None:
-            x, y = alike
-            raise InputError(
-                "syntactic order not antisymmetric: elements "
-                f"{format_word(m.word_of(x))} and {format_word(m.word_of(y))} "
-                "share all contexts (not a syntactic morphism)"
-            )
+    if isinstance(m.action, bytes):
+        act = np.frombuffer(m.action, dtype=np.uint8).reshape(size, -1).T.astype(np.intp)
+    else:  # tuples, with the fixed point in their last slot
+        act = np.array(m.action, dtype=np.intp)[:, :-1].T
+    final = np.zeros(act.shape[0], dtype=bool)
+    final[act[0]] = acc  # the state 0 x is final iff x accepts
+    quotients = final[act].astype(np.float32)  # [q, x]: q x is final
     contains = ((1.0 - quotients) @ quotients.T) == 0
     m.monoid.leq = _unpackbits(_order_bits(contains, act), axis=1, count=size).view(bool)
     return m
-
-
-def _first_alike(act: np.ndarray) -> list | None:
-    """The least pair [x, y], x < y, of elements with equal columns of
-    `act`, or None when the columns are distinct."""
-    columns, step = act.T.tobytes(), act.shape[0] * act.itemsize
-    alike = {}  # column -> the elements with it, increasing
-    for x in range(act.shape[1]):
-        alike.setdefault(columns[x * step:(x + 1) * step], []).append(x)
-    pairs = [xs[:2] for xs in alike.values() if len(xs) > 1]
-    return min(pairs) if pairs else None
 
 
 def _order_bits(contains: np.ndarray, act: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ to the same objects:
   connective by connective, with its own renaming of bound variables and
   no sharing of subformulas;
 - `submonoid_view`, which copies a submonoid's table out of its parent
-  into a validated `OrderedMonoid` of its own, on which the stable
-  checks ran before they read the parent table;
+  into a validated `OrderedMonoid` of its own, without a tree (so with
+  `#x` words and the table routes), on which the stable checks ran
+  before they read the parent table;
 - `admissible_by_stable_scatter` and `mes_by_residue_search`: the
   admissibility table seeded by an |M|^2 scatter of the stable columns,
   and the residue-tagged breadth-first search for Mes built on it, as the
@@ -63,7 +64,12 @@ to the same objects:
   per-state generator as its product, the letter columns kept per letter
   and the table filled column by column, as `monoid.generated_morphism`
   ran it before its products became one C call and its table was filled
-  row by row;
+  row by row; it hands its parents and letters to the monoid as its
+  tree;
+- `quotient_words_by_min`, the words of a quotient's classes as the
+  shortest, then lexicographically least, word of a member, as
+  `hierarchy.sim_quotient` chose them before a quotient read its tree off
+  its source's;
 - `syntactic_order_by_class_loop`, the syntactic order by one |M|^2 byte
   gather per distinct right quotient, as `monoid.syntactic_order` built
   it before it ANDed packed rows of bits;
@@ -267,7 +273,9 @@ def admissible_brute(h, s):
 
 def submonoid_view(m, elements):
     """Reindex a multiplication-closed subset containing the identity as a
-    monoid in its own right.  Returns (submonoid, parent ids by new id)."""
+    monoid in its own right, with the parent's order restricted to it and
+    no tree, so it spells x as `#x`.  Returns (submonoid, parent ids by new
+    id)."""
     elems = sorted(set(int(x) for x in elements))
     if m.identity not in elems:
         raise InputError("submonoid must contain the identity")
@@ -279,10 +287,7 @@ def submonoid_view(m, elements):
     leq = None
     if m.leq is not None:
         leq = m.leq[np.ix_(elems, elems)]
-    words = None
-    if m.repr_words is not None:
-        words = [m.repr_words[x] for x in elems]
-    return OrderedMonoid(table, int(pos[m.identity]), leq=leq, repr_words=words), tuple(elems)
+    return OrderedMonoid(table, int(pos[m.identity]), leq=leq), tuple(elems)
 
 
 def residue_set(info, r):
@@ -444,6 +449,14 @@ def syntactic_order_by_class_loop(h):
             "share all contexts (not a syntactic morphism)"
         )
     return leq
+
+
+def quotient_words_by_min(q):
+    """The word of each class of the congruence quotient q (a
+    `hierarchy.CongruenceQuotient`): the shortest, then lexicographically
+    least, of its members' words in the source."""
+    word = q.source.word_of
+    return [min((word(x) for x in members), key=lambda w: (len(w), w)) for members in q.classes]
 
 
 def syntactic_leq_by_contexts(h):
@@ -1173,15 +1186,15 @@ def stable_j_preorder(info):
 
 def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
     """The syntactic morphism of L(d) by the breadth-first closure over
-    tuple actions: each product a per-state generator, each word built as
-    its element is found, the letter columns R_a[x] = x . a kept per
-    letter and the table filled by the column recurrence
+    tuple actions: each product a per-state generator, each element's
+    parent and letter kept as its tree, the letter columns R_a[x] = x . a
+    kept per letter and the table filled by the column recurrence
     mult[x][y a] = R_a[mult[x][y]]."""
     letters = d.alphabet
     rows, final_mask = minimal_table((d.rows, d.accepting))
     letter_labels = {a: tuple(col) for a, col in zip(letters, zip(*rows))}
     identity = tuple(range(len(final_mask)))
-    labels, index, words, parent = [identity], {identity: 0}, [()], [None]
+    labels, index, parent = [identity], {identity: 0}, [None]
     gen_cols = {a: [] for a in letters}
     frontier = 0
     while frontier < len(labels):
@@ -1193,7 +1206,6 @@ def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
             if y is None:
                 y = index[lab] = len(labels)
                 labels.append(lab)
-                words.append(words[x] + (a,))
                 parent.append((x, a))
                 if len(labels) > max_monoid:
                     raise CapError(f"monoid size cap exceeded ({max_monoid})")
@@ -1206,8 +1218,10 @@ def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
         py, a = parent[y]
         mult[:, y] = gen_cols[a][mult[:, py]]
     letter_map = {a: index[letter_labels[a]] for a in letters}
+    tree = ([-1] + [x for x, _ in parent[1:]], [0] + [letters.index(a) for _, a in parent[1:]],
+            letters, [letter_map[a] for a in letters])
     return Morphism(
-        monoid=OrderedMonoid(mult, 0, repr_words=words, generators=list(letter_map.values())),
+        monoid=OrderedMonoid(mult, 0, tree=tree),
         alphabet=tuple(letters),
         letter_map=letter_map,
         accepting=frozenset(x for x in range(m) if final_mask[labels[x][0]]),

@@ -451,7 +451,7 @@ def test_mod_witness_matches_tuple_label_oracle(xcheck_corpus):
 def _weakened(g, leq):
     """g with the relation `leq` in place of its order; the implication
     check reads the relation as it is, so it need not be an order."""
-    mon = OrderedMonoid(g.monoid.mult, g.monoid.identity, repr_words=g.monoid.repr_words)
+    mon = g.monoid.with_order(None)
     mon.leq = leq
     return Morphism(monoid=mon, alphabet=g.alphabet, letter_map=g.letter_map)
 

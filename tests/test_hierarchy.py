@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
+from fragcheck import monoid as monoid_module
 from fragcheck.automata import minimize, regex_to_dfa
 from fragcheck.errors import InputError
 from fragcheck.hierarchy import sim_quotient, wv_level
-from fragcheck.monoid import transition_monoid
-from test_monoid import mid_size_draw
+from fragcheck.monoid import Morphism, OrderedMonoid, transition_monoid
+from test_monoid import _random_seven_state_dfa, mid_size_draw
 
 
 def morphism(pattern):
@@ -97,6 +99,45 @@ def test_sim_quotient_peak_memory_is_below_two_tables():
 def test_sim_quotient_rejects_unknown_side():
     with pytest.raises(InputError):
         sim_quotient(morphism("a*"), "R")
+
+
+def test_quotient_words_are_the_least_words_of_their_classes(small_corpus):
+    # along the quotient chains that `wv_level` walks, from either side and
+    # past the level it stops at: each class spells the shortest, then
+    # least, word of its members, and maps to itself
+    quotients = 0
+    for d in small_corpus:
+        for side in ("K", "D"):
+            cur, stalls = transition_monoid(d, max_monoid=600), 0
+            while stalls < 2:
+                q = sim_quotient(cur, side)
+                qh = q.quotient
+                words = [qh.word_of(c) for c in qh.monoid.elements()]
+                assert words == oracles.quotient_words_by_min(q)
+                assert [qh.image(w) for w in words] == list(qh.monoid.elements())
+                stalls = stalls + 1 if qh.monoid.size == cur.monoid.size else 0
+                cur, side = qh, "D" if side == "K" else "K"
+                quotients += 1
+    assert quotients >= 4 * len(small_corpus)
+
+
+def test_a_large_quotient_places_its_j_classes_by_letter_steps():
+    # the K quotient of the seed-61 draw has 115 elements, above the table
+    # route's threshold: its tree gives the letter-step table
+    q = sim_quotient(transition_monoid(minimize(_random_seven_state_dfa(61))), "K")
+    mon = q.quotient.monoid
+    assert mon.size == 115 > monoid_module._BFS_MIN_SIZE
+    classes = mon.j_classes()
+    assert classes._table is not None
+    for e in mon.idempotents():
+        assert classes.upset(e).tobytes() == oracles.j_upset_by_passes(mon.mult, e).tobytes()
+
+
+def test_sim_quotient_needs_a_tree():
+    h = morphism("(a|b)*aa(a|b)*")
+    bare = Morphism(OrderedMonoid(h.monoid.mult, 0), h.alphabet, h.letter_map, h.accepting)
+    with pytest.raises(InputError, match="^a quotient needs a monoid with a spanning tree$"):
+        sim_quotient(bare, "K")
 
 
 def test_levels_for_simple_languages():

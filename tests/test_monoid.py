@@ -129,13 +129,20 @@ def test_sampled_associativity_refuses_one_broken_row():
 def _tree_edges(mon) -> set:
     """The cells (parent[y], letter[y]) that the tree check of mon reads."""
     tree = mon._tree
-    return set(zip(tree.parent[1:], (tree.letters[i] for i in tree.last[1:])))
+    letters = tree.letters.tolist()
+    return set(zip(tree.parent[1:], (letters[i] for i in tree.last[1:])))
+
+
+def _tree_of(h) -> tuple:
+    """The spanning tree of h's monoid, as the constructor takes it."""
+    tree = h.monoid._tree
+    return tree.parent, tree.last, h.alphabet, [h.letter_map[a] for a in h.alphabet]
 
 
 def _with_one_wrong_entry(h, rng, count: int) -> list:
     """Up to `count` copies of the table of h, each with one entry changed
     off the tree's edges and off the identity's row and column: the tree
-    and the closure both still prove that the letters generate."""
+    still proves that the letters generate."""
     mon, m = h.monoid, h.monoid.size
     edges = _tree_edges(mon)
     cells = [(x, y) for x in range(1, m) for y in range(1, m) if (x, y) not in edges]
@@ -151,7 +158,7 @@ def _with_one_wrong_entry(h, rng, count: int) -> list:
 def test_associativity_cube_matches_the_triple_loop(small_corpus):
     # random tables with an identity, and the tables of small monoids, on
     # the cube; and the corpus tables as built and with one wrong entry on
-    # Light's test over their letters, with the tree and with the closure
+    # Light's test over the letters their tree proves
     rng = np.random.default_rng(16)
     cases = [(_with_identity(rng.integers(0, m, size=(m - 1, m - 1))), {})
              for m in range(2, 9) for _ in range(60)]
@@ -161,11 +168,8 @@ def test_associativity_cube_matches_the_triple_loop(small_corpus):
         if mon.size <= 8:
             cases.append((mon.mult, {}))
         if 3 <= mon.size <= 24:
-            letters = [h.letter_map[a] for a in h.alphabet]
-            tree = (mon._tree.parent, mon._tree.last, h.alphabet)
             for table in [mon.mult, *_with_one_wrong_entry(h, rng, 6)]:
-                cases += [(table, {"generators": letters, "tree": tree}),
-                          (table, {"generators": letters})]
+                cases.append((table, {"tree": _tree_of(h)}))
     verdicts = {True: [], False: []}
     for table, given in cases:
         expected = oracles.is_associative_brute(table)
@@ -176,7 +180,7 @@ def test_associativity_cube_matches_the_triple_loop(small_corpus):
             assert str(err) == "multiplication is not associative"
             got = False
         assert got == expected, (table.tolist(), given)
-        verdicts["generators" in given].append(got)
+        verdicts["tree" in given].append(got)
     for found in verdicts.values():
         assert 20 <= sum(found) <= len(found) - 20
 
@@ -184,9 +188,9 @@ def test_associativity_cube_matches_the_triple_loop(small_corpus):
 def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss(monkeypatch):
     # a transition monoid of 65-128 elements with one entry changed where
     # none of the 4096 sampled triples reads, off the tree's edges and off
-    # the identity's row and column: without generators the table is only
-    # sampled, and passes; with its letters Light's test checks it in full,
-    # while it reads no more than _LIGHT_MAX_CELLS cells
+    # the identity's row and column: without a tree the table is only
+    # sampled, and passes; with its tree Light's test checks it in full
+    # over the letters, while it reads no more than _LIGHT_MAX_CELLS cells
     d = generate_corpus(count=50, max_states=5, max_letters=2, seed=7, max_monoid=128)[-1]
     h = transition_monoid(d)
     mon, m = h.monoid, h.monoid.size
@@ -209,12 +213,10 @@ def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss(monkeypatch):
     else:
         raise AssertionError("no unread entry breaks associativity")
     OrderedMonoid(table, 0)
-    letters = [h.letter_map[a] for a in h.alphabet]
-    for given in ({"tree": (mon._tree.parent, mon._tree.last, h.alphabet)}, {}):
-        with pytest.raises(InputError, match="^multiplication is not associative$"):
-            OrderedMonoid(table, 0, generators=letters, **given)
+    with pytest.raises(InputError, match="^multiplication is not associative$"):
+        OrderedMonoid(table, 0, tree=_tree_of(h))
     monkeypatch.setattr(monoid_module, "_LIGHT_MAX_CELLS", cells - 1)
-    OrderedMonoid(table, 0, generators=letters)
+    OrderedMonoid(table, 0, tree=_tree_of(h))
 
 
 def test_with_order_keeps_table():
@@ -482,12 +484,25 @@ def test_syntactic_order_needs_accepting_set():
 
 
 def test_syntactic_order_rejects_non_syntactic_morphism():
-    # all elements share every context when everything is accepting
+    # all elements share every context when everything is accepting; the
+    # morphism comes from no automaton, so it has no action to order by
     h = generated_morphism(
         {"a": 1}, lambda x: lambda y: (x + y) % 2, 0,
         label_accepting=lambda labels: [True] * len(labels))
     with pytest.raises(InputError):
         syntactic_order(h)
+
+
+def test_syntactic_order_needs_an_action():
+    # a morphism with an accepting set but not from `transition_monoid`,
+    # with its tree and without one
+    h = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
+    for tree in (_tree_of(h), None):
+        bare = Morphism(OrderedMonoid(h.monoid.mult, 0, tree=tree), h.alphabet, h.letter_map,
+                        h.accepting)
+        with pytest.raises(InputError, match="^syntactic order needs the action of a "):
+            syntactic_order(bare)
+        assert bare.monoid.leq is None
 
 
 def test_is_aperiodic():
@@ -746,10 +761,10 @@ def test_syntactic_order_matches_context_oracle_at_mid_size(seed):
 
 
 def test_syntactic_order_from_the_action_matches_the_table_route(small_corpus):
-    # the order read off the closure's labels against the class loop and
-    # against the table route, which the same morphism takes without its
-    # action: the corpus, ladder-shaped draws, the mid-size draw, and one
-    # automaton on each side of the byte labels' 256 states
+    # the order read off the closure's labels against the class loop, the
+    # table route that `syntactic_order` once had: the corpus, ladder-shaped
+    # draws, the mid-size draw, and one automaton on each side of the byte
+    # labels' 256 states
     rng = np.random.default_rng(13)
     ladder = []
     while len(ladder) < 8:
@@ -764,12 +779,8 @@ def test_syntactic_order_from_the_action_matches_the_table_route(small_corpus):
                                                  _reset_counter(256))]
     assert [type(h.action) for h in morphisms[-3:]] == [bytes, bytes, tuple]
     for h in morphisms:
-        mon = h.monoid
-        table = Morphism(OrderedMonoid(mon.mult, 0, repr_words=mon.repr_words),
-                         h.alphabet, h.letter_map, h.accepting)
         leq = syntactic_order(h).monoid.leq
         assert np.array_equal(leq, oracles.syntactic_order_by_class_loop(h))
-        assert np.array_equal(leq, syntactic_order(table).monoid.leq)
 
 
 def test_syntactic_order_over_many_classes_and_a_ragged_byte():
@@ -787,43 +798,6 @@ def test_syntactic_order_one_class_per_block_matches_oracles(small_corpus, monke
     dfas.append(minimize(regex_to_dfa("(a|b)*a(a|b)(a|b)(a|b)")))
     for d in dfas:
         _check_order_against_oracles(transition_monoid(d, max_monoid=600))
-
-
-def test_non_syntactic_accepting_sets_are_refused_as_before(small_corpus):
-    # random accepting sets on corpus monoids: refused (with the same
-    # first pair) exactly when the class loop refuses, else the same order
-    rng = np.random.default_rng(5)
-    refused = 0
-    for d in small_corpus:
-        mon = transition_monoid(d, max_monoid=600).monoid
-        if mon.size > 120:
-            continue
-        letters = {str(a): int(x) for a, x in zip("abc", mon.generators)}
-        for _ in range(3):
-            accepting = frozenset(np.flatnonzero(rng.random(mon.size) < 0.5).tolist())
-            h = Morphism(OrderedMonoid(mon.mult, 0, repr_words=mon.repr_words),
-                         tuple(letters), letters, accepting)
-            try:
-                expected = oracles.syntactic_order_by_class_loop(h)
-            except InputError as err:
-                refused += 1
-                with pytest.raises(InputError, match=f"^{re.escape(str(err))}$"):
-                    syntactic_order(h)
-                assert h.monoid.leq is None
-                continue
-            assert np.array_equal(syntactic_order(h).monoid.leq, expected)
-    assert refused > 20
-    # one accepting element of a 9-element monoid: {1, 6} and {2, 4} share
-    # every context, and the least pair is named, not the first one met
-    h = transition_monoid(small_corpus[29], max_monoid=600)
-    mon = h.monoid
-    h = Morphism(OrderedMonoid(mon.mult, 0, repr_words=mon.repr_words), h.alphabet,
-                 h.letter_map, frozenset({h.image("aca")}))
-    first, second = (format_word(mon.word_of(x)) for x in (1, 6))
-    with pytest.raises(InputError, match=f" elements {first} and {second} share all "):
-        oracles.syntactic_order_by_class_loop(h)
-    with pytest.raises(InputError, match=f" elements {first} and {second} share all "):
-        syntactic_order(h)
 
 
 def test_syntactic_order_peak_memory_is_below_two_byte_matrices():
@@ -859,16 +833,10 @@ def test_admissible_images_match_brute_at_mid_size(seed):
 
 
 def _fresh_monoid(h, tree=True):
-    """A copy of h's monoid with empty stores: with h's letters and, when
-    `tree`, its spanning tree; without either when `tree` is None."""
+    """A copy of h's monoid with empty stores: with its spanning tree, or
+    without one when `tree` is None."""
     mon = h.monoid
-    if tree is None:
-        return OrderedMonoid(mon.mult, mon.identity)
-    letters = [h.letter_map[a] for a in h.alphabet]
-    if not tree:
-        return OrderedMonoid(mon.mult, mon.identity, generators=letters)
-    return OrderedMonoid(mon.mult, mon.identity, generators=letters,
-                         tree=(mon._tree.parent, mon._tree.last, h.alphabet))
+    return OrderedMonoid(mon.mult, mon.identity, tree=None if tree is None else _tree_of(h))
 
 
 def _me_on_fresh_monoid(h, tree=True):
@@ -899,13 +867,13 @@ def _check_me_against_brute_and_j_classes(h, tree=True):
 @pytest.mark.parametrize("route_min_size", [0, 10**9], ids=["table", "mask"])
 def test_me_shared_per_j_class_and_matches_definition(small_corpus, monkeypatch, route_min_size):
     # both routes to the upsets {a : e in MaM}: the letter-step table and
-    # the two table passes; Me from the letters in the upset, from a monoid
-    # proved generated by its tree or by a closure, and from the whole upset
-    # on a monoid without generators
+    # the two table passes; Me from the letters in the upset, on a monoid
+    # proved generated by its tree, and from the whole upset on a monoid
+    # without a tree
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", route_min_size)
     for d in small_corpus:
         h = transition_monoid(d, max_monoid=600)
-        for tree in (True, False, None):
+        for tree in (True, None):
             _check_me_against_brute_and_j_classes(h, tree)
 
 
@@ -983,39 +951,37 @@ def test_letter_step_table_matches_the_table_passes(small_corpus, monkeypatch, r
             assert classes.upset(e).tobytes() == want == table[i].tobytes(), e
 
 
-def test_a_corrupted_tree_is_refused(monkeypatch):
-    # where Light's test reads the letters the tree proves, the tree is
-    # checked when the monoid is built; on a sampled table, before its
-    # first use: a word, Me or the J-classes (the table route, which reads
-    # the tree's depth)
-    monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
+def test_a_corrupted_tree_is_refused():
+    # every tree is checked when its monoid is built, on Light's test and
+    # on a sampled table alike: a wrong parent or letter, a parent that is
+    # not earlier (itself, say), a root other than the identity, a letter index past the
+    # names, and a letter outside the monoid
     small = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
     large = _ladder_draws(1)[0]
     assert small.monoid.size <= 64
     assert large.monoid.size ** 2 * large.monoid.generators.size > monoid_module._LIGHT_MAX_CELLS
     for h in (small, large):
         mon = h.monoid
-        parent, last = mon._tree.parent, mon._tree.last
-        letters = [h.letter_map[a] for a in h.alphabet]
+        parent, last, names, letters = _tree_of(h)
         y = mon.size - 1
-        assert OrderedMonoid(mon.mult, 0, generators=letters,
-                             tree=(parent, last, h.alphabet)).word_of(y) == mon.word_of(y)
+        assert OrderedMonoid(mon.mult, 0, tree=_tree_of(h)).word_of(y) == mon.word_of(y)
         wrong_parent = parent[:y] + [parent[y] - 1]
         wrong_last = last[:y] + [1 - last[y]]
         late_parent = parent[:y] + [y]
-        for tree in ((wrong_parent, last), (parent, wrong_last), (late_parent, last),
-                     ([5] + parent[1:], last)):
-            if h is small:
-                with pytest.raises(InputError):
-                    OrderedMonoid(mon.mult, 0, generators=letters, tree=(*tree, h.alphabet))
-                continue
-            for use in (lambda m: m.word_of(y), lambda m: m.repr_words,
-                        lambda m: m.me_members(0), lambda m: m.j_classes()):
-                built = OrderedMonoid(mon.mult, 0, generators=letters, tree=(*tree, h.alphabet))
-                with pytest.raises(InputError):
-                    use(built)
-        with pytest.raises(InputError):
-            OrderedMonoid(mon.mult, 0, tree=(parent, last, h.alphabet))
+        # a z with z a = z: the gather alone would pass z as its own parent
+        z, i = next((z, i) for z in range(1, mon.size) for i, a in enumerate(letters)
+                    if mon.mul(z, a) == z)
+        self_parent = (parent[:z] + [z] + parent[z + 1:], last[:z] + [i] + last[z + 1:])
+        for tree in ((wrong_parent, last, names, letters), (parent, wrong_last, names, letters),
+                     (late_parent, last, names, letters), (*self_parent, names, letters),
+                     ([5] + parent[1:], last, names, letters),
+                     (parent, last[:y] + [len(names)], names, letters),
+                     (parent, last, names, [letters[0], mon.size]),
+                     (parent, last, names, [-1, letters[1]])):
+            with pytest.raises(InputError):
+                OrderedMonoid(mon.mult, 0, tree=tree)
+    with pytest.raises(InputError, match="^the tree's letters must lie in the monoid$"):
+        OrderedMonoid([[0, 1], [1, 0]], 0, tree=([-1, 0], [0, 0], ("a",), [2]))
 
 
 def test_the_tree_spells_the_words_on_demand():
@@ -1046,23 +1012,6 @@ def test_closure_in_small_blocks_matches_brute(small_corpus, monkeypatch):
         fresh, me = _me_on_fresh_monoid(transition_monoid(d, max_monoid=600))
         for e, brute in oracles.me_brute(fresh).items():
             assert set(me[e].tolist()) == brute
-
-
-def test_generators_must_lie_in_the_monoid():
-    with pytest.raises(InputError):
-        OrderedMonoid([[0, 1], [1, 0]], 0, generators=[2])
-
-
-def test_cayley_route_refuses_generators_that_do_not_generate(monkeypatch):
-    # in Z/6, 2 reaches only the even residues, so Me closed from the
-    # letters would miss the odd ones; generators given without a tree are
-    # checked before they are trusted
-    monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", 0)
-    ids = np.arange(6)
-    table = (ids[:, None] + ids) % 6
-    with pytest.raises(InputError):
-        OrderedMonoid(table, 0, generators=[2]).me_members(0)
-    assert OrderedMonoid(table, 0, generators=[1]).me_members(0).tolist() == list(range(6))
 
 
 # A minimal 7-state DFA over {a, b} with a 1632-element syntactic monoid,
