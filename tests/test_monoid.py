@@ -980,8 +980,14 @@ def test_a_corrupted_tree_is_refused():
                      (parent, last, names, [-1, letters[1]])):
             with pytest.raises(InputError):
                 OrderedMonoid(mon.mult, 0, tree=tree)
-    with pytest.raises(InputError, match="^the tree's letters must lie in the monoid$"):
-        OrderedMonoid([[0, 1], [1, 0]], 0, tree=([-1, 0], [0, 0], ("a",), [2]))
+
+
+def test_generators_must_lie_in_the_monoid():
+    # the generators are the tree's letters: one past the table, or
+    # negative, is refused before the tree is walked
+    for letters in ([2], [-1]):
+        with pytest.raises(InputError, match="^the tree's letters must lie in the monoid$"):
+            OrderedMonoid([[0, 1], [1, 0]], 0, tree=([-1, 0], [0, 0], ("a",), letters))
 
 
 def test_the_tree_spells_the_words_on_demand():
