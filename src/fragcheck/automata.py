@@ -634,16 +634,6 @@ def regex_to_dfa(pattern: str, alphabet: Sequence[str] | None = None) -> Dfa:
 # ---------------------------------------------------------------------------
 # Position-residue decoration
 
-def decorate_word(word: Sequence[str], n: int, offset: int = 0) -> Word:
-    """Attach to each position its residue: position i (1-based) carries
-    the residue of i + offset in the 1..n convention."""
-    if n < 1:
-        raise InputError("modulus must be at least 1")
-    return tuple(
-        DecoratedLetter(a, mod1(i + offset, n)).text for i, a in enumerate(word, start=1)
-    )
-
-
 def decorated_letters(alphabet, n: int) -> list[str]:
     return sorted(DecoratedLetter(a, i).text for a in alphabet for i in range(1, n + 1))
 

@@ -458,10 +458,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     return out[id(f)]
 
 
-def is_sentence(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def formula_stats(f: Formula) -> dict:
     """Descriptive statistics: variable names, modular-predicate usage, and
     the quantifier prefix when the formula is prenex.  Informational only;

@@ -18,7 +18,7 @@ builds the table, which is written row by row, mult[x a] = mult[x][L_a]
 with L_a the left letter column: one |M|^2 table plus O(|M|)
 temporaries.  The parents and letters are handed to the monoid as its
 spanning tree; a word is spelled by walking the tree from its element,
-and the list of every word is built only when read.
+when that element's word is read.
 
 Every table handed to the `OrderedMonoid` constructor is checked: its
 entries in range (one pass), the identity law, and associativity.  Every
@@ -194,8 +194,8 @@ class OrderedMonoid:
     `_validate`), close Me and, above `_BFS_MIN_SIZE` elements, place the
     J-classes by letter steps; the words, names[last[y]] appended to the
     word of parent[y], are spelled when read.  A monoid without a tree (a
-    wreath product, or a table built by hand) has no generators, takes the
-    table routes, and spells x as `#x`.
+    table built by hand) has no generators, takes the table routes, and
+    spells x as `#x`.
     """
 
     def __init__(self, mult, identity: int, leq=None, tree=None):
@@ -328,12 +328,6 @@ class OrderedMonoid:
             y = int(self.mult[y, x])
         raise ConsistencyError("no idempotent power found")
 
-    @property
-    def repr_words(self) -> tuple | None:
-        """The representative word of every element, by id, as the tree
-        spells them, built on first read; None without a tree."""
-        return None if self._tree is None else self._tree.words
-
     def word_of(self, x: int) -> Word:
         return (f"#{x}",) if self._tree is None else self._tree.word(x)
 
@@ -418,7 +412,7 @@ class OrderedMonoid:
 class _Tree:
     """A spanning tree of a monoid's right Cayley graph (see
     `OrderedMonoid`), over the letter ids `letters` in the order of their
-    `names`: the words it spells, built on first read, and its depth, the
+    `names`: the words it spells, each on first read, and its depth, the
     length of its longest word."""
 
     def __init__(self, parent: list, last: list, names, letters):
@@ -436,13 +430,6 @@ class _Tree:
                 y = parent[y]
             self._spelled[x] = got
         return got
-
-    @cached_property
-    def words(self) -> tuple:
-        words, names = [()], self.names
-        for p, i in zip(self.parent[1:], self.last[1:]):
-            words.append(words[p] + (names[i],))
-        return tuple(words)
 
     @cached_property
     def depth(self) -> int:
@@ -1060,19 +1047,3 @@ def export_monoid(m: Morphism) -> dict:
         doc["accepting"] = sorted(m.accepting)
     return doc
 
-
-def monoid_to_text(m: Morphism) -> str:
-    doc = export_monoid(m)
-    lines = [f"size {doc['size']}", f"identity {doc['identity']}"]
-    for entry in doc["elements"]:
-        lines.append(f"element {entry['id']} {entry['word']}")
-    for a, x in doc["letters"].items():
-        lines.append(f"letter {a} {x}")
-    lines.append("table")
-    for row in doc["table"]:
-        lines.append("  " + " ".join(str(v) for v in row))
-    if "order" in doc:
-        lines.append("order " + " ".join(f"{x}<{y}" for x, y in doc["order"]))
-    if "accepting" in doc:
-        lines.append("accepting " + " ".join(str(x) for x in doc["accepting"]))
-    return "\n".join(lines) + "\n"

@@ -14,21 +14,24 @@ the n-fold power of the base.  The two directions are inverse enough to
 transport definability: the implication tested by position-residue
 decoration holds for the original morphism exactly when it holds through
 the pair-valued lift.
+
+Only the submonoid that the letters' pairs generate is built here
+(`wreath_morphism`), by the closure every morphism comes from.  The full
+pair monoid, all |M|^n n pairs with the order taken pair by pair, is a
+brute-force reference in the test oracles, where it checks `pair_product`
+and `_pair_order`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .automata import DecoratedLetter, decorated_letters, mod1
-from .errors import CapError, InputError
+from .automata import DecoratedLetter, decorated_letters
+from .errors import InputError
 from .monoid import DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, generated_morphism
-
-DEFAULT_WREATH_CAP = 4096
 
 
 def pair_product(base: OrderedMonoid, n: int, p1, p2):
@@ -36,16 +39,6 @@ def pair_product(base: OrderedMonoid, n: int, p1, p2):
     f2, k2 = p2
     f = tuple(int(base.mult[f1[k], f2[(k + k1) % n]]) for k in range(n))
     return f, (k1 + k2) % n
-
-
-def pair_le(base: OrderedMonoid, n: int, p1, p2) -> bool:
-    f1, k1 = p1
-    f2, k2 = p2
-    if k1 != k2:
-        return False
-    if base.leq is None:
-        return f1 == f2
-    return all(bool(base.leq[f1[k], f2[k]]) for k in range(n))
 
 
 def _pointwise_leq(base: OrderedMonoid, tuples, n: int) -> np.ndarray:
@@ -67,46 +60,6 @@ def _check_pair(base: OrderedMonoid, n: int, pair):
         raise InputError(f"malformed pair {pair!r}")
     if not all(0 <= x < base.size for x in f):
         raise InputError(f"pair component outside the base monoid: {pair!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class WreathMonoid:
-    """The full pair monoid over a base and a counter modulus."""
-
-    base: OrderedMonoid
-    modulus: int
-    monoid: OrderedMonoid
-    pairs: tuple  # element id -> (f, k)
-
-    def pair_of(self, x: int):
-        return self.pairs[x]
-
-    def index_of(self, pair) -> int:
-        try:
-            return self.pairs.index(pair)
-        except ValueError:
-            raise InputError(f"pair {pair!r} not in the wreath monoid") from None
-
-
-def wreath_product(base: OrderedMonoid, n: int, cap: int = DEFAULT_WREATH_CAP) -> WreathMonoid:
-    if n < 1:
-        raise InputError("modulus must be at least 1")
-    total = base.size**n * n
-    if total > cap:
-        raise CapError(f"wreath product would have {total} elements (cap {cap})")
-    pairs = [
-        (f, k) for f in itertools.product(range(base.size), repeat=n) for k in range(n)
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
-    mult = [
-        [index[pair_product(base, n, p1, p2)] for p2 in pairs] for p1 in pairs
-    ]
-    leq = None
-    if base.leq is not None:
-        leq = _pair_order(base, n, pairs)
-    identity = index[(tuple([base.identity] * n), 0)]
-    monoid = OrderedMonoid(mult, identity, leq=leq)
-    return WreathMonoid(base=base, modulus=n, monoid=monoid, pairs=tuple(pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +102,8 @@ def wreath_morphism(
 
 
 def _pair_order(base: OrderedMonoid, n: int, pairs) -> np.ndarray:
-    """The matrix of `pair_le` over a list of pairs."""
+    """The order matrix over a list of pairs: equal counters, and the
+    functions pointwise in the base order."""
     counters = np.array([k for _, k in pairs])
     same = counters[:, None] == counters[None, :]
     return same & _pointwise_leq(base, [f for f, _ in pairs], n)
@@ -192,32 +146,12 @@ def lift_decorated_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Wr
     return wreath_morphism(g.monoid, n, letter_pairs, cap=cap)
 
 
-def _power_hom(base: OrderedMonoid, n: int, letter_labels: dict, cap: int) -> Morphism:
-    """The morphism generated by the letter labels, n-tuples of base
-    elements, in the n-fold power of the base: multiplied componentwise and
-    ordered pointwise when the base is ordered."""
-
-    def mult_label(t1, t2):
-        return tuple(int(base.mult[t1[k], t2[k]]) for k in range(n))
-
-    label_order = None
-    if base.leq is not None:
-        label_order = lambda labels: _pointwise_leq(base, labels, n)
-
-    return generated_morphism(
-        letter_labels,
-        lambda t1: partial(mult_label, t1),
-        tuple([base.identity] * n),
-        cap=cap,
-        label_order=label_order,
-    )
-
-
 def project_hom(
     lifted: WreathMorphism, d: int | None = None, cap: int = DEFAULT_MAX_MONOID
 ) -> Morphism:
     """From a pair-valued morphism over plain letters to a morphism over
-    decorated letters, valued in the n-fold power of the base.
+    decorated letters, valued in the n-fold power of the base: labels are
+    multiplied componentwise and ordered pointwise when the base is ordered.
 
     Every letter must advance the counter by the same amount d (supplied or
     inferred); the decorated letter (a, i) acts at offset (i-1)d.  The first
@@ -242,33 +176,19 @@ def project_hom(
             letter_labels[DecoratedLetter(a, i).text] = tuple(
                 f[(k + (i - 1) * d) % n] for k in range(n)
             )
-    return _power_hom(lifted.base, n, letter_labels, cap)
+    base = lifted.base
 
+    def mult_label(t1, t2):
+        return tuple(int(base.mult[t1[k], t2[k]]) for k in range(n))
 
-def offset_shift_hom(g: Morphism, n: int, j: int) -> Morphism:
-    """Precompose a decorated-letter morphism with the residue shift by j:
-    the letter (a, i) maps to g's image of (a, i+j)."""
-    letter_map = {}
-    for text in g.alphabet:
-        dl = DecoratedLetter.parse(text)
-        letter_map[text] = g.letter_map[DecoratedLetter(dl.base, mod1(dl.residue + j, n)).text]
-    return Morphism(
-        monoid=g.monoid,
-        alphabet=g.alphabet,
-        letter_map=letter_map,
-        accepting=g.accepting,
+    label_order = None
+    if base.leq is not None:
+        label_order = lambda labels: _pointwise_leq(base, labels, n)
+    return generated_morphism(
+        letter_labels,
+        lambda t1: partial(mult_label, t1),
+        tuple([base.identity] * n),
+        cap=cap,
+        label_order=label_order,
     )
 
-
-def offset_product_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Morphism:
-    """The direct product of all residue shifts of g, valued in the n-fold
-    power of g's monoid ordered pointwise.  Component j of the image of a
-    decorated word is g's image of the word re-decorated at offset j."""
-    letter_labels = {}
-    for text in g.alphabet:
-        dl = DecoratedLetter.parse(text)
-        letter_labels[text] = tuple(
-            g.letter_map[DecoratedLetter(dl.base, mod1(dl.residue + j, n)).text]
-            for j in range(n)
-        )
-    return _power_hom(g.monoid, n, letter_labels, cap)

@@ -88,6 +88,16 @@ to the same objects:
   pairs tested in a Python loop, as `automata.decorate`,
   `fragments.build_mod_witness` and `fragments.verify_vmod_implication`
   ran them before they moved onto integer tables and labels.
+
+Two references here were library functions that no command reached:
+
+- `decorate_word`, a word's position-residue decoration at an offset, the
+  reference for `automata.decorate` (the language of decorated words);
+  `decorate_brute` spells the same letters without `DecoratedLetter`;
+- `wreath_product` (with `WreathMonoid`, `pair_le` and
+  `DEFAULT_WREATH_CAP`), the full pair monoid of a base and a counter
+  modulus, its product and order spelled pair by pair, which checks
+  `wreath.pair_product` and `wreath._pair_order`.
 """
 
 import itertools
@@ -99,8 +109,7 @@ import numpy as np
 
 from fragcheck import fologic as fo
 from fragcheck.automata import (
-    DEFAULT_STATE_CAP, DecoratedLetter, decorate_word, decorated_letters, make_dfa,
-    minimal_table, mod1)
+    DEFAULT_STATE_CAP, DecoratedLetter, decorated_letters, make_dfa, minimal_table, mod1)
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import (
     DEFAULT_MAX_MONOID, Morphism, OrderedMonoid, _closure_members, format_word,
@@ -118,6 +127,12 @@ def words_of_length(alphabet, k):
     yield from product(sorted(alphabet), repeat=k)
 
 
+def element_words(m):
+    """The word of every element of the monoid m, by id, as `word_of`
+    spells them."""
+    return tuple(m.word_of(x) for x in m.elements())
+
+
 def run(d, word):
     q = d.initial
     for a in word:
@@ -131,6 +146,17 @@ def accepts(d, word):
 
 def language(d, max_len):
     return {w for w in words(d.alphabet, max_len) if accepts(d, w)}
+
+
+def decorate_word(word, n, offset=0):
+    """Attach to each position its residue: position i (1-based) carries
+    the residue of i + offset in the 1..n convention, as `DecoratedLetter`
+    spells it."""
+    if n < 1:
+        raise InputError("modulus must be at least 1")
+    return tuple(
+        DecoratedLetter(a, mod1(i + offset, n)).text for i, a in enumerate(word, start=1)
+    )
 
 
 def decorate_brute(word, n, offset=0):
@@ -1322,3 +1348,52 @@ def vmod_implication_by_pair_loop(m, g, n, max_len):
             if r1 == r2 and g.monoid.leq[g1, g2] and not m.monoid.leq[h1, h2]:
                 return False, (found[(g1, h1, r1)], found[(g2, h2, r2)])
     return True, None
+
+
+DEFAULT_WREATH_CAP = 4096
+
+
+def pair_le(base, n, p1, p2):
+    """(f1, k1) <= (f2, k2): equal counters, and f1(k) <= f2(k) in the base
+    for every k (equality when the base is unordered)."""
+    (f1, k1), (f2, k2) = p1, p2
+    if k1 != k2:
+        return False
+    if base.leq is None:
+        return f1 == f2
+    return all(bool(base.leq[f1[k], f2[k]]) for k in range(n))
+
+
+@dataclass(frozen=True, eq=False)
+class WreathMonoid:
+    """The full pair monoid over a base and a counter modulus."""
+
+    base: OrderedMonoid
+    modulus: int
+    monoid: OrderedMonoid
+    pairs: tuple  # element id -> (f, k)
+
+
+def wreath_product(base, n, cap=DEFAULT_WREATH_CAP):
+    """Every pair (f, k), f an n-tuple of base elements and k < n, with the
+    product (f1, k1)(f2, k2) = (k -> f1(k) f2(k + k1), k1 + k2) spelled
+    pair by pair and the order by `pair_le`."""
+    if n < 1:
+        raise InputError("modulus must be at least 1")
+    total = base.size**n * n
+    if total > cap:
+        raise CapError(f"wreath product would have {total} elements (cap {cap})")
+    pairs = [(f, k) for f in product(range(base.size), repeat=n) for k in range(n)]
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def times(p1, p2):
+        (f1, k1), (f2, k2) = p1, p2
+        return tuple(base.mul(f1[k], f2[(k + k1) % n]) for k in range(n)), (k1 + k2) % n
+
+    mult = [[index[times(p1, p2)] for p2 in pairs] for p1 in pairs]
+    leq = None
+    if base.leq is not None:
+        leq = [[pair_le(base, n, p1, p2) for p2 in pairs] for p1 in pairs]
+    identity = index[(tuple([base.identity] * n), 0)]
+    monoid = OrderedMonoid(mult, identity, leq=leq)
+    return WreathMonoid(base=base, modulus=n, monoid=monoid, pairs=tuple(pairs))

@@ -11,9 +11,9 @@ import numpy as np
 
 import exprsuite
 import oracles
+from oracles import decorate_word
 from fragcheck.automata import (
     complement,
-    decorate_word,
     decorated_letters,
     equivalent,
     minimize,

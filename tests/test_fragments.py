@@ -398,10 +398,8 @@ def test_build_mod_witness_separates_residues():
     h = syntactic_order(transition_monoid(dfa("(bc)*")))
     info = stability_info(h)
     g = build_mod_witness(h, info)
-    from fragcheck.automata import decorate_word
-
-    assert g.image(decorate_word("bc", info.index)) != g.image(
-        decorate_word("cb", info.index))
+    assert g.image(oracles.decorate_word("bc", info.index)) != g.image(
+        oracles.decorate_word("cb", info.index))
     assert g.monoid.size <= info.index ** 2 * h.monoid.size + 2
 
 
@@ -469,8 +467,8 @@ def test_vmod_implication_matches_pair_loop_oracle(monkeypatch, xcheck_corpus, g
         s = info.index
         size = g.monoid.size
         every = np.ones((size, size), dtype=bool)
-        alike = np.array([[len(u) % s == len(v) % s for v in g.monoid.repr_words]
-                          for u in g.monoid.repr_words])
+        words = oracles.element_words(g.monoid)
+        alike = np.array([[len(u) % s == len(v) % s for v in words] for u in words])
         for witness in (g, _weakened(g, every), _weakened(g, g.monoid.leq | alike)):
             for max_len in (s, 2 * s + 2):
                 got = verify_vmod_implication(h, witness, s, max_len)

@@ -22,7 +22,6 @@ from fragcheck.monoid import (
     is_aperiodic,
     local_condition,
     me_submonoid,
-    monoid_to_text,
     syntactic_order,
     transition_monoid,
 )
@@ -155,19 +154,20 @@ def _with_one_wrong_entry(h, rng, count: int) -> list:
     return out
 
 
-def test_associativity_cube_matches_the_triple_loop(small_corpus):
+def test_associativity_cube_matches_the_triple_loop(small_corpus, xcheck_corpus):
     # random tables with an identity, and the tables of small monoids, on
-    # the cube; and the corpus tables as built and with one wrong entry on
-    # Light's test over the letters their tree proves
+    # the cube; and the tables of 3-32 elements of both corpora, as built
+    # and with one wrong entry, on Light's test over the letters their tree
+    # proves
     rng = np.random.default_rng(16)
     cases = [(_with_identity(rng.integers(0, m, size=(m - 1, m - 1))), {})
              for m in range(2, 9) for _ in range(60)]
-    for d in small_corpus:
+    for d in [*small_corpus, *xcheck_corpus]:
         h = transition_monoid(d, max_monoid=600)
         mon = h.monoid
         if mon.size <= 8:
             cases.append((mon.mult, {}))
-        if 3 <= mon.size <= 24:
+        if 3 <= mon.size <= 32:
             for table in [mon.mult, *_with_one_wrong_entry(h, rng, 6)]:
                 cases.append((table, {"tree": _tree_of(h)}))
     verdicts = {True: [], False: []}
@@ -233,7 +233,7 @@ def test_with_order_checks_the_order_and_shares_the_caches():
     e = m.idempotents()[1]
     me = m.me_members(e)
     sibling = m.with_order(None)
-    assert sibling.mult is m.mult and sibling.repr_words is m.repr_words
+    assert sibling.mult is m.mult and sibling._tree is m._tree
     assert sibling.generators is m.generators and sibling.leq is None
     assert sibling.j_classes() is m.j_classes() and sibling.me_members(e) is me
     built = sibling.generated(np.ones(m.size, dtype=bool))
@@ -267,7 +267,7 @@ def test_complement_morphism_matches_an_independent_build(small_corpus, xcheck_c
         want = transition_monoid(co_d, max_monoid=600)
         assert co.monoid.mult is h.monoid.mult
         assert co.monoid.mult.tobytes() == want.monoid.mult.tobytes()
-        assert co.monoid.repr_words == want.monoid.repr_words
+        assert oracles.element_words(co.monoid) == oracles.element_words(want.monoid)
         assert co.alphabet == want.alphabet and co.letter_map == want.letter_map
         assert co.accepting == want.accepting
         # binding either order first leaves the other monoid without one
@@ -329,7 +329,7 @@ def test_transition_monoid_minimizes_first():
             grew += len(d.rows) > len(m.rows)
             h, want = transition_monoid(d), transition_monoid(m)
             assert np.array_equal(h.monoid.mult, want.monoid.mult)
-            assert h.monoid.repr_words == want.monoid.repr_words
+            assert oracles.element_words(h.monoid) == oracles.element_words(want.monoid)
             assert h.letter_map == want.letter_map and h.alphabet == want.alphabet
             assert h.accepting == want.accepting
     assert grew >= 10
@@ -364,7 +364,7 @@ def test_transition_monoid_matches_the_tuple_closure(small_corpus):
         h, want = transition_monoid(d, cap), oracles.transition_monoid_by_tuples(d, cap)
         assert isinstance(h.action, bytes if len(minimize(d).rows) < 256 else tuple)
         assert np.array_equal(h.monoid.mult, want.monoid.mult)
-        assert h.monoid.repr_words == want.monoid.repr_words
+        assert oracles.element_words(h.monoid) == oracles.element_words(want.monoid)
         assert h.letter_map == want.letter_map and h.alphabet == want.alphabet
         assert h.accepting == want.accepting
         return h
@@ -993,11 +993,11 @@ def test_generators_must_lie_in_the_monoid():
 def test_the_tree_spells_the_words_on_demand():
     h = transition_monoid(minimize(_random_seven_state_dfa(43)))
     mon = h.monoid
+    assert mon._tree._spelled == {}  # no word is spelled until it is read
+    assert mon.word_of(7) == mon._tree.word(7) and list(mon._tree._spelled) == [7]
     walked = [mon.word_of(x) for x in mon.elements()]
-    assert "words" not in mon._tree.__dict__
-    assert walked == list(oracles.transition_monoid_by_tuples(
-        minimize(_random_seven_state_dfa(43))).monoid.repr_words)
-    assert mon.repr_words == tuple(walked)
+    assert walked == list(oracles.element_words(oracles.transition_monoid_by_tuples(
+        minimize(_random_seven_state_dfa(43))).monoid))
     assert all(h.image(w) == x for x, w in enumerate(walked))
 
 
@@ -1072,10 +1072,3 @@ def test_morphism_rejects_incomplete_letter_map():
         Morphism(monoid=z2, alphabet=("a", "b"), letter_map={"a": 1})
     with pytest.raises(InputError):
         Morphism(monoid=z2, alphabet=("a",), letter_map={"a": 5})
-
-
-def test_monoid_to_text_mentions_elements():
-    h = syntactic("(bc)*")
-    text = monoid_to_text(h)
-    assert "bc" in text
-    assert "ε" in text

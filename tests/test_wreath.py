@@ -1,22 +1,21 @@
 """Sequential products with a modular counter: the pair monoid, lifting a
 morphism on decorated letters, and projecting back down."""
 
+import numpy as np
 import pytest
 
-from fragcheck.automata import decorate_word, decorated_letters
+from fragcheck.automata import decorated_letters
 from fragcheck.errors import CapError, InputError
 from fragcheck.monoid import Morphism, OrderedMonoid
 from fragcheck.wreath import (
+    _pair_order,
     lift_decorated_hom,
-    offset_product_hom,
-    offset_shift_hom,
-    pair_le,
     pair_product,
     project_hom,
     wreath_morphism,
-    wreath_product,
 )
 import oracles
+from oracles import decorate_word, pair_le, wreath_product
 
 TRIVIAL = OrderedMonoid([[0]], 0)
 Z2 = OrderedMonoid([[0, 1], [1, 0]], 0)
@@ -55,9 +54,13 @@ def test_pair_product_law():
     f, k = pair_product(Z2, n, p1, p2)
     assert k == 0
     assert f == (Z2.mul(1, p2[0][1 % n]), Z2.mul(0, p2[0][0]))
-    w = wreath_product(Z2, n)
-    x, y = w.index_of(p1), w.index_of(p2)
-    assert w.pair_of(w.monoid.mul(x, y)) == (f, k)
+    # and on every pair of the full pair monoid, spelled pair by pair
+    for base in (Z2, Z3, U1_ORD):
+        w = wreath_product(base, n)
+        for x in w.monoid.elements():
+            for y in w.monoid.elements():
+                got = pair_product(base, n, w.pairs[x], w.pairs[y])
+                assert got == w.pairs[w.monoid.mul(x, y)]
 
 
 def test_wreath_product_is_associative_and_ordered():
@@ -67,11 +70,10 @@ def test_wreath_product_is_associative_and_ordered():
     # spot-check the order: equal counters and pointwise base order
     assert pair_le(U1_ORD, 2, ((1, 1), 0), ((0, 0), 0))
     assert not pair_le(U1_ORD, 2, ((0, 0), 0), ((0, 0), 1))
-    for x in m.elements():
-        for y in m.elements():
-            fx, kx = w.pair_of(x)
-            fy, ky = w.pair_of(y)
-            assert m.le(x, y) == pair_le(U1_ORD, 2, (fx, kx), (fy, ky))
+    # the library's order matrix is the order taken pair by pair
+    assert np.array_equal(_pair_order(U1_ORD, 2, w.pairs), m.leq)
+    assert np.array_equal(_pair_order(Z2, 2, wreath_product(Z2, 2).pairs),
+                          np.eye(8, dtype=bool))
 
 
 def test_wreath_morphism_generates_submonoid():
@@ -143,35 +145,6 @@ def test_project_rejects_mixed_counters():
     wm2 = wreath_morphism(Z2, 2, {"a@1": ((1, 0), 1), "a@2": ((0, 1), 1)})
     with pytest.raises(InputError):
         project_hom(wm2, d=0)
-
-
-def test_offset_shift_relabels_positions():
-    n = 3
-    g = decorated_morphism(Z3, n, ("a", "b"), lambda i: i)
-    shifted = offset_shift_hom(g, n, 1)
-    for u in oracles.words(("a", "b"), n + 2):
-        assert shifted.image(decorate_word(u, n)) == g.image(
-            decorate_word(u, n, offset=1))
-
-
-def test_offset_product_bundles_all_shifts():
-    n = 2
-    g = decorated_morphism(Z3, n, ("a", "b"), lambda i: 2 * i + 1)
-    bundled = offset_product_hom(g, n)
-    labels = {}
-    for dl in g.alphabet:
-        base, i = dl.split("@")
-        labels[dl] = tuple(
-            g.letter_map[f"{base}@{(int(i) - 1 + j) % n + 1}"] for j in range(n))
-    for u in oracles.words(("a", "b"), 2 * n + 2):
-        du = decorate_word(u, n)
-        t = tuple(Z3.identity for _ in range(n))
-        for dl in du:
-            t = tuple(Z3.mul(t[j], labels[dl][j]) for j in range(n))
-        expected = tuple(g.image(decorate_word(u, n, offset=j)) for j in range(n))
-        assert t == expected
-        # the bundled morphism identifies words exactly by that tuple
-        assert bundled.image(du) == bundled.image(du) and expected[0] == g.image(du)
 
 
 def test_ordered_base_keeps_order_through_lift_and_project():
