@@ -20,22 +20,21 @@ temporaries.  The parents and letters are handed to the monoid as its
 spanning tree; a word is spelled by walking the tree from its element,
 when that element's word is read.
 
-Every table handed to the `OrderedMonoid` constructor is checked: its
-entries in range (one pass), the identity law, and associativity.  Every
-monoid built here carries its closure's spanning tree, and the
-constructor checks it by one gather, mult[parent[y], letter[y]] = y with
-parent[y] < y for every y != 0, which proves by induction on y that the
-letters generate the monoid.  The quotients of `hierarchy` read their
-trees off their sources' (`quotient_morphism`).  Associativity is then
-checked at one of three strengths:
+Every table handed to the `OrderedMonoid` constructor is checked, with
+the spanning tree that every monoid carries: its entries in range (one
+pass), the identity law at id 0, the tree by one gather, mult[parent[y],
+letter[y]] = y with parent[y] < y for every y != 0, which proves by
+induction on y that the letters generate the monoid, and associativity.
+The monoids built here are images of words, so each has a tree: the
+closure's, or, for the quotients of `hierarchy`, one read off the
+source's (`quotient_morphism`).  Associativity is checked at one of two
+strengths:
 
-- with a tree, up to 64 elements, and above that while the test reads at
-  most 2^15 cells |M|^2 |G| (every monoid of at most 128 elements over 2
-  letters, 104 over 3, 90 over 4): in full, by Light's test over the
-  letters, (x a) y = x (a y) for every letter a and all x, y (Clifford &
-  Preston 1961, section 1.2);
-- up to 64 elements, without a tree: in full, over the whole |M|^3 cube,
-  which is Light's test over every element;
+- up to 64 elements, and above that while the test reads at most 2^15
+  cells |M|^2 |G| (every monoid of at most 128 elements over 2 letters,
+  104 over 3, 90 over 4): in full, by Light's test over the letters,
+  (x a) y = x (a y) for every letter a and all x, y (Clifford & Preston
+  1961, section 1.2);
 - every other table: at 4096 fixed pseudo-random triples.
 
 The syntactic order of a morphism with an accepting set P is built from
@@ -60,17 +59,16 @@ memo, while each monoid binds its own order.
 
 The J-order of the monoid has one owner, `JClasses`: it yields the least
 idempotent of each regular J-class and the class's upset U_e = {a : e in
-MaM}, by two passes over the table per class, or, for a monoid with a
-tree above `_BFS_MIN_SIZE` elements, from one table of the upsets of
-every idempotent that letter steps build, packed 64 idempotents to a
-word (`_upset_table`): as many right steps along the letter columns as
-the tree is deep reach {z : e in zM}, and as many left steps along the
-letter rows reach U_e.  The stability layer places the J-classes of its
-stable submonoid from a table of its own, with the same lazy placement,
-or reads these when the stable submonoid is the whole monoid.
-Me is generated by U_e, and by the letters in U_e alone (see
-`me_members`), so a monoid with a tree closes only those letters,
-and none when every letter is in U_e, where Me = M.  Each generated
+MaM}, by two passes over the table per class, or, above `_BFS_MIN_SIZE`
+elements, from one table of the upsets of every idempotent that letter
+steps build, packed 64 idempotents to a word (`_upset_table`): as many
+right steps along the letter columns as the tree is deep reach {z : e in
+zM}, and as many left steps along the letter rows reach U_e.  The
+stability layer places the J-classes of its stable submonoid from a
+table of its own, with the same lazy placement, or reads these when the
+stable submonoid is the whole monoid.  Me is generated by U_e, and by
+the letters in U_e alone (see `me_members`), so only those letters are
+closed, and none when every letter is in U_e, where Me = M.  Each generated
 submonoid is closed once per generator set and kept on the monoid
 (`generated`), so J-classes with one letter set share one Me.  The
 stability layer keeps its stable Me there too, closed until it fills the
@@ -182,36 +180,36 @@ def _any(a: np.ndarray) -> bool:
 
 
 class OrderedMonoid:
-    """A finite monoid with an optional compatible partial order.
+    """A finite monoid with its spanning tree and an optional compatible
+    partial order.  The identity is id 0.
 
-    `tree`, when given, is a spanning tree of the right Cayley graph from
-    the identity, id 0: (parent, last, names, letters), with element y =
-    parent[y] times the letter letters[last[y]], parent[0] = -1, and
-    names[i] the name of the i-th letter.  The constructor checks it by one
-    gather (`_check_tree`), which proves that the letters generate the
-    monoid, and raises InputError otherwise.  `generators`, the distinct
-    letters, sorted, then prove associativity by Light's test (see
-    `_validate`), close Me and, above `_BFS_MIN_SIZE` elements, place the
-    J-classes by letter steps; the words, names[last[y]] appended to the
-    word of parent[y], are spelled when read.  A monoid without a tree (a
-    table built by hand) has no generators, takes the table routes, and
-    spells x as `#x`.
+    `tree` is a spanning tree of the right Cayley graph from the identity:
+    (parent, last, names, letters), with element y = parent[y] times the
+    letter letters[last[y]], parent[0] = -1, and names[i] the name of the
+    i-th letter.  The constructor checks the identity law, then the tree
+    by one gather (`_check_tree`), which proves that the letters generate
+    the monoid, and raises InputError otherwise.  `generators`, the
+    distinct letters, sorted, then prove associativity by Light's test
+    (see `_validate`), close Me and, above `_BFS_MIN_SIZE` elements, place
+    the J-classes by letter steps; the words, names[last[y]] appended to
+    the word of parent[y], are spelled when read.
     """
 
-    def __init__(self, mult, identity: int, leq=None, tree=None):
+    identity = 0
+
+    def __init__(self, mult, tree, leq=None):
         self.mult = np.ascontiguousarray(mult, dtype=np.int64)  # flat takes read it in place
         if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
             raise InputError("multiplication table must be square")
         self.size = int(self.mult.shape[0])
-        self.identity = int(identity)
-        if not (0 <= self.identity < self.size):
-            raise InputError("identity out of range")
         # one pass: a negative entry reads as a huge unsigned one
         if self.mult.view(np.uint64).max() >= self.size:
             raise InputError("multiplication table entry out of range")
-        self._tree = None if tree is None else _Tree(*tree)
-        # the ids that generate the monoid, sorted; None without a tree
-        self.generators = None if tree is None else self._check_tree()
+        ids = np.arange(self.size).tobytes()  # each comparison is of equal dtypes and shapes
+        if not (self.mult[0].tobytes() == ids and self.mult[:, 0].tobytes() == ids):
+            raise InputError("identity law fails")
+        self._tree = _Tree(*tree)
+        self.generators = self._check_tree()  # the ids that generate the monoid, sorted
         self._validate()
         self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
@@ -233,7 +231,7 @@ class OrderedMonoid:
         if len(tree.parent) != m or len(tree.last) != m or letters.shape != (len(tree.names),):
             raise InputError("the tree needs one parent and letter per element, "
                              "and one name per letter")
-        if self.identity != 0 or tree.parent[0] != -1:
+        if tree.parent[0] != -1:
             raise InputError("the tree must be rooted at the identity, element 0")
         given = letters.tolist()
         gens = sorted(set(given))
@@ -248,24 +246,15 @@ class OrderedMonoid:
         return letters if gens == given else np.array(gens, dtype=np.int64)
 
     def _validate(self):
-        """The identity law on its row and column, then associativity, in
-        full by Light's test (`_light`) where it costs no more than the
-        route it replaces: over the generators the tree has proven, at 64
-        elements or fewer or while it reads at most `_LIGHT_MAX_CELLS`
-        cells; and, in a monoid of 64 elements or fewer without a tree,
-        over every element, which is the whole |M|^3 cube.  Every other
-        table is checked at the 4096 triples `_TRIPLES` picks for its size,
-        read by flat takes of the table."""
-        m, mult = self.size, self.mult
-        e = self.identity
-        ids = np.arange(m).tobytes()  # each comparison is of equal dtypes and shapes
-        if not (mult[e].tobytes() == ids and mult[:, e].tobytes() == ids):
-            raise InputError("identity law fails")
-        letters = self.generators  # distinct, so no more than m of them
-        if letters is not None and (m <= 64 or m * m * letters.size <= _LIGHT_MAX_CELLS):
+        """Associativity, in full by Light's test (`_light`) over the
+        generators the tree has proven, where it costs no more than the
+        sampled triples: at 64 elements or fewer, or while it reads at most
+        `_LIGHT_MAX_CELLS` cells.  Every other table is checked at the 4096
+        triples `_TRIPLES` picks for its size, read by flat takes of the
+        table."""
+        m, mult, letters = self.size, self.mult, self.generators
+        if m <= 64 or m * m * letters.size <= _LIGHT_MAX_CELLS:
             associative = _light(mult, letters)
-        elif m <= 64:
-            associative = _light(mult, np.arange(m))
         else:
             xs, ys, zs = (_TRIPLES * m).astype(np.int64)
             associative = (mult.take(mult.take(xs * m + ys) * m + zs).tobytes()
@@ -329,7 +318,7 @@ class OrderedMonoid:
         raise ConsistencyError("no idempotent power found")
 
     def word_of(self, x: int) -> Word:
-        return (f"#{x}",) if self._tree is None else self._tree.word(x)
+        return self._tree.word(x)
 
     def with_order(self, leq) -> "OrderedMonoid":
         """A sibling monoid with the order `leq` (None for none), checked as
@@ -346,21 +335,17 @@ class OrderedMonoid:
         sibling.order_verdicts = {}
         return sibling
 
-    def generated(self, gens: np.ndarray, close=None) -> np.ndarray:
+    def generated(self, gens: np.ndarray, close) -> np.ndarray:
         """The sorted members of the submonoid generated by the ids marked
         in the boolean mask `gens`, built once per distinct mask and kept
-        for the life of the monoid (read-only).  `close`, when given, maps
-        the mask to those members in place of the plain breadth-first
-        closure: Me closes its letters from its upset, the stable Me stops
-        at |S| elements, and Mes is closed by the stability layer's block
-        walk."""
+        for the life of the monoid (read-only).  `close` maps the mask to
+        those members, on the first call with it: Me closes its letters
+        from its upset, the stable Me stops at |S| elements, and Mes is
+        closed by the stability layer's block walk."""
         key = gens.tobytes()
         got = self._generated.get(key)
         if got is None:
-            if close is None:
-                got = _closure_members(self.mult, self.identity, gens.nonzero()[0])
-            else:
-                got = close(gens)
+            got = close(gens)
             got.flags.writeable = False
             self._generated[key] = got
         return got
@@ -369,40 +354,36 @@ class OrderedMonoid:
         """The sorted members of Me for the idempotent e (read-only).
 
         Me is generated by the upset U_e = {a : e in MaM} of e's J-class
-        (`j_classes`), and, when the monoid has a tree, by the
-        letters in U_e alone: each u in U_e is a product of letters, and e
-        lies in M a M for every letter a of that product, as M u M does.
-        So the letters in U_e are closed, from U_e; when every letter is
-        in U_e, Me = M and nothing is closed.  The store is keyed by the
-        mask of those letters, so J-classes with one letter set share one
-        array.  A monoid without a tree closes U_e itself."""
+        (`j_classes`), and by the letters in U_e alone: each u in U_e is a
+        product of letters, and e lies in M a M for every letter a of that
+        product, as M u M does.  So the letters in U_e are closed, from
+        U_e; when every letter is in U_e, Me = M and nothing is closed.
+        The store is keyed by the mask of those letters, so J-classes with
+        one letter set share one array."""
         got = self._me.get(e)
         if got is None:
             up = self.j_classes().upset(e)
             letters = self.generators
-            if letters is None:
-                got = self.generated(up)
+            inside = letters[up.take(letters)]
+            mask = np.zeros(self.size, dtype=bool)
+            mask[inside] = True
+            if inside.size == letters.size:
+                got = self.generated(mask, lambda _: np.arange(self.size))
             else:
-                inside = letters[up.take(letters)]
-                mask = np.zeros(self.size, dtype=bool)
-                mask[inside] = True
-                if inside.size == letters.size:
-                    got = self.generated(mask, lambda _: np.arange(self.size))
-                else:
-                    got = self.generated(mask, lambda _: _closure_members(
-                        self.mult, self.identity, inside, seed=up.nonzero()[0]))
+                got = self.generated(mask, lambda _: _closure_members(
+                    self.mult, inside, seed=up.nonzero()[0]))
             self._me[e] = got
         return got
 
     def j_classes(self) -> "JClasses":
         """The regular J-classes of the monoid, built once: above
         `_BFS_MIN_SIZE` elements, from the upset table of every idempotent
-        that letter steps build (`_upset_table`) when the monoid has a
-        tree, and by table passes otherwise."""
+        that letter steps build (`_upset_table`), and by table passes
+        otherwise."""
         if self._j_classes is None:
             self.idempotents()  # fills the sorted id array `_idempotents`
             table = None
-            if self._tree is not None and self.size > _BFS_MIN_SIZE:
+            if self.size > _BFS_MIN_SIZE:
                 table = _upset_table(self.mult, self._idempotents, self.generators,
                                      self._tree.depth)
             self._j_classes = JClasses(self.mult, self._idempotents, table)
@@ -558,7 +539,7 @@ def generated_morphism(
     if label_accepting is not None:
         accepting = frozenset(compress(range(m), label_accepting(labels)))
 
-    monoid = OrderedMonoid(mult, 0, leq=leq, tree=(parent, last, letters, right[:k]))
+    monoid = OrderedMonoid(mult, (parent, last, letters, right[:k]), leq=leq)
     return Morphism(
         monoid=monoid,
         alphabet=tuple(letters),
@@ -696,16 +677,14 @@ def quotient_morphism(m: Morphism, class_of: list, least: list, mult) -> Morphis
     parent p is the least element of its own class: a p' < p in p's class
     would give p' a in r's class, spelled by a word shortlex below r's.
     So class c = class_of[r] has the parent class_of[p] < c and r's
-    letter, and spells r's word.  A monoid without a tree raises
-    InputError.  The congruence itself is the caller's to check."""
+    letter, and spells r's word.  The congruence itself is the caller's to
+    check."""
     tree = m.monoid._tree
-    if tree is None:
-        raise InputError("a quotient needs a monoid with a spanning tree")
     parent, last = tree.parent, tree.last
     qtree = ([-1] + [class_of[parent[r]] for r in least[1:]], [last[r] for r in least],
              tree.names, [class_of[a] for a in tree.letters.tolist()])
     return Morphism(
-        monoid=OrderedMonoid(mult, 0, tree=qtree),
+        monoid=OrderedMonoid(mult, qtree),
         alphabet=m.alphabet,
         letter_map={a: class_of[x] for a, x in m.letter_map.items()},
         accepting=None if m.accepting is None else frozenset(class_of[x] for x in m.accepting),
@@ -791,13 +770,13 @@ def _order_bits(contains: np.ndarray, act: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Local submonoids
 
-# Above this size a monoid with a tree places its J-classes from the
-# letter-step table (`_upset_table`), below it by table passes.  Placing
-# every class and reading every idempotent's upset on the monoids of the
-# benchmark's seed-1 corpus and ladder inputs (2-core x86-64, least of 5),
-# passes against the table: 1179 monoids of 1-80 elements 0.028 against
-# 0.039 s, 35 of 81-128 0.0047 against 0.0037 s, 20 of 129-802 0.0175
-# against 0.0036 s.
+# Above this size a monoid places its J-classes from the letter-step
+# table (`_upset_table`), below it by table passes.  Placing every class
+# and reading every idempotent's upset on the monoids of the benchmark's
+# seed-1 corpus and ladder inputs (2-core x86-64, least of 5), passes
+# against the table: 1179 monoids of 1-80 elements 0.028 against 0.039 s,
+# 35 of 81-128 0.0047 against 0.0037 s, 20 of 129-802 0.0175 against
+# 0.0036 s.
 _BFS_MIN_SIZE = 80
 
 # _BITS[i]: bit i of a packed uint64 word
@@ -944,10 +923,11 @@ class JClasses:
 _GATHER_IDS = 1 << 16  # products gathered at once by a closure (512 KiB of ids)
 
 
-def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray, seed=None,
+def _closure_members(mult: np.ndarray, gens: np.ndarray, seed=None,
                      limit: int | None = None) -> np.ndarray:
-    """Sorted members of the submonoid generated by the ids `gens`, by a
-    breadth-first frontier multiplied on the right by every generator.
+    """Sorted members of the submonoid generated by the ids `gens` of a
+    monoid with the identity 0, by a breadth-first frontier multiplied on
+    the right by every generator.
     Each level gathers its products from the table in blocks of frontier
     rows, so no temporary holds more than about _GATHER_IDS ids.  The
     search starts from the generators, or from the ids `seed`, members
@@ -956,9 +936,9 @@ def _closure_members(mult: np.ndarray, identity: int, gens: np.ndarray, seed=Non
     the generators."""
     reached = np.zeros(mult.shape[0], dtype=bool)
     start = gens if seed is None else seed
-    reached[identity] = True
+    reached[0] = True
     reached[start] = True
-    frontier = start[start != identity]
+    frontier = start[start != 0]
     block = max(1, _GATHER_IDS // max(1, gens.size))
     limit = reached.size if limit is None else limit
     while frontier.size and _count_nonzero(reached) < limit:

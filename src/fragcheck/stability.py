@@ -514,7 +514,7 @@ class StabilityInfo:
         if self.powers.whole:
             return mon.me_members(e)
         return mon.generated(self.stable_j_classes.upset(e), lambda up: _closure_members(
-            mon.mult, mon.identity, up.nonzero()[0], limit=self.stable.size))
+            mon.mult, up.nonzero()[0], limit=self.stable.size))
 
 
 def _block_step(right: np.ndarray, blocks: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ to the same objects:
   connective by connective, with its own renaming of bound variables and
   no sharing of subformulas;
 - `submonoid_view`, which copies a submonoid's table out of its parent
-  into a validated `OrderedMonoid` of its own, without a tree (so with
-  `#x` words and the table routes), on which the stable checks ran
-  before they read the parent table;
+  into a validated `OrderedMonoid` of its own, on the star tree of
+  `table_monoid`, on which the stable checks ran before they read the
+  parent table;
 - `admissible_by_stable_scatter` and `mes_by_residue_search`: the
   admissibility table seeded by an |M|^2 scatter of the stable columns,
   and the residue-tagged breadth-first search for Mes built on it, as the
@@ -98,6 +98,10 @@ Two references here were library functions that no command reached:
   `DEFAULT_WREATH_CAP`), the full pair monoid of a base and a counter
   modulus, its product and order spelled pair by pair, which checks
   `wreath.pair_product` and `wreath._pair_order`.
+
+Tables written by hand become monoids through `table_monoid`, which
+gives each one the star tree: every element other than the identity is a
+letter of its own.
 """
 
 import itertools
@@ -297,11 +301,22 @@ def admissible_brute(h, s):
     return out
 
 
+def table_monoid(mult, leq=None):
+    """The monoid of the table `mult`, whose identity is id 0, on the star
+    tree: every other element x is a letter of its own, named `#x`, with
+    the identity as its parent.  Light's test over these letters is the
+    whole |M|^3 cube up to 64 elements, and above that the table is
+    sampled."""
+    m = len(mult)
+    tree = ([-1] + [0] * (m - 1), [0] + list(range(m - 1)),
+            tuple(f"#{x}" for x in range(1, m)), list(range(1, m)))
+    return OrderedMonoid(mult, tree, leq=leq)
+
+
 def submonoid_view(m, elements):
     """Reindex a multiplication-closed subset containing the identity as a
-    monoid in its own right, with the parent's order restricted to it and
-    no tree, so it spells x as `#x`.  Returns (submonoid, parent ids by new
-    id)."""
+    monoid in its own right (`table_monoid`), with the parent's order
+    restricted to it.  Returns (submonoid, parent ids by new id)."""
     elems = sorted(set(int(x) for x in elements))
     if m.identity not in elems:
         raise InputError("submonoid must contain the identity")
@@ -313,7 +328,7 @@ def submonoid_view(m, elements):
     leq = None
     if m.leq is not None:
         leq = m.leq[np.ix_(elems, elems)]
-    return OrderedMonoid(table, int(pos[m.identity]), leq=leq), tuple(elems)
+    return table_monoid(table, leq=leq), tuple(elems)
 
 
 def residue_set(info, r):
@@ -434,7 +449,7 @@ def mes_by_block_closure(info, e):
         ends = np.flatnonzero(blocks)
         blocks = np.zeros(mon.size, dtype=bool)
         blocks[mon.mult[ends[:, None], info.images[usable[:, r]]]] = True
-    return set(_closure_members(mon.mult, mon.identity, np.flatnonzero(blocks)).tolist())
+    return set(_closure_members(mon.mult, np.flatnonzero(blocks)).tolist())
 
 
 def syntactic_order_by_class_loop(h):
@@ -1247,7 +1262,7 @@ def transition_monoid_by_tuples(d, max_monoid=DEFAULT_MAX_MONOID):
     tree = ([-1] + [x for x, _ in parent[1:]], [0] + [letters.index(a) for _, a in parent[1:]],
             letters, [letter_map[a] for a in letters])
     return Morphism(
-        monoid=OrderedMonoid(mult, 0, tree=tree),
+        monoid=OrderedMonoid(mult, tree),
         alphabet=tuple(letters),
         letter_map=letter_map,
         accepting=frozenset(x for x in range(m) if final_mask[labels[x][0]]),
@@ -1394,6 +1409,7 @@ def wreath_product(base, n, cap=DEFAULT_WREATH_CAP):
     leq = None
     if base.leq is not None:
         leq = [[pair_le(base, n, p1, p2) for p2 in pairs] for p1 in pairs]
-    identity = index[(tuple([base.identity] * n), 0)]
-    monoid = OrderedMonoid(mult, identity, leq=leq)
+    # pairs[0], the identities at every slot with the counter at 0, is the
+    # identity: the base's identity is id 0
+    monoid = table_monoid(mult, leq=leq)
     return WreathMonoid(base=base, modulus=n, monoid=monoid, pairs=tuple(pairs))

@@ -11,7 +11,7 @@ import numpy as np
 
 import exprsuite
 import oracles
-from oracles import decorate_word
+from oracles import decorate_word, table_monoid
 from fragcheck.automata import (
     complement,
     decorated_letters,
@@ -32,7 +32,6 @@ from fragcheck.hierarchy import sim_quotient, wv_level
 from fragcheck.modprod import Base, DetProd, eval_expr, expr_to_formula, validate
 from fragcheck.monoid import (
     Morphism,
-    OrderedMonoid,
     local_condition,
     transition_monoid,
 )
@@ -336,14 +335,13 @@ def test_criterion_7_expression_suite():
 # criterion 8: lifting a morphism on decorated letters into the counter
 # product and projecting back preserves images
 
-TRIVIAL = OrderedMonoid([[0]], 0)
-Z2 = OrderedMonoid([[0, 1], [1, 0]], 0)
-Z3 = OrderedMonoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
-U1 = OrderedMonoid([[0, 1], [1, 1]], 0)
-U1_ORD = OrderedMonoid([[0, 1], [1, 1]], 0, leq=[[True, False], [True, True]])
-FLIP = OrderedMonoid([[0, 1, 2], [1, 1, 2], [2, 1, 2]], 0)
-Z4 = OrderedMonoid(
-    [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], 0)
+TRIVIAL = table_monoid([[0]])
+Z2 = table_monoid([[0, 1], [1, 0]])
+Z3 = table_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+U1 = table_monoid([[0, 1], [1, 1]])
+U1_ORD = table_monoid([[0, 1], [1, 1]], leq=[[True, False], [True, True]])
+FLIP = table_monoid([[0, 1, 2], [1, 1, 2], [2, 1, 2]])
+Z4 = table_monoid([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
 CATALOG = (TRIVIAL, Z2, Z3, U1, U1_ORD, FLIP, Z4)
 
 

@@ -20,7 +20,6 @@ from fragcheck.fragments import (
 )
 from fragcheck.monoid import (
     Morphism,
-    OrderedMonoid,
     complement_morphism,
     export_monoid,
     format_word,
@@ -30,6 +29,7 @@ from fragcheck.monoid import (
     transition_monoid,
 )
 from fragcheck.stability import stability_info
+from oracles import table_monoid
 from test_acceptance import CORPUS_CAP, corpus
 
 
@@ -492,7 +492,7 @@ def test_verify_vmod_implication_catches_bad_morphism():
     # a collapsing comparison monoid claims every pair, so the implication
     # must fail as soon as the syntactic order separates two words
     h = syntactic_order(transition_monoid(dfa("(aa)*")))
-    collapsed = OrderedMonoid([[0]], 0, leq=[[True]])
+    collapsed = table_monoid([[0]], leq=[[True]])
     g = Morphism(monoid=collapsed, alphabet=("a@1",), letter_map={"a@1": 0})
     ok, pair = verify_vmod_implication(h, g, 1, 4)
     assert not ok
@@ -504,7 +504,7 @@ def test_verify_vmod_implication_catches_bad_morphism():
 
 def test_verify_vmod_implication_vacuous_at_zero_length():
     h = syntactic_order(transition_monoid(dfa("(aa)*")))
-    collapsed = OrderedMonoid([[0]], 0, leq=[[True]])
+    collapsed = table_monoid([[0]], leq=[[True]])
     g = Morphism(monoid=collapsed, alphabet=("a@1",), letter_map={"a@1": 0})
     ok, pair = verify_vmod_implication(h, g, 1, 0)
     assert ok and pair is None
@@ -512,11 +512,11 @@ def test_verify_vmod_implication_vacuous_at_zero_length():
 
 def test_verify_vmod_implication_validates_inputs():
     h = syntactic_order(transition_monoid(dfa("(aa)*")))
-    collapsed = OrderedMonoid([[0]], 0, leq=[[True]])
+    collapsed = table_monoid([[0]], leq=[[True]])
     wrong_alphabet = Morphism(monoid=collapsed, alphabet=("b@1",), letter_map={"b@1": 0})
     with pytest.raises(InputError):
         verify_vmod_implication(h, wrong_alphabet, 1, 2)
     unordered = Morphism(
-        monoid=OrderedMonoid([[0]], 0), alphabet=("a@1",), letter_map={"a@1": 0})
+        monoid=table_monoid([[0]]), alphabet=("a@1",), letter_map={"a@1": 0})
     with pytest.raises(InputError):
         verify_vmod_implication(h, unordered, 1, 2)

@@ -10,7 +10,7 @@ from fragcheck import monoid as monoid_module
 from fragcheck.automata import minimize, regex_to_dfa
 from fragcheck.errors import InputError
 from fragcheck.hierarchy import sim_quotient, wv_level
-from fragcheck.monoid import Morphism, OrderedMonoid, transition_monoid
+from fragcheck.monoid import transition_monoid
 from test_monoid import _random_seven_state_dfa, mid_size_draw
 
 
@@ -131,13 +131,6 @@ def test_a_large_quotient_places_its_j_classes_by_letter_steps():
     assert classes._table is not None
     for e in mon.idempotents():
         assert classes.upset(e).tobytes() == oracles.j_upset_by_passes(mon.mult, e).tobytes()
-
-
-def test_sim_quotient_needs_a_tree():
-    h = morphism("(a|b)*aa(a|b)*")
-    bare = Morphism(OrderedMonoid(h.monoid.mult, 0), h.alphabet, h.letter_map, h.accepting)
-    with pytest.raises(InputError, match="^a quotient needs a monoid with a spanning tree$"):
-        sim_quotient(bare, "K")
 
 
 def test_levels_for_simple_languages():

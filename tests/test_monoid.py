@@ -3,16 +3,18 @@ submonoid conditions."""
 
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
 from fragcheck import monoid as monoid_module
-from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
+from fragcheck.automata import complement, decorate, make_dfa, minimize, regex_to_dfa
 from fragcheck.cli import generate_corpus, random_dfa
 from fragcheck.errors import CapError, InputError
-from fragcheck.fragments import analyze
+from fragcheck.fragments import LanguageAnalysis, analyze, build_mod_witness
+from fragcheck.hierarchy import sim_quotient
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
@@ -26,6 +28,7 @@ from fragcheck.monoid import (
     transition_monoid,
 )
 from fragcheck.stability import stability_info
+from fragcheck.wreath import lift_decorated_hom, project_hom
 
 
 def syntactic(pattern, **kw):
@@ -39,7 +42,7 @@ def test_format_word():
 
 
 def test_ordered_monoid_basics():
-    z3 = OrderedMonoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
+    z3 = oracles.table_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     assert z3.size == 3
     assert z3.mul(1, 2) == 0
     assert z3.product([1, 1, 1]) == 0
@@ -52,31 +55,31 @@ def test_ordered_monoid_basics():
 
 
 def test_ordered_monoid_rejects_bad_tables():
+    # the identity law is checked ahead of the star tree, which reads the
+    # identity's row
     refused = [
-        (([[0, 1], [1, 1]], 1), "identity law fails"),  # 1 is not an identity
-        (([[1, 0], [0, 1]], 0), "identity law fails"),  # identity row broken
+        (([[1, 0], [0, 1]],), "identity law fails"),  # identity row broken
         # x(yz) = (xy)z fails for this table
-        (([[0, 1, 2], [1, 0, 0], [2, 2, 1]], 0), "multiplication is not associative"),
-        (([[0, 1], [1, 0]], 0, [[True, True], [True, True]]), "order is not antisymmetric"),
-        (([[0, 1], [1, 0]], 0, [[True, False], [False, False]]), "order is not reflexive"),
-        (([[0, 1, 2], [1, 1, 1], [2, 1, 2]], 0,
+        (([[0, 1, 2], [1, 0, 0], [2, 2, 1]],), "multiplication is not associative"),
+        (([[0, 1], [1, 0]], [[True, True], [True, True]]), "order is not antisymmetric"),
+        (([[0, 1], [1, 0]], [[True, False], [False, False]]), "order is not reflexive"),
+        (([[0, 1, 2], [1, 1, 1], [2, 1, 2]],
           [[True, True, False], [False, True, True], [False, False, True]]),
          "order is not transitive"),
-        (([[0, 1], [1]], 0), None),  # ragged: numpy refuses it
-        (([0, 1], 0), "multiplication table must be square"),
-        (([[0, 1, 2], [1, 2, 0]], 0), "multiplication table must be square"),
-        (([[0, 1], [1, 0]], 2), "identity out of range"),
-        (([[0, 1], [1, -1]], 0), "multiplication table entry out of range"),
-        (([[0, 1], [1, 2]], 0), "multiplication table entry out of range"),
-        (([[0]], 0, [[True, True]]), "order matrix must be size x size"),
+        (([[0, 1], [1]],), None),  # ragged: numpy refuses it
+        (([0, 1],), "multiplication table must be square"),
+        (([[0, 1, 2], [1, 2, 0]],), "multiplication table must be square"),
+        (([[0, 1], [1, -1]],), "multiplication table entry out of range"),
+        (([[0, 1], [1, 2]],), "multiplication table entry out of range"),
+        (([[0]], [[True, True]]), "order matrix must be size x size"),
     ]
     for args, message in refused:
         if message is None:
             with pytest.raises(ValueError):
-                OrderedMonoid(*args)
+                oracles.table_monoid(*args)
             continue
         with pytest.raises(InputError, match=f"^{message}$"):
-            OrderedMonoid(*args)
+            oracles.table_monoid(*args)
 
 
 def _with_identity(rest: np.ndarray) -> np.ndarray:
@@ -91,13 +94,13 @@ def _with_identity(rest: np.ndarray) -> np.ndarray:
 def test_entries_out_of_range_are_refused_at_every_size():
     for m in (2, 64, 65, 200):
         table = _with_identity((np.add.outer(np.arange(m - 1), np.arange(m - 1)) % (m - 1)) + 1)
-        OrderedMonoid(table, 0)  # 1 + Z_(m-1) is a monoid
+        oracles.table_monoid(table)  # 1 + Z_(m-1) is a monoid
         for x, y, bad in ((m - 1, m - 1, -1), (m - 1, 1, m), (1, m - 1, np.iinfo(np.int64).min),
                           (1, 1, np.iinfo(np.int64).max)):
             broken = table.copy()
             broken[x, y] = bad
             with pytest.raises(InputError, match="^multiplication table entry out of range$"):
-                OrderedMonoid(broken, 0)
+                oracles.table_monoid(broken)
 
 
 def test_sampled_associativity_refuses_a_largely_non_associative_table():
@@ -107,9 +110,9 @@ def test_sampled_associativity_refuses_a_largely_non_associative_table():
     left, right = table[table], table[:, table]  # [x, y, z] -> (xy)z, x(yz)
     assert np.count_nonzero(left != right) >= table.size * table.shape[0] / 4
     with pytest.raises(InputError, match="^multiplication is not associative$"):
-        OrderedMonoid(table, 0)
+        oracles.table_monoid(table)
     # the same law on Z_99 under addition holds
-    OrderedMonoid(_with_identity(np.add.outer(np.arange(n), np.arange(n)) % n + 1), 0)
+    oracles.table_monoid(_with_identity(np.add.outer(np.arange(n), np.arange(n)) % n + 1))
 
 
 def test_sampled_associativity_refuses_one_broken_row():
@@ -122,7 +125,7 @@ def test_sampled_associativity_refuses_one_broken_row():
     broken = np.count_nonzero(small[small] != small[:, small])
     assert 0.01 * small.size * len(small) < broken < 0.03 * small.size * len(small)
     with pytest.raises(InputError, match="^multiplication is not associative$"):
-        OrderedMonoid(table, 0)
+        oracles.table_monoid(table)
 
 
 def _tree_edges(mon) -> set:
@@ -156,31 +159,34 @@ def _with_one_wrong_entry(h, rng, count: int) -> list:
 
 def test_associativity_cube_matches_the_triple_loop(small_corpus, xcheck_corpus):
     # random tables with an identity, and the tables of small monoids, on
-    # the cube; and the tables of 3-32 elements of both corpora, as built
-    # and with one wrong entry, on Light's test over the letters their tree
-    # proves
+    # the star tree, where Light's test is the cube; and the tables of 3-32
+    # elements of both corpora, as built and with one wrong entry, on
+    # Light's test over the letters their own tree proves
     rng = np.random.default_rng(16)
-    cases = [(_with_identity(rng.integers(0, m, size=(m - 1, m - 1))), {})
+    cases = [(_with_identity(rng.integers(0, m, size=(m - 1, m - 1))), None)
              for m in range(2, 9) for _ in range(60)]
     for d in [*small_corpus, *xcheck_corpus]:
         h = transition_monoid(d, max_monoid=600)
         mon = h.monoid
         if mon.size <= 8:
-            cases.append((mon.mult, {}))
+            cases.append((mon.mult, None))
         if 3 <= mon.size <= 32:
             for table in [mon.mult, *_with_one_wrong_entry(h, rng, 6)]:
-                cases.append((table, {"tree": _tree_of(h)}))
+                cases.append((table, _tree_of(h)))
     verdicts = {True: [], False: []}
-    for table, given in cases:
+    for table, tree in cases:
         expected = oracles.is_associative_brute(table)
         try:
-            OrderedMonoid(table, 0, **given)
+            if tree is None:
+                oracles.table_monoid(table)
+            else:
+                OrderedMonoid(table, tree)
             got = True
         except InputError as err:
             assert str(err) == "multiplication is not associative"
             got = False
-        assert got == expected, (table.tolist(), given)
-        verdicts["tree" in given].append(got)
+        assert got == expected, (table.tolist(), tree)
+        verdicts[tree is not None].append(got)
     for found in verdicts.values():
         assert 20 <= sum(found) <= len(found) - 20
 
@@ -188,8 +194,8 @@ def test_associativity_cube_matches_the_triple_loop(small_corpus, xcheck_corpus)
 def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss(monkeypatch):
     # a transition monoid of 65-128 elements with one entry changed where
     # none of the 4096 sampled triples reads, off the tree's edges and off
-    # the identity's row and column: without a tree the table is only
-    # sampled, and passes; with its tree Light's test checks it in full
+    # the identity's row and column: on the star tree the table is only
+    # sampled, and passes; on its own tree Light's test checks it in full
     # over the letters, while it reads no more than _LIGHT_MAX_CELLS cells
     d = generate_corpus(count=50, max_states=5, max_letters=2, seed=7, max_monoid=128)[-1]
     h = transition_monoid(d)
@@ -212,15 +218,15 @@ def test_light_refuses_a_wrong_entry_that_the_sampled_triples_miss(monkeypatch):
             break
     else:
         raise AssertionError("no unread entry breaks associativity")
-    OrderedMonoid(table, 0)
+    oracles.table_monoid(table)
     with pytest.raises(InputError, match="^multiplication is not associative$"):
-        OrderedMonoid(table, 0, tree=_tree_of(h))
+        OrderedMonoid(table, _tree_of(h))
     monkeypatch.setattr(monoid_module, "_LIGHT_MAX_CELLS", cells - 1)
-    OrderedMonoid(table, 0, tree=_tree_of(h))
+    OrderedMonoid(table, _tree_of(h))
 
 
 def test_with_order_keeps_table():
-    u1 = OrderedMonoid([[0, 1], [1, 1]], 0)
+    u1 = oracles.table_monoid([[0, 1], [1, 1]])
     ordered = u1.with_order([[True, False], [True, True]])
     assert ordered.le(1, 0) and not ordered.le(0, 1)
     assert np.array_equal(ordered.mult, u1.mult)
@@ -236,22 +242,23 @@ def test_with_order_checks_the_order_and_shares_the_caches():
     assert sibling.mult is m.mult and sibling._tree is m._tree
     assert sibling.generators is m.generators and sibling.leq is None
     assert sibling.j_classes() is m.j_classes() and sibling.me_members(e) is me
-    built = sibling.generated(np.ones(m.size, dtype=bool))
-    assert m.generated(np.ones(m.size, dtype=bool)) is built
+    everything = np.ones(m.size, dtype=bool)
+    built = sibling.generated(everything, lambda _: np.arange(m.size))
+    assert m.generated(everything, lambda _: pytest.fail("closed twice")) is built
     syntactic_order(h)
     assert sibling.leq is None and m.with_order(m.leq).leq is not None
     # a given order is checked as the constructor checks it
-    u1 = OrderedMonoid([[0, 1], [1, 1]], 0)
+    u1 = oracles.table_monoid([[0, 1], [1, 1]])
     for leq, message in (([[True]], "order matrix must be size x size"),
                          ([[False, False], [True, True]], "order is not reflexive"),
                          ([[True, True], [True, True]], "order is not antisymmetric")):
         for build in (lambda: u1.with_order(leq),
-                      lambda: OrderedMonoid([[0, 1], [1, 1]], 0, leq=leq)):
+                      lambda: oracles.table_monoid([[0, 1], [1, 1]], leq=leq)):
             with pytest.raises(InputError, match=message):
                 build()
     cycle = np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool)  # 0 <= 1 <= 2, not 0 <= 2
     with pytest.raises(InputError, match="order is not transitive"):
-        OrderedMonoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0).with_order(cycle)
+        oracles.table_monoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]]).with_order(cycle)
 
 
 def test_complement_morphism_matches_an_independent_build(small_corpus, xcheck_corpus):
@@ -494,15 +501,13 @@ def test_syntactic_order_rejects_non_syntactic_morphism():
 
 
 def test_syntactic_order_needs_an_action():
-    # a morphism with an accepting set but not from `transition_monoid`,
-    # with its tree and without one
+    # a morphism with an accepting set but not from `transition_monoid`
     h = transition_monoid(minimize(regex_to_dfa("(a|b)*aa(a|b)*")))
-    for tree in (_tree_of(h), None):
-        bare = Morphism(OrderedMonoid(h.monoid.mult, 0, tree=tree), h.alphabet, h.letter_map,
-                        h.accepting)
-        with pytest.raises(InputError, match="^syntactic order needs the action of a "):
-            syntactic_order(bare)
-        assert bare.monoid.leq is None
+    bare = Morphism(OrderedMonoid(h.monoid.mult, _tree_of(h)), h.alphabet, h.letter_map,
+                    h.accepting)
+    with pytest.raises(InputError, match="^syntactic order needs the action of a "):
+        syntactic_order(bare)
+    assert bare.monoid.leq is None
 
 
 def test_is_aperiodic():
@@ -551,10 +556,14 @@ def test_green_h_classes_match_r_and_l(small_corpus):
 
 
 def generated_by(m, generators):
-    """The sorted members of the submonoid generated by the given ids."""
+    """The sorted members of the submonoid generated by the given ids,
+    closed into the monoid's store by the breadth-first closure and checked
+    against the scalar search."""
     mask = np.zeros(m.size, dtype=bool)
     mask[list(generators)] = True
-    return m.generated(mask).tolist()
+    got = m.generated(mask, lambda g: monoid_module._closure_members(m.mult, g.nonzero()[0]))
+    assert got.tolist() == sorted(oracles.closure_brute(m.mult, m.identity, generators))
+    return got.tolist()
 
 
 def test_j_upset_and_submonoid_closure():
@@ -832,33 +841,35 @@ def test_admissible_images_match_brute_at_mid_size(seed):
             assert info.admissible_images(a, r) == images, (a, r)
 
 
-def _fresh_monoid(h, tree=True):
+def _fresh_monoid(h, star=False):
     """A copy of h's monoid with empty stores: with its spanning tree, or
-    without one when `tree` is None."""
-    mon = h.monoid
-    return OrderedMonoid(mon.mult, mon.identity, tree=None if tree is None else _tree_of(h))
+    on the star tree when `star` is set."""
+    if star:
+        return oracles.table_monoid(h.monoid.mult)
+    return OrderedMonoid(h.monoid.mult, _tree_of(h))
 
 
-def _me_on_fresh_monoid(h, tree=True):
+def _me_on_fresh_monoid(h, star=False):
     """Me at every idempotent, on a copy of h's monoid with empty stores."""
-    fresh = _fresh_monoid(h, tree)
+    fresh = _fresh_monoid(h, star)
     return fresh, {e: fresh.me_members(e) for e in fresh.idempotents()}
 
 
-def _check_me_against_brute_and_j_classes(h, tree=True):
-    fresh, me = _me_on_fresh_monoid(h, tree)
+def _check_me_against_brute_and_j_classes(h, star=False):
+    fresh, me = _me_on_fresh_monoid(h, star)
     brute = oracles.me_brute(fresh)
     assert {e: set(xs.tolist()) for e, xs in me.items()} == brute
     # Me depends only on the J-class: J-equivalent idempotents share one
-    # array.  With letters, two classes share one exactly when the same
-    # letters lie in their upsets; without, each class has its own
-    letters = frozenset(h.letter_map.values())
+    # array, and two classes share one exactly when the same letters lie
+    # in their upsets.  On the star tree every element but the identity is
+    # a letter, so each class has its own
+    letters = frozenset(fresh.generators.tolist())
     for cls in oracles.green_classes(fresh).j_classes:
         assert len({id(me[e]) for e in cls if e in me}) <= 1
     generators = {}
     for e in me:
         upset = frozenset(np.flatnonzero(oracles.j_upset_by_passes(fresh.mult, e)).tolist())
-        generators[e] = upset if tree is None else upset & letters
+        generators[e] = upset & letters
     for e in me:
         for f in me:
             assert (me[e] is me[f]) == (generators[e] == generators[f]), (e, f)
@@ -867,14 +878,14 @@ def _check_me_against_brute_and_j_classes(h, tree=True):
 @pytest.mark.parametrize("route_min_size", [0, 10**9], ids=["table", "mask"])
 def test_me_shared_per_j_class_and_matches_definition(small_corpus, monkeypatch, route_min_size):
     # both routes to the upsets {a : e in MaM}: the letter-step table and
-    # the two table passes; Me from the letters in the upset, on a monoid
-    # proved generated by its tree, and from the whole upset on a monoid
-    # without a tree
+    # the two table passes; Me from the letters in the upset, on the tree
+    # of the closure and on the star tree, whose letters are every element
+    # but the identity
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", route_min_size)
     for d in small_corpus:
         h = transition_monoid(d, max_monoid=600)
-        for tree in (True, None):
-            _check_me_against_brute_and_j_classes(h, tree)
+        for star in (False, True):
+            _check_me_against_brute_and_j_classes(h, star)
 
 
 def _ladder_draws(count):
@@ -913,7 +924,7 @@ def test_me_matches_the_upset_closure_on_the_mid_size_draw():
         up = oracles.j_upset_by_passes(mon.mult, e)
         key = up.tobytes()
         if key not in closed:
-            closed[key] = monoid_module._closure_members(mon.mult, mon.identity, np.flatnonzero(up))
+            closed[key] = monoid_module._closure_members(mon.mult, np.flatnonzero(up))
         assert mon.me_members(e).tobytes() == closed[key].tobytes(), e
 
 
@@ -964,7 +975,7 @@ def test_a_corrupted_tree_is_refused():
         mon = h.monoid
         parent, last, names, letters = _tree_of(h)
         y = mon.size - 1
-        assert OrderedMonoid(mon.mult, 0, tree=_tree_of(h)).word_of(y) == mon.word_of(y)
+        assert OrderedMonoid(mon.mult, _tree_of(h)).word_of(y) == mon.word_of(y)
         wrong_parent = parent[:y] + [parent[y] - 1]
         wrong_last = last[:y] + [1 - last[y]]
         late_parent = parent[:y] + [y]
@@ -979,7 +990,7 @@ def test_a_corrupted_tree_is_refused():
                      (parent, last, names, [letters[0], mon.size]),
                      (parent, last, names, [-1, letters[1]])):
             with pytest.raises(InputError):
-                OrderedMonoid(mon.mult, 0, tree=tree)
+                OrderedMonoid(mon.mult, tree)
 
 
 def test_generators_must_lie_in_the_monoid():
@@ -987,7 +998,7 @@ def test_generators_must_lie_in_the_monoid():
     # negative, is refused before the tree is walked
     for letters in ([2], [-1]):
         with pytest.raises(InputError, match="^the tree's letters must lie in the monoid$"):
-            OrderedMonoid([[0, 1], [1, 0]], 0, tree=([-1, 0], [0, 0], ("a",), letters))
+            OrderedMonoid([[0, 1], [1, 0]], ([-1, 0], [0, 0], ("a",), letters))
 
 
 def test_the_tree_spells_the_words_on_demand():
@@ -1001,14 +1012,47 @@ def test_the_tree_spells_the_words_on_demand():
     assert all(h.image(w) == x for x, w in enumerate(walked))
 
 
+def test_every_kind_of_morphism_spells_a_word_of_each_element():
+    # h(word_of(x)) = x for every element x of each kind of morphism that
+    # the library builds: transition monoids and their complements, the K
+    # and D quotients, the sigma2_mod witnesses, and the lifts and
+    # projections of decorated morphisms (of the decorated language at
+    # modulus 2, and of each witness at its index)
+    counts = Counter()
+
+    def check(kind, g):
+        counts[kind] += 1
+        for x in g.monoid.elements():
+            assert g.image(g.word_of(x)) == x, (kind, x)
+
+    for d in generate_corpus(120, 4, 2, seed=3, max_monoid=300):
+        h = syntactic_order(transition_monoid(d, max_monoid=300))
+        check("transition", h)
+        check("complement", complement_morphism(h))
+        for side in ("K", "D"):
+            check("quotient", sim_quotient(h, side).quotient)
+        decorated = [(transition_monoid(decorate(d, 2)), 2)]
+        info = stability_info(h)
+        if LanguageAnalysis(d, morphism=h).check("sigma2_mod")[0]:
+            g = build_mod_witness(h, info)
+            check("witness", g)
+            decorated.append((g, info.index))
+        for g, n in decorated:
+            lifted = lift_decorated_hom(g, n)
+            check("lift", lifted.morphism)
+            check("project", project_hom(lifted))
+    assert counts == {"transition": 120, "complement": 120, "quotient": 240, "witness": 107,
+                      "lift": 227, "project": 227}
+
+
 def test_a_closure_stops_at_its_limit():
     # Z/6 is generated by 1; a closure told that 3 elements hold the result
     # stops at the level that reaches them
     ids = np.arange(6)
     table = (ids[:, None] + ids) % 6
-    full = monoid_module._closure_members(table, 0, np.array([1]))
+    full = monoid_module._closure_members(table, np.array([1]))
     assert full.tolist() == list(range(6))
-    assert monoid_module._closure_members(table, 0, np.array([1]), limit=3).tolist() == [0, 1, 2]
+    assert monoid_module._closure_members(table, np.array([1]), limit=3).tolist() == [0, 1, 2]
 
 
 def test_closure_in_small_blocks_matches_brute(small_corpus, monkeypatch):
@@ -1067,7 +1111,7 @@ def test_syntactic_morphism_recognizes_language(small_corpus):
 
 
 def test_morphism_rejects_incomplete_letter_map():
-    z2 = OrderedMonoid([[0, 1], [1, 0]], 0)
+    z2 = oracles.table_monoid([[0, 1], [1, 0]])
     with pytest.raises(InputError):
         Morphism(monoid=z2, alphabet=("a", "b"), letter_map={"a": 1})
     with pytest.raises(InputError):

@@ -476,8 +476,7 @@ def test_index_cap_spares_the_least_index_and_small_multipliers():
     n = 1500
     assert n * n > MAX_INDEX_CELLS
     ids = np.arange(n)
-    mon = OrderedMonoid((ids[:, None] + ids) % n, 0,
-                        tree=([-1, *range(n - 1)], [0] * n, ("a",), [1]))
+    mon = OrderedMonoid((ids[:, None] + ids) % n, ([-1, *range(n - 1)], [0] * n, ("a",), [1]))
     h = Morphism(monoid=mon, alphabet=("a",), letter_map={"a": 1}, accepting=frozenset({0}))
     d = make_dfa(["a"], list(range(n)), 0, [0], {(q, "a"): (q + 1) % n for q in range(n)})
     for multiplier in (1, FREE_MULTIPLIER):

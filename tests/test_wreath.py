@@ -6,7 +6,7 @@ import pytest
 
 from fragcheck.automata import decorated_letters
 from fragcheck.errors import CapError, InputError
-from fragcheck.monoid import Morphism, OrderedMonoid
+from fragcheck.monoid import Morphism
 from fragcheck.wreath import (
     _pair_order,
     lift_decorated_hom,
@@ -15,12 +15,12 @@ from fragcheck.wreath import (
     wreath_morphism,
 )
 import oracles
-from oracles import decorate_word, pair_le, wreath_product
+from oracles import decorate_word, pair_le, table_monoid, wreath_product
 
-TRIVIAL = OrderedMonoid([[0]], 0)
-Z2 = OrderedMonoid([[0, 1], [1, 0]], 0)
-Z3 = OrderedMonoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
-U1_ORD = OrderedMonoid([[0, 1], [1, 1]], 0, leq=[[True, False], [True, True]])
+TRIVIAL = table_monoid([[0]])
+Z2 = table_monoid([[0, 1], [1, 0]])
+Z3 = table_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+U1_ORD = table_monoid([[0, 1], [1, 1]], leq=[[True, False], [True, True]])
 
 
 def decorated_morphism(base, n, letters, assign):
