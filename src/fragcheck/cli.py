@@ -506,10 +506,13 @@ def xcheck_battery(minimal: Dfa, max_monoid: int, morphism: Morphism | None = No
     verdicts that read it.
 
     The four analyses (x1, the complement, x2, x3) share each verdict
-    that reads neither their own s nor their own order, as
-    `LanguageAnalysis` keeps it: fo_lt, fo2_lt, fo_mod and fo2_mod_qda are
-    decided once per language, fo2_mod_new once per multiplier, and the
-    order verdicts of M once per order.  No check loses power by this:
+    that reads neither their own s nor their own order, through the memo
+    that the two morphisms share, where `LanguageAnalysis` keys a verdict
+    by its fragment, by the multiplier only if it reads s, and by the
+    monoid that carries the order only if it reads the order: fo_lt,
+    fo2_lt, fo_mod and fo2_mod_qda are decided once per language,
+    fo2_mod_new once per multiplier, and the order verdicts of M once per
+    order.  No check loses power by this:
     for those verdicts the index-invariance and duality checks compared
     the outputs of one deterministic computation on one table, which
     could not differ; what reads s or the order is still computed by

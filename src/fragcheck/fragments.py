@@ -98,16 +98,11 @@ class FragmentReport:
 # (e x e = e, e x e <= e, e x e >= e): over Me, and over Mes
 _ME_FRAGMENTS = ("fo2_lt", "sigma2_lt", "pi2_lt")
 _MES_FRAGMENTS = ("fo2_mod_new", "sigma2_mod", "pi2_mod")
-# What each verdict reads beyond the morphism, which names where it is
-# kept (see `LanguageAnalysis`)
-_READS = {
-    "fo_lt": "table", "fo2_lt": "table",
-    "fo_mod": "stable", "fo2_mod_qda": "stable",
-    "fo2_mod_new": "index",
-    "sigma2_lt": "order", "pi2_lt": "order", "delta2_lt": "order",
-    "sigma2_mod": "index and order", "pi2_mod": "index and order",
-    "delta2_mod": "index and order",
-}
+# The verdicts that read the stability index s, and those that read the
+# order, which their keys in the morphism's memo name (see `LanguageAnalysis`)
+_NEEDS_INDEX = frozenset({"fo2_mod_new", "sigma2_mod", "pi2_mod", "delta2_mod"})
+_NEEDS_ORDER = frozenset({"sigma2_lt", "pi2_lt", "delta2_lt",
+                          "sigma2_mod", "pi2_mod", "delta2_mod"})
 
 
 class LanguageAnalysis:
@@ -123,24 +118,19 @@ class LanguageAnalysis:
     stable-submonoid checks run on the parent table through the ids of
     the stable submonoid.
 
-    Each verdict is computed once and kept with what it reads, so the
-    conjunctions read their halves, and the analyses of one language at
-    other multipliers, and of its complement (`complement_morphism`),
-    read what does not depend on their own s or order:
-
-    - fo_lt and fo2_lt read the table: the monoid's `table_verdicts`,
-      which its `with_order` siblings share;
-    - fo_mod and fo2_mod_qda read the stable submonoid S, which no
-      multiple of the index changes: the per-morphism stability entry
-      (`StabilityInfo.powers.verdicts`), which the complement shares.  When
-      S = M they are fo_lt's and fo2_lt's verdicts, which the same sweeps
-      decide (see `stability`);
-    - fo2_mod_new reads s but no order: the `StabilityInfo` of its
-      multiplier, which the complement shares;
-    - sigma2_lt, pi2_lt and delta2_lt read the order of M: the
-      `order_verdicts` of the monoid that carries it;
-    - sigma2_mod, pi2_mod and delta2_mod read s and the order: the
-      analysis itself.
+    Each verdict is computed once and kept in the morphism's memo
+    (`Morphism._memo`), which its `complement_morphism` shares, under the
+    key (fragment, the multiplier if the verdict reads s else 0, the
+    monoid that carries the order if it reads the order else None), built
+    once per analysis.  So the conjunctions read their halves, and the
+    analyses of one language at other multipliers, and of its complement,
+    read what does not depend on their own s or order: fo_lt and fo2_lt
+    read the table, and fo_mod and fo2_mod_qda the stable submonoid S,
+    which no multiple of the index changes; fo2_mod_new reads s;
+    sigma2_lt, pi2_lt and delta2_lt read the order, which a complement's
+    monoid carries reversed; the _mod halves and delta2_mod read both.
+    When S = M, fo_mod and fo2_mod_qda are fo_lt's and fo2_lt's verdicts,
+    which the same sweeps decide (see `stability`).
 
     The local fragments over one member source are decided together by
     one `local_condition` sweep: fo2_lt, sigma2_lt and pi2_lt over Me, at
@@ -167,8 +157,8 @@ class LanguageAnalysis:
         self.index_multiplier = index_multiplier
         self._morphism = morphism
         self._info = None  # the StabilityInfo of the multiplier, once read
-        self._verdicts = {}  # fragment -> (verdict, witness), of those that read s and the order
-        self._stores = {}  # what a verdict reads (`_READS`) -> the dict that keeps it
+        self._keys = None  # fragment -> its key in the morphism's memo, on the first check
+        self._memo = None  # the morphism's memo, read with the keys
 
     @property
     def morphism(self) -> Morphism:
@@ -217,8 +207,8 @@ class LanguageAnalysis:
         if asked != eq or self.morphism.monoid.leq is not None:
             leq = self.ordered.monoid.leq
             relations.update({le: leq, ge: leq.T})
-        return {fid: order for fid, order in relations.items()
-                if fid not in self._store(_READS[fid])}
+        memo, keys = self._memo, self._keys
+        return {fid: order for fid, order in relations.items() if keys[fid] not in memo}
 
     def _conjunction(self, first: str, second: str) -> tuple[bool, Witness]:
         ok, witness = self.check(first)
@@ -226,35 +216,26 @@ class LanguageAnalysis:
             return False, witness
         return self.check(second)
 
-    def _store(self, reads: str) -> dict:
-        """The dict that keeps the verdicts that read `reads` (`_READS`, see
-        the class docstring), found once per analysis."""
-        store = self._stores.get(reads)
-        if store is None:
-            if reads == "table":
-                store = self.morphism.monoid.table_verdicts
-            elif reads == "stable":
-                store = self.stability.powers.verdicts
-            elif reads == "index":
-                store = self.stability.verdicts
-            elif reads == "order":
-                # the monoid's even before its order is bound: only a
-                # sweep that binds the order puts verdicts there
-                store = self.morphism.monoid.order_verdicts
-            else:
-                store = self._verdicts
-            self._stores[reads] = store
-        return store
-
     def check(self, fragment: str) -> tuple[bool, Witness]:
-        reads = _READS.get(fragment)
-        if reads is None:
+        keys = self._keys
+        if keys is None and fragment in FRAGMENTS:  # a bad name builds no monoid
+            # the monoid even before its order is bound: `syntactic_order`
+            # binds it in place
+            m, mult = self.morphism, self.index_multiplier
+            self._memo = m._memo
+            keys = self._keys = {
+                fid: (fid, mult if fid in _NEEDS_INDEX else 0,
+                      m.monoid if fid in _NEEDS_ORDER else None)
+                for fid in FRAGMENTS}
+        key = None if keys is None else keys.get(fragment)
+        if key is None:
             raise InputError(f"unknown fragment {fragment!r}")
-        got = self._store(reads).get(fragment)
+        memo = self._memo
+        got = memo.get(key)
         if got is None:
             decided = self._check(fragment)
             for fid, verdict in decided.items():
-                self._store(_READS[fid])[fid] = verdict
+                memo[keys[fid]] = verdict
             got = decided[fragment]
         return got
 
@@ -270,7 +251,7 @@ class LanguageAnalysis:
             relations = self._relations(_MES_FRAGMENTS, fragment)
             return self._local(info.mes_members, info.stable_j_classes.representatives(),
                                relations)
-        if _READS[fragment] == "stable" and self.stability.powers.whole:
+        if fragment in ("fo_mod", "fo2_mod_qda") and self.stability.powers.whole:
             # S = M: the same sweep as the fragment's over M
             got = self.check("fo_lt" if fragment == "fo_mod" else "fo2_lt")
         elif fragment == "fo2_mod_qda":
@@ -375,7 +356,7 @@ def build_mod_witness(
     mon = m.monoid
     if mon.leq is None:
         raise InputError("witness construction needs the syntactic order")
-    if info.powers is not m._stability.get("powers"):
+    if info.powers is not m._memo.get("powers"):
         raise InputError("stability data belongs to a different morphism")
     (pair,) = local_condition(mon, info.stable_j_classes.representatives(), info.mes_members,
                               (mon.leq,))

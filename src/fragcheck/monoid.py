@@ -54,8 +54,8 @@ The complement of a language has the same syntactic monoid, with the
 complementary accepting set, and the reverse order.  `complement_morphism`
 builds it from the language's morphism without a second closure: a
 sibling monoid (`OrderedMonoid.with_order`) shares the table, the words
-and the order-free caches, and the two morphisms share one stability
-memo, while each monoid binds its own order.
+and the order-free caches, and the two morphisms share one memo
+(`Morphism._memo`), while each monoid binds its own order.
 
 The J-order of the monoid has one owner, `JClasses`: it yields the least
 idempotent of each regular J-class and the class's upset U_e = {a : e in
@@ -214,9 +214,6 @@ class OrderedMonoid:
         self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
         self._me = {}  # idempotent -> members of Me, shared through _generated
-        # the verdicts kept with the monoid (see `fragments.LanguageAnalysis`):
-        # those that read only the table, and those that read the order
-        self.table_verdicts, self.order_verdicts = {}, {}
         self._idempotents = None
         self._j_classes = None  # the JClasses of the monoid, once built
 
@@ -293,11 +290,6 @@ class OrderedMonoid:
             out = int(self.mult[out, x])
         return out
 
-    def le(self, x: int, y: int) -> bool:
-        if self.leq is None:
-            raise InputError("monoid carries no order")
-        return bool(self.leq[x, y])
-
     def is_idempotent(self, x: int) -> bool:
         return int(self.mult[x, x]) == x
 
@@ -327,12 +319,12 @@ class OrderedMonoid:
         caches that do not read the order.  The generated submonoids and
         the Me arrays are one store, which either monoid fills for both;
         the idempotents and the J-classes are shared once built, as they
-        are in a monoid that has analysed its language.  So are the
-        `table_verdicts`.  Its order is its own, with its `order_verdicts`:
-        binding one leaves the other's as it was."""
+        are in a monoid that has analysed its language.  Its order is its
+        own: binding one leaves the other's as it was, and the verdicts
+        that read an order are kept under the monoid that carries it
+        (`fragments.LanguageAnalysis`)."""
         sibling = copy.copy(self)
         sibling.leq = self._checked_order(leq)
-        sibling.order_verdicts = {}
         return sibling
 
     def generated(self, gens: np.ndarray, close) -> np.ndarray:
@@ -445,10 +437,11 @@ class Morphism:
     letter_map: dict
     accepting: frozenset | None = None
     action: bytes | tuple | None = field(default=None, repr=False)
-    # the stability layer's memo (see `stability.stability_info`): its
-    # per-morphism entry, and one StabilityInfo per index multiplier; a
-    # morphism and its `complement_morphism` hold one memo
-    _stability: dict = field(init=False, repr=False, default_factory=dict)
+    # one dict for it and its `complement_morphism`: the stability entry
+    # "powers" and one StabilityInfo per multiplier (`stability_info`), and
+    # each verdict under (fragment, multiplier if it reads s else 0, the
+    # monoid carrying the order if it reads it else None) (`fragments`)
+    _memo: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if set(self.letter_map) != set(self.alphabet):
@@ -650,20 +643,20 @@ def complement_morphism(m: Morphism) -> Morphism:
     closure meets the same actions at the same shortlex words, and gives
     the same ids, table and letter map.  So the result shares m's table,
     words, generators and order-free caches (`OrderedMonoid.with_order`),
-    its `action`, and its stability memo, which never reads an order.  Its
-    monoid carries no order: `syntactic_order` builds the complement's from
-    its own accepting set, in place, and leaves m's as it is."""
+    its `action`, and its memo (`_memo`), where a verdict that reads an
+    order is keyed by the monoid that carries it.  Its monoid carries no
+    order: `syntactic_order` builds the complement's from its own
+    accepting set, in place, and leaves m's as it is."""
     if m.accepting is None:
         raise InputError("complement needs an accepting set")
-    co = Morphism(
+    return Morphism(
         monoid=m.monoid.with_order(None),
         alphabet=m.alphabet,
         letter_map=m.letter_map,
         accepting=frozenset(range(m.monoid.size)) - m.accepting,
         action=m.action,
+        _memo=m._memo,
     )
-    object.__setattr__(co, "_stability", m._stability)  # frozen; one memo for both
-    return co
 
 
 def quotient_morphism(m: Morphism, class_of: list, least: list, mult) -> Morphism:

@@ -19,8 +19,8 @@ below J and J + (r - J) mod p from J on: slot 0 is S, slot v < J is X_v
 | X_(v+s) (by one mask) and slot v >= J is X_v.  Every stability index s
 is a multiple of p and at least J, so these are the same arrays at every
 multiple of the least index.  A `StabilityInfo` holds only what s
-changes: the pair index, the admissibility tables, the Mes walks and the
-verdict that reads s but no order, fo2_mod_new (`fragments`).
+changes: the pair index, the admissibility tables and the Mes walks.
+Both live in the morphism's memo (`Morphism._memo`), beside the verdicts.
 
 A letter a is admissible at residue r for an element x when x lies in
 residues[r] . h(a) . residues[s-1-r].  The local checks only ask
@@ -187,8 +187,10 @@ class _PowerImages:
     exactly k, stored as seq[k] up to their first repetition, their
     `preperiod` J and `period` p, the residue `slots`, the stable
     submonoid (`stable`, its `mask` over the monoid, whether it is the
-    `whole` monoid, and its `j_classes`), the slot reaches `steps` and the
-    `verdicts` that read the stable submonoid.  Building it checks that a
+    `whole` monoid, and its `j_classes`) and the slot reaches `steps`.
+    It is the memo entry "powers" of the morphism, whose verdicts that
+    read S are keyed (fragment, 0, None) beside it, as they read neither s
+    nor an order (`fragments.LanguageAnalysis`).  Building it checks that a
     stable set short of the monoid is closed under the table and raises
     ConsistencyError otherwise."""
 
@@ -236,7 +238,6 @@ class _PowerImages:
         self.whole = self.stable.size == mon.size
         if not self.whole:
             _check_closed(mult, self.stable, self.mask)
-        self.verdicts = {}  # fragment -> (verdict, witness), of those that read S (`fragments`)
         # the idempotents, increasing, and each one's column in `steps`
         idempotents = mon.idempotents()
         self.idempotents = np.array(idempotents, dtype=np.int64)
@@ -322,8 +323,8 @@ class StabilityInfo:
     residue 0), is exactly h(A^r) united with h(A^(r+s)), the array
     powers.slots[powers.slot(r)]; residues[0] is `stable`.
 
-    It reads the morphism's `monoid`, letter `images` and `stable`
-    submonoid through `powers`.
+    It reads the morphism's `monoid` and `stable` submonoid, and the
+    letter images, through `powers`.
     """
 
     powers: _PowerImages
@@ -332,16 +333,10 @@ class StabilityInfo:
     _adm: np.ndarray | None = field(init=False, default=None)  # [image, pair, i] at idempotent i
     _adm_all: np.ndarray | None = field(init=False, default=None)  # [image, pair, x] at every x
     _mes_by_pattern: dict = field(init=False, default_factory=dict)  # usable pattern -> Mes
-    # fragment -> (verdict, witness), of those that read s but no order (`fragments`)
-    verdicts: dict = field(init=False, default_factory=dict)
 
     @property
     def monoid(self) -> OrderedMonoid:
         return self.powers.monoid
-
-    @property
-    def images(self) -> np.ndarray:
-        return self.powers.images
 
     @property
     def stable(self) -> np.ndarray:
@@ -554,15 +549,10 @@ def _check_closed(mult: np.ndarray, ids: np.ndarray, inside: np.ndarray):
 def _power_images(m: Morphism) -> _PowerImages:
     """The per-morphism entry of m, built on first use and kept in its
     memo."""
-    got = m._stability.get("powers")
+    got = m._memo.get("powers")
     if got is None:
-        got = m._stability["powers"] = _PowerImages(m)
+        got = m._memo["powers"] = _PowerImages(m)
     return got
-
-
-def stability_index(m: Morphism) -> int:
-    """The smallest s >= 1 with h(A^s) = h(A^2s)."""
-    return _power_images(m).smallest_index
 
 
 def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
@@ -582,7 +572,7 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
     """
     if multiplier < 1:
         raise InputError("index multiplier must be at least 1")
-    info = m._stability.get(multiplier)
+    info = m._memo.get(multiplier)
     if info is not None:
         return info
     powers = _power_images(m)
@@ -593,7 +583,7 @@ def stability_info(m: Morphism, multiplier: int = 1) -> StabilityInfo:
             f"elements exceeds the index cap (s * |M| at most {MAX_INDEX_CELLS} "
             f"for a multiplier above {FREE_MULTIPLIER})"
         )
-    info = m._stability[multiplier] = StabilityInfo(powers=powers, index=s)
+    info = m._memo[multiplier] = StabilityInfo(powers=powers, index=s)
     return info
 
 
@@ -641,7 +631,7 @@ def me_s(m: Morphism, info: StabilityInfo, e: int) -> frozenset[int]:
     from them until nothing new is reached, and kept on `info` and, under
     the mask of the block images, in the monoid's store.
     """
-    if info.powers is not m._stability.get("powers"):
+    if info.powers is not m._memo.get("powers"):
         raise InputError("stability data belongs to a different morphism")
     if not m.monoid.is_idempotent(e):
         raise InputError(f"element {e} is not idempotent")

@@ -341,7 +341,7 @@ def admissible_by_stable_scatter(info):
     """The table adm[a, r, x] (x in residues[r] . h(a) . residues[s-1-r])
     by the right-reach recurrence over full |M| x |M| matrices, seeded with
     reach_0[z, x] = x in z . stable by one scatter of the stable columns."""
-    s, images = info.index, info.images
+    s, images = info.index, info.powers.images
     mult, size = np.asarray(info.monoid.mult), info.monoid.size
     adm = np.zeros((len(images), s, size), dtype=bool)
     reach = np.zeros((size, size), dtype=bool)
@@ -367,7 +367,7 @@ def mes_by_residue_search(info, e, adm=None):
     every level sits at one residue r and pushes its frontier through the
     letters usable at r (adm[a, r, e], from `admissible_by_stable_scatter`
     unless given), and reached[r] marks what residue r has seen."""
-    s, images = info.index, info.images
+    s, images = info.index, info.powers.images
     mult, identity = np.asarray(info.monoid.mult), info.monoid.identity
     if adm is None:
         adm = admissible_by_stable_scatter(info)
@@ -394,7 +394,7 @@ def admissible_by_residues(info, cols):
     sets or pairs."""
     s = info.index
     mult, size = info.monoid.mult, info.monoid.size
-    images = info.images
+    images = info.powers.images
     steps = np.unique(images)
 
     def right_step(reach):  # z . X_(k+1) from z . X_k
@@ -432,7 +432,7 @@ def mes_by_residues(info, e, adm=None):
     for r in range(info.index):
         ends = np.flatnonzero(blocks)
         blocks = np.zeros(mon.size, dtype=bool)
-        blocks[mon.mult[ends[:, None], info.images[usable[:, r]]]] = True
+        blocks[mon.mult[ends[:, None], info.powers.images[usable[:, r]]]] = True
     return closure_brute(mon.mult, mon.identity, np.flatnonzero(blocks).tolist())
 
 
@@ -448,7 +448,7 @@ def mes_by_block_closure(info, e):
     for r in range(info.index):
         ends = np.flatnonzero(blocks)
         blocks = np.zeros(mon.size, dtype=bool)
-        blocks[mon.mult[ends[:, None], info.images[usable[:, r]]]] = True
+        blocks[mon.mult[ends[:, None], info.powers.images[usable[:, r]]]] = True
     return set(_closure_members(mon.mult, np.flatnonzero(blocks)).tolist())
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from fragcheck import stability as stability_module
-from fragcheck.automata import make_dfa, minimize, regex_to_dfa
+from fragcheck.automata import complement, make_dfa, minimize, regex_to_dfa
 from fragcheck.cli import generate_corpus
 from fragcheck.errors import CapError, ConsistencyError, InputError
 from fragcheck.fragments import LanguageAnalysis, analyze
@@ -19,6 +19,7 @@ from fragcheck.hierarchy import sim_quotient
 from fragcheck.monoid import (
     Morphism,
     OrderedMonoid,
+    complement_morphism,
     me_submonoid,
     transition_monoid,
 )
@@ -27,7 +28,6 @@ from fragcheck.stability import (
     MAX_INDEX_CELLS,
     is_stable_trivial,
     me_s,
-    stability_index,
     stability_info,
 )
 from test_monoid import _random_seven_state_dfa, mid_size_draw
@@ -39,14 +39,14 @@ def morphism(pattern, **kw):
 
 def test_even_length_language():
     h = morphism("((a|b)(a|b))*")
-    assert stability_index(h) == 2
+    assert stability_info(h).index == 2
     assert stability_info(h).stable.tolist() == [h.monoid.identity]
 
 
 def test_even_letter_count_language():
     # parity of occurrences of a letter never stabilizes below the full group
     h = morphism("(b*ab*a)*b*")
-    assert stability_index(h) == 1
+    assert stability_info(h).index == 1
     assert stability_info(h).stable.tolist() == list(h.monoid.elements())
     assert h.monoid.size == 2
 
@@ -85,7 +85,7 @@ def test_residue_sets_partition_reachability():
     info = stability_info(h)
     assert info.index == 2
     brute = oracles.power_images(h, 4 * h.monoid.size)
-    s = stability_index(h)
+    s = stability_info(h).index
     for r in range(1, s):
         assert oracles.residue_set(info, r).tolist() == sorted(brute[r] | brute[r + s])
     assert oracles.residue_set(info, 0).tolist() == sorted(brute[s] | {h.monoid.identity})
@@ -461,7 +461,7 @@ def test_closure_check_finds_a_product_outside_in_the_last_row_block(monkeypatch
 
 def test_index_cap_raises_before_residues():
     h = morphism("(bc)*")
-    s = stability_index(h)
+    s = stability_info(h).index
     limit = MAX_INDEX_CELLS // (s * h.monoid.size)
     assert stability_info(h, limit).index == s * limit
     with pytest.raises(CapError):
@@ -500,7 +500,7 @@ def test_stable_set_checked_for_closure_when_built(monkeypatch):
         for multiplier in (1, 2):
             with pytest.raises(ConsistencyError):
                 stability_info(h, multiplier)
-    assert h._stability == {}
+    assert h._memo == {}
     info = stability_info(h)
     assert info.stable_me_members(h.image("aa")).tolist() == list(h.monoid.elements())
 
@@ -529,7 +529,7 @@ def test_multipliers_share_one_set_of_power_images(monkeypatch):
 
     monkeypatch.setattr(stability, "_PowerImages", counted)
     h = morphism("((a|b)(a|b))*(aa|bb)(a|b)*")
-    s = stability_index(h)
+    s = stability_info(h).index
     infos = [stability_info(h, multiplier) for multiplier in (1, 2, 3)]
     assert [info.index for info in infos] == [s, 2 * s, 3 * s]
     assert built == [h]
@@ -537,11 +537,11 @@ def test_multipliers_share_one_set_of_power_images(monkeypatch):
 
 def test_refused_multiplier_raises_on_every_call():
     h = morphism("(bc)*")
-    refused = MAX_INDEX_CELLS // (stability_index(h) * h.monoid.size) + 1
+    refused = MAX_INDEX_CELLS // (stability_info(h).index * h.monoid.size) + 1
     for _ in range(2):
         with pytest.raises(CapError):
             stability_info(h, refused)
-    assert refused not in h._stability
+    assert refused not in h._memo
 
 
 def test_replace_builds_a_fresh_checked_object_outside_the_memo():
@@ -551,26 +551,33 @@ def test_replace_builds_a_fresh_checked_object_outside_the_memo():
     info = stability_info(h)
     again = dataclasses.replace(info)
     assert again is not info and stability_info(h) is info
-    assert again.powers is info.powers is h._stability["powers"]
+    assert again.powers is info.powers is h._memo["powers"]
     assert again.stable_me_members(h.image("aa")).tolist() == list(h.monoid.elements())
 
 
 def test_analysed_morphism_is_freed_by_reference_counting():
-    # the stability memo on a morphism and the J-class data of its monoid
-    # and stable submonoid form no reference cycle, so dropping the last
-    # reference frees the morphism with the cyclic collector off
+    # the memo that a morphism shares with its complement, whose verdict
+    # keys hold both monoids, and the J-class data of the monoids and the
+    # stable submonoid form no reference cycle, so dropping the last
+    # references frees both morphisms with the cyclic collector off
     enabled = gc.isenabled()
     gc.disable()
     try:
         d = minimize(regex_to_dfa("((a|b)(a|b))*(aa|bb)(a|b)*"))
         h = transition_monoid(d)
+        co = complement_morphism(h)
         for multiplier in (1, 3):
             analyze(d, index_multiplier=multiplier, morphism=h)
+        analyze(minimize(complement(d)), morphism=co)
         info = stability_info(h)
-        assert info.powers is h._stability["powers"] and info.stable_j_classes is not None
-        refs = [weakref.ref(h), weakref.ref(h.monoid), weakref.ref(info)]
-        del h, info
-        assert [ref() for ref in refs] == [None, None, None]
+        assert info.powers is h._memo["powers"] and info.stable_j_classes is not None
+        assert co._memo is h._memo and co.monoid is not h.monoid
+        ordered_by = {key[2] for key in h._memo if isinstance(key, tuple)}
+        assert ordered_by == {None, h.monoid, co.monoid}
+        del ordered_by
+        refs = [weakref.ref(x) for x in (h, co, h.monoid, co.monoid, info)]
+        del h, co, info
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         if enabled:
             gc.enable()

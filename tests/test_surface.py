@@ -3,9 +3,13 @@ is reached by the program or named where its readers look for it.
 
 A public function passes when one of these holds:
 
-- a `Name` or `Attribute` node elsewhere in `src/fragcheck` reads it (its
-  own body does not count, so a recursive call alone does not);
-- a file under `bench/` or `tools/` reads or imports it;
+- a node elsewhere in `src/fragcheck` reads it (its own body does not
+  count, so a recursive call alone does not): a `Name` that is loaded, an
+  `Attribute` whose object is one of the package's modules, as in
+  `stability.stability_info`, or an import;
+- a file under `bench/` or `tools/` reads or imports it, by any `Name` or
+  `Attribute` (a tool may read a function off a module it imported by
+  `importlib`);
 - `docs/formats.md` names it in backticks, with or without its module.
 
 Reference code that only tests call belongs in `tests/oracles.py`.
@@ -19,13 +23,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fragcheck"
 
 
-def _read(node) -> set:
+def _read(node, modules=None) -> set:
+    """The names `node` reads; with `modules`, a `Name` only when it is
+    loaded and an `Attribute` only when its object is one of `modules`."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            if modules is None or isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            if modules is None or (isinstance(sub.value, ast.Name)
+                                   and sub.value.id in modules):
+                names.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
     return names
@@ -36,7 +45,9 @@ def _defs_and_readers():
     top-level statement of `src/` reads, keyed by (module, def name or
     None), import lines left out."""
     defs, readers = [], {}
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py"))
+    modules = {path.stem for path in paths}
+    for path in paths:
         for i, node in enumerate(ast.parse(path.read_text()).body):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
@@ -45,7 +56,7 @@ def _defs_and_readers():
                 own = node.name
                 if not own.startswith("_"):
                     defs.append((path.stem, own))
-            readers[(path.stem, own, i)] = _read(node)
+            readers[(path.stem, own, i)] = _read(node, modules)
     return defs, readers
 
 
@@ -71,13 +82,16 @@ def test_every_public_function_is_reached():
 
 
 def test_the_guard_sees_a_function_that_only_tests_call(tmp_path, monkeypatch):
-    # a copy of the package with one extra public function, read by
-    # nothing, is refused on that function alone
+    # a copy of the package with two extra public functions, read by
+    # nothing, is refused on those alone: one that only calls itself, and
+    # one whose name is also read as an attribute of `self`
     copy = tmp_path / "fragcheck"
     copy.mkdir()
     for path in SRC.glob("*.py"):
         (copy / path.name).write_text(path.read_text())
     with open(copy / "errors.py", "a") as f:
-        f.write("\n\ndef only_tests_call_this():\n    return only_tests_call_this()\n")
+        f.write("\n\ndef only_tests_call_this():\n    return only_tests_call_this()\n"
+                "\n\ndef also_an_attribute():\n    return None\n"
+                "\n\nclass _Holder:\n    def read(self):\n        return self.also_an_attribute\n")
     monkeypatch.setitem(globals(), "SRC", copy)
-    assert unreached() == ["errors.only_tests_call_this"]
+    assert unreached() == ["errors.only_tests_call_this", "errors.also_an_attribute"]
