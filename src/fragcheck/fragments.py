@@ -61,9 +61,6 @@ class FragmentReport:
     verdicts: dict
     witnesses: dict
 
-    def verdict(self, fragment: str) -> bool:
-        return self.verdicts[fragment]
-
     def to_doc(self) -> dict:
         frags = {}
         for fid in FRAGMENTS:

@@ -12,8 +12,8 @@ the opposite side), level k+1 allows one more quotient step.
 Both steps read Green's relations off `monoid.JClasses`.  A quotient
 carries a spanning tree read off its source's (`monoid.quotient_morphism`),
 so its words are shortlex-least and, above `monoid._BFS_MIN_SIZE`
-elements, its J-classes are placed by letter steps, as those of every
-morphism's monoid are.
+elements, the upset table of its J-classes is built by letter steps, as
+that of every morphism's monoid is.
 """
 
 from __future__ import annotations

@@ -57,16 +57,18 @@ sibling monoid (`OrderedMonoid.with_order`) shares the table, the words
 and the order-free caches, and the two morphisms share one memo
 (`Morphism._memo`), while each monoid binds its own order.
 
-The J-order of the monoid has one owner, `JClasses`: it yields the least
-idempotent of each regular J-class and the class's upset U_e = {a : e in
-MaM}, by two passes over the table per class, or, above `_BFS_MIN_SIZE`
-elements, from one table of the upsets of every idempotent that letter
-steps build, packed 64 idempotents to a word (`_upset_table`): as many
-right steps along the letter columns as the tree is deep reach {z : e in
-zM}, and as many left steps along the letter rows reach U_e.  The
-stability layer places the J-classes of its stable submonoid from a
-table of its own, with the same lazy placement, or reads these when the
-stable submonoid is the whole monoid.  Me is generated by U_e, and by
+The J-order of the monoid has one owner, `JClasses`: it reads the
+regular J-classes off one table of the upsets U_e = {a : e in MaM} of
+every idempotent, whose equal rows are the classes, and yields the least
+idempotent of each class and the class's upset.  Up to `_BFS_MIN_SIZE`
+elements the table comes from two passes over the multiplication table,
+for every idempotent at once (`_pass_table`); above that, from letter
+steps, packed 64 idempotents to a word (`_upset_table`): as many right
+steps along the letter columns as the tree is deep reach {z : e in zM},
+and as many left steps along the letter rows reach U_e.  The stability
+layer builds the table of its stable submonoid, from which `JClasses`
+places S's classes alike, or reads these when the stable submonoid is
+the whole monoid.  Me is generated by U_e, and by
 the letters in U_e alone (see `me_members`), so only those letters are
 closed, and none when every letter is in U_e, where Me = M.  Each generated
 submonoid is closed once per generator set and kept on the monoid
@@ -94,7 +96,8 @@ without their dispatchers; a 1-D mask gives its ids by `nonzero()[0]`, not
 `np.flatnonzero`; arrays of one dtype and shape compare by `tobytes()`,
 not `np.array_equal`; a short list of ids is deduplicated by
 `sorted(set(...))`, not `np.unique`; and a fresh mask is `np.zeros` of a
-shape, not `np.zeros_like`.  Reductions along an axis stay numpy's.
+shape, not `np.zeros_like`.  Reductions along an axis are the ufuncs'
+own, `np.logical_or.reduce(a, axis=...)` in place of `a.any(axis=...)`.
 """
 
 from __future__ import annotations
@@ -190,9 +193,10 @@ class OrderedMonoid:
     by one gather (`_check_tree`), which proves that the letters generate
     the monoid, and raises InputError otherwise.  `generators`, the
     distinct letters, sorted, then prove associativity by Light's test
-    (see `_validate`), close Me and, above `_BFS_MIN_SIZE` elements, place
-    the J-classes by letter steps; the words, names[last[y]] appended to
-    the word of parent[y], are spelled when read.
+    (see `_validate`), close Me and, above `_BFS_MIN_SIZE` elements, build
+    the upset table of the J-classes by letter steps; the words,
+    names[last[y]] appended to the word of parent[y], are spelled when
+    read.
     """
 
     identity = 0
@@ -284,12 +288,6 @@ class OrderedMonoid:
     def mul(self, x: int, y: int) -> int:
         return int(self.mult[x, y])
 
-    def product(self, xs) -> int:
-        out = self.identity
-        for x in xs:
-            out = int(self.mult[out, x])
-        return out
-
     def is_idempotent(self, x: int) -> bool:
         return int(self.mult[x, x]) == x
 
@@ -368,17 +366,18 @@ class OrderedMonoid:
         return got
 
     def j_classes(self) -> "JClasses":
-        """The regular J-classes of the monoid, built once: above
-        `_BFS_MIN_SIZE` elements, from the upset table of every idempotent
-        that letter steps build (`_upset_table`), and by table passes
-        otherwise."""
+        """The regular J-classes of the monoid, built once from the upset
+        table of every idempotent: by table passes (`_pass_table`) up to
+        `_BFS_MIN_SIZE` elements, and by letter steps (`_upset_table`)
+        above."""
         if self._j_classes is None:
             self.idempotents()  # fills the sorted id array `_idempotents`
-            table = None
+            ids = self._idempotents
             if self.size > _BFS_MIN_SIZE:
-                table = _upset_table(self.mult, self._idempotents, self.generators,
-                                     self._tree.depth)
-            self._j_classes = JClasses(self.mult, self._idempotents, table)
+                table = _upset_table(self.mult, ids, self.generators, self._tree.depth)
+            else:
+                table = _pass_table(self.mult, ids)
+            self._j_classes = JClasses(ids, table)
         return self._j_classes
 
 
@@ -763,14 +762,14 @@ def _order_bits(contains: np.ndarray, act: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Local submonoids
 
-# Above this size a monoid places its J-classes from the letter-step
-# table (`_upset_table`), below it by table passes.  Placing every class
-# and reading every idempotent's upset on the monoids of the benchmark's
-# seed-1 corpus and ladder inputs (2-core x86-64, least of 5), passes
-# against the table: 1179 monoids of 1-80 elements 0.028 against 0.039 s,
-# 35 of 81-128 0.0047 against 0.0037 s, 20 of 129-802 0.0175 against
-# 0.0036 s.
-_BFS_MIN_SIZE = 80
+# Above this size a monoid's upset table comes from letter steps
+# (`_upset_table`), up to it from table passes (`_pass_table`).  Mean cost
+# per monoid of each builder (least of 7) over 2000 draws of the CLI's
+# random shape (5 states, 3 letters), passes against steps (2-core x86-64,
+# numpy 2.4): 4.0 against 11.2 us at 1-10 elements, 10.2/24.2 at 11-20,
+# 22.2/31.9 at 21-24, 28.6/31.0 at 25-28, 39.3/34.4 at 31-32, 65.9/42.3 at
+# 37-40, 98.9/38.0 at 41-60, 442/51 at 81-128.
+_BFS_MIN_SIZE = 28
 
 # _BITS[i]: bit i of a packed uint64 word
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -802,6 +801,14 @@ def _unpacked(reach: np.ndarray, count: int) -> np.ndarray:
     return _unpackbits(words, axis=1, count=count, bitorder="little").view(bool)
 
 
+def _pass_table(mult: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """table[i, a]: the idempotent ids[i] lies in M a M, by two passes over
+    the table for every idempotent at once: the z with ids[i] in z M, then
+    the a with some x a among them."""
+    right = np.logical_or.reduce(mult == ids[:, None, None], axis=2)  # [i, z]
+    return np.logical_or.reduce(right.take(mult, axis=1), axis=1)  # over x of [i, x, a]
+
+
 def _upset_table(mult: np.ndarray, ids: np.ndarray, letters: np.ndarray,
                  rounds: int) -> np.ndarray:
     """table[i, a]: the idempotent ids[i] lies in M a M, for a monoid that
@@ -823,18 +830,18 @@ def _upset_table(mult: np.ndarray, ids: np.ndarray, letters: np.ndarray,
 
 
 class JClasses:
-    """The regular J-classes of a monoid T, placed lazily in order of their
-    least idempotents, from one of two sources of upsets: table passes
-    over T = M, or a table of the upsets of every idempotent, rows and
-    columns, which `_upset_table` builds for a large M and the stability
-    layer builds for its stable submonoid S.
+    """The regular J-classes of a monoid T, in order of their least
+    idempotents, placed from one table of the upsets of every idempotent:
+    table[i, a] says E[i] lies in T a T.  For T = M it comes from table
+    passes (`_pass_table`) or letter steps (`_upset_table`), by size; the
+    stability layer builds one for its stable submonoid S.
 
-    The least idempotent e not yet placed opens a class and gets its upset
-    {a in T : e in T a T}: two passes over the table, or a row of the
-    upset table.  When the next class is wanted and a later unplaced
-    idempotent f lies in the upset, f joins the class if it also lies in
-    T e T: in the downset, a scatter of rows, or where the upset table
-    has e in the row of f.
+    Two idempotents are J-equivalent exactly when their upsets are equal:
+    if T e T = T f T, then e and f lie in the same ideals T a T; and if the
+    upsets are equal, e lies in its own upset, so in f's, and f in e's,
+    which gives f in T e T and e in T f T.  So a class is the idempotents
+    whose rows have the same bytes, opened by its least idempotent, and
+    the upset of each is that one's row.
 
     One visit per class decides e Me e = e (or <= e, or >= e).  J-related
     idempotents e, f of the finite T are D-related: some a, a' in T have
@@ -847,70 +854,26 @@ class JClasses:
     first failing idempotent, and x is searched at it as before.
     """
 
-    def __init__(self, mult: np.ndarray, idempotents: np.ndarray, table=None):
-        self._mult, self._table = mult, table
-        self._ids = self._pending = idempotents
-        self._reps = []  # least idempotents of the classes opened, increasing
-        self._upsets = {}  # placed idempotent -> the upset of its class
-        self._open = None  # the class opened last, until its rest is placed
+    def __init__(self, idempotents: np.ndarray, table: np.ndarray):
+        table.flags.writeable = False
+        reps, upsets, first = [], {}, {}  # first: row bytes -> the row of its class
+        for e, row in zip(idempotents.tolist(), table):
+            up = upsets[e] = first.setdefault(row.tobytes(), row)
+            if up is row:
+                reps.append(e)
+        self._reps, self._upsets = tuple(reps), upsets
 
-    def representatives(self):
-        """Yield the least idempotent of each regular J-class in increasing
-        order, placing classes only as far as iterated."""
-        i = 0
-        while i < len(self._reps) or self._open_next():
-            yield self._reps[i]
-            i += 1
+    def representatives(self) -> tuple:
+        """The least idempotent of each regular J-class, increasing."""
+        return self._reps
 
     def upset(self, e: int) -> np.ndarray:
         """The mask of {a in T : e in T a T} for the idempotent e of T,
         one read-only array per J-class."""
-        while e not in self._upsets:
-            if self._open is not None:
-                self._close()
-            elif not self._open_next():
-                raise InputError(f"element {e} is not an idempotent of the submonoid")
-        return self._upsets[e]
-
-    def _close(self):
-        e, self._open = self._open, None
-        rest, up = self._pending, self._upsets[e]
-        above = up[rest]
-        if _any(above):
-            same = above & self._below(e, rest)
-            self._upsets.update(dict.fromkeys(rest[same].tolist(), up))
-            self._pending = rest[~same]
-
-    def _open_next(self) -> bool:
-        if self._open is not None:
-            self._close()
-        if not self._pending.size:
-            return False
-        e = self._open = int(self._pending[0])
-        self._pending = self._pending[1:]
-        up = self._upsets[e] = self._up(e)
-        up.flags.writeable = False
-        self._reps.append(e)
-        return True
-
-    def _up(self, e: int) -> np.ndarray:
-        """The z with e in z M, then the a with some x a among them."""
-        if self._table is not None:
-            return self._table[self._ids.searchsorted(e)]
-        mult = self._mult
-        return (mult == e).any(axis=1)[mult].any(axis=0)
-
-    def _below(self, e: int, rest: np.ndarray) -> np.ndarray:
-        """Which of the idempotents `rest` lie in T e T."""
-        if self._table is not None:
-            return self._table[self._ids.searchsorted(rest), e]
-        mult = self._mult
-        down, me = np.zeros(mult.shape[0], dtype=bool), np.zeros(mult.shape[0], dtype=bool)
-        me[mult[:, e]] = True  # M e
-        ids, block = me.nonzero()[0], max(1, _GATHER_IDS // mult.shape[0])
-        for lo in range(0, ids.size, block):  # M e M, in blocks of rows
-            down[mult[ids[lo:lo + block]]] = True
-        return down[rest]
+        got = self._upsets.get(e)
+        if got is None:
+            raise InputError(f"element {e} is not an idempotent of the submonoid")
+        return got
 
 
 _GATHER_IDS = 1 << 16  # products gathered at once by a closure (512 KiB of ids)

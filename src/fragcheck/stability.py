@@ -75,10 +75,9 @@ slot(s) left steps along the rows mult[b] of the letter images,
     (X_(k+1) . a . X_s)[i] = OR_b (X_k . (b . a) . X_s)[i],
 
 which end at X_slot(s) . a . X_s = X_s a X_s, unpacked once, ANDed with
-S's mask, and the identity set in the upset of 1.  The classes are placed
-lazily by `monoid.JClasses`, which reads this table as it reads M's
-letter-step table, in order of their least idempotents: f joins the
-class of e when each lies in the other's upset, so S needs no downsets.
+S's mask, and the identity set in the upset of 1.  `monoid.JClasses`
+reads S's classes off this table as it reads M's: the idempotents with
+equal rows form a class, so S needs no downsets.
 
 The local submonoid Mes of an idempotent e depends only on its pattern of
 usable letters adm[:, :, e]: it is the submonoid generated by the images
@@ -286,17 +285,16 @@ class _PowerImages:
 
     @cached_property
     def j_classes(self) -> JClasses:
-        """The regular J-classes of S, placed like M's (`monoid.JClasses`)
-        from one table of the upsets in S of every idempotent
+        """The regular J-classes of S, read like M's (`monoid.JClasses`)
+        off one table of the upsets in S of every idempotent
         (`_upset_table`); when S = M, M's own."""
         if self.whole:
             return self.monoid.j_classes()
-        return JClasses(self.monoid.mult, self.idempotents, self._upset_table())
+        return JClasses(self.idempotents, self._upset_table())
 
     def _upset_table(self) -> np.ndarray:
         """Row i is {a in S : E[i] in S a S}, from the steps (see the module
-        docstring), and f joins the class of e when each lies in the
-        other's upset."""
+        docstring)."""
         mon, ids = self.monoid, self.idempotents
         n = self.slot(self.smallest_index)
         reach = self.steps[n]  # E[i] in a . X_s
@@ -404,13 +402,6 @@ class StabilityInfo:
         if self._adm is None:
             self._adm = self._admissible_at(powers.steps, powers.idempotents.size)
         return self._adm[:, :, powers.column[e]]
-
-    def usable(self, e: int) -> np.ndarray:
-        """The usable-letter pattern of the idempotent e: u[a, r] iff e lies
-        in residues[r] . h(a) . residues[s-1-r], letters in alphabet order;
-        one gather of the per-pair table over the letters and the pair
-        index."""
-        return self._usable_by_pair(e)[self.powers.letter_index][:, self._residue_pairs()[1]]
 
     def admissible_images(self, letter, r: int) -> frozenset[int]:
         """All values x . h(letter) . y with x in residues[r] and y in

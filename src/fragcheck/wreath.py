@@ -74,9 +74,6 @@ class WreathMorphism:
     def pair_of(self, x: int):
         return self.pairs[x]
 
-    def pair_image(self, word):
-        return self.pairs[self.morphism.image(word)]
-
 
 def wreath_morphism(
     base: OrderedMonoid,
@@ -124,8 +121,8 @@ def lift_decorated_hom(g: Morphism, n: int, cap: int = DEFAULT_MAX_MONOID) -> Wr
     morphism over the plain letters: the function component of a letter
     records its image at every counter offset, the counter advances by one.
 
-    Satisfies pair_image(u) = (f, |u| mod n) with f(0) the image of the
-    decorated u under g."""
+    The pair of a word u, pairs[morphism.image(u)], is (f, |u| mod n) with
+    f(0) the image of the decorated u under g."""
     if n < 1:
         raise InputError("modulus must be at least 1")
     bases = sorted({DecoratedLetter.parse(a).base for a in g.alphabet})

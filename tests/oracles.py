@@ -38,9 +38,11 @@ to the same objects:
   {a in T : e in T a T} by two passes over the whole table, with an
   `inside` mask for the stable submonoid, and the Me local checks run
   from it at every idempotent, as the library ran them before it visited
-  one idempotent per regular J-class.  With the mask it is also the
-  stable upset as `monoid.JClasses` placed it before the stability layer
-  read the upsets of S off the power steps; and
+  one idempotent per regular J-class.  Without the mask it is also the
+  upset by which `monoid.JClasses` opened each class of a small monoid
+  before every class was read off one upset table; with the mask, the
+  stable upset as `JClasses` placed it before the stability layer read
+  the upsets of S off the power steps; and
   `mes_checks_at_every_idempotent`,
   the Mes local checks at every idempotent, as the library ran them
   before it visited one idempotent per regular J-class of the stable
@@ -89,8 +91,11 @@ to the same objects:
   `fragments.build_mod_witness` and `fragments.verify_vmod_implication`
   ran them before they moved onto integer tables and labels.
 
-Two references here were library functions that no command reached:
+Three references here were library functions that no command reached:
 
+- `usable`, the usable-letter pattern of an idempotent per letter and
+  residue, gathered from the per-pair table of `StabilityInfo`, the
+  reference for the admissibility recurrence (`admissible_by_residues`);
 - `decorate_word`, a word's position-residue decoration at an offset, the
   reference for `automata.decorate` (the language of decorated words);
   `decorate_brute` spells the same letters without `DecoratedLetter`;
@@ -436,19 +441,26 @@ def mes_by_residues(info, e, adm=None):
     return closure_brute(mon.mult, mon.identity, np.flatnonzero(blocks).tolist())
 
 
+def usable(info, e):
+    """The usable-letter pattern of the idempotent e: u[a, r] iff e lies in
+    residues[r] . h(a) . residues[s-1-r], letters in alphabet order; one
+    gather of the per-pair table over the letters and the pair index."""
+    return info._usable_by_pair(e)[info.powers.letter_index][:, info._residue_pairs()[1]]
+
+
 def mes_by_block_closure(info, e):
     """Mes at the idempotent e as the breadth-first closure of its block
     images: s frontier steps from the identity, step r through the letters
-    usable at r (`info.usable`).  It reads the table directly, so it adds
+    usable at r (`usable`).  It reads the table directly, so it adds
     nothing to the monoid's store of generated submonoids."""
     mon = info.monoid
-    usable = info.usable(e)
+    allowed = usable(info, e)
     blocks = np.zeros(mon.size, dtype=bool)
     blocks[mon.identity] = True
     for r in range(info.index):
         ends = np.flatnonzero(blocks)
         blocks = np.zeros(mon.size, dtype=bool)
-        blocks[mon.mult[ends[:, None], info.powers.images[usable[:, r]]]] = True
+        blocks[mon.mult[ends[:, None], info.powers.images[allowed[:, r]]]] = True
     return set(_closure_members(mon.mult, np.flatnonzero(blocks)).tolist())
 
 

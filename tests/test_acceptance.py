@@ -364,7 +364,7 @@ def test_criterion_8_lift_and_project_identities():
         tag = (base.size, n, letters)
         lifted = lift_decorated_hom(g, n)
         for u in oracles.words(letters, 2 * n + 2):
-            f, k = lifted.pair_image(u)
+            f, k = lifted.pairs[lifted.morphism.image(u)]
             if k != len(u) % n:
                 failures.append((tag, u, "counter"))
                 break
@@ -393,7 +393,7 @@ def test_criterion_8_lift_and_project_identities():
                 for dl in du:
                     folded = tuple(
                         base.mul(folded[j], labels[dl][j]) for j in range(n))
-                f, _ = lifted.pair_image(u)
+                f, _ = lifted.pairs[lifted.morphism.image(u)]
                 if folded != f or folded[0] != g.image(du):
                     failures.append((tag, u, "projection"))
                     break

@@ -592,13 +592,6 @@ def test_decoration_check_matches_enumeration(monkeypatch, xcheck_corpus, varian
     assert sum(got) == flagged
 
 
-def test_decoration_check_refuses_letters_outside_the_decorated_alphabet(monkeypatch):
-    # decorated over n - 1 residues, the letters of residue n are missing
-    monkeypatch.setattr(cli, "decorate", lambda d, n: decorate(d, n - 1))
-    with pytest.raises(InputError):
-        cli.xcheck_battery(regex_to_dfa("(a|b)*aa(a|b)*"), 32)
-
-
 def test_xcheck_json_matches_golden():
     code, text = run_cli(["xcheck", "--count", "20", "--json"])
     assert code == 0

@@ -148,22 +148,20 @@ SIGMA2_SENTENCE = """
 
 
 def test_sigma2_sentence_computes_one_stable_upset_per_j_class(monkeypatch):
-    # M's classes and S's share the placement code, so the upsets read are
-    # counted per placement, and S's are told apart afterwards
-    from fragcheck.monoid import JClasses
-    upsets = []
-    real = JClasses._up
+    # S's classes are read off one upset table of S, which holds the upset
+    # of every idempotent of S, so each of its 67 classes gets one
+    from fragcheck import stability
+    tables = []
+    real = stability._PowerImages._upset_table
 
-    def counted(self, e):
-        upsets.append((self, e))
-        return real(self, e)
+    def counted(self):
+        tables.append(self)
+        return real(self)
 
-    monkeypatch.setattr(JClasses, "_up", counted)
+    monkeypatch.setattr(stability._PowerImages, "_upset_table", counted)
     d = compile_formula(parse_formula(SIGMA2_SENTENCE), ["a", "b"])
     h = transition_monoid(d)
     report = analyze(d, morphism=h)
-    stable_upsets = [e for classes, e in upsets
-                     if classes is stability_info(h).stable_j_classes]
     assert (report.monoid_size, report.stable_size) == (5216, 849)
     modular = [fid for fid in FRAGMENTS if "_mod" in fid]
     assert len(modular) == 6
@@ -171,7 +169,8 @@ def test_sigma2_sentence_computes_one_stable_upset_per_j_class(monkeypatch):
         expected = (True, None) if fid in modular else (False, ("aaaaaa", "a"))
         assert (report.verdicts[fid], report.witnesses[fid]) == expected, fid
     assert sum(h.monoid.is_idempotent(x) for x in stability_info(h).stable) == 849
-    assert len(stable_upsets) == 67
+    assert tables == [stability_info(h).powers]
+    assert len(stability_info(h).stable_j_classes.representatives()) == 67
 
 
 def _count_sweeps(monkeypatch):
@@ -308,7 +307,7 @@ def test_degenerate_languages_lie_in_every_fragment():
     everything = dfa("(a|b)*")
     for d in (empty, just_eps, everything):
         report = analyze(d)
-        assert all(report.verdict(f) for f in FRAGMENTS)
+        assert all(report.verdicts[f] for f in FRAGMENTS)
 
 
 def test_analyze_report_shape():
@@ -334,7 +333,7 @@ def decode(h, word):
 
 def test_witness_words_reproduce_failures():
     report = analyze(dfa("(a|b)*(aa|bb)(a|b)*"))
-    assert not report.verdict("fo2_lt")
+    assert not report.verdicts["fo2_lt"]
     e_word, x_word = report.witnesses["fo2_lt"]
     h = syntactic_order(transition_monoid(dfa("(a|b)*(aa|bb)(a|b)*")))
     e, x = decode(h, e_word), decode(h, x_word)
@@ -342,7 +341,7 @@ def test_witness_words_reproduce_failures():
     assert h.monoid.mul(h.monoid.mul(e, x), e) != e
     # aperiodicity witness pairs the omega power with the offending element
     report2 = analyze(dfa("(b*ab*a)*b*"))
-    assert not report2.verdict("fo_lt")
+    assert not report2.verdicts["fo_lt"]
     w_word, x_word2 = report2.witnesses["fo_lt"]
     h2 = syntactic_order(transition_monoid(dfa("(b*ab*a)*b*")))
     w2, x2 = decode(h2, w_word), decode(h2, x_word2)

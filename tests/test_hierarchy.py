@@ -11,7 +11,7 @@ from fragcheck.automata import minimize, regex_to_dfa
 from fragcheck.errors import InputError
 from fragcheck.hierarchy import sim_quotient, wv_level
 from fragcheck.monoid import transition_monoid
-from test_monoid import _random_seven_state_dfa, mid_size_draw
+from test_monoid import _random_seven_state_dfa, count_upset_builders, mid_size_draw
 
 
 def morphism(pattern):
@@ -121,14 +121,15 @@ def test_quotient_words_are_the_least_words_of_their_classes(small_corpus):
     assert quotients >= 4 * len(small_corpus)
 
 
-def test_a_large_quotient_places_its_j_classes_by_letter_steps():
+def test_a_large_quotient_places_its_j_classes_by_letter_steps(monkeypatch):
     # the K quotient of the seed-61 draw has 115 elements, above the table
     # route's threshold: its tree gives the letter-step table
     q = sim_quotient(transition_monoid(minimize(_random_seven_state_dfa(61))), "K")
     mon = q.quotient.monoid
     assert mon.size == 115 > monoid_module._BFS_MIN_SIZE
+    built = count_upset_builders(monkeypatch)
     classes = mon.j_classes()
-    assert classes._table is not None
+    assert built == {"_upset_table": 1}
     for e in mon.idempotents():
         assert classes.upset(e).tobytes() == oracles.j_upset_by_passes(mon.mult, e).tobytes()
 

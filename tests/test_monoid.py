@@ -45,7 +45,7 @@ def test_ordered_monoid_basics():
     z3 = oracles.table_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     assert z3.size == 3
     assert z3.mul(1, 2) == 0
-    assert z3.product([1, 1, 1]) == 0
+    assert Morphism(z3, ("a",), {"a": 1}).image("aaa") == 0
     assert list(z3.idempotents()) == [0]
     z3.idempotents().append(2)  # each call hands out its own list
     assert z3.idempotents() == [0]
@@ -941,9 +941,25 @@ def test_me_is_the_monoid_at_a_full_letter_set_without_a_closure(monkeypatch):
     assert closures == []
 
 
+def count_upset_builders(monkeypatch) -> Counter:
+    """A Counter of the calls to each builder of M's upset table,
+    `_pass_table` and `_upset_table`, made through the monoid module."""
+    built = Counter()
+    for name in ("_pass_table", "_upset_table"):
+        def counted(*args, real=getattr(monoid_module, name), name=name):
+            built[name] += 1
+            return real(*args)
+        monkeypatch.setattr(monoid_module, name, counted)
+    return built
+
+
 @pytest.mark.parametrize("route_min_size", [0, 10**9], ids=["table", "passes"])
 def test_letter_step_table_matches_the_table_passes(small_corpus, monkeypatch, route_min_size):
+    # M's classes are read off one upset table, from the builder the size
+    # picks, and both builders give the upsets of the oracle's passes
+    passes, steps = monoid_module._pass_table, monoid_module._upset_table
     monkeypatch.setattr(monoid_module, "_BFS_MIN_SIZE", route_min_size)
+    built = count_upset_builders(monkeypatch)
     morphisms = [transition_monoid(d, max_monoid=600) for d in small_corpus]
     # a 7-element monoid of depth 2 whose left steps need both rounds
     deep_left = make_dfa(("a", "b"), ["0", "1", "2", "3"], "0", ["0", "2"], {
@@ -953,13 +969,48 @@ def test_letter_step_table_matches_the_table_passes(small_corpus, monkeypatch, r
     assert (morphisms[-1].monoid.size, morphisms[-1].monoid._tree.depth) == (7, 2)
     for h in morphisms + _ladder_draws(2):
         mon = _fresh_monoid(h)
+        built.clear()
         classes = mon.j_classes()
-        assert (classes._table is not None) == (route_min_size == 0)
+        assert built == {"_upset_table" if route_min_size == 0 else "_pass_table": 1}
         ids = np.array(mon.idempotents())
-        table = monoid_module._upset_table(mon.mult, ids, mon.generators, mon._tree.depth)
+        by_steps = steps(mon.mult, ids, mon.generators, mon._tree.depth)
+        by_passes = passes(mon.mult, ids)
         for i, e in enumerate(ids.tolist()):
             want = oracles.j_upset_by_passes(mon.mult, e).tobytes()
-            assert classes.upset(e).tobytes() == want == table[i].tobytes(), e
+            assert (classes.upset(e).tobytes() == want == by_steps[i].tobytes()
+                    == by_passes[i].tobytes()), e
+
+
+def test_j_classes_at_the_builders_boundary(monkeypatch):
+    # monoids of `_BFS_MIN_SIZE` elements take the table passes and those
+    # of one more the letter steps; the classes of M, and of S where S is
+    # short of M, are those Green's relations give
+    built = count_upset_builders(monkeypatch)
+    edge = monoid_module._BFS_MIN_SIZE
+    rng = np.random.default_rng(17)
+    found = {edge: [], edge + 1: []}
+    while min(map(len, found.values())) < 2:
+        try:
+            h = transition_monoid(random_dfa(rng, 5, 3), edge + 1)
+        except CapError:
+            continue
+        bucket = found.get(h.monoid.size)
+        if bucket is not None and len(bucket) < 2:
+            bucket.append(h)
+    short = 0
+    for size, morphisms in found.items():
+        for h in morphisms:
+            mon = h.monoid
+            built.clear()
+            assert list(mon.j_classes().representatives()) == oracles.j_class_representatives(mon)
+            assert built == {"_pass_table" if size == edge else "_upset_table": 1}
+            info = stability_info(h)
+            if info.stable.size < size:
+                short += 1
+                sub, ids = oracles.submonoid_view(mon, info.stable)
+                by_brute = [ids[e] for e in oracles.j_class_representatives(sub)]
+                assert list(info.stable_j_classes.representatives()) == by_brute
+    assert short
 
 
 def test_a_corrupted_tree_is_refused():

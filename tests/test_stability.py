@@ -277,7 +277,7 @@ def test_admissibility_in_one_member_blocks_matches_brute(small_corpus, monkeypa
             for (a, r), images in brute.items():
                 assert info.admissible_images(a, r) == images, (a, r)
             for e in h.monoid.idempotents():
-                usable = info.usable(e)
+                usable = oracles.usable(info, e)
                 for i, a in enumerate(h.alphabet):
                     for r in range(info.index):
                         assert usable[i, r] == (e in brute[(a, r)]), (e, a, r)
@@ -291,7 +291,7 @@ def test_usable_patterns_match_brute_at_every_idempotent(small_corpus):
             brute = oracles.admissible_brute(h, info.index)
             scatter = oracles.admissible_by_stable_scatter(info)
             for e in h.monoid.idempotents():
-                usable = info.usable(e)
+                usable = oracles.usable(info, e)
                 assert usable.shape == (len(h.alphabet), info.index)
                 for i, a in enumerate(h.alphabet):
                     for r in range(info.index):
@@ -314,7 +314,7 @@ def test_mes_shared_per_usable_pattern(small_corpus):
                     assert set(mes.tolist()) == oracles.me_s_brute(h, info.index, e)
                     checked += 1
                 # one array per pattern, and a new pattern gets its own
-                key = info.usable(e).tobytes()
+                key = oracles.usable(info, e).tobytes()
                 assert by_pattern.setdefault(key, mes) is mes
             assert len({id(a) for a in by_pattern.values()}) == len(by_pattern)
     assert checked > 150
@@ -346,7 +346,7 @@ def test_packed_table_matches_per_residue_oracle_at_mid_size(multiplier):
     idempotents = h.monoid.idempotents()
     assert (h.monoid.size, len(idempotents)) == (1580, 212)
     every = oracles.admissible_by_residues(info, np.arange(h.monoid.size))
-    usable = np.stack([info.usable(e) for e in idempotents], axis=2)
+    usable = np.stack([oracles.usable(info, e) for e in idempotents], axis=2)
     assert np.array_equal(usable, every[:, :, idempotents])
     for i, a in enumerate(h.alphabet):
         for r in range(info.index):
@@ -687,7 +687,7 @@ def test_per_pair_tables_match_per_residue_oracles(small_corpus):
         for multiplier in MULTIPLIERS:
             info = stability_info(h, multiplier)
             every = oracles.admissible_by_residues(info, np.arange(h.monoid.size))
-            usable = np.stack([info.usable(e) for e in idempotents], axis=2)
+            usable = np.stack([oracles.usable(info, e) for e in idempotents], axis=2)
             assert np.array_equal(usable, every[:, :, idempotents])
             for i, a in enumerate(h.alphabet):
                 for r in range(info.index):

@@ -1,5 +1,6 @@
-"""The library surface: every public top-level function of `src/fragcheck`
-is reached by the program or named where its readers look for it.
+"""The library surface: every public top-level function of `src/fragcheck`,
+and every public method of its classes, is reached by the program or
+named where its readers look for it.
 
 A public function passes when one of these holds:
 
@@ -11,6 +12,10 @@ A public function passes when one of these holds:
   `Attribute` (a tool may read a function off a module it imported by
   `importlib`);
 - `docs/formats.md` names it in backticks, with or without its module.
+
+A public method passes by the same rules for `bench/`, `tools/` and the
+docs; inside `src/fragcheck` it passes when an `Attribute` of its name is
+loaded anywhere outside its own body, whatever its object.
 
 Reference code that only tests call belongs in `tests/oracles.py`.
 """
@@ -40,11 +45,19 @@ def _read(node, modules=None) -> set:
     return names
 
 
+def _attributes(node) -> set:
+    """The attribute names `node` loads, whatever their object."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
 def _defs_and_readers():
-    """Each public top-level def as (module, name), and the names each
-    top-level statement of `src/` reads, keyed by (module, def name or
-    None), import lines left out."""
-    defs, readers = [], {}
+    """Each public top-level def as (module, name) and each public method
+    as (module, "Class.name"); the names each top-level statement of
+    `src/` reads, keyed by (module, def name or None), import lines left
+    out; and the attributes each method and each other top-level statement
+    loads, keyed by (module, "Class.name" or None)."""
+    defs, readers, attributes = [], {}, []
     paths = sorted(SRC.glob("*.py"))
     modules = {path.stem for path in paths}
     for path in paths:
@@ -57,11 +70,20 @@ def _defs_and_readers():
                 if not own.startswith("_"):
                     defs.append((path.stem, own))
             readers[(path.stem, own, i)] = _read(node, modules)
-    return defs, readers
+            parts = node.body if isinstance(node, ast.ClassDef) else [node]
+            for part in parts:
+                method = None
+                if part is not node and isinstance(part, (ast.FunctionDef,
+                                                          ast.AsyncFunctionDef)):
+                    method = f"{node.name}.{part.name}"
+                    if not part.name.startswith("_"):
+                        defs.append((path.stem, method))
+                attributes.append(((path.stem, method), _attributes(part)))
+    return defs, readers, attributes
 
 
 def unreached() -> list:
-    defs, readers = _defs_and_readers()
+    defs, readers, attributes = _defs_and_readers()
     outside = set()
     for folder in ("bench", "tools"):
         for path in sorted((ROOT / folder).glob("*.py")):
@@ -69,10 +91,14 @@ def unreached() -> list:
     docs = (ROOT / "docs" / "formats.md").read_text()
     out = []
     for module, name in defs:
-        in_src = any(name in read for (m, own, _), read in readers.items()
-                     if (m, own) != (module, name))
-        named = re.search(rf"`(\w+\.)*{re.escape(name)}\b", docs)
-        if not (in_src or name in outside or named):
+        short = name.rpartition(".")[2]
+        if short == name:
+            in_src = any(name in read for (m, own, _), read in readers.items()
+                         if (m, own) != (module, name))
+        else:
+            in_src = any(short in read for key, read in attributes if key != (module, name))
+        named = re.search(rf"`(\w+\.)*{re.escape(short)}\b", docs)
+        if not (in_src or short in outside or named):
             out.append(f"{module}.{name}")
     return out
 
@@ -84,7 +110,8 @@ def test_every_public_function_is_reached():
 def test_the_guard_sees_a_function_that_only_tests_call(tmp_path, monkeypatch):
     # a copy of the package with two extra public functions, read by
     # nothing, is refused on those alone: one that only calls itself, and
-    # one whose name is also read as an attribute of `self`
+    # one whose name is also read as an attribute of `self`; and of the
+    # methods of an extra class, the one read only in its own body
     copy = tmp_path / "fragcheck"
     copy.mkdir()
     for path in SRC.glob("*.py"):
@@ -92,6 +119,8 @@ def test_the_guard_sees_a_function_that_only_tests_call(tmp_path, monkeypatch):
     with open(copy / "errors.py", "a") as f:
         f.write("\n\ndef only_tests_call_this():\n    return only_tests_call_this()\n"
                 "\n\ndef also_an_attribute():\n    return None\n"
-                "\n\nclass _Holder:\n    def read(self):\n        return self.also_an_attribute\n")
+                "\n\nclass _Holder:\n    def read(self):\n        return self.also_an_attribute\n"
+                "\n    def only_itself(self):\n        return self.only_itself() or self.read()\n")
     monkeypatch.setitem(globals(), "SRC", copy)
-    assert unreached() == ["errors.only_tests_call_this", "errors.also_an_attribute"]
+    assert unreached() == ["errors.only_tests_call_this", "errors.also_an_attribute",
+                           "errors._Holder.only_itself"]

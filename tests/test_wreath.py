@@ -78,10 +78,10 @@ def test_wreath_product_is_associative_and_ordered():
 
 def test_wreath_morphism_generates_submonoid():
     wm = wreath_morphism(Z2, 2, {"a": ((1, 0), 1), "b": ((0, 0), 1)})
-    f, k = wm.pair_image("ab")
+    f, k = wm.pairs[wm.morphism.image("ab")]
     assert k == 0
     # counting a's at even distance from the start only
-    f2, k2 = wm.pair_image("aa")
+    f2, k2 = wm.pairs[wm.morphism.image("aa")]
     assert k2 == 0 and f2 == (1, 1)
     assert wm.morphism.monoid.size <= 8
 
@@ -100,7 +100,7 @@ def test_lift_translates_decorated_images():
         g = decorated_morphism(Z3, n, ("a", "b"), lambda i: i)
         lifted = lift_decorated_hom(g, n)
         for u in oracles.words(("a", "b"), 2 * n + 2):
-            f, k = lifted.pair_image(u)
+            f, k = lifted.pairs[lifted.morphism.image(u)]
             assert k == len(u) % n
             assert f[0] == g.image(decorate_word(u, n))
 
@@ -110,7 +110,7 @@ def test_lift_components_cover_all_offsets():
     g = decorated_morphism(Z3, n, ("a",), lambda i: i + 1)
     lifted = lift_decorated_hom(g, n)
     for u in oracles.words(("a",), 2 * n + 2):
-        f, _ = lifted.pair_image(u)
+        f, _ = lifted.pairs[lifted.morphism.image(u)]
         for j in range(n):
             assert f[j] == g.image(decorate_word(u, n, offset=j))
 
@@ -129,7 +129,7 @@ def test_project_recovers_a_decorated_morphism():
     assert set(proj.alphabet) == set(decorated_letters(("a", "b"), n))
     seen = {}
     for u in oracles.words(("a", "b"), 2 * n + 2):
-        f, _ = lifted.pair_image(u)
+        f, _ = lifted.pairs[lifted.morphism.image(u)]
         x = proj.image(decorate_word(u, n))
         # equal projected images always carry equal function components
         if x in seen:
