@@ -70,13 +70,15 @@ layer builds the table of its stable submonoid, from which `JClasses`
 places S's classes alike, or reads these when the stable submonoid is
 the whole monoid.  Me is generated by U_e, and by
 the letters in U_e alone (see `me_members`), so only those letters are
-closed, and none when every letter is in U_e, where Me = M.  Each generated
-submonoid is closed once per generator set and kept on the monoid
-(`generated`), so J-classes with one letter set share one Me.  The
-stability layer keeps its stable Me there too, closed until it fills the
-stable submonoid, and its Mes, which it closes by its own block walk,
-under the mask of the block images, so the analyses at every index
-multiplier close a block set once.  The upsets also serve
+closed, and none when every letter is in U_e, where Me = M.  Every
+generated submonoid is closed in one place, `generated`, by one
+breadth-first closure over the table (`_closure_members`), once per
+generator set, and kept on the monoid, so J-classes with one letter set
+share one Me.  A generator set that holds every letter gives M, and
+nothing is closed.  The stability layer closes its submonoids there too:
+the stable Me, bounded by the size of the stable submonoid, and Mes, from
+its block images, so the analyses at every index multiplier close a
+block set once.  The upsets also serve
 `stability.is_stable_trivial` and `hierarchy.sim_quotient`.
 `local_condition` checks e x e = e, <= e and >= e over a member source
 in one sweep of the given idempotents, computing e x e once per visit:
@@ -325,17 +327,23 @@ class OrderedMonoid:
         sibling.leq = self._checked_order(leq)
         return sibling
 
-    def generated(self, gens: np.ndarray, close) -> np.ndarray:
+    def generated(self, gens: np.ndarray, seed=None, limit=None) -> np.ndarray:
         """The sorted members of the submonoid generated by the ids marked
-        in the boolean mask `gens`, built once per distinct mask and kept
-        for the life of the monoid (read-only).  `close` maps the mask to
-        those members, on the first call with it: Me closes its letters
-        from its upset, the stable Me stops at |S| elements, and Mes is
-        closed by the stability layer's block walk."""
+        in the boolean mask `gens`, closed on the first call with a mask
+        (`_closure_members`) and kept for the life of the monoid
+        (read-only).  A mask that holds every generator gives the whole
+        monoid, and nothing is closed.  `seed`, ids of the submonoid that
+        include the generators, starts the closure there, and `limit`, the
+        size of a submonoid known to hold the generators, stops it there:
+        Me is seeded with its upset, the stable Me is bounded by |S|, and
+        Mes closes its block images alone."""
         key = gens.tobytes()
         got = self._generated.get(key)
         if got is None:
-            got = close(gens)
+            if _all(gens.take(self.generators)):
+                got = np.arange(self.size)
+            else:
+                got = _closure_members(self.mult, gens.nonzero()[0], seed=seed, limit=limit)
             got.flags.writeable = False
             self._generated[key] = got
         return got
@@ -353,16 +361,9 @@ class OrderedMonoid:
         got = self._me.get(e)
         if got is None:
             up = self.j_classes().upset(e)
-            letters = self.generators
-            inside = letters[up.take(letters)]
             mask = np.zeros(self.size, dtype=bool)
-            mask[inside] = True
-            if inside.size == letters.size:
-                got = self.generated(mask, lambda _: np.arange(self.size))
-            else:
-                got = self.generated(mask, lambda _: _closure_members(
-                    self.mult, inside, seed=up.nonzero()[0]))
-            self._me[e] = got
+            mask[self.generators] = up.take(self.generators)
+            got = self._me[e] = self.generated(mask, seed=up.nonzero()[0])
         return got
 
     def j_classes(self) -> "JClasses":
@@ -876,7 +877,15 @@ class JClasses:
         return got
 
 
-_GATHER_IDS = 1 << 16  # products gathered at once by a closure (512 KiB of ids)
+_GATHER_IDS = 1 << 16  # ids gathered at once by a blocked table read (512 KiB)
+# Products gathered at once by `_closure_members`, whose bound is read
+# after each block.  The 62 bounded closures of the stable Me in one pass
+# of the ladder workload's 20 languages (|M| 200-800) took 2.6, 2.2, 2.0,
+# 1.9, 2.1, 2.5 and 3.2 ms at 2^9 .. 2^14 and 2^16 products a block, and
+# 3.5 ms when the bound was read once a level (least of 7 replays); its
+# 56 unbounded closures took 0.27-0.29 ms at every size (a shared 2-core
+# host, Python 3.11, numpy 2.4).
+_CLOSURE_BLOCK = 1 << 12
 
 
 def _closure_members(mult: np.ndarray, gens: np.ndarray, seed=None,
@@ -885,25 +894,26 @@ def _closure_members(mult: np.ndarray, gens: np.ndarray, seed=None,
     monoid with the identity 0, by a breadth-first frontier multiplied on
     the right by every generator.
     Each level gathers its products from the table in blocks of frontier
-    rows, so no temporary holds more than about _GATHER_IDS ids.  The
-    search starts from the generators, or from the ids `seed`, members
-    that include them, and stops early once `limit` elements are reached:
-    every element by default, or the size of a submonoid known to hold
-    the generators."""
+    rows, about _CLOSURE_BLOCK products at once.  The search starts from
+    the generators, or from the ids `seed`, members that include them, and
+    stops once `limit` elements are reached: every element by default, or
+    the size of a submonoid known to hold the generators.  The count is
+    read after every block, so a closure that fills its bound early in a
+    level gathers none of the level's later blocks."""
     reached = np.zeros(mult.shape[0], dtype=bool)
     start = gens if seed is None else seed
     reached[0] = True
     reached[start] = True
     frontier = start[start != 0]
-    block = max(1, _GATHER_IDS // max(1, gens.size))
+    block = max(1, _CLOSURE_BLOCK // max(1, gens.size))
     limit = reached.size if limit is None else limit
     while frontier.size and _count_nonzero(reached) < limit:
-        hit = np.zeros(reached.size, dtype=bool)
+        before = reached.copy()
         for lo in range(0, frontier.size, block):
-            hit[mult[frontier[lo:lo + block, None], gens]] = True
-        hit &= ~reached
-        reached |= hit
-        frontier = hit.nonzero()[0]
+            reached[mult[frontier[lo:lo + block, None], gens]] = True
+            if _count_nonzero(reached) >= limit:
+                break
+        frontier = (reached ^ before).nonzero()[0]
     members = reached.nonzero()[0]
     members.flags.writeable = False
     return members

@@ -87,20 +87,20 @@ the pair of r: one `take` of the frontier along the rows of the stack
 that hold the letters usable at r, and one `put`.  In the middle that
 repeats with p, so the walk samples its frontier every p steps there,
 and once a sample repeats it jumps over every whole cycle left in the
-middle: past that repeat its length no longer depends on s.  Walked from a set C the same steps give C . B,
-so Mes, the union of the powers B^k, is the fixed point of the walk: each
-round walks from the elements the last one added, and one round confirms
-a block set that is already closed.  The result is kept in the monoid's
-store of generated submonoids under the mask of B, which the analyses at
-other multipliers, and Me, share.  Where the pattern is full, every
-letter usable at every residue, nothing is walked, as Mes = S: every word
-of s letters is then a usable block, so B = h(A^s) = X_s, and as X_s X_s
-= X_2s = X_s, the submonoid B generates is {1} | X_s = S.  The Me of a
-stable submonoid S short of M closes the upset in S of its J-class, from
-the J-classes of S above, which every multiplier shares; the upset lies
-in S, which is checked closed, so the closure stops as soon as it holds
-|S| elements.  `is_stable_trivial` reads stable R- and L-classes off the
-same upsets.
+middle: past that repeat its length no longer depends on s.  B is walked
+once, from the identity.  Mes, the union of the powers B^k, is then the
+submonoid B generates, closed over the table like every generated
+submonoid (`OrderedMonoid.generated`) and kept in the monoid's store
+under the mask of B, which the analyses at other multipliers, and Me,
+share.  Where the pattern is full, every letter usable at every residue,
+nothing is walked, as Mes = S: every word of s letters is then a usable
+block, so B = h(A^s) = X_s, and as X_s X_s = X_2s = X_s, the submonoid B
+generates is {1} | X_s = S.  The Me of a stable submonoid S short of M
+closes the upset in S of its J-class, from the J-classes of S above,
+which every multiplier shares; the upset lies in S, which is checked
+closed, so the closure is bounded by |S| and stops within the block of
+products that fills S.  `is_stable_trivial` reads stable R- and
+L-classes off the same upsets.
 
 The closure check reads every cell of S x S once, in blocks of rows.
 When S holds more than half of an M of more than 64 elements, the blocks
@@ -164,7 +164,7 @@ import numpy as np
 
 from .errors import CapError, ConsistencyError, InputError
 from .monoid import (
-    _GATHER_IDS, JClasses, Morphism, OrderedMonoid, _all, _any, _closure_members,
+    _GATHER_IDS, JClasses, Morphism, OrderedMonoid, _all,
     _packed_seed, _step, _unpackbits, _unpacked,
 )
 
@@ -423,12 +423,12 @@ class StabilityInfo:
         built once per usable-letter pattern and kept for the life of
         this object (read-only).
 
-        The images B of the usable blocks come from a frontier walk from
+        The images B of the usable blocks come from one frontier walk from
         the identity, step r through the letters usable at residue r
-        (`_walk`).  Mes is the union of the powers of B, closed by
-        walking on from what each round adds, and kept in the monoid's
-        store under the mask of B, so a block set met again, at another
-        multiplier or as an upset of Me, is closed once.  Where every
+        (`_walk`).  Mes is the submonoid B generates, closed over the
+        table in the monoid's store under the mask of B
+        (`OrderedMonoid.generated`), so a block set met again, at another
+        multiplier or as a letter set of Me, is closed once.  Where every
         letter is usable at every residue, Mes is the stable submonoid S
         (see the module docstring), and nothing is walked.
         """
@@ -439,25 +439,23 @@ class StabilityInfo:
             if _all(usable):
                 got = self.stable
             else:
-                mon = self.monoid
-                letters = [self.powers.letter_rows(u) for u in usable.T]
-                start = np.zeros(mon.size, dtype=bool)
-                start[mon.identity] = True
-                blocks = self._walk(start, letters)
-                got = mon.generated(blocks, close=lambda b: self._walk_closure(b, letters))
+                got = self.monoid.generated(
+                    self._walk([self.powers.letter_rows(u) for u in usable.T]))
             self._mes_by_pattern[key] = got
         return got
 
-    def _walk(self, blocks: np.ndarray, letters: list) -> np.ndarray:
-        """The mask of C . B for the set C marked in `blocks`, B the images
-        of the blocks of s letters whose letter at residue r lies in
-        letters[pair of r].  Step r depends only on the slot pair of r,
-        and in the middle (J <= r < s - J) that repeats with the period
-        p, so the walk samples its frontier every p steps there and jumps
-        ahead over whole cycles once a sample repeats."""
+    def _walk(self, letters: list) -> np.ndarray:
+        """The mask of the images B of the blocks of s letters whose letter
+        at residue r lies in letters[pair of r], walked from the identity.
+        Step r depends only on the slot pair of r, and in the middle (J <=
+        r < s - J) that repeats with the period p, so the walk samples its
+        frontier every p steps there and jumps ahead over whole cycles
+        once a sample repeats."""
         pair = self._residue_pairs()[1]
         s, p = self.index, self.powers.period
         lo, hi = self.powers.preperiod, s - self.powers.preperiod  # the middle
+        blocks = np.zeros(self.monoid.size, dtype=bool)
+        blocks[self.monoid.identity] = True
         seen = {}  # sampled frontier -> its r
         r = 0
         while r < s:
@@ -470,19 +468,6 @@ class StabilityInfo:
             r += 1
         return blocks
 
-    def _walk_closure(self, blocks: np.ndarray, letters: list) -> np.ndarray:
-        """The sorted members of the submonoid generated by the block
-        images B marked in `blocks`: {1} | B | B^2 | ..., each round the
-        walk from the elements the round before added."""
-        reached = blocks.copy()
-        reached[self.monoid.identity] = True
-        frontier = blocks.copy()
-        frontier[self.monoid.identity] = False
-        while _any(frontier):
-            frontier = self._walk(frontier, letters) & ~reached
-            reached |= frontier
-        return reached.nonzero()[0]
-
     @property
     def stable_j_classes(self) -> JClasses:
         """The regular J-classes of the stable submonoid S, in S's own
@@ -494,13 +479,13 @@ class StabilityInfo:
         """The sorted members of Me taken inside the stable submonoid S, for
         an idempotent e of S: the closure of its J-class's upset {a in S :
         e in S a S} in the monoid's store (read-only).  The upset lies in S,
-        which is closed, so the closure stops once it reaches |S|
-        elements.  When S = M, it is M's Me (`me_members`)."""
+        which is closed, so the closure is bounded by |S|
+        (`OrderedMonoid.generated`).  When S = M, it is M's Me
+        (`me_members`)."""
         mon = self.monoid
         if self.powers.whole:
             return mon.me_members(e)
-        return mon.generated(self.stable_j_classes.upset(e), lambda up: _closure_members(
-            mon.mult, up.nonzero()[0], limit=self.stable.size))
+        return mon.generated(self.stable_j_classes.upset(e), limit=self.stable.size)
 
 
 def _block_step(right: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -618,9 +603,9 @@ def me_s(m: Morphism, info: StabilityInfo, e: int) -> frozenset[int]:
     residues[r] . h(a) . residues[-(r+1) mod s]; the submonoid is
     generated by the images of the words of exactly s letters that meet
     that constraint.  It is built once per usable-letter pattern by
-    `StabilityInfo.mes_members`, which walks those blocks and walks on
-    from them until nothing new is reached, and kept on `info` and, under
-    the mask of the block images, in the monoid's store.
+    `StabilityInfo.mes_members`, which walks those blocks once and closes
+    their images over the table, and kept on `info` and, under the mask of
+    the block images, in the monoid's store.
     """
     if info.powers is not m._memo.get("powers"):
         raise InputError("stability data belongs to a different morphism")

@@ -71,9 +71,6 @@ class WreathMorphism:
     morphism: Morphism  # into the generated submonoid of pairs
     pairs: tuple  # element id -> (f, k)
 
-    def pair_of(self, x: int):
-        return self.pairs[x]
-
 
 def wreath_morphism(
     base: OrderedMonoid,
@@ -156,7 +153,7 @@ def project_hom(
     function component at 0."""
     n = lifted.modulus
     hom = lifted.morphism
-    shifts = {a: lifted.pair_of(hom.letter_map[a])[1] for a in hom.alphabet}
+    shifts = {a: lifted.pairs[hom.letter_map[a]][1] for a in hom.alphabet}
     distinct = sorted(set(shifts.values()))
     if len(distinct) != 1:
         raise InputError("letters with unequal second components cannot be projected")
@@ -168,7 +165,7 @@ def project_hom(
 
     letter_labels = {}
     for a in hom.alphabet:
-        f = lifted.pair_of(hom.letter_map[a])[0]
+        f = lifted.pairs[hom.letter_map[a]][0]
         for i in range(1, n + 1):
             letter_labels[DecoratedLetter(a, i).text] = tuple(
                 f[(k + (i - 1) * d) % n] for k in range(n)

@@ -52,9 +52,10 @@ to the same objects:
   stability layer ran them before it worked per distinct residue slot
   and jumped over repeating periods;
 - `mes_by_block_closure`: Mes as the images of the usable blocks, walked
-  s frontier steps from the identity, closed by the monoid's
-  breadth-first closure, as `StabilityInfo.mes_members` built it before
-  it closed Mes by walking on from its blocks;
+  s frontier steps from the identity with one step per residue, closed by
+  the monoid's breadth-first closure, as `StabilityInfo.mes_members`
+  closes them too: it checks the library's walk by slot pairs, with its
+  jumps over repeating periods, where the closure is the same;
 - `stable_green_preorder` (with `_product_mask`), the stable R and L
   preorders over all of M by |M|^2 scatters of the table's stable
   columns or rows, from which `stability.is_stable_trivial` and

@@ -376,7 +376,7 @@ def test_criterion_8_lift_and_project_identities():
             labels = {}
             coherent = True
             for a in letters:
-                fa, _ = lifted.pair_of(lifted.morphism.letter_map[a])
+                fa, _ = lifted.pairs[lifted.morphism.letter_map[a]]
                 for i in range(1, n + 1):
                     dl = f"{a}@{i}"
                     labels[dl] = tuple(fa[(k + i - 1) % n] for k in range(n))

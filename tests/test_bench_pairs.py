@@ -96,3 +96,31 @@ def test_a_misspelled_workload_exits_2_before_any_export(tmp_path, monkeypatch, 
     assert "unknown workload 'formula'" in err
     assert "choose from corpus, ladder, xcheck, formulas" in err
     assert not out.exists()
+
+
+def test_each_side_runs_from_each_directory_in_half_of_the_pairs():
+    plans = [bench_pairs.directory_plan(n) for n in range(10)]
+    assert all(sorted(p.values()) == [0, 1] for p in plans)
+    for side in ("parent", "change"):
+        assert sum(p[side] == 0 for p in plans) == 5
+    # not the order's pattern: over every four pairs, the parent runs first
+    # and second from each directory once
+    for lo in range(0, 7):
+        seen = {(n % 2, plans[n]["parent"]) for n in range(lo, lo + 4)}
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_placing_moves_the_trees_between_the_two_directories(tmp_path):
+    trees = {}
+    for side in ("parent", "change"):
+        trees[side] = tmp_path / side
+        trees[side].mkdir()
+        (trees[side] / "side.txt").write_text(side)
+    slots = [tmp_path / "tree0", tmp_path / "tree1"]
+    for n in range(4):
+        plan = bench_pairs.directory_plan(n)
+        trees = bench_pairs.place(trees, slots, plan)
+        for side, path in trees.items():
+            assert path == slots[plan[side]]
+            assert (path / "side.txt").read_text() == side
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree0", "tree1"]

@@ -242,9 +242,11 @@ def test_with_order_checks_the_order_and_shares_the_caches():
     assert sibling.mult is m.mult and sibling._tree is m._tree
     assert sibling.generators is m.generators and sibling.leq is None
     assert sibling.j_classes() is m.j_classes() and sibling.me_members(e) is me
-    everything = np.ones(m.size, dtype=bool)
-    built = sibling.generated(everything, lambda _: np.arange(m.size))
-    assert m.generated(everything, lambda _: pytest.fail("closed twice")) is built
+    letter = np.zeros(m.size, dtype=bool)
+    letter[h.image("a")] = True
+    assert letter.tobytes() not in m._generated
+    built = sibling.generated(letter)
+    assert m.generated(letter) is built  # closed once, for both
     syntactic_order(h)
     assert sibling.leq is None and m.with_order(m.leq).leq is not None
     # a given order is checked as the constructor checks it
@@ -561,7 +563,7 @@ def generated_by(m, generators):
     against the scalar search."""
     mask = np.zeros(m.size, dtype=bool)
     mask[list(generators)] = True
-    got = m.generated(mask, lambda g: monoid_module._closure_members(m.mult, g.nonzero()[0]))
+    got = m.generated(mask)
     assert got.tolist() == sorted(oracles.closure_brute(m.mult, m.identity, generators))
     return got.tolist()
 
@@ -912,6 +914,24 @@ def test_me_table_route_at_mid_size():
         _check_me_against_brute_and_j_classes(h)
 
 
+def test_mes_on_ladder_draws_matches_the_residue_search():
+    # ladder-shaped draws, with S short of M and stability indices 21 and
+    # 32: Mes, closed over the table from the block images, against the
+    # residue-tagged search at every idempotent and multiplier
+    draws = _ladder_draws(2)
+    shapes = [(h.monoid.size, stability_info(h).stable.size, stability_info(h).index)
+              for h in draws]
+    assert [(m, s) for m, _, s in shapes] == [(249, 21), (281, 32)]
+    assert all(stable < m for m, stable, _ in shapes)
+    for h in draws:
+        for multiplier in (1, 2, 3):
+            info = stability_info(h, multiplier)
+            scatter = oracles.admissible_by_stable_scatter(info)
+            for e in h.monoid.idempotents():
+                want = oracles.mes_by_residue_search(info, e, scatter)
+                assert set(info.mes_members(e).tolist()) == want, (multiplier, e)
+
+
 def test_me_matches_the_upset_closure_on_the_mid_size_draw():
     # at |M| = 1580 the brute scan of `me_brute` is too slow, so Me is
     # checked against its definition by the table-pass upsets of the
@@ -1106,9 +1126,34 @@ def test_a_closure_stops_at_its_limit():
     assert monoid_module._closure_members(table, np.array([1]), limit=3).tolist() == [0, 1, 2]
 
 
+def test_a_closure_stops_within_a_level_at_its_limit(monkeypatch):
+    # in Z/12, 2, 4, 6 and 8 generate the 6 even residues; the first level
+    # gathers 2 + {2, 4, 6, 8} in its first one-row block, which reaches
+    # 10 and so all 6, and the bound stops it before the other 3 rows
+    class Counting(np.ndarray):
+        def __getitem__(self, index):
+            gathers.append(index)
+            return np.asarray(self).__getitem__(index)
+
+    gathers = []
+    ids = np.arange(12)
+    plain = (ids[:, None] + ids) % 12
+    gens = np.array([2, 4, 6, 8])
+    want = sorted(oracles.closure_brute(plain, 0, gens.tolist()))
+    table = plain.view(Counting)
+    monkeypatch.setattr(monoid_module, "_CLOSURE_BLOCK", gens.size)
+    assert monoid_module._closure_members(table, gens, limit=6).tolist() == want
+    assert len(gathers) == 1
+    # without the bound the closure reads the level's other 3 blocks, and
+    # the next level's, before it finds nothing new
+    gathers.clear()
+    assert monoid_module._closure_members(table, gens).tolist() == want
+    assert len(gathers) == 4 + 1
+
+
 def test_closure_in_small_blocks_matches_brute(small_corpus, monkeypatch):
-    # a tiny gather budget splits every frontier into one-row blocks
-    monkeypatch.setattr(monoid_module, "_GATHER_IDS", 1)
+    # a budget of one product splits every frontier into one-row blocks
+    monkeypatch.setattr(monoid_module, "_CLOSURE_BLOCK", 1)
     for d in small_corpus[:10]:
         fresh, me = _me_on_fresh_monoid(transition_monoid(d, max_monoid=600))
         for e, brute in oracles.me_brute(fresh).items():

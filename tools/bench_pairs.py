@@ -10,7 +10,12 @@ they are on disk, with the untracked files git does not ignore), so both
 sides run from the same kind of directory.
 For every workload and seed the two sides run back to back, the parent
 first for even pair numbers and the change first for odd ones, so that a
-drift of the host's speed falls on both sides alike.
+drift of the host's speed falls on both sides alike.  Some metrics follow
+the path a tree runs from (ladder ``peak_rss_mb`` and formulas
+``item_tail_ms`` have read apart for one tree in two directories), so
+before every pair the two trees are moved between two fixed directories,
+``tree0`` and ``tree1``, by `directory_plan`: each side runs from each
+directory in half of the pairs, in a pattern that is not the order's.
 
 The output file holds the seeds, both revisions, every run's metrics, and
 per workload and end-to-end metric (the ``end_to_end`` list of
@@ -99,6 +104,23 @@ def describe_working_tree() -> dict:
     return {"revision": "working tree", "commit": git("rev-parse", "HEAD"),
             "uncommitted_diff_sha256": hashlib.sha256(diff).hexdigest(),
             "untracked": git("ls-files", "--others", "--exclude-standard").split()}
+
+
+def directory_plan(n: int) -> dict:
+    """The fixed directory, 0 or 1, each side runs from in pair n: the two
+    swap every two pairs, offset by one from the order's parity, so over
+    any four pairs each side runs first, and second, from each directory
+    once."""
+    swap = (n + 1) // 2 % 2
+    return {"parent": swap, "change": 1 - swap}
+
+
+def place(trees: dict, slots: list, plan: dict) -> dict:
+    """Move each side's tree, at trees[side], to the directory
+    slots[plan[side]], by way of a name of its own so the two can swap, and
+    return where each now is."""
+    held = {side: path.rename(path.with_name(f"held-{side}")) for side, path in trees.items()}
+    return {side: path.rename(slots[plan[side]]) for side, path in held.items()}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -193,16 +215,21 @@ def main(argv=None) -> int:
         "parent": {"revision": args.parent, "commit": git("rev-parse", args.parent)},
         "change": describe_working_tree(),
         "order": "parent first for even pair numbers, change first for odd ones",
+        "directories": "tree0 and tree1, swapped between the sides every two pairs "
+                       "(directory_plan); each pair records each side's",
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": export(args.parent, Path(tmp) / "parent"),
                  "change": copy_working_tree(Path(tmp) / "change")}
+        slots = [Path(tmp) / "tree0", Path(tmp) / "tree1"]
         for workload in workloads:
             pairs = []
             for n, seed in enumerate(seeds):
+                trees = place(trees, slots, directory_plan(n))
                 sides = ("parent", "change") if n % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": sides[0]}
+                pair = {"seed": seed, "first": sides[0],
+                        "directories": {side: trees[side].name for side in sides}}
                 for side in sides:
                     pair[side] = run_once(trees[side], workload, seed, args.seconds)
                 pairs.append(pair)
