@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Largest --max-monoid / FRAGCHECK_MAX_MONOID: a monoid of K elements is
-# held as a K x K int64 table, 8 K^2 bytes, 2 GiB at this ceiling.
+# held as a K x K table of two-byte ids (`monoid.id_dtype`), 2 K^2 bytes,
+# 512 MiB at this ceiling.
 MAX_MONOID_CEILING = 16_384
 
 

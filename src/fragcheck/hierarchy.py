@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .monoid import _GATHER_IDS, Morphism, quotient_morphism
+from .monoid import _GATHER_IDS, Morphism, id_dtype, quotient_morphism
 from .stability import is_stable_trivial, stability_info
 
 _SIDES = ("K", "D")
@@ -46,13 +46,13 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
     size, mult = mon.size, mon.mult
     upset, idems = mon.j_classes().upset, mon.idempotents()
 
-    # signature entry j of x is y = e_j x (or x e_j), or -1 when e_j falls
-    # out of y's ideal: y lies below e_j, so e_j is in yM (or My) exactly
-    # when y lies in the J-upset of e_j
-    sigs = np.empty((size, len(idems)), dtype=np.int64)
+    # signature entry j of x is y = e_j x (or x e_j), or `size`, no id,
+    # when e_j falls out of y's ideal: y lies below e_j, so e_j is in yM
+    # (or My) exactly when y lies in the J-upset of e_j
+    sigs = np.empty((size, len(idems)), dtype=id_dtype(size + 1))
     for j, e in enumerate(idems):
         ys = mult[e] if side == "K" else mult[:, e]
-        sigs[:, j] = np.where(upset(e)[ys], ys, -1)
+        sigs[:, j] = np.where(upset(e)[ys], ys, size)
 
     # classes are numbered by their least elements, as `quotient_morphism` reads them
     index: dict = {}
@@ -64,14 +64,18 @@ def sim_quotient(m: Morphism, side: str) -> CongruenceQuotient:
 
     # the class of x y must be the class of (rep of x)(rep of y), checked
     # in blocks of rows so that no |M| x |M| array of ids is built; the
-    # quotient table is mapped to class ids in place, as every id is in
-    # range
-    cls = np.asarray(class_of, dtype=np.int64)
+    # quotient table is mapped to class ids in place, in blocks of rows too,
+    # as numpy widens each block of ids that it gathers by, and every id
+    # is in range; class ids are held as the table holds ids, so the bytes
+    # compared are of one type
+    cls = np.asarray(class_of, dtype=mult.dtype)
     least = [members[0] for members in classes]
     reps = np.asarray(least, dtype=np.int64)
     qmult = mult[np.ix_(reps, reps)]
-    np.take(cls, qmult, out=qmult, mode="clip")
     block = max(1, _GATHER_IDS // size)
+    for lo in range(0, k, block):
+        part = qmult[lo:lo + block]
+        np.take(cls, part, out=part, mode="clip")
     for lo in range(0, size, block):
         rows = cls[lo:lo + block]
         if cls[mult[lo:lo + block]].tobytes() != qmult[rows[:, None], cls].tobytes():

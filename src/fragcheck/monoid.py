@@ -20,6 +20,20 @@ temporaries.  The parents and letters are handed to the monoid as its
 spanning tree; a word is spelled by walking the tree from its element,
 when that element's word is read.
 
+A table holds its ids in the type `id_dtype` picks by size: intp up to
+`_WIDE_MAX_SIZE` elements, where numpy would spend more converting
+narrow ids than a small table saves, and two bytes above, a quarter of
+the bytes to write and to hold (four above 65536 elements, past every
+cap).  The constructor checks the range of a table as it is given, and
+narrows it only then.  Where table values index another array on every
+step, numpy would convert a narrow index array at each gather, so the
+letter columns and rows that the upset steps gather along
+(`_upset_table`) are intp copies, made once per monoid, as are the
+stacked letter columns of the stability layer, once per morphism.
+Other reads use the table as it is, and a product of table values is
+taken in intp, where narrow ids would wrap (the sampled triples of
+`_validate`).
+
 Every table handed to the `OrderedMonoid` constructor is checked, with
 the spanning tree that every monoid carries: its entries in range (one
 pass), the identity law at id 0, the tree by one gather, mult[parent[y],
@@ -126,6 +140,26 @@ MAX_LABEL_CELLS = 1 << 27
 Word = tuple
 
 
+# Tables of at most this many elements hold intp ids, by which numpy
+# indexes without converting them; larger ones hold two-byte ids (four above
+# 65536 elements), a quarter of the bytes to write and to hold.  CPU of
+# `fragments.analyze` at index multipliers 1 and 3 on two-byte against intp
+# tables, in one process (12 random DFAs per band of 5 states and 3
+# letters, 7/2 and 6/2, 7 alternating reps; 2-core x86-64, numpy 2.4):
+# 1.022 at 3-9 elements, 1.022 at 10-19, 1.033 at 20-39, 1.014 at 40-79,
+# 1.014 at 80-127, 0.995 at 128-199, 0.877 at 200-299 and 0.873 at 300-499.
+_WIDE_MAX_SIZE = 128
+
+
+def id_dtype(size: int) -> type:
+    """The type of the ids of a monoid of `size` elements, as its table
+    holds them: intp up to `_WIDE_MAX_SIZE` elements, two bytes up to
+    65536, which covers every monoid cap, and four above."""
+    if size <= _WIDE_MAX_SIZE:
+        return np.intp
+    return np.uint16 if size <= 1 << 16 else np.uint32
+
+
 def format_word(word: Word) -> str:
     if not word:
         return "ε"
@@ -204,18 +238,27 @@ class OrderedMonoid:
     identity = 0
 
     def __init__(self, mult, tree, leq=None):
-        self.mult = np.ascontiguousarray(mult, dtype=np.int64)  # flat takes read it in place
-        if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
+        given = np.asarray(mult)
+        if given.ndim != 2 or given.shape[0] != given.shape[1]:
             raise InputError("multiplication table must be square")
-        self.size = int(self.mult.shape[0])
-        # one pass: a negative entry reads as a huge unsigned one
-        if self.mult.view(np.uint64).max() >= self.size:
+        self.size = int(given.shape[0])
+        # one pass over the table as given, before it is narrowed, which
+        # would wrap an entry out of range onto an id; any other table is
+        # read as int64, where a negative entry reads as a huge unsigned one
+        unsigned = given
+        if given.dtype.kind != "u":
+            given = np.asarray(given, dtype=np.int64)
+            unsigned = given.view(np.uint64)
+        if unsigned.max() >= self.size:
             raise InputError("multiplication table entry out of range")
-        ids = np.arange(self.size).tobytes()  # each comparison is of equal dtypes and shapes
+        # flat takes read it in place
+        self.mult = np.ascontiguousarray(given, dtype=id_dtype(self.size))
+        # each comparison is of equal dtypes and shapes
+        ids = np.arange(self.size, dtype=self.mult.dtype).tobytes()
         if not (self.mult[0].tobytes() == ids and self.mult[:, 0].tobytes() == ids):
             raise InputError("identity law fails")
         self._tree = _Tree(*tree)
-        self.generators = self._check_tree()  # the ids that generate the monoid, sorted
+        self.generators = self._check_tree(ids)  # the ids that generate the monoid, sorted
         self._validate()
         self.leq = self._checked_order(leq)
         self._generated = {}  # generator mask bytes -> sorted members
@@ -223,12 +266,13 @@ class OrderedMonoid:
         self._idempotents = None
         self._j_classes = None  # the JClasses of the monoid, once built
 
-    def _check_tree(self) -> np.ndarray:
+    def _check_tree(self, ids: bytes) -> np.ndarray:
         """Check the spanning tree by one gather, and return its distinct
         letters, sorted: for every y != 0, 0 <= parent[y] < y, 0 <= last[y]
         < len(names) and mult[parent[y], letters[last[y]]] = y, with every
-        letter in range.  By induction on y every element is then a product
-        of letters, the word the tree spells for it."""
+        letter in range, where `ids` are the bytes of every id as the table
+        holds it.  By induction on y every element is then a product of
+        letters, the word the tree spells for it."""
         tree, m = self._tree, self.size
         letters = tree.letters
         if len(tree.parent) != m or len(tree.last) != m or letters.shape != (len(tree.names),):
@@ -242,9 +286,9 @@ class OrderedMonoid:
             raise InputError("the tree's letters must lie in the monoid")
         ps = np.array(tree.parent, dtype=np.int64)[1:]
         ls = np.array(tree.last, dtype=np.int64)[1:]
-        ids = np.arange(1, m, dtype=np.uint64)  # a negative entry reads as a huge one
-        if not (_all(ps.view(np.uint64) < ids) and _all(ls.view(np.uint64) < letters.size)
-                and self.mult[ps, letters.take(ls)].tobytes() == ids.tobytes()):
+        above = np.arange(1, m, dtype=np.uint64)  # a negative entry reads as a huge one
+        if not (_all(ps.view(np.uint64) < above) and _all(ls.view(np.uint64) < letters.size)
+                and self.mult[ps, letters.take(ls)].tobytes() == ids[self.mult.itemsize:]):
             raise InputError("the tree does not spell its elements")
         return letters if gens == given else np.array(gens, dtype=np.int64)
 
@@ -259,8 +303,10 @@ class OrderedMonoid:
         if m <= 64 or m * m * letters.size <= _LIGHT_MAX_CELLS:
             associative = _light(mult, letters)
         else:
-            xs, ys, zs = (_TRIPLES * m).astype(np.int64)
-            associative = (mult.take(mult.take(xs * m + ys) * m + zs).tobytes()
+            xs, ys, zs = (_TRIPLES * m).astype(np.intp)
+            # the products of table values are taken in intp, where the
+            # table's own type would wrap them
+            associative = (mult.take(mult.take(xs * m + ys).astype(np.intp) * m + zs).tobytes()
                            == mult.take(xs * m + mult.take(ys * m + zs)).tobytes())
         if not associative:
             raise InputError("multiplication is not associative")
@@ -549,16 +595,17 @@ def _fill_table(right: list, parent: list, last: list, gens: list) -> np.ndarray
 
     Row x a is row x gathered at the left letter column L_a[z] = a z, as
     (x a) z = x (a z): one contiguous `take` per row, in id order, so each
-    row's parent row is already written.  The left columns follow from the
-    right ones in the same order, a (z b) = (a z) b."""
+    row's parent row is already written, in the type `id_dtype` picks.
+    The left columns follow from the right ones in the same order, a (z b)
+    = (a z) b, and are intp, as the rows are gathered along them."""
     k, m = len(gens), len(parent)
     columns = []
     for g in gens:
         col = [g]  # col[z] = g z
         for p, i in zip(parent[1:], last[1:]):
             col.append(right[col[p] * k + i])
-        columns.append(np.array(col, dtype=np.int64))
-    mult = np.empty((m, m), dtype=np.int64)
+        columns.append(np.array(col, dtype=np.intp))
+    mult = np.empty((m, m), dtype=id_dtype(m))
     mult[0] = np.arange(m)
     rows = list(mult)
     # the ids are in range by construction; mode="clip" lets `take` write
@@ -821,10 +868,10 @@ def _upset_table(mult: np.ndarray, ids: np.ndarray, letters: np.ndarray,
     word of at most `rounds` letters; then as many left steps along the
     letter rows mult[b] reach {a : x a in Z_i for some x}, the upset."""
     reach = _packed_seed(ids, mult.shape[0])
-    right = list(mult.take(letters, axis=1).T.copy())
+    right = list(mult.take(letters, axis=1).T.astype(np.intp, order="C"))
     for _ in range(rounds):
         reach |= _step(right, reach)
-    left = [mult[b] for b in letters.tolist()]
+    left = list(mult.take(letters, axis=0).astype(np.intp, copy=False))
     for _ in range(rounds):
         reach |= _step(left, reach)
     return np.ascontiguousarray(_unpacked(reach, ids.size).T)

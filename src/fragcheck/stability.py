@@ -4,7 +4,10 @@ context-constrained local submonoids used by the modular fragment checks.
 
 Every set here is a sorted read-only int64 id array, the form the monoid's
 store of generated submonoids uses.  Only `admissible_images` and `me_s`
-hand out frozensets.
+hand out frozensets.  The monoid's table holds narrow ids above 128
+elements (`monoid.id_dtype`); the stack of right letter columns below,
+its rows and the letter rows of the left steps are intp copies, made
+once per morphism, as every step and walk indexes by them.
 
 What a stability index shares with its multiples is built once per
 morphism, by `_PowerImages`: the power images X_k, each step one `take`
@@ -201,9 +204,10 @@ class _PowerImages:
         x1 = np.array(sorted(set(self.images.tolist())), dtype=np.int64)
         # the letters' distinct images X_1, in increasing order, each
         # letter's place among them, the stack of their right columns
-        # mult[:, b], one contiguous row each, and its rows
+        # mult[:, b], one contiguous intp row each, as the steps and walks
+        # index by them, and its rows
         self.letter_index = x1.searchsorted(self.images)
-        stack = self.stack = mult.take(x1, axis=1).T.copy()
+        stack = self.stack = mult.take(x1, axis=1).T.astype(np.intp, order="C")
         self.right = list(stack)
         self._letter_rows = {}  # usable mask bytes -> rows of the stack
         seq, seen = [np.array([mon.identity]), x1], {x1.tobytes(): 1}
@@ -298,7 +302,7 @@ class _PowerImages:
         mon, ids = self.monoid, self.idempotents
         n = self.slot(self.smallest_index)
         reach = self.steps[n]  # E[i] in a . X_s
-        rows = [mon.mult[b] for b in self.seq[1].tolist()]
+        rows = list(mon.mult.take(self.seq[1], axis=0).astype(np.intp, copy=False))
         for _ in range(n):  # X_(k+1) . a . X_s from X_k . a . X_s
             reach = _step(rows, reach)
         bits = _unpacked(reach, ids.size)

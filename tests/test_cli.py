@@ -234,7 +234,7 @@ def _cli_under_memory_limit(args, env=()):
 
 
 def test_a_monoid_cap_above_the_ceiling_is_refused_before_anything_is_built():
-    # T6 under a cap of 100000 would need a 46656^2 int64 table (16.2 GiB):
+    # T6 under a cap of 100000 would need a 46656^2 table of two-byte ids (4.1 GiB):
     # the cap is refused with exit 2 before the DFA is read; at the default
     # cap the closure stops at 10000 elements with exit 3
     ceiling = f"must be at most {cli.MAX_MONOID_CEILING}\n"

@@ -95,23 +95,28 @@ def test_entries_out_of_range_are_refused_at_every_size():
     for m in (2, 64, 65, 200):
         table = _with_identity((np.add.outer(np.arange(m - 1), np.arange(m - 1)) % (m - 1)) + 1)
         oracles.table_monoid(table)  # 1 + Z_(m-1) is a monoid
+        # 65536 + y wraps onto the right product y in a two-byte table, as
+        # the table of 200 elements is held
         for x, y, bad in ((m - 1, m - 1, -1), (m - 1, 1, m), (1, m - 1, np.iinfo(np.int64).min),
-                          (1, 1, np.iinfo(np.int64).max)):
+                          (1, 1, np.iinfo(np.int64).max), (1, 1, (1 << 16) + table[1, 1])):
             broken = table.copy()
             broken[x, y] = bad
             with pytest.raises(InputError, match="^multiplication table entry out of range$"):
                 oracles.table_monoid(broken)
 
 
-def test_sampled_associativity_refuses_a_largely_non_associative_table():
-    # {1} + (Z_99, x - y): (x - y) - z = x - (y - z) only where 2 z = 0
-    n = 99
+@pytest.mark.parametrize("n", [99, 299])
+def test_sampled_associativity_refuses_a_largely_non_associative_table(n):
+    # {1} + (Z_n, x - y): (x - y) - z = x - (y - z) only where 2 z = 0.  At
+    # 300 elements the table holds two-byte ids, whose product x * |M|
+    # overflows them
     table = _with_identity(np.subtract.outer(np.arange(n), np.arange(n)) % n + 1)
-    left, right = table[table], table[:, table]  # [x, y, z] -> (xy)z, x(yz)
-    assert np.count_nonzero(left != right) >= table.size * table.shape[0] / 4
+    # [y, z] at each x: (xy)z against x(yz)
+    broken = sum(np.count_nonzero(table[row] != row[table]) for row in table)
+    assert broken >= table.size * table.shape[0] / 4
     with pytest.raises(InputError, match="^multiplication is not associative$"):
         oracles.table_monoid(table)
-    # the same law on Z_99 under addition holds
+    # the same law on Z_n under addition holds
     oracles.table_monoid(_with_identity(np.add.outer(np.arange(n), np.arange(n)) % n + 1))
 
 
@@ -423,6 +428,7 @@ def test_transition_monoid_peak_memory_is_about_its_table():
     finally:
         tracemalloc.stop()
     assert h.monoid.size == 1580
+    assert h.monoid.mult.itemsize == 2
     assert peak < 1.25 * h.monoid.mult.nbytes
 
 

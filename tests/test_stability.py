@@ -201,7 +201,7 @@ def test_stable_triviality_peak_memory_is_far_below_the_table():
     finally:
         tracemalloc.stop()
     assert h.monoid.size == 1580
-    assert peak < h.monoid.mult.nbytes / 8
+    assert peak < h.monoid.size ** 2  # the bytes of one |M|^2 boolean mask
 
 
 def test_stability_against_brute_powers(small_corpus):
